@@ -21,6 +21,7 @@
 use mbp_randx::SeedStream;
 use mbp_wal::{recover_dir, RecoveredState, WalConfig, WalEvent, WalWriter};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Fsync intervals exercised by the sweep (records between fsyncs).
@@ -105,9 +106,12 @@ fn seeded_history(seed: u64, n: usize) -> Vec<WalEvent> {
         .collect()
 }
 
-/// Scratch directory for one benchmark run.
+/// Scratch directory for one benchmark run. A per-call sequence number
+/// keeps concurrent runs in one process (parallel test threads) apart.
 fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mbp-walbench-{}-{tag}", std::process::id()))
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("mbp-walbench-{}-{seq}-{tag}", std::process::id()))
 }
 
 /// Appends the whole history to a fresh segment at the given fsync

@@ -10,6 +10,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use crate::wire::{
     decode_header, decode_response, digest_bytes, encode_request, Request, Response, DIGEST_SEED,
@@ -42,6 +43,12 @@ impl Client {
     /// Rolling FNV-1a digest over every raw response frame received.
     pub fn digest(&self) -> u64 {
         self.digest
+    }
+
+    /// Bounds how long [`Client::recv`] blocks in one socket read before
+    /// failing with `WouldBlock`/`TimedOut`; `None` blocks without limit.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream.set_read_timeout(timeout)
     }
 
     /// Buffers one request frame locally and returns its request id

@@ -32,6 +32,7 @@ use mbp_core::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::{seeded_rng, MbpRng};
 
+use crate::wake::RawFd;
 use crate::wire::{
     decode_header, decode_request, encode_buy_ok, encode_error, encode_quote_ok, encode_response,
     market_error_code, ErrorCode, Request, Response, HEADER_LEN,
@@ -55,7 +56,7 @@ pub(crate) struct ConnConfig {
 pub(crate) enum CycleResult {
     /// Bytes moved or requests dispatched this turn.
     Progress,
-    /// Nothing to do; the caller may park briefly.
+    /// Nothing to do until the socket is ready again.
     Idle,
     /// The connection is gone; drop it.
     Closed,
@@ -138,6 +139,22 @@ impl Conn {
         } else {
             CycleResult::Idle
         }
+    }
+
+    /// The socket's descriptor, for the server's readiness wait.
+    #[cfg(unix)]
+    pub(crate) fn raw_fd(&self) -> RawFd {
+        use std::os::unix::io::AsRawFd;
+        self.stream.as_raw_fd()
+    }
+
+    #[cfg(not(unix))]
+    pub(crate) fn raw_fd(&self) -> RawFd {}
+
+    /// `true` while encoded responses still wait for the socket to take
+    /// them (the server then waits for writability too).
+    pub(crate) fn has_unwritten(&self) -> bool {
+        self.write_pos < self.write_buf.len()
     }
 
     /// `true` when at least one complete frame sits unparsed in the

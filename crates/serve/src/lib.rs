@@ -9,7 +9,11 @@
 //! buys/quotes as *one* batch-kernel call (**batch admission**), with
 //! bounded per-connection queues, explicit backpressure frames, idle
 //! timeouts, and a graceful drain-then-shutdown on SIGTERM or a control
-//! frame. A `GET /metrics` Prometheus side port exposes the live
+//! frame. No daemon thread sleeps on a timer: an idle IO worker blocks in
+//! `poll(2)` on its sockets and a per-worker wake fd, which the accept
+//! thread pokes when it hands the worker a new socket and every drain
+//! (shutdown call, control frame, SIGTERM) pokes on every thread. A
+//! `GET /metrics` Prometheus side port exposes the live
 //! `mbp-obs` registry (`mbp.serve.*` spans, counters, and gauges cover
 //! every phase: read/decode/batch/dispatch/encode/write).
 //!
@@ -26,6 +30,7 @@
 pub mod client;
 mod conn;
 mod server;
+mod wake;
 pub mod wire;
 
 pub use client::Client;

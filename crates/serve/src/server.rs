@@ -14,9 +14,22 @@
 //! never migrate, which keeps every connection's cycle single-threaded —
 //! the property the per-connection RNG determinism rests on.
 //!
+//! Readiness waits: on unix no daemon thread sleeps on a timer. An IO
+//! worker runs passes over its connections while any of them makes
+//! progress; after a pass with none it blocks in `poll(2)` on its sockets
+//! (readable, plus writable while responses are still unwritten) and its
+//! own wake fd, for at most the time until its earliest idle deadline.
+//! The accept thread waits on the listener and its wake fd, the metrics
+//! thread on its listener and its wake fd. Each wake fd is one end of a
+//! socket pair ([`crate::wake`]); the accept thread pokes a worker's
+//! after pushing a socket into that worker's inbox.
+//!
 //! Shutdown: SIGTERM (when [`ServerConfig::handle_sigterm`] is set), a
-//! client shutdown control frame, or [`ServerHandle::shutdown`] all flip
-//! one drain flag. The accept loop closes, every connection stops
+//! client shutdown control frame, or [`ServerHandle::shutdown`] all end in
+//! one drain: set the drain flag, then poke every thread's wake fd. The
+//! SIGTERM handler itself writes one byte to a process-wide wake fd the
+//! accept thread waits on, and the worker that dispatched a shutdown
+//! frame wakes the rest. The accept loop closes, every connection stops
 //! reading, serves what it already buffered, flushes, closes — then the
 //! IO loops exit and [`ServerHandle::wait`] returns the run's stats.
 
@@ -29,6 +42,7 @@ use std::time::{Duration, Instant};
 use mbp_core::market::concurrent::SharedBroker;
 
 use crate::conn::{Conn, ConnConfig, CycleResult};
+use crate::wake::{self, Poller, RawFd, Waker};
 
 /// Tuning for one [`start`]ed daemon instance.
 #[derive(Debug, Clone)]
@@ -77,6 +91,20 @@ struct Control {
     draining: AtomicBool,
     accepted: AtomicU64,
     live_conns: AtomicU64,
+    /// One waker per daemon thread: the IO workers' first, in inbox
+    /// order, then the accept thread's and (when enabled) the metrics
+    /// thread's.
+    wakers: Vec<Waker>,
+}
+
+impl Control {
+    /// Sets the drain flag and wakes every daemon thread to act on it.
+    fn drain(&self) {
+        self.draining.store(true, Ordering::Relaxed);
+        for waker in &self.wakers {
+            waker.wake();
+        }
+    }
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::wait`])
@@ -101,10 +129,10 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// Flips the drain flag: stop accepting, serve buffered requests,
-    /// flush, close. Returns immediately; pair with [`ServerHandle::wait`].
+    /// Starts the drain: stop accepting, serve buffered requests, flush,
+    /// close. Returns immediately; pair with [`ServerHandle::wait`].
     pub fn shutdown(&self) {
-        self.control.draining.store(true, Ordering::Relaxed);
+        self.control.drain();
     }
 
     /// Blocks until the drain completes and every thread has exited,
@@ -144,7 +172,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.control.draining.store(true, Ordering::Relaxed);
+        self.control.drain();
         self.join_all();
     }
 }
@@ -153,43 +181,87 @@ impl Drop for ServerHandle {
 /// are process-global anyway).
 static SIGTERM_SEEN: AtomicBool = AtomicBool::new(false);
 
+/// Installs the SIGTERM handler and returns the read end of the
+/// process-wide SIGTERM wake fd, which the handler writes one byte to.
+/// The fd stays readable from then on, so every SIGTERM-handling server's
+/// accept thread wakes, sees [`SIGTERM_SEEN`] and drains.
 #[cfg(unix)]
-fn install_sigterm_handler() {
+fn install_sigterm_handler() -> std::io::Result<RawFd> {
     use std::os::raw::{c_int, c_void};
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::AtomicI32;
+    use std::sync::OnceLock;
     const SIGTERM: c_int = 15;
+    /// Write end of the wake pair, for the handler; `-1` until created.
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+    /// The pair lives for the rest of the process, so `WAKE_FD` never
+    /// names a closed (or reused) descriptor.
+    static PAIR: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
     extern "C" fn on_sigterm(_sig: c_int) {
         SIGTERM_SEEN.store(true, Ordering::Relaxed);
+        let fd = WAKE_FD.load(Ordering::Relaxed);
+        if fd >= 0 {
+            let byte = 1u8;
+            // SAFETY: `write(2)` is async-signal-safe. `fd` is the write
+            // end of `PAIR`, which is never closed; it is non-blocking, so
+            // a full socket buffer (which already holds a wake) fails
+            // fast instead of stalling the handler — the only case in
+            // which the call sets `errno`. `byte` outlives the call.
+            unsafe {
+                write(fd, (&byte as *const u8).cast::<c_void>(), 1);
+            }
+        }
     }
     extern "C" {
-        // libc::signal, which std already links; declared here to keep the
-        // crate dependency-free.
+        // libc::signal and libc::write, which std already links; declared
+        // here to keep the crate dependency-free.
         fn signal(signum: c_int, handler: *const c_void) -> *const c_void;
+        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
-    // SAFETY: `on_sigterm` is async-signal-safe (one relaxed atomic store,
-    // no allocation, no locks), and `signal` only swaps the process's
-    // SIGTERM disposition to it.
+    let pair = match PAIR.get() {
+        Some(pair) => pair,
+        None => {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            PAIR.get_or_init(|| (tx, rx))
+        }
+    };
+    WAKE_FD.store(pair.0.as_raw_fd(), Ordering::Relaxed);
+    // SAFETY: `on_sigterm` is async-signal-safe (relaxed atomic loads and
+    // stores plus one `write(2)`; no allocation, no locks), and `signal`
+    // only swaps the process's SIGTERM disposition to it.
     unsafe {
         signal(SIGTERM, on_sigterm as *const c_void);
     }
+    Ok(pair.1.as_raw_fd())
 }
 
 #[cfg(not(unix))]
-fn install_sigterm_handler() {}
+fn install_sigterm_handler() -> std::io::Result<RawFd> {
+    Ok(())
+}
 
 /// Starts the daemon over `broker` and returns its handle.
 pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    if cfg.handle_sigterm {
-        install_sigterm_handler();
-    }
+    let sigterm_fd = if cfg.handle_sigterm {
+        Some(install_sigterm_handler()?)
+    } else {
+        None
+    };
+    let metrics_listener = match &cfg.metrics_addr {
+        Some(maddr) => {
+            let mlistener = TcpListener::bind(maddr)?;
+            mlistener.set_nonblocking(true)?;
+            Some(mlistener)
+        }
+        None => None,
+    };
 
-    let control = Arc::new(Control {
-        draining: AtomicBool::new(false),
-        accepted: AtomicU64::new(0),
-        live_conns: AtomicU64::new(0),
-    });
     let conn_cfg = ConnConfig {
         queue_limit: cfg.queue_limit.max(1),
         read_buf_limit: 256 * 1024,
@@ -202,61 +274,105 @@ pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerH
     }
     .max(1);
 
+    // One wake channel per daemon thread, in `Control::wakers` order.
+    let mut wakers = Vec::new();
+    let mut worker_pollers = Vec::with_capacity(io_threads);
+    for _ in 0..io_threads {
+        let (waker, poller) = wake::channel()?;
+        wakers.push(waker);
+        worker_pollers.push(poller);
+    }
+    let (accept_waker, accept_poller) = wake::channel()?;
+    wakers.push(accept_waker);
+    let metrics = match metrics_listener {
+        Some(mlistener) => {
+            let (waker, poller) = wake::channel()?;
+            wakers.push(waker);
+            Some((mlistener, poller))
+        }
+        None => None,
+    };
+    let control = Arc::new(Control {
+        draining: AtomicBool::new(false),
+        accepted: AtomicU64::new(0),
+        live_conns: AtomicU64::new(0),
+        wakers,
+    });
+
     // One inbox of freshly accepted sockets per IO worker.
     let inboxes: Vec<Arc<Mutex<Vec<TcpStream>>>> = (0..io_threads)
         .map(|_| Arc::new(Mutex::new(Vec::new())))
         .collect();
 
     let pool = mbp_par::ThreadPool::new(io_threads);
-    for inbox in &inboxes {
+    for (inbox, poller) in inboxes.iter().zip(worker_pollers) {
         let inbox = Arc::clone(inbox);
         let broker = broker.clone();
         let control = Arc::clone(&control);
         let conn_cfg = conn_cfg.clone();
         let idle_timeout = cfg.idle_timeout;
-        pool.run(move || io_loop(&inbox, &broker, &control, &conn_cfg, idle_timeout));
+        pool.run(move || io_loop(&inbox, &broker, &control, &conn_cfg, idle_timeout, poller));
     }
 
-    let accept_control = Arc::clone(&control);
-    let handle_sigterm = cfg.handle_sigterm;
-    let accept_thread = std::thread::Builder::new()
-        .name("mbp-serve-accept".to_string())
-        .spawn(move || accept_loop(listener, &inboxes, &accept_control, handle_sigterm))?;
-
-    let (metrics_addr, metrics_thread) = match &cfg.metrics_addr {
-        Some(maddr) => {
-            let mlistener = TcpListener::bind(maddr)?;
-            mlistener.set_nonblocking(true)?;
-            let bound = mlistener.local_addr()?;
-            let mcontrol = Arc::clone(&control);
-            let t = std::thread::Builder::new()
-                .name("mbp-serve-metrics".to_string())
-                .spawn(move || metrics_loop(mlistener, &mcontrol))?;
-            (Some(bound), Some(t))
-        }
-        None => (None, None),
-    };
-
-    Ok(ServerHandle {
+    // From here on an early return drops the handle, which drains and
+    // joins whatever already started.
+    let mut handle = ServerHandle {
         addr,
-        metrics_addr,
-        control,
-        accept_thread: Some(accept_thread),
-        metrics_thread,
+        metrics_addr: None,
+        control: Arc::clone(&control),
+        accept_thread: None,
+        metrics_thread: None,
         pool: Some(pool),
-    })
+    };
+    let accept_control = Arc::clone(&control);
+    handle.accept_thread = Some(
+        std::thread::Builder::new()
+            .name("mbp-serve-accept".to_string())
+            .spawn(move || {
+                accept_loop(
+                    listener,
+                    &inboxes,
+                    &accept_control,
+                    accept_poller,
+                    sigterm_fd,
+                )
+            })?,
+    );
+    if let Some((mlistener, mpoller)) = metrics {
+        handle.metrics_addr = Some(mlistener.local_addr()?);
+        handle.metrics_thread = Some(
+            std::thread::Builder::new()
+                .name("mbp-serve-metrics".to_string())
+                .spawn(move || metrics_loop(mlistener, &control, mpoller))?,
+        );
+    }
+    Ok(handle)
 }
+
+#[cfg(unix)]
+fn listener_fd(listener: &TcpListener) -> RawFd {
+    use std::os::unix::io::AsRawFd;
+    listener.as_raw_fd()
+}
+
+#[cfg(not(unix))]
+fn listener_fd(_listener: &TcpListener) -> RawFd {}
+
+/// Backoff after an accept error other than `WouldBlock` (e.g. out of
+/// fds): the listener stays readable, so waiting on it would spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 fn accept_loop(
     listener: TcpListener,
     inboxes: &[Arc<Mutex<Vec<TcpStream>>>],
     control: &Control,
-    handle_sigterm: bool,
+    mut poller: Poller,
+    sigterm_fd: Option<RawFd>,
 ) {
     let mut next = 0usize;
     loop {
-        if handle_sigterm && SIGTERM_SEEN.load(Ordering::Relaxed) {
-            control.draining.store(true, Ordering::Relaxed);
+        if sigterm_fd.is_some() && SIGTERM_SEEN.load(Ordering::Relaxed) {
+            control.drain();
         }
         if control.draining.load(Ordering::Relaxed) {
             return; // closing the listener refuses new connections
@@ -271,17 +387,29 @@ fn accept_loop(
                 control.live_conns.fetch_add(1, Ordering::Relaxed);
                 mbp_obs::inc("mbp.serve.accepted");
                 mbp_obs::gauge_add("mbp.serve.connections", 1.0);
-                if let Some(inbox) = inboxes.get(next % inboxes.len()) {
+                let worker = next % inboxes.len();
+                if let Some(inbox) = inboxes.get(worker) {
                     if let Ok(mut q) = inbox.lock() {
                         q.push(stream);
                     }
                 }
+                if let Some(waker) = control.wakers.get(worker) {
+                    waker.wake();
+                }
                 next = next.wrapping_add(1);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                poller.clear();
+                poller.add(listener_fd(&listener), true, false);
+                if let Some(fd) = sigterm_fd {
+                    poller.add(fd, true, false);
+                }
+                poller.wait(None);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(_) => {
+                poller.clear();
+                poller.wait(Some(ACCEPT_ERROR_BACKOFF));
+            }
         }
     }
 }
@@ -297,6 +425,7 @@ fn io_loop(
     control: &Control,
     cfg: &ConnConfig,
     idle_timeout: Duration,
+    mut poller: Poller,
 ) {
     let mut conns: Vec<Tracked> = Vec::new();
     loop {
@@ -313,6 +442,8 @@ fn io_loop(
         if draining && conns.is_empty() {
             return;
         }
+        // Progress includes closing a connection: the next pass must
+        // re-check whether a draining worker has any left.
         let mut any_progress = false;
         let now = Instant::now();
         conns.retain_mut(|t| {
@@ -327,6 +458,7 @@ fn io_loop(
                     if now.duration_since(t.last_progress) > idle_timeout {
                         mbp_obs::inc("mbp.serve.idle_closed");
                         close_conn(control);
+                        any_progress = true;
                         false
                     } else {
                         true
@@ -334,16 +466,28 @@ fn io_loop(
                 }
                 CycleResult::Closed => {
                     close_conn(control);
+                    any_progress = true;
                     false
                 }
             }
         });
+        if !draining && control.draining.load(Ordering::Relaxed) {
+            // A shutdown frame on one of this worker's connections set
+            // the flag; wake every other thread to drain too.
+            control.drain();
+        }
         if !any_progress {
-            if !draining && conns.is_empty() {
-                std::thread::sleep(Duration::from_millis(1));
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
+            // Nothing moved: wait for a socket, a wake, or the earliest
+            // idle deadline. A draining connection no longer reads.
+            poller.clear();
+            let mut deadline: Option<Instant> = None;
+            for t in &conns {
+                poller.add(t.conn.raw_fd(), !draining, t.conn.has_unwritten());
+                if let Some(due) = t.last_progress.checked_add(idle_timeout) {
+                    deadline = Some(deadline.map_or(due, |d| d.min(due)));
+                }
             }
+            poller.wait(deadline.map(|d| d.saturating_duration_since(Instant::now())));
         }
     }
 }
@@ -355,7 +499,7 @@ fn close_conn(control: &Control) {
 
 /// Minimal HTTP responder for `GET /metrics`: one request per connection,
 /// Prometheus text exposition of the live `mbp-obs` snapshot.
-fn metrics_loop(listener: TcpListener, control: &Control) {
+fn metrics_loop(listener: TcpListener, control: &Control, mut poller: Poller) {
     loop {
         if control.draining.load(Ordering::Relaxed) {
             return;
@@ -391,9 +535,14 @@ fn metrics_loop(listener: TcpListener, control: &Control) {
                 let _ = stream.write_all(response.as_bytes());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                poller.clear();
+                poller.add(listener_fd(&listener), true, false);
+                poller.wait(None);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => {
+                poller.clear();
+                poller.wait(Some(ACCEPT_ERROR_BACKOFF));
+            }
         }
     }
 }

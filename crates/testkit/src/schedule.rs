@@ -744,7 +744,7 @@ pub fn explore_crash(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
@@ -931,13 +931,18 @@ mod tests {
         let [a, b] = curves();
         let (pa, pb) = (a.price_at(1.0), b.price_at(1.0));
         let stop = Arc::new(AtomicBool::new(false));
+        let ready = Arc::new(Barrier::new(2));
         let reader = {
             let sb = sb.clone();
             let stop = Arc::clone(&stop);
+            let ready = Arc::clone(&ready);
             thread::spawn(move || {
                 let mut rng = seeded_rng(31);
                 let mut seen = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                ready.wait();
+                // Read before checking `stop`: at least one quote is seen
+                // however the scheduler orders the two threads.
+                loop {
                     let r = sb
                         .buy_batch(
                             ModelKind::LinearRegression,
@@ -946,10 +951,14 @@ mod tests {
                         )
                         .expect("listed");
                     seen.push(r[0].as_ref().expect("valid NCP").price);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 seen
             })
         };
+        ready.wait();
         for i in 0..200 {
             let curve = if i % 2 == 0 { b.clone() } else { a.clone() };
             sb.publish(

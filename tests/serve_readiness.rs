@@ -1,0 +1,190 @@
+//! The serve daemon's readiness waits, end to end over loopback TCP.
+//!
+//! An IO worker with nothing to do blocks in `poll(2)` until one of its
+//! sockets is ready, its wake fd is poked, or its earliest idle deadline
+//! passes (30 s here). These tests pin the wake paths that must cut that
+//! wait short — a socket handed over by the accept thread, and a drain
+//! started on another worker — and the depth-1 request–response path the
+//! wait serves, bit for bit against an in-process `Broker` replay. Every
+//! client read times out after 5 s, so a missing wake fails a test
+//! instead of hanging it.
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use mbp::core::error::SquareLossTransform;
+use mbp::core::market::concurrent::SharedBroker;
+use mbp::core::market::{Broker, PurchaseRequest};
+use mbp::core::pricing::PricingFunction;
+use mbp::ml::ModelKind;
+use mbp::randx::seeded_rng;
+use mbp_serve::wire::{
+    digest_bytes, encode_buy_ok, encode_error, encode_quote_ok, encode_response, market_error_code,
+    Request, Response, DIGEST_SEED,
+};
+use mbp_serve::{Client, ServerConfig, ServerHandle};
+
+const KIND: ModelKind = ModelKind::LinearRegression;
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+fn listed_broker() -> Broker {
+    let mut rng = seeded_rng(21);
+    let data = mbp::data::synth::simulated1(400, 5, 0.5, &mut rng).split(0.75, &mut rng);
+    let mut broker = Broker::new(data);
+    broker.support(KIND, 1e-6).expect("training failed");
+    let grid: Vec<f64> = (1..=64).map(|i| 1.0 + i as f64 * 0.25).collect();
+    let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
+    let pricing = PricingFunction::from_points(grid, prices).expect("curve is arbitrage-free");
+    broker
+        .publish(KIND, pricing, Box::new(SquareLossTransform))
+        .expect("listing accepted");
+    broker
+}
+
+fn start(io_threads: usize) -> ServerHandle {
+    let cfg = ServerConfig {
+        io_threads,
+        idle_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    mbp_serve::start(SharedBroker::new(listed_broker()), cfg).expect("server starts")
+}
+
+fn connect(handle: &ServerHandle) -> Client {
+    let client = Client::connect(handle.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .expect("read timeout");
+    client
+}
+
+/// Waits for the drain to finish, failing instead of hanging if it
+/// does not within `READ_TIMEOUT` twice over.
+fn wait_for_drain(handle: ServerHandle) {
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    rx.recv_timeout(2 * READ_TIMEOUT)
+        .expect("ServerHandle::wait returns once the drain completes");
+    waiter.join().expect("waiter thread");
+}
+
+#[test]
+fn accepted_socket_wakes_a_worker_blocked_on_an_idle_connection() {
+    let handle = start(1);
+    let mut idle = connect(&handle);
+    assert_eq!(idle.hello(1).expect("hello A"), Response::HelloOk);
+    // The only worker now waits on A's socket with a 30 s deadline; B's
+    // socket reaches it through the inbox, and only the wake fd says so.
+    let mut fresh = connect(&handle);
+    assert_eq!(fresh.hello(2).expect("hello B"), Response::HelloOk);
+    handle.shutdown();
+    wait_for_drain(handle);
+}
+
+#[test]
+fn shutdown_frame_wakes_an_idle_connection_on_another_worker() {
+    let handle = start(2);
+    // Round-robin: A lands on worker 0, B on worker 1.
+    let mut idle = connect(&handle);
+    assert_eq!(idle.hello(3).expect("hello A"), Response::HelloOk);
+    let mut closer = connect(&handle);
+    assert_eq!(closer.hello(4).expect("hello B"), Response::HelloOk);
+    assert_eq!(
+        closer.shutdown_server().expect("shutdown"),
+        Response::ShutdownAck
+    );
+    let eof = idle.recv().expect_err("the drained server closes A");
+    assert_eq!(
+        eof.kind(),
+        std::io::ErrorKind::UnexpectedEof,
+        "A must read EOF, not time out: {eof}"
+    );
+    wait_for_drain(handle);
+}
+
+/// Request `k` of the depth-1 stream: even `k` quote, odd `k` buy, over
+/// NCP picks, error budgets, and affordable and hopeless price budgets.
+fn depth_one_request(k: usize) -> (bool, PurchaseRequest) {
+    let request = match (k / 2) % 4 {
+        0 => PurchaseRequest::AtNcp(0.5 + (k % 29) as f64 * 0.11),
+        1 => PurchaseRequest::ErrorBudget(0.4 + (k % 23) as f64 * 0.2),
+        2 => PurchaseRequest::PriceBudget(8.0 + (k % 50) as f64),
+        _ => PurchaseRequest::PriceBudget(0.001),
+    };
+    (k.is_multiple_of(2), request)
+}
+
+#[test]
+fn depth_one_quote_buy_stream_matches_the_in_process_replay() {
+    const STREAM: usize = 96;
+    const SEED: u64 = 77;
+    let handle = start(0);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(SEED).expect("hello"), Response::HelloOk);
+    let (mut quotes, mut sales) = (0, 0);
+    for k in 0..STREAM {
+        let (quote, request) = depth_one_request(k);
+        let call = if quote {
+            Request::Quote {
+                kind: KIND,
+                request,
+            }
+        } else {
+            Request::Buy {
+                kind: KIND,
+                request,
+            }
+        };
+        match client.call(&call).expect("one call at a time").1 {
+            Response::QuoteOk { .. } => quotes += 1,
+            Response::BuyOk { .. } => sales += 1,
+            _ => {}
+        }
+    }
+    assert!(quotes > 0 && sales > 0, "both verbs must succeed somewhere");
+    handle.shutdown();
+    wait_for_drain(handle);
+
+    // In-process replay: the frames the daemon should have sent, ids
+    // assigned from 1 (Hello) as the client does.
+    let mut broker = listed_broker();
+    let mut rng = seeded_rng(SEED);
+    let mut frame = Vec::new();
+    encode_response(&mut frame, 1, &Response::HelloOk);
+    let mut digest = digest_bytes(DIGEST_SEED, &frame);
+    for k in 0..STREAM {
+        let (quote, request) = depth_one_request(k);
+        let id = u32::try_from(k + 2).expect("small stream");
+        frame.clear();
+        if quote {
+            let priced = broker.price_batch(KIND, &[request]).expect("listing");
+            match priced.first().expect("one result") {
+                Ok(q) => encode_quote_ok(&mut frame, id, q.ncp, q.price, q.expected_error),
+                Err(e) => encode_error(&mut frame, id, market_error_code(e), &e.to_string()),
+            }
+        } else {
+            let bought = broker
+                .buy_batch(KIND, &[request], &mut rng)
+                .expect("listing");
+            match bought.first().expect("one result") {
+                Ok(s) => encode_buy_ok(
+                    &mut frame,
+                    id,
+                    s.ncp,
+                    s.price,
+                    s.expected_error,
+                    s.model.weights().as_slice(),
+                ),
+                Err(e) => encode_error(&mut frame, id, market_error_code(e), &e.to_string()),
+            }
+        }
+        digest = digest_bytes(digest, &frame);
+    }
+    assert_eq!(
+        client.digest(),
+        digest,
+        "depth-1 responses must be bit-identical to the in-process replay"
+    );
+}
