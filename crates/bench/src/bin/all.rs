@@ -330,7 +330,7 @@ fn main() {
     });
 
     // Lookup-kernel baseline: partition_point vs the compiled SegmentIndex
-    // layouts (grid / Eytzinger) at 16/512/8192 knots. Writes
+    // grid layout at 16/512/8192 knots. Writes
     // BENCH_kernel.json (overridable with MBP_KERNEL_OUT; lookup count with
     // MBP_KERNEL_LOOKUPS).
     run_phase(&mut phases, "kernel-baseline", || {

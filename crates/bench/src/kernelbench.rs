@@ -1,25 +1,21 @@
 //! Segment-lookup microbench: branchy `partition_point` vs the compiled
-//! [`SegmentIndex`] layouts.
+//! [`SegmentIndex`] grid layout.
 //!
-//! For each knot count (16 / 512 / 8192) the same query stream is resolved
-//! four ways:
+//! For each knot count (16 / 512 / 8192) the same query stream over a
+//! uniform knot grid is resolved two ways:
 //!
-//! * **pp-uniform** — `slice::partition_point` over a uniform knot grid
-//!   (the pre-index serving code path);
+//! * **pp-uniform** — `slice::partition_point` (what the index answers
+//!   for non-uniform keys);
 //! * **grid** — the fixed-stride grid layout the index compiles for
 //!   near-uniform knots (one multiply + two arithmetic fixups, no
-//!   data-dependent branch);
-//! * **pp-jittered** — `partition_point` over a non-uniform grid;
-//! * **eytzinger** — the Eytzinger (BFS-ordered) layout with
-//!   conditional-move descent, compiled for irregular knots.
+//!   data-dependent branch).
 //!
-//! Before any timing, every query is cross-checked: both index layouts
-//! must return *exactly* `partition_point`'s answer (`consistent`). Each
-//! workload runs twice from identical state and must reproduce its digest
+//! Before any timing, every query is cross-checked: the grid must return
+//! *exactly* `partition_point`'s answer (`consistent`). Each workload runs
+//! twice from identical state and must reproduce its digest
 //! (`deterministic`). The `all` binary serializes the result to
 //! `BENCH_kernel.json`; the ratchet diffs per-layout throughput and the
-//! grid/eytzinger-vs-partition-point speedup ratios against the committed
-//! baseline.
+//! grid-vs-partition-point speedup ratios against the committed baseline.
 
 use mbp_core::SegmentIndex;
 use std::time::Instant;
@@ -34,7 +30,7 @@ pub struct KernelWorkload {
     pub name: String,
     /// Knots in the searched array.
     pub knots: usize,
-    /// Lookup implementation: `partition_point`, `grid`, or `eytzinger`.
+    /// Lookup implementation: `partition_point` or `grid`.
     pub layout: &'static str,
     /// Lookups per run.
     pub lookups: usize,
@@ -64,9 +60,9 @@ pub struct KernelBaseline {
     pub meta: crate::RunMeta,
     /// Per-workload measurements.
     pub workloads: Vec<KernelWorkload>,
-    /// Grid / Eytzinger speedups over `partition_point`, per knot count.
+    /// Grid speedups over `partition_point`, per knot count.
     pub speedups: Vec<KernelSpeedup>,
-    /// Both index layouts answered every query exactly like
+    /// The grid layout answered every query exactly like
     /// `partition_point` (checked outside the timed sections).
     pub consistent: bool,
     /// Every workload reproduced its digest on the second run.
@@ -76,18 +72,6 @@ pub struct KernelBaseline {
 /// Near-uniform keys: `1.0 + i·0.25`, eligible for the grid layout.
 fn uniform_keys(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + i as f64 * 0.25).collect()
-}
-
-/// Irregular keys: strictly ascending with pseudo-random gaps, forcing the
-/// Eytzinger layout.
-fn jittered_keys(n: usize) -> Vec<f64> {
-    let mut acc = 1.0;
-    (0..n)
-        .map(|i| {
-            acc += 0.2 + ((i * 37 + 11) % 13) as f64 * 0.03;
-            acc
-        })
-        .collect()
 }
 
 /// The deterministic query stream: a golden-ratio walk over a band 20%
@@ -154,24 +138,14 @@ pub fn run(lookups: usize) -> KernelBaseline {
 
     for n in SIZES {
         let uniform = uniform_keys(n);
-        let jittered = jittered_keys(n);
         let grid_idx = SegmentIndex::new(&uniform);
-        let eytz_idx = SegmentIndex::new(&jittered);
         assert!(grid_idx.is_grid(), "uniform keys must compile to the grid");
-        assert!(
-            !eytz_idx.is_grid(),
-            "jittered keys must compile to Eytzinger"
-        );
 
         let qs_uniform = queries(&uniform, lookups);
-        let qs_jittered = queries(&jittered, lookups);
         // Exactness cross-check on every query, outside the timed runs.
         consistent &= qs_uniform
             .iter()
             .all(|&x| grid_idx.upper_bound(&uniform, x) == uniform.partition_point(|&k| k <= x));
-        consistent &= qs_jittered
-            .iter()
-            .all(|&x| eytz_idx.upper_bound(&jittered, x) == jittered.partition_point(|&k| k <= x));
 
         let pp_uniform = measure(
             format!("pp-uniform@{n}"),
@@ -183,20 +157,6 @@ pub fn run(lookups: usize) -> KernelBaseline {
         let grid = measure(format!("grid@{n}"), n, "grid", &qs_uniform, |x| {
             grid_idx.upper_bound(&uniform, x)
         });
-        let pp_jittered = measure(
-            format!("pp-jittered@{n}"),
-            n,
-            "partition_point",
-            &qs_jittered,
-            |x| jittered.partition_point(|&k| k <= x),
-        );
-        let eytz = measure(
-            format!("eytzinger@{n}"),
-            n,
-            "eytzinger",
-            &qs_jittered,
-            |x| eytz_idx.upper_bound(&jittered, x),
-        );
 
         let ratio = |num: &KernelWorkload, den: &KernelWorkload| {
             if den.lookups_per_sec > 0.0 {
@@ -209,11 +169,7 @@ pub fn run(lookups: usize) -> KernelBaseline {
             name: format!("grid_vs_pp@{n}"),
             value: ratio(&grid, &pp_uniform),
         });
-        speedups.push(KernelSpeedup {
-            name: format!("eytzinger_vs_pp@{n}"),
-            value: ratio(&eytz, &pp_jittered),
-        });
-        workloads.extend([pp_uniform, grid, pp_jittered, eytz]);
+        workloads.extend([pp_uniform, grid]);
     }
 
     let deterministic = workloads.iter().all(|w| w.deterministic);
@@ -278,11 +234,11 @@ mod tests {
     #[test]
     fn smoke_run_is_consistent_and_complete() {
         let b = run(2048);
-        assert_eq!(b.workloads.len(), 4 * SIZES.len());
-        assert_eq!(b.speedups.len(), 2 * SIZES.len());
+        assert_eq!(b.workloads.len(), 2 * SIZES.len());
+        assert_eq!(b.speedups.len(), SIZES.len());
         assert!(
             b.consistent,
-            "an index layout diverged from partition_point"
+            "the grid layout diverged from partition_point"
         );
         assert!(b.deterministic, "a workload failed to reproduce its digest");
         assert!(b.workloads.iter().all(|w| w.lookups_per_sec > 0.0));
@@ -301,7 +257,7 @@ mod tests {
             "\"speedups\"",
             "\"lookups_per_sec\"",
             "\"grid_vs_pp@512\"",
-            "\"eytzinger_vs_pp@8192\"",
+            "\"grid_vs_pp@8192\"",
             "\"pp-uniform@16\"",
         ] {
             assert!(json.contains(key), "missing {key}");
@@ -313,7 +269,7 @@ mod tests {
             doc.get("workloads")
                 .and_then(crate::ratchet::Json::as_arr)
                 .map(<[_]>::len),
-            Some(4 * SIZES.len())
+            Some(2 * SIZES.len())
         );
     }
 }

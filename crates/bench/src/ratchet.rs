@@ -645,12 +645,12 @@ pub fn compare_testkit(
 
 /// Diffs a fresh `BENCH_kernel.json` against the committed baseline.
 ///
-/// The grid / Eytzinger speedup ratios over `partition_point` are
-/// same-process measurement ratios and ratchet under `ratio_tolerance`;
-/// per-workload absolute lookup throughput is machine-dependent and gets
-/// the wide `p99_tolerance` band. `consistent` (both index layouts answer
-/// exactly like `partition_point`) and `deterministic` must hold in the
-/// fresh run unconditionally.
+/// The grid speedup ratios over `partition_point` are same-process
+/// measurement ratios and ratchet under `ratio_tolerance`; per-workload
+/// absolute lookup throughput is machine-dependent and gets the wide
+/// `p99_tolerance` band. `consistent` (the grid layout answers exactly
+/// like `partition_point`) and `deterministic` must hold in the fresh run
+/// unconditionally.
 pub fn compare_kernel(
     baseline_json: &str,
     fresh_json: &str,

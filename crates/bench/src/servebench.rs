@@ -10,8 +10,9 @@
 //!   lookups, so the ratio is honest on any machine, including a
 //!   single-core container.
 //! * **serve-single / serve-into / serve-batch** — end-to-end purchases
-//!   against a published listing: one `buy_listed` per quote, the
-//!   zero-allocation `buy_listed_into` variant, and `buy_batch` in chunks.
+//!   against a published listing: one `buy_listed` per quote, one
+//!   zero-allocation `buy_batch_into` batch of one per quote (the daemon's
+//!   depth-1 shape), and `buy_batch` in chunks.
 //! * **factor-cache off/on** — ridge re-training across distinct ridge
 //!   values via one-shot `ridge_closed_form` (re-forms the Gram matrix
 //!   every call) vs a [`RidgeSolver`] that
@@ -22,7 +23,7 @@
 //! `all` binary serializes the result to `BENCH_serving.json`.
 
 use mbp_core::error::SquareLossTransform;
-use mbp_core::market::{Broker, PurchaseRequest, Sale};
+use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
 use mbp_core::PricingFunction;
 use mbp_ml::train::{ridge_closed_form, RidgeSolver};
 use mbp_ml::ModelKind;
@@ -245,31 +246,27 @@ pub fn run(quotes: usize) -> ServingBaseline {
         sale.price + sale.ncp
     });
 
-    // serve-into: the zero-allocation variant with a reused Sale buffer.
-    let mut intos: Vec<(Broker, mbp_randx::MbpRng, Sale)> = (0..2)
+    // serve-into: a zero-allocation batch of one per quote, reusing one
+    // arena.
+    let mut intos: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..2)
         .map(|_| {
-            let broker = listed_broker(0xA11, &pricing);
-            let sale = Sale {
-                model: broker
-                    .optimal_model(ModelKind::LinearRegression)
-                    .expect("supported")
-                    .clone(),
-                price: 0.0,
-                ncp: 0.0,
-                expected_error: 0.0,
-            };
-            (broker, seeded_rng(0x5e1), sale)
+            let mut broker = listed_broker(0xA11, &pricing);
+            broker.reserve_ledger(quotes);
+            (broker, seeded_rng(0x5e1), SaleArena::new())
         })
         .collect();
-    for (broker, _, _) in &mut intos {
-        broker.reserve_ledger(quotes);
-    }
     let serve_into = measure("serve-into", quotes, 1, |run, i| {
-        let (broker, rng, sale) = &mut intos[run];
+        let (broker, rng, arena) = &mut intos[run];
         broker
-            .buy_listed_into(ModelKind::LinearRegression, requests[i], rng, sale)
-            .expect("request is satisfiable");
-        sale.price + sale.ncp
+            .buy_batch_into(ModelKind::LinearRegression, &requests[i..=i], rng, arena)
+            .expect("listing exists");
+        arena
+            .results()
+            .map(|r| {
+                let sale = r.expect("request is satisfiable");
+                sale.price + sale.ncp
+            })
+            .sum()
     });
 
     // serve-batch: same stream in BATCH-sized chunks; the per-"quote" work

@@ -2,7 +2,8 @@
 //! (`BENCH_trace.json`).
 //!
 //! Measures what the mbp-obs causal-tracing layer costs on the
-//! zero-allocation serve path (`buy_listed_into`) against a
+//! zero-allocation serve path (`buy_batch_into` on a batch of one, the
+//! daemon's depth-1 shape) against a
 //! high-dimensional listing, where per-quote work is dominated by noise
 //! sampling — the regime the overhead budgets are written for:
 //!
@@ -26,7 +27,7 @@
 //! never touches the pricing or noise streams).
 
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
-use mbp_core::market::{Broker, PurchaseRequest, Sale};
+use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
 use mbp_core::{GaussianMechanism, NoiseMechanism, PhiMemo, PricingFunction, PricingTable};
 use mbp_linalg::Vector;
 use mbp_ml::ModelKind;
@@ -143,7 +144,7 @@ fn listed_broker(dim: usize, pricing: &PricingFunction) -> Broker {
 }
 
 /// The uninstrumented serve loop: the same resolve → price → perturb →
-/// settle work as `buy_listed_into`, rebuilt from public pieces with no
+/// settle work as `buy_batch_into`, rebuilt from public pieces with no
 /// observability anywhere.
 struct Floor {
     table: PricingTable,
@@ -236,31 +237,30 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
 
     // The three broker configurations share one serve closure.
     let serve = |name: &'static str| -> TraceWorkload {
-        let mut brokers: Vec<(Broker, MbpRng, Sale)> = (0..2)
+        let mut brokers: Vec<(Broker, MbpRng, SaleArena)> = (0..2)
             .map(|_| {
                 let mut broker = listed_broker(dim, &pricing);
                 broker.reserve_ledger(quotes);
-                let sale = Sale {
-                    model: broker
-                        .optimal_model(ModelKind::LinearRegression)
-                        .expect("supported")
-                        .clone(),
-                    price: 0.0,
-                    ncp: 0.0,
-                    expected_error: 0.0,
-                };
-                (broker, seeded_rng(0x5e1), sale)
+                (broker, seeded_rng(0x5e1), SaleArena::new())
             })
             .collect();
         timed(name, quotes, |run| {
-            let (broker, rng, sale) = &mut brokers[run];
+            let (broker, rng, arena) = &mut brokers[run];
             let mut digest = 0.0;
-            for (i, &request) in requests.iter().enumerate() {
+            for (i, request) in requests.iter().enumerate() {
                 mbp_obs::set_request_seed(i as u64);
                 broker
-                    .buy_listed_into(ModelKind::LinearRegression, request, rng, sale)
-                    .expect("request is satisfiable");
-                digest += sale.price + sale.ncp;
+                    .buy_batch_into(
+                        ModelKind::LinearRegression,
+                        std::slice::from_ref(request),
+                        rng,
+                        arena,
+                    )
+                    .expect("listing exists");
+                for sale in arena.results() {
+                    let sale = sale.expect("request is satisfiable");
+                    digest += sale.price + sale.ncp;
+                }
             }
             digest
         })

@@ -245,9 +245,9 @@ pub struct EmpiricalTransform {
     ncps: Vec<f64>,
     /// Isotonic-smoothed expected error per grid point.
     errors: Vec<f64>,
-    /// Branchless segment lookup over `ncps` (forward interpolation).
+    /// Segment lookup over `ncps` (forward interpolation).
     ncp_index: SegmentIndex,
-    /// Branchless segment lookup over `errors` (inverse interpolation;
+    /// Segment lookup over `errors` (inverse interpolation;
     /// PAVA pooling can leave duplicate-adjacent errors, which the index
     /// resolves exactly like `partition_point`).
     err_index: SegmentIndex,

@@ -22,8 +22,9 @@
 //!   bijection and its empirical estimation, Figure 6);
 //! * [`pricing`] — piecewise-linear pricing functions over the inverse-NCP
 //!   axis (the Proposition 1 construction);
-//! * [`lookup`] — the branchless segment-lookup kernel (Eytzinger / grid
-//!   layouts) behind the compiled serving tables;
+//! * [`lookup`] — the segment-lookup kernel (branchless grid, or
+//!   `partition_point` for irregular keys) behind the compiled serving
+//!   tables;
 //! * [`arbitrage`] — auditors that verify or *break* pricing functions,
 //!   including the model-averaging attack from the proof of Theorem 5;
 //! * [`revenue`] — the revenue-optimization toolbox of Section 5: the
@@ -49,6 +50,4 @@ pub use mechanism::{
     GaussianMechanism, LaplaceMechanism, NoiseMechanism, UniformAdditiveMechanism,
     UniformMultiplicativeMechanism,
 };
-pub use pricing::{
-    BatchScratch, ErrorPricedTable, ErrorPricedView, PhiMemo, PricingFunction, PricingTable,
-};
+pub use pricing::{ErrorPricedTable, ErrorPricedView, PhiMemo, PricingFunction, PricingTable};

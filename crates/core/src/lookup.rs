@@ -1,28 +1,25 @@
-//! Branchless sorted-array lookup for the quote-serving fast path.
+//! Sorted-array segment lookup for the quote-serving fast path.
 //!
 //! Every hot quote ends in "find the segment containing `x`" over a small
 //! sorted array (pricing knots, knot prices, empirical-transform NCPs).
-//! `slice::partition_point` answers that with a branchy binary search whose
-//! comparison outcome steers an unpredictable branch each step — on dense
-//! mixed query streams the mispredictions alone cost more than the whole
-//! piecewise scan. [`SegmentIndex`] replaces it with one of two branchless
-//! layouts, chosen once when the table is compiled:
+//! [`SegmentIndex`] picks one of two answers once, when the table is
+//! compiled:
 //!
 //! * **Grid** — when the keys are near-uniform (within `1e-9·h` of the
 //!   lattice `x0 + i·h`), the segment is a multiply + truncate plus two
-//!   arithmetic ±1 fix-ups: `O(1)`, no search at all.
-//! * **Eytzinger** — otherwise the keys are copied into BFS (breadth-first)
-//!   order, so the descent `k ← 2k + (key ≤ x)` touches one cache line per
-//!   level, steers no data-dependent branch (the compare feeds an index,
-//!   not a jump), and a precomputed rank map converts the final node back
-//!   to the sorted position.
+//!   arithmetic ±1 fix-ups: `O(1)`, no search and no data-dependent
+//!   branch. Knots on a uniform precision grid take this path.
+//! * **`partition_point`** — otherwise (knot prices on a concave curve,
+//!   irregular knots), the standard library's binary search over the
+//!   caller's slice. A branchless Eytzinger layout measured no faster
+//!   than it at the grid sizes in use (median 0.99× at 512 knots).
 //!
-//! Both layouts answer **exactly** — the same index `partition_point`
-//! returns, for every input including duplicate-adjacent keys, denormal
-//! gaps, single keys, `NaN`, and infinities. Exactness (not 1e-12
-//! closeness) is what lets the compiled pricing table reproduce the
-//! reference scan bit-for-bit; debug builds cross-check every lookup
-//! against `partition_point` to keep it that way.
+//! Both answer **exactly** — the same index `partition_point` returns,
+//! for every input including duplicate-adjacent keys, denormal gaps,
+//! single keys, `NaN`, and infinities. Exactness (not 1e-12 closeness) is
+//! what lets the compiled pricing table reproduce the reference scan
+//! bit-for-bit; debug builds cross-check every grid lookup against
+//! `partition_point` to keep it that way.
 
 /// Relative lattice tolerance under which a key set counts as uniform:
 /// each key may deviate from `x0 + i·h` by at most this fraction of the
@@ -41,15 +38,8 @@ enum Layout {
         /// Reciprocal stride `1/h`.
         inv_h: f64,
     },
-    /// General case: keys permuted into BFS order (1-based; slot 0 is
-    /// padding) with `rank[k]` mapping a tree node back to its sorted
-    /// index and `rank[0]` holding the past-the-end answer `n`.
-    Eytzinger {
-        /// BFS-ordered copy of the keys, length `n + 1`.
-        keys: Vec<f64>,
-        /// Node → sorted-position map, length `n + 1`, `rank[0] = n`.
-        rank: Vec<u32>,
-    },
+    /// General case: `partition_point` over the caller's key slice.
+    Search,
 }
 
 /// A compiled lookup structure over one sorted `f64` slice.
@@ -74,17 +64,14 @@ pub struct SegmentIndex {
 
 impl SegmentIndex {
     /// Builds the index for `keys`, picking the grid layout when the keys
-    /// are near-uniform and the Eytzinger layout otherwise.
+    /// are near-uniform and `partition_point` otherwise.
     ///
     /// `keys` must be sorted ascending (ties allowed) — the same
-    /// precondition `partition_point` carries. Up to `u32::MAX − 1` keys
-    /// are supported (the rank map is `u32`).
+    /// precondition `partition_point` carries.
     pub fn new(keys: &[f64]) -> Self {
-        let layout = match try_grid(keys) {
-            Some(grid) => grid,
-            None => eytzinger(keys),
-        };
-        SegmentIndex { layout }
+        SegmentIndex {
+            layout: try_grid(keys).unwrap_or(Layout::Search),
+        }
     }
 
     /// `true` when the fixed-stride grid layout was selected.
@@ -98,7 +85,7 @@ impl SegmentIndex {
     pub fn upper_bound(&self, keys: &[f64], x: f64) -> usize {
         let idx = match &self.layout {
             Layout::Grid { x0, inv_h } => grid_bound(keys, *x0, *inv_h, x, true),
-            Layout::Eytzinger { keys: bfs, rank } => eytz_bound(bfs, rank, x, true),
+            Layout::Search => keys.partition_point(|&k| k <= x),
         };
         debug_assert_eq!(
             idx,
@@ -114,7 +101,7 @@ impl SegmentIndex {
     pub fn lower_bound(&self, keys: &[f64], x: f64) -> usize {
         let idx = match &self.layout {
             Layout::Grid { x0, inv_h } => grid_bound(keys, *x0, *inv_h, x, false),
-            Layout::Eytzinger { keys: bfs, rank } => eytz_bound(bfs, rank, x, false),
+            Layout::Search => keys.partition_point(|&k| k < x),
         };
         debug_assert_eq!(
             idx,
@@ -172,62 +159,6 @@ fn grid_bound(keys: &[f64], x0: f64, inv_h: f64, x: f64, upper: bool) -> usize {
         let i = i + usize::from(keys.get(i + 1).is_some_and(|&k| k < x));
         i + usize::from(keys.get(i).is_some_and(|&k| k < x))
     }
-}
-
-/// Builds the BFS-ordered key copy and its node → sorted-rank map.
-fn eytzinger(sorted: &[f64]) -> Layout {
-    let n = sorted.len();
-    assert!(
-        n < u32::MAX as usize,
-        "segment index supports fewer than 2^32 keys"
-    );
-    let mut keys = vec![0.0; n + 1];
-    let mut rank = vec![0u32; n + 1];
-    if let Some(sentinel) = rank.first_mut() {
-        // Descents that fall off the right edge undo to node 0: the
-        // past-the-end answer.
-        *sentinel = n as u32;
-    }
-    let mut next = 0usize;
-    fill(sorted, &mut keys, &mut rank, 1, &mut next);
-    Layout::Eytzinger { keys, rank }
-}
-
-/// In-order traversal of the complete tree (nodes `1..=n`, children `2k`
-/// and `2k+1`) assigns sorted keys to BFS slots and records each node's
-/// sorted position.
-fn fill(sorted: &[f64], keys: &mut [f64], rank: &mut [u32], k: usize, next: &mut usize) {
-    if k > sorted.len() {
-        return;
-    }
-    fill(sorted, keys, rank, 2 * k, next);
-    if let (Some(&v), Some(slot), Some(r)) = (sorted.get(*next), keys.get_mut(k), rank.get_mut(k)) {
-        *slot = v;
-        *r = *next as u32;
-    }
-    *next += 1;
-    fill(sorted, keys, rank, 2 * k + 1, next);
-}
-
-/// Eytzinger descent: each level folds the comparison into the child
-/// index (`k ← 2k + (key ≤ x)`), so the only branch is the fixed-depth
-/// loop bound. The final node is the first key violating the predicate;
-/// undoing the trailing right-turns and reading the rank map yields its
-/// sorted position — the exact partition point.
-#[inline]
-fn eytz_bound(bfs: &[f64], rank: &[u32], x: f64, upper: bool) -> usize {
-    let mut k = 1usize;
-    if upper {
-        while let Some(&key) = bfs.get(k) {
-            k = 2 * k + usize::from(key <= x);
-        }
-    } else {
-        while let Some(&key) = bfs.get(k) {
-            k = 2 * k + usize::from(key < x);
-        }
-    }
-    k >>= k.trailing_ones() + 1;
-    rank.get(k).map_or(0, |&r| r as usize)
 }
 
 #[cfg(test)]
@@ -291,7 +222,7 @@ mod tests {
     }
 
     #[test]
-    fn non_uniform_keys_select_eytzinger_and_match_partition_point() {
+    fn non_uniform_keys_fall_back_to_partition_point() {
         let keys = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
         let idx = SegmentIndex::new(&keys);
         assert!(!idx.is_grid(), "geometric keys must not pick the grid");
@@ -369,8 +300,8 @@ mod tests {
     }
 
     /// The grid tolerance is a real gate: jitter beyond `1e-9·h` must fall
-    /// back to Eytzinger (where exactness needs no uniformity), jitter
-    /// within it may keep the grid, and both layouts stay exact either way.
+    /// back to `partition_point` (where exactness needs no uniformity),
+    /// jitter within it may keep the grid, and both stay exact either way.
     #[test]
     fn grid_eligibility_respects_tolerance() {
         let uniform: Vec<f64> = (0..100).map(|i| i as f64).collect();

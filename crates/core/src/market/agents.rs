@@ -4,7 +4,7 @@ use crate::error::ErrorTransform;
 use crate::market::curves::{buyer_points, DemandCurve, ValueCurve};
 use crate::market::durability::DurabilitySink;
 use crate::mechanism::{GaussianMechanism, NoiseMechanism};
-use crate::pricing::{BatchScratch, PhiMemo, PricingFunction, PricingTable};
+use crate::pricing::{PhiMemo, PricingFunction, PricingTable};
 use crate::revenue::{solve_bv_dp, BuyerPoint, RevenueSolution};
 use mbp_data::TrainTest;
 use mbp_ml::train::{gradient_descent, newton_logistic, RidgeSolver, TrainConfig};
@@ -164,11 +164,11 @@ pub struct Sale {
     pub expected_error: f64,
 }
 
-/// Reusable buffers for the zero-allocation batch purchase path
-/// ([`Broker::buy_batch_into`]).
+/// Reusable buffers for the listed-purchase kernel
+/// ([`Broker::quote_batch_into`] and [`Broker::buy_batch_into`]).
 ///
 /// The arena owns one [`Sale`] slot per request position plus the
-/// resolve/price/binning scratch. Slots are grown (and their model
+/// resolve and price buffers. Slots are grown (and their model
 /// buffers cloned) only when a batch is larger than any seen before;
 /// after one warm-up batch at the steady-state size — and with ledger
 /// capacity reserved via [`Broker::reserve_ledger`] — repeat batches
@@ -179,8 +179,6 @@ pub struct SaleArena {
     outcomes: Vec<Result<f64, MarketError>>,
     xs: Vec<f64>,
     prices: Vec<f64>,
-    scratch: BatchScratch,
-    len: usize,
 }
 
 impl SaleArena {
@@ -191,12 +189,12 @@ impl SaleArena {
 
     /// Number of requests in the most recent batch.
     pub fn len(&self) -> usize {
-        self.len
+        self.outcomes.len()
     }
 
     /// `true` when no batch has been run (or the last batch was empty).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.outcomes.is_empty()
     }
 
     /// Per-request outcomes of the most recent batch, in request order:
@@ -204,12 +202,41 @@ impl SaleArena {
     pub fn results(&self) -> impl Iterator<Item = Result<&Sale, &MarketError>> {
         self.outcomes
             .iter()
-            .take(self.len)
             .zip(self.sales.iter())
             .map(|(outcome, sale)| match outcome {
                 Ok(_) => Ok(sale),
                 Err(e) => Err(e),
             })
+    }
+
+    /// Moves the most recent batch's outcomes out of a scratch arena.
+    pub(crate) fn into_results(self) -> Vec<Result<Sale, MarketError>> {
+        self.outcomes
+            .into_iter()
+            .zip(self.sales)
+            .map(|(outcome, sale)| outcome.map(|_| sale))
+            .collect()
+    }
+
+    /// Settles the most recent batch's sales in request order: each
+    /// transaction goes to `sink` (if any), then onto `ledger`.
+    pub(crate) fn settle(
+        &self,
+        kind: ModelKind,
+        sink: Option<&Arc<dyn DurabilitySink>>,
+        ledger: &mut Vec<Transaction>,
+    ) {
+        for sale in self.results().flatten() {
+            let tx = Transaction {
+                kind,
+                ncp: sale.ncp,
+                price: sale.price,
+            };
+            if let Some(sink) = sink {
+                sink.record_sale(&tx);
+            }
+            ledger.push(tx);
+        }
     }
 }
 
@@ -285,13 +312,9 @@ impl PriceErrorCurve {
     }
 }
 
-/// Per-request outcomes of a batched quote: one `(Sale, Transaction)` or
-/// per-request rejection, in request order.
-pub type QuoteBatch = Vec<Result<(Sale, Transaction), MarketError>>;
-
 /// Maximum number of requests accepted by one batch call.
 ///
-/// Every batch entry point ([`Broker::quote_batch`], [`Broker::buy_batch`],
+/// Every batch entry point ([`Broker::buy_batch`],
 /// [`Broker::buy_batch_into`], [`Broker::quote_batch_into`],
 /// [`Broker::price_batch`] and the `SharedBroker` wrappers) rejects empty
 /// batches and batches larger than this cap with
@@ -306,9 +329,7 @@ pub const MAX_BATCH: usize = 4096;
 /// batches are a caller error, reported before any listing state is read.
 fn check_batch(requests: &[PurchaseRequest]) -> Result<(), MarketError> {
     if requests.is_empty() {
-        return Err(MarketError::BadRequest(
-            "empty batch: batch entry points require at least one request".to_string(),
-        ));
+        return Err(empty_batch());
     }
     if requests.len() > MAX_BATCH {
         return Err(MarketError::BadRequest(format!(
@@ -317,6 +338,12 @@ fn check_batch(requests: &[PurchaseRequest]) -> Result<(), MarketError> {
         )));
     }
     Ok(())
+}
+
+fn empty_batch() -> MarketError {
+    MarketError::BadRequest(
+        "empty batch: batch entry points require at least one request".to_string(),
+    )
 }
 
 /// A priced-but-not-purchased resolution of one [`PurchaseRequest`]: the
@@ -350,6 +377,26 @@ struct Listing {
     table: PricingTable,
     phi: PhiMemo,
     transform: Box<dyn ErrorTransform + Send + Sync>,
+}
+
+impl Listing {
+    /// Resolve pass: every request to its NCP (consumes no RNG), with
+    /// precision `1/δ` (NaN for a rejection) recorded for the price pass.
+    fn resolve_into(&self, requests: &[PurchaseRequest], arena: &mut SaleArena) {
+        let pricing = PricePath::Table(&self.table);
+        arena.outcomes.clear();
+        arena.xs.clear();
+        for &request in requests {
+            let r = resolve_ncp(&pricing, Some(&self.phi), self.transform.as_ref(), request);
+            arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
+            arena.outcomes.push(r);
+        }
+    }
+
+    /// Price pass: every resolved precision through the compiled table.
+    fn price_into(&self, arena: &mut SaleArena) {
+        self.table.price_at_batch(&arena.xs, &mut arena.prices);
+    }
 }
 
 /// The broker: trains optimal instances (one-time cost), derives pricing,
@@ -457,250 +504,44 @@ impl Broker {
         Ok(())
     }
 
-    /// Fulfills a purchase against the *published* listing for `kind`,
-    /// served from the compiled pricing table.
+    /// Fulfills one purchase against the *published* listing for `kind`:
+    /// [`Broker::buy_batch`] on a batch of one.
     pub fn buy_listed(
         &mut self,
         kind: ModelKind,
         request: PurchaseRequest,
         rng: &mut MbpRng,
     ) -> Result<Sale, MarketError> {
-        let _span = mbp_obs::span("mbp.core.buy");
-        let trace =
-            mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name());
-        let result = (|| {
-            let lookup = trace.phase(mbp_obs::Phase::Lookup);
-            let listing = self
-                .listings
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            let entry = self
-                .menu
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            drop(lookup);
-            mbp_obs::inc("mbp.core.pricing.table_hit");
-            let (sale, tx) = execute_purchase(
-                entry,
-                self.mechanism.as_ref(),
-                &PricePath::Table(&listing.table),
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                kind,
-                request,
-                rng,
-                &trace,
-            )?;
-            let ledger = trace.phase(mbp_obs::Phase::Ledger);
-            if let Some(sink) = &self.durability {
-                sink.record_sale(&tx);
-            }
-            self.ledger.push(tx);
-            drop(ledger);
-            Ok(sale)
-        })();
-        record_purchase_outcome(result.as_ref());
-        result
+        // A batch of one always yields exactly one outcome.
+        self.buy_batch(kind, &[request], rng)?
+            .pop()
+            .unwrap_or_else(|| Err(empty_batch()))
     }
 
-    /// Zero-allocation variant of [`Broker::buy_listed`]: writes the
-    /// release into `sale`, reusing its model buffer when the kind and
-    /// dimension already match. After one warm-up call (and with ledger
-    /// capacity reserved via [`Broker::reserve_ledger`]), steady-state
-    /// successful purchases perform no heap allocation.
-    pub fn buy_listed_into(
-        &mut self,
-        kind: ModelKind,
-        request: PurchaseRequest,
-        rng: &mut MbpRng,
-        sale: &mut Sale,
-    ) -> Result<(), MarketError> {
-        let _span = mbp_obs::span("mbp.core.buy");
-        let trace =
-            mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name());
-        let result = (|| {
-            let lookup = trace.phase(mbp_obs::Phase::Lookup);
-            let listing = self
-                .listings
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            let entry = self
-                .menu
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            drop(lookup);
-            mbp_obs::inc("mbp.core.pricing.table_hit");
-            let tx = execute_purchase_into(
-                entry,
-                self.mechanism.as_ref(),
-                &listing.table,
-                &listing.phi,
-                listing.transform.as_ref(),
-                kind,
-                request,
-                rng,
-                sale,
-                &trace,
-            )?;
-            let ledger = trace.phase(mbp_obs::Phase::Ledger);
-            if let Some(sink) = &self.durability {
-                sink.record_sale(&tx);
-            }
-            self.ledger.push(tx);
-            drop(ledger);
-            Ok(())
-        })();
-        match &result {
-            Ok(()) => {
-                mbp_obs::inc("mbp.core.buy.count");
-                mbp_obs::gauge_add("mbp.core.revenue.total", sale.price);
-            }
-            Err(e) => record_purchase_failure(e),
-        }
-        result
-    }
-
-    /// Quotes a whole batch against the published listing for `kind`: the
-    /// listing, menu entry, and compiled table are resolved once and reused
-    /// across all requests. Returns one result per request, in order; the
-    /// outer error fires only when `kind` has no listing. The ledger is
-    /// untouched — pair with [`Broker::settle`] or use
-    /// [`Broker::buy_batch`].
-    ///
-    /// Internally the batch runs the three-pass binned kernel: resolve all
-    /// NCPs (no RNG), price all precisions through
-    /// [`PricingTable::price_at_batch`] (requests binned by knot segment,
-    /// each segment's constants loaded once, results scattered back into
-    /// request order), then draw noise in request order. Prices are
-    /// bit-identical to a sequential [`Broker::buy_listed`] loop and the
-    /// RNG stream is consumed identically (rejected requests draw
-    /// nothing), so result digests are unchanged.
-    pub fn quote_batch(
-        &self,
-        kind: ModelKind,
-        requests: &[PurchaseRequest],
-        rng: &mut MbpRng,
-    ) -> Result<QuoteBatch, MarketError> {
-        check_batch(requests)?;
-        let _span = mbp_obs::span("mbp.core.buy_batch");
-        // The whole batch is driven by one RNG, so every per-request trace
-        // root carries the batch's replay seed: a slow quote anywhere in
-        // the batch is replayed by re-running the batch from that seed.
-        let batch_seed = if mbp_obs::is_tracing() {
-            mbp_obs::trace::take_request_seed()
-        } else {
-            0
-        };
-        let listing = self
-            .listings
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        let entry = self
-            .menu
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        // Pass 1 — resolve every request to its NCP (consumes no RNG).
-        let resolve_span = mbp_obs::span("mbp.core.buy_batch.resolve");
-        let mut resolved: Vec<Result<f64, MarketError>> = Vec::with_capacity(requests.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            resolved.push(r);
-        }
-        drop(resolve_span);
-        // Pass 2 — binned pricing over the precision vector.
-        let price_span = mbp_obs::span("mbp.core.buy_batch.price");
-        let mut scratch = BatchScratch::default();
-        let mut prices: Vec<f64> = Vec::new();
-        listing.table.price_at_batch(&xs, &mut scratch, &mut prices);
-        drop(price_span);
-        // Pass 3 — noise and Sale assembly, strictly in request order so
-        // the RNG stream matches the sequential loop.
-        let mut out = Vec::with_capacity(requests.len());
-        let mut served = 0u64;
-        let mut revenue = 0.0;
-        for (i, r) in resolved.into_iter().enumerate() {
-            match r {
-                Err(e) => out.push(Err(e)),
-                Ok(ncp) => {
-                    let trace = mbp_obs::trace_root(
-                        "mbp.core.buy",
-                        kind_label(kind),
-                        self.mechanism.name(),
-                        batch_seed,
-                    );
-                    let price = prices.get(i).copied().unwrap_or(0.0);
-                    let noise = trace.phase(mbp_obs::Phase::Noise);
-                    let weights = self.mechanism.perturb(entry.model.weights(), ncp, rng);
-                    let model = entry.model.with_weights(weights);
-                    drop(noise);
-                    served += 1;
-                    revenue += price;
-                    out.push(Ok((
-                        Sale {
-                            model,
-                            price,
-                            ncp,
-                            expected_error: listing.transform.expected_error(ncp),
-                        },
-                        Transaction { kind, ncp, price },
-                    )));
-                }
-            }
-        }
-        mbp_obs::counter_add("mbp.core.buy.count", served);
-        mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
-        mbp_obs::gauge_add("mbp.core.revenue.total", revenue);
-        Ok(out)
-    }
-
-    /// Batch purchase against the published listing: quotes every request
-    /// via [`Broker::quote_batch`] and settles the successful transactions
-    /// into the ledger in request order. RNG consumption matches a
-    /// sequential loop of [`Broker::buy_listed`] calls exactly.
+    /// Batch purchase against the published listing:
+    /// [`Broker::buy_batch_into`] on a scratch arena, with the releases
+    /// moved out. Returns one result per request, in order; the outer
+    /// error fires only when the batch is empty or oversized or `kind` has
+    /// no listing.
     pub fn buy_batch(
         &mut self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
     ) -> Result<Vec<Result<Sale, MarketError>>, MarketError> {
-        let results = self.quote_batch(kind, requests, rng)?;
-        self.ledger
-            .reserve(results.iter().filter(|r| r.is_ok()).count());
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                r.map(|(sale, tx)| {
-                    if let Some(sink) = &self.durability {
-                        sink.record_sale(&tx);
-                    }
-                    self.ledger.push(tx);
-                    sale
-                })
-            })
-            .collect())
+        let mut arena = SaleArena::new();
+        self.buy_batch_into(kind, requests, rng, &mut arena)?;
+        Ok(arena.into_results())
     }
 
-    /// Zero-allocation variant of [`Broker::buy_batch`]: runs the same
-    /// three-pass binned kernel but writes every release into `arena`'s
-    /// resident [`Sale`] slots (reusing their model buffers) and keeps all
-    /// resolve/price/binning scratch in the arena. Successful transactions
-    /// settle into the ledger in request order; read per-request outcomes
-    /// with [`SaleArena::results`].
+    /// Batch purchase into `arena`: the [`Broker::quote_batch_into`]
+    /// kernel, then the successful sales settle in request order — each
+    /// transaction to the durability sink, then onto the ledger. Read
+    /// per-request outcomes with [`SaleArena::results`].
     ///
-    /// Prices, noise draws, and RNG consumption are bit-identical to
-    /// [`Broker::buy_batch`] and to a sequential [`Broker::buy_listed`]
-    /// loop. After one warm-up batch at the steady-state batch size (and
-    /// with ledger capacity reserved via [`Broker::reserve_ledger`]),
-    /// repeat batches perform no heap allocation.
+    /// After one warm-up batch at the steady-state batch size (and with
+    /// ledger capacity reserved via [`Broker::reserve_ledger`]), repeat
+    /// batches perform no heap allocation.
     pub fn buy_batch_into(
         &mut self,
         kind: ModelKind,
@@ -708,108 +549,28 @@ impl Broker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        check_batch(requests)?;
-        let _span = mbp_obs::span("mbp.core.buy_batch");
-        let batch_seed = if mbp_obs::is_tracing() {
-            mbp_obs::trace::take_request_seed()
-        } else {
-            0
-        };
-        let listing = self
-            .listings
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        let entry = self
-            .menu
-            .get(&kind)
-            .ok_or(MarketError::UnsupportedModel(kind))?;
-        mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        // Pass 1 — resolve (no RNG), recording precision 1/δ per request.
-        let resolve_span = mbp_obs::span("mbp.core.buy_batch.resolve");
-        arena.len = requests.len();
-        arena.outcomes.clear();
-        arena.xs.clear();
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            arena.outcomes.push(r);
-        }
-        drop(resolve_span);
-        // Pass 2 — binned pricing into the arena's price buffer.
-        let price_span = mbp_obs::span("mbp.core.buy_batch.price");
-        listing
-            .table
-            .price_at_batch(&arena.xs, &mut arena.scratch, &mut arena.prices);
-        drop(price_span);
-        // Grow the Sale pool to the batch size (warm-up cost only).
-        while arena.sales.len() < requests.len() {
-            arena.sales.push(Sale {
-                model: entry.model.clone(),
-                price: 0.0,
-                ncp: 0.0,
-                expected_error: 0.0,
-            });
-        }
-        // Pass 3 — noise and settlement, strictly in request order.
-        let mut served = 0u64;
-        let mut revenue = 0.0;
-        for (i, (outcome, sale)) in arena
-            .outcomes
-            .iter()
-            .zip(arena.sales.iter_mut())
-            .enumerate()
-        {
-            let Ok(&ncp) = outcome.as_ref() else { continue };
-            let trace = mbp_obs::trace_root(
-                "mbp.core.buy",
-                kind_label(kind),
-                self.mechanism.name(),
-                batch_seed,
-            );
-            let price = arena.prices.get(i).copied().unwrap_or(0.0);
-            if sale.model.kind() != kind || sale.model.dim() != entry.model.dim() {
-                sale.model = entry.model.clone();
-            }
-            let noise = trace.phase(mbp_obs::Phase::Noise);
-            self.mechanism
-                .perturb_into(entry.model.weights(), ncp, rng, sale.model.weights_mut());
-            drop(noise);
-            sale.price = price;
-            sale.ncp = ncp;
-            sale.expected_error = listing.transform.expected_error(ncp);
-            let ledger = trace.phase(mbp_obs::Phase::Ledger);
-            let tx = Transaction { kind, ncp, price };
-            if let Some(sink) = &self.durability {
-                sink.record_sale(&tx);
-            }
-            self.ledger.push(tx);
-            drop(ledger);
-            served += 1;
-            revenue += price;
-        }
-        mbp_obs::counter_add("mbp.core.buy.count", served);
-        mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
-        mbp_obs::gauge_add("mbp.core.revenue.total", revenue);
+        let trace = self.buy_trace(kind);
+        self.listed_kernel(kind, requests, rng, arena, &trace)?;
+        let _ledger = trace.phase(mbp_obs::Phase::Ledger);
+        arena.settle(kind, self.durability.as_ref(), &mut self.ledger);
         Ok(())
     }
 
-    /// Settlement-free variant of [`Broker::buy_batch_into`] for callers
-    /// that hold only shared access (the `SharedBroker` network path):
-    /// runs the identical three-pass binned kernel into `arena` — resolve,
-    /// binned pricing, noise in request order — but leaves the ledger
-    /// untouched, so the caller settles the arena's successful sales
-    /// itself (e.g. under a single stripe lock).
+    /// The listed-purchase kernel: every listed buy runs through it. The
+    /// listing, menu entry and compiled table are resolved once per batch,
+    /// then three passes write into `arena`: resolve every request to its
+    /// NCP (no RNG), price all precisions in one
+    /// [`PricingTable::price_at_batch`] call, and draw noise strictly in
+    /// request order (rejected requests draw nothing). The ledger is
+    /// untouched — [`Broker::buy_batch_into`] and the `SharedBroker` wrapper
+    /// settle the arena afterwards.
     ///
-    /// Prices, noise draws, and RNG consumption are bit-identical to
-    /// [`Broker::buy_batch_into`] and to a sequential
-    /// [`Broker::buy_listed`] loop; only the ledger side effect is split
-    /// out.
+    /// Because noise is drawn in request order, splitting a stream into
+    /// batches of any size consumes the RNG identically, so result digests
+    /// do not depend on how requests were batched. The call opens one
+    /// `mbp.core.buy` trace root carrying this thread's pending request
+    /// seed, with `lookup`, `phi_inversion` (the resolve pass) and `noise`
+    /// phases; a traced batch is replayed from that seed.
     pub fn quote_batch_into(
         &self,
         kind: ModelKind,
@@ -817,13 +578,28 @@ impl Broker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
+        self.listed_kernel(kind, requests, rng, arena, &self.buy_trace(kind))
+    }
+
+    /// The `mbp.core.buy` trace root of one purchase call, carrying this
+    /// thread's pending request seed.
+    pub(crate) fn buy_trace(&self, kind: ModelKind) -> mbp_obs::TraceRoot {
+        mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name())
+    }
+
+    /// Body of [`Broker::quote_batch_into`], phased under a caller-owned
+    /// trace root so settling callers can add their `ledger` phase to it.
+    pub(crate) fn listed_kernel(
+        &self,
+        kind: ModelKind,
+        requests: &[PurchaseRequest],
+        rng: &mut MbpRng,
+        arena: &mut SaleArena,
+        trace: &mbp_obs::TraceRoot,
+    ) -> Result<(), MarketError> {
         check_batch(requests)?;
         let _span = mbp_obs::span("mbp.core.buy_batch");
-        let batch_seed = if mbp_obs::is_tracing() {
-            mbp_obs::trace::take_request_seed()
-        } else {
-            0
-        };
+        let lookup = trace.phase(mbp_obs::Phase::Lookup);
         let listing = self
             .listings
             .get(&kind)
@@ -832,30 +608,17 @@ impl Broker {
             .menu
             .get(&kind)
             .ok_or(MarketError::UnsupportedModel(kind))?;
+        drop(lookup);
         mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        // Pass 1 — resolve (no RNG), recording precision 1/δ per request.
-        let resolve_span = mbp_obs::span("mbp.core.buy_batch.resolve");
-        arena.len = requests.len();
-        arena.outcomes.clear();
-        arena.xs.clear();
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            arena.outcomes.push(r);
+        {
+            let _resolve = mbp_obs::span("mbp.core.buy_batch.resolve");
+            let _phi = trace.phase(mbp_obs::Phase::PhiInversion);
+            listing.resolve_into(requests, arena);
         }
-        drop(resolve_span);
-        // Pass 2 — binned pricing into the arena's price buffer.
-        let price_span = mbp_obs::span("mbp.core.buy_batch.price");
-        listing
-            .table
-            .price_at_batch(&arena.xs, &mut arena.scratch, &mut arena.prices);
-        drop(price_span);
+        {
+            let _price = mbp_obs::span("mbp.core.buy_batch.price");
+            listing.price_into(arena);
+        }
         // Grow the Sale pool to the batch size (warm-up cost only).
         while arena.sales.len() < requests.len() {
             arena.sales.push(Sale {
@@ -865,37 +628,28 @@ impl Broker {
                 expected_error: 0.0,
             });
         }
-        // Pass 3 — noise, strictly in request order (identical RNG stream
-        // to the settling variant; the ledger push is the caller's job).
+        let noise = trace.phase(mbp_obs::Phase::Noise);
         let mut served = 0u64;
         let mut revenue = 0.0;
-        for (i, (outcome, sale)) in arena
+        for ((outcome, sale), &price) in arena
             .outcomes
             .iter()
             .zip(arena.sales.iter_mut())
-            .enumerate()
+            .zip(&arena.prices)
         {
             let Ok(&ncp) = outcome.as_ref() else { continue };
-            let trace = mbp_obs::trace_root(
-                "mbp.core.buy",
-                kind_label(kind),
-                self.mechanism.name(),
-                batch_seed,
-            );
-            let price = arena.prices.get(i).copied().unwrap_or(0.0);
             if sale.model.kind() != kind || sale.model.dim() != entry.model.dim() {
                 sale.model = entry.model.clone();
             }
-            let noise = trace.phase(mbp_obs::Phase::Noise);
             self.mechanism
                 .perturb_into(entry.model.weights(), ncp, rng, sale.model.weights_mut());
-            drop(noise);
             sale.price = price;
             sale.ncp = ncp;
             sale.expected_error = listing.transform.expected_error(ncp);
             served += 1;
             revenue += price;
         }
+        drop(noise);
         mbp_obs::counter_add("mbp.core.buy.count", served);
         mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
         mbp_obs::gauge_add("mbp.core.revenue.total", revenue);
@@ -903,8 +657,7 @@ impl Broker {
     }
 
     /// Prices a batch of requests without purchasing: the network quote
-    /// path. Resolution and binned pricing run exactly as in
-    /// [`Broker::quote_batch`] (passes 1–2 of the kernel), but no model is
+    /// path. Runs the kernel's resolve and price passes only — no model is
     /// released, no RNG is consumed, and the ledger is untouched — so a
     /// quote storm cannot perturb the noise stream of interleaved buys.
     pub fn price_batch(
@@ -919,29 +672,17 @@ impl Broker {
             .get(&kind)
             .ok_or(MarketError::UnsupportedModel(kind))?;
         mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let pricing = PricePath::Table(&listing.table);
-        let mut resolved: Vec<Result<f64, MarketError>> = Vec::with_capacity(requests.len());
-        let mut xs: Vec<f64> = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let r = resolve_ncp(
-                &pricing,
-                Some(&listing.phi),
-                listing.transform.as_ref(),
-                request,
-            );
-            xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-            resolved.push(r);
-        }
-        let mut scratch = BatchScratch::default();
-        let mut prices: Vec<f64> = Vec::new();
-        listing.table.price_at_batch(&xs, &mut scratch, &mut prices);
-        Ok(resolved
+        let mut arena = SaleArena::new();
+        listing.resolve_into(requests, &mut arena);
+        listing.price_into(&mut arena);
+        Ok(arena
+            .outcomes
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
+            .zip(arena.prices)
+            .map(|(r, price)| {
                 r.map(|ncp| PriceQuote {
                     ncp,
-                    price: prices.get(i).copied().unwrap_or(0.0),
+                    price,
                     expected_error: listing.transform.expected_error(ncp),
                 })
             })
@@ -949,7 +690,7 @@ impl Broker {
     }
 
     /// Pre-allocates ledger capacity for `additional` upcoming
-    /// transactions, so steady-state [`Broker::buy_listed_into`] pushes
+    /// transactions, so steady-state [`Broker::buy_batch_into`] pushes
     /// never reallocate.
     pub fn reserve_ledger(&mut self, additional: usize) {
         self.ledger.reserve(additional);
@@ -1141,9 +882,8 @@ impl Broker {
         rng: &mut MbpRng,
     ) -> Result<(Sale, Transaction), MarketError> {
         let _span = mbp_obs::span("mbp.core.buy");
-        let trace =
-            mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name());
-        let result = (|| {
+        let trace = self.buy_trace(kind);
+        let result: Result<(Sale, Transaction), MarketError> = (|| {
             let lookup = trace.phase(mbp_obs::Phase::Lookup);
             let entry = self
                 .menu
@@ -1151,19 +891,40 @@ impl Broker {
                 .ok_or(MarketError::UnsupportedModel(kind))?;
             drop(lookup);
             mbp_obs::inc("mbp.core.pricing.table_miss");
-            execute_purchase(
-                entry,
-                self.mechanism.as_ref(),
-                &PricePath::Scan(pricing),
-                None,
-                transform,
-                kind,
-                request,
-                rng,
-                &trace,
-            )
+            let ncp = {
+                let _p = trace.phase(mbp_obs::Phase::PhiInversion);
+                resolve_ncp(&PricePath::Scan(pricing), None, transform, request)?
+            };
+            let price = pricing.price_for_ncp(ncp);
+            let noise = trace.phase(mbp_obs::Phase::Noise);
+            let weights = self.mechanism.perturb(entry.model.weights(), ncp, rng);
+            let model = entry.model.with_weights(weights);
+            drop(noise);
+            Ok((
+                Sale {
+                    model,
+                    price,
+                    ncp,
+                    expected_error: transform.expected_error(ncp),
+                },
+                Transaction { kind, ncp, price },
+            ))
         })();
-        record_purchase_outcome(result.as_ref().map(|(sale, _)| sale));
+        match &result {
+            Ok((sale, _)) => {
+                mbp_obs::inc("mbp.core.buy.count");
+                mbp_obs::gauge_add("mbp.core.revenue.total", sale.price);
+            }
+            Err(e) => {
+                mbp_obs::inc("mbp.core.buy.rejected");
+                mbp_obs::event(
+                    mbp_obs::Verbosity::Error,
+                    "mbp.core.broker",
+                    "purchase rejected",
+                    &[("reason", e.to_string())],
+                );
+            }
+        }
         result
     }
 
@@ -1185,29 +946,6 @@ impl Broker {
     }
 }
 
-/// Records the metrics for one purchase attempt: `mbp.core.buy.count` and
-/// the running `mbp.core.revenue.total` gauge on success,
-/// `mbp.core.buy.rejected` (plus an error event) on failure.
-fn record_purchase_outcome(result: Result<&Sale, &MarketError>) {
-    match result {
-        Ok(sale) => {
-            mbp_obs::inc("mbp.core.buy.count");
-            mbp_obs::gauge_add("mbp.core.revenue.total", sale.price);
-        }
-        Err(e) => record_purchase_failure(e),
-    }
-}
-
-fn record_purchase_failure(e: &MarketError) {
-    mbp_obs::inc("mbp.core.buy.rejected");
-    mbp_obs::event(
-        mbp_obs::Verbosity::Error,
-        "mbp.core.broker",
-        "purchase rejected",
-        &[("reason", e.to_string())],
-    );
-}
-
 /// Which pricing backend a purchase is served from: the original
 /// piecewise-linear scan, or the compiled table built at publish time.
 /// Both answer the same queries with identical values (the table is
@@ -1218,13 +956,6 @@ enum PricePath<'a> {
 }
 
 impl PricePath<'_> {
-    fn price_for_ncp(&self, ncp: f64) -> f64 {
-        match self {
-            PricePath::Scan(p) => p.price_for_ncp(ncp),
-            PricePath::Table(t) => t.price_for_ncp(ncp),
-        }
-    }
-
     fn max_precision_for_budget(&self, b: f64) -> Option<f64> {
         match self {
             PricePath::Scan(p) => p.max_precision_for_budget(b),
@@ -1288,74 +1019,6 @@ fn resolve_ncp(
             Ok(1.0 / x)
         }
     }
-}
-
-/// Shared purchase path: resolves the request to an NCP, prices it, and
-/// releases a freshly noised instance.
-#[allow(clippy::too_many_arguments)]
-fn execute_purchase(
-    entry: &MenuEntry,
-    mechanism: &dyn NoiseMechanism,
-    pricing: &PricePath<'_>,
-    phi: Option<&PhiMemo>,
-    transform: &dyn ErrorTransform,
-    kind: ModelKind,
-    request: PurchaseRequest,
-    rng: &mut MbpRng,
-    trace: &mbp_obs::TraceRoot,
-) -> Result<(Sale, Transaction), MarketError> {
-    let ncp = {
-        let _p = trace.phase(mbp_obs::Phase::PhiInversion);
-        resolve_ncp(pricing, phi, transform, request)?
-    };
-    let price = pricing.price_for_ncp(ncp);
-    let noise = trace.phase(mbp_obs::Phase::Noise);
-    let weights = mechanism.perturb(entry.model.weights(), ncp, rng);
-    let model = entry.model.with_weights(weights);
-    drop(noise);
-    Ok((
-        Sale {
-            model,
-            price,
-            ncp,
-            expected_error: transform.expected_error(ncp),
-        },
-        Transaction { kind, ncp, price },
-    ))
-}
-
-/// Allocation-free purchase path: identical resolution, pricing, and RNG
-/// consumption to [`execute_purchase`], but the release is written into
-/// `sale`'s existing model buffer.
-#[allow(clippy::too_many_arguments)]
-fn execute_purchase_into(
-    entry: &MenuEntry,
-    mechanism: &dyn NoiseMechanism,
-    table: &PricingTable,
-    phi: &PhiMemo,
-    transform: &dyn ErrorTransform,
-    kind: ModelKind,
-    request: PurchaseRequest,
-    rng: &mut MbpRng,
-    sale: &mut Sale,
-    trace: &mbp_obs::TraceRoot,
-) -> Result<Transaction, MarketError> {
-    let pricing = PricePath::Table(table);
-    let ncp = {
-        let _p = trace.phase(mbp_obs::Phase::PhiInversion);
-        resolve_ncp(&pricing, Some(phi), transform, request)?
-    };
-    let price = pricing.price_for_ncp(ncp);
-    if sale.model.kind() != kind || sale.model.dim() != entry.model.dim() {
-        sale.model = entry.model.clone();
-    }
-    let noise = trace.phase(mbp_obs::Phase::Noise);
-    mechanism.perturb_into(entry.model.weights(), ncp, rng, sale.model.weights_mut());
-    drop(noise);
-    sale.price = price;
-    sale.ncp = ncp;
-    sale.expected_error = transform.expected_error(ncp);
-    Ok(Transaction { kind, ncp, price })
 }
 
 #[cfg(test)]
@@ -1624,183 +1287,156 @@ mod tests {
         }
     }
 
-    /// `buy_listed_into` reuses the caller's buffers and matches
-    /// `buy_listed` bit-for-bit on the same stream; the affine φ memo is
-    /// exercised through a real regression transform.
-    #[test]
-    fn buy_listed_into_matches_buy_listed() {
-        let mut a = Broker::new(market_data(32));
-        let mut b = Broker::new(market_data(32));
-        for broker in [&mut a, &mut b] {
-            let h = broker
-                .support(ModelKind::LinearRegression, 0.0)
-                .unwrap()
-                .weights()
-                .clone();
-            let transform = LinRegSquareTransform::new(&broker.data().test.clone(), &h);
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    simple_pricing(),
-                    Box::new(transform),
-                )
-                .unwrap();
+    /// Records every sale a broker forwards, in order.
+    #[derive(Default)]
+    struct SaleLog(std::sync::Mutex<Vec<Transaction>>);
+
+    impl DurabilitySink for SaleLog {
+        fn record_sale(&self, tx: &Transaction) {
+            self.0.lock().unwrap().push(tx.clone());
         }
-        let base = a
-            .optimal_model(ModelKind::LinearRegression)
-            .unwrap()
-            .clone();
-        let floor = LinRegSquareTransform::new(&a.data().test.clone(), base.weights()).base();
-        let requests = [
+        fn record_support(&self, _: ModelKind, _: f64) {}
+        fn record_publish(&self, _: ModelKind, _: &[f64], _: &[f64]) {}
+        fn record_epoch(&self, _: u64) {}
+        fn record_rng_cursor(&self, _: u64, _: u64) {}
+    }
+
+    /// Every listed entry point serves one mixed stream identically: the
+    /// same per-request outcomes and sale bits, the same ledger and
+    /// durability records, and the same RNG position afterwards. The
+    /// affine φ memo is exercised through a real regression transform.
+    #[test]
+    fn listed_entry_points_serve_one_stream_identically() {
+        use crate::market::concurrent::SharedBroker;
+        use rand::Rng;
+
+        const KIND: ModelKind = ModelKind::LinearRegression;
+        type Outcome = Result<(u64, u64, u64, Vec<u64>), String>;
+        type EntryPoint = fn(
+            Broker,
+            Arc<SaleLog>,
+            &[PurchaseRequest],
+            &mut MbpRng,
+        ) -> (Vec<Outcome>, Vec<Transaction>);
+
+        fn outcome(r: Result<&Sale, &MarketError>) -> Outcome {
+            r.map(|s| {
+                let w = s.model.weights().as_slice().iter().map(|w| w.to_bits());
+                let bits = |x: f64| x.to_bits();
+                (
+                    bits(s.price),
+                    bits(s.ncp),
+                    bits(s.expected_error),
+                    w.collect(),
+                )
+            })
+            .map_err(|e| format!("{e:?}"))
+        }
+        let listed = || {
+            let mut broker = Broker::new(market_data(32));
+            let h = broker.support(KIND, 0.0).unwrap().weights().clone();
+            let transform = LinRegSquareTransform::new(&broker.data().test.clone(), &h);
+            let floor = transform.base();
+            broker
+                .publish(KIND, simple_pricing(), Box::new(transform))
+                .unwrap();
+            (broker, floor)
+        };
+        let floor = listed().1;
+        let stream = [
             PurchaseRequest::AtNcp(1.0),
             PurchaseRequest::ErrorBudget(floor + 0.7),
+            PurchaseRequest::AtNcp(-1.0), // BadRequest
             PurchaseRequest::PriceBudget(25.0),
+            PurchaseRequest::ErrorBudget(floor * 0.5), // UnachievableError
+            PurchaseRequest::AtNcp(0.25),
+            PurchaseRequest::PriceBudget(0.0), // InsufficientBudget
+            PurchaseRequest::PriceBudget(1e6),
         ];
-        let mut rng_a = seeded_rng(33);
-        let mut rng_b = seeded_rng(33);
-        let mut sale = Sale {
-            model: base,
-            price: 0.0,
-            ncp: 0.0,
-            expected_error: 0.0,
-        };
-        b.reserve_ledger(requests.len());
-        for &request in &requests {
-            let fresh = a
-                .buy_listed(ModelKind::LinearRegression, request, &mut rng_a)
-                .unwrap();
-            b.buy_listed_into(ModelKind::LinearRegression, request, &mut rng_b, &mut sale)
-                .unwrap();
-            assert_eq!(fresh.price, sale.price, "{request:?}");
-            assert_eq!(fresh.ncp, sale.ncp, "{request:?}");
-            assert_eq!(fresh.expected_error, sale.expected_error, "{request:?}");
-            assert_eq!(fresh.model.weights(), sale.model.weights(), "{request:?}");
-        }
-        assert_eq!(a.ledger().len(), b.ledger().len());
-        assert_eq!(a.total_revenue(), b.total_revenue());
-    }
 
-    /// Batch quoting consumes the RNG exactly like a sequential loop, keeps
-    /// per-request errors inline, and settles in request order.
-    #[test]
-    fn buy_batch_matches_sequential_buy_listed() {
-        let mut seq = Broker::new(market_data(34));
-        let mut bat = Broker::new(market_data(34));
-        for broker in [&mut seq, &mut bat] {
-            broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    simple_pricing(),
-                    Box::new(SquareLossTransform),
-                )
-                .unwrap();
-        }
-        let requests = [
-            PurchaseRequest::AtNcp(0.5),
-            PurchaseRequest::PriceBudget(5.0), // below p̄(x₁)·small ⇒ still ray-affordable
-            PurchaseRequest::AtNcp(-1.0),      // rejected inline
-            PurchaseRequest::ErrorBudget(1.5),
-            PurchaseRequest::PriceBudget(0.0), // rejected: buys zero precision
-        ];
-        let mut rng_seq = seeded_rng(35);
-        let mut rng_bat = seeded_rng(35);
-        let sequential: Vec<Result<Sale, MarketError>> = requests
-            .iter()
-            .map(|&r| seq.buy_listed(ModelKind::LinearRegression, r, &mut rng_seq))
-            .collect();
-        let batched = bat
-            .buy_batch(ModelKind::LinearRegression, &requests, &mut rng_bat)
-            .unwrap();
-        assert_eq!(sequential.len(), batched.len());
-        for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-            match (s, b) {
-                (Ok(s), Ok(b)) => {
-                    assert_eq!(s.price, b.price, "request {i}");
-                    assert_eq!(s.ncp, b.ncp, "request {i}");
-                    assert_eq!(s.model.weights(), b.model.weights(), "request {i}");
+        let entry_points: [(&str, EntryPoint); 6] = [
+            ("buy_listed", |mut b, log, reqs, rng| {
+                b.set_durability(log);
+                let outcomes = reqs
+                    .iter()
+                    .map(|&r| outcome(b.buy_listed(KIND, r, rng).as_ref()))
+                    .collect();
+                (outcomes, b.ledger().to_vec())
+            }),
+            ("buy_batch", |mut b, log, reqs, rng| {
+                b.set_durability(log);
+                let sales = b.buy_batch(KIND, reqs, rng).unwrap();
+                let outcomes = sales.iter().map(|r| outcome(r.as_ref())).collect();
+                (outcomes, b.ledger().to_vec())
+            }),
+            ("buy_batch_into", |mut b, log, reqs, rng| {
+                b.set_durability(log);
+                let mut arena = SaleArena::new();
+                let mut outcomes = Vec::new();
+                // A smaller second batch reuses warmed Sale slots.
+                for chunk in [&reqs[..5], &reqs[5..]] {
+                    b.buy_batch_into(KIND, chunk, rng, &mut arena).unwrap();
+                    outcomes.extend(arena.results().map(outcome));
                 }
-                (Err(_), Err(_)) => {}
-                _ => panic!("request {i}: outcome mismatch"),
-            }
+                (outcomes, b.ledger().to_vec())
+            }),
+            ("quote_batch_into", |b, log, reqs, rng| {
+                let mut arena = SaleArena::new();
+                b.quote_batch_into(KIND, reqs, rng, &mut arena).unwrap();
+                assert!(b.ledger().is_empty(), "the kernel must not settle");
+                let mut ledger = Vec::new();
+                let sink: Arc<dyn DurabilitySink> = log;
+                arena.settle(KIND, Some(&sink), &mut ledger);
+                (arena.results().map(outcome).collect(), ledger)
+            }),
+            ("SharedBroker::buy_batch_into", |b, log, reqs, rng| {
+                let shared = SharedBroker::with_durability(b, log);
+                let mut arena = SaleArena::new();
+                shared.buy_batch_into(KIND, reqs, rng, &mut arena).unwrap();
+                let outcomes = arena.results().map(outcome).collect();
+                (outcomes, shared.with_broker(|b| b.ledger().to_vec()))
+            }),
+            ("SharedBroker::buy_batch", |b, log, reqs, rng| {
+                let shared = SharedBroker::with_durability(b, log);
+                let sales = shared.buy_batch(KIND, reqs, rng).unwrap();
+                let outcomes = sales.iter().map(|r| outcome(r.as_ref())).collect();
+                (outcomes, shared.with_broker(|b| b.ledger().to_vec()))
+            }),
+        ];
+
+        let mut runs = entry_points.iter().map(|&(name, serve)| {
+            let log = Arc::new(SaleLog::default());
+            let mut rng = seeded_rng(33);
+            let (outcomes, ledger) = serve(listed().0, Arc::clone(&log), &stream, &mut rng);
+            let recorded = log.0.lock().unwrap().clone();
+            (name, outcomes, ledger, recorded, rng.gen::<u64>())
+        });
+        let (_, outcomes, ledger, recorded, next_draw) = runs.next().unwrap();
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 3);
+        assert_eq!(ledger.len(), stream.len() - 3);
+        assert_eq!(recorded, ledger);
+        for (name, o, l, r, d) in runs {
+            assert_eq!(o, outcomes, "{name}: outcomes");
+            assert_eq!(l, ledger, "{name}: ledger");
+            assert_eq!(r, recorded, "{name}: durability records");
+            assert_eq!(d, next_draw, "{name}: RNG position");
         }
-        assert_eq!(seq.ledger().len(), bat.ledger().len());
-        assert_eq!(seq.total_revenue(), bat.total_revenue());
+
         // Unknown kinds fail at the batch level, not per request.
-        assert!(matches!(
-            bat.buy_batch(ModelKind::LinearSvm, &requests, &mut rng_bat),
-            Err(MarketError::UnsupportedModel(_))
-        ));
-    }
-
-    /// The arena path replays `buy_batch` bit-for-bit: same prices, NCPs,
-    /// and noise draws, same ledger — including on a second, smaller batch
-    /// that reuses warmed slots.
-    #[test]
-    fn buy_batch_into_matches_buy_batch() {
-        let mut plain = Broker::new(market_data(34));
-        let mut arena_b = Broker::new(market_data(34));
-        for broker in [&mut plain, &mut arena_b] {
-            broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    simple_pricing(),
-                    Box::new(SquareLossTransform),
-                )
-                .unwrap();
-        }
-        let batches: [&[PurchaseRequest]; 2] = [
-            &[
-                PurchaseRequest::AtNcp(0.5),
-                PurchaseRequest::PriceBudget(5.0),
-                PurchaseRequest::AtNcp(-1.0), // rejected inline
-                PurchaseRequest::ErrorBudget(1.5),
-                PurchaseRequest::PriceBudget(0.0), // rejected
-            ],
-            // Smaller follow-up batch: exercises warmed Sale slots.
-            &[PurchaseRequest::AtNcp(0.25), PurchaseRequest::AtNcp(2.0)],
-        ];
-        let mut rng_plain = seeded_rng(35);
-        let mut rng_arena = seeded_rng(35);
+        let (mut broker, _) = listed();
         let mut arena = SaleArena::new();
-        for requests in batches {
-            let expected = plain
-                .buy_batch(ModelKind::LinearRegression, requests, &mut rng_plain)
-                .unwrap();
-            arena_b
-                .buy_batch_into(
-                    ModelKind::LinearRegression,
-                    requests,
-                    &mut rng_arena,
-                    &mut arena,
-                )
-                .unwrap();
-            assert_eq!(arena.len(), requests.len());
-            let got: Vec<_> = arena.results().collect();
-            assert_eq!(expected.len(), got.len());
-            for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
-                match (e, g) {
-                    (Ok(e), Ok(g)) => {
-                        assert_eq!(e.price.to_bits(), g.price.to_bits(), "request {i}");
-                        assert_eq!(e.ncp.to_bits(), g.ncp.to_bits(), "request {i}");
-                        assert_eq!(e.model.weights(), g.model.weights(), "request {i}");
-                    }
-                    (Err(_), Err(_)) => {}
-                    _ => panic!("request {i}: outcome mismatch"),
-                }
-            }
-        }
-        assert_eq!(plain.ledger().len(), arena_b.ledger().len());
-        assert_eq!(plain.total_revenue(), arena_b.total_revenue());
         assert!(matches!(
-            arena_b.buy_batch_into(ModelKind::LinearSvm, batches[0], &mut rng_arena, &mut arena),
+            broker.buy_batch_into(
+                ModelKind::LinearSvm,
+                &stream,
+                &mut seeded_rng(33),
+                &mut arena
+            ),
             Err(MarketError::UnsupportedModel(_))
         ));
     }
 
-    /// The sorted-bin kernel must scatter results back into request order:
-    /// a batch deliberately shuffled across every evaluation class (ray,
+    /// A batch deliberately shuffled across every evaluation class (ray,
     /// interior segments, saturation, rejections) returns exactly what a
     /// sequential loop returns, position by position, bit for bit.
     #[test]

@@ -26,7 +26,7 @@ use crate::market::durability::DurabilitySink;
 use crate::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::MbpRng;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -122,6 +122,21 @@ impl SharedBroker {
         }
     }
 
+    /// Takes the shared core read guard, counting a contended acquisition
+    /// when the uncontended `try_read` fails (maintenance holds the write
+    /// lock) and attributing the blocking wait to the `lock_wait` trace
+    /// phase under `kind`'s listing label.
+    fn read_core(&self, kind: ModelKind) -> RwLockReadGuard<'_, Broker> {
+        match self.inner.core.try_read() {
+            Some(g) => g,
+            None => {
+                self.note_contention();
+                let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
+                self.inner.core.read()
+            }
+        }
+    }
+
     /// Adds a model to the menu (delegates to [`Broker::support`]).
     pub fn support(&self, kind: ModelKind, ridge: f64) -> Result<(), MarketError> {
         self.inner.core.write().support(kind, ridge).map(|_| ())
@@ -138,54 +153,31 @@ impl SharedBroker {
         self.inner.core.write().publish(kind, pricing, transform)
     }
 
-    /// Thread-safe batch purchase against the published listing for `kind`.
-    ///
-    /// The whole batch quotes under one shared read guard (one listing
-    /// lookup, compiled-table pricing) and settles under a *single* stripe
-    /// lock acquisition, so lock traffic is amortized across the batch
-    /// instead of paid per purchase. Per-request failures are returned
-    /// inline; the outer error fires only when `kind` has no listing.
+    /// Thread-safe batch purchase against the published listing for `kind`:
+    /// [`SharedBroker::buy_batch_into`] on a scratch arena, with the
+    /// releases moved out. Per-request failures are returned inline; the
+    /// outer error fires only when the batch is empty or oversized or
+    /// `kind` has no listing.
     pub fn buy_batch(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
     ) -> Result<Vec<Result<Sale, MarketError>>, MarketError> {
-        let results = {
-            let core = match self.inner.core.try_read() {
-                Some(g) => g,
-                None => {
-                    self.note_contention();
-                    let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                    self.inner.core.read()
-                }
-            };
-            core.quote_batch(kind, requests, rng)?
-        };
-        let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
-        let mut guard = self.lock_next_stripe(kind_label(kind));
-        Ok(results
-            .into_iter()
-            .map(|r| {
-                r.map(|(sale, tx)| {
-                    if let Some(sink) = &self.inner.durability {
-                        sink.record_sale(&tx);
-                    }
-                    guard.push(tx);
-                    sale
-                })
-            })
-            .collect())
+        let mut arena = SaleArena::new();
+        self.buy_batch_into(kind, requests, rng, &mut arena)?;
+        Ok(arena.into_results())
     }
 
     /// Zero-allocation thread-safe batch purchase: the network serving
-    /// path. The three-pass kernel runs into `arena` under a shared read
-    /// guard via [`Broker::quote_batch_into`] (no ledger mutation), then
-    /// the successful sales settle under a *single* stripe-lock
-    /// acquisition. Prices, noise draws, and RNG consumption are
-    /// bit-identical to [`Broker::buy_batch_into`] on an unshared broker;
-    /// only where the transactions park differs (a stripe instead of the
-    /// core ledger), and [`SharedBroker::with_broker`] reconciles that.
+    /// path. The [`Broker::quote_batch_into`] kernel runs into `arena`
+    /// under one shared read guard (no ledger mutation), then the
+    /// successful sales settle under a *single* stripe-lock acquisition,
+    /// so lock traffic is amortized across the batch. Prices, noise draws,
+    /// and RNG consumption are bit-identical to [`Broker::buy_batch_into`]
+    /// on an unshared broker; only where the transactions park differs (a
+    /// stripe instead of the core ledger), and
+    /// [`SharedBroker::with_broker`] reconciles that.
     pub fn buy_batch_into(
         &self,
         kind: ModelKind,
@@ -193,30 +185,15 @@ impl SharedBroker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        {
-            let core = match self.inner.core.try_read() {
-                Some(g) => g,
-                None => {
-                    self.note_contention();
-                    let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                    self.inner.core.read()
-                }
-            };
-            core.quote_batch_into(kind, requests, rng, arena)?;
-        }
-        let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
+        let trace = {
+            let core = self.read_core(kind);
+            let trace = core.buy_trace(kind);
+            core.listed_kernel(kind, requests, rng, arena, &trace)?;
+            trace
+        };
+        let _settle = trace.phase(mbp_obs::Phase::Ledger);
         let mut guard = self.lock_next_stripe(kind_label(kind));
-        for sale in arena.results().flatten() {
-            let tx = Transaction {
-                kind,
-                ncp: sale.ncp,
-                price: sale.price,
-            };
-            if let Some(sink) = &self.inner.durability {
-                sink.record_sale(&tx);
-            }
-            guard.push(tx);
-        }
+        arena.settle(kind, self.inner.durability.as_ref(), &mut guard);
         Ok(())
     }
 
@@ -228,15 +205,7 @@ impl SharedBroker {
         kind: ModelKind,
         requests: &[PurchaseRequest],
     ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
-        let core = match self.inner.core.try_read() {
-            Some(g) => g,
-            None => {
-                self.note_contention();
-                let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                self.inner.core.read()
-            }
-        };
-        core.price_batch(kind, requests)
+        self.read_core(kind).price_batch(kind, requests)
     }
 
     /// Thread-safe purchase; each calling thread supplies its own RNG.
@@ -254,17 +223,9 @@ impl SharedBroker {
         transform: &dyn ErrorTransform,
         rng: &mut MbpRng,
     ) -> Result<Sale, MarketError> {
-        let (sale, tx) = {
-            let core = match self.inner.core.try_read() {
-                Some(g) => g,
-                None => {
-                    self.note_contention();
-                    let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
-                    self.inner.core.read()
-                }
-            };
-            core.quote(kind, request, pricing, transform, rng)?
-        };
+        let (sale, tx) = self
+            .read_core(kind)
+            .quote(kind, request, pricing, transform, rng)?;
         {
             let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
             let mut guard = self.lock_next_stripe(kind_label(kind));

@@ -26,5 +26,5 @@ pub use durability::DurabilitySink;
 
 pub use agents::{
     Broker, Buyer, MarketError, PriceErrorCurve, PriceErrorPoint, PriceQuote, PurchaseRequest,
-    QuoteBatch, Sale, SaleArena, Seller, Transaction, MAX_BATCH,
+    Sale, SaleArena, Seller, Transaction, MAX_BATCH,
 };

@@ -262,11 +262,11 @@ impl PricingFunction {
 ///
 /// At publish time the piecewise-linear curve is lowered into parallel
 /// arrays of knots, knot prices, and *precomputed per-segment slopes*, and
-/// the knot array is indexed by a branchless [`SegmentIndex`] (a fixed-
-/// stride grid when the knots are near-uniform, an Eytzinger-ordered
-/// layout otherwise), so [`PricingTable::price_at`] is one segment lookup
-/// plus one fused multiply-add — no allocation, no division, no
-/// data-dependent branch. The segment scan in
+/// the knot array is indexed by a [`SegmentIndex`] (a branchless fixed-
+/// stride grid when the knots are near-uniform, `partition_point`
+/// otherwise), so [`PricingTable::price_at`] is one segment lookup plus
+/// one fused multiply-add — no allocation and no division. The segment
+/// scan in
 /// [`PricingFunction::max_precision_for_budget`] is likewise replaced by an
 /// indexed lookup over the knot prices whenever they are non-decreasing
 /// (always the case for arbitrage-free curves; non-monotone "broken"
@@ -290,10 +290,10 @@ pub struct PricingTable {
     /// Last knot (`knots[n-1]`), ditto for the saturation branch.
     knot_max: f64,
     max_price: f64,
-    /// Branchless segment lookup over `knots` (grid or Eytzinger layout,
-    /// chosen at compile time).
+    /// Segment lookup over `knots` (grid or `partition_point`, chosen at
+    /// compile time).
     knot_index: SegmentIndex,
-    /// Branchless lookup over `prices`, present exactly when the knot
+    /// Segment lookup over `prices`, present exactly when the knot
     /// prices are non-decreasing (monotone curves admit indexed budget
     /// inversion; broken curves fall back to the scan).
     price_index: Option<SegmentIndex>,
@@ -349,10 +349,9 @@ impl PricingTable {
     }
 
     /// Index of the last knot `≤ x`, answered by the compiled
-    /// [`SegmentIndex`] (grid arithmetic or Eytzinger descent — no
-    /// data-dependent branch either way). Interior callers guarantee
-    /// `x > knot_min`, so the upper bound is ≥ 1 and the subtraction
-    /// cannot wrap.
+    /// [`SegmentIndex`] (grid arithmetic or `partition_point`). Interior
+    /// callers guarantee `x > knot_min`, so the upper bound is ≥ 1 and the
+    /// subtraction cannot wrap.
     #[inline]
     fn segment_index(&self, x: f64) -> usize {
         self.knot_index
@@ -413,112 +412,17 @@ impl PricingTable {
         self.price_at(1.0 / delta)
     }
 
-    /// Evaluation class for precision `x`, mirroring the branch ladder of
-    /// [`PricingTable::price_at`] exactly: `0` = clamp to price 0 (NaN or
-    /// non-positive), `1` = saturation (single knot, or `x ≥ knot_max`),
-    /// `2` = origin ray (`x ≤ knot_min`), `3 + i` = interior segment `i`.
-    #[inline]
-    fn segment_class(&self, x: f64) -> u32 {
-        if x.is_nan() || x <= 0.0 {
-            return 0;
-        }
-        if self.knots.len() == 1 || x >= self.knot_max {
-            return 1;
-        }
-        if x <= self.knot_min {
-            return 2;
-        }
-        3 + self.segment_index(x) as u32
-    }
-
-    /// Bin-and-scatter batch evaluation of `p̄` over `xs`.
+    /// Batch evaluation of `p̄` over `xs`: `out[i]` is exactly
+    /// `self.price_at(xs[i])`, in request order. `out` is reused across
+    /// calls, so a warmed-up caller performs no heap allocation.
     ///
-    /// Queries are binned by evaluation class (counting sort over an index
-    /// permutation), each bin is evaluated with its segment constants
-    /// `(k0, y0, m)` loaded once, and results are scattered back so
-    /// `out[i]` is exactly `self.price_at(xs[i])` — the same branch
-    /// ladder, the same operands, the same arithmetic, hence bit-identical
-    /// to the sequential loop, in the original request order.
-    ///
-    /// All buffers live in `scratch`/`out` and are reused across calls, so
-    /// a warmed-up caller performs no heap allocation.
-    pub fn price_at_batch(&self, xs: &[f64], scratch: &mut BatchScratch, out: &mut Vec<f64>) {
-        let n_classes = 3 + self.slopes.len();
-        scratch.class.clear();
-        scratch.starts.clear();
-        scratch.starts.resize(n_classes + 1, 0);
-        for &x in xs {
-            let c = self.segment_class(x);
-            scratch.class.push(c);
-            if let Some(tally) = scratch.starts.get_mut(c as usize + 1) {
-                *tally += 1;
-            }
-        }
-        // Exclusive prefix sum: starts[c] = first slot of class c's bin.
-        let mut acc = 0u32;
-        for slot in scratch.starts.iter_mut() {
-            acc += *slot;
-            *slot = acc;
-        }
-        // Permutation scatter: order[] lists request indices grouped by
-        // class, cursor[] tracks each bin's write position.
-        scratch.cursor.clear();
-        scratch.cursor.extend_from_slice(&scratch.starts);
-        scratch.order.clear();
-        scratch.order.resize(xs.len(), 0);
-        for (i, &c) in scratch.class.iter().enumerate() {
-            if let Some(pos) = scratch.cursor.get_mut(c as usize) {
-                let at = *pos as usize;
-                *pos += 1;
-                if let Some(slot) = scratch.order.get_mut(at) {
-                    *slot = i as u32;
-                }
-            }
-        }
+    /// Each request is priced on its own: binning requests by knot segment
+    /// (to load each segment's constants once) measured slower than this
+    /// loop at every batch size from 1 to 4096, because classifying a
+    /// request already costs the segment lookup the loop does.
+    pub fn price_at_batch(&self, xs: &[f64], out: &mut Vec<f64>) {
         out.clear();
-        out.resize(xs.len(), 0.0);
-        // Class 0 (NaN / non-positive) is already 0.0. Classes 1 and 2 are
-        // register constants; interior bins load their segment once.
-        let bin = |c: usize| {
-            let (lo, hi) = (scratch.starts.get(c), scratch.starts.get(c + 1));
-            match (lo, hi) {
-                (Some(&lo), Some(&hi)) => {
-                    scratch.order.get(lo as usize..hi as usize).unwrap_or(&[])
-                }
-                _ => &[],
-            }
-        };
-        for &i in bin(1) {
-            if let Some(slot) = out.get_mut(i as usize) {
-                *slot = self.max_price;
-            }
-        }
-        for &i in bin(2) {
-            if let (Some(&x), Some(slot)) = (xs.get(i as usize), out.get_mut(i as usize)) {
-                *slot = self.ray_slope * x;
-            }
-        }
-        for (seg, ((&k0, &y0), &m)) in self
-            .knots
-            .iter()
-            .zip(self.prices.iter())
-            .zip(self.slopes.iter())
-            .enumerate()
-        {
-            for &i in bin(3 + seg) {
-                if let (Some(&x), Some(slot)) = (xs.get(i as usize), out.get_mut(i as usize)) {
-                    *slot = y0 + m * (x - k0);
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        for (&x, &p) in xs.iter().zip(out.iter()) {
-            let direct = self.price_at(x);
-            debug_assert!(
-                p.to_bits() == direct.to_bits(),
-                "batch kernel diverged from price_at at x={x}: {p} vs {direct}"
-            );
-        }
+        out.extend(xs.iter().map(|&x| self.price_at(x)));
     }
 
     /// Budget inversion with the same semantics as
@@ -559,11 +463,10 @@ impl PricingTable {
         }
         if let Some(price_index) = &self.price_index {
             // Prices are non-decreasing: the last affordable knot is found
-            // by the branchless index, then extended into the next segment.
-            // This reproduces the scan bit-for-bit: the index answers the
-            // exact `partition_point(|&p| p <= b)` (comparison-only, no
-            // float arithmetic in the Eytzinger path and exact ±1 fix-ups
-            // in the grid path) and the interpolation arithmetic is
+            // by the index, then extended into the next segment. This
+            // reproduces the scan bit-for-bit: the index answers the exact
+            // `partition_point(|&p| p <= b)` (exact ±1 fix-ups in the grid
+            // path) and the interpolation arithmetic is
             // unchanged. The bound lands in [1, n) because b sits in
             // [prices[0], max_price); the fallbacks are unreachable.
             let idx = price_index.upper_bound(&self.prices, b);
@@ -602,23 +505,6 @@ impl PricingTable {
         }
         Some(best)
     }
-}
-
-/// Reusable scratch buffers for [`PricingTable::price_at_batch`]: the
-/// per-request class tags, the counting-sort bin offsets and write
-/// cursors, and the index permutation. One instance per serving loop,
-/// reused across batches, so the steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Evaluation class per request.
-    class: Vec<u32>,
-    /// Exclusive prefix offsets: bin `c` occupies
-    /// `order[starts[c]..starts[c + 1]]`.
-    starts: Vec<u32>,
-    /// Per-bin write cursors (a working copy of `starts`).
-    cursor: Vec<u32>,
-    /// Request indices grouped by class (the scatter permutation).
-    order: Vec<u32>,
 }
 
 /// Memoized φ-inversion state for one `(pricing, transform)` pair: the

@@ -29,7 +29,7 @@ fn grid_and_prices() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 /// uniform lattices (compiled to the grid layout), uniform lattices with
 /// sub- and super-tolerance jitter (straddling the grid-eligibility
 /// boundary), and irregular gaps spanning six orders of magnitude
-/// (compiled to Eytzinger).
+/// (answered by `partition_point`).
 fn adversarial_keys() -> impl Strategy<Value = Vec<f64>> {
     (
         0u32..3,
@@ -38,7 +38,7 @@ fn adversarial_keys() -> impl Strategy<Value = Vec<f64>> {
         -12i32..-6,
     )
         .prop_map(|(mode, raw, (x0, h), mag)| match mode {
-            // Irregular gaps spanning six orders of magnitude → Eytzinger.
+            // Irregular gaps spanning six orders of magnitude → partition_point.
             0 => {
                 let mut a = 0.0;
                 raw.iter()
@@ -52,7 +52,7 @@ fn adversarial_keys() -> impl Strategy<Value = Vec<f64>> {
             1 => (0..raw.len()).map(|i| x0 + i as f64 * h).collect(),
             // Uniform lattice with alternating jitter around the
             // grid-eligibility tolerance (1e-9·h): sub-tolerance stays on
-            // the grid, super-tolerance falls back to Eytzinger.
+            // the grid, super-tolerance falls back to partition_point.
             _ => {
                 let eps = h * 10f64.powi(mag);
                 (0..raw.len())

@@ -125,8 +125,8 @@ fn regression_price_error_curve_rejects_nonpositive_and_nan_ncps() {
 /// bug could dispatch an empty batch (paying the listing lookup for a
 /// silent no-op) or queue an unbounded batch behind a single shared read
 /// guard. Both are now rejected up front as `BadRequest` by every batch
-/// entry point — `quote_batch`, `buy_batch`, `buy_batch_into`,
-/// `quote_batch_into`, `price_batch`, and the `SharedBroker` wrappers —
+/// entry point — `buy_batch`, `buy_batch_into`, `quote_batch_into`,
+/// `price_batch`, and the `SharedBroker` wrappers —
 /// while batches of exactly `MAX_BATCH` requests still serve.
 #[test]
 fn regression_batch_entry_points_reject_empty_and_oversized_batches() {
@@ -160,8 +160,6 @@ fn regression_batch_entry_points_reject_empty_and_oversized_batches() {
     };
     let before_draw = rng_probe(&mut rng);
     for requests in [&[][..], &oversized[..]] {
-        let err = broker.quote_batch(kind, requests, &mut rng).unwrap_err();
-        assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
         let err = broker.buy_batch(kind, requests, &mut rng).unwrap_err();
         assert!(matches!(err, MarketError::BadRequest(_)), "{err:?}");
         let err = broker

@@ -1,8 +1,8 @@
 //! `mbp-serve`: the marketplace's zero-dependency TCP front-end.
 //!
-//! PR 7 gave the broker a cache-resident batch kernel
-//! (`quote_batch`/`buy_batch_into`); this crate puts a network in front
-//! of it. A thread-per-core accept/IO loop (a dedicated
+//! The broker serves every listed purchase through one cache-resident
+//! batch kernel (`quote_batch_into`, settled by `buy_batch_into`); this
+//! crate puts a network in front of it. A thread-per-core accept/IO loop (a dedicated
 //! [`mbp_par::ThreadPool`]) serves a compact length-prefixed binary
 //! protocol ([`wire`]) over [`SharedBroker`]: each connection drains all
 //! pending requests from its socket and dispatches runs of same-listing

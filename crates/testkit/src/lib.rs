@@ -21,8 +21,8 @@
 //! * [`schedule`] — a **deterministic schedule explorer** for
 //!   [`mbp_core::market::concurrent::SharedBroker`]: a virtual-time
 //!   scheduler that enumerates or samples interleavings of concurrent
-//!   `quote_batch`/`buy_batch`/re-publish operations and checks
-//!   linearizability of the striped ledger against a single-threaded
+//!   `buy_batch`/re-publish operations and checks linearizability of
+//!   the striped ledger against a single-threaded
 //!   reference broker, plus seeded fault-point injection;
 //! * [`crash`] — a **crash-point fault injector** for durable logs:
 //!   seeded kill-at-record/kill-at-byte schedules, content bit flips, and

@@ -3,8 +3,8 @@
 //! [`SharedBroker`] serves quotes under a shared read lock and lands
 //! transactions in 8 independently locked ledger stripes; maintenance
 //! drains the stripes under the write lock. The linearizability claim is
-//! that *any* interleaving of `quote_batch`/`buy_batch`/re-publish/
-//! reconcile operations is observationally equivalent to executing the
+//! that *any* interleaving of `buy_batch`/re-publish/reconcile
+//! operations is observationally equivalent to executing the
 //! same operations, in linearization order, against a plain
 //! single-threaded [`Broker`].
 //!

@@ -1,11 +1,12 @@
 //! Allocation discipline for the quote-serving fast path.
 //!
-//! The steady-state buy path — `Broker::buy_listed_into` with a reused
-//! [`Sale`] buffer, a pre-reserved ledger, and observability disabled —
-//! must perform **zero heap allocations** per purchase: the compiled
+//! The steady-state buy path — `Broker::buy_batch_into` on a batch of one
+//! (the daemon's depth-1 shape) with a reused [`SaleArena`], a
+//! pre-reserved ledger, and observability disabled — must perform **zero
+//! heap allocations** per purchase: the compiled
 //! pricing table answers price/NCP resolution by lookup, the mechanism
-//! perturbs into the caller's buffer, and the ledger entry is plain `Copy`
-//! data pushed into reserved capacity.
+//! perturbs into the arena's buffer, and the ledger entry is plain data
+//! pushed into reserved capacity.
 //!
 //! A counting `#[global_allocator]` (wrapping `System`) verifies this
 //! directly. The counter is toggled around the measured window so test
@@ -16,7 +17,7 @@
 //! intermittently count a sibling thread's allocations inside a window.
 
 use mbp_core::error::SquareLossTransform;
-use mbp_core::market::{Broker, PurchaseRequest, Sale};
+use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
 use mbp_core::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
@@ -114,38 +115,41 @@ fn steady_state_buy_path_does_not_allocate() {
     const MEASURED: usize = 256;
 
     // Pre-size everything the steady state reuses: the ledger and the
-    // Sale's model buffer (filled by the warm-up buys).
+    // arena's Sale slot (filled by the warm-up buys).
     broker.reserve_ledger(WARMUP + MEASURED);
     let mut rng = seeded_rng(0x5e11);
-    let mut sale = Sale {
-        model: broker
-            .optimal_model(ModelKind::LinearRegression)
-            .expect("supported")
-            .clone(),
-        price: 0.0,
-        ncp: 0.0,
-        expected_error: 0.0,
-    };
+    let mut arena = SaleArena::new();
     for i in 0..WARMUP {
         broker
-            .buy_listed_into(ModelKind::LinearRegression, request(i), &mut rng, &mut sale)
+            .buy_batch_into(
+                ModelKind::LinearRegression,
+                &[request(i)],
+                &mut rng,
+                &mut arena,
+            )
             .expect("warm-up buy failed");
     }
 
     let allocations = count_allocations(|| {
         for i in WARMUP..WARMUP + MEASURED {
             broker
-                .buy_listed_into(ModelKind::LinearRegression, request(i), &mut rng, &mut sale)
+                .buy_batch_into(
+                    ModelKind::LinearRegression,
+                    &[request(i)],
+                    &mut rng,
+                    &mut arena,
+                )
                 .expect("steady-state buy failed");
         }
     });
     assert_eq!(
         allocations, 0,
-        "steady-state buy_listed_into performed {allocations} heap allocations over {MEASURED} buys"
+        "steady-state single buys performed {allocations} heap allocations over {MEASURED} buys"
     );
 
     // Sanity: the buys really happened and produced sane quotes.
     assert_eq!(broker.ledger().len(), WARMUP + MEASURED);
+    let sale = arena.results().next().expect("one result").expect("sold");
     assert!(sale.price > 0.0 && sale.ncp > 0.0);
     assert!(broker.total_revenue() > 0.0);
 }
@@ -174,8 +178,7 @@ fn steady_state_batch_path_does_not_allocate() {
         )
         .expect("listing accepted");
 
-    // Batches mix all three request kinds and sweep many knot segments, so
-    // the bin-and-scatter kernel exercises several bins per batch.
+    // Batches mix all three request kinds and sweep many knot segments.
     const BATCH: usize = 32;
     let request = |i: usize| match i % 3 {
         0 => PurchaseRequest::AtNcp(0.1 + (i % 29) as f64 * 0.05),
@@ -195,7 +198,7 @@ fn steady_state_batch_path_does_not_allocate() {
     broker.reserve_ledger((WARMUP + MEASURED) * BATCH);
     let batches: Vec<Vec<PurchaseRequest>> = (0..WARMUP + MEASURED).map(batch).collect();
     let mut rng = seeded_rng(0x5e12);
-    let mut arena = mbp_core::market::SaleArena::new();
+    let mut arena = SaleArena::new();
     for b in batches.iter().take(WARMUP) {
         broker
             .buy_batch_into(ModelKind::LinearRegression, b, &mut rng, &mut arena)

@@ -4,8 +4,9 @@
 //! sockets is ready, its wake fd is poked, or its earliest idle deadline
 //! passes (30 s here). These tests pin the wake paths that must cut that
 //! wait short — a socket handed over by the accept thread, and a drain
-//! started on another worker — and the depth-1 request–response path the
-//! wait serves, bit for bit against an in-process `Broker` replay. Every
+//! started on another worker — and the request paths the wait serves,
+//! depth 1 and a pipelined burst, bit for bit against an in-process
+//! `Broker` replay. Every
 //! client read times out after 5 s, so a missing wake fails a test
 //! instead of hanging it.
 
@@ -104,58 +105,52 @@ fn shutdown_frame_wakes_an_idle_connection_on_another_worker() {
     wait_for_drain(handle);
 }
 
-/// Request `k` of the depth-1 stream: even `k` quote, odd `k` buy, over
-/// NCP picks, error budgets, and affordable and hopeless price budgets.
-fn depth_one_request(k: usize) -> (bool, PurchaseRequest) {
-    let request = match (k / 2) % 4 {
+/// Request `k`'s terms: NCP picks, error budgets, and affordable and
+/// hopeless price budgets.
+fn mixed_request(k: usize) -> PurchaseRequest {
+    match (k / 2) % 4 {
         0 => PurchaseRequest::AtNcp(0.5 + (k % 29) as f64 * 0.11),
         1 => PurchaseRequest::ErrorBudget(0.4 + (k % 23) as f64 * 0.2),
         2 => PurchaseRequest::PriceBudget(8.0 + (k % 50) as f64),
         _ => PurchaseRequest::PriceBudget(0.001),
-    };
-    (k.is_multiple_of(2), request)
+    }
 }
 
-#[test]
-fn depth_one_quote_buy_stream_matches_the_in_process_replay() {
-    const STREAM: usize = 96;
-    const SEED: u64 = 77;
-    let handle = start(0);
-    let mut client = connect(&handle);
-    assert_eq!(client.hello(SEED).expect("hello"), Response::HelloOk);
-    let (mut quotes, mut sales) = (0, 0);
-    for k in 0..STREAM {
-        let (quote, request) = depth_one_request(k);
-        let call = if quote {
-            Request::Quote {
-                kind: KIND,
-                request,
-            }
-        } else {
-            Request::Buy {
-                kind: KIND,
-                request,
-            }
-        };
-        match client.call(&call).expect("one call at a time").1 {
-            Response::QuoteOk { .. } => quotes += 1,
-            Response::BuyOk { .. } => sales += 1,
-            _ => {}
+/// Request `k` of the depth-1 stream: even `k` quote, odd `k` buy.
+fn depth_one_request(k: usize) -> (bool, PurchaseRequest) {
+    (k.is_multiple_of(2), mixed_request(k))
+}
+
+/// Request `k` of the pipelined burst: runs of six quotes and six buys,
+/// so batch admission has same-verb runs to coalesce.
+fn pipelined_request(k: usize) -> (bool, PurchaseRequest) {
+    ((k / 6) % 2 == 1, mixed_request(k))
+}
+
+fn wire_request((quote, request): (bool, PurchaseRequest)) -> Request {
+    if quote {
+        Request::Quote {
+            kind: KIND,
+            request,
+        }
+    } else {
+        Request::Buy {
+            kind: KIND,
+            request,
         }
     }
-    assert!(quotes > 0 && sales > 0, "both verbs must succeed somewhere");
-    handle.shutdown();
-    wait_for_drain(handle);
+}
 
-    // In-process replay: the frames the daemon should have sent, ids
-    // assigned from 1 (Hello) as the client does.
+/// The response digest of an in-process `Broker` replay of `stream` on a
+/// connection whose `Hello` carried `seed`: request ids are assigned from
+/// 1 (the `Hello`), as the client does, and every request is served alone.
+fn replay_digest(seed: u64, stream: &[(bool, PurchaseRequest)]) -> u64 {
     let mut broker = listed_broker();
-    let mut rng = seeded_rng(SEED);
+    let mut rng = seeded_rng(seed);
     let mut frame = Vec::new();
     encode_response(&mut frame, 1, &Response::HelloOk);
     let mut digest = digest_bytes(DIGEST_SEED, &frame);
-    for k in 0..STREAM {
-        let (quote, request) = depth_one_request(k);
+    for (k, &(quote, request)) in stream.iter().enumerate() {
         let id = u32::try_from(k + 2).expect("small stream");
         frame.clear();
         if quote {
@@ -182,9 +177,83 @@ fn depth_one_quote_buy_stream_matches_the_in_process_replay() {
         }
         digest = digest_bytes(digest, &frame);
     }
+    digest
+}
+
+#[test]
+fn depth_one_quote_buy_stream_matches_the_in_process_replay() {
+    const STREAM: usize = 96;
+    const SEED: u64 = 77;
+    let handle = start(0);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(SEED).expect("hello"), Response::HelloOk);
+    let stream: Vec<_> = (0..STREAM).map(depth_one_request).collect();
+    let (mut quotes, mut sales) = (0, 0);
+    for &request in &stream {
+        let (_, response) = client
+            .call(&wire_request(request))
+            .expect("one call at a time");
+        match response {
+            Response::QuoteOk { .. } => quotes += 1,
+            Response::BuyOk { .. } => sales += 1,
+            _ => {}
+        }
+    }
+    assert!(quotes > 0 && sales > 0, "both verbs must succeed somewhere");
+    handle.shutdown();
+    wait_for_drain(handle);
     assert_eq!(
         client.digest(),
-        digest,
+        replay_digest(SEED, &stream),
         "depth-1 responses must be bit-identical to the in-process replay"
+    );
+}
+
+/// One connection writes a whole burst of mixed Buy/Quote frames before
+/// reading any response. However the daemon coalesces the burst into
+/// batches, the responses must be bit-identical to serving each request
+/// alone in process — and at least one batch must really hold more than
+/// one request, or the test would only re-check depth 1.
+#[test]
+fn pipelined_quote_buy_burst_matches_the_in_process_replay() {
+    const BURST: usize = 96;
+    const SEED: u64 = 78;
+    // Batch sizes are recorded only while obs is enabled. The other tests
+    // in this binary dispatch one request at a time, so a batch larger
+    // than one can only come from this burst.
+    mbp::obs::enable();
+    let handle = start(0);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(SEED).expect("hello"), Response::HelloOk);
+    let stream: Vec<_> = (0..BURST).map(pipelined_request).collect();
+    let ids: Vec<u32> = stream
+        .iter()
+        .map(|&r| client.enqueue(&wire_request(r)))
+        .collect();
+    client.flush().expect("flush the burst");
+    let (mut quotes, mut sales) = (0, 0);
+    for &expected in &ids {
+        let (id, response) = client.recv().expect("recv");
+        assert_eq!(id, expected, "responses arrive in request order");
+        match response {
+            Response::QuoteOk { .. } => quotes += 1,
+            Response::BuyOk { .. } => sales += 1,
+            _ => {}
+        }
+    }
+    assert!(quotes > 0 && sales > 0, "both verbs must succeed somewhere");
+    handle.shutdown();
+    wait_for_drain(handle);
+    assert_eq!(
+        client.digest(),
+        replay_digest(SEED, &stream),
+        "pipelined responses must be bit-identical to the in-process replay"
+    );
+    let largest = mbp::obs::snapshot()
+        .histogram("mbp.serve.batch_size")
+        .map_or(0.0, |h| h.max);
+    assert!(
+        largest > 1.0,
+        "the burst must be dispatched in batches of more than one request, largest was {largest}"
     );
 }
