@@ -6,7 +6,11 @@
 //!   [`gauge_add`], [`observe`]) of named counters, gauges, and fixed-bucket
 //!   log-scale histograms with interpolated quantiles;
 //! * **spans** ([`span`]) — RAII timers that record wall time into a
-//!   `<name>.seconds` histogram and track parent/child nesting per thread;
+//!   `<name>.seconds` histogram and track parent/child nesting per thread.
+//!   Each thread caches its span histograms (re-resolved after [`reset`]),
+//!   so a warmed span allocates nothing and takes no lock; only at
+//!   [`Verbosity::Trace`] does a span drop also emit a `span` event with
+//!   its `parent>child` path;
 //! * a **structured event log** ([`event`]) — a bounded ring buffer of
 //!   timestamped key=value events, drainable as JSON lines.
 //!

@@ -6,6 +6,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+/// Bumped by every [`reset`], so handles cached outside the registry
+/// (the span layer's per-thread histogram cache) know to re-resolve.
+static EPOCH: AtomicU64 = AtomicU64::new(0);
+
 /// Total histogram buckets: one underflow, 48 log-spaced (four per decade
 /// across 1e-9 .. 1e3), one overflow.
 pub const BUCKETS: usize = 50;
@@ -71,7 +75,6 @@ impl Gauge {
 
 pub(crate) struct Histogram {
     counts: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
@@ -81,7 +84,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
@@ -127,7 +129,6 @@ impl Histogram {
         if let Some(slot) = self.counts.get(bucket_index(v)) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
         cas_f64(&self.sum_bits, |s| s + v);
         cas_f64(&self.min_bits, |m| m.min(v));
         cas_f64(&self.max_bits, |m| m.max(v));
@@ -394,12 +395,20 @@ pub(crate) fn snapshot() -> Snapshot {
     }
 }
 
+/// The registry's reset epoch. Read it *before* resolving a handle to
+/// cache: a reset racing the lookup then leaves the cached handle tagged
+/// with the old epoch, and the next use re-resolves it.
+pub(crate) fn epoch() -> u64 {
+    EPOCH.load(Ordering::Acquire)
+}
+
 pub(crate) fn reset() {
     let mut inner = registry().write();
     inner.counters.clear();
     inner.gauges.clear();
     inner.histograms.clear();
     inner.labeled.clear();
+    EPOCH.fetch_add(1, Ordering::Release);
 }
 
 #[cfg(test)]

@@ -54,8 +54,15 @@ pub(crate) struct ConnConfig {
 /// Outcome of one scheduler turn over a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CycleResult {
-    /// Bytes moved or requests dispatched this turn.
+    /// Bytes moved or requests dispatched this turn, and there may be
+    /// more to do without waiting on the socket.
     Progress,
+    /// Progress, after which the socket read drained and nothing is left
+    /// to serve: no decoded request waits for dispatch and no complete
+    /// frame sits in the read buffer. The next turn can wait for the
+    /// socket (level-triggered, so nothing is missed) instead of running
+    /// an empty pass.
+    Waiting,
     /// Nothing to do until the socket is ready again.
     Idle,
     /// The connection is gone; drop it.
@@ -120,9 +127,12 @@ impl Conn {
             return CycleResult::Closed;
         }
         let mut progress = false;
+        let mut read_drained = false;
         let drain_mode = draining.load(Ordering::Relaxed);
         if !self.closing && !drain_mode {
-            progress |= self.fill_read_buf(cfg);
+            let (read, drained) = self.fill_read_buf(cfg);
+            progress |= read;
+            read_drained = drained;
         }
         progress |= self.decode_frames(cfg);
         progress |= self.dispatch(broker, cfg, draining);
@@ -134,10 +144,18 @@ impl Conn {
             self.closed = true;
             return CycleResult::Closed;
         }
-        if progress {
-            CycleResult::Progress
-        } else {
+        if !progress {
             CycleResult::Idle
+        } else if read_drained
+            && !self.closing
+            && !self.closed
+            && self.pending.is_empty()
+            && !self.has_complete_frame()
+            && !draining.load(Ordering::Relaxed)
+        {
+            CycleResult::Waiting
+        } else {
+            CycleResult::Progress
         }
     }
 
@@ -158,7 +176,8 @@ impl Conn {
     }
 
     /// `true` when at least one complete frame sits unparsed in the
-    /// read buffer (used to decide whether a drain can finish).
+    /// read buffer (used to decide whether a drain can finish, and
+    /// whether the connection can wait on its socket).
     fn has_complete_frame(&self) -> bool {
         match decode_header(&self.read_buf) {
             Ok(Some(h)) => self.read_buf.len() >= HEADER_LEN + h.payload_len as usize,
@@ -169,11 +188,17 @@ impl Conn {
     }
 
     /// Read phase: drain the socket into `read_buf` until it would block,
-    /// the buffer hits its cap, or the peer closes.
-    fn fill_read_buf(&mut self, cfg: &ConnConfig) -> bool {
+    /// a read comes back short, the buffer hits its cap, or the peer
+    /// closes. Returns `(progress, drained)`: `drained` means the socket
+    /// held nothing more when the phase stopped. A short read counts as
+    /// drained without a second `read(2)` to confirm it; an EOF (or more
+    /// data) behind it leaves the socket readable, and the next readiness
+    /// wait sees that.
+    fn fill_read_buf(&mut self, cfg: &ConnConfig) -> (bool, bool) {
         let _span = mbp_obs::span("mbp.serve.read");
         let mut chunk = [0u8; 16 * 1024];
         let mut progress = false;
+        let mut drained = false;
         while self.read_buf.len() < cfg.read_buf_limit {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -186,8 +211,15 @@ impl Conn {
                     self.read_buf.extend_from_slice(got);
                     mbp_obs::counter_add("mbp.serve.bytes.read", n as u64);
                     progress = true;
+                    if n < chunk.len() {
+                        drained = true;
+                        break;
+                    }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    drained = true;
+                    break;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.closed = true;
@@ -195,7 +227,7 @@ impl Conn {
                 }
             }
         }
-        progress
+        (progress, drained)
     }
 
     /// Decode phase: parse complete frames into the pending queue, up to

@@ -16,7 +16,11 @@
 //!
 //! Readiness waits: on unix no daemon thread sleeps on a timer. An IO
 //! worker runs passes over its connections while any of them makes
-//! progress; after a pass with none it blocks in `poll(2)` on its sockets
+//! progress that may leave more to do. A connection whose read drained
+//! the socket and left nothing to serve reports `CycleResult::Waiting`
+//! instead, so a depth-1 request costs one pass, not a productive pass
+//! plus an empty one. After a pass with no such progress the worker
+//! blocks in `poll(2)` on its sockets
 //! (readable, plus writable while responses are still unwritten) and its
 //! own wake fd, for at most the time until its earliest idle deadline.
 //! The accept thread waits on the listener and its wake fd, the metrics
@@ -454,6 +458,10 @@ fn io_loop(
                     any_progress = true;
                     true
                 }
+                CycleResult::Waiting => {
+                    t.last_progress = now;
+                    true
+                }
                 CycleResult::Idle => {
                     if now.duration_since(t.last_progress) > idle_timeout {
                         mbp_obs::inc("mbp.serve.idle_closed");
@@ -477,8 +485,10 @@ fn io_loop(
             control.drain();
         }
         if !any_progress {
-            // Nothing moved: wait for a socket, a wake, or the earliest
-            // idle deadline. A draining connection no longer reads.
+            // Nothing moved, or every connection that moved is now
+            // waiting on its socket: wait for a socket, a wake, or the
+            // earliest idle deadline. A draining connection no longer
+            // reads.
             poller.clear();
             let mut deadline: Option<Instant> = None;
             for t in &conns {

@@ -8,74 +8,19 @@
 //! perturbs into the arena's buffer, and the ledger entry is plain data
 //! pushed into reserved capacity.
 //!
-//! A counting `#[global_allocator]` (wrapping `System`) verifies this
-//! directly. The counter is toggled around the measured window so test
-//! harness bookkeeping doesn't pollute the count. CI runs this test in the
-//! `MBP_THREADS=1` job. The armed flag and counter are **thread-local**:
-//! libtest runs `#[test]` fns (and its own result-printing bookkeeping,
-//! which allocates) on concurrent threads, so a process-global flag would
-//! intermittently count a sibling thread's allocations inside a window.
+//! A counting `#[global_allocator]` (wrapping `System`, in
+//! `support/counting_alloc.rs`) verifies this directly. CI runs this test
+//! in the `MBP_THREADS=1` job.
 
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
 use mbp_core::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Counts every `alloc`/`realloc` while armed; delegates to [`System`].
-struct CountingAlloc;
-
-thread_local! {
-    /// Per-thread armed flag: only the measuring thread counts.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    /// Per-thread allocation count for the current armed window.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every method delegates directly to [`System`], which upholds the
-// `GlobalAlloc` contract; the counter bookkeeping never touches the layout
-// or the returned pointers.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`. The
-    // thread-locals are const-initialized `Cell`s, so accessing them here
-    // never allocates (no recursion); `try_with` tolerates TLS teardown.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.try_with(|a| a.get()).unwrap_or(false) {
-            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        }
-        System.alloc(layout)
-    }
-
-    // SAFETY: forwards `ptr`/`layout` unchanged to `System.dealloc`; the
-    // caller guarantees they came from this allocator.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: forwards all arguments unchanged to `System.realloc`; the
-    // caller guarantees `ptr`/`layout` describe a live allocation.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.try_with(|a| a.get()).unwrap_or(false) {
-            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the allocation counter armed and returns how many
-/// heap allocations it performed.
-fn count_allocations(f: impl FnOnce()) -> usize {
-    ALLOCATIONS.with(|c| c.set(0));
-    ARMED.with(|a| a.set(true));
-    f();
-    ARMED.with(|a| a.set(false));
-    ALLOCATIONS.with(|c| c.get())
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::count_allocations;
 
 #[test]
 fn steady_state_buy_path_does_not_allocate() {

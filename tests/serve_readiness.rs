@@ -9,8 +9,15 @@
 //! `Broker` replay. Every
 //! client read times out after 5 s, so a missing wake fails a test
 //! instead of hanging it.
+//!
+//! A worker whose read drained the socket and left nothing to serve goes
+//! straight back to `poll(2)`; two tests pin that: a depth-1 exchange
+//! runs one read pass per request, and an EOF that arrives right behind
+//! a request is still seen.
 
-use std::sync::mpsc;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use mbp::core::error::SquareLossTransform;
@@ -20,13 +27,21 @@ use mbp::core::pricing::PricingFunction;
 use mbp::ml::ModelKind;
 use mbp::randx::seeded_rng;
 use mbp_serve::wire::{
-    digest_bytes, encode_buy_ok, encode_error, encode_quote_ok, encode_response, market_error_code,
-    Request, Response, DIGEST_SEED,
+    decode_header, decode_response, digest_bytes, encode_buy_ok, encode_error, encode_quote_ok,
+    encode_request, encode_response, market_error_code, Request, Response, DIGEST_SEED, HEADER_LEN,
 };
 use mbp_serve::{Client, ServerConfig, ServerHandle};
 
 const KIND: ModelKind = ModelKind::LinearRegression;
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Serializes this binary's daemon tests: the obs registry is
+/// process-global, and one test counts the read passes of its own server
+/// only while no other server runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn listed_broker() -> Broker {
     let mut rng = seeded_rng(21);
@@ -73,6 +88,7 @@ fn wait_for_drain(handle: ServerHandle) {
 
 #[test]
 fn accepted_socket_wakes_a_worker_blocked_on_an_idle_connection() {
+    let _serial = serial();
     let handle = start(1);
     let mut idle = connect(&handle);
     assert_eq!(idle.hello(1).expect("hello A"), Response::HelloOk);
@@ -86,6 +102,7 @@ fn accepted_socket_wakes_a_worker_blocked_on_an_idle_connection() {
 
 #[test]
 fn shutdown_frame_wakes_an_idle_connection_on_another_worker() {
+    let _serial = serial();
     let handle = start(2);
     // Round-robin: A lands on worker 0, B on worker 1.
     let mut idle = connect(&handle);
@@ -182,6 +199,7 @@ fn replay_digest(seed: u64, stream: &[(bool, PurchaseRequest)]) -> u64 {
 
 #[test]
 fn depth_one_quote_buy_stream_matches_the_in_process_replay() {
+    let _serial = serial();
     const STREAM: usize = 96;
     const SEED: u64 = 77;
     let handle = start(0);
@@ -216,6 +234,7 @@ fn depth_one_quote_buy_stream_matches_the_in_process_replay() {
 /// one request, or the test would only re-check depth 1.
 #[test]
 fn pipelined_quote_buy_burst_matches_the_in_process_replay() {
+    let _serial = serial();
     const BURST: usize = 96;
     const SEED: u64 = 78;
     // Batch sizes are recorded only while obs is enabled. The other tests
@@ -256,4 +275,94 @@ fn pipelined_quote_buy_burst_matches_the_in_process_replay() {
         largest > 1.0,
         "the burst must be dispatched in batches of more than one request, largest was {largest}"
     );
+}
+
+/// Observations of the daemon's read-phase span so far.
+fn read_passes() -> u64 {
+    mbp::obs::snapshot()
+        .histogram("mbp.serve.read.seconds")
+        .map_or(0, |h| h.count)
+}
+
+/// A worker runs one pass per depth-1 request: the pass that reads the
+/// request, serves it and sees the socket drained goes straight back to
+/// `poll(2)` instead of running an empty pass first. Besides the `N`
+/// requests, the `Hello` and the pass that adopts the socket may each
+/// read once.
+#[test]
+fn depth_one_exchange_runs_one_read_pass_per_request() {
+    const N: u64 = 64;
+    let _serial = serial();
+    mbp::obs::enable();
+    let before = read_passes();
+    let handle = start(1);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(80).expect("hello"), Response::HelloOk);
+    for k in 0..N as usize {
+        client
+            .call(&wire_request(depth_one_request(k)))
+            .expect("one call at a time");
+    }
+    handle.shutdown();
+    wait_for_drain(handle);
+    let reads = read_passes() - before;
+    assert!(
+        reads <= N + 2,
+        "{N} depth-1 requests took {reads} read passes; at most {} expected",
+        N + 2
+    );
+}
+
+/// Reads one response frame off a raw socket; `None` on a clean EOF.
+fn read_frame(stream: &mut TcpStream) -> Option<(u32, Response)> {
+    let mut header = [0u8; HEADER_LEN];
+    let mut got = 0;
+    while got < HEADER_LEN {
+        let rest = header.get_mut(got..).expect("in bounds");
+        match stream.read(rest).expect("read before the timeout") {
+            0 if got == 0 => return None,
+            0 => panic!("EOF inside a frame header"),
+            n => got += n,
+        }
+    }
+    let parsed = decode_header(&header)
+        .expect("well-formed header")
+        .expect("complete header");
+    let mut payload = vec![0u8; parsed.payload_len as usize];
+    stream.read_exact(&mut payload).expect("frame payload");
+    let response = decode_response(&parsed, &payload).expect("well-formed response");
+    Some((parsed.request_id, response))
+}
+
+/// A Buy frame followed at once by the client's FIN: the short read that
+/// takes the frame lets the worker wait on the socket, and the EOF behind
+/// it must still wake the worker, which answers the buy and then closes.
+#[test]
+fn buy_then_write_shutdown_is_answered_then_closed() {
+    let _serial = serial();
+    let handle = start(1);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .expect("read timeout");
+    let mut out = Vec::new();
+    encode_request(&mut out, 1, &Request::Hello { seed: 81 });
+    stream.write_all(&out).expect("send hello");
+    assert_eq!(read_frame(&mut stream), Some((1, Response::HelloOk)));
+    out.clear();
+    let buy = Request::Buy {
+        kind: KIND,
+        request: PurchaseRequest::AtNcp(0.75),
+    };
+    encode_request(&mut out, 2, &buy);
+    stream.write_all(&out).expect("send buy");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    match read_frame(&mut stream) {
+        Some((2, Response::BuyOk { .. })) => {}
+        other => panic!("expected the buy's BuyOk, got {other:?}"),
+    }
+    assert_eq!(read_frame(&mut stream), None, "the daemon closes after EOF");
+    handle.shutdown();
+    wait_for_drain(handle);
 }
