@@ -26,7 +26,7 @@ pub(crate) fn kind_label(kind: ModelKind) -> &'static str {
 }
 
 /// Errors raised by market interactions.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum MarketError {
     /// The requested model type is not on the broker's menu.
     UnsupportedModel(ModelKind),
@@ -656,15 +656,36 @@ impl Broker {
         Ok(())
     }
 
-    /// Prices a batch of requests without purchasing: the network quote
-    /// path. Runs the kernel's resolve and price passes only — no model is
-    /// released, no RNG is consumed, and the ledger is untouched — so a
-    /// quote storm cannot perturb the noise stream of interleaved buys.
+    /// Prices a batch of requests without purchasing:
+    /// [`Broker::price_batch_into`] on a scratch arena and a fresh result
+    /// vector.
     pub fn price_batch(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
     ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
+        let mut quotes = Vec::new();
+        self.price_batch_into(kind, requests, &mut SaleArena::new(), &mut quotes)?;
+        Ok(quotes)
+    }
+
+    /// Prices a batch of requests without purchasing: the network quote
+    /// path. Runs the kernel's resolve and price passes only into `arena`
+    /// — no model is released, no RNG is consumed, and the ledger is
+    /// untouched — so a quote storm cannot perturb the noise stream of
+    /// interleaved buys. `quotes` is cleared, then holds one result per
+    /// request, in order; the outer error fires only when the batch is
+    /// empty or oversized or `kind` has no listing.
+    ///
+    /// After one warm-up batch at the steady-state batch size, repeat
+    /// batches whose requests all succeed perform no heap allocation.
+    pub fn price_batch_into(
+        &self,
+        kind: ModelKind,
+        requests: &[PurchaseRequest],
+        arena: &mut SaleArena,
+        quotes: &mut Vec<Result<PriceQuote, MarketError>>,
+    ) -> Result<(), MarketError> {
         check_batch(requests)?;
         let _span = mbp_obs::span("mbp.core.price_batch");
         let listing = self
@@ -672,21 +693,17 @@ impl Broker {
             .get(&kind)
             .ok_or(MarketError::UnsupportedModel(kind))?;
         mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
-        let mut arena = SaleArena::new();
-        listing.resolve_into(requests, &mut arena);
-        listing.price_into(&mut arena);
-        Ok(arena
-            .outcomes
-            .into_iter()
-            .zip(arena.prices)
-            .map(|(r, price)| {
-                r.map(|ncp| PriceQuote {
-                    ncp,
-                    price,
-                    expected_error: listing.transform.expected_error(ncp),
-                })
+        listing.resolve_into(requests, arena);
+        listing.price_into(arena);
+        quotes.clear();
+        quotes.extend(arena.outcomes.iter().zip(&arena.prices).map(|(r, &price)| {
+            r.clone().map(|ncp| PriceQuote {
+                ncp,
+                price,
+                expected_error: listing.transform.expected_error(ncp),
             })
-            .collect())
+        }));
+        Ok(())
     }
 
     /// Pre-allocates ledger capacity for `additional` upcoming

@@ -198,14 +198,30 @@ impl SharedBroker {
     }
 
     /// Thread-safe batched quote-only path (no purchase, no RNG, no
-    /// ledger): resolves and prices every request under a shared read
-    /// guard via [`Broker::price_batch`].
+    /// ledger): [`SharedBroker::price_batch_into`] on a scratch arena and
+    /// a fresh result vector.
     pub fn price_batch(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
     ) -> Result<Vec<Result<PriceQuote, MarketError>>, MarketError> {
-        self.read_core(kind).price_batch(kind, requests)
+        let mut quotes = Vec::new();
+        self.price_batch_into(kind, requests, &mut SaleArena::new(), &mut quotes)?;
+        Ok(quotes)
+    }
+
+    /// Zero-allocation thread-safe quote path: resolves and prices every
+    /// request into `arena` and `quotes` under a shared read guard via
+    /// [`Broker::price_batch_into`].
+    pub fn price_batch_into(
+        &self,
+        kind: ModelKind,
+        requests: &[PurchaseRequest],
+        arena: &mut SaleArena,
+        quotes: &mut Vec<Result<PriceQuote, MarketError>>,
+    ) -> Result<(), MarketError> {
+        self.read_core(kind)
+            .price_batch_into(kind, requests, arena, quotes)
     }
 
     /// Thread-safe purchase; each calling thread supplies its own RNG.

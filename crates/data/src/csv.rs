@@ -9,7 +9,7 @@
 use crate::Dataset;
 use mbp_linalg::{Matrix, Vector};
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Errors from CSV parsing.
@@ -67,47 +67,48 @@ impl From<std::io::Error> for CsvError {
 /// Reads a dataset from CSV text: each row is `x₁,…,x_d,y`.
 ///
 /// A first line that fails numeric parsing is treated as a header and
-/// skipped; any later non-numeric cell is an error.
-pub fn read_dataset<R: Read>(reader: R) -> Result<Dataset, CsvError> {
-    let buf = BufReader::new(reader);
-    let mut rows: Vec<Vec<f64>> = Vec::new();
+/// skipped; any later non-numeric cell is an error. Blank lines are
+/// skipped but still count in error line numbers. The input is read and
+/// checked as UTF-8 once (invalid UTF-8 is an `InvalidData` I/O error),
+/// and every cell is parsed straight into the feature or target buffer.
+pub fn read_dataset<R: Read>(mut reader: R) -> Result<Dataset, CsvError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let mut data = Vec::new();
+    let mut y = Vec::new();
     let mut width: Option<usize> = None;
-    for (i, line) in buf.lines().enumerate() {
-        let line = line?;
+    for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let cells: Vec<&str> = line.split(',').map(str::trim).collect();
-        let parsed: Result<Vec<f64>, _> = cells.iter().map(|c| c.parse::<f64>()).collect();
-        match parsed {
-            Ok(vals) => {
-                if let Some(w) = width {
-                    if vals.len() != w {
-                        return Err(CsvError::RaggedRow {
-                            line: i + 1,
-                            expected: w,
-                            got: vals.len(),
-                        });
-                    }
-                } else {
-                    width = Some(vals.len());
-                }
-                rows.push(vals);
+        let got = match parse_row(line, &mut data, &mut y) {
+            Ok(got) => got,
+            Err(_) if i == 0 => {
+                // Header row: a failed row pushed no target, and this is
+                // the first row, so the features hold only its cells.
+                data.clear();
+                continue;
             }
-            Err(_) => {
-                if i == 0 && rows.is_empty() {
-                    continue; // header row
-                }
-                let bad = cells
-                    .iter()
-                    .find(|c| c.parse::<f64>().is_err())
-                    .unwrap_or(&"");
+            Err(cell) => {
                 return Err(CsvError::BadNumber {
                     line: i + 1,
-                    cell: (*bad).to_string(),
-                });
+                    cell: cell.to_string(),
+                })
             }
+        };
+        match width {
+            Some(w) if got != w => {
+                return Err(CsvError::RaggedRow {
+                    line: i + 1,
+                    expected: w,
+                    got,
+                })
+            }
+            Some(_) => {}
+            None => width = Some(got),
         }
     }
     let width = width.ok_or(CsvError::Empty)?;
@@ -118,18 +119,29 @@ pub fn read_dataset<R: Read>(reader: R) -> Result<Dataset, CsvError> {
             got: width,
         });
     }
-    let n = rows.len();
-    let d = width - 1;
-    let mut data = Vec::with_capacity(n * d);
-    let mut y = Vec::with_capacity(n);
-    for row in rows {
-        data.extend_from_slice(&row[..d]);
-        y.push(row[d]);
-    }
+    let n = y.len();
     Ok(Dataset::new(
-        Matrix::from_vec(n, d, data).expect("sized exactly"),
+        Matrix::from_vec(n, width - 1, data).expect("sized exactly"),
         Vector::from_vec(y),
     ))
+}
+
+/// Parses one row's cells onto the ends of `x` (all but the last) and `y`
+/// (the last) and returns how many there were, or the first cell that is
+/// not a number. A row that fails has pushed nothing onto `y`.
+fn parse_row<'a>(line: &'a str, x: &mut Vec<f64>, y: &mut Vec<f64>) -> Result<usize, &'a str> {
+    let mut cells = line.split(',').map(str::trim).peekable();
+    let mut count = 0;
+    while let Some(cell) = cells.next() {
+        let v = cell.parse::<f64>().map_err(|_| cell)?;
+        if cells.peek().is_some() {
+            x.push(v);
+        } else {
+            y.push(v);
+        }
+        count += 1;
+    }
+    Ok(count)
 }
 
 /// Reads a dataset from a CSV file on disk.
@@ -217,6 +229,85 @@ mod tests {
     #[test]
     fn single_column_rejected() {
         assert!(read_dataset("1\n2\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn crlf_line_endings_parse() {
+        let text = "a,b,y\r\n1,2,3\r\n\r\n4,5,6\r\n";
+        let ds = read_dataset(text.as_bytes()).unwrap();
+        assert_eq!(ds.x.as_slice(), &[1.0, 2.0, 4.0, 5.0]);
+        assert_eq!(ds.y.as_slice(), &[3.0, 6.0]);
+        match read_dataset("1,2,3\r\n\r\n4,x,6\r\n".as_bytes()) {
+            Err(CsvError::BadNumber { line: 3, cell }) => assert_eq!(cell, "x"),
+            other => panic!("expected BadNumber on line 3, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn last_line_without_newline_parses() {
+        let ds = read_dataset("1,2,3\n4,5,6".as_bytes()).unwrap();
+        assert_eq!(ds.n(), 2);
+        assert_eq!(ds.y.as_slice(), &[3.0, 6.0]);
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_invalid_data_io_error() {
+        match read_dataset(&b"1,2,3\n4,\xff,6\n"[..]) {
+            Err(CsvError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            other => panic!("expected an InvalidData io error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn errors_keep_their_lines_and_cells() {
+        // Blank lines count; a header is only ever the first line.
+        match read_dataset("\na,b,y\n1,2,3\n".as_bytes()) {
+            Err(CsvError::BadNumber { line: 2, cell }) => assert_eq!(cell, "a"),
+            other => panic!("expected BadNumber on line 2, got {other:?}"),
+        }
+        // An empty cell is a bad number; a bad cell outranks a ragged row.
+        match read_dataset("1,2,3\n\n4,,6,7\n".as_bytes()) {
+            Err(CsvError::BadNumber { line: 3, cell }) => assert_eq!(cell, ""),
+            other => panic!("expected BadNumber on line 3, got {other:?}"),
+        }
+        assert!(matches!(
+            read_dataset("x,y\n1,2\n\n3,4,5\n".as_bytes()),
+            Err(CsvError::RaggedRow {
+                line: 4,
+                expected: 2,
+                got: 3
+            })
+        ));
+        // A ragged row is reported before a width-1 table is rejected.
+        assert!(matches!(
+            read_dataset("1\n2,3\n".as_bytes()),
+            Err(CsvError::RaggedRow {
+                line: 2,
+                expected: 1,
+                got: 2
+            })
+        ));
+        assert!(matches!(
+            read_dataset("1\n2\n".as_bytes()),
+            Err(CsvError::RaggedRow {
+                line: 1,
+                expected: 2,
+                got: 1
+            })
+        ));
+    }
+
+    #[test]
+    fn simulated_roundtrip_is_bit_identical() {
+        let mut rng = mbp_randx::seeded_rng(7);
+        let ds = crate::synth::simulated1(2000, 90, 0.5, &mut rng);
+        let mut buf = Vec::new();
+        write_dataset(&ds, &mut buf).unwrap();
+        let back = read_dataset(&buf[..]).unwrap();
+        assert_eq!((back.n(), back.d()), (2000, 90));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.x.as_slice()), bits(ds.x.as_slice()));
+        assert_eq!(bits(back.y.as_slice()), bits(ds.y.as_slice()));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! encode → write, one cycle per scheduler turn.
 //!
 //! Each connection owns its buffers, its noise RNG (seeded by the client's
-//! `Hello` frame), and a [`SaleArena`], so a cycle allocates nothing in
-//! steady state. Batch admission happens in the dispatch phase: a run of
-//! consecutive buy (or quote) requests for the same listing is dispatched
-//! as *one* [`SharedBroker::buy_batch_into`] / `price_batch` call, turning
+//! `Hello` frame), a [`SaleArena`] and a quote vector, so a cycle
+//! allocates nothing in steady state. Batch admission happens in the
+//! dispatch phase: a run of consecutive buy (or quote) requests for the
+//! same listing is dispatched as *one* [`SharedBroker::buy_batch_into`] /
+//! [`SharedBroker::price_batch_into`] call, turning
 //! network fan-in into the PR 7 batch kernel's cache-resident shape.
 //! Because the kernel's RNG consumption depends only on request order —
 //! never on how the stream was chunked into batches — the responses a
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::concurrent::SharedBroker;
-use mbp_core::market::{PurchaseRequest, SaleArena, MAX_BATCH};
+use mbp_core::market::{MarketError, PriceQuote, PurchaseRequest, SaleArena, MAX_BATCH};
 use mbp_core::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::{seeded_rng, MbpRng};
@@ -85,7 +86,9 @@ pub(crate) struct Conn {
     /// Noise RNG, seeded by the client's `Hello`; buys before the
     /// handshake are rejected with [`ErrorCode::NotReady`].
     rng: Option<MbpRng>,
+    /// Scratch for both verbs' batch kernels.
     arena: SaleArena,
+    quotes: Vec<Result<PriceQuote, MarketError>>,
     batch_ids: Vec<u32>,
     batch_reqs: Vec<PurchaseRequest>,
     /// Flush what is buffered, then close (fatal frame, EOF, or drain).
@@ -105,6 +108,7 @@ impl Conn {
             pending: VecDeque::new(),
             rng: None,
             arena: SaleArena::new(),
+            quotes: Vec::new(),
             batch_ids: Vec::new(),
             batch_reqs: Vec::new(),
             closing: false,
@@ -443,10 +447,10 @@ impl Conn {
     }
 
     fn dispatch_quotes(&mut self, broker: &SharedBroker, kind: ModelKind) {
-        match broker.price_batch(kind, &self.batch_reqs) {
-            Ok(quotes) => {
+        match broker.price_batch_into(kind, &self.batch_reqs, &mut self.arena, &mut self.quotes) {
+            Ok(()) => {
                 let _enc = mbp_obs::span("mbp.serve.encode");
-                for (&id, result) in self.batch_ids.iter().zip(quotes.iter()) {
+                for (&id, result) in self.batch_ids.iter().zip(&self.quotes) {
                     match result {
                         Ok(q) => encode_quote_ok(
                             &mut self.write_buf,

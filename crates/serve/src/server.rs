@@ -23,6 +23,11 @@
 //! blocks in `poll(2)` on its sockets
 //! (readable, plus writable while responses are still unwritten) and its
 //! own wake fd, for at most the time until its earliest idle deadline.
+//! On a machine with more than one CPU, a worker that has just served a
+//! request, and whose previous wait ended within [`SPIN_WINDOW`], first
+//! polls the same fds with a zero timeout for up to that window: a
+//! depth-1 client's next request then usually finds the worker still
+//! running instead of parked.
 //! The accept thread waits on the listener and its wake fd, the metrics
 //! thread on its listener and its wake fd. Each wake fd is one end of a
 //! socket pair ([`crate::wake`]); the accept thread pokes a worker's
@@ -423,6 +428,52 @@ struct Tracked {
     last_progress: Instant,
 }
 
+/// How long an IO worker that just served a request keeps checking its
+/// sockets without blocking before it parks in `poll(2)`. A depth-1
+/// client's next request usually lands inside it, and the worker then
+/// takes it without waiting for the scheduler to wake it.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// The spin window on a machine with `parallelism` CPUs: none on one CPU,
+/// where a spinning worker would only delay the peer it waits for.
+fn spin_window(parallelism: usize) -> Duration {
+    if parallelism > 1 {
+        SPIN_WINDOW
+    } else {
+        Duration::ZERO
+    }
+}
+
+/// Waits for the worker's next event. With `spin` set, it first checks
+/// the registered fds without blocking until one is ready or `spin`
+/// passes; then, if none was, it blocks in `poll(2)` until `deadline`.
+/// Returns whether the whole wait ended within [`SPIN_WINDOW`]: a spin
+/// hit, or a blocking wait with no spin before it that returned that
+/// soon. A missed spin is never short, so a client slower than the
+/// window costs one missed spin before the worker stops spinning.
+fn wait_for_event(poller: &mut Poller, spin: Option<Duration>, deadline: Option<Instant>) -> bool {
+    let start = Instant::now();
+    if let Some(window) = spin {
+        let until = start.checked_add(window);
+        let hit = loop {
+            if poller.wait(Some(Duration::ZERO)) {
+                break true;
+            }
+            if until.is_none_or(|u| Instant::now() >= u) {
+                break false;
+            }
+        };
+        mbp_obs::observe("mbp.serve.spin.seconds", start.elapsed().as_secs_f64());
+        if hit {
+            mbp_obs::inc("mbp.serve.spin_hits");
+            return true;
+        }
+        mbp_obs::inc("mbp.serve.spin_misses");
+    }
+    poller.wait(deadline.map(|d| d.saturating_duration_since(Instant::now())));
+    start.elapsed() < SPIN_WINDOW
+}
+
 fn io_loop(
     inbox: &Mutex<Vec<TcpStream>>,
     broker: &SharedBroker,
@@ -432,6 +483,13 @@ fn io_loop(
     mut poller: Poller,
 ) {
     let mut conns: Vec<Tracked> = Vec::new();
+    let window =
+        spin_window(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
+    // Zero-valued, so `/metrics` lists the spin counters from the start.
+    mbp_obs::counter_add("mbp.serve.spin_hits", 0);
+    mbp_obs::counter_add("mbp.serve.spin_misses", 0);
+    // Whether the previous wait ended within the spin window.
+    let mut last_wait_short = false;
     loop {
         // Adopt newly accepted sockets.
         if let Ok(mut q) = inbox.lock() {
@@ -449,6 +507,8 @@ fn io_loop(
         // Progress includes closing a connection: the next pass must
         // re-check whether a draining worker has any left.
         let mut any_progress = false;
+        // Some connection was served and then drained its socket.
+        let mut served = false;
         let now = Instant::now();
         conns.retain_mut(|t| {
             let result = t.conn.cycle(broker, cfg, &control.draining);
@@ -460,6 +520,7 @@ fn io_loop(
                 }
                 CycleResult::Waiting => {
                     t.last_progress = now;
+                    served = true;
                     true
                 }
                 CycleResult::Idle => {
@@ -488,7 +549,9 @@ fn io_loop(
             // Nothing moved, or every connection that moved is now
             // waiting on its socket: wait for a socket, a wake, or the
             // earliest idle deadline. A draining connection no longer
-            // reads.
+            // reads. Right after serving a request, spin first when the
+            // previous wait was short too: the next request is likely
+            // already on its way.
             poller.clear();
             let mut deadline: Option<Instant> = None;
             for t in &conns {
@@ -497,7 +560,8 @@ fn io_loop(
                     deadline = Some(deadline.map_or(due, |d| d.min(due)));
                 }
             }
-            poller.wait(deadline.map(|d| d.saturating_duration_since(Instant::now())));
+            let spin = (served && last_wait_short && !window.is_zero()).then_some(window);
+            last_wait_short = wait_for_event(&mut poller, spin, deadline);
         }
     }
 }
@@ -554,5 +618,30 @@ fn metrics_loop(listener: TcpListener, control: &Control, mut poller: Poller) {
                 poller.wait(Some(ACCEPT_ERROR_BACKOFF));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spin_window_is_zero_on_one_cpu() {
+        assert_eq!(spin_window(1), Duration::ZERO);
+        assert_eq!(spin_window(2), SPIN_WINDOW);
+        assert_eq!(spin_window(64), SPIN_WINDOW);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_missed_spin_falls_through_to_the_blocking_wait() {
+        let (waker, mut poller) = wake::channel().expect("wake channel");
+        let deadline = Instant::now().checked_add(Duration::from_millis(1));
+        // Nothing is ready: the spin misses, then the blocking wait runs
+        // to the 1 ms deadline, which is longer than the window.
+        assert!(!wait_for_event(&mut poller, Some(SPIN_WINDOW), deadline));
+        // A pending wake makes the spin hit at once.
+        waker.wake();
+        assert!(wait_for_event(&mut poller, Some(SPIN_WINDOW), None));
     }
 }

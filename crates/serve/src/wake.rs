@@ -124,9 +124,11 @@ impl Poller {
     }
 
     /// Blocks until a registered fd is ready, the channel is woken, or
-    /// `timeout` passes (`None` waits without limit). Consumes pending
-    /// wakes, so the next wait blocks again until a new one.
-    pub(crate) fn wait(&mut self, timeout: Option<Duration>) {
+    /// `timeout` passes (`None` waits without limit); `Duration::ZERO`
+    /// only checks. Returns whether any fd or the channel was ready.
+    /// Consumes pending wakes, so the next wait blocks again until a new
+    /// one.
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> bool {
         let timeout_ms = match timeout {
             // Round up: returning before a deadline would only spin.
             Some(d) => {
@@ -141,17 +143,17 @@ impl Poller {
         // SAFETY: `fds` is a live, exclusively borrowed buffer of
         // `#[repr(C)]` pollfd records and `nfds` never exceeds its
         // length; `poll` only writes the `revents` fields within it. An
-        // error (EINTR from the SIGTERM handler, say) is the same as a
-        // spurious wake: every caller re-checks its state afterwards.
-        unsafe {
-            poll(self.fds.as_mut_ptr(), nfds, timeout_ms);
-        }
+        // error (EINTR from the SIGTERM handler, say) reports nothing
+        // ready, like a spurious wake: every caller re-checks its state
+        // afterwards.
+        let ready = unsafe { poll(self.fds.as_mut_ptr(), nfds, timeout_ms) };
         let woken = self.fds.first().is_some_and(|slot| slot.revents != 0);
         if woken {
             use std::io::Read;
             let mut sink = [0u8; 64];
             while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
         }
+        ready > 0
     }
 }
 
@@ -179,8 +181,27 @@ impl Poller {
 
     pub(crate) fn add(&mut self, _fd: RawFd, _read: bool, _write: bool) {}
 
-    pub(crate) fn wait(&mut self, timeout: Option<Duration>) {
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> bool {
         let tick = Duration::from_micros(100);
         std::thread::sleep(timeout.map_or(tick, |t| t.min(tick)));
+        false
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_zero_timeout_wait_reports_and_drains_a_wake() {
+        let (waker, mut poller) = channel().expect("wake channel");
+        assert!(!poller.wait(Some(Duration::ZERO)), "nothing is ready yet");
+        waker.wake();
+        waker.wake();
+        assert!(poller.wait(Some(Duration::ZERO)), "the wake is reported");
+        assert!(
+            !poller.wait(Some(Duration::ZERO)),
+            "both wake bytes were drained, so a spin cannot hit forever"
+        );
     }
 }

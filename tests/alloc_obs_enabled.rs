@@ -101,18 +101,19 @@ fn enabled_obs_buy_path_does_not_allocate() {
     }
 }
 
-/// `price_batch` returns a fresh result vector per call (its own scratch
-/// arena and the `Vec` it hands back), so a quote always allocates. What
-/// recording must add to a warmed quote is nothing: the count with obs
-/// enabled at Info equals the count with obs disabled.
+/// A warmed `price_batch_into` reuses the caller's arena and result
+/// vector, so a quote performs no heap allocation, with obs disabled and
+/// with it enabled at Info.
 #[test]
 fn enabled_obs_adds_no_allocation_to_price_batch() {
     let _serial = serial();
     let broker = listed_broker(0xA110E);
-    let quote_all = |range: std::ops::Range<usize>| {
+    let mut arena = SaleArena::new();
+    let mut quotes = Vec::new();
+    let mut quote_all = |range: std::ops::Range<usize>| {
         for i in range {
-            let quotes = broker
-                .price_batch(KIND, &[request(i)])
+            broker
+                .price_batch_into(KIND, &[request(i)], &mut arena, &mut quotes)
                 .expect("listing exists");
             assert!(quotes.iter().all(|q| q.is_ok()), "quote {i} failed");
         }
@@ -127,8 +128,9 @@ fn enabled_obs_adds_no_allocation_to_price_batch() {
     let enabled = count_allocations(|| quote_all(WARMUP..WARMUP + MEASURED));
 
     assert_eq!(
-        enabled, disabled,
-        "with obs enabled, {MEASURED} warmed quotes performed {enabled} heap allocations; the kernel alone performs {disabled}"
+        (disabled, enabled),
+        (0, 0),
+        "{MEASURED} warmed quotes performed (obs disabled, obs enabled) heap allocations"
     );
     let spans = mbp_obs::snapshot()
         .histogram("mbp.core.price_batch.seconds")

@@ -11,9 +11,15 @@
 //! instead of hanging it.
 //!
 //! A worker whose read drained the socket and left nothing to serve goes
-//! straight back to `poll(2)`; two tests pin that: a depth-1 exchange
+//! straight back to waiting; two tests pin that: a depth-1 exchange
 //! runs one read pass per request, and an EOF that arrives right behind
 //! a request is still seen.
+//!
+//! On a machine with more than one CPU, that wait first spins for one
+//! short window when the previous wait was short too. Two tests pin what
+//! the spin may cost: a client that pauses between requests misses at
+//! most a couple of windows, and an idle connection spins at most once
+//! and never busy-loops.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -365,4 +371,69 @@ fn buy_then_write_shutdown_is_answered_then_closed() {
     assert_eq!(read_frame(&mut stream), None, "the daemon closes after EOF");
     handle.shutdown();
     wait_for_drain(handle);
+}
+
+/// The value of the counter `name` so far.
+fn counter(name: &str) -> u64 {
+    mbp::obs::snapshot().counter(name).unwrap_or(0)
+}
+
+/// Spins run so far: observations of the spin-time histogram.
+fn spins() -> u64 {
+    mbp::obs::snapshot()
+        .histogram("mbp.serve.spin.seconds")
+        .map_or(0, |h| h.count)
+}
+
+/// A client that pauses 5 ms before each request: a worker spins only
+/// after a short wait, so at most the first window or two are missed
+/// before it parks without spinning for the rest of the exchange.
+#[test]
+fn a_slow_client_misses_at_most_two_spin_windows() {
+    const N: usize = 20;
+    let _serial = serial();
+    mbp::obs::enable();
+    let before = counter("mbp.serve.spin_misses");
+    let handle = start(1);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(82).expect("hello"), Response::HelloOk);
+    for k in 0..N {
+        std::thread::sleep(Duration::from_millis(5));
+        client
+            .call(&wire_request(depth_one_request(k)))
+            .expect("one call at a time");
+    }
+    handle.shutdown();
+    wait_for_drain(handle);
+    let misses = counter("mbp.serve.spin_misses") - before;
+    assert!(
+        misses <= 2,
+        "{N} requests 5 ms apart missed {misses} spin windows; at most 2 expected"
+    );
+}
+
+/// A connection that goes idle after its `Hello`: the worker woken by the
+/// accept spins at most once, and then parks. A wake byte left unread
+/// would keep every later wait ready at once; the worker would then
+/// busy-loop through read passes for the whole 100 ms instead of the one
+/// or two its socket needs.
+#[test]
+fn an_idle_connection_spins_at_most_once_and_parks() {
+    let _serial = serial();
+    mbp::obs::enable();
+    let (spins_before, reads_before) = (spins(), read_passes());
+    let handle = start(1);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(83).expect("hello"), Response::HelloOk);
+    std::thread::sleep(Duration::from_millis(100));
+    let (spun, reads) = (spins() - spins_before, read_passes() - reads_before);
+    handle.shutdown();
+    wait_for_drain(handle);
+    assert!(spun <= 1, "an idle connection caused {spun} spins");
+    // The pass that adopts the socket and the pass that reads the
+    // `Hello` (often one and the same), plus one spare.
+    assert!(
+        reads <= 3,
+        "an idle connection ran {reads} read passes in 100 ms"
+    );
 }
