@@ -244,7 +244,7 @@ fn main() {
         print_table(
             &format!(
                 "Parallel baseline (hardware threads: {}, pool default: {}, min of {} reps)",
-                baseline.hardware_threads, baseline.default_threads, baseline.reps
+                baseline.meta.hardware_threads, baseline.default_threads, baseline.reps
             ),
             &[
                 "phase",

@@ -460,8 +460,9 @@ pub struct SimulationRow {
 }
 
 /// End-to-end validation experiment: run a simulated buyer stream through
-/// the real broker under the DP pricing and under the OptC baseline, and
-/// compare predicted vs realized revenue/affordability.
+/// the real broker, listed first at the DP pricing and then at the OptC
+/// baseline (the same buyers both times), and compare predicted vs
+/// realized revenue/affordability.
 pub fn simulation_experiment(cfg: &Config) -> Vec<SimulationRow> {
     use mbp_core::error::SquareLossTransform;
     use mbp_core::market::simulation::{simulate_market, SimulationConfig};
@@ -488,18 +489,24 @@ pub fn simulation_experiment(cfg: &Config) -> Vec<SimulationRow> {
     let dp = solve_bv_dp(&population).pricing;
     let optc = Baseline::OptC.pricing(&population);
     let mut rows = Vec::new();
-    for (label, pricing) in [("MBP (DP)", &dp), ("OptC baseline", &optc)] {
+    let season_seed = cfg.seed ^ 0x0514;
+    for (label, pricing) in [("MBP (DP)", dp), ("OptC baseline", optc)] {
+        broker
+            .publish(
+                ModelKind::LinearRegression,
+                pricing,
+                Box::new(SquareLossTransform),
+            )
+            .expect("linear regression is on the menu");
         let out = simulate_market(
             &mut broker,
             &seller,
             ModelKind::LinearRegression,
-            pricing,
-            &SquareLossTransform,
             SimulationConfig {
                 n_buyers: 3000,
                 valuation_jitter: 0.0,
             },
-            &mut rng,
+            season_seed,
         )
         .expect("simulation failed");
         rows.push(SimulationRow {

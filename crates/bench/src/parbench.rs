@@ -13,7 +13,7 @@
 //! multi-core machine the chunked phases scale with the thread count.
 
 use mbp_core::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
-use mbp_core::market::simulation::{simulate_market_sharded, SimulationConfig};
+use mbp_core::market::simulation::{simulate_market, SimulationConfig};
 use mbp_core::market::{Broker, Seller};
 use mbp_core::mechanism::{GaussianMechanism, NoiseMechanism};
 use mbp_core::revenue::{solve_bv_dp, welfare, BuyerPoint};
@@ -56,9 +56,9 @@ impl PhaseResult {
 pub struct ParallelBaseline {
     /// Thread counts measured (always [`THREAD_COUNTS`]).
     pub threads: Vec<usize>,
-    /// What `std::thread::available_parallelism` reported — speedups above
-    /// 1.0 are only physically possible up to this count.
-    pub hardware_threads: usize,
+    /// Provenance: the hardware thread count (speedups above 1.0 are only
+    /// physically possible up to it), commit and run time.
+    pub meta: crate::RunMeta,
     /// The pool size the process would use absent overrides
     /// (`--threads` / `MBP_THREADS` / hardware).
     pub default_threads: usize,
@@ -192,12 +192,17 @@ pub fn run(reps: usize) -> ParallelBaseline {
             broker
                 .support(ModelKind::LinearRegression, 1e-6)
                 .expect("training failed");
-            let out = simulate_market_sharded(
+            broker
+                .publish(
+                    ModelKind::LinearRegression,
+                    sim_pricing.clone(),
+                    Box::new(mbp_core::error::SquareLossTransform),
+                )
+                .expect("linear regression is on the menu");
+            let out = simulate_market(
                 &mut broker,
                 &seller,
                 ModelKind::LinearRegression,
-                &sim_pricing,
-                &mbp_core::error::SquareLossTransform,
                 SimulationConfig {
                     n_buyers: 4000,
                     valuation_jitter: 0.05,
@@ -211,7 +216,7 @@ pub fn run(reps: usize) -> ParallelBaseline {
 
     ParallelBaseline {
         threads: THREAD_COUNTS.to_vec(),
-        hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        meta: crate::RunMeta::from_env(),
         default_threads: mbp_par::default_threads(),
         reps,
         phases,
@@ -237,10 +242,7 @@ impl ParallelBaseline {
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
-        out.push_str(&format!(
-            "  \"hardware_threads\": {},\n",
-            self.hardware_threads
-        ));
+        out.push_str(&self.meta.json_fields());
         out.push_str(&format!(
             "  \"default_threads\": {},\n",
             self.default_threads
@@ -270,7 +272,11 @@ mod tests {
     fn tiny_baseline() -> ParallelBaseline {
         ParallelBaseline {
             threads: THREAD_COUNTS.to_vec(),
-            hardware_threads: 1,
+            meta: crate::RunMeta {
+                hardware_threads: 1,
+                commit: "abc123".to_string(),
+                generated_at: "2026-01-01T00:00:00Z".to_string(),
+            },
             default_threads: 1,
             reps: 1,
             phases: vec![PhaseResult {
@@ -297,6 +303,8 @@ mod tests {
         for key in [
             "\"threads\"",
             "\"hardware_threads\"",
+            "\"commit\": \"abc123\"",
+            "\"generated_at\": \"2026-01-01T00:00:00Z\"",
             "\"default_threads\"",
             "\"phases\"",
             "\"speedup_2\"",

@@ -6,6 +6,7 @@
 use crate::args::{ArgError, Args};
 use mbp_core::arbitrage::audit;
 use mbp_core::market::curves::{DemandCurve, DemandShape, ValueCurve, ValueShape};
+use mbp_core::market::simulation::SimulationOutcome;
 use mbp_core::pricing::PricingFunction;
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp_fair, Baseline, BuyerPoint};
 use mbp_data::{catalog, csv, stats, Dataset};
@@ -78,17 +79,13 @@ COMMANDS:
   sell      --csv F --model M     train, price, and release one noisy
             --budget P [--grid lo,hi,n] [--seed S] [--out MODEL_TSV]
                                   instance within budget
-  simulate  [--csv F] [--model M] run a Monte-Carlo selling season against
-            [--buyers N] [--jitter J] the derived arbitrage-free pricing
-            [--grid lo,hi,n] [--seed S] (synthetic Simulated1 data when no
-            [--ridge MU] [--lambda L]   CSV is given)
-            [--sharded]                 shard buyers across worker threads
+  simulate  [--csv F] [--model M] publish the derived arbitrage-free
+            [--buyers N] [--jitter J] pricing and run a Monte-Carlo selling
+            [--grid lo,hi,n] [--seed S] season against the listing, buyers
+            [--ridge MU] [--lambda L]   sharded across worker threads
                                         (deterministic in the seed at any
-                                        thread count)
-            [--batch N]                 serve buyers through the batched
-                                        quote path (publishes a compiled
-                                        listing; deterministic in the seed
-                                        at any batch size)
+                                        thread count; synthetic Simulated1
+                                        data when no CSV is given)
   trace     [--buyers N] [--seed S] run a traced synthetic selling season
             [--grid lo,hi,n]        and dump the flight recorder: span
             [--slow-threshold-us T] summary, tail-latency exemplars (with
@@ -886,14 +883,11 @@ fn cmd_sell(args: &Args) -> Result<String, CliError> {
     broker
         .support(kind, args.get_f64("ridge", 1e-3)?)
         .map_err(|e| CliError::Market(e.to_string()))?;
+    broker
+        .publish(kind, pricing, Box::new(SquareLossTransform))
+        .map_err(|e| CliError::Market(e.to_string()))?;
     let sale = broker
-        .buy(
-            kind,
-            PurchaseRequest::PriceBudget(budget),
-            &pricing,
-            &SquareLossTransform,
-            &mut rng,
-        )
+        .buy_listed(kind, PurchaseRequest::PriceBudget(budget), &mut rng)
         .map_err(|e| CliError::Market(e.to_string()))?;
     let mut out = String::new();
     writeln!(out, "model\t{}", kind.name()).unwrap();
@@ -913,13 +907,56 @@ fn cmd_sell(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_simulate(args: &Args) -> Result<String, CliError> {
+/// The selling season `simulate` and `trace` run: the seller's research
+/// curves from the flags over `tt`, a broker trained on `tt` that lists
+/// `kind` at the DP pricing with fairness weight `lambda`, then `buyers`
+/// buyers against that listing from the seed stream `seed ^ 0x5a4d`,
+/// decorrelated from the stream that split `tt`.
+fn run_season(
+    args: &Args,
+    tt: mbp_data::TrainTest,
+    kind: ModelKind,
+    buyers: usize,
+    lambda: f64,
+    seed: u64,
+) -> Result<(mbp_core::market::Broker, SimulationOutcome), CliError> {
     use mbp_core::error::SquareLossTransform;
-    use mbp_core::market::simulation::{
-        simulate_market, simulate_market_batched, simulate_market_sharded, SimulationConfig,
-    };
+    use mbp_core::market::simulation::{simulate_market, SimulationConfig};
     use mbp_core::market::{Broker, Seller};
 
+    if buyers == 0 {
+        return Err(CliError::Args(ArgError::BadValue {
+            flag: "buyers".into(),
+            value: "0".into(),
+            expected: "a positive integer",
+        }));
+    }
+    let cfg = SimulationConfig {
+        n_buyers: buyers,
+        valuation_jitter: args.get_f64("jitter", 0.0)?,
+    };
+    let ridge = args.get_f64("ridge", 1e-6)?;
+    let grid = args.get_grid("grid", (10.0, 100.0, 10))?;
+    let seller = Seller::new(
+        tt.clone(),
+        grid,
+        parse_value_curve(args)?,
+        parse_demand_curve(args)?,
+    );
+    let mut broker = Broker::new(tt);
+    broker
+        .support(kind, ridge)
+        .map_err(|e| CliError::Market(e.to_string()))?;
+    let pricing = solve_bv_dp_fair(&seller.buyer_population(), lambda).pricing;
+    broker
+        .publish(kind, pricing, Box::new(SquareLossTransform))
+        .map_err(|e| CliError::Market(e.to_string()))?;
+    let outcome = simulate_market(&mut broker, &seller, kind, cfg, seed ^ 0x5a4d)
+        .map_err(|e| CliError::Market(e.to_string()))?;
+    Ok((broker, outcome))
+}
+
+fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let seed = args.get_u64("seed", 7)?;
     let mut rng = seeded_rng(seed);
     let ds = match args.get("csv") {
@@ -930,87 +967,14 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     };
     let kind = match args.get("model") {
         Some(raw) => parse_model(raw)?,
-        None => mbp_ml::ModelKind::LinearRegression,
+        None => ModelKind::LinearRegression,
     };
     let buyers = args.get_usize("buyers", 1000)?;
-    if buyers == 0 {
-        return Err(CliError::Args(ArgError::BadValue {
-            flag: "buyers".into(),
-            value: "0".into(),
-            expected: "a positive integer",
-        }));
-    }
-    let jitter = args.get_f64("jitter", 0.0)?;
-    let ridge = args.get_f64("ridge", 1e-6)?;
-    let grid = args.get_grid("grid", (10.0, 100.0, 10))?;
-    let value = parse_value_curve(args)?;
-    let demand = parse_demand_curve(args)?;
-    let tt = ds.split(0.75, &mut rng);
-    let seller = Seller::new(tt.clone(), grid, value, demand);
-    let mut broker = Broker::new(tt);
-    broker
-        .support(kind, ridge)
-        .map_err(|e| CliError::Market(e.to_string()))?;
     // λ = 0 reduces to the plain Theorem 10 revenue maximization that
     // `price_from_research` performs.
     let lambda = args.get_f64("lambda", 0.0)?;
-    let pricing = solve_bv_dp_fair(&seller.buyer_population(), lambda).pricing;
-    let cfg = SimulationConfig {
-        n_buyers: buyers,
-        valuation_jitter: jitter,
-    };
-    // --batch N serves buyers through the compiled-table batched quote
-    // path: the pricing curve is published as a listing (compiling its
-    // PricingTable) and purchases flow through Broker::buy_batch in
-    // N-sized groups. The outcome depends only on --seed, never on N.
-    let batch = match args.get("batch") {
-        Some(raw) => {
-            let n = raw
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| {
-                    CliError::Args(ArgError::BadValue {
-                        flag: "batch".into(),
-                        value: raw.into(),
-                        expected: "a positive integer",
-                    })
-                })?;
-            Some(n)
-        }
-        None => None,
-    };
-    // --sharded splits the buyer stream across the thread pool with one
-    // seed stream per shard; results depend only on --seed, never on the
-    // thread count. The default path replays the exact pre-existing
-    // sequential RNG stream.
-    let outcome = if let Some(batch) = batch {
-        broker
-            .publish(kind, pricing.clone(), Box::new(SquareLossTransform))
-            .map_err(|e| CliError::Market(e.to_string()))?;
-        simulate_market_batched(&mut broker, &seller, kind, cfg, batch, seed ^ 0xba7c)
-    } else if args.get_bool("sharded") {
-        simulate_market_sharded(
-            &mut broker,
-            &seller,
-            kind,
-            &pricing,
-            &SquareLossTransform,
-            cfg,
-            seed ^ 0x5a4d,
-        )
-    } else {
-        simulate_market(
-            &mut broker,
-            &seller,
-            kind,
-            &pricing,
-            &SquareLossTransform,
-            cfg,
-            &mut rng,
-        )
-    }
-    .map_err(|e| CliError::Market(e.to_string()))?;
+    let tt = ds.split(0.75, &mut rng);
+    let (broker, outcome) = run_season(args, tt, kind, buyers, lambda, seed)?;
     let mut out = String::new();
     writeln!(out, "model\t{}", kind.name()).unwrap();
     writeln!(out, "buyers\t{buyers}").unwrap();
@@ -1047,23 +1011,19 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 /// `mbp-market trace`: run a deterministic synthetic selling season with
 /// causal tracing armed and dump the flight recorder.
 ///
-/// The season is the same sharded Monte-Carlo market `simulate --sharded`
-/// runs (so span contexts cross `mbp-par` worker threads), with the slow
-/// threshold applied so tail-latency quotes are kept as exemplars carrying
-/// their replay seed. The report lists the span/trace counts and every
+/// The season is the same Monte-Carlo market `simulate` runs (its shards
+/// cross `mbp-par` worker threads, and so do their span contexts), with the
+/// slow threshold applied so tail-latency purchase batches are kept as
+/// exemplars carrying their replay seed. The report lists the span/trace counts and every
 /// exemplar; the full recorder dump is emitted as Chrome trace_event JSON
 /// (inline, or to `--out`) and optionally as JSONL (`--jsonl`).
 fn cmd_trace(args: &Args) -> Result<String, CliError> {
-    use mbp_core::error::SquareLossTransform;
-    use mbp_core::market::simulation::{simulate_market_sharded, SimulationConfig};
-    use mbp_core::market::{Broker, Seller};
-
     let seed = args.get_u64("seed", 7)?;
     let buyers = args.get_usize("buyers", 300)?;
     let threshold_us = args.get_u64("slow-threshold-us", 1_000)?;
     let kind = match args.get("model") {
         Some(raw) => parse_model(raw)?,
-        None => mbp_ml::ModelKind::LinearRegression,
+        None => ModelKind::LinearRegression,
     };
     mbp_obs::enable();
     mbp_obs::set_slow_threshold_micros(threshold_us);
@@ -1071,32 +1031,7 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
 
     let mut rng = seeded_rng(seed);
     let ds = mbp_data::synth::simulated1(600, 4, 0.5, &mut rng);
-    let tt = ds.split(0.75, &mut rng);
-    let grid = args.get_grid("grid", (10.0, 100.0, 10))?;
-    let seller = Seller::new(
-        tt.clone(),
-        grid,
-        parse_value_curve(args)?,
-        parse_demand_curve(args)?,
-    );
-    let mut broker = Broker::new(tt);
-    broker
-        .support(kind, args.get_f64("ridge", 1e-6)?)
-        .map_err(|e| CliError::Market(e.to_string()))?;
-    let pricing = solve_bv_dp_fair(&seller.buyer_population(), 0.0).pricing;
-    let outcome = simulate_market_sharded(
-        &mut broker,
-        &seller,
-        kind,
-        &pricing,
-        &SquareLossTransform,
-        SimulationConfig {
-            n_buyers: buyers,
-            valuation_jitter: args.get_f64("jitter", 0.0)?,
-        },
-        seed ^ 0x5a4d,
-    )
-    .map_err(|e| CliError::Market(e.to_string()))?;
+    let (_, outcome) = run_season(args, ds.split(0.75, &mut rng), kind, buyers, 0.0, seed)?;
 
     let spans = mbp_obs::recorder_snapshot();
     let exemplars = mbp_obs::exemplars();
@@ -1439,28 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_runs_on_synthetic_default() {
-        let out = run(&argv("simulate --buyers 200 --seed 11")).unwrap();
-        assert!(out.contains("served"), "{out}");
-        assert!(out.contains("realized_revenue_per_buyer"));
-        let served: usize = out
-            .lines()
-            .find(|l| l.starts_with("served"))
-            .and_then(|l| l.split('\t').nth(1))
-            .unwrap()
-            .parse()
-            .unwrap();
-        let declined: usize = out
-            .lines()
-            .find(|l| l.starts_with("declined"))
-            .and_then(|l| l.split('\t').nth(1))
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(served + declined, 200);
-    }
-
-    #[test]
     fn metrics_out_writes_acceptance_metrics() {
         let dir = std::env::temp_dir().join("mbp-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1472,7 +1385,7 @@ mod tests {
         .unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"mbp.core.buy.count\""), "{json}");
-        assert!(json.contains("\"mbp.core.buy.seconds\""), "{json}");
+        assert!(json.contains("\"mbp.core.buy_batch.seconds\""), "{json}");
         assert!(json.contains("\"p99\""), "{json}");
         assert!(json.contains("\"mbp.optim.revenue.iterations\""), "{json}");
     }
@@ -1517,7 +1430,7 @@ mod tests {
         let path = dir.join("season-trace.json");
         std::fs::remove_file(&path).ok();
         run(&argv(&format!(
-            "simulate --buyers 40 --seed 29 --sharded --trace --trace-out {}",
+            "simulate --buyers 40 --seed 29 --trace --trace-out {}",
             path.display()
         )))
         .unwrap();
@@ -1552,17 +1465,14 @@ mod tests {
         assert!(out.contains("effective_threads"), "{out}");
     }
 
+    /// A season is a pure function of its flags: the same seed prints the
+    /// same report, every buyer is either served or declined, and another
+    /// seed draws another season.
     #[test]
-    fn simulate_sharded_is_deterministic_in_the_seed() {
-        let a = run(&argv(
-            "simulate --buyers 300 --seed 21 --jitter 0.05 --sharded",
-        ))
-        .unwrap();
-        let b = run(&argv(
-            "simulate --buyers 300 --seed 21 --jitter 0.05 --sharded",
-        ))
-        .unwrap();
-        assert_eq!(a, b, "sharded season must be a pure function of --seed");
+    fn simulate_is_deterministic_in_the_seed() {
+        let a = run(&argv("simulate --buyers 700 --seed 21 --jitter 0.05")).unwrap();
+        let b = run(&argv("simulate --buyers 700 --seed 21 --jitter 0.05")).unwrap();
+        assert_eq!(a, b, "a season must be a pure function of --seed");
         let count = |report: &str, key: &str| -> usize {
             report
                 .lines()
@@ -1572,27 +1482,11 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        assert_eq!(count(&a, "served") + count(&a, "declined"), 300);
-    }
-
-    #[test]
-    fn simulate_batched_is_invariant_to_batch_size() {
-        let a = run(&argv(
-            "simulate --buyers 300 --seed 23 --jitter 0.05 --batch 16",
-        ))
-        .unwrap();
-        let b = run(&argv(
-            "simulate --buyers 300 --seed 23 --jitter 0.05 --batch 128",
-        ))
-        .unwrap();
-        assert_eq!(a, b, "batched season must not depend on the batch size");
-        assert!(a.contains("served\t"), "{a}");
-    }
-
-    #[test]
-    fn simulate_batch_rejects_zero() {
-        let err = run(&argv("simulate --buyers 100 --seed 3 --batch 0")).unwrap_err();
-        assert!(err.to_string().contains("batch"), "{err}");
+        assert!(count(&a, "served") > 0, "{a}");
+        assert_eq!(count(&a, "served") + count(&a, "declined"), 700);
+        assert!(a.contains("realized_revenue_per_buyer\t"), "{a}");
+        let other = run(&argv("simulate --buyers 700 --seed 22 --jitter 0.05")).unwrap();
+        assert_ne!(a, other, "another seed must draw another season");
     }
 
     #[test]
@@ -1612,6 +1506,36 @@ mod tests {
             .unwrap();
         assert!(price <= 30.0 + 1e-9);
         assert!(out.contains("w0"));
+    }
+
+    /// `sell` publishes its curve and buys against the listing; its report
+    /// for a fixed CSV, seed and budget is pinned byte for byte (one
+    /// interior budget, one above the saturation price).
+    #[test]
+    fn sell_report_is_pinned() {
+        let path = temp_csv("sell-pin.csv", 300, false);
+        let pins = [
+            (
+                "30",
+                "model\tLin. reg.\nprice\t30.0000\nncp\t0.071156\n\
+                 expected_error\t0.071156\nw0\t3.0664039296\nw1\t-0.2441974070\n\
+                 w2\t-0.5156878763\n",
+            ),
+            (
+                "1000",
+                "model\tLin. reg.\nprice\t100.0000\nncp\t0.010000\n\
+                 expected_error\t0.010000\nw0\t2.9820036693\nw1\t-0.2787057116\n\
+                 w2\t-0.5631689626\n",
+            ),
+        ];
+        for (budget, expected) in pins {
+            let out = run(&argv(&format!(
+                "sell --csv {} --model linreg --budget {budget} --grid 10,100,10 --seed 5",
+                path.display()
+            )))
+            .unwrap();
+            assert_eq!(out, expected, "budget {budget}");
+        }
     }
 
     /// Satellite pin: replaying a WAL directory that does not exist (or

@@ -120,7 +120,7 @@ impl Seller {
 }
 
 /// A buyer with a budget (used by the examples; the protocol itself is
-/// stateless and lives in [`Broker::buy`]).
+/// stateless and lives in [`Broker::buy_listed`]).
 #[derive(Debug, Clone)]
 pub struct Buyer {
     /// Display name.
@@ -383,11 +383,10 @@ impl Listing {
     /// Resolve pass: every request to its NCP (consumes no RNG), with
     /// precision `1/δ` (NaN for a rejection) recorded for the price pass.
     fn resolve_into(&self, requests: &[PurchaseRequest], arena: &mut SaleArena) {
-        let pricing = PricePath::Table(&self.table);
         arena.outcomes.clear();
         arena.xs.clear();
         for &request in requests {
-            let r = resolve_ncp(&pricing, Some(&self.phi), self.transform.as_ref(), request);
+            let r = resolve_ncp(&self.table, &self.phi, self.transform.as_ref(), request);
             arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
             arena.outcomes.push(r);
         }
@@ -552,8 +551,15 @@ impl Broker {
         let trace = self.buy_trace(kind);
         self.listed_kernel(kind, requests, rng, arena, &trace)?;
         let _ledger = trace.phase(mbp_obs::Phase::Ledger);
-        arena.settle(kind, self.durability.as_ref(), &mut self.ledger);
+        self.settle_arena(kind, arena);
         Ok(())
+    }
+
+    /// Settles `arena`'s most recent kernel batch onto this broker: each
+    /// sale goes to the durability sink, then onto the ledger, in request
+    /// order.
+    pub(crate) fn settle_arena(&mut self, kind: ModelKind, arena: &SaleArena) {
+        arena.settle(kind, self.durability.as_ref(), &mut self.ledger);
     }
 
     /// The listed-purchase kernel: every listed buy runs through it. The
@@ -562,8 +568,8 @@ impl Broker {
     /// NCP (no RNG), price all precisions in one
     /// [`PricingTable::price_at_batch`] call, and draw noise strictly in
     /// request order (rejected requests draw nothing). The ledger is
-    /// untouched — [`Broker::buy_batch_into`] and the `SharedBroker` wrapper
-    /// settle the arena afterwards.
+    /// untouched — [`Broker::buy_batch_into`], the `SharedBroker` wrapper
+    /// and the market simulation settle the arena afterwards.
     ///
     /// Because noise is drawn in request order, splitting a stream into
     /// batches of any size consumes the RNG identically, so result digests
@@ -866,88 +872,14 @@ impl Broker {
         Ok(PriceErrorCurve { points })
     }
 
-    /// Fulfills a purchase (steps 3–4): resolves the request to an NCP,
-    /// charges `p̄(1/δ)`, and returns a freshly-noised instance.
-    pub fn buy(
-        &mut self,
-        kind: ModelKind,
-        request: PurchaseRequest,
-        pricing: &PricingFunction,
-        transform: &dyn ErrorTransform,
-        rng: &mut MbpRng,
-    ) -> Result<Sale, MarketError> {
-        let (sale, tx) = self.quote(kind, request, pricing, transform, rng)?;
-        if let Some(sink) = &self.durability {
-            sink.record_sale(&tx);
-        }
-        self.ledger.push(tx);
-        Ok(sale)
-    }
-
-    /// Read-only purchase execution: resolves, prices, and noises exactly
-    /// like [`Broker::buy`] but leaves the ledger untouched, returning the
-    /// [`Transaction`] for the caller to [`Broker::settle`]. This is the
-    /// building block for sharded simulation and the striped concurrent
-    /// broker, where many quotes run against `&Broker` in parallel and the
-    /// ledger is merged in one deterministic step.
-    pub fn quote(
-        &self,
-        kind: ModelKind,
-        request: PurchaseRequest,
-        pricing: &PricingFunction,
-        transform: &dyn ErrorTransform,
-        rng: &mut MbpRng,
-    ) -> Result<(Sale, Transaction), MarketError> {
-        let _span = mbp_obs::span("mbp.core.buy");
-        let trace = self.buy_trace(kind);
-        let result: Result<(Sale, Transaction), MarketError> = (|| {
-            let lookup = trace.phase(mbp_obs::Phase::Lookup);
-            let entry = self
-                .menu
-                .get(&kind)
-                .ok_or(MarketError::UnsupportedModel(kind))?;
-            drop(lookup);
-            mbp_obs::inc("mbp.core.pricing.table_miss");
-            let ncp = {
-                let _p = trace.phase(mbp_obs::Phase::PhiInversion);
-                resolve_ncp(&PricePath::Scan(pricing), None, transform, request)?
-            };
-            let price = pricing.price_for_ncp(ncp);
-            let noise = trace.phase(mbp_obs::Phase::Noise);
-            let weights = self.mechanism.perturb(entry.model.weights(), ncp, rng);
-            let model = entry.model.with_weights(weights);
-            drop(noise);
-            Ok((
-                Sale {
-                    model,
-                    price,
-                    ncp,
-                    expected_error: transform.expected_error(ncp),
-                },
-                Transaction { kind, ncp, price },
-            ))
-        })();
-        match &result {
-            Ok((sale, _)) => {
-                mbp_obs::inc("mbp.core.buy.count");
-                mbp_obs::gauge_add("mbp.core.revenue.total", sale.price);
-            }
-            Err(e) => {
-                mbp_obs::inc("mbp.core.buy.rejected");
-                mbp_obs::event(
-                    mbp_obs::Verbosity::Error,
-                    "mbp.core.broker",
-                    "purchase rejected",
-                    &[("reason", e.to_string())],
-                );
-            }
-        }
-        result
-    }
-
-    /// Appends already-executed transactions to the ledger — the merge step
-    /// for quotes produced by [`Broker::quote`]. Callers control the order,
-    /// which is what makes sharded ledger merges deterministic.
+    /// Appends already-recorded transactions to the ledger, in the order
+    /// given, without forwarding them to the durability sink: the merge
+    /// step for transactions that are already durable elsewhere (WAL
+    /// recovery replaying its log, [`SharedBroker::with_broker`] draining
+    /// its stripes). New sales settle through the purchase entry points,
+    /// which do record them.
+    ///
+    /// [`SharedBroker::with_broker`]: crate::market::concurrent::SharedBroker::with_broker
     pub fn settle<I: IntoIterator<Item = Transaction>>(&mut self, txs: I) {
         self.ledger.extend(txs);
     }
@@ -963,40 +895,11 @@ impl Broker {
     }
 }
 
-/// Which pricing backend a purchase is served from: the original
-/// piecewise-linear scan, or the compiled table built at publish time.
-/// Both answer the same queries with identical values (the table is
-/// cross-checked against its source in debug builds).
-enum PricePath<'a> {
-    Scan(&'a PricingFunction),
-    Table(&'a PricingTable),
-}
-
-impl PricePath<'_> {
-    fn max_precision_for_budget(&self, b: f64) -> Option<f64> {
-        match self {
-            PricePath::Scan(p) => p.max_precision_for_budget(b),
-            PricePath::Table(t) => t.max_precision_for_budget(b),
-        }
-    }
-
-    fn grid_max(&self) -> f64 {
-        let grid = match self {
-            PricePath::Scan(p) => p.grid(),
-            PricePath::Table(t) => t.knots(),
-        };
-        // Both sources validate non-empty grids at construction; an empty
-        // grid degrades to 0.0, which resolves to InsufficientBudget.
-        grid.last().copied().unwrap_or(0.0)
-    }
-}
-
-/// Resolves a purchase request to the NCP of the instance to release.
-/// The memoized error-inverse is used when the caller has one (listing
-/// purchases); it answers identically to the transform's own inversion.
+/// Resolves a purchase request to the NCP of the instance to release,
+/// against a listing's compiled table and memoized error-inverse.
 fn resolve_ncp(
-    pricing: &PricePath<'_>,
-    phi: Option<&PhiMemo>,
+    table: &PricingTable,
+    phi: &PhiMemo,
     transform: &dyn ErrorTransform,
     request: PurchaseRequest,
 ) -> Result<f64, MarketError> {
@@ -1009,27 +912,24 @@ fn resolve_ncp(
             }
             Ok(d)
         }
-        PurchaseRequest::ErrorBudget(eps) => {
-            let ncp = match phi {
-                Some(memo) => memo.ncp_for_error(transform, eps),
-                None => transform.ncp_for_error(eps),
-            };
-            ncp.filter(|&d| d > 0.0)
-                .ok_or(MarketError::UnachievableError(eps))
-        }
+        PurchaseRequest::ErrorBudget(eps) => phi
+            .ncp_for_error(transform, eps)
+            .filter(|&d| d > 0.0)
+            .ok_or(MarketError::UnachievableError(eps)),
         PurchaseRequest::PriceBudget(budget) => {
             if !(budget >= 0.0 && budget.is_finite()) {
                 return Err(MarketError::BadRequest(format!(
                     "budget must be non-negative, got {budget}"
                 )));
             }
-            let x = pricing
+            let x = table
                 .max_precision_for_budget(budget)
                 .ok_or(MarketError::InsufficientBudget(budget))?;
             // Budgets at/above the saturation price buy the most precise
             // version on the menu grid (never the noiseless model: the
-            // grid caps precision).
-            let x = x.min(pricing.grid_max());
+            // grid caps precision). The table validates a non-empty grid;
+            // an empty one degrades to 0.0, which is InsufficientBudget.
+            let x = x.min(table.knots().last().copied().unwrap_or(0.0));
             if x <= 0.0 {
                 return Err(MarketError::InsufficientBudget(budget));
             }
@@ -1058,6 +958,21 @@ mod tests {
         PricingFunction::from_points(g, p).unwrap()
     }
 
+    /// A broker with linear regression on the menu, listed at
+    /// [`simple_pricing`] under the identity transform.
+    fn listed_broker(seed: u64) -> Broker {
+        let mut broker = Broker::new(market_data(seed));
+        broker.support(ModelKind::LinearRegression, 0.0).unwrap();
+        broker
+            .publish(
+                ModelKind::LinearRegression,
+                simple_pricing(),
+                Box::new(SquareLossTransform),
+            )
+            .unwrap();
+        broker
+    }
+
     #[test]
     fn support_is_idempotent_one_time_cost() {
         let mut broker = Broker::new(market_data(1));
@@ -1078,16 +993,13 @@ mod tests {
 
     #[test]
     fn buy_at_ncp_charges_curve_price() {
-        let mut broker = Broker::new(market_data(2));
-        broker.support(ModelKind::LinearRegression, 0.0).unwrap();
+        let mut broker = listed_broker(2);
         let pricing = simple_pricing();
         let mut rng = seeded_rng(7);
         let sale = broker
-            .buy(
+            .buy_listed(
                 ModelKind::LinearRegression,
                 PurchaseRequest::AtNcp(0.5),
-                &pricing,
-                &SquareLossTransform,
                 &mut rng,
             )
             .unwrap();
@@ -1099,17 +1011,13 @@ mod tests {
 
     #[test]
     fn error_budget_buys_cheapest_adequate_model() {
-        let mut broker = Broker::new(market_data(3));
-        broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-        let pricing = simple_pricing();
+        let mut broker = listed_broker(3);
         let mut rng = seeded_rng(8);
         // With the identity transform, error budget 2.0 ⇒ δ = 2.0.
         let sale = broker
-            .buy(
+            .buy_listed(
                 ModelKind::LinearRegression,
                 PurchaseRequest::ErrorBudget(2.0),
-                &pricing,
-                &SquareLossTransform,
                 &mut rng,
             )
             .unwrap();
@@ -1119,17 +1027,13 @@ mod tests {
 
     #[test]
     fn price_budget_buys_most_accurate_affordable() {
-        let mut broker = Broker::new(market_data(4));
-        broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-        let pricing = simple_pricing();
+        let mut broker = listed_broker(4);
         let mut rng = seeded_rng(9);
         let budget = 20.0; // p̄(x) = 10√x = 20 ⇒ x = 4 ⇒ δ = 0.25
         let sale = broker
-            .buy(
+            .buy_listed(
                 ModelKind::LinearRegression,
                 PurchaseRequest::PriceBudget(budget),
-                &pricing,
-                &SquareLossTransform,
                 &mut rng,
             )
             .unwrap();
@@ -1137,11 +1041,9 @@ mod tests {
         assert!((sale.ncp - 0.25).abs() < 1e-9, "ncp {}", sale.ncp);
         // A huge budget buys the top-of-grid precision (x = 10).
         let sale = broker
-            .buy(
+            .buy_listed(
                 ModelKind::LinearRegression,
                 PurchaseRequest::PriceBudget(1e6),
-                &pricing,
-                &SquareLossTransform,
                 &mut rng,
             )
             .unwrap();
@@ -1153,13 +1055,7 @@ mod tests {
         let mut broker = Broker::new(market_data(5));
         let mut rng = seeded_rng(10);
         let err = broker
-            .buy(
-                ModelKind::LinearSvm,
-                PurchaseRequest::AtNcp(1.0),
-                &simple_pricing(),
-                &SquareLossTransform,
-                &mut rng,
-            )
+            .buy_listed(ModelKind::LinearSvm, PurchaseRequest::AtNcp(1.0), &mut rng)
             .unwrap_err();
         assert!(matches!(err, MarketError::UnsupportedModel(_)));
     }
@@ -1174,14 +1070,20 @@ mod tests {
             .weights()
             .clone();
         let transform = LinRegSquareTransform::new(&broker.data().test.clone(), &h);
+        let floor = transform.base();
+        broker
+            .publish(
+                ModelKind::LinearRegression,
+                simple_pricing(),
+                Box::new(transform),
+            )
+            .unwrap();
         let mut rng = seeded_rng(11);
         // Ask for error below the noiseless floor.
         let err = broker
-            .buy(
+            .buy_listed(
                 ModelKind::LinearRegression,
-                PurchaseRequest::ErrorBudget(transform.base() * 0.5),
-                &simple_pricing(),
-                &transform,
+                PurchaseRequest::ErrorBudget(floor * 0.5),
                 &mut rng,
             )
             .unwrap_err();
@@ -1257,51 +1159,6 @@ mod tests {
             broker.publish(ModelKind::LinearSvm, pricing, Box::new(SquareLossTransform)),
             Err(MarketError::UnsupportedModel(_))
         ));
-    }
-
-    /// The compiled-table listing path answers every request kind with the
-    /// same price, NCP, and released weights as the scan path fed the same
-    /// RNG stream — the end-to-end guarantee behind the serving fast path.
-    #[test]
-    fn listed_table_path_is_bit_identical_to_scan_path() {
-        let requests = [
-            PurchaseRequest::AtNcp(0.5),
-            PurchaseRequest::ErrorBudget(2.0),
-            PurchaseRequest::PriceBudget(20.0),
-            PurchaseRequest::PriceBudget(1e6),
-        ];
-        let pricing = simple_pricing();
-        let mut scan = Broker::new(market_data(30));
-        scan.support(ModelKind::LinearRegression, 0.0).unwrap();
-        let mut listed = Broker::new(market_data(30));
-        listed.support(ModelKind::LinearRegression, 0.0).unwrap();
-        listed
-            .publish(
-                ModelKind::LinearRegression,
-                pricing.clone(),
-                Box::new(SquareLossTransform),
-            )
-            .unwrap();
-        let mut rng_a = seeded_rng(31);
-        let mut rng_b = seeded_rng(31);
-        for &request in &requests {
-            let a = scan
-                .buy(
-                    ModelKind::LinearRegression,
-                    request,
-                    &pricing,
-                    &SquareLossTransform,
-                    &mut rng_a,
-                )
-                .unwrap();
-            let b = listed
-                .buy_listed(ModelKind::LinearRegression, request, &mut rng_b)
-                .unwrap();
-            assert_eq!(a.price, b.price, "{request:?}");
-            assert_eq!(a.ncp, b.ncp, "{request:?}");
-            assert_eq!(a.expected_error, b.expected_error, "{request:?}");
-            assert_eq!(a.model.weights(), b.model.weights(), "{request:?}");
-        }
     }
 
     /// Records every sale a broker forwards, in order.
@@ -1654,23 +1511,20 @@ mod tests {
 
     #[test]
     fn sales_are_noisy_but_unbiased_around_h_star() {
-        let mut broker = Broker::new(market_data(15));
+        let mut broker = listed_broker(15);
         let h_star = broker
-            .support(ModelKind::LinearRegression, 0.0)
+            .optimal_model(ModelKind::LinearRegression)
             .unwrap()
             .weights()
             .clone();
-        let pricing = simple_pricing();
         let mut rng = seeded_rng(16);
         let mut mean = mbp_linalg::Vector::zeros(h_star.len());
         let reps = 3000;
         for _ in 0..reps {
             let sale = broker
-                .buy(
+                .buy_listed(
                     ModelKind::LinearRegression,
                     PurchaseRequest::AtNcp(1.0),
-                    &pricing,
-                    &SquareLossTransform,
                     &mut rng,
                 )
                 .unwrap();

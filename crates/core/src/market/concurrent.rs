@@ -224,35 +224,6 @@ impl SharedBroker {
             .price_batch_into(kind, requests, arena, quotes)
     }
 
-    /// Thread-safe purchase; each calling thread supplies its own RNG.
-    ///
-    /// The quote (training + pricing) runs under a shared read guard, so
-    /// concurrent buys proceed in parallel; only the final ledger push takes
-    /// a stripe lock. Contention (maintenance holding the core write lock
-    /// when this purchase arrives, or a racing push on the same stripe) is
-    /// counted in `mbp.core.sharedbroker.contention`.
-    pub fn buy(
-        &self,
-        kind: ModelKind,
-        request: PurchaseRequest,
-        pricing: &PricingFunction,
-        transform: &dyn ErrorTransform,
-        rng: &mut MbpRng,
-    ) -> Result<Sale, MarketError> {
-        let (sale, tx) = self
-            .read_core(kind)
-            .quote(kind, request, pricing, transform, rng)?;
-        {
-            let _settle = mbp_obs::phase_for(mbp_obs::Phase::Ledger, kind_label(kind), "-");
-            let mut guard = self.lock_next_stripe(kind_label(kind));
-            if let Some(sink) = &self.inner.durability {
-                sink.record_sale(&tx);
-            }
-            guard.push(tx);
-        }
-        Ok(sale)
-    }
-
     /// Total revenue collected so far (reconciled ledger plus the
     /// still-striped transactions).
     pub fn total_revenue(&self) -> f64 {
@@ -312,20 +283,36 @@ mod tests {
     use std::sync::Barrier;
     use std::thread;
 
+    /// A shared broker with linear regression listed at [`pricing`].
     fn shared_broker(seed: u64) -> SharedBroker {
-        let mut rng = seeded_rng(seed);
-        let data = synth::simulated1(600, 4, 0.5, &mut rng).split(0.75, &mut rng);
-        let sb = SharedBroker::new(Broker::new(data));
-        sb.support(ModelKind::LinearRegression, 1e-6).unwrap();
-        sb
+        SharedBroker::new(plain_broker(seed))
     }
 
+    /// An unshared broker with linear regression listed at [`pricing`].
     fn plain_broker(seed: u64) -> Broker {
         let mut rng = seeded_rng(seed);
         let data = synth::simulated1(600, 4, 0.5, &mut rng).split(0.75, &mut rng);
         let mut b = Broker::new(data);
         b.support(ModelKind::LinearRegression, 1e-6).unwrap();
+        b.publish(
+            ModelKind::LinearRegression,
+            pricing(),
+            Box::new(SquareLossTransform),
+        )
+        .unwrap();
         b
+    }
+
+    /// One listed purchase at `ncp` through the shared broker.
+    fn buy_one(sb: &SharedBroker, ncp: f64, rng: &mut MbpRng) -> Sale {
+        let mut sales = sb
+            .buy_batch(
+                ModelKind::LinearRegression,
+                &[PurchaseRequest::AtNcp(ncp)],
+                rng,
+            )
+            .expect("listing exists");
+        sales.pop().expect("one outcome").expect("purchase failed")
     }
 
     fn pricing() -> PricingFunction {
@@ -337,28 +324,18 @@ mod tests {
     #[test]
     fn concurrent_purchases_are_all_ledgered() {
         let sb = shared_broker(81);
-        let pf = pricing();
         let mut seeds = SeedStream::new(82);
         let threads = 8;
         let per_thread = 50;
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let sb = sb.clone();
-                let pf = pf.clone();
                 let seed = seeds.next_seed();
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
                     let mut paid = 0.0;
                     for _ in 0..per_thread {
-                        let sale = sb
-                            .buy(
-                                ModelKind::LinearRegression,
-                                PurchaseRequest::AtNcp(0.5),
-                                &pf,
-                                &SquareLossTransform,
-                                &mut rng,
-                            )
-                            .expect("purchase failed");
+                        let sale = buy_one(&sb, 0.5, &mut rng);
                         paid += sale.price;
                     }
                     paid
@@ -373,26 +350,14 @@ mod tests {
     #[test]
     fn concurrent_sales_have_distinct_noise() {
         let sb = shared_broker(83);
-        let pf = pricing();
         let mut seeds = SeedStream::new(84);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let sb = sb.clone();
-                let pf = pf.clone();
                 let seed = seeds.next_seed();
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
-                    sb.buy(
-                        ModelKind::LinearRegression,
-                        PurchaseRequest::AtNcp(1.0),
-                        &pf,
-                        &SquareLossTransform,
-                        &mut rng,
-                    )
-                    .unwrap()
-                    .model
-                    .weights()
-                    .clone()
+                    buy_one(&sb, 1.0, &mut rng).model.weights().clone()
                 })
             })
             .collect();
@@ -414,28 +379,18 @@ mod tests {
     fn four_thread_buys_reconcile_ledger_and_metrics() {
         mbp_obs::enable();
         let sb = shared_broker(91);
-        let pf = pricing();
         let mut seeds = SeedStream::new(92);
         let threads = 4;
         let per_thread = 100;
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let sb = sb.clone();
-                let pf = pf.clone();
                 let seed = seeds.next_seed();
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
                     let mut receipts = Vec::with_capacity(per_thread);
                     for _ in 0..per_thread {
-                        let sale = sb
-                            .buy(
-                                ModelKind::LinearRegression,
-                                PurchaseRequest::AtNcp(0.5),
-                                &pf,
-                                &SquareLossTransform,
-                                &mut rng,
-                            )
-                            .expect("purchase failed");
+                        let sale = buy_one(&sb, 0.5, &mut rng);
                         receipts.push(sale.price);
                     }
                     receipts
@@ -458,7 +413,9 @@ mod tests {
             "buy counter {bought} < {}",
             threads * per_thread
         );
-        let buy_hist = snap.histogram("mbp.core.buy.seconds").expect("buy span");
+        let buy_hist = snap
+            .histogram("mbp.core.buy_batch.seconds")
+            .expect("buy kernel span");
         assert!(buy_hist.count >= (threads * per_thread) as u64);
         // Contention is scheduling-dependent; the counter only needs to
         // exist and be readable (zero is legitimate on an unloaded box).
@@ -470,7 +427,6 @@ mod tests {
     fn contended_mutex_increments_contention_counter() {
         mbp_obs::enable();
         let sb = shared_broker(93);
-        let pf = pricing();
         let before = mbp_obs::snapshot()
             .counter("mbp.core.sharedbroker.contention")
             .unwrap_or(0);
@@ -478,18 +434,10 @@ mod tests {
         // a buy from another: the try_read fast path must miss and count it.
         let buyer = {
             let sb2 = sb.clone();
-            let pf2 = pf.clone();
             sb.with_broker(|_broker| {
                 let t = thread::spawn(move || {
                     let mut rng = seeded_rng(94);
-                    sb2.buy(
-                        ModelKind::LinearRegression,
-                        PurchaseRequest::AtNcp(1.0),
-                        &pf2,
-                        &SquareLossTransform,
-                        &mut rng,
-                    )
-                    .unwrap();
+                    buy_one(&sb2, 1.0, &mut rng);
                 });
                 // Give the buyer thread time to hit the held lock.
                 thread::sleep(std::time::Duration::from_millis(50));
@@ -514,12 +462,6 @@ mod tests {
     #[test]
     fn concurrent_buy_batches_are_all_ledgered() {
         let sb = shared_broker(97);
-        sb.publish(
-            ModelKind::LinearRegression,
-            pricing(),
-            Box::new(SquareLossTransform),
-        )
-        .unwrap();
         let mut seeds = SeedStream::new(98);
         let threads = 4;
         let batches_per_thread = 10;
@@ -568,19 +510,10 @@ mod tests {
     #[test]
     fn with_broker_reconciles_striped_transactions() {
         let sb = shared_broker(87);
-        let pf = pricing();
         let mut rng = seeded_rng(88);
         let mut paid = Vec::new();
         for _ in 0..(2 * LEDGER_STRIPES + 3) {
-            let sale = sb
-                .buy(
-                    ModelKind::LinearRegression,
-                    PurchaseRequest::AtNcp(0.5),
-                    &pf,
-                    &SquareLossTransform,
-                    &mut rng,
-                )
-                .unwrap();
+            let sale = buy_one(&sb, 0.5, &mut rng);
             paid.push(sale.price);
         }
         // Before reconciliation the counts already include striped state.
@@ -612,7 +545,6 @@ mod tests {
     fn striped_broker_contends_less_than_single_mutex() {
         let threads = 8usize;
         let per_thread = 24usize;
-        let pf = pricing();
 
         // --- Reference: the pre-PR design, one global Mutex<Broker>. ---
         let mutex_contention = {
@@ -628,7 +560,6 @@ mod tests {
                     let broker = Arc::clone(&broker);
                     let misses = Arc::clone(&misses);
                     let start = Arc::clone(&start);
-                    let pf = pf.clone();
                     let seed = seeds.next_seed();
                     thread::spawn(move || {
                         let mut rng = seeded_rng(seed);
@@ -641,11 +572,9 @@ mod tests {
                                     broker.lock()
                                 }
                             };
-                            g.buy(
+                            g.buy_listed(
                                 ModelKind::LinearRegression,
                                 PurchaseRequest::AtNcp(0.5),
-                                &pf,
-                                &SquareLossTransform,
                                 &mut rng,
                             )
                             .expect("purchase failed");
@@ -673,22 +602,13 @@ mod tests {
             .map(|_| {
                 let sb = sb.clone();
                 let start = Arc::clone(&start);
-                let pf = pf.clone();
                 let seed = seeds.next_seed();
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
                     start.wait();
                     let mut paid = 0.0;
                     for _ in 0..per_thread {
-                        let sale = sb
-                            .buy(
-                                ModelKind::LinearRegression,
-                                PurchaseRequest::AtNcp(0.5),
-                                &pf,
-                                &SquareLossTransform,
-                                &mut rng,
-                            )
-                            .expect("purchase failed");
+                        let sale = buy_one(&sb, 0.5, &mut rng);
                         paid += sale.price;
                     }
                     paid

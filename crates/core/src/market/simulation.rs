@@ -1,20 +1,19 @@
 //! Monte-Carlo market simulation: a stream of buyers drawn from the
-//! seller's research curves purchases (or declines) against a pricing
-//! function, validating that the revenue the optimizer *predicts* is the
-//! revenue the market *realizes*.
+//! seller's research curves purchases (or declines) against the broker's
+//! published listing, validating that the revenue the optimizer *predicts*
+//! is the revenue the market *realizes*.
 //!
 //! Each simulated buyer samples an accuracy preference from the demand
 //! curve, a valuation from the value curve (optionally jittered to model
 //! research error), and buys the model at their preferred precision iff
 //! the listed price is within their valuation — exactly the buyer model of
-//! Section 5's `T_bv` objective.
+//! Section 5's `T_bv` objective. Purchases run through the listed-purchase
+//! kernel ([`Broker::quote_batch_into`]), like every other sale.
 
-use crate::error::ErrorTransform;
-use crate::market::agents::{Broker, MarketError, PurchaseRequest, Seller, Transaction};
-use crate::pricing::PricingFunction;
+use crate::market::agents::{Broker, MarketError, PurchaseRequest, SaleArena, Seller};
 use crate::revenue;
 use mbp_ml::ModelKind;
-use mbp_randx::{seeded_rng, Categorical, Distribution, MbpRng, Normal, SeedStream};
+use mbp_randx::{seeded_rng, Categorical, Distribution, Normal, SeedStream};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -64,12 +63,29 @@ impl SimulationOutcome {
     }
 }
 
-/// Runs a selling season for `kind` against `pricing`.
+/// Buyers per shard in [`simulate_market`]. The shard layout is a pure
+/// function of `n_buyers`, so outcomes are independent of the thread
+/// count executing the shards.
+pub const SHARD_BUYERS: usize = 512;
+
+/// Runs a selling season for `kind` against the broker's published listing.
 ///
-/// The broker must already support `kind`. Buyers who can afford their
-/// preferred precision purchase through the normal [`Broker::buy`] path
-/// (so the ledger and the released noisy instances are real); the rest
-/// walk away.
+/// The buyer stream is split into [`SHARD_BUYERS`]-sized shards over the
+/// `mbp-par` pool (at one thread, shard after shard on the caller). Shard
+/// `i` seeds one RNG with the `i`-th seed of a [`SeedStream`] rooted at
+/// `master_seed`, draws every buyer's arrival and valuation from it, and
+/// sends the buyers who accept the listed price through one
+/// [`Broker::quote_batch_into`] call, which draws the release noise from
+/// the same RNG. Shards then settle in shard order, each sale to the
+/// broker's durability sink and then onto its ledger. The outcome —
+/// counts, realized revenue, the ledger sequence and the released noise —
+/// therefore depends only on `(cfg, master_seed)`, never on the thread
+/// count. Predicted revenue and affordability are computed from the listed
+/// pricing.
+///
+/// # Errors
+/// [`MarketError::UnsupportedModel`] when `kind` has no listing. A
+/// rejected purchase fails the whole season, and nothing is settled.
 ///
 /// # Panics
 /// Panics when `cfg.n_buyers == 0` or the jitter is negative.
@@ -77,226 +93,17 @@ pub fn simulate_market(
     broker: &mut Broker,
     seller: &Seller,
     kind: ModelKind,
-    pricing: &PricingFunction,
-    transform: &dyn ErrorTransform,
     cfg: SimulationConfig,
-    rng: &mut MbpRng,
-) -> Result<SimulationOutcome, MarketError> {
-    assert!(cfg.n_buyers > 0, "need at least one buyer");
-    assert!(
-        cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
-        "jitter must be >= 0"
-    );
-    let population = seller.buyer_population();
-    let predicted_revenue_per_buyer = revenue::revenue(pricing, &population);
-    let predicted_affordability = revenue::affordability(pricing, &population);
-    let demands: Vec<f64> = population.iter().map(|p| p.demand).collect();
-    let arrivals = Categorical::new(&demands);
-    let jitter = Normal::new(0.0, 1.0);
-
-    let _span = mbp_obs::span("mbp.core.simulate");
-    let ledger_before = broker.total_revenue();
-    let mut served = 0usize;
-    let mut declined = 0usize;
-    for _ in 0..cfg.n_buyers {
-        let idx = arrivals.sample(rng);
-        let point = &population[idx];
-        let valuation = if cfg.valuation_jitter > 0.0 {
-            (point.valuation * (1.0 + cfg.valuation_jitter * jitter.sample(rng))).max(0.0)
-        } else {
-            point.valuation
-        };
-        let price = pricing.price_at(point.a);
-        if price <= valuation + 1e-12 {
-            broker.buy(
-                kind,
-                PurchaseRequest::AtNcp(1.0 / point.a),
-                pricing,
-                transform,
-                rng,
-            )?;
-            served += 1;
-        } else {
-            declined += 1;
-        }
-    }
-    let realized = broker.total_revenue() - ledger_before;
-    mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
-    mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
-    mbp_obs::event(
-        mbp_obs::Verbosity::Info,
-        "mbp.core.simulate",
-        "season complete",
-        &[
-            ("buyers", cfg.n_buyers.to_string()),
-            ("served", served.to_string()),
-            ("declined", declined.to_string()),
-            (
-                "realized_per_buyer",
-                format!("{:.6}", realized / cfg.n_buyers as f64),
-            ),
-        ],
-    );
-    Ok(SimulationOutcome {
-        predicted_revenue_per_buyer,
-        realized_revenue_per_buyer: realized / cfg.n_buyers as f64,
-        served,
-        declined,
-        predicted_affordability,
-    })
-}
-
-/// Runs a selling season against the *published* listing for `kind`,
-/// submitting buyers in batches of `batch_size` through
-/// [`Broker::buy_batch`] — the serving fast path: one listing lookup and
-/// one compiled-table resolution per batch instead of per buyer.
-///
-/// The broker must already [`Broker::publish`] a listing for `kind`; its
-/// pricing is used both to quote buyers and to compute the predicted
-/// revenue. Randomness is rooted at `master_seed`, split into one stream
-/// for buyer arrivals/valuations and one for release noise, so the full
-/// outcome — counts, ledger sequence, revenue, and the released noise —
-/// is identical for every `batch_size`.
-///
-/// # Panics
-/// Panics when `cfg.n_buyers == 0`, `batch_size == 0`, or the jitter is
-/// negative.
-pub fn simulate_market_batched(
-    broker: &mut Broker,
-    seller: &Seller,
-    kind: ModelKind,
-    cfg: SimulationConfig,
-    batch_size: usize,
     master_seed: u64,
 ) -> Result<SimulationOutcome, MarketError> {
     assert!(cfg.n_buyers > 0, "need at least one buyer");
-    assert!(batch_size > 0, "batch size must be positive");
     assert!(
         cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
         "jitter must be >= 0"
     );
     let pricing = broker
         .listed_pricing(kind)
-        .ok_or(MarketError::UnsupportedModel(kind))?
-        .clone();
-    let population = seller.buyer_population();
-    let predicted_revenue_per_buyer = revenue::revenue(&pricing, &population);
-    let predicted_affordability = revenue::affordability(&pricing, &population);
-    let demands: Vec<f64> = population.iter().map(|p| p.demand).collect();
-    let arrivals = Categorical::new(&demands);
-    let jitter = Normal::new(0.0, 1.0);
-
-    let _span = mbp_obs::span("mbp.core.simulate");
-    let mut seeds = SeedStream::new(master_seed);
-    let mut buyer_rng = seeded_rng(seeds.next_seed());
-    let mut noise_rng = seeded_rng(seeds.next_seed());
-    let ledger_before = broker.total_revenue();
-    broker.reserve_ledger(cfg.n_buyers);
-    let mut requests: Vec<PurchaseRequest> = Vec::with_capacity(batch_size);
-    let mut served = 0usize;
-    let mut declined = 0usize;
-    let mut remaining = cfg.n_buyers;
-    while remaining > 0 {
-        let take = remaining.min(batch_size);
-        requests.clear();
-        for _ in 0..take {
-            let idx = arrivals.sample(&mut buyer_rng);
-            let point = &population[idx];
-            let valuation = if cfg.valuation_jitter > 0.0 {
-                (point.valuation * (1.0 + cfg.valuation_jitter * jitter.sample(&mut buyer_rng)))
-                    .max(0.0)
-            } else {
-                point.valuation
-            };
-            let price = pricing.price_at(point.a);
-            if price <= valuation + 1e-12 {
-                requests.push(PurchaseRequest::AtNcp(1.0 / point.a));
-            } else {
-                declined += 1;
-            }
-        }
-        // The whole batched season is a pure function of `master_seed`, so
-        // every batch's traces carry it as the replay seed: re-running the
-        // season from a slow exemplar's seed reproduces the quote.
-        mbp_obs::set_request_seed(master_seed);
-        // A chunk where every buyer declined yields no requests; batch
-        // entry points reject empty batches as a caller error, so skip.
-        if !requests.is_empty() {
-            for result in broker.buy_batch(kind, &requests, &mut noise_rng)? {
-                result?;
-                served += 1;
-            }
-        }
-        remaining -= take;
-    }
-    let realized = broker.total_revenue() - ledger_before;
-    mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
-    mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
-    mbp_obs::event(
-        mbp_obs::Verbosity::Info,
-        "mbp.core.simulate",
-        "batched season complete",
-        &[
-            ("buyers", cfg.n_buyers.to_string()),
-            ("batch_size", batch_size.to_string()),
-            ("served", served.to_string()),
-            ("declined", declined.to_string()),
-            (
-                "realized_per_buyer",
-                format!("{:.6}", realized / cfg.n_buyers as f64),
-            ),
-        ],
-    );
-    Ok(SimulationOutcome {
-        predicted_revenue_per_buyer,
-        realized_revenue_per_buyer: realized / cfg.n_buyers as f64,
-        served,
-        declined,
-        predicted_affordability,
-    })
-}
-
-/// Buyers per shard in [`simulate_market_sharded`]. The shard layout is a
-/// pure function of `n_buyers`, so outcomes are independent of the thread
-/// count executing the shards.
-pub const SHARD_BUYERS: usize = 512;
-
-/// Per-shard partial outcome, merged in shard-index order.
-struct ShardOutcome {
-    served: usize,
-    declined: usize,
-    paid: f64,
-    txs: Vec<Transaction>,
-}
-
-/// Runs a selling season with buyers sharded across the `mbp-par` pool.
-///
-/// Semantics match [`simulate_market`] except that randomness is rooted at
-/// `master_seed` instead of a caller-held RNG: each fixed-size shard of
-/// buyers draws from its own RNG derived through an [`mbp_randx::SeedStream`]
-/// (seed `i` for shard `i`), quotes purchases against the shared `&Broker`
-/// state, and the per-shard ledgers are settled into the broker in
-/// shard-index order. Both the shard layout and the seed assignment depend
-/// only on `(n_buyers, master_seed)`, so the outcome — counts, realized
-/// revenue, and the exact ledger sequence — is identical at every thread
-/// count, including fully sequential execution.
-///
-/// # Panics
-/// Panics when `cfg.n_buyers == 0` or the jitter is negative.
-pub fn simulate_market_sharded(
-    broker: &mut Broker,
-    seller: &Seller,
-    kind: ModelKind,
-    pricing: &PricingFunction,
-    transform: &(dyn ErrorTransform + Sync),
-    cfg: SimulationConfig,
-    master_seed: u64,
-) -> Result<SimulationOutcome, MarketError> {
-    assert!(cfg.n_buyers > 0, "need at least one buyer");
-    assert!(
-        cfg.valuation_jitter >= 0.0 && cfg.valuation_jitter.is_finite(),
-        "jitter must be >= 0"
-    );
+        .ok_or(MarketError::UnsupportedModel(kind))?;
     let population = seller.buyer_population();
     let predicted_revenue_per_buyer = revenue::revenue(pricing, &population);
     let predicted_affordability = revenue::affordability(pricing, &population);
@@ -310,68 +117,62 @@ pub fn simulate_market_sharded(
     let mut seeds = SeedStream::new(master_seed);
     let shard_seeds: Vec<u64> = (0..n_shards).map(|_| seeds.next_seed()).collect();
 
-    let shards: Vec<Result<ShardOutcome, MarketError>> = {
+    let shards = {
         let broker = &*broker;
         mbp_par::par_map_chunks(cfg.n_buyers, SHARD_BUYERS, |range| {
-            let shard_index = range.start / SHARD_BUYERS;
-            let mut rng = seeded_rng(shard_seeds[shard_index]);
-            let mut out = ShardOutcome {
-                served: 0,
-                declined: 0,
-                paid: 0.0,
-                txs: Vec::new(),
-            };
-            for _ in range {
-                let idx = arrivals.sample(&mut rng);
-                let point = &population[idx];
+            let seed = shard_seeds[range.start / SHARD_BUYERS];
+            let mut rng = seeded_rng(seed);
+            let n = range.len();
+            let mut requests = Vec::with_capacity(n);
+            for _ in 0..n {
+                let point = &population[arrivals.sample(&mut rng)];
                 let valuation = if cfg.valuation_jitter > 0.0 {
                     (point.valuation * (1.0 + cfg.valuation_jitter * jitter.sample(&mut rng)))
                         .max(0.0)
                 } else {
                     point.valuation
                 };
-                let price = pricing.price_at(point.a);
-                if price <= valuation + 1e-12 {
-                    // A slow quote replays by re-running its whole shard
-                    // (the shard RNG is shared by every buyer in it).
-                    mbp_obs::set_request_seed(shard_seeds[shard_index]);
-                    let (sale, tx) = broker.quote(
-                        kind,
-                        PurchaseRequest::AtNcp(1.0 / point.a),
-                        pricing,
-                        transform,
-                        &mut rng,
-                    )?;
-                    out.paid += sale.price;
-                    out.txs.push(tx);
-                    out.served += 1;
-                } else {
-                    out.declined += 1;
+                if pricing.price_at(point.a) <= valuation + 1e-12 {
+                    requests.push(PurchaseRequest::AtNcp(1.0 / point.a));
                 }
             }
-            Ok(out)
+            let declined = n - requests.len();
+            let mut arena = SaleArena::new();
+            // The kernel rejects an empty batch as a caller error, so a
+            // shard in which every buyer declined buys nothing.
+            if !requests.is_empty() {
+                // A slow batch replays by re-running its shard from `seed`.
+                mbp_obs::set_request_seed(seed);
+                broker.quote_batch_into(kind, &requests, &mut rng, &mut arena)?;
+                if let Some(e) = arena.results().find_map(Result::err) {
+                    return Err(e.clone());
+                }
+            }
+            Ok((declined, arena))
         })
     };
 
     // Deterministic merge: shards settle in shard-index order, so the
     // ledger sequence and the floating-point revenue sum never depend on
     // which thread ran which shard.
+    let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut served = 0usize;
     let mut declined = 0usize;
     let mut realized = 0.0f64;
-    for shard in shards {
-        let shard = shard?;
-        served += shard.served;
-        declined += shard.declined;
-        realized += shard.paid;
-        broker.settle(shard.txs);
+    for (shard_declined, arena) in &shards {
+        declined += shard_declined;
+        for sale in arena.results().flatten() {
+            served += 1;
+            realized += sale.price;
+        }
+        broker.settle_arena(kind, arena);
     }
     mbp_obs::counter_add("mbp.core.simulate.served", served as u64);
     mbp_obs::counter_add("mbp.core.simulate.declined", declined as u64);
     mbp_obs::event(
         mbp_obs::Verbosity::Info,
         "mbp.core.simulate",
-        "sharded season complete",
+        "season complete",
         &[
             ("buyers", cfg.n_buyers.to_string()),
             ("shards", n_shards.to_string()),
@@ -397,9 +198,15 @@ mod tests {
     use super::*;
     use crate::error::SquareLossTransform;
     use crate::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
+    use crate::market::{DurabilitySink, Transaction};
+    use crate::pricing::PricingFunction;
     use mbp_data::synth;
-    use mbp_randx::seeded_rng;
+    use std::sync::{Arc, Mutex};
 
+    const KIND: ModelKind = ModelKind::LinearRegression;
+
+    /// A seller and a broker with linear regression listed at the
+    /// research-derived DP pricing.
     fn setup(seed: u64) -> (Seller, Broker) {
         let mut rng = seeded_rng(seed);
         let data = synth::simulated1(800, 4, 0.5, &mut rng).split(0.75, &mut rng);
@@ -410,30 +217,29 @@ mod tests {
             DemandCurve::new(DemandShape::Uniform),
         );
         let mut broker = Broker::new(data);
-        broker
-            .support(ModelKind::LinearRegression, 1e-6)
-            .expect("train");
+        broker.support(KIND, 1e-6).expect("train");
+        let pricing = broker.price_from_research(&seller).pricing;
+        list(&mut broker, pricing);
         (seller, broker)
+    }
+
+    fn list(broker: &mut Broker, pricing: PricingFunction) {
+        broker
+            .publish(KIND, pricing, Box::new(SquareLossTransform))
+            .unwrap();
+    }
+
+    fn config(n_buyers: usize, valuation_jitter: f64) -> SimulationConfig {
+        SimulationConfig {
+            n_buyers,
+            valuation_jitter,
+        }
     }
 
     #[test]
     fn realized_revenue_matches_prediction_without_jitter() {
         let (seller, mut broker) = setup(71);
-        let pricing = broker.price_from_research(&seller).pricing;
-        let mut rng = seeded_rng(72);
-        let out = simulate_market(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            &pricing,
-            &SquareLossTransform,
-            SimulationConfig {
-                n_buyers: 4000,
-                valuation_jitter: 0.0,
-            },
-            &mut rng,
-        )
-        .unwrap();
+        let out = simulate_market(&mut broker, &seller, KIND, config(4000, 0.0), 72).unwrap();
         let rel = (out.realized_revenue_per_buyer - out.predicted_revenue_per_buyer).abs()
             / out.predicted_revenue_per_buyer;
         assert!(
@@ -446,26 +252,14 @@ mod tests {
         assert!(aff_gap < 0.03, "affordability gap {aff_gap}");
         assert_eq!(out.served + out.declined, 4000);
         assert_eq!(broker.ledger().len(), out.served);
+        let ledger_revenue = broker.total_revenue() / 4000.0;
+        assert!((ledger_revenue - out.realized_revenue_per_buyer).abs() < 1e-9);
     }
 
     #[test]
     fn jitter_serves_some_marginal_buyers_both_ways() {
         let (seller, mut broker) = setup(73);
-        let pricing = broker.price_from_research(&seller).pricing;
-        let mut rng = seeded_rng(74);
-        let out = simulate_market(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            &pricing,
-            &SquareLossTransform,
-            SimulationConfig {
-                n_buyers: 2000,
-                valuation_jitter: 0.3,
-            },
-            &mut rng,
-        )
-        .unwrap();
+        let out = simulate_market(&mut broker, &seller, KIND, config(2000, 0.3), 74).unwrap();
         // With jitter the outcome still lands in a sane band around the
         // prediction (prices sit at valuations, so jitter pushes marginal
         // buyers out roughly half the time).
@@ -477,169 +271,83 @@ mod tests {
     #[test]
     fn higher_prices_reduce_realized_affordability() {
         let (seller, mut broker) = setup(75);
-        let dp = broker.price_from_research(&seller).pricing;
+        let dp = broker.listed_pricing(KIND).unwrap().clone();
+        let cheap_out =
+            simulate_market(&mut broker, &seller, KIND, SimulationConfig::default(), 76).unwrap();
         let expensive = PricingFunction::from_points(
             dp.grid().to_vec(),
             dp.prices().iter().map(|p| p * 3.0).collect(),
         )
         .unwrap();
-        let mut rng = seeded_rng(76);
-        let cheap_out = simulate_market(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            &dp,
-            &SquareLossTransform,
-            SimulationConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        let costly_out = simulate_market(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            &expensive,
-            &SquareLossTransform,
-            SimulationConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
+        list(&mut broker, expensive);
+        // The same seed replays the same buyers against the dearer listing.
+        let costly_out =
+            simulate_market(&mut broker, &seller, KIND, SimulationConfig::default(), 76).unwrap();
         assert!(costly_out.realized_affordability() < cheap_out.realized_affordability());
     }
 
+    /// Several shards, one of them partial: counts, revenue and the exact
+    /// ledger bits are the same at every thread count.
     #[test]
-    fn sharded_simulation_is_deterministic_across_thread_counts() {
+    fn season_is_deterministic_across_thread_counts() {
         let run = |threads: usize| {
             let (seller, mut broker) = setup(81);
-            let pricing = broker.price_from_research(&seller).pricing;
             mbp_par::with_threads(threads, || {
-                let out = simulate_market_sharded(
-                    &mut broker,
-                    &seller,
-                    ModelKind::LinearRegression,
-                    &pricing,
-                    &SquareLossTransform,
-                    SimulationConfig {
-                        n_buyers: 3000,
-                        valuation_jitter: 0.1,
-                    },
-                    4242,
-                )
-                .unwrap();
-                let prices: Vec<f64> = broker.ledger().iter().map(|t| t.price).collect();
+                let out =
+                    simulate_market(&mut broker, &seller, KIND, config(3000, 0.1), 4242).unwrap();
+                let ledger: Vec<(u64, u64)> = broker
+                    .ledger()
+                    .iter()
+                    .map(|t| (t.ncp.to_bits(), t.price.to_bits()))
+                    .collect();
                 (
                     out.served,
                     out.declined,
-                    out.realized_revenue_per_buyer,
-                    prices,
+                    out.realized_revenue_per_buyer.to_bits(),
+                    ledger,
                 )
             })
         };
         let one = run(1);
-        let two = run(2);
-        let four = run(4);
-        assert_eq!(one, two);
-        assert_eq!(two, four);
+        assert_eq!(one, run(2));
+        assert_eq!(one, run(4));
         assert!(one.0 > 0, "some buyers must be served");
         assert_eq!(one.0 + one.1, 3000);
         assert_eq!(one.3.len(), one.0, "one ledger entry per served buyer");
     }
 
-    #[test]
-    fn sharded_simulation_tracks_prediction_like_the_sequential_path() {
-        let (seller, mut broker) = setup(83);
-        let pricing = broker.price_from_research(&seller).pricing;
-        let out = simulate_market_sharded(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            &pricing,
-            &SquareLossTransform,
-            SimulationConfig {
-                n_buyers: 4000,
-                valuation_jitter: 0.0,
-            },
-            97,
-        )
-        .unwrap();
-        let rel = (out.realized_revenue_per_buyer - out.predicted_revenue_per_buyer).abs()
-            / out.predicted_revenue_per_buyer;
-        assert!(
-            rel < 0.05,
-            "realized {} vs predicted {}",
-            out.realized_revenue_per_buyer,
-            out.predicted_revenue_per_buyer
-        );
-        assert_eq!(broker.ledger().len(), out.served);
+    /// Records every sale a broker forwards, in order.
+    #[derive(Default)]
+    struct SaleLog(Mutex<Vec<Transaction>>);
+
+    impl DurabilitySink for SaleLog {
+        fn record_sale(&self, tx: &Transaction) {
+            self.0.lock().unwrap().push(tx.clone());
+        }
+        fn record_support(&self, _: ModelKind, _: f64) {}
+        fn record_publish(&self, _: ModelKind, _: &[f64], _: &[f64]) {}
+        fn record_epoch(&self, _: u64) {}
+        fn record_rng_cursor(&self, _: u64, _: u64) {}
     }
 
-    /// The batched season is a pure function of the master seed: every
-    /// batch size yields the same counts, ledger, and revenue, and it
-    /// tracks the research prediction like the sequential path.
+    /// Every simulated sale reaches the durability sink, in ledger order.
     #[test]
-    fn batched_simulation_is_invariant_to_batch_size() {
-        let run = |batch_size: usize| {
-            let (seller, mut broker) = setup(85);
-            let pricing = broker.price_from_research(&seller).pricing;
-            broker
-                .publish(
-                    ModelKind::LinearRegression,
-                    pricing,
-                    Box::new(SquareLossTransform),
-                )
-                .unwrap();
-            let out = simulate_market_batched(
-                &mut broker,
-                &seller,
-                ModelKind::LinearRegression,
-                SimulationConfig {
-                    n_buyers: 2000,
-                    valuation_jitter: 0.1,
-                },
-                batch_size,
-                5151,
-            )
-            .unwrap();
-            let prices: Vec<f64> = broker.ledger().iter().map(|t| t.price).collect();
-            (
-                out.served,
-                out.declined,
-                out.realized_revenue_per_buyer,
-                out.predicted_revenue_per_buyer,
-                prices,
-            )
-        };
-        let small = run(64);
-        let medium = run(256);
-        let whole = run(2000);
-        assert_eq!(small, medium);
-        assert_eq!(medium, whole);
-        assert!(small.0 > 0, "some buyers must be served");
-        assert_eq!(small.0 + small.1, 2000);
-        assert_eq!(small.4.len(), small.0);
-        // DP prices sit at valuations, so jitter pushes marginal buyers out
-        // roughly half the time; the realized revenue lands in the same
-        // sane band the sequential jittered season is held to.
-        assert!(
-            small.2 > 0.2 * small.3 && small.2 < 1.5 * small.3,
-            "realized {} vs predicted {}",
-            small.2,
-            small.3
-        );
+    fn season_records_every_sale_to_the_durability_sink() {
+        let (seller, mut broker) = setup(79);
+        let log = Arc::new(SaleLog::default());
+        broker.set_durability(log.clone());
+        let out = simulate_market(&mut broker, &seller, KIND, config(1200, 0.1), 80).unwrap();
+        assert!(out.served > 0);
+        assert_eq!(*log.0.lock().unwrap(), broker.ledger());
     }
 
     #[test]
-    fn batched_simulation_requires_a_listing() {
-        let (seller, mut broker) = setup(86);
-        let err = simulate_market_batched(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            SimulationConfig::default(),
-            128,
-            1,
-        )
-        .unwrap_err();
+    fn simulation_requires_a_listing() {
+        let (seller, _) = setup(86);
+        let mut unlisted = Broker::new(seller.data.clone());
+        unlisted.support(KIND, 1e-6).unwrap();
+        let err = simulate_market(&mut unlisted, &seller, KIND, SimulationConfig::default(), 1)
+            .unwrap_err();
         assert!(matches!(err, MarketError::UnsupportedModel(_)));
     }
 
@@ -647,19 +355,6 @@ mod tests {
     #[should_panic(expected = "at least one buyer")]
     fn zero_buyers_panics() {
         let (seller, mut broker) = setup(77);
-        let pricing = broker.price_from_research(&seller).pricing;
-        let mut rng = seeded_rng(78);
-        let _ = simulate_market(
-            &mut broker,
-            &seller,
-            ModelKind::LinearRegression,
-            &pricing,
-            &SquareLossTransform,
-            SimulationConfig {
-                n_buyers: 0,
-                valuation_jitter: 0.0,
-            },
-            &mut rng,
-        );
+        let _ = simulate_market(&mut broker, &seller, KIND, config(0, 0.0), 78);
     }
 }

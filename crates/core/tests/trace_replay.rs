@@ -1,7 +1,7 @@
 //! End-to-end causal-tracing acceptance tests: a planted slow quote lands
 //! in the flight recorder as an exemplar carrying its replay seed, and
 //! re-running the request from that seed reproduces both the released
-//! model and the canonical span tree; sharded simulation emits identical
+//! model and the canonical span tree; a simulated season emits identical
 //! span trees at every thread count.
 //!
 //! Obs state is process-global, so every test here serializes on one lock
@@ -10,7 +10,7 @@
 
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
-use mbp_core::market::simulation::{simulate_market_sharded, SimulationConfig};
+use mbp_core::market::simulation::{simulate_market, SimulationConfig};
 use mbp_core::market::{Broker, PurchaseRequest, Sale, Seller};
 use mbp_core::PricingFunction;
 use mbp_ml::ModelKind;
@@ -121,9 +121,10 @@ fn slow_quote_exemplar_carries_seed_and_replays_identically() {
     disarm();
 }
 
-/// Satellite: the sharded simulation emits the same multiset of canonical
-/// span trees at 1 and 4 worker threads — the span context follows work
-/// across `mbp-par` and only timings/id assignment may differ.
+/// Satellite: a simulated season emits the same multiset of canonical
+/// span trees at 1 and 4 worker threads — one `mbp.core.buy` trace per
+/// shard batch; the span context follows work across `mbp-par` and only
+/// timings/id assignment may differ.
 #[test]
 fn sharded_simulation_span_trees_match_across_thread_counts() {
     let _g = serial();
@@ -140,13 +141,18 @@ fn sharded_simulation_span_trees_match_across_thread_counts() {
         let mut broker = Broker::new(data);
         broker.support(ModelKind::LinearRegression, 1e-6).unwrap();
         let pricing = broker.price_from_research(&seller).pricing;
+        broker
+            .publish(
+                ModelKind::LinearRegression,
+                pricing,
+                Box::new(SquareLossTransform),
+            )
+            .unwrap();
         let out = mbp_par::with_threads(threads, || {
-            simulate_market_sharded(
+            simulate_market(
                 &mut broker,
                 &seller,
                 ModelKind::LinearRegression,
-                &pricing,
-                &SquareLossTransform,
                 SimulationConfig {
                     n_buyers: 600,
                     valuation_jitter: 0.0,
@@ -162,7 +168,8 @@ fn sharded_simulation_span_trees_match_across_thread_counts() {
             .filter(|s| s.name == "mbp.core.buy")
             .map(|s| s.trace)
             .collect();
-        assert_eq!(out.served, quote_traces.len(), "one trace per quote");
+        // 600 buyers make two 512-buyer shards, each buying in one batch.
+        assert_eq!(quote_traces.len(), 2, "one trace per shard batch");
         let mut trees: Vec<String> = quote_traces
             .iter()
             .map(|&t| mbp_obs::canonical_tree(&spans, t))

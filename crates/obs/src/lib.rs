@@ -16,10 +16,11 @@
 //!
 //! Everything is off by default. [`enable`] flips a single atomic flag; when
 //! disabled, every recording call returns after one relaxed atomic load, so
-//! instrumented hot paths (e.g. `Broker::buy`) pay no measurable cost.
+//! instrumented hot paths (e.g. `Broker::buy_batch_into`) pay no measurable
+//! cost.
 //!
 //! Metric names follow `mbp.<crate>.<unit>`, e.g. `mbp.core.buy.count`,
-//! `mbp.core.buy.seconds`, `mbp.optim.revenue.iterations`. Exporters live in
+//! `mbp.core.buy_batch.seconds`, `mbp.optim.revenue.iterations`. Exporters live in
 //! [`export`]: Prometheus text ([`to_prometheus`]), JSON ([`to_json`]), and
 //! JSON-lines for events ([`events_to_jsonl`]); a human-readable table
 //! renderer lives in `mbp_bench::report`.

@@ -31,7 +31,9 @@
 //!   crate plugs its recovery in through closures, so this crate stays
 //!   storage-agnostic);
 //! * [`corpus`] — persisted regression corpora (`testkit/corpus/`): every
-//!   counterexample the engine ever found replays first on later runs.
+//!   counterexample the engine ever found replays first on later runs;
+//! * [`reference`](mod@reference) — the caller-priced scan purchase,
+//!   which the broker's compiled listing kernel must match bit for bit.
 //!
 //! Everything is reproducible from a printed 64-bit seed alone.
 
@@ -42,6 +44,7 @@ pub mod attack;
 pub mod corpus;
 pub mod crash;
 pub mod oracle;
+pub mod reference;
 pub mod schedule;
 
 pub use attack::{attack_curve, attack_error_space, AttackConfig, AttackReport, Violation};

@@ -126,8 +126,8 @@ impl ScheduleReport {
 enum Op {
     /// Batch purchase against the published listing (compiled-table path).
     BuyBatch(Vec<PurchaseRequest>),
-    /// Single purchase through the scan path with an explicit curve.
-    BuyScan(PurchaseRequest),
+    /// Single purchase against the published listing.
+    BuyOne(PurchaseRequest),
     /// Re-publish the listing with curve `A` (0) or `B` (1).
     Republish(usize),
     /// Read `sales_count` / `total_revenue`.
@@ -169,7 +169,7 @@ fn random_op(rng: &mut MbpRng, faults: bool) -> Op {
             let n = rng.gen_range(1usize..4);
             Op::BuyBatch((0..n).map(|_| random_request(rng)).collect())
         }
-        4..=5 => Op::BuyScan(random_request(rng)),
+        4..=5 => Op::BuyOne(random_request(rng)),
         6..=7 => Op::Republish(rng.gen_range(0usize..2)),
         8 => Op::Snapshot,
         9 => Op::Reconcile,
@@ -250,15 +250,10 @@ fn run_shared(
                     sale_obs(&mut obs, r);
                 }
             }
-            Op::BuyScan(req) => {
-                let r = sb.buy(
-                    kind,
-                    *req,
-                    &curves[current],
-                    &SquareLossTransform,
-                    &mut rngs[t],
-                );
-                sale_obs(&mut obs, &r);
+            Op::BuyOne(req) => {
+                for r in &sb.buy_batch(kind, &[*req], &mut rngs[t]).expect("listed") {
+                    sale_obs(&mut obs, r);
+                }
             }
             Op::Republish(i) => {
                 sb.publish(kind, curves[*i].clone(), Box::new(SquareLossTransform))
@@ -326,7 +321,6 @@ fn run_reference(
     let curves = curves();
     let mut rngs: Vec<MbpRng> = rng_seeds.iter().map(|&s| seeded_rng(s)).collect();
     let mut cursors = vec![0usize; programs.len()];
-    let mut current = 0usize;
     let mut obs = Vec::new();
     for &t in order {
         let op = &programs[t][cursors[t]];
@@ -338,21 +332,13 @@ fn run_reference(
                     sale_obs(&mut obs, r);
                 }
             }
-            Op::BuyScan(req) => {
-                let r = broker.buy(
-                    kind,
-                    *req,
-                    &curves[current],
-                    &SquareLossTransform,
-                    &mut rngs[t],
-                );
-                sale_obs(&mut obs, &r);
+            Op::BuyOne(req) => {
+                sale_obs(&mut obs, &broker.buy_listed(kind, *req, &mut rngs[t]));
             }
             Op::Republish(i) => {
                 broker
                     .publish(kind, curves[*i].clone(), Box::new(SquareLossTransform))
                     .expect("publish succeeds");
-                current = *i;
                 obs.push(Obs::Text(format!("publish {i}")));
             }
             Op::Snapshot => {

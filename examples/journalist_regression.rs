@@ -58,13 +58,15 @@ fn main() {
         transform.slope()
     );
 
-    // Alice spends her budget on the most accurate instance she can afford.
+    // The broker lists the curve; Alice spends her budget on the most
+    // accurate instance she can afford.
+    broker
+        .publish(ModelKind::LinearRegression, pricing, Box::new(transform))
+        .expect("linear regression is on the menu");
     let sale = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::PriceBudget(alice.budget),
-            &pricing,
-            &transform,
             &mut rng,
         )
         .expect("purchase failed");

@@ -51,6 +51,15 @@ fn main() {
     assert!(report.is_clean(), "DP pricing must be arbitrage-free");
     println!("arbitrage audit: clean");
 
+    // List the curve: buyers purchase against the published offer.
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            pricing.clone(),
+            Box::new(SquareLossTransform),
+        )
+        .expect("linear regression is on the menu");
+
     // --- Buyer: the three purchase modes. ---
     let transform = SquareLossTransform; // E[eps_s] = delta exactly (Lemma 3)
 
@@ -71,11 +80,9 @@ fn main() {
         );
     }
     let sale = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::AtNcp(0.02),
-            &pricing,
-            &transform,
             &mut rng,
         )
         .unwrap();
@@ -83,11 +90,9 @@ fn main() {
 
     // (2) Error budget: cheapest instance with expected error <= 0.05.
     let sale = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::ErrorBudget(0.05),
-            &pricing,
-            &transform,
             &mut rng,
         )
         .unwrap();
@@ -98,11 +103,9 @@ fn main() {
 
     // (3) Price budget: most accurate instance within 40 units.
     let sale = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::PriceBudget(40.0),
-            &pricing,
-            &transform,
             &mut rng,
         )
         .unwrap();

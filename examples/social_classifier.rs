@@ -58,12 +58,13 @@ fn main() {
     // Bob asks: "give me the cheapest classifier that is wrong at most 30%
     // of the time" (the noiseless model itself is wrong ~24% of the time —
     // the labels are intrinsically noisy).
+    broker
+        .publish(ModelKind::LogisticRegression, pricing, Box::new(transform))
+        .expect("logistic regression is on the menu");
     let target = 0.30;
-    match broker.buy(
+    match broker.buy_listed(
         ModelKind::LogisticRegression,
         PurchaseRequest::ErrorBudget(target),
-        &pricing,
-        &transform,
         &mut rng,
     ) {
         Ok(sale) => {
@@ -90,11 +91,9 @@ fn main() {
 
     // A tighter requirement than the noiseless floor is honestly refused.
     let impossible = floor * 0.5;
-    match broker.buy(
+    match broker.buy_listed(
         ModelKind::LogisticRegression,
         PurchaseRequest::ErrorBudget(impossible),
-        &pricing,
-        &transform,
         &mut rng,
     ) {
         Err(MarketError::UnachievableError(e)) => {

@@ -30,13 +30,15 @@
 //! broker.support(ModelKind::LinearRegression, 0.0).unwrap();
 //! let pricing = broker.price_from_research(&seller).pricing;
 //!
-//! // A buyer purchases the most accurate instance within budget.
+//! // The broker lists the curve, and a buyer purchases the most accurate
+//! // instance within budget against the listing.
+//! broker
+//!     .publish(ModelKind::LinearRegression, pricing, Box::new(SquareLossTransform))
+//!     .unwrap();
 //! let sale = broker
-//!     .buy(
+//!     .buy_listed(
 //!         ModelKind::LinearRegression,
 //!         PurchaseRequest::PriceBudget(40.0),
-//!         &pricing,
-//!         &SquareLossTransform,
 //!         &mut rng,
 //!     )
 //!     .unwrap();

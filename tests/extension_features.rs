@@ -150,12 +150,13 @@ fn delta_method_prices_error_budgets() {
     let pts = population();
     let pricing = solve_bv_dp(&pts).pricing;
     let target = transform.expected_error(0.02);
+    broker
+        .publish(ModelKind::LinearRegression, pricing, Box::new(transform))
+        .unwrap();
     let sale = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::ErrorBudget(target),
-            &pricing,
-            &transform,
             &mut rng,
         )
         .unwrap();

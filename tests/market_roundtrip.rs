@@ -27,15 +27,20 @@ fn full_regression_market_roundtrip() {
     let report = mbp::core::arbitrage::audit(&sol.pricing, &seller.grid, 10, 1e-6);
     assert!(report.is_clean(), "{report:?}");
 
-    // All three purchase modes succeed and are consistent.
+    // Publish the curve; all three purchase modes succeed against the
+    // listing and are consistent.
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            sol.pricing.clone(),
+            Box::new(SquareLossTransform),
+        )
+        .unwrap();
     let mut rng = seeded_rng(2);
-    let t = SquareLossTransform;
     let s1 = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::AtNcp(0.05),
-            &sol.pricing,
-            &t,
             &mut rng,
         )
         .unwrap();
@@ -43,11 +48,9 @@ fn full_regression_market_roundtrip() {
     assert!((s1.price - sol.pricing.price_for_ncp(0.05)).abs() < 1e-12);
 
     let s2 = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::ErrorBudget(0.08),
-            &sol.pricing,
-            &t,
             &mut rng,
         )
         .unwrap();
@@ -55,11 +58,9 @@ fn full_regression_market_roundtrip() {
 
     let budget = s1.price;
     let s3 = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::PriceBudget(budget),
-            &sol.pricing,
-            &t,
             &mut rng,
         )
         .unwrap();
@@ -91,14 +92,11 @@ fn all_three_menu_models_are_sellable() {
     ] {
         let mut broker = Broker::new(data);
         broker.support(kind, 1e-3).unwrap();
+        broker
+            .publish(kind, pricing.clone(), Box::new(SquareLossTransform))
+            .unwrap();
         let sale = broker
-            .buy(
-                kind,
-                PurchaseRequest::AtNcp(0.5),
-                &pricing,
-                &SquareLossTransform,
-                &mut rng,
-            )
+            .buy_listed(kind, PurchaseRequest::AtNcp(0.5), &mut rng)
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(sale.model.kind(), kind);
         assert!(sale.model.weights().is_finite());
@@ -111,22 +109,25 @@ fn repeated_sales_have_independent_noise() {
     let mut broker = Broker::new(seller.data.clone());
     broker.support(ModelKind::LinearRegression, 1e-6).unwrap();
     let pricing = broker.price_from_research(&seller).pricing;
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            pricing,
+            Box::new(SquareLossTransform),
+        )
+        .unwrap();
     let mut rng = seeded_rng(5);
     let a = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::AtNcp(0.5),
-            &pricing,
-            &SquareLossTransform,
             &mut rng,
         )
         .unwrap();
     let b = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::AtNcp(0.5),
-            &pricing,
-            &SquareLossTransform,
             &mut rng,
         )
         .unwrap();
@@ -167,12 +168,17 @@ fn csv_ingested_dataset_flows_through_market() {
     broker.support(ModelKind::LinearRegression, 1e-6).unwrap();
     let grid: Vec<f64> = vec![1.0, 2.0, 4.0];
     let pricing = PricingFunction::from_points(grid, vec![5.0, 8.0, 12.0]).unwrap();
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            pricing,
+            Box::new(SquareLossTransform),
+        )
+        .unwrap();
     let sale = broker
-        .buy(
+        .buy_listed(
             ModelKind::LinearRegression,
             PurchaseRequest::AtNcp(1.0),
-            &pricing,
-            &SquareLossTransform,
             &mut rng,
         )
         .unwrap();
@@ -196,12 +202,17 @@ fn mechanism_swap_does_not_change_prices() {
     ] {
         let mut broker = Broker::with_mechanism(seller.data.clone(), mech);
         broker.support(ModelKind::LinearRegression, 1e-6).unwrap();
+        broker
+            .publish(
+                ModelKind::LinearRegression,
+                pricing.clone(),
+                Box::new(SquareLossTransform),
+            )
+            .unwrap();
         let sale = broker
-            .buy(
+            .buy_listed(
                 ModelKind::LinearRegression,
                 PurchaseRequest::AtNcp(0.1),
-                &pricing,
-                &SquareLossTransform,
                 &mut rng,
             )
             .unwrap();

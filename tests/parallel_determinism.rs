@@ -18,7 +18,7 @@
 
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
-use mbp_core::market::simulation::{simulate_market_sharded, SimulationConfig};
+use mbp_core::market::simulation::{simulate_market, SimulationConfig};
 use mbp_core::market::{Broker, Seller};
 use mbp_core::mechanism::{GaussianMechanism, NoiseMechanism};
 use mbp_core::revenue::{solve_bv_dp, welfare, BuyerPoint};
@@ -164,12 +164,17 @@ fn sharded_market_season_is_identical_at_1_2_and_4_threads() {
             broker
                 .support(ModelKind::LinearRegression, 1e-6)
                 .expect("training failed");
-            let out = simulate_market_sharded(
+            broker
+                .publish(
+                    ModelKind::LinearRegression,
+                    pricing,
+                    Box::new(SquareLossTransform),
+                )
+                .expect("listed");
+            let out = simulate_market(
                 &mut broker,
                 &seller,
                 ModelKind::LinearRegression,
-                &pricing,
-                &SquareLossTransform,
                 SimulationConfig {
                     n_buyers: 2000,
                     valuation_jitter: 0.1,
@@ -177,10 +182,10 @@ fn sharded_market_season_is_identical_at_1_2_and_4_threads() {
                 818,
             )
             .expect("simulation failed");
-            let ledger: Vec<u64> = broker
+            let ledger: Vec<(u64, u64)> = broker
                 .ledger()
                 .iter()
-                .map(|tx| tx.price.to_bits())
+                .map(|tx| (tx.ncp.to_bits(), tx.price.to_bits()))
                 .collect();
             (
                 out.served,
