@@ -17,13 +17,18 @@
 //! * **serve-obs-metrics** — observability enabled, tracing off: the
 //!   pre-tracing production configuration (counters, gauges, span
 //!   histograms).
-//! * **serve-traced** — tracing on: span contexts, per-phase latency
-//!   attribution, and flight-recorder writes on every quote.
+//! * **serve-traced** — tracing on: span ids and contexts, the labeled
+//!   request histogram, and flight-recorder writes on every quote.
 //!   `overhead_enabled` compares this against `serve-obs-metrics` — the
 //!   marginal cost of turning tracing on — and must stay within ≤10%.
 //!
-//! Every workload runs its quote stream twice from the same seed;
-//! `deterministic` asserts both runs produced identical digests (tracing
+//! The four workloads run interleaved: each of nine rounds serves
+//! the whole quote stream once per workload, round-robin, starting one
+//! workload later each round. Drift in the machine's speed (frequency,
+//! neighbours on a shared host) then lands on every workload alike. Each
+//! overhead is the median of its per-round ratios, and each workload's
+//! time the median of its rounds. Every run starts from the same seed;
+//! `deterministic` asserts all rounds produced identical digests (tracing
 //! never touches the pricing or noise streams).
 
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
@@ -39,6 +44,17 @@ use std::time::Instant;
 /// (deterministic) sampling path.
 const MODEL_DIM: usize = 1024;
 
+/// Interleaved rounds per baseline; each runs every workload once.
+const ROUNDS: usize = 9;
+
+/// The workloads, in round-robin order.
+const WORKLOADS: [&str; 4] = [
+    "serve-floor",
+    "serve-obs-disabled",
+    "serve-obs-metrics",
+    "serve-traced",
+];
+
 /// One measured serve configuration.
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
@@ -46,13 +62,13 @@ pub struct TraceWorkload {
     pub name: &'static str,
     /// Quotes served in one run.
     pub quotes: usize,
-    /// Wall seconds for the faster of the two runs.
+    /// Median wall seconds of one run over the rounds.
     pub seconds: f64,
     /// Throughput derived from `seconds`.
     pub quotes_per_sec: f64,
     /// Scalar output digest of the first run.
     pub digest: f64,
-    /// Whether the second run reproduced `digest` exactly.
+    /// Whether every later run reproduced `digest` exactly.
     pub deterministic: bool,
 }
 
@@ -65,17 +81,19 @@ pub struct TraceBaseline {
     pub model_dim: usize,
     /// Quotes per workload run.
     pub quotes: usize,
+    /// Interleaved rounds; each ran every workload once.
+    pub rounds: usize,
     /// The four serve configurations, floor first.
     pub workloads: Vec<TraceWorkload>,
     /// Relative cost of the instrumented path with observability off,
     /// against the uninstrumented floor (`serve-obs-disabled` vs
-    /// `serve-floor`). Budget: ≤ 0.02.
+    /// `serve-floor`), the median over rounds. Budget: ≤ 0.02.
     pub overhead_disabled: f64,
     /// Marginal relative cost of turning tracing on, against the
-    /// metrics-enabled path (`serve-traced` vs `serve-obs-metrics`).
-    /// Budget: ≤ 0.10.
+    /// metrics-enabled path (`serve-traced` vs `serve-obs-metrics`), the
+    /// median over rounds. Budget: ≤ 0.10.
     pub overhead_enabled: f64,
-    /// Spans the flight recorder captured during the traced run.
+    /// Spans the flight recorder captured during one traced run.
     pub spans_recorded: u64,
     /// Tail-latency exemplars held after the traced run.
     pub exemplars: usize,
@@ -83,25 +101,14 @@ pub struct TraceBaseline {
     pub deterministic: bool,
 }
 
-fn timed(name: &'static str, quotes: usize, mut work: impl FnMut(usize) -> f64) -> TraceWorkload {
-    let t0 = Instant::now();
-    let digest_a = work(0);
-    let first = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let digest_b = work(1);
-    let second = t1.elapsed().as_secs_f64();
-    let seconds = first.min(second);
-    TraceWorkload {
-        name,
-        quotes,
-        seconds,
-        quotes_per_sec: if seconds > 0.0 {
-            quotes as f64 / seconds
-        } else {
-            0.0
-        },
-        digest: digest_a,
-        deterministic: digest_a == digest_b,
+/// The median of `v` (the mean of the middle two for an even length).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => v[n / 2],
+        _ => (v[n / 2 - 1] + v[n / 2]) / 2.0,
     }
 }
 
@@ -197,6 +204,39 @@ impl Floor {
         self.ledger.push((ncp, price, expected_error));
         price + ncp
     }
+
+    /// Serves the whole stream; returns its digest.
+    fn serve(&mut self, requests: &[PurchaseRequest], rng: &mut MbpRng) -> f64 {
+        self.ledger.clear();
+        requests.iter().map(|&r| self.quote(r, rng)).sum()
+    }
+}
+
+/// Serves the whole stream through the broker's zero-allocation buy
+/// path, one request per batch; returns its digest.
+fn serve(
+    broker: &mut Broker,
+    requests: &[PurchaseRequest],
+    rng: &mut MbpRng,
+    arena: &mut SaleArena,
+) -> f64 {
+    let mut digest = 0.0;
+    for (i, request) in requests.iter().enumerate() {
+        mbp_obs::set_request_seed(i as u64);
+        broker
+            .buy_batch_into(
+                ModelKind::LinearRegression,
+                std::slice::from_ref(request),
+                rng,
+                arena,
+            )
+            .expect("listing exists");
+        for sale in arena.results() {
+            let sale = sale.expect("request is satisfiable");
+            digest += sale.price + sale.ncp;
+        }
+    }
+    digest
 }
 
 /// Runs the tracing-overhead baseline at the committed listing dimension.
@@ -216,91 +256,85 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
     let prev_threshold_nanos = mbp_obs::slow_threshold_nanos();
     mbp_obs::set_tracing(false);
     mbp_obs::disable();
-
-    // serve-floor: uninstrumented reference.
-    let mut floors: Vec<(Floor, MbpRng)> = {
-        let broker = listed_broker(dim, &pricing);
-        (0..2)
-            .map(|_| (Floor::new(&broker, &pricing, quotes), seeded_rng(0x5e1)))
-            .collect()
-    };
-    let floor = timed("serve-floor", quotes, |run| {
-        let (state, rng) = &mut floors[run];
-        state.ledger.clear();
-        let mut digest = 0.0;
-        for &request in &requests {
-            digest += state.quote(request, rng);
-        }
-        digest
-    });
-    drop(floors);
-
-    // The three broker configurations share one serve closure.
-    let serve = |name: &'static str| -> TraceWorkload {
-        let mut brokers: Vec<(Broker, MbpRng, SaleArena)> = (0..2)
-            .map(|_| {
-                let mut broker = listed_broker(dim, &pricing);
-                broker.reserve_ledger(quotes);
-                (broker, seeded_rng(0x5e1), SaleArena::new())
-            })
-            .collect();
-        timed(name, quotes, |run| {
-            let (broker, rng, arena) = &mut brokers[run];
-            let mut digest = 0.0;
-            for (i, request) in requests.iter().enumerate() {
-                mbp_obs::set_request_seed(i as u64);
-                broker
-                    .buy_batch_into(
-                        ModelKind::LinearRegression,
-                        std::slice::from_ref(request),
-                        rng,
-                        arena,
-                    )
-                    .expect("listing exists");
-                for sale in arena.results() {
-                    let sale = sale.expect("request is satisfiable");
-                    digest += sale.price + sale.ncp;
-                }
-            }
-            digest
-        })
-    };
-
-    // serve-obs-disabled: real path, observability off.
-    let obs_disabled = serve("serve-obs-disabled");
-
-    // serve-obs-metrics: counters + span histograms on, tracing off.
-    mbp_obs::enable();
-    let obs_metrics = serve("serve-obs-metrics");
-
-    // serve-traced: full causal tracing + flight recorder.
     mbp_obs::set_slow_threshold_micros(u64::MAX / 1_000);
-    mbp_obs::set_tracing(true);
-    let spans_before = mbp_obs::recorded_spans();
-    let traced = serve("serve-traced");
-    let spans_recorded = mbp_obs::recorded_spans().saturating_sub(spans_before);
-    let exemplars = mbp_obs::exemplars().len();
 
+    let mut floor = Floor::new(&listed_broker(dim, &pricing), &pricing, quotes);
+    let mut brokers: Vec<Broker> = (1..WORKLOADS.len())
+        .map(|_| {
+            let mut broker = listed_broker(dim, &pricing);
+            broker.reserve_ledger(quotes * ROUNDS);
+            broker
+        })
+        .collect();
+    let mut arena = SaleArena::new();
+    // `runs[w]` holds workload `w`'s `(seconds, digest)` per round.
+    let mut runs: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(ROUNDS); WORKLOADS.len()];
+    let mut spans_recorded = 0;
+    for round in 0..ROUNDS {
+        for k in 0..WORKLOADS.len() {
+            let w = (round + k) % WORKLOADS.len();
+            // The floor and serve-obs-disabled run with observability
+            // off; serve-obs-metrics turns it on; serve-traced adds
+            // tracing.
+            mbp_obs::set_enabled(w >= 2);
+            mbp_obs::set_tracing(w == 3);
+            let spans_before = mbp_obs::recorded_spans();
+            let mut rng = seeded_rng(0x5e1);
+            let t0 = Instant::now();
+            let digest = match w {
+                0 => floor.serve(&requests, &mut rng),
+                _ => serve(&mut brokers[w - 1], &requests, &mut rng, &mut arena),
+            };
+            runs[w].push((t0.elapsed().as_secs_f64(), digest));
+            if w == 3 {
+                spans_recorded = mbp_obs::recorded_spans() - spans_before;
+            }
+        }
+    }
     mbp_obs::set_tracing(false);
     mbp_obs::set_slow_threshold_micros(prev_threshold_nanos / 1_000);
     mbp_obs::set_enabled(was_enabled);
+    let exemplars = mbp_obs::exemplars().len();
 
-    let rel = |num: &TraceWorkload, den: &TraceWorkload| {
-        if den.seconds > 0.0 {
-            num.seconds / den.seconds - 1.0
-        } else {
-            0.0
-        }
+    let workloads: Vec<TraceWorkload> = WORKLOADS
+        .iter()
+        .zip(&runs)
+        .map(|(&name, r)| {
+            let seconds = median(r.iter().map(|&(s, _)| s).collect());
+            let digest = r[0].1;
+            TraceWorkload {
+                name,
+                quotes,
+                seconds,
+                quotes_per_sec: if seconds > 0.0 {
+                    quotes as f64 / seconds
+                } else {
+                    0.0
+                },
+                digest,
+                deterministic: r.iter().all(|&(_, d)| d == digest),
+            }
+        })
+        .collect();
+    // The median over rounds of `num`'s time relative to `den`'s.
+    let overhead = |num: usize, den: usize| {
+        median(
+            runs[num]
+                .iter()
+                .zip(&runs[den])
+                .map(|(n, d)| n.0 / d.0 - 1.0)
+                .collect(),
+        )
     };
-    let overhead_disabled = rel(&obs_disabled, &floor);
-    let overhead_enabled = rel(&traced, &obs_metrics);
-    let workloads = vec![floor, obs_disabled, obs_metrics, traced];
+    let overhead_disabled = overhead(1, 0);
+    let overhead_enabled = overhead(3, 2);
     let deterministic = workloads.iter().all(|w| w.deterministic);
 
     TraceBaseline {
         meta: crate::RunMeta::from_env(),
         model_dim: dim,
         quotes,
+        rounds: ROUNDS,
         workloads,
         overhead_disabled,
         overhead_enabled,
@@ -318,6 +352,7 @@ impl TraceBaseline {
         out.push_str(&self.meta.json_fields());
         out.push_str(&format!("  \"model_dim\": {},\n", self.model_dim));
         out.push_str(&format!("  \"quotes\": {},\n", self.quotes));
+        out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
         out.push_str(&format!(
             "  \"overhead_disabled\": {:.4},\n",
             self.overhead_disabled
@@ -367,7 +402,7 @@ mod tests {
         assert_eq!(b.workloads.len(), 4);
         assert!(b.workloads.iter().all(|w| w.quotes_per_sec > 0.0));
         assert!(b.deterministic, "a workload failed to reproduce its digest");
-        // Every traced quote contributes a root span plus phase children.
+        // Every traced quote contributes a root span plus its kernel spans.
         assert!(
             b.spans_recorded >= b.quotes as u64,
             "traced run recorded {} spans for {} quotes",

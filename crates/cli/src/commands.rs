@@ -126,9 +126,10 @@ GLOBAL FLAGS (every command):
   --threads N          thread-pool size for parallel hot paths (default:
                        MBP_THREADS env var, else the hardware parallelism)
   --metrics-out PATH   write a JSON metrics snapshot after the command
-  --trace              record span/trace events (appended to the report)
-                       and enable causal request tracing + the flight
-                       recorder for the command
+  --trace              enable causal request tracing + the flight recorder
+                       for the command, and append debug-level events and
+                       the recorded spans (JSON lines with trace, span and
+                       parent ids) to the report
   --trace-out PATH     write the flight recorder as Chrome trace_event
                        JSON after the command (implies tracing)
   --slow-threshold-us N  spans at or above N microseconds are kept as
@@ -146,9 +147,10 @@ DEMAND SHAPES: uniform | peak | bimodal | increasing | decreasing
 
 /// Dispatches a parsed command line, honoring the global observability
 /// flags: `--metrics-out PATH` (JSON snapshot of every `mbp.*` metric),
-/// `--trace` (trace-level events appended to the report), and `--verbose`
-/// (debug-level events). Any of them enables the otherwise-inert
-/// [`mbp_obs`] registry before the command runs.
+/// `--trace` (debug-level events and the flight recorder's span records
+/// appended to the report), and `--verbose` (debug-level events). Any of
+/// them enables the otherwise-inert [`mbp_obs`] registry before the
+/// command runs.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let trace = args.get_bool("trace");
     let verbose = args.get_bool("verbose");
@@ -156,9 +158,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let trace_out = args.get("trace-out");
     if trace || verbose || metrics_out.is_some() || trace_out.is_some() {
         mbp_obs::enable();
-        if trace {
-            mbp_obs::set_verbosity(mbp_obs::Verbosity::Trace);
-        } else if verbose {
+        if trace || verbose {
             mbp_obs::set_verbosity(mbp_obs::Verbosity::Debug);
         }
     }
@@ -208,6 +208,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             if !events.is_empty() {
                 report.push_str("── events ──\n");
                 report.push_str(&mbp_obs::events_to_jsonl(&events));
+            }
+            let spans = mbp_obs::recorder_snapshot();
+            if trace && !spans.is_empty() {
+                report.push_str("── spans ──\n");
+                report.push_str(&mbp_obs::recorder_to_jsonl(&spans));
             }
         }
     }
@@ -1394,8 +1399,19 @@ mod tests {
     fn trace_appends_events_to_report() {
         let _guard = EVENTS_LOCK.lock().unwrap();
         let out = run(&argv("simulate --buyers 50 --seed 13 --trace")).unwrap();
+        mbp_obs::set_tracing(false);
         assert!(out.contains("── events ──"), "{out}");
         assert!(out.contains("\"target\""), "{out}");
+        // The flight recorder's span records follow, with their ids.
+        let spans = out.split("── spans ──\n").nth(1).expect("a spans section");
+        assert!(spans.contains("\"name\": \"mbp.core.buy\""), "{spans}");
+        assert!(
+            spans
+                .lines()
+                .any(|l| l.contains("\"name\": \"mbp.core.buy_batch\"")
+                    && !l.contains("\"parent\": 0,")),
+            "{spans}"
+        );
     }
 
     #[test]

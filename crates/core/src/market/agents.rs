@@ -14,15 +14,21 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Static trace label for a model kind (the `listing` dimension of the
-/// `(listing, mechanism, phase)` latency attribution; no per-quote
-/// allocation).
+/// Static trace label for a model kind: the `listing` label of its trace
+/// roots (no per-quote allocation).
 pub(crate) fn kind_label(kind: ModelKind) -> &'static str {
     match kind {
         ModelKind::LinearRegression => "linear_regression",
         ModelKind::LogisticRegression => "logistic_regression",
         ModelKind::LinearSvm => "linear_svm",
     }
+}
+
+/// The `mbp.core.buy` trace root of one purchase call against `kind`'s
+/// listing, carrying this thread's pending request seed. Ledger work done
+/// inside it is its self time.
+pub(crate) fn buy_root(kind: ModelKind, mechanism: &'static str) -> mbp_obs::Span {
+    mbp_obs::trace_root("mbp.core.buy", kind_label(kind), mechanism)
 }
 
 /// Errors raised by market interactions.
@@ -473,8 +479,8 @@ impl Broker {
         pricing: PricingFunction,
         transform: Box<dyn ErrorTransform + Send + Sync>,
     ) -> Result<(), MarketError> {
-        let _trace =
-            mbp_obs::trace_root_hinted("mbp.core.publish", kind_label(kind), self.mechanism.name());
+        let _root =
+            mbp_obs::trace_root("mbp.core.publish", kind_label(kind), self.mechanism.name());
         if !self.menu.contains_key(&kind) {
             mbp_obs::inc("mbp.core.publish.rejected");
             return Err(MarketError::UnsupportedModel(kind));
@@ -548,9 +554,8 @@ impl Broker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        let trace = self.buy_trace(kind);
-        self.listed_kernel(kind, requests, rng, arena, &trace)?;
-        let _ledger = trace.phase(mbp_obs::Phase::Ledger);
+        let _root = buy_root(kind, self.mechanism.name());
+        self.listed_kernel(kind, requests, rng, arena)?;
         self.settle_arena(kind, arena);
         Ok(())
     }
@@ -575,8 +580,7 @@ impl Broker {
     /// batches of any size consumes the RNG identically, so result digests
     /// do not depend on how requests were batched. The call opens one
     /// `mbp.core.buy` trace root carrying this thread's pending request
-    /// seed, with `lookup`, `phi_inversion` (the resolve pass) and `noise`
-    /// phases; a traced batch is replayed from that seed.
+    /// seed, so a traced batch is replayed from that seed.
     pub fn quote_batch_into(
         &self,
         kind: ModelKind,
@@ -584,28 +588,30 @@ impl Broker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        self.listed_kernel(kind, requests, rng, arena, &self.buy_trace(kind))
+        let _root = buy_root(kind, self.mechanism.name());
+        self.listed_kernel(kind, requests, rng, arena)
     }
 
-    /// The `mbp.core.buy` trace root of one purchase call, carrying this
-    /// thread's pending request seed.
-    pub(crate) fn buy_trace(&self, kind: ModelKind) -> mbp_obs::TraceRoot {
-        mbp_obs::trace_root_hinted("mbp.core.buy", kind_label(kind), self.mechanism.name())
+    /// The name of the broker's noise mechanism, the `mechanism` label of
+    /// its trace roots.
+    pub(crate) fn mechanism_name(&self) -> &'static str {
+        self.mechanism.name()
     }
 
-    /// Body of [`Broker::quote_batch_into`], phased under a caller-owned
-    /// trace root so settling callers can add their `ledger` phase to it.
+    /// Body of [`Broker::quote_batch_into`], run under a caller-owned
+    /// `mbp.core.buy` root so that settling callers time their ledger
+    /// work inside it. Its `mbp.core.buy_batch` span covers the lookup and
+    /// the three passes; `.resolve` is the φ-inversion, and the noise pass
+    /// is the span's self time.
     pub(crate) fn listed_kernel(
         &self,
         kind: ModelKind,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
         arena: &mut SaleArena,
-        trace: &mbp_obs::TraceRoot,
     ) -> Result<(), MarketError> {
         check_batch(requests)?;
         let _span = mbp_obs::span("mbp.core.buy_batch");
-        let lookup = trace.phase(mbp_obs::Phase::Lookup);
         let listing = self
             .listings
             .get(&kind)
@@ -614,11 +620,9 @@ impl Broker {
             .menu
             .get(&kind)
             .ok_or(MarketError::UnsupportedModel(kind))?;
-        drop(lookup);
         mbp_obs::counter_add("mbp.core.pricing.table_hit", requests.len() as u64);
         {
             let _resolve = mbp_obs::span("mbp.core.buy_batch.resolve");
-            let _phi = trace.phase(mbp_obs::Phase::PhiInversion);
             listing.resolve_into(requests, arena);
         }
         {
@@ -634,7 +638,6 @@ impl Broker {
                 expected_error: 0.0,
             });
         }
-        let noise = trace.phase(mbp_obs::Phase::Noise);
         let mut served = 0u64;
         let mut revenue = 0.0;
         for ((outcome, sale), &price) in arena
@@ -655,7 +658,6 @@ impl Broker {
             served += 1;
             revenue += price;
         }
-        drop(noise);
         mbp_obs::counter_add("mbp.core.buy.count", served);
         mbp_obs::counter_add("mbp.core.buy.rejected", requests.len() as u64 - served);
         mbp_obs::gauge_add("mbp.core.revenue.total", revenue);

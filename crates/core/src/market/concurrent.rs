@@ -20,7 +20,7 @@
 
 use crate::error::ErrorTransform;
 use crate::market::agents::{
-    kind_label, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena, Transaction,
+    buy_root, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena, Transaction,
 };
 use crate::market::durability::DurabilitySink;
 use crate::pricing::PricingFunction;
@@ -53,6 +53,9 @@ struct SharedState {
     /// lock hierarchy stays `stripe → sink` (the sink never takes broker
     /// locks; see [`DurabilitySink`]).
     durability: Option<Arc<dyn DurabilitySink>>,
+    /// The broker's mechanism name, read once so that a buy opens its
+    /// trace root before it waits for the core lock.
+    mechanism: &'static str,
 }
 
 /// A cloneable, thread-safe handle to a broker.
@@ -65,13 +68,18 @@ impl SharedBroker {
     /// Wraps a broker (train the menu with [`Broker::support`] first, or
     /// through [`SharedBroker::support`]).
     pub fn new(broker: Broker) -> Self {
+        Self::wrap(broker, None)
+    }
+
+    fn wrap(broker: Broker, durability: Option<Arc<dyn DurabilitySink>>) -> Self {
         SharedBroker {
             inner: Arc::new(SharedState {
+                mechanism: broker.mechanism_name(),
                 core: RwLock::new(broker),
                 stripes: std::array::from_fn(|_| Mutex::new(Vec::new())),
                 next_stripe: AtomicUsize::new(0),
                 contention: AtomicU64::new(0),
-                durability: None,
+                durability,
             }),
         }
     }
@@ -85,15 +93,7 @@ impl SharedBroker {
     /// `broker`, so the replay is not re-recorded.
     pub fn with_durability(mut broker: Broker, sink: Arc<dyn DurabilitySink>) -> Self {
         broker.set_durability(Arc::clone(&sink));
-        SharedBroker {
-            inner: Arc::new(SharedState {
-                core: RwLock::new(broker),
-                stripes: std::array::from_fn(|_| Mutex::new(Vec::new())),
-                next_stripe: AtomicUsize::new(0),
-                contention: AtomicU64::new(0),
-                durability: Some(sink),
-            }),
-        }
+        Self::wrap(broker, Some(sink))
     }
 
     fn note_contention(&self) {
@@ -103,12 +103,9 @@ impl SharedBroker {
 
     /// Picks the next ledger stripe round-robin and locks it, counting a
     /// contended acquisition when the uncontended `try_lock` fails. The
-    /// blocking wait on a contended stripe is attributed to the `lock_wait`
-    /// trace phase under `label` (the listing being purchased).
-    fn lock_next_stripe(
-        &self,
-        label: &'static str,
-    ) -> parking_lot::MutexGuard<'_, Vec<Transaction>> {
+    /// blocking wait on a contended stripe is an `mbp.core.lock_wait`
+    /// span.
+    fn lock_next_stripe(&self) -> parking_lot::MutexGuard<'_, Vec<Transaction>> {
         let idx = self.inner.next_stripe.fetch_add(1, Ordering::Relaxed) % LEDGER_STRIPES;
         // LINT-ALLOW(panic): idx < LEDGER_STRIPES by the modulo above.
         let stripe = &self.inner.stripes[idx];
@@ -116,7 +113,7 @@ impl SharedBroker {
             Some(g) => g,
             None => {
                 self.note_contention();
-                let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, label, "-");
+                let _wait = mbp_obs::span("mbp.core.lock_wait");
                 stripe.lock()
             }
         }
@@ -124,14 +121,13 @@ impl SharedBroker {
 
     /// Takes the shared core read guard, counting a contended acquisition
     /// when the uncontended `try_read` fails (maintenance holds the write
-    /// lock) and attributing the blocking wait to the `lock_wait` trace
-    /// phase under `kind`'s listing label.
-    fn read_core(&self, kind: ModelKind) -> RwLockReadGuard<'_, Broker> {
+    /// lock). The blocking wait is an `mbp.core.lock_wait` span.
+    fn read_core(&self) -> RwLockReadGuard<'_, Broker> {
         match self.inner.core.try_read() {
             Some(g) => g,
             None => {
                 self.note_contention();
-                let _wait = mbp_obs::phase_for(mbp_obs::Phase::LockWait, kind_label(kind), "-");
+                let _wait = mbp_obs::span("mbp.core.lock_wait");
                 self.inner.core.read()
             }
         }
@@ -177,7 +173,9 @@ impl SharedBroker {
     /// and RNG consumption are bit-identical to [`Broker::buy_batch_into`]
     /// on an unshared broker; only where the transactions park differs (a
     /// stripe instead of the core ledger), and
-    /// [`SharedBroker::with_broker`] reconciles that.
+    /// [`SharedBroker::with_broker`] reconciles that. The `mbp.core.buy`
+    /// root opens before either lock, so a contended wait is a span of the
+    /// buy's own trace.
     pub fn buy_batch_into(
         &self,
         kind: ModelKind,
@@ -185,14 +183,9 @@ impl SharedBroker {
         rng: &mut MbpRng,
         arena: &mut SaleArena,
     ) -> Result<(), MarketError> {
-        let trace = {
-            let core = self.read_core(kind);
-            let trace = core.buy_trace(kind);
-            core.listed_kernel(kind, requests, rng, arena, &trace)?;
-            trace
-        };
-        let _settle = trace.phase(mbp_obs::Phase::Ledger);
-        let mut guard = self.lock_next_stripe(kind_label(kind));
+        let _root = buy_root(kind, self.inner.mechanism);
+        self.read_core().listed_kernel(kind, requests, rng, arena)?;
+        let mut guard = self.lock_next_stripe();
         arena.settle(kind, self.inner.durability.as_ref(), &mut guard);
         Ok(())
     }
@@ -220,7 +213,7 @@ impl SharedBroker {
         arena: &mut SaleArena,
         quotes: &mut Vec<Result<PriceQuote, MarketError>>,
     ) -> Result<(), MarketError> {
-        self.read_core(kind)
+        self.read_core()
             .price_batch_into(kind, requests, arena, quotes)
     }
 

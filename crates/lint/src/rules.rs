@@ -1180,16 +1180,16 @@ fn snapshot() -> Vec<(String, u64)> {
     }
 
     #[test]
-    fn phase_guard_before_stripe_lock_is_allowed() {
-        // The concurrent ledger wraps stripe acquisition in a lock-wait
-        // phase guard; the RAII guard binding must not confuse the
-        // ascending-stripe lock-order rule.
+    fn span_guard_before_stripe_lock_is_allowed() {
+        // The concurrent ledger wraps a contended stripe acquisition in an
+        // `mbp.core.lock_wait` span; the RAII guard binding must not
+        // confuse the ascending-stripe lock-order rule.
         let src = r#"
 fn f(s: &Shared) {
-    let _wait = mbp_obs::phase(mbp_obs::Phase::LockWait);
+    let _wait = mbp_obs::span("mbp.core.lock_wait");
     let a = s.inner.stripes[0].lock();
     drop(_wait);
-    let _ledger = mbp_obs::phase(mbp_obs::Phase::Ledger);
+    let _root = mbp_obs::trace_root("mbp.core.buy", "linear_regression", "gaussian");
     let b = s.inner.stripes[1].lock();
     let _ = (a, b);
 }

@@ -20,10 +20,8 @@ pub enum Verbosity {
     Error = 1,
     /// High-level progress (the default).
     Info = 2,
-    /// Per-step diagnostics.
+    /// Per-step diagnostics (the most verbose level).
     Debug = 3,
-    /// Everything, including per-span records.
-    Trace = 4,
 }
 
 impl Verbosity {
@@ -34,7 +32,6 @@ impl Verbosity {
             Verbosity::Error => "error",
             Verbosity::Info => "info",
             Verbosity::Debug => "debug",
-            Verbosity::Trace => "trace",
         }
     }
 
@@ -43,8 +40,7 @@ impl Verbosity {
             0 => Verbosity::Off,
             1 => Verbosity::Error,
             2 => Verbosity::Info,
-            3 => Verbosity::Debug,
-            _ => Verbosity::Trace,
+            _ => Verbosity::Debug,
         }
     }
 }
@@ -181,15 +177,14 @@ mod tests {
         record(Verbosity::Error, "t", "kept", &[]);
         record(Verbosity::Info, "t", "kept", &[]);
         record(Verbosity::Debug, "t", "dropped", &[]);
-        record(Verbosity::Trace, "t", "dropped", &[]);
         assert_eq!(drain_events().len(), 2);
 
         set_verbosity(Verbosity::Off);
         record(Verbosity::Error, "t", "dropped", &[]);
         assert!(drain_events().is_empty());
 
-        set_verbosity(Verbosity::Trace);
-        record(Verbosity::Trace, "t", "kept", &[]);
+        set_verbosity(Verbosity::Debug);
+        record(Verbosity::Debug, "t", "kept", &[]);
         assert_eq!(drain_events().len(), 1);
 
         set_verbosity(Verbosity::Info);
@@ -202,7 +197,6 @@ mod tests {
         assert!(Verbosity::Off < Verbosity::Error);
         assert!(Verbosity::Error < Verbosity::Info);
         assert!(Verbosity::Info < Verbosity::Debug);
-        assert!(Verbosity::Debug < Verbosity::Trace);
         assert_eq!(Verbosity::from_u8(3), Verbosity::Debug);
         assert_eq!(Verbosity::Debug.as_str(), "debug");
     }

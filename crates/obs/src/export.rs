@@ -396,13 +396,13 @@ mod tests {
             gauges: vec![],
             histograms: vec![],
             labeled: vec![LabeledSeriesSnapshot {
-                name: "mbp.trace.phase.seconds".into(),
+                name: "mbp.test.labeled.seconds".into(),
                 labels: vec![
                     ("listing".into(), "weird\"quote".into()),
                     ("mechanism".into(), "back\\slash".into()),
                     ("phase".into(), "multi\nline".into()),
                 ],
-                hist: sample_hist("mbp.trace.phase.seconds"),
+                hist: sample_hist("mbp.test.labeled.seconds"),
             }],
         }
     }
@@ -416,7 +416,7 @@ mod tests {
         let json = to_json(&labeled_snapshot());
         assert!(json.contains("\"labeled\""), "{json}");
         assert!(
-            json.contains("mbp.trace.phase.seconds{listing=weird\\\"quote"),
+            json.contains("mbp.test.labeled.seconds{listing=weird\\\"quote"),
             "{json}"
         );
         assert_eq!(
@@ -435,7 +435,7 @@ mod tests {
         assert!(prom.contains("mechanism=\"back\\\\slash\""), "{prom}");
         assert!(prom.contains("phase=\"multi\\nline\""), "{prom}");
         assert!(
-            prom.contains("mbp_trace_phase_seconds_count{listing=\"weird\\\"quote\""),
+            prom.contains("mbp_test_labeled_seconds_count{listing=\"weird\\\"quote\""),
             "{prom}"
         );
         let with_quantile = prom
@@ -446,7 +446,7 @@ mod tests {
         assert!(with_quantile.ends_with(" 0.002"), "{with_quantile}");
         // The TYPE header is emitted once for the labeled family.
         assert_eq!(
-            prom.matches("# TYPE mbp_trace_phase_seconds summary")
+            prom.matches("# TYPE mbp_test_labeled_seconds summary")
                 .count(),
             1,
             "{prom}"

@@ -1,16 +1,19 @@
 //! Dependency-free observability for the mbp workspace.
 //!
-//! Three complementary instruments share one global, process-wide state:
+//! One global, process-wide state backs three instruments:
 //!
 //! * a **metrics registry** ([`inc`], [`counter_add`], [`gauge_set`],
 //!   [`gauge_add`], [`observe`]) of named counters, gauges, and fixed-bucket
 //!   log-scale histograms with interpolated quantiles;
-//! * **spans** ([`span`]) — RAII timers that record wall time into a
-//!   `<name>.seconds` histogram and track parent/child nesting per thread.
-//!   Each thread caches its span histograms (re-resolved after [`reset`]),
-//!   so a warmed span allocates nothing and takes no lock; only at
-//!   [`Verbosity::Trace`] does a span drop also emit a `span` event with
-//!   its `parent>child` path;
+//! * **spans**: one RAII guard, opened by [`span`] or, for a request, by
+//!   [`trace_root`]. It records its wall time into a `<name>.seconds`
+//!   histogram. Each thread caches its span histograms (re-resolved after
+//!   [`reset`]), so a warmed span allocates nothing and takes no lock.
+//!   With tracing on ([`set_tracing`]) the same guard is also a node of a
+//!   trace tree: it takes a span id, parents the spans opened inside it
+//!   (on this thread or, through `mbp-par`, on pool workers), and lands in
+//!   a lock-free flight-recorder ring ([`recorder_snapshot`]); slow roots
+//!   are kept as replayable [`exemplars`];
 //! * a **structured event log** ([`event`]) — a bounded ring buffer of
 //!   timestamped key=value events, drainable as JSON lines.
 //!
@@ -21,9 +24,11 @@
 //!
 //! Metric names follow `mbp.<crate>.<unit>`, e.g. `mbp.core.buy.count`,
 //! `mbp.core.buy_batch.seconds`, `mbp.optim.revenue.iterations`. Exporters live in
-//! [`export`]: Prometheus text ([`to_prometheus`]), JSON ([`to_json`]), and
-//! JSON-lines for events ([`events_to_jsonl`]); a human-readable table
-//! renderer lives in `mbp_bench::report`.
+//! [`export`]: Prometheus text ([`to_prometheus`]), JSON ([`to_json`]),
+//! JSON-lines for events ([`events_to_jsonl`]) and for flight-recorder
+//! spans ([`recorder_to_jsonl`]), and Chrome `trace_event` JSON
+//! ([`recorder_to_chrome_trace`]); a human-readable table renderer lives
+//! in `mbp_bench::report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,11 +53,8 @@ pub use recorder::{
 pub use registry::{
     HistogramSnapshot, LabeledSeriesSnapshot, Snapshot, BUCKETS, MAX_LABEL_SETS, OVERFLOW_LABEL,
 };
-pub use span::{span, Span};
-pub use trace::{
-    canonical_tree, phase, phase_for, set_request_seed, trace_root, trace_root_hinted, Phase,
-    PhaseGuard, TraceRoot,
-};
+pub use span::{span, trace_root, Span};
+pub use trace::{canonical_tree, set_request_seed};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -80,14 +82,15 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns causal tracing (span contexts, the flight-recorder ring, labeled
-/// phase histograms) on or off. Tracing additionally requires recording to
-/// be enabled; with tracing off, every `trace_root`/`phase` call is a
-/// single relaxed load plus branch. Enabling installs the `mbp-par`
-/// context-propagation hook and the panic-time flight-recorder dump
-/// (both once per process).
+/// Turns causal tracing (span ids and contexts, the flight-recorder ring,
+/// the labeled request histogram) on or off. Tracing additionally requires
+/// recording to be enabled; with tracing off, a [`span`] or [`trace_root`]
+/// records only its `<name>.seconds` histogram. Enabling fixes the trace
+/// time anchor and installs the `mbp-par` context-propagation hook and the
+/// panic-time flight-recorder dump (all once per process).
 pub fn set_tracing(on: bool) {
     if on {
+        trace::anchor();
         trace::install_par_hook();
         recorder::install_panic_hook();
     }

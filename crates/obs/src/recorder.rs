@@ -1,7 +1,7 @@
 //! The always-on flight recorder: a fixed-size, lock-free ring of
 //! completed span records plus tail-latency exemplars.
 //!
-//! Completed spans (roots and phases, see [`crate::trace`]) are written
+//! Every span completed while tracing (see [`crate::span`]) is written
 //! into a seqlock-style ring of all-atomic slots: a writer claims a slot
 //! with one `fetch_add` on the head counter, bumps the slot's sequence tag
 //! to odd, stores the record fields, and bumps the tag back to even.
@@ -54,7 +54,7 @@ fn ring() -> &'static [Slot] {
     RING.get_or_init(|| (0..RING_SLOTS).map(|_| Slot::default()).collect())
 }
 
-/// A raw completed-span record as produced by the trace layer (ids still
+/// A raw completed-span record as produced by the span guard (ids still
 /// interned).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawSpan {
@@ -101,7 +101,7 @@ pub struct SpanData {
     pub span: u32,
     /// Parent span id (0 for roots).
     pub parent: u32,
-    /// Span name (root name or phase name).
+    /// Span name.
     pub name: String,
     /// Listing label ("-" when not applicable).
     pub listing: String,

@@ -1,93 +1,213 @@
-//! RAII span timers. A [`span`] measures wall time from creation to drop,
-//! recording it into the histogram `<name>.seconds`. Spans nest: each
-//! thread keeps a stack of open span names. At [`Verbosity::Trace`] every
-//! span drop also emits an event carrying its full `parent>child` path and
-//! duration, so draining events at `--trace` reconstructs the trace tree;
-//! below Trace no event is built at all.
+//! The span guard. Every timed region is one [`span`] (or one
+//! [`trace_root`]), and the same guard serves every observability level:
 //!
-//! Each thread caches the `<name>.seconds` histogram handle of every span
-//! name it has dropped, tagged with the registry's reset epoch, so a
-//! warmed span at Info costs two clock reads and one histogram add: no
-//! allocation and no registry lock. A [`crate::reset`] bumps the epoch
-//! and every cached handle re-resolves on its next use.
+//! * **obs off:** the guard is inert after one relaxed load;
+//! * **obs on:** dropping it records its wall time into the histogram
+//!   `<name>.seconds`;
+//! * **tracing on:** it also takes a span id, is the thread's current
+//!   context until it drops (see [`crate::trace`]), and writes its record
+//!   into the flight recorder.
+//!
+//! A [`trace_root`] is a span that always starts a fresh trace. It carries
+//! the request's listing and mechanism labels and this thread's pending
+//! request seed ([`crate::set_request_seed`]). While tracing it also
+//! records the labeled `mbp.trace.request.seconds` histogram, and only
+//! roots become tail-latency exemplars. A span opened outside every root
+//! belongs to trace 0.
+//!
+//! Each thread caches the handle of every histogram its spans record
+//! into, tagged with the registry's reset epoch, so a warmed untraced span
+//! costs two clock reads and one histogram add: no allocation and no
+//! registry lock. A [`crate::reset`] bumps the epoch and every cached
+//! handle re-resolves on its next use.
 
+use crate::recorder::{self, RawSpan};
 use crate::registry::{self, Histogram};
-use crate::Verbosity;
+use crate::trace::{self, REQUEST_METRIC};
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// One thread's resolved span histogram: the span name (matched by
-/// address, since span names are literals), the registry epoch it was
-/// resolved in, and the `<name>.seconds` histogram.
-type CachedHistogram = (&'static str, u64, Arc<Histogram>);
+/// Labels key of a span's own unlabeled `<name>.seconds` histogram.
+const UNLABELED: u64 = u64::MAX;
+
+/// One thread's resolved histogram handle.
+struct Cached {
+    /// Span name or labeled metric name, matched by address (both are
+    /// literals).
+    name: &'static str,
+    /// Interned `listing << 32 | mechanism`, or [`UNLABELED`].
+    labels: u64,
+    /// Registry epoch the handle was resolved in.
+    epoch: u64,
+    hist: Arc<Histogram>,
+    /// Interned id of `name`, for flight-recorder records.
+    name_id: u32,
+}
 
 thread_local! {
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    static HISTOGRAMS: RefCell<Vec<CachedHistogram>> = const { RefCell::new(Vec::new()) };
+    static HISTOGRAMS: RefCell<Vec<Cached>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Records `secs` into `name`'s `<name>.seconds` histogram through this
+fn resolve(name: &'static str, labels: u64, epoch: u64) -> Cached {
+    let hist = if labels == UNLABELED {
+        registry::histogram(&format!("{name}.seconds"))
+    } else {
+        let listing = trace::intern_name((labels >> 32) as u32);
+        let mechanism = trace::intern_name(labels as u32);
+        registry::labeled_histogram(name, &[("listing", &listing), ("mechanism", &mechanism)])
+    };
+    Cached {
+        name,
+        labels,
+        epoch,
+        hist,
+        name_id: trace::intern(name),
+    }
+}
+
+/// Records `secs` into the `(name, labels)` histogram through this
 /// thread's cache, resolving (and allocating the key) only on a miss or
-/// after a registry reset.
-fn observe_cached(name: &'static str, secs: f64) {
+/// after a registry reset. Returns `name`'s interned id.
+fn observe_cached(name: &'static str, labels: u64, secs: f64) -> u32 {
     // Read the epoch before any lookup: see `registry::epoch`.
     let epoch = registry::epoch();
-    let resolve = || (name, epoch, registry::histogram(&format!("{name}.seconds")));
-    // The fallible accesses mirror `span()`: instrumentation must never
-    // abort the thread it observes, so a drop during thread teardown
-    // skips its record instead.
-    let _ = HISTOGRAMS.try_with(|cache| {
-        let Ok(mut cache) = cache.try_borrow_mut() else {
-            return;
-        };
-        match cache.iter_mut().find(|(n, _, _)| std::ptr::eq(*n, name)) {
-            Some(entry) => {
-                if entry.1 != epoch {
-                    *entry = resolve();
-                }
-                entry.2.observe(secs);
+    // Instrumentation must never abort the thread it observes, so a drop
+    // during thread teardown or a re-entrant drop skips its record.
+    HISTOGRAMS
+        .try_with(|cache| {
+            let Ok(mut cache) = cache.try_borrow_mut() else {
+                return 0;
+            };
+            let hit = cache
+                .iter()
+                .position(|c| std::ptr::eq(c.name, name) && c.labels == labels);
+            let i = hit.unwrap_or_else(|| {
+                cache.push(resolve(name, labels, epoch));
+                cache.len() - 1
+            });
+            let Some(entry) = cache.get_mut(i) else {
+                return 0;
+            };
+            if entry.epoch != epoch {
+                *entry = resolve(name, labels, epoch);
             }
-            None => {
-                let entry = resolve();
-                entry.2.observe(secs);
-                cache.push(entry);
-            }
-        }
-    });
+            entry.hist.observe(secs);
+            entry.name_id
+        })
+        .unwrap_or(0)
 }
 
-/// Timer guard returned by [`span`]; records on drop.
+/// A span's place in the trace tree, present only while tracing.
+#[derive(Debug)]
+struct Node {
+    /// The thread's context before this span opened, restored on drop.
+    prev: u64,
+    trace: u32,
+    span: u32,
+    parent: u32,
+    /// Roots only: interned `listing << 32 | mechanism` and the request
+    /// seed.
+    root: Option<(u64, u64)>,
+}
+
+impl Node {
+    /// Takes a span id and makes it the thread's context: under the
+    /// current span, or for a root (`labels` given) at the top of a fresh
+    /// trace.
+    fn enter(labels: Option<(&str, &str)>) -> Node {
+        let (trace, parent, root) = match labels {
+            Some((listing, mechanism)) => {
+                let labels = trace::pack(trace::intern(listing), trace::intern(mechanism));
+                let root = (labels, trace::take_request_seed());
+                (trace::next_trace(), 0, Some(root))
+            }
+            None => {
+                let ctx = trace::current();
+                ((ctx >> 32) as u32, ctx as u32, None)
+            }
+        };
+        let span = trace::next_span();
+        Node {
+            prev: trace::enter(trace::pack(trace, span)),
+            trace,
+            span,
+            parent,
+            root,
+        }
+    }
+
+    /// Writes the completed span into the flight recorder; a root also
+    /// records the request histogram and, when slow, an exemplar.
+    fn record(&self, name_id: u32, start: Instant, dur: Duration) {
+        let (labels, seed) = self.root.unwrap_or((0, 0));
+        let raw = RawSpan {
+            trace: self.trace,
+            span: self.span,
+            parent: self.parent,
+            name: name_id,
+            listing: (labels >> 32) as u32,
+            mechanism: labels as u32,
+            seed,
+            start_nanos: trace::nanos_since_anchor(start),
+            dur_nanos: dur.as_nanos() as u64,
+        };
+        recorder::record(&raw);
+        if self.root.is_some() {
+            observe_cached(REQUEST_METRIC, labels, dur.as_secs_f64());
+            if raw.dur_nanos >= recorder::slow_threshold_nanos() {
+                recorder::capture_exemplar(&raw);
+            }
+        }
+    }
+}
+
+/// Timer guard returned by [`span`] and [`trace_root`]; records on drop.
 #[must_use = "a span records its duration when dropped"]
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
     start: Option<Instant>,
+    node: Option<Node>,
 }
 
-/// Opens a span named `name` (e.g. `"mbp.core.buy"`). When recording is
-/// disabled this is a single atomic load and the returned guard is inert.
-pub fn span(name: &'static str) -> Span {
+fn open(name: &'static str, root: Option<(&str, &str)>) -> Span {
     if !crate::is_enabled() {
-        return Span { name, start: None };
+        return Span {
+            name,
+            start: None,
+            node: None,
+        };
     }
-    // `try_borrow_mut` fails only on re-entry (a span opened from inside
-    // the drop path while the stack is borrowed); return an inert guard
-    // then — instrumentation must never abort the thread it observes.
-    let pushed = STACK.with(|s| s.try_borrow_mut().map(|mut stack| stack.push(name)).is_ok());
-    if !pushed {
-        return Span { name, start: None };
-    }
+    let node = crate::is_tracing().then(|| Node::enter(root));
     Span {
         name,
         start: Some(Instant::now()),
+        node,
     }
 }
 
+/// Opens a span named `name` (e.g. `"mbp.core.buy_batch"`). When
+/// recording is disabled this is a single atomic load and the returned
+/// guard is inert.
+pub fn span(name: &'static str) -> Span {
+    open(name, None)
+}
+
+/// Opens a root span for one request (a buy or a publish): a span that
+/// always starts a fresh trace. `listing`/`mechanism` label the request
+/// (`"-"` when not applicable), and the root takes this thread's pending
+/// request seed, so a slow exemplar can be replayed. Below tracing it is
+/// an ordinary [`span`], and the seed hint is left untouched.
+pub fn trace_root(name: &'static str, listing: &str, mechanism: &str) -> Span {
+    open(name, Some((listing, mechanism)))
+}
+
 impl Span {
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// This span's trace id while tracing (0 outside every root), `None`
+    /// otherwise.
+    pub fn trace_id(&self) -> Option<u32> {
+        self.node.as_ref().map(|n| n.trace)
     }
 }
 
@@ -96,36 +216,18 @@ impl Drop for Span {
         let Some(start) = self.start else {
             return;
         };
-        let secs = start.elapsed().as_secs_f64();
-        // The enabled flag is re-checked here, so disabling midway through
-        // a span only skips the record — the stack stays balanced. The
-        // path and duration strings are built only when a Trace event
-        // will keep them.
-        let trace = crate::is_enabled() && crate::verbosity() >= Verbosity::Trace;
-        // A `start: Some` span always pushed, so the pop below stays
-        // balanced; the fallible borrow mirrors `span()` for re-entrancy.
-        let path = STACK.with(|s| match s.try_borrow_mut() {
-            Ok(mut stack) => {
-                let path = if trace {
-                    stack.join(">")
-                } else {
-                    String::new()
-                };
-                stack.pop();
-                path
-            }
-            Err(_) => String::new(),
-        });
-        if crate::is_enabled() {
-            observe_cached(self.name, secs);
+        let dur = start.elapsed();
+        if let Some(node) = &self.node {
+            trace::exit(node.prev);
         }
-        if trace {
-            crate::event(
-                Verbosity::Trace,
-                self.name,
-                "span",
-                &[("path", path), ("secs", format!("{secs:.9}"))],
-            );
+        // The enabled flag is re-checked here, so disabling midway through
+        // a span only skips the record; the context is restored above.
+        if !crate::is_enabled() {
+            return;
+        }
+        let name_id = observe_cached(self.name, UNLABELED, dur.as_secs_f64());
+        if let Some(node) = &self.node {
+            node.record(name_id, start, dur);
         }
     }
 }
@@ -136,11 +238,10 @@ mod tests {
     use crate::test_support;
 
     #[test]
-    fn span_records_histogram_and_trace_event() {
+    fn nested_spans_record_their_histograms() {
         let _g = test_support::serial();
         crate::reset();
         crate::enable();
-        crate::set_verbosity(Verbosity::Trace);
         {
             let _outer = span("mbp.test.outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -153,46 +254,8 @@ mod tests {
         assert_eq!(outer.count, 1);
         assert!(outer.sum >= 0.002, "outer span too short: {}", outer.sum);
         assert_eq!(snap.histogram("mbp.test.inner.seconds").unwrap().count, 1);
-
-        let events = crate::drain_events();
-        let paths: Vec<&str> = events
-            .iter()
-            .filter(|e| e.message == "span")
-            .map(|e| {
-                e.fields
-                    .iter()
-                    .find(|(k, _)| k == "path")
-                    .unwrap()
-                    .1
-                    .as_str()
-            })
-            .collect();
-        assert!(
-            paths.contains(&"mbp.test.outer>mbp.test.inner"),
-            "{paths:?}"
-        );
-        assert!(paths.contains(&"mbp.test.outer"), "{paths:?}");
-        crate::set_verbosity(Verbosity::Info);
         crate::disable();
         crate::reset();
-    }
-
-    /// The `(path, secs)` fields of every `span` event drained so far.
-    fn drained_span_fields() -> Vec<(String, String)> {
-        crate::drain_events()
-            .into_iter()
-            .filter(|e| e.message == "span")
-            .map(|e| {
-                let field = |key: &str| {
-                    e.fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default()
-                };
-                (field("path"), field("secs"))
-            })
-            .collect()
     }
 
     #[test]
@@ -218,80 +281,75 @@ mod tests {
     }
 
     #[test]
-    fn info_span_pair_records_histograms_without_events() {
+    fn untraced_spans_record_histograms_but_no_ring_records() {
         let _g = test_support::serial();
         crate::reset();
         crate::enable();
-        crate::set_verbosity(Verbosity::Info);
         {
-            let _outer = span("mbp.test.info_outer");
-            let _inner = span("mbp.test.info_inner");
+            let root = trace_root("mbp.test.untraced_root", "l1", "gaussian");
+            assert_eq!(root.trace_id(), None);
+            let _inner = span("mbp.test.untraced_inner");
         }
         let snap = crate::snapshot();
-        for name in ["mbp.test.info_outer.seconds", "mbp.test.info_inner.seconds"] {
+        for name in [
+            "mbp.test.untraced_root.seconds",
+            "mbp.test.untraced_inner.seconds",
+        ] {
             assert_eq!(snap.histogram(name).map(|h| h.count), Some(1), "{name}");
         }
-        assert!(drained_span_fields().is_empty(), "Info emits no span event");
+        assert!(snap.labeled.is_empty(), "no request series below tracing");
+        assert!(crate::recorder_snapshot().is_empty());
         crate::disable();
         crate::reset();
     }
 
+    /// While tracing, a child parents to the open span, shares its trace
+    /// and lies inside its interval, and every drop restores the context,
+    /// so a later sibling parents to the same span. A root opened inside a
+    /// span still starts a fresh trace, carrying its labels and the seed.
     #[test]
-    fn trace_span_pair_emits_path_and_secs() {
+    fn traced_spans_nest_and_roots_start_fresh_traces() {
         let _g = test_support::serial();
         crate::reset();
         crate::enable();
-        crate::set_verbosity(Verbosity::Trace);
+        crate::set_tracing(true);
         {
-            let _outer = span("mbp.test.trace_outer");
-            let _inner = span("mbp.test.trace_inner");
+            let _outer = span("mbp.test.outer");
+            {
+                let _first = span("mbp.test.first");
+                crate::set_request_seed(99);
+                let _root = trace_root("mbp.test.root", "l1", "gaussian");
+                let _child = span("mbp.test.child");
+            }
+            let _second = span("mbp.test.second");
         }
-        let fields = drained_span_fields();
-        let paths: Vec<&str> = fields.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(trace::current(), 0, "every drop restored the context");
+        let spans = crate::recorder_snapshot();
+        let get = |n: &str| spans.iter().find(|s| s.name == n).expect(n);
+        let root = get("mbp.test.root");
+        assert_eq!((root.trace, root.parent, root.seed), (1, 0, 99));
         assert_eq!(
-            paths,
-            [
-                "mbp.test.trace_outer>mbp.test.trace_inner",
-                "mbp.test.trace_outer"
-            ]
+            (root.listing.as_str(), root.mechanism.as_str()),
+            ("l1", "gaussian")
         );
-        for (path, secs) in &fields {
-            let (whole, frac) = secs.split_once('.').expect("fixed-point secs");
-            assert!(whole.parse::<u64>().is_ok(), "{path}: secs {secs}");
-            assert_eq!(frac.len(), 9, "{path}: secs {secs} has nanosecond digits");
+        for (child, parent, trace) in [
+            ("mbp.test.first", "mbp.test.outer", 0),
+            ("mbp.test.second", "mbp.test.outer", 0),
+            ("mbp.test.child", "mbp.test.root", 1),
+        ] {
+            let (c, p) = (get(child), get(parent));
+            assert_eq!(
+                (c.parent, c.trace),
+                (p.span, trace),
+                "{child} under {parent}"
+            );
+            assert!(
+                p.start_nanos <= c.start_nanos
+                    && c.start_nanos + c.dur_nanos <= p.start_nanos + p.dur_nanos,
+                "{child} lies inside {parent}"
+            );
         }
-        crate::set_verbosity(Verbosity::Info);
-        crate::disable();
-        crate::reset();
-    }
-
-    #[test]
-    fn disabled_span_is_inert_and_stack_balanced() {
-        let _g = test_support::serial();
-        crate::reset();
-        crate::disable();
-        {
-            let _s = span("mbp.test.noop");
-        }
-        assert!(crate::snapshot().is_empty());
-        // A subsequent enabled span sees an empty stack (path == own name).
-        crate::enable();
-        crate::set_verbosity(Verbosity::Trace);
-        {
-            let _s = span("mbp.test.solo");
-        }
-        let events = crate::drain_events();
-        let path = &events
-            .iter()
-            .find(|e| e.message == "span")
-            .unwrap()
-            .fields
-            .iter()
-            .find(|(k, _)| k == "path")
-            .unwrap()
-            .1;
-        assert_eq!(path, "mbp.test.solo");
-        crate::set_verbosity(Verbosity::Info);
+        crate::set_tracing(false);
         crate::disable();
         crate::reset();
     }

@@ -371,7 +371,6 @@ impl Conn {
         kind: ModelKind,
         buys: bool,
     ) {
-        let _span = mbp_obs::span("mbp.serve.batch");
         self.batch_ids.clear();
         self.batch_reqs.clear();
         self.batch_ids.push(id);

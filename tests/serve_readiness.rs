@@ -437,3 +437,98 @@ fn an_idle_connection_spins_at_most_once_and_parks() {
         "an idle connection ran {reads} read passes in 100 ms"
     );
 }
+
+/// Buy spans per warmed depth-1 request: decode, dispatch, the
+/// `mbp.core.buy` root, buy_batch, resolve, price, encode and write.
+const BUY_SPAN_BUDGET: f64 = 8.0;
+
+/// Quote spans per warmed depth-1 request. A quote records five (decode,
+/// dispatch, price_batch, encode and write); the budget is the six
+/// measured when it was set.
+const QUOTE_SPAN_BUDGET: f64 = 6.0;
+
+/// Span observations so far: the counts of every `*.seconds` histogram
+/// except the read pass (once per IO pass, not per request) and the idle
+/// spin (a wait, not a span).
+fn span_observations() -> u64 {
+    mbp::obs::snapshot()
+        .histograms
+        .iter()
+        .filter(|h| h.name.ends_with(".seconds"))
+        .filter(|h| h.name != "mbp.serve.read.seconds" && h.name != "mbp.serve.spin.seconds")
+        .map(|h| h.count)
+        .sum()
+}
+
+/// Observations of the daemon's write-phase span so far.
+fn write_passes() -> u64 {
+    mbp::obs::snapshot()
+        .histogram("mbp.serve.write.seconds")
+        .map_or(0, |h| h.count)
+}
+
+/// Waits until the write span has `n` observations beyond `before`. The
+/// write is the last span of an IO pass, so every span of the answered
+/// requests has then been recorded, though the client may read a response
+/// before the span that wrote it closes.
+fn await_writes(before: u64, n: u64) {
+    let deadline = std::time::Instant::now() + READ_TIMEOUT;
+    while write_passes() - before < n {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the daemon's write spans never reached {n}"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// Spans recorded per warmed depth-1 request of one verb with obs on and
+/// tracing off, the daemon's setting. An IO pass that serves nothing still
+/// decodes, so each read pass beyond one per request is charged one span,
+/// which is taken off.
+fn spans_per_request(quote: bool) -> f64 {
+    const WARM: u64 = 16;
+    const N: u64 = 200;
+    mbp::obs::enable();
+    let writes = write_passes();
+    let handle = start(1);
+    let mut client = connect(&handle);
+    assert_eq!(client.hello(84).expect("hello"), Response::HelloOk);
+    let mut k = 0;
+    let mut calls = |client: &mut Client, n: u64| {
+        for _ in 0..n {
+            client
+                .call(&wire_request((quote, mixed_request(k))))
+                .expect("one call at a time");
+            k += 1;
+        }
+    };
+    calls(&mut client, WARM);
+    await_writes(writes, WARM + 1);
+    let (spans, reads, writes) = (span_observations(), read_passes(), write_passes());
+    calls(&mut client, N);
+    await_writes(writes, N);
+    let spans = span_observations() - spans;
+    let idle_passes = (read_passes() - reads).saturating_sub(N);
+    handle.shutdown();
+    wait_for_drain(handle);
+    (spans - idle_passes.min(spans)) as f64 / N as f64
+}
+
+/// A warmed depth-1 request records no more spans than the daemon's
+/// budget for its verb: a span on the untraced request path costs two
+/// clock reads and a histogram add on every request.
+#[test]
+fn a_warmed_depth_one_request_stays_within_its_span_budget() {
+    let _serial = serial();
+    let buy = spans_per_request(false);
+    let quote = spans_per_request(true);
+    assert!(
+        buy <= BUY_SPAN_BUDGET,
+        "a depth-1 buy recorded {buy} spans; the budget is {BUY_SPAN_BUDGET}"
+    );
+    assert!(
+        quote <= QUOTE_SPAN_BUDGET,
+        "a depth-1 quote recorded {quote} spans; the budget is {QUOTE_SPAN_BUDGET}"
+    );
+}
