@@ -1534,14 +1534,14 @@ mod tests {
             (
                 "30",
                 "model\tLin. reg.\nprice\t30.0000\nncp\t0.071156\n\
-                 expected_error\t0.071156\nw0\t3.0664039296\nw1\t-0.2441974070\n\
-                 w2\t-0.5156878763\n",
+                 expected_error\t0.071156\nw0\t-2.2724904506\nw1\t2.1528764478\n\
+                 w2\t-0.5566226585\n",
             ),
             (
                 "1000",
                 "model\tLin. reg.\nprice\t100.0000\nncp\t0.010000\n\
-                 expected_error\t0.010000\nw0\t2.9820036693\nw1\t-0.2787057116\n\
-                 w2\t-0.5631689626\n",
+                 expected_error\t0.010000\nw0\t-2.1660977640\nw1\t2.1257960008\n\
+                 w2\t-0.4390392979\n",
             ),
         ];
         for (budget, expected) in pins {

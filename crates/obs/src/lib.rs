@@ -4,7 +4,9 @@
 //!
 //! * a **metrics registry** ([`inc`], [`counter_add`], [`gauge_set`],
 //!   [`gauge_add`], [`observe`]) of named counters, gauges, and fixed-bucket
-//!   log-scale histograms with interpolated quantiles;
+//!   log-scale histograms with interpolated quantiles. Names are literals;
+//!   each thread caches the handles it records into (re-resolved after
+//!   [`reset`]), so a warmed call takes no lock;
 //! * **spans**: one RAII guard, opened by [`span`] or, for a request, by
 //!   [`trace_root`]. It records its wall time into a `<name>.seconds`
 //!   histogram. Each thread caches its span histograms (re-resolved after
@@ -35,6 +37,7 @@
 
 mod events;
 pub mod export;
+mod handles;
 mod recorder;
 mod registry;
 mod span;
@@ -105,42 +108,42 @@ pub fn is_tracing() -> bool {
 
 /// Increments the counter `name` by one.
 #[inline]
-pub fn inc(name: &str) {
+pub fn inc(name: &'static str) {
     if is_enabled() {
-        registry::counter(name).add(1);
+        handles::counter(name, |c| c.add(1));
     }
 }
 
 /// Adds `n` to the counter `name` (wrapping on `u64` overflow).
 #[inline]
-pub fn counter_add(name: &str, n: u64) {
+pub fn counter_add(name: &'static str, n: u64) {
     if is_enabled() {
-        registry::counter(name).add(n);
+        handles::counter(name, |c| c.add(n));
     }
 }
 
 /// Sets the gauge `name` to `v`.
 #[inline]
-pub fn gauge_set(name: &str, v: f64) {
+pub fn gauge_set(name: &'static str, v: f64) {
     if is_enabled() {
-        registry::gauge(name).set(v);
+        handles::gauge(name, |g| g.set(v));
     }
 }
 
 /// Adds `d` (possibly negative) to the gauge `name`.
 #[inline]
-pub fn gauge_add(name: &str, d: f64) {
+pub fn gauge_add(name: &'static str, d: f64) {
     if is_enabled() {
-        registry::gauge(name).add(d);
+        handles::gauge(name, |g| g.add(d));
     }
 }
 
 /// Records `v` into the histogram `name`. Non-finite and negative values
 /// are ignored (histograms hold durations and other non-negative units).
 #[inline]
-pub fn observe(name: &str, v: f64) {
+pub fn observe(name: &'static str, v: f64) {
     if is_enabled() {
-        registry::histogram(name).observe(v);
+        handles::histogram(name, |h| h.observe(v));
     }
 }
 
@@ -256,6 +259,32 @@ mod tests {
         inc("mbp.test.wrap");
         inc("mbp.test.wrap");
         assert_eq!(snapshot().counter("mbp.test.wrap"), Some(1));
+        disable();
+        reset();
+    }
+
+    #[test]
+    fn counter_after_reset_lands_in_the_fresh_registry() {
+        let _g = test_support::serial();
+        reset();
+        enable();
+        // Warm this thread's cached handles, then orphan them.
+        for _ in 0..3 {
+            inc("mbp.test.epoch.count");
+            gauge_add("mbp.test.epoch.gauge", 1.0);
+            observe("mbp.test.epoch.seconds", 0.5);
+        }
+        reset();
+        inc("mbp.test.epoch.count");
+        gauge_add("mbp.test.epoch.gauge", 1.0);
+        observe("mbp.test.epoch.seconds", 0.5);
+        let snap = snapshot();
+        assert_eq!(snap.counter("mbp.test.epoch.count"), Some(1));
+        assert_eq!(snap.gauge("mbp.test.epoch.gauge"), Some(1.0));
+        assert_eq!(
+            snap.histogram("mbp.test.epoch.seconds").map(|h| h.count),
+            Some(1)
+        );
         disable();
         reset();
     }

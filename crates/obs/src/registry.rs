@@ -161,6 +161,11 @@ fn cas_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     let mut cur = bits.load(Ordering::Relaxed);
     loop {
         let next = f(f64::from_bits(cur)).to_bits();
+        // Most observations leave min and max alone: skip the locked
+        // read-modify-write then.
+        if next == cur {
+            return;
+        }
         match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return,
             Err(seen) => cur = seen,

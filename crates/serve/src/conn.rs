@@ -77,8 +77,14 @@ enum Pending {
     Fail(ErrorCode, String),
 }
 
+/// Bytes one `read(2)` may take from the socket.
+const READ_CHUNK: usize = 16 * 1024;
+
 pub(crate) struct Conn {
     stream: TcpStream,
+    /// The landing area of every `read(2)`, zeroed once when the
+    /// connection opens, not on every read pass.
+    chunk: Box<[u8]>,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -102,6 +108,7 @@ impl Conn {
     pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
@@ -200,22 +207,23 @@ impl Conn {
     /// wait sees that.
     fn fill_read_buf(&mut self, cfg: &ConnConfig) -> (bool, bool) {
         let _span = mbp_obs::span("mbp.serve.read");
-        let mut chunk = [0u8; 16 * 1024];
         let mut progress = false;
         let mut drained = false;
         while self.read_buf.len() < cfg.read_buf_limit {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     // Orderly EOF: serve what was buffered, then close.
                     self.closing = true;
                     break;
                 }
                 Ok(n) => {
-                    let Some(got) = chunk.get(..n) else { break };
+                    let Some(got) = self.chunk.get(..n) else {
+                        break;
+                    };
                     self.read_buf.extend_from_slice(got);
                     mbp_obs::counter_add("mbp.serve.bytes.read", n as u64);
                     progress = true;
-                    if n < chunk.len() {
+                    if n < self.chunk.len() {
                         drained = true;
                         break;
                     }
