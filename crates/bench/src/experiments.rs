@@ -284,6 +284,9 @@ pub struct RuntimeRow {
     pub method: &'static str,
     /// Wall-clock runtime in seconds.
     pub runtime_s: f64,
+    /// Deterministic work count behind `runtime_s`: DP cells n·(n+1) for
+    /// MBP, branch-and-bound nodes for MILP, 0 for the baselines.
+    pub work: u64,
     /// Revenue achieved.
     pub revenue: f64,
     /// Affordability ratio achieved.
@@ -326,6 +329,7 @@ fn runtime_sweep(
             n,
             method: "MBP",
             runtime_s: t_mbp,
+            work: (n * (n + 1)) as u64,
             revenue: revenue(&mbp.pricing, &buyers),
             affordability: affordability(&mbp.pricing, &buyers),
         });
@@ -336,6 +340,7 @@ fn runtime_sweep(
                 n,
                 method: b.name(),
                 runtime_s: t,
+                work: 0,
                 revenue: revenue(&pf, &buyers),
                 affordability: affordability(&pf, &buyers),
             });
@@ -348,6 +353,7 @@ fn runtime_sweep(
             n,
             method: "MILP",
             runtime_s: t_exact,
+            work: exact.nodes_explored,
             revenue: exact.objective,
             affordability: affordability(&exact.pricing, &buyers),
         });

@@ -7,9 +7,11 @@
 //! high-dimensional listing, where per-quote work is dominated by noise
 //! sampling — the regime the overhead budgets are written for:
 //!
-//! * **serve-floor** — the purchase logic rebuilt from the public pieces
-//!   (`PricingTable`, `PhiMemo`, `GaussianMechanism::perturb_into`) with
-//!   no observability calls at all: the uninstrumented reference.
+//! * **serve-floor** — the broker's per-request work rebuilt from the
+//!   public pieces (`PricingTable`, `PhiMemo`, `GaussianMechanism::
+//!   perturb_into`) with no observability calls at all: the same listing
+//!   and menu `HashMap` lookups, arena buffers, sale slot and ledger push
+//!   as `buy_batch_into`, so the two differ only by observability.
 //! * **serve-obs-disabled** — the real broker path with observability
 //!   fully disabled; every obs call is an inert relaxed load.
 //!   `overhead_disabled` compares this against the floor and must stay
@@ -32,11 +34,11 @@
 //! never touches the pricing or noise streams).
 
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
-use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
+use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SaleArena, Transaction};
 use mbp_core::{GaussianMechanism, NoiseMechanism, PhiMemo, PricingFunction, PricingTable};
-use mbp_linalg::Vector;
-use mbp_ml::ModelKind;
+use mbp_ml::{LinearModel, ModelKind};
 use mbp_randx::{seeded_rng, MbpRng};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Listing dimension for the committed baseline: large enough that noise
@@ -150,65 +152,105 @@ fn listed_broker(dim: usize, pricing: &PricingFunction) -> Broker {
     broker
 }
 
-/// The uninstrumented serve loop: the same resolve → price → perturb →
-/// settle work as `buy_batch_into`, rebuilt from public pieces with no
-/// observability anywhere.
-struct Floor {
+/// A listing as the floor keeps it: the compiled table, the φ memo and
+/// the boxed error transform, as in the broker's own listing.
+struct FloorListing {
     table: PricingTable,
     phi: PhiMemo,
-    mech: GaussianMechanism,
-    weights: Vector,
-    out: Vector,
-    ledger: Vec<(f64, f64, f64)>,
+    transform: Box<dyn ErrorTransform + Send + Sync>,
+}
+
+/// The uninstrumented serve loop: the same work as `buy_batch_into` on a
+/// batch of one — listing and menu lookups, resolve and price passes
+/// through reused buffers, noise into a reused sale slot, the ledger push
+/// — rebuilt from public pieces with no observability anywhere.
+struct Floor {
+    listings: HashMap<ModelKind, FloorListing>,
+    menu: HashMap<ModelKind, LinearModel>,
+    mech: Box<dyn NoiseMechanism>,
+    outcomes: Vec<Result<f64, MarketError>>,
+    xs: Vec<f64>,
+    prices: Vec<f64>,
+    sales: Vec<Sale>,
+    ledger: Vec<Transaction>,
 }
 
 impl Floor {
     fn new(broker: &Broker, pricing: &PricingFunction, quotes: usize) -> Self {
+        let kind = ModelKind::LinearRegression;
         let table = pricing.compile();
         let phi = PhiMemo::new(&SquareLossTransform, &table);
-        let weights = broker
-            .optimal_model(ModelKind::LinearRegression)
-            .expect("supported")
-            .weights()
-            .clone();
-        let out = weights.clone();
-        Floor {
+        let model = broker.optimal_model(kind).expect("supported").clone();
+        let listing = FloorListing {
             table,
             phi,
-            mech: GaussianMechanism,
-            weights,
-            out,
+            transform: Box::new(SquareLossTransform),
+        };
+        Floor {
+            listings: HashMap::from([(kind, listing)]),
+            menu: HashMap::from([(kind, model)]),
+            mech: Box::new(GaussianMechanism),
+            outcomes: Vec::new(),
+            xs: Vec::new(),
+            prices: Vec::new(),
+            sales: Vec::new(),
             ledger: Vec::with_capacity(quotes),
         }
     }
 
-    fn quote(&mut self, request: PurchaseRequest, rng: &mut MbpRng) -> f64 {
+    /// Buys one request; returns `price + ncp`.
+    fn buy(&mut self, request: PurchaseRequest, rng: &mut MbpRng) -> f64 {
+        let kind = ModelKind::LinearRegression;
+        let listing = self.listings.get(&kind).expect("listed");
+        let model = self.menu.get(&kind).expect("supported");
         let ncp = match request {
             PurchaseRequest::AtNcp(delta) => delta,
-            PurchaseRequest::ErrorBudget(err) => self
+            PurchaseRequest::ErrorBudget(err) => listing
                 .phi
-                .ncp_for_error(&SquareLossTransform, err)
+                .ncp_for_error(listing.transform.as_ref(), err)
                 .expect("request is satisfiable"),
             PurchaseRequest::PriceBudget(budget) => {
-                let x = self
+                let x = listing
                     .table
                     .max_precision_for_budget(budget)
                     .expect("request is satisfiable");
                 1.0 / x
             }
         };
-        let price = self.table.price_for_ncp(ncp);
-        let expected_error = SquareLossTransform.expected_error(ncp);
+        self.outcomes.clear();
+        self.xs.clear();
+        self.xs.push(1.0 / ncp);
+        self.outcomes.push(Ok(ncp));
+        listing.table.price_at_batch(&self.xs, &mut self.prices);
+        if self.sales.is_empty() {
+            self.sales.push(Sale {
+                model: model.clone(),
+                price: 0.0,
+                ncp: 0.0,
+                expected_error: 0.0,
+            });
+        }
+        let sale = &mut self.sales[0];
         self.mech
-            .perturb_into(&self.weights, ncp, rng, &mut self.out);
-        self.ledger.push((ncp, price, expected_error));
-        price + ncp
+            .perturb_into(model.weights(), ncp, rng, sale.model.weights_mut());
+        sale.price = self.prices[0];
+        sale.ncp = ncp;
+        sale.expected_error = listing.transform.expected_error(ncp);
+        for (outcome, sale) in self.outcomes.iter().zip(&self.sales) {
+            let Ok(&ncp) = outcome.as_ref() else { continue };
+            self.ledger.push(Transaction {
+                kind,
+                ncp,
+                price: sale.price,
+            });
+        }
+        self.prices[0] + ncp
     }
 
     /// Serves the whole stream; returns its digest.
     fn serve(&mut self, requests: &[PurchaseRequest], rng: &mut MbpRng) -> f64 {
         self.ledger.clear();
-        requests.iter().map(|&r| self.quote(r, rng)).sum()
+        requests.iter().map(|&r| self.buy(r, rng)).sum()
     }
 }
 

@@ -13,16 +13,23 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::wire::{
-    decode_header, decode_response, digest_bytes, encode_request, Request, Response, DIGEST_SEED,
-    HEADER_LEN,
+    decode_header, decode_response, digest_bytes, encode_request, Header, Request, Response,
+    DIGEST_SEED, HEADER_LEN,
 };
+
+/// Bytes one socket read may return.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Blocking protocol client.
 pub struct Client {
     stream: TcpStream,
     next_id: u32,
     out: Vec<u8>,
+    /// Received bytes; frames before `consumed` have been returned.
     in_buf: Vec<u8>,
+    consumed: usize,
+    /// Socket read target, zeroed once per client.
+    chunk: Box<[u8]>,
     digest: u64,
 }
 
@@ -36,6 +43,8 @@ impl Client {
             next_id: 0,
             out: Vec::new(),
             in_buf: Vec::new(),
+            consumed: 0,
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             digest: DIGEST_SEED,
         })
     }
@@ -70,40 +79,32 @@ impl Client {
     /// Unsolicited frames (backpressure, id 0) are returned like any
     /// other; callers that pipeline within the server's queue limit will
     /// only ever see their own ids, in order.
+    ///
+    /// Each frame is digested and decoded where it lies in the receive
+    /// buffer; consumed frames are dropped only before the next socket
+    /// read.
     pub fn recv(&mut self) -> io::Result<(u32, Response)> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some((header, total)) = self.peek_frame()? {
-                let frame: Vec<u8> = self.in_buf.drain(..total).collect();
-                self.digest = digest_bytes(self.digest, &frame);
+            let pending = self.in_buf.get(self.consumed..).unwrap_or(&[]);
+            if let Some((header, frame)) = peek_frame(pending)? {
+                self.consumed += frame.len();
+                self.digest = digest_bytes(self.digest, frame);
                 let payload = frame.get(HEADER_LEN..).unwrap_or(&[]);
                 let response = decode_response(&header, payload)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.message()))?;
                 return Ok((header.request_id, response));
             }
-            let n = self.stream.read(&mut chunk)?;
+            self.in_buf.drain(..self.consumed);
+            self.consumed = 0;
+            let n = self.stream.read(&mut self.chunk)?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed mid-response",
                 ));
             }
-            self.in_buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-        }
-    }
-
-    fn peek_frame(&self) -> io::Result<Option<(crate::wire::Header, usize)>> {
-        match decode_header(&self.in_buf) {
-            Ok(Some(h)) => {
-                let total = HEADER_LEN + h.payload_len as usize;
-                if self.in_buf.len() >= total {
-                    Ok(Some((h, total)))
-                } else {
-                    Ok(None)
-                }
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.message())),
+            self.in_buf
+                .extend_from_slice(self.chunk.get(..n).unwrap_or(&[]));
         }
     }
 
@@ -124,5 +125,17 @@ impl Client {
     pub fn shutdown_server(&mut self) -> io::Result<Response> {
         let (_, resp) = self.call(&Request::Shutdown)?;
         Ok(resp)
+    }
+}
+
+/// The first complete frame in `buf`, as its header and its bytes, or
+/// `None` while the frame is still incomplete.
+fn peek_frame(buf: &[u8]) -> io::Result<Option<(Header, &[u8])>> {
+    match decode_header(buf) {
+        Ok(Some(h)) => Ok(buf
+            .get(..HEADER_LEN + h.payload_len as usize)
+            .map(|f| (h, f))),
+        Ok(None) => Ok(None),
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.message())),
     }
 }

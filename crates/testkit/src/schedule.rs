@@ -20,10 +20,9 @@
 //! over every interleaving.
 //!
 //! Seeded fault points pin graceful degradation: a maintenance closure
-//! that panics mid-flight (the "poisoned stripe") must not lose settled
-//! transactions or wedge later operations, and a reader racing a
-//! re-publish must only ever observe one of the published curves, never a
-//! torn listing.
+//! that panics mid-flight must not lose settled transactions or wedge
+//! later operations, and a reader racing a re-publish must only ever
+//! observe one of the published curves, never a torn listing.
 //!
 //! Any failure reproduces from the printed case seed alone via
 //! [`run_case`].
@@ -55,7 +54,8 @@ pub struct ScheduleConfig {
     pub threads: usize,
     /// Operations per virtual thread.
     pub ops_per_thread: usize,
-    /// Inject seeded fault points (poisoned stripe, mid-publish reader).
+    /// Inject seeded fault points (panicking maintenance, mid-publish
+    /// reader).
     pub faults: bool,
 }
 
@@ -135,7 +135,7 @@ enum Op {
     /// Drain the stripes into the core ledger and read its length.
     Reconcile,
     /// Fault point: a maintenance closure that panics mid-flight.
-    PoisonStripe,
+    PanickingMaintenance,
     /// Fault point: quote against the listing and check the observed
     /// price is exactly one published curve, never a torn mixture.
     ReaderProbe,
@@ -173,7 +173,7 @@ fn random_op(rng: &mut MbpRng, faults: bool) -> Op {
         6..=7 => Op::Republish(rng.gen_range(0usize..2)),
         8 => Op::Snapshot,
         9 => Op::Reconcile,
-        10 => Op::PoisonStripe,
+        10 => Op::PanickingMaintenance,
         _ => Op::ReaderProbe,
     }
 }
@@ -269,7 +269,7 @@ fn run_shared(
                 let n = sb.with_broker(|b| b.ledger().len());
                 obs.push(Obs::Count(n));
             }
-            Op::PoisonStripe => {
+            Op::PanickingMaintenance => {
                 // A maintenance closure that dies mid-flight. The stripes
                 // were already drained; the panic must neither lose those
                 // transactions nor wedge the broker (parking_lot locks do
@@ -277,10 +277,13 @@ fn run_shared(
                 let prev = std::panic::take_hook();
                 std::panic::set_hook(Box::new(|_| {}));
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    sb.with_broker(|_| panic!("injected stripe poison"))
+                    sb.with_broker(|_| panic!("injected maintenance panic"))
                 }));
                 std::panic::set_hook(prev);
-                obs.push(Obs::Text(format!("poison panicked={}", result.is_err())));
+                obs.push(Obs::Text(format!(
+                    "maintenance panicked={}",
+                    result.is_err()
+                )));
                 obs.push(Obs::Count(sb.sales_count()));
             }
             Op::ReaderProbe => {
@@ -348,10 +351,10 @@ fn run_reference(
             Op::Reconcile => {
                 obs.push(Obs::Count(broker.ledger().len()));
             }
-            Op::PoisonStripe => {
+            Op::PanickingMaintenance => {
                 // The reference broker has no maintenance to fault; the
                 // observable contract is only "nothing lost, not wedged".
-                obs.push(Obs::Text("poison panicked=true".to_string()));
+                obs.push(Obs::Text("maintenance panicked=true".to_string()));
                 obs.push(Obs::Count(broker.ledger().len()));
             }
             Op::ReaderProbe => {

@@ -181,6 +181,28 @@ fn assert_runtime_shapes(scenarios: &[mbp_bench::experiments::RuntimeScenario], 
                 );
             }
         }
+        // Exponential-vs-polynomial, counted: the exact solver's
+        // branch-and-bound nodes grow faster from n = 3 to max_n than the
+        // DP's n·(n+1) cells, and outnumber them at max_n.
+        let work = |n: usize, m: &str| {
+            s.rows
+                .iter()
+                .find(|r| r.n == n && r.method == m)
+                .unwrap()
+                .work
+        };
+        let milp_growth = work(max_n, "MILP") as f64 / work(3, "MILP") as f64;
+        let dp_growth = work(max_n, "MBP") as f64 / work(3, "MBP") as f64;
+        assert!(
+            milp_growth > 4.0 * dp_growth,
+            "{}: MILP nodes grew {milp_growth:.1}x from n = 3 to {max_n}, DP cells {dp_growth:.1}x",
+            s.label
+        );
+        assert!(
+            work(max_n, "MILP") > work(max_n, "MBP"),
+            "{}: MILP explored fewer nodes than the DP's cells at n = {max_n}",
+            s.label
+        );
         // Exponential-vs-polynomial: the MILP runtime at max_n dwarfs its
         // runtime at small n by a much larger factor than MBP's.
         let milp_first = s

@@ -131,7 +131,7 @@ fn schedule_explorer_linearizes_1e4_interleavings() {
     );
 }
 
-/// Fault-injected schedules (poisoned stripe, mid-publish reader probes)
+/// Fault-injected schedules (panicking maintenance, mid-publish reader probes)
 /// also linearize, and any failure would reproduce from its printed case
 /// seed alone.
 #[test]
