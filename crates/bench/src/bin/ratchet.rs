@@ -7,14 +7,16 @@
 //! `.`), `MBP_RATCHET_TOL` / `MBP_RATCHET_RATIO_TOL` (widen the
 //! absolute-latency and ratio bands for slow or shared runners),
 //! `MBP_SERVE_QUOTES` / `MBP_NET_REQUESTS` / `MBP_KERNEL_LOOKUPS` /
-//! `MBP_WAL_RECORDS` / `MBP_ATTACK_TRIALS` /
-//! `MBP_TRACE_QUOTES` (fresh-run sizes), and `MBP_TRACE_BUDGET_DISABLED` /
-//! `MBP_TRACE_BUDGET_ENABLED` (fresh-run overhead budgets; the committed
-//! artifact is always held to the strict 2% / 10% contract).
+//! `MBP_ATTACK_TRIALS` / `MBP_TRACE_QUOTES` (fresh-run sizes), and
+//! `MBP_TRACE_BUDGET_DISABLED` / `MBP_TRACE_BUDGET_ENABLED` (fresh-run
+//! overhead budgets; the committed artifact is always held to the strict
+//! 2% / 10% contract). The durability run takes its record count from the
+//! committed `BENCH_wal.json`, so its ingest/recovery ratio is measured at
+//! the scale it is compared with.
 
 use mbp_bench::ratchet::{
     check_trace_overhead, compare_kernel, compare_serve_net, compare_serving, compare_testkit,
-    compare_wal, RatchetConfig, RatchetReport,
+    compare_wal, parse_json, Json, RatchetConfig, RatchetReport,
 };
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -128,10 +130,18 @@ fn main() {
 
     match read_baseline(&dir, "BENCH_wal.json") {
         Ok(committed) => {
-            let records = env_usize("MBP_WAL_RECORDS", 20_000);
-            println!("measuring durability baseline ({records} records/workload)...");
-            let fresh = mbp_bench::walbench::run(records).to_json();
-            check("wal", compare_wal(&committed, &fresh, &cfg), &mut failed);
+            let records = parse_json(&committed)
+                .ok()
+                .and_then(|doc| doc.get("records").and_then(Json::as_f64));
+            if let Some(records) = records {
+                let records = records as usize;
+                println!("measuring durability baseline ({records} records/workload)...");
+                let fresh = mbp_bench::walbench::run(records).to_json();
+                check("wal", compare_wal(&committed, &fresh, &cfg), &mut failed);
+            } else {
+                println!("[wal] ERROR: committed BENCH_wal.json has no numeric 'records'");
+                failed = true;
+            }
         }
         Err(e) => {
             println!("[wal] ERROR: {e}");

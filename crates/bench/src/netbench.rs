@@ -3,21 +3,14 @@
 //! Boots an in-process daemon on an ephemeral loopback port and drives it
 //! with real TCP clients at 1/4/16/64 concurrent connections. Every client
 //! replays a fixed per-connection request stream (seeded by its `Hello`
-//! frame) in pipelined bursts, so the byte stream each client receives is
-//! a pure function of the sweep point; each point runs twice and
-//! `deterministic` asserts the response digests reproduce exactly.
+//! frame) in pipelined bursts, which the daemon coalesces into batch
+//! kernel calls; each point runs twice and keeps the faster run.
 //!
-//! The headline ratio is **batch admission**: the daemon coalesces each
-//! connection's pending same-listing buys into one `buy_batch_into` call.
-//! `batch_admission_speedup` re-runs the saturation point with coalescing
-//! disabled (one kernel dispatch per request — the classic
-//! request-per-call server) and reports saturated RPS over that baseline.
-//! Because batch admission cannot change results (the PR 7 kernel consumes
-//! RNG purely in request order), the two modes must also produce
-//! bit-identical response digests — `per_request_matches_batched` pins it.
-//!
-//! Bursts are kept far below the server's admission queue limit so
-//! backpressure frames (which are timing-dependent) never enter the
+//! The byte stream each client receives is a pure function of the sweep
+//! point. [`exchange_digest`] drives that canonical exchange and folds the
+//! clients' response digests; `tests/wire_digests.rs` pins its values as
+//! constants. Bursts are kept far below the server's admission queue limit
+//! so backpressure frames (which are timing-dependent) never enter the
 //! response streams being digested.
 //!
 //! The `loadgen` binary serializes the result to `BENCH_serve_net.json`.
@@ -55,11 +48,6 @@ pub struct NetSweepPoint {
     pub p50_micros: f64,
     /// 99th-percentile per-request latency in microseconds.
     pub p99_micros: f64,
-    /// Combined response digest of the first run (per-client FNV digests
-    /// folded in connection order).
-    pub digest: u64,
-    /// Whether the second run reproduced `digest` exactly.
-    pub deterministic: bool,
 }
 
 /// The full network-serving baseline (`BENCH_serve_net.json`).
@@ -75,16 +63,6 @@ pub struct NetBaseline {
     pub saturation_rps: f64,
     /// Connection count that achieved `saturation_rps`.
     pub saturation_conns: usize,
-    /// RPS at `saturation_conns` with batch admission disabled (one
-    /// kernel dispatch per request).
-    pub per_request_rps: f64,
-    /// `saturation_rps / per_request_rps` — the batch-admission win.
-    pub batch_admission_speedup: f64,
-    /// The per-request run reproduced the batched run's digest exactly
-    /// (batch coalescing must never change responses).
-    pub per_request_matches_batched: bool,
-    /// Every sweep point (and the per-request run) reproduced its digest.
-    pub deterministic: bool,
 }
 
 fn dense_pricing(points: usize) -> PricingFunction {
@@ -131,13 +109,9 @@ struct RunResult {
 /// Boots a fresh daemon, drives `conns` clients through their streams, and
 /// tears the daemon down. Returns wall time, burst-amortized per-request
 /// latencies from every client, and the order-folded response digest.
-fn drive(conns: usize, per_conn: usize, batch_admission: bool) -> RunResult {
+fn drive(conns: usize, per_conn: usize) -> RunResult {
     let shared = SharedBroker::new(listed_broker(0xA11));
-    let cfg = ServerConfig {
-        batch_admission,
-        ..ServerConfig::default()
-    };
-    let handle = mbp_serve::start(shared, cfg).expect("server starts");
+    let handle = mbp_serve::start(shared, ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
 
     let t0 = Instant::now();
@@ -199,11 +173,19 @@ fn percentile_micros(latencies: &mut [f64], q: f64) -> f64 {
     latencies[idx] * 1e6
 }
 
+/// The response digest of one canonical exchange: `conns` clients with
+/// `Hello` seeds `0xC0_0000 + c`, each sending its `per_conn` buys in
+/// 64-buy bursts to a fresh daemon over the 512-knot `10·√x` listing;
+/// the per-client FNV digests folded in connection order.
+pub fn exchange_digest(conns: usize, per_conn: usize) -> u64 {
+    drive(conns, per_conn).digest
+}
+
 /// Runs one sweep point twice from identical seeds, keeping the faster
-/// run's wall time and the better tail, and checking digest equality.
-fn measure_point(conns: usize, per_conn: usize, batch_admission: bool) -> NetSweepPoint {
-    let mut first = drive(conns, per_conn, batch_admission);
-    let mut second = drive(conns, per_conn, batch_admission);
+/// run's wall time and the better tail.
+fn measure_point(conns: usize, per_conn: usize) -> NetSweepPoint {
+    let mut first = drive(conns, per_conn);
+    let mut second = drive(conns, per_conn);
     let requests = conns * per_conn;
     let seconds = first.seconds.min(second.seconds);
     let p50 = percentile_micros(&mut first.latencies, 0.50)
@@ -221,8 +203,6 @@ fn measure_point(conns: usize, per_conn: usize, batch_admission: bool) -> NetSwe
         },
         p50_micros: p50,
         p99_micros: p99,
-        digest: first.digest,
-        deterministic: first.digest == second.digest,
     }
 }
 
@@ -233,7 +213,7 @@ pub fn run(per_conn: usize) -> NetBaseline {
 
     let sweep: Vec<NetSweepPoint> = SWEEP_CONNS
         .iter()
-        .map(|&conns| measure_point(conns, per_conn, true))
+        .map(|&conns| measure_point(conns, per_conn))
         .collect();
 
     let best = sweep
@@ -242,19 +222,6 @@ pub fn run(per_conn: usize) -> NetBaseline {
         .expect("sweep is non-empty");
     let saturation_rps = best.rps;
     let saturation_conns = best.connections;
-    let batched_digest_at_best = best.digest;
-
-    // The one-dispatch-per-request baseline at the saturation point.
-    let per_request = measure_point(saturation_conns, per_conn, false);
-    let per_request_rps = per_request.rps;
-    let batch_admission_speedup = if per_request_rps > 0.0 {
-        saturation_rps / per_request_rps
-    } else {
-        0.0
-    };
-    let per_request_matches_batched = per_request.digest == batched_digest_at_best;
-
-    let deterministic = sweep.iter().all(|p| p.deterministic) && per_request.deterministic;
 
     NetBaseline {
         meta: crate::RunMeta::from_env(),
@@ -262,10 +229,6 @@ pub fn run(per_conn: usize) -> NetBaseline {
         sweep,
         saturation_rps,
         saturation_conns,
-        per_request_rps,
-        batch_admission_speedup,
-        per_request_matches_batched,
-        deterministic,
     }
 }
 
@@ -287,31 +250,16 @@ impl NetBaseline {
             "  \"saturation_conns\": {},\n",
             self.saturation_conns
         ));
-        out.push_str(&format!(
-            "  \"per_request_rps\": {:.1},\n",
-            self.per_request_rps
-        ));
-        out.push_str(&format!(
-            "  \"batch_admission_speedup\": {:.4},\n",
-            self.batch_admission_speedup
-        ));
-        out.push_str(&format!(
-            "  \"per_request_matches_batched\": {},\n",
-            self.per_request_matches_batched
-        ));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
         out.push_str("  \"sweep\": [\n");
         for (i, p) in self.sweep.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"connections\": {}, \"requests\": {}, \"seconds\": {:.6}, \"rps\": {:.1}, \"p50_micros\": {:.3}, \"p99_micros\": {:.3}, \"digest\": {}, \"deterministic\": {}}}{}\n",
+                "    {{\"connections\": {}, \"requests\": {}, \"seconds\": {:.6}, \"rps\": {:.1}, \"p50_micros\": {:.3}, \"p99_micros\": {:.3}}}{}\n",
                 p.connections,
                 p.requests,
                 p.seconds,
                 p.rps,
                 p.p50_micros,
                 p.p99_micros,
-                p.digest,
-                p.deterministic,
                 if i + 1 == self.sweep.len() { "" } else { "," }
             ));
         }
@@ -325,21 +273,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_is_deterministic_and_complete() {
+    fn smoke_sweep_is_complete_and_serializes_every_field() {
         let b = run(64);
         assert_eq!(b.sweep.len(), SWEEP_CONNS.len());
         assert!(b.sweep.iter().all(|p| p.rps > 0.0));
-        assert!(b.deterministic, "a sweep point failed to reproduce");
-        assert!(
-            b.per_request_matches_batched,
-            "batch admission changed responses"
-        );
-        assert!(b.batch_admission_speedup > 0.0);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(64);
         let json = b.to_json();
         for key in [
             "\"hardware_threads\"",
@@ -348,10 +285,6 @@ mod tests {
             "\"requests_per_conn\"",
             "\"saturation_rps\"",
             "\"saturation_conns\"",
-            "\"per_request_rps\"",
-            "\"batch_admission_speedup\"",
-            "\"per_request_matches_batched\"",
-            "\"deterministic\"",
             "\"connections\"",
             "\"p99_micros\"",
         ] {

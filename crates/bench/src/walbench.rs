@@ -14,9 +14,10 @@
 //! seconds ÷ recovery seconds*: replaying a log must never be slower
 //! than writing it was, or crash recovery could not catch up with a
 //! live market. The ratchet holds the committed artifact to a hard
-//! floor of 1.0 on that ratio. Recovery runs twice from the same bytes
-//! and must reproduce its state digest (`deterministic`). The `all`
-//! binary serializes the result to `BENCH_wal.json`.
+//! floor of 1.0 on that ratio. Both sides of it take the faster of two
+//! runs: ingest appends the history twice, and recovery runs twice from
+//! the same bytes and must reproduce its state digest (`deterministic`).
+//! The `all` binary serializes the result to `BENCH_wal.json`.
 
 use mbp_randx::SeedStream;
 use mbp_wal::{recover_dir, RecoveredState, WalConfig, WalEvent, WalWriter};
@@ -36,7 +37,8 @@ pub struct WalWorkload {
     pub fsync_interval: usize,
     /// Records appended.
     pub records: usize,
-    /// Wall seconds for the whole stream, including the final sync.
+    /// Wall seconds for the whole stream, including the final sync (for
+    /// `append`, the faster of two runs).
     pub seconds: f64,
     /// Throughput derived from `seconds`.
     pub records_per_sec: f64,
@@ -177,9 +179,15 @@ pub fn run(records: usize) -> WalBaseline {
     let mut workloads = Vec::new();
 
     // Raw append throughput: no periodic fsync, one durability point at
-    // the end. This run is also the live-ingest side of the recovery
-    // speedup ratio, and its segment is what recovery replays.
-    let (append, append_dir) = timed_append(&events, 0, "append");
+    // the end, the faster of two runs. This is also the live-ingest side
+    // of the recovery speedup ratio, and its segment is what recovery
+    // replays.
+    let (mut append, append_dir) = timed_append(&events, 0, "append");
+    let (again, again_dir) = timed_append(&events, 0, "append-again");
+    let _ = std::fs::remove_dir_all(&again_dir);
+    if again.seconds < append.seconds {
+        append = again;
+    }
     let ingest_seconds = append.seconds;
     workloads.push(append);
 

@@ -100,10 +100,9 @@ COMMANDS:
             [--grid lo,hi,n]       over the length-prefixed wire protocol
             [--queue-limit N]      until a Shutdown frame or SIGTERM
             [--idle-timeout-ms T]  drains it; --metrics-port exposes
-            [--no-batch]           GET /metrics (Prometheus); --no-batch
-            [--wal DIR]            disables batch admission (baseline);
-                                   --wal appends every market mutation to
-                                   a durable write-ahead log in DIR and
+            [--wal DIR]            GET /metrics (Prometheus); --wal
+                                   appends every market mutation to a
+                                   durable write-ahead log in DIR and
                                    replays any existing log on boot
   replay    --wal DIR             re-run a captured WAL read-only: fold
             [--curve C1,C2,...]    the surviving history and report
@@ -337,7 +336,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         addr: format!("{host}:{port}"),
         metrics_addr: (metrics_port != 0).then(|| format!("{host}:{metrics_port}")),
         io_threads: 0, // resolved from --threads / MBP_THREADS by mbp-par
-        batch_admission: !args.get_bool("no-batch"),
         queue_limit: args.get_usize("queue-limit", 1024)?,
         idle_timeout: std::time::Duration::from_millis(args.get_u64("idle-timeout-ms", 30_000)?),
         handle_sigterm: true,

@@ -227,9 +227,8 @@ impl Matrix {
     }
 
     /// Rows per parallel band in [`Matrix::gram`]. Matrices with fewer than
-    /// two bands take the original sequential path, so small problems (and
-    /// every problem at one effective thread) are bit-identical to the
-    /// serial implementation.
+    /// two bands take the original sequential path, so small problems are
+    /// bit-identical to the serial implementation.
     const GRAM_ROW_BAND: usize = 256;
 
     /// Minimum per-band work (upper-triangle multiply-adds,
@@ -246,12 +245,14 @@ impl Matrix {
     /// without materializing `Aᵀ`.
     ///
     /// Large inputs accumulate one upper-triangle partial per fixed row band
-    /// in parallel; partials are merged in band-index order, so the parallel
-    /// result is bit-identical at every thread count ≥ 2 and differs from
-    /// the serial sum only by the documented band-wise reassociation
-    /// (bounded by normal f64 summation error). Inputs with fewer than two
-    /// bands, or too narrow to meet the per-band work grain
-    /// (`GRAM_PAR_GRAIN`), take the serial path.
+    /// in parallel; partials are merged in band-index order. The choice
+    /// between the two paths depends only on the shape, never on the
+    /// thread count (one thread runs the same bands in order), so the
+    /// result is bit-identical at every thread count; the banded sum
+    /// differs from the row-by-row one only by the band-wise
+    /// reassociation (bounded by normal f64 summation error). Inputs with
+    /// fewer than two bands, or too narrow to meet the per-band work grain
+    /// (`GRAM_PAR_GRAIN`), take the row-by-row path.
     ///
     /// The upper-triangle update is a slice-zip axpy
     /// (`acc[j·d+j..j·d+d] += rj · row[j..]`): ascending `k`, the same
@@ -261,10 +262,7 @@ impl Matrix {
         let d = self.cols;
         let mut out = Matrix::zeros(d, d);
         let band_work = Self::GRAM_ROW_BAND * (d * (d + 1)) / 2;
-        if self.rows > Self::GRAM_ROW_BAND
-            && band_work >= Self::GRAM_PAR_GRAIN
-            && mbp_par::max_threads() > 1
-        {
+        if self.rows > Self::GRAM_ROW_BAND && band_work >= Self::GRAM_PAR_GRAIN {
             let _span = mbp_obs::span("mbp.linalg.gram.par");
             let partials = mbp_par::par_map_chunks(self.rows, Self::GRAM_ROW_BAND, |band| {
                 let mut acc = vec![0.0f64; d * d];

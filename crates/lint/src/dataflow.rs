@@ -58,8 +58,9 @@ pub fn is_serve_root(f: &FnItem) -> bool {
     })
 }
 
-/// Development-harness crates: test oracles, benches, load generators,
-/// the CLI, and the linter itself. They are dev-dependencies (or separate
+/// Development-harness crates: test oracles, benches (the `loadgen` load
+/// generator is one of `mbp-bench`'s binaries), the CLI, and the linter
+/// itself. They are dev-dependencies (or separate
 /// binaries) that never link into the serving process, and their panics
 /// are part of their contract — a test oracle *should* abort loudly on an
 /// impossible state. They are excluded from `reach-panic` roots and
@@ -68,7 +69,6 @@ pub fn is_harness(f: &FnItem) -> bool {
     const PREFIXES: &[&str] = &[
         "crates/testkit/",
         "crates/bench/",
-        "crates/loadgen/",
         "crates/cli/",
         "crates/lint/",
     ];

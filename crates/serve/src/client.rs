@@ -6,7 +6,8 @@
 //! [`Client::recv`] reads responses back in request order. The client
 //! keeps a rolling FNV-1a digest of every raw response frame it receives
 //! ([`Client::digest`]), which is the bit-exactness witness the
-//! determinism checks compare across runs.
+//! loopback tests compare across runs and `mbp-bench`'s wire-digest test
+//! pins to constants.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -11,7 +11,8 @@
 //! Because the kernel's RNG consumption depends only on request order —
 //! never on how the stream was chunked into batches — the responses a
 //! client sees are bit-identical no matter how its frames happened to
-//! coalesce, which is what makes the loadgen digest check meaningful.
+//! coalesce: a depth-1 stream and the same stream sent in pipelined
+//! bursts get the same bytes back, which the loopback tests pin.
 //!
 //! Admission control: at most `queue_limit` decoded requests may be
 //! pending; when the limit is hit with more complete frames buffered, the
@@ -46,10 +47,6 @@ pub(crate) struct ConnConfig {
     pub queue_limit: usize,
     /// Max buffered unparsed bytes before the read phase yields.
     pub read_buf_limit: usize,
-    /// `true` disables batch admission: every request dispatches (and
-    /// flushes) individually — the naive-server baseline loadgen measures
-    /// the batch speedup against.
-    pub per_request: bool,
 }
 
 /// Outcome of one scheduler turn over a connection.
@@ -146,7 +143,7 @@ impl Conn {
             read_drained = drained;
         }
         progress |= self.decode_frames(cfg);
-        progress |= self.dispatch(broker, cfg, draining);
+        progress |= self.dispatch(broker, draining);
         progress |= self.flush_writes();
         let flushed = self.write_pos >= self.write_buf.len();
         let idle_drain = drain_mode && self.pending.is_empty() && !self.has_complete_frame();
@@ -209,7 +206,9 @@ impl Conn {
         let _span = mbp_obs::span("mbp.serve.read");
         let mut progress = false;
         let mut drained = false;
+        let mut syscalls = 0;
         while self.read_buf.len() < cfg.read_buf_limit {
+            syscalls += 1;
             match self.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     // Orderly EOF: serve what was buffered, then close.
@@ -239,6 +238,7 @@ impl Conn {
                 }
             }
         }
+        mbp_obs::counter_add("mbp.serve.syscalls.read", syscalls);
         (progress, drained)
     }
 
@@ -322,7 +322,7 @@ impl Conn {
 
     /// Dispatch phase: pop pending requests in order, coalescing runs of
     /// same-kind buys/quotes into single batch-kernel calls.
-    fn dispatch(&mut self, broker: &SharedBroker, cfg: &ConnConfig, draining: &AtomicBool) -> bool {
+    fn dispatch(&mut self, broker: &SharedBroker, draining: &AtomicBool) -> bool {
         if self.pending.is_empty() {
             return false;
         }
@@ -353,11 +353,11 @@ impl Conn {
                     self.dispatch_publish(broker, id, kind, &points);
                 }
                 Pending::Req(Request::Quote { kind, request }) => {
-                    self.gather_run(cfg, id, request, kind, false);
+                    self.gather_run(id, request, kind, false);
                     self.dispatch_quotes(broker, kind);
                 }
                 Pending::Req(Request::Buy { kind, request }) => {
-                    self.gather_run(cfg, id, request, kind, true);
+                    self.gather_run(id, request, kind, true);
                     self.dispatch_buys(broker, kind);
                 }
             }
@@ -369,23 +369,12 @@ impl Conn {
 
     /// Batch admission: seed the batch buffers with the popped request,
     /// then keep popping while the queue front is the same verb for the
-    /// same listing (bounded by the kernel's `MAX_BATCH` cap). With
-    /// `per_request` set the run is always length 1.
-    fn gather_run(
-        &mut self,
-        cfg: &ConnConfig,
-        id: u32,
-        first: PurchaseRequest,
-        kind: ModelKind,
-        buys: bool,
-    ) {
+    /// same listing (bounded by the kernel's `MAX_BATCH` cap).
+    fn gather_run(&mut self, id: u32, first: PurchaseRequest, kind: ModelKind, buys: bool) {
         self.batch_ids.clear();
         self.batch_reqs.clear();
         self.batch_ids.push(id);
         self.batch_reqs.push(first);
-        if cfg.per_request {
-            return;
-        }
         while self.batch_reqs.len() < MAX_BATCH {
             let same = match self.pending.front() {
                 Some((_, Pending::Req(Request::Buy { kind: k, .. }))) => buys && *k == kind,
@@ -516,10 +505,12 @@ impl Conn {
         }
         let _span = mbp_obs::span("mbp.serve.write");
         let mut progress = false;
+        let mut syscalls = 0;
         while self.write_pos < self.write_buf.len() {
             let Some(tail) = self.write_buf.get(self.write_pos..) else {
                 break;
             };
+            syscalls += 1;
             match self.stream.write(tail) {
                 Ok(0) => {
                     self.closed = true;
@@ -538,6 +529,7 @@ impl Conn {
                 }
             }
         }
+        mbp_obs::counter_add("mbp.serve.syscalls.write", syscalls);
         if self.write_pos >= self.write_buf.len() {
             self.write_buf.clear();
             self.write_pos = 0;

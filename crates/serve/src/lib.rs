@@ -16,7 +16,9 @@
 //! (shutdown call, control frame, SIGTERM) pokes on every thread. A
 //! `GET /metrics` Prometheus side port exposes the live
 //! `mbp-obs` registry (`mbp.serve.*` spans, counters, and gauges cover
-//! every phase: read/decode/batch/dispatch/encode/write).
+//! every phase: read/decode/batch/dispatch/encode/write; the
+//! `mbp.serve.syscalls.*` and `mbp.serve.polls.*` counters count the
+//! socket reads and writes and the IO workers' waits behind them).
 //!
 //! Determinism contract: each connection's noise RNG is seeded by its
 //! client's `Hello` frame, every connection is pinned to one IO worker,
@@ -24,7 +26,8 @@
 //! responses (and the settled ledger, up to transaction order across
 //! connections) are bit-identical to an in-process `Broker` run, no
 //! matter how frames coalesced into batches. The loopback tests and the
-//! `loadgen` digest checks in `mbp-bench` pin exactly that.
+//! wire-digest test in `mbp-bench` (netbench's canonical exchange, its
+//! digests held as constants in the test) pin exactly that.
 //!
 //! [`SharedBroker`]: mbp_core::market::concurrent::SharedBroker
 

@@ -62,8 +62,6 @@ pub struct ServerConfig {
     pub metrics_addr: Option<String>,
     /// IO worker threads; `0` means [`mbp_par::max_threads`].
     pub io_threads: usize,
-    /// `false` disables batch admission (the loadgen baseline mode).
-    pub batch_admission: bool,
     /// Max decoded-but-undispatched requests per connection before an
     /// unsolicited backpressure frame is sent and decoding pauses.
     pub queue_limit: usize,
@@ -79,7 +77,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             metrics_addr: None,
             io_threads: 0,
-            batch_admission: true,
             queue_limit: 1024,
             idle_timeout: Duration::from_secs(30),
             handle_sigterm: false,
@@ -274,7 +271,6 @@ pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerH
     let conn_cfg = ConnConfig {
         queue_limit: cfg.queue_limit.max(1),
         read_buf_limit: 256 * 1024,
-        per_request: !cfg.batch_admission,
     };
     let io_threads = if cfg.io_threads == 0 {
         mbp_par::max_threads()
@@ -451,11 +447,17 @@ fn spin_window(parallelism: usize) -> Duration {
 /// hit, or a blocking wait with no spin before it that returned that
 /// soon. A missed spin is never short, so a client slower than the
 /// window costs one missed spin before the worker stops spinning.
+///
+/// Counts the wait's zero-timeout polls (`mbp.serve.polls.spin`) and its
+/// blocking poll (`mbp.serve.polls.blocking`), one counter add each per
+/// wait rather than per spin iteration.
 fn wait_for_event(poller: &mut Poller, spin: Option<Duration>, deadline: Option<Instant>) -> bool {
     let start = Instant::now();
     if let Some(window) = spin {
         let until = start.checked_add(window);
+        let mut polls = 0;
         let hit = loop {
+            polls += 1;
             if poller.wait(Some(Duration::ZERO)) {
                 break true;
             }
@@ -463,6 +465,7 @@ fn wait_for_event(poller: &mut Poller, spin: Option<Duration>, deadline: Option<
                 break false;
             }
         };
+        mbp_obs::counter_add("mbp.serve.polls.spin", polls);
         mbp_obs::observe("mbp.serve.spin.seconds", start.elapsed().as_secs_f64());
         if hit {
             mbp_obs::inc("mbp.serve.spin_hits");
@@ -470,6 +473,7 @@ fn wait_for_event(poller: &mut Poller, spin: Option<Duration>, deadline: Option<
         }
         mbp_obs::inc("mbp.serve.spin_misses");
     }
+    mbp_obs::inc("mbp.serve.polls.blocking");
     poller.wait(deadline.map(|d| d.saturating_duration_since(Instant::now())));
     start.elapsed() < SPIN_WINDOW
 }
@@ -485,9 +489,18 @@ fn io_loop(
     let mut conns: Vec<Tracked> = Vec::new();
     let window =
         spin_window(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    // Zero-valued, so `/metrics` lists the spin counters from the start.
-    mbp_obs::counter_add("mbp.serve.spin_hits", 0);
-    mbp_obs::counter_add("mbp.serve.spin_misses", 0);
+    // Zero-valued, so `/metrics` lists the wait and syscall counters from
+    // the start.
+    for name in [
+        "mbp.serve.spin_hits",
+        "mbp.serve.spin_misses",
+        "mbp.serve.polls.spin",
+        "mbp.serve.polls.blocking",
+        "mbp.serve.syscalls.read",
+        "mbp.serve.syscalls.write",
+    ] {
+        mbp_obs::counter_add(name, 0);
+    }
     // Whether the previous wait ended within the spin window.
     let mut last_wait_short = false;
     loop {

@@ -600,7 +600,7 @@ pub fn decode_response(header: &Header, payload: &[u8]) -> Result<Response, Wire
 }
 
 /// FNV-1a over raw frame bytes: the rolling response digest used by the
-/// determinism checks in `loadgen` and the loopback tests.
+/// loopback tests and `mbp-bench`'s wire-digest test.
 pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into a rolling FNV-1a digest state.

@@ -63,11 +63,14 @@ fn client_seed(client: usize) -> u64 {
     9_000 + client as u64
 }
 
-/// Drives `N_CLIENTS` concurrent connections through a fresh server and
-/// returns, per client, the (id, response) list and the response digest.
-fn drive_server(cfg: ServerConfig) -> (Vec<Vec<(u32, Response)>>, Vec<u64>) {
+/// Drives `N_CLIENTS` concurrent connections through a fresh server,
+/// each sending its stream in pipelined bursts of `burst_len` requests
+/// (1 is a depth-1 exchange: send one, wait for its answer), checks every
+/// response and the ledger against the in-process reference, and returns
+/// the per-client response digests.
+fn drive_server(burst_len: usize) -> Vec<u64> {
     let shared = SharedBroker::new(listed_broker(7));
-    let handle = mbp_serve::start(shared.clone(), cfg).expect("server starts");
+    let handle = mbp_serve::start(shared.clone(), ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
 
     let workers: Vec<_> = (0..N_CLIENTS)
@@ -78,7 +81,7 @@ fn drive_server(cfg: ServerConfig) -> (Vec<Vec<(u32, Response)>>, Vec<u64>) {
                 assert_eq!(hello, Response::HelloOk);
                 let stream = client_stream(c);
                 let mut responses = Vec::with_capacity(stream.len());
-                for burst in stream.chunks(BURST_LEN) {
+                for burst in stream.chunks(burst_len) {
                     let ids: Vec<u32> = burst
                         .iter()
                         .map(|&request| {
@@ -178,7 +181,7 @@ fn drive_server(cfg: ServerConfig) -> (Vec<Vec<(u32, Response)>>, Vec<u64>) {
         "network-served ledger must be bit-identical to the in-process reference"
     );
 
-    (all_responses, digests)
+    digests
 }
 
 /// The acceptance-criterion test: network-served responses and ledger are
@@ -186,25 +189,20 @@ fn drive_server(cfg: ServerConfig) -> (Vec<Vec<(u32, Response)>>, Vec<u64>) {
 /// reproducible (same digests) across two independent server instances.
 #[test]
 fn network_served_ledger_is_bit_identical_to_in_process_reference() {
-    let (_, digests_a) = drive_server(ServerConfig::default());
-    let (_, digests_b) = drive_server(ServerConfig::default());
+    let digests_a = drive_server(BURST_LEN);
+    let digests_b = drive_server(BURST_LEN);
     assert_eq!(
         digests_a, digests_b,
         "response byte streams must be deterministic across runs"
     );
 }
 
-/// Batch admission must not change what clients see: per-request dispatch
-/// (the loadgen baseline mode) produces bit-identical response streams.
+/// Coalescing must not change what clients see: the same streams sent as
+/// depth-1 calls (every buy dispatched alone) and as `BURST_LEN` bursts
+/// (runs of buys dispatched as one batch) get bit-identical responses.
 #[test]
-fn per_request_dispatch_is_bit_identical_to_batch_admission() {
-    let (_, batched) = drive_server(ServerConfig::default());
-    let per_request = ServerConfig {
-        batch_admission: false,
-        ..ServerConfig::default()
-    };
-    let (_, unbatched) = drive_server(per_request);
-    assert_eq!(batched, unbatched);
+fn depth_one_calls_and_pipelined_bursts_get_the_same_bytes() {
+    assert_eq!(drive_server(1), drive_server(BURST_LEN));
 }
 
 #[test]

@@ -290,17 +290,37 @@ fn read_passes() -> u64 {
         .map_or(0, |h| h.count)
 }
 
+/// The `/metrics` counters behind a daemon's wire floor: socket read and
+/// write syscalls, blocking `poll(2)` waits, and waits that spun first.
+fn wire_floor_counters() -> [u64; 4] {
+    [
+        counter("mbp.serve.syscalls.read"),
+        counter("mbp.serve.syscalls.write"),
+        counter("mbp.serve.polls.blocking"),
+        spins(),
+    ]
+}
+
+/// Per wire-floor counter, what a depth-1 exchange may add beyond one per
+/// request: the `Hello`, the pass that adopts the socket (a read that
+/// finds nothing) and the waits around the accept and the drain.
+const HANDSHAKE: [u64; 4] = [2, 1, 4, 2];
+
 /// A worker runs one pass per depth-1 request: the pass that reads the
 /// request, serves it and sees the socket drained goes straight back to
 /// `poll(2)` instead of running an empty pass first. Besides the `N`
 /// requests, the `Hello` and the pass that adopts the socket may each
-/// read once.
+/// read once. Underneath, each request costs one read and one write
+/// syscall and at most one blocking poll and one spin, plus the
+/// [`HANDSHAKE`] allowance.
 #[test]
 fn depth_one_exchange_runs_one_read_pass_per_request() {
     const N: u64 = 64;
     let _serial = serial();
     mbp::obs::enable();
     let before = read_passes();
+    let floor_before = wire_floor_counters();
+    let spin_polls_before = counter("mbp.serve.polls.spin");
     let handle = start(1);
     let mut client = connect(&handle);
     assert_eq!(client.hello(80).expect("hello"), Response::HelloOk);
@@ -317,6 +337,24 @@ fn depth_one_exchange_runs_one_read_pass_per_request() {
         "{N} depth-1 requests took {reads} read passes; at most {} expected",
         N + 2
     );
+    let names = ["read syscalls", "write syscalls", "blocking polls", "spins"];
+    let floor_after = wire_floor_counters();
+    for (((name, before), after), extra) in names
+        .iter()
+        .zip(floor_before)
+        .zip(floor_after)
+        .zip(HANDSHAKE)
+    {
+        let used = after - before;
+        assert!(
+            used <= N + extra,
+            "{N} depth-1 requests took {used} {name}; at most {} expected",
+            N + extra
+        );
+    }
+    // Every spin polls at least once, and its polls are counted.
+    let spin_polls = counter("mbp.serve.polls.spin") - spin_polls_before;
+    assert!(spin_polls >= floor_after[3] - floor_before[3]);
 }
 
 /// Reads one response frame off a raw socket; `None` on a clean EOF.
