@@ -524,7 +524,7 @@ fn await_writes(before: u64, n: u64) {
 /// tracing off, the daemon's setting. An IO pass that serves nothing still
 /// decodes, so each read pass beyond one per request is charged one span,
 /// which is taken off.
-fn spans_per_request(quote: bool) -> f64 {
+fn spans_per_call(quote: bool) -> f64 {
     const WARM: u64 = 16;
     const N: u64 = 200;
     mbp::obs::enable();
@@ -559,8 +559,8 @@ fn spans_per_request(quote: bool) -> f64 {
 #[test]
 fn a_warmed_depth_one_request_stays_within_its_span_budget() {
     let _serial = serial();
-    let buy = spans_per_request(false);
-    let quote = spans_per_request(true);
+    let buy = spans_per_call(false);
+    let quote = spans_per_call(true);
     assert!(
         buy <= BUY_SPAN_BUDGET,
         "a depth-1 buy recorded {buy} spans; the budget is {BUY_SPAN_BUDGET}"
