@@ -13,9 +13,11 @@
 //! * **schedule** — linearizability cases per second on the concurrent
 //!   broker at 2–4 virtual threads.
 //!
-//! Every phase runs twice from the same seed; `deterministic` asserts the
-//! two runs produced identical work digests.
+//! Every phase runs [`REPEATS`] times from the same seed; each metric is
+//! the median over those runs, and `deterministic` asserts every run
+//! produced the first run's work digest.
 
+use crate::record::{per_sec, repeat, Record, Spread};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::PricingFunction;
 use mbp_testkit::{
@@ -24,58 +26,28 @@ use mbp_testkit::{
 };
 use std::time::Instant;
 
-/// One timed verification phase.
-#[derive(Debug, Clone)]
-pub struct AttackPhase {
-    /// Phase label.
-    pub name: &'static str,
-    /// Work units completed (trials, comparisons, or cases).
-    pub units: u64,
-    /// Wall seconds for the faster of the two runs.
-    pub seconds: f64,
-    /// Work units per second derived from `seconds`.
-    pub units_per_sec: f64,
-    /// Violations or divergences found (must be 0 on sound inputs).
-    pub findings: u64,
-    /// Both runs produced identical digests.
-    pub deterministic: bool,
-}
+/// Runs of every phase; each metric is the median over them.
+pub const REPEATS: usize = 3;
 
-/// The full verification baseline.
-#[derive(Debug, Clone)]
-pub struct AttackBaseline {
-    /// Machine + commit + timestamp provenance stamp.
-    pub meta: crate::RunMeta,
-    /// Randomized attack trials per engine run.
-    pub trials: u64,
-    /// Per-phase measurements.
-    pub phases: Vec<AttackPhase>,
-    /// No engine found a violation or divergence (the inputs are sound).
-    pub clean: bool,
-    /// Every phase reproduced its digest on the second run.
-    pub deterministic: bool,
-}
-
-fn timed(name: &'static str, mut work: impl FnMut() -> (u64, u64, f64)) -> AttackPhase {
-    let t0 = Instant::now();
-    let (units_a, findings_a, digest_a) = work();
-    let first = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let (units_b, findings_b, digest_b) = work();
-    let second = t1.elapsed().as_secs_f64();
-    let seconds = first.min(second);
-    AttackPhase {
-        name,
-        units: units_a,
-        seconds,
-        units_per_sec: if seconds > 0.0 {
-            units_a as f64 / seconds
-        } else {
-            0.0
-        },
-        findings: findings_a,
-        deterministic: units_a == units_b && findings_a == findings_b && digest_a == digest_b,
-    }
+/// Times `work` (returning units done, findings and a digest) over
+/// [`REPEATS`] runs and adds its throughput to `rec`. Returns whether
+/// every run was clean and reproduced the first run's output.
+fn timed(rec: &mut Record, name: &str, mut work: impl FnMut() -> (u64, u64, f64)) -> (bool, bool) {
+    let runs = repeat(REPEATS, |_| {
+        let t0 = Instant::now();
+        let out = work();
+        (t0.elapsed().as_secs_f64(), out)
+    });
+    let first = runs[0].1;
+    let units = Spread::of(
+        runs.iter()
+            .map(|(s, (units, _, _))| per_sec(*units as usize, *s)),
+    );
+    rec.throughput(format!("{name}.units_per_sec"), "units/s", units);
+    (
+        runs.iter().all(|(_, (_, findings, _))| *findings == 0),
+        runs.iter().all(|(_, out)| *out == first),
+    )
 }
 
 /// The benchmark curve: arbitrage-free `p̄(x) = 10·√x` on 128 knots.
@@ -86,12 +58,13 @@ fn bench_curve() -> PricingFunction {
 }
 
 /// Runs the verification baseline with `trials` attack trials per engine.
-pub fn run(trials: u64) -> AttackBaseline {
+pub fn run(trials: u64) -> Record {
     let _span = mbp_obs::span("mbp.bench.attackbench");
     let trials = trials.max(1_000);
     let curve = bench_curve();
+    let mut rec = Record::new(&[("trials", trials as f64), ("repeats", REPEATS as f64)]);
 
-    let attack = timed("attack-curve", || {
+    let attack = timed(&mut rec, "attack-curve", || {
         let report = attack_curve(
             &curve,
             &AttackConfig {
@@ -107,7 +80,7 @@ pub fn run(trials: u64) -> AttackBaseline {
         )
     });
 
-    let eps = timed("attack-error-space", || {
+    let eps = timed(&mut rec, "attack-error-space", || {
         let report = attack_error_space(
             &curve,
             &SquareLossTransform,
@@ -124,7 +97,7 @@ pub fn run(trials: u64) -> AttackBaseline {
         )
     });
 
-    let oracle = timed("oracle", || {
+    let oracle = timed(&mut rec, "oracle", || {
         let report = check_pricing(
             &curve,
             &OracleConfig {
@@ -140,7 +113,7 @@ pub fn run(trials: u64) -> AttackBaseline {
     });
 
     let cases = (trials / 20).clamp(50, 5_000);
-    let schedule = timed("schedule", || {
+    let schedule = timed(&mut rec, "schedule", || {
         let report = explore(&ScheduleConfig {
             seed: 0xbe_ac6,
             interleavings: cases,
@@ -155,43 +128,10 @@ pub fn run(trials: u64) -> AttackBaseline {
         )
     });
 
-    let phases = vec![attack, eps, oracle, schedule];
-    let clean = phases.iter().all(|p| p.findings == 0);
-    let deterministic = phases.iter().all(|p| p.deterministic);
-    AttackBaseline {
-        meta: crate::RunMeta::from_env(),
-        trials,
-        phases,
-        clean,
-        deterministic,
-    }
-}
-
-impl AttackBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_testkit.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"trials\": {},\n", self.trials));
-        out.push_str(&format!("  \"clean\": {},\n", self.clean));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"units\": {}, \"seconds\": {:.6}, \"units_per_sec\": {:.1}, \"findings\": {}, \"deterministic\": {}}}{}\n",
-                p.name,
-                p.units,
-                p.seconds,
-                p.units_per_sec,
-                p.findings,
-                p.deterministic,
-                if i + 1 == self.phases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+    let phases = [attack, eps, oracle, schedule];
+    rec.invariant("clean", phases.iter().all(|p| p.0));
+    rec.invariant("deterministic", phases.iter().all(|p| p.1));
+    rec
 }
 
 #[cfg(test)]
@@ -200,32 +140,22 @@ mod tests {
 
     #[test]
     fn smoke_run_is_clean_and_deterministic() {
-        let b = run(1_000);
-        assert_eq!(b.phases.len(), 4);
-        assert!(b.clean, "an engine found a violation on sound inputs");
-        assert!(b.deterministic, "a phase failed to reproduce its digest");
-        assert!(b.phases.iter().all(|p| p.units_per_sec > 0.0));
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(1_000);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"trials\"",
-            "\"clean\"",
-            "\"deterministic\"",
-            "\"attack-curve\"",
-            "\"attack-error-space\"",
-            "\"oracle\"",
-            "\"schedule\"",
-            "\"units_per_sec\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+        let rec = run(1_000);
+        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_testkit.json"));
+        assert!(
+            rec.holds("clean"),
+            "an engine found a violation on sound inputs"
+        );
+        assert!(
+            rec.holds("deterministic"),
+            "a phase failed to reproduce its digest"
+        );
+        for m in rec
+            .metrics
+            .iter()
+            .filter(|m| m.name.ends_with(".units_per_sec"))
+        {
+            assert!(rec.median(&m.name).expect("measured") > 0.0, "{}", m.name);
         }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

@@ -6,13 +6,17 @@
 //! phase executes with the `mbp-obs` registry enabled, its wall time and
 //! metrics snapshot are collected, and a combined JSON artifact is written
 //! next to the report (`experiments/metrics.json`, overridable with
-//! `MBP_METRICS_OUT`).
+//! `MBP_METRICS_OUT`). The baseline phases write the `BENCH_*.json`
+//! records (see [`mbp_bench::record`]); each file name and size has its
+//! own variable (`MBP_SERVING_OUT` / `MBP_SERVE_QUOTES`, …), and the
+//! ratchet re-runs them at the sizes the committed records name.
 
 use mbp_bench::experiments::{
     adaptive_experiment, fairness_sweep, fig10, fig5, fig6, fig7, fig8, fig9,
     simulation_experiment, table3,
 };
-use mbp_bench::report::{fmt, fmt_secs, print_metrics, print_table};
+use mbp_bench::record::Record;
+use mbp_bench::report::{fmt, fmt_secs, print_metrics, print_record, print_table};
 use mbp_bench::Config;
 use std::time::Instant;
 
@@ -34,6 +38,37 @@ fn run_phase(records: &mut Vec<PhaseRecord>, name: &'static str, f: impl FnOnce(
         name,
         secs: t0.elapsed().as_secs_f64(),
         snapshot: mbp_obs::snapshot(),
+    });
+}
+
+/// Reads a size from `var`, falling back to `default` when it is unset,
+/// unparsable or under `min`.
+fn env_size(var: &str, default: usize, min: usize) -> usize {
+    std::env::var(var)
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&n| n >= min)
+        .unwrap_or(default)
+}
+
+/// Runs one baseline as a phase: prints its record and writes it to the
+/// path in `out_var` (default `default_out`).
+fn baseline_phase(
+    records: &mut Vec<PhaseRecord>,
+    name: &'static str,
+    title: &str,
+    out_var: &str,
+    default_out: &str,
+    bench: impl FnOnce() -> Record,
+) {
+    run_phase(records, name, || {
+        let rec = bench();
+        print_record(title, &rec);
+        let out = std::env::var(out_var).unwrap_or_else(|_| default_out.to_string());
+        match std::fs::write(&out, rec.to_json()) {
+            Ok(()) => println!("{name} written to {out}"),
+            Err(e) => eprintln!("could not write {name} {out}: {e}"),
+        }
     });
 }
 
@@ -231,278 +266,56 @@ fn main() {
         );
     });
 
-    // Speedup baseline for the parallel hot paths: times each parallelized
-    // phase at 1/2/4 threads and writes BENCH_parallel.json (overridable
-    // with MBP_BENCH_OUT; repetitions with MBP_PAR_REPS).
-    run_phase(&mut phases, "parallel-baseline", || {
-        let reps = std::env::var("MBP_PAR_REPS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&r| r >= 1)
-            .unwrap_or(3);
-        let baseline = mbp_bench::parbench::run(reps);
-        print_table(
-            &format!(
-                "Parallel baseline (hardware threads: {}, pool default: {}, min of {} reps)",
-                baseline.meta.hardware_threads, baseline.default_threads, baseline.reps
-            ),
-            &[
-                "phase",
-                "t1",
-                "t2",
-                "t4",
-                "speedup_2",
-                "speedup_4",
-                "deterministic",
-            ],
-            &baseline
-                .phases
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.name.to_string(),
-                        fmt_secs(p.seconds[0]),
-                        fmt_secs(p.seconds[1]),
-                        fmt_secs(p.seconds[2]),
-                        fmt(p.speedup_at(2)),
-                        fmt(p.speedup_at(4)),
-                        p.deterministic.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let bench_out =
-            std::env::var("MBP_BENCH_OUT").unwrap_or_else(|_| "BENCH_parallel.json".to_string());
-        match std::fs::write(&bench_out, baseline.to_json()) {
-            Ok(()) => println!("parallel baseline written to {bench_out}"),
-            Err(e) => eprintln!("could not write parallel baseline {bench_out}: {e}"),
-        }
-    });
-
-    // Quote-serving baseline: compiled-table vs scan pricing, batched and
-    // zero-allocation purchase paths, and the ridge factorization cache.
-    // Writes BENCH_serving.json (overridable with MBP_SERVING_OUT; quote
-    // count with MBP_SERVE_QUOTES).
-    run_phase(&mut phases, "serving-baseline", || {
-        let quotes = std::env::var("MBP_SERVE_QUOTES")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&q| q >= 64)
-            .unwrap_or(20_000);
-        let baseline = mbp_bench::servebench::run(quotes);
-        print_table(
-            &format!(
-                "Serving baseline ({} quotes, {}-knot grid, table speedup {:.2}x, factor-cache speedup {:.2}x)",
-                quotes,
-                baseline.grid_points,
-                baseline.table_speedup_vs_scan,
-                baseline.factor_cache_speedup
-            ),
-            &[
-                "workload",
-                "quotes",
-                "quotes/sec",
-                "p50_us",
-                "p99_us",
-                "deterministic",
-            ],
-            &baseline
-                .workloads
-                .iter()
-                .map(|w| {
-                    vec![
-                        w.name.to_string(),
-                        w.quotes.to_string(),
-                        fmt(w.quotes_per_sec),
-                        fmt(w.p50_micros),
-                        fmt(w.p99_micros),
-                        w.deterministic.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let out =
-            std::env::var("MBP_SERVING_OUT").unwrap_or_else(|_| "BENCH_serving.json".to_string());
-        match std::fs::write(&out, baseline.to_json()) {
-            Ok(()) => println!("serving baseline written to {out}"),
-            Err(e) => eprintln!("could not write serving baseline {out}: {e}"),
-        }
-    });
-
-    // Lookup-kernel baseline: partition_point vs the compiled SegmentIndex
-    // grid layout at 16/512/8192 knots. Writes
-    // BENCH_kernel.json (overridable with MBP_KERNEL_OUT; lookup count with
-    // MBP_KERNEL_LOOKUPS).
-    run_phase(&mut phases, "kernel-baseline", || {
-        let lookups = std::env::var("MBP_KERNEL_LOOKUPS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1024)
-            .unwrap_or(2_000_000);
-        let baseline = mbp_bench::kernelbench::run(lookups);
-        print_table(
-            &format!(
-                "Lookup kernel baseline ({} lookups/workload, consistent: {}, deterministic: {})",
-                lookups, baseline.consistent, baseline.deterministic
-            ),
-            &["workload", "knots", "layout", "lookups/sec"],
-            &baseline
-                .workloads
-                .iter()
-                .map(|w| {
-                    vec![
-                        w.name.clone(),
-                        w.knots.to_string(),
-                        w.layout.to_string(),
-                        fmt(w.lookups_per_sec),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        print_table(
-            "Lookup kernel speedups vs partition_point",
-            &["ratio", "value"],
-            &baseline
-                .speedups
-                .iter()
-                .map(|s| vec![s.name.clone(), fmt(s.value)])
-                .collect::<Vec<_>>(),
-        );
-        let out =
-            std::env::var("MBP_KERNEL_OUT").unwrap_or_else(|_| "BENCH_kernel.json".to_string());
-        match std::fs::write(&out, baseline.to_json()) {
-            Ok(()) => println!("kernel baseline written to {out}"),
-            Err(e) => eprintln!("could not write kernel baseline {out}: {e}"),
-        }
-    });
-
-    // Durability baseline: WAL append throughput, the fsync-interval
-    // price curve, and recovery speed (with the recovery-vs-ingest
-    // speedup the ratchet hard-floors at 1.0). Writes BENCH_wal.json
-    // (overridable with MBP_WAL_OUT; record count with MBP_WAL_RECORDS).
-    run_phase(&mut phases, "wal-baseline", || {
-        let records = std::env::var("MBP_WAL_RECORDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1_000)
-            .unwrap_or(200_000);
-        let baseline = mbp_bench::walbench::run(records);
-        print_table(
-            &format!(
-                "WAL durability baseline ({} records/workload, deterministic: {})",
-                records, baseline.recovery.deterministic
-            ),
-            &["workload", "fsync_interval", "records/sec", "fsyncs"],
-            &baseline
-                .workloads
-                .iter()
-                .map(|w| {
-                    vec![
-                        w.name.clone(),
-                        w.fsync_interval.to_string(),
-                        fmt(w.records_per_sec),
-                        w.syncs.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        print_table(
-            "WAL recovery",
-            &["records", "seconds", "records/sec", "replay speedup"],
-            &[vec![
-                baseline.recovery.records.to_string(),
-                fmt_secs(baseline.recovery.seconds),
-                fmt(baseline.recovery.records_per_sec),
-                fmt(baseline.recovery_replay_speedup),
-            ]],
-        );
-        let out = std::env::var("MBP_WAL_OUT").unwrap_or_else(|_| "BENCH_wal.json".to_string());
-        match std::fs::write(&out, baseline.to_json()) {
-            Ok(()) => println!("wal baseline written to {out}"),
-            Err(e) => eprintln!("could not write wal baseline {out}: {e}"),
-        }
-    });
-
-    // Verification baseline: arbitrage attack, differential oracle, and
-    // schedule-exploration throughput from mbp-testkit. Writes
-    // BENCH_testkit.json (overridable with MBP_TESTKIT_OUT; trial count
-    // with MBP_ATTACK_TRIALS).
-    run_phase(&mut phases, "testkit-baseline", || {
-        let trials = std::env::var("MBP_ATTACK_TRIALS")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .filter(|&t| t >= 1_000)
-            .unwrap_or(20_000);
-        let baseline = mbp_bench::attackbench::run(trials);
-        print_table(
-            &format!(
-                "Verification baseline ({} attack trials, clean: {}, deterministic: {})",
-                baseline.trials, baseline.clean, baseline.deterministic
-            ),
-            &["phase", "units", "units/sec", "findings", "deterministic"],
-            &baseline
-                .phases
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.name.to_string(),
-                        p.units.to_string(),
-                        fmt(p.units_per_sec),
-                        p.findings.to_string(),
-                        p.deterministic.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let out =
-            std::env::var("MBP_TESTKIT_OUT").unwrap_or_else(|_| "BENCH_testkit.json".to_string());
-        match std::fs::write(&out, baseline.to_json()) {
-            Ok(()) => println!("verification baseline written to {out}"),
-            Err(e) => eprintln!("could not write verification baseline {out}: {e}"),
-        }
-    });
-
-    // Tracing-overhead baseline: what mbp-obs causal tracing costs on the
-    // serve path, against its ≤2% (disabled) / ≤10% (enabled) budgets.
-    // Writes BENCH_trace.json (overridable with MBP_TRACE_OUT; quote count
-    // with MBP_TRACE_QUOTES).
-    run_phase(&mut phases, "trace-overhead", || {
-        let quotes = std::env::var("MBP_TRACE_QUOTES")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&q| q >= 256)
-            .unwrap_or(20_000);
-        let baseline = mbp_bench::tracebench::run(quotes);
-        print_table(
-            &format!(
-                "Tracing overhead ({} quotes, dim {}, disabled {:+.2}%, enabled {:+.2}%, {} spans, {} exemplars)",
-                baseline.quotes,
-                baseline.model_dim,
-                baseline.overhead_disabled * 100.0,
-                baseline.overhead_enabled * 100.0,
-                baseline.spans_recorded,
-                baseline.exemplars
-            ),
-            &["workload", "quotes", "quotes/sec", "deterministic"],
-            &baseline
-                .workloads
-                .iter()
-                .map(|w| {
-                    vec![
-                        w.name.to_string(),
-                        w.quotes.to_string(),
-                        fmt(w.quotes_per_sec),
-                        w.deterministic.to_string(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let out = std::env::var("MBP_TRACE_OUT").unwrap_or_else(|_| "BENCH_trace.json".to_string());
-        match std::fs::write(&out, baseline.to_json()) {
-            Ok(()) => println!("tracing baseline written to {out}"),
-            Err(e) => eprintln!("could not write tracing baseline {out}: {e}"),
-        }
-    });
+    // The BENCH_*.json baselines. Each writes its record to the file named
+    // by its `*_OUT` variable; its size variable scales the run.
+    baseline_phase(
+        &mut phases,
+        "parallel-baseline",
+        "Parallel baseline: each parallel phase at 1/2/4 threads",
+        "MBP_BENCH_OUT",
+        "BENCH_parallel.json",
+        || mbp_bench::parbench::run(env_size("MBP_PAR_REPS", 3, 1)),
+    );
+    baseline_phase(
+        &mut phases,
+        "serving-baseline",
+        "Serving baseline: scan vs compiled-table pricing, purchase paths, ridge factor cache",
+        "MBP_SERVING_OUT",
+        "BENCH_serving.json",
+        || mbp_bench::servebench::run(env_size("MBP_SERVE_QUOTES", 20_000, 64)),
+    );
+    baseline_phase(
+        &mut phases,
+        "kernel-baseline",
+        "Lookup kernel baseline: partition_point vs the SegmentIndex grid",
+        "MBP_KERNEL_OUT",
+        "BENCH_kernel.json",
+        || mbp_bench::kernelbench::run(env_size("MBP_KERNEL_LOOKUPS", 2_000_000, 1024)),
+    );
+    baseline_phase(
+        &mut phases,
+        "wal-baseline",
+        "WAL durability baseline: append, group sweep, recovery",
+        "MBP_WAL_OUT",
+        "BENCH_wal.json",
+        || mbp_bench::walbench::run(env_size("MBP_WAL_RECORDS", 200_000, 1_000)),
+    );
+    baseline_phase(
+        &mut phases,
+        "testkit-baseline",
+        "Verification baseline: attack, oracle and schedule throughput",
+        "MBP_TESTKIT_OUT",
+        "BENCH_testkit.json",
+        || mbp_bench::attackbench::run(env_size("MBP_ATTACK_TRIALS", 20_000, 1_000) as u64),
+    );
+    baseline_phase(
+        &mut phases,
+        "trace-overhead",
+        "Tracing overhead (budgets: disabled <= 2%, enabled <= 10%)",
+        "MBP_TRACE_OUT",
+        "BENCH_trace.json",
+        || mbp_bench::tracebench::run(env_size("MBP_TRACE_QUOTES", 20_000, 256)),
+    );
 
     // Static-analysis timing: the per-file rule pass and the full
     // interprocedural pass (workspace call graph + reach-panic /

@@ -4,8 +4,8 @@
 //!
 //! * **Sweep** (no arguments): boots an in-process daemon and runs the
 //!   full concurrent-connections sweep (`netbench::run`), prints the
-//!   saturation table, and writes `BENCH_serve_net.json` (overridable
-//!   with `MBP_NET_OUT`; per-connection request count with
+//!   record, and writes it to `BENCH_serve_net.json` (overridable with
+//!   `MBP_NET_OUT`; per-connection request count with
 //!   `MBP_NET_REQUESTS`, default 2000).
 //! * **Probe** (`loadgen --probe HOST:PORT [--shutdown]`): connects to an
 //!   already-running daemon (e.g. `mbp-market serve` under CI), performs
@@ -15,7 +15,7 @@
 //!   binary end to end.
 
 use mbp_bench::netbench;
-use mbp_bench::report::{fmt, print_table};
+use mbp_bench::report::print_record;
 use mbp_core::market::PurchaseRequest;
 use mbp_ml::ModelKind;
 use mbp_serve::wire::{Request, Response};
@@ -113,32 +113,14 @@ fn main() {
         .filter(|&n| n >= 64)
         .unwrap_or(2_000);
     println!(
-        "sweeping {:?} connections, {per_conn} requests each (two runs per point)...",
-        netbench::SWEEP_CONNS
+        "sweeping {:?} connections, {per_conn} requests each ({} runs per point)...",
+        netbench::SWEEP_CONNS,
+        netbench::REPEATS
     );
-    let baseline = netbench::run(per_conn);
-    print_table(
-        &format!(
-            "Network serving sweep (saturation {:.0} rps @ {} conns)",
-            baseline.saturation_rps, baseline.saturation_conns
-        ),
-        &["connections", "requests", "rps", "p50_us", "p99_us"],
-        &baseline
-            .sweep
-            .iter()
-            .map(|p| {
-                vec![
-                    p.connections.to_string(),
-                    p.requests.to_string(),
-                    fmt(p.rps),
-                    fmt(p.p50_micros),
-                    fmt(p.p99_micros),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    let rec = netbench::run(per_conn);
+    print_record("Network serving sweep", &rec);
     let out = std::env::var("MBP_NET_OUT").unwrap_or_else(|_| "BENCH_serve_net.json".to_string());
-    if let Err(e) = std::fs::write(&out, baseline.to_json()) {
+    if let Err(e) = std::fs::write(&out, rec.to_json()) {
         eprintln!("could not write network baseline {out}: {e}");
         std::process::exit(1);
     }

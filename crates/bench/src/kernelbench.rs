@@ -11,63 +11,23 @@
 //!   data-dependent branch).
 //!
 //! Before any timing, every query is cross-checked: the grid must return
-//! *exactly* `partition_point`'s answer (`consistent`). Each workload runs
-//! twice from identical state and must reproduce its digest
-//! (`deterministic`). The `all` binary serializes the result to
-//! `BENCH_kernel.json`; the ratchet diffs per-layout throughput and the
-//! grid-vs-partition-point speedup ratios against the committed baseline.
+//! *exactly* `partition_point`'s answer (`consistent`). Each repeat times
+//! both layouts back to back from identical state, so the speedup is
+//! taken run by run; every run must reproduce its layout's digest
+//! (`deterministic`). Each metric is the median over [`REPEATS`] runs.
+//! The `all` binary writes the record to `BENCH_kernel.json`; the ratchet
+//! diffs per-layout throughput and the grid-vs-partition-point speedup
+//! ratios against the committed record.
 
+use crate::record::{per_sec, quotient, repeat, Record, Spread};
 use mbp_core::SegmentIndex;
 use std::time::Instant;
 
 /// Knot counts exercised by the sweep.
 pub const SIZES: [usize; 3] = [16, 512, 8192];
 
-/// One measured lookup workload.
-#[derive(Debug, Clone)]
-pub struct KernelWorkload {
-    /// Workload label, `layout@knots`.
-    pub name: String,
-    /// Knots in the searched array.
-    pub knots: usize,
-    /// Lookup implementation: `partition_point` or `grid`.
-    pub layout: &'static str,
-    /// Lookups per run.
-    pub lookups: usize,
-    /// Wall seconds for the faster of the two runs.
-    pub seconds: f64,
-    /// Throughput derived from `seconds`.
-    pub lookups_per_sec: f64,
-    /// Index-sum digest of the first run.
-    pub digest: f64,
-    /// Whether the second run reproduced `digest` exactly.
-    pub deterministic: bool,
-}
-
-/// A same-process throughput ratio (machine-independent).
-#[derive(Debug, Clone)]
-pub struct KernelSpeedup {
-    /// Ratio label, e.g. `grid_vs_pp@512`.
-    pub name: String,
-    /// Index throughput ÷ `partition_point` throughput on the same keys.
-    pub value: f64,
-}
-
-/// The full lookup-kernel baseline.
-#[derive(Debug, Clone)]
-pub struct KernelBaseline {
-    /// Machine + commit + timestamp provenance stamp.
-    pub meta: crate::RunMeta,
-    /// Per-workload measurements.
-    pub workloads: Vec<KernelWorkload>,
-    /// Grid speedups over `partition_point`, per knot count.
-    pub speedups: Vec<KernelSpeedup>,
-    /// The grid layout answered every query exactly like
-    /// `partition_point` (checked outside the timed sections).
-    pub consistent: bool,
-    /// Every workload reproduced its digest on the second run.
-    pub deterministic: bool,
-}
+/// Runs of every workload; each metric is the median over them.
+pub const REPEATS: usize = 3;
 
 /// Near-uniform keys: `1.0 + i·0.25`, eligible for the grid layout.
 fn uniform_keys(n: usize) -> Vec<f64> {
@@ -93,138 +53,59 @@ fn queries(keys: &[f64], lookups: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Times `work` twice over the query stream; keeps the faster run.
-fn measure(
-    name: String,
-    knots: usize,
-    layout: &'static str,
-    xs: &[f64],
-    mut work: impl FnMut(f64) -> usize,
-) -> KernelWorkload {
-    let mut run = |xs: &[f64]| -> (f64, f64) {
-        let t0 = Instant::now();
-        let mut digest = 0usize;
-        for &x in xs {
-            digest = digest.wrapping_add(work(x));
-        }
-        (t0.elapsed().as_secs_f64(), digest as f64)
-    };
-    let (sec_a, digest_a) = run(xs);
-    let (sec_b, digest_b) = run(xs);
-    let seconds = sec_a.min(sec_b);
-    KernelWorkload {
-        name,
-        knots,
-        layout,
-        lookups: xs.len(),
-        seconds,
-        lookups_per_sec: if seconds > 0.0 {
-            xs.len() as f64 / seconds
-        } else {
-            0.0
-        },
-        digest: digest_a,
-        deterministic: digest_a == digest_b,
+/// One pass of `work` over the query stream: wall seconds and the
+/// index-sum digest.
+fn timed(xs: &[f64], work: impl Fn(f64) -> usize) -> (f64, usize) {
+    let t0 = Instant::now();
+    let mut digest = 0usize;
+    for &x in xs {
+        digest = digest.wrapping_add(work(x));
     }
+    (t0.elapsed().as_secs_f64(), digest)
 }
 
 /// Runs the full lookup sweep with `lookups` queries per workload.
-pub fn run(lookups: usize) -> KernelBaseline {
+pub fn run(lookups: usize) -> Record {
     let _span = mbp_obs::span("mbp.bench.kernelbench");
     let lookups = lookups.max(1024);
-    let mut workloads = Vec::new();
-    let mut speedups = Vec::new();
+    let mut rec = Record::new(&[("lookups", lookups as f64), ("repeats", REPEATS as f64)]);
     let mut consistent = true;
+    let mut deterministic = true;
 
     for n in SIZES {
         let uniform = uniform_keys(n);
         let grid_idx = SegmentIndex::new(&uniform);
         assert!(grid_idx.is_grid(), "uniform keys must compile to the grid");
 
-        let qs_uniform = queries(&uniform, lookups);
+        let qs = queries(&uniform, lookups);
         // Exactness cross-check on every query, outside the timed runs.
-        consistent &= qs_uniform
+        consistent &= qs
             .iter()
             .all(|&x| grid_idx.upper_bound(&uniform, x) == uniform.partition_point(|&k| k <= x));
 
-        let pp_uniform = measure(
-            format!("pp-uniform@{n}"),
-            n,
-            "partition_point",
-            &qs_uniform,
-            |x| uniform.partition_point(|&k| k <= x),
+        let (pp, grid): (Vec<_>, Vec<_>) = repeat(REPEATS, |_| {
+            let pp = timed(&qs, |x| uniform.partition_point(|&k| k <= x));
+            (pp, timed(&qs, |x| grid_idx.upper_bound(&uniform, x)))
+        })
+        .into_iter()
+        .unzip();
+        let reproduced = |runs: &[(f64, usize)]| runs.iter().all(|r| r.1 == runs[0].1);
+        deterministic &= reproduced(&pp) && reproduced(&grid);
+        let qps = |runs: &[(f64, usize)]| Spread::of(runs.iter().map(|r| per_sec(lookups, r.0)));
+        rec.throughput(
+            format!("pp-uniform@{n}.lookups_per_sec"),
+            "lookups/s",
+            qps(&pp),
         );
-        let grid = measure(format!("grid@{n}"), n, "grid", &qs_uniform, |x| {
-            grid_idx.upper_bound(&uniform, x)
-        });
-
-        let ratio = |num: &KernelWorkload, den: &KernelWorkload| {
-            if den.lookups_per_sec > 0.0 {
-                num.lookups_per_sec / den.lookups_per_sec
-            } else {
-                1.0
-            }
-        };
-        speedups.push(KernelSpeedup {
-            name: format!("grid_vs_pp@{n}"),
-            value: ratio(&grid, &pp_uniform),
-        });
-        workloads.extend([pp_uniform, grid]);
+        rec.throughput(format!("grid@{n}.lookups_per_sec"), "lookups/s", qps(&grid));
+        // Lookups per second scale as 1 / seconds: grid over pp.
+        let speedup = pp.iter().zip(&grid).map(|(p, g)| quotient(p.0, g.0));
+        rec.ratio(format!("grid_vs_pp@{n}"), true, Spread::of(speedup));
     }
 
-    let deterministic = workloads.iter().all(|w| w.deterministic);
-    KernelBaseline {
-        meta: crate::RunMeta::from_env(),
-        workloads,
-        speedups,
-        consistent,
-        deterministic,
-    }
-}
-
-impl KernelBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_kernel.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!(
-            "  \"sizes\": [{}],\n",
-            SIZES.map(|n| n.to_string()).join(", ")
-        ));
-        out.push_str(&format!("  \"consistent\": {},\n", self.consistent));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"speedups\": [\n");
-        for (i, s) in self.speedups.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {:.4}}}{}\n",
-                s.name,
-                s.value,
-                if i + 1 == self.speedups.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"knots\": {}, \"layout\": \"{}\", \"lookups\": {}, \"seconds\": {:.6}, \"lookups_per_sec\": {:.1}, \"digest\": {:.1}, \"deterministic\": {}}}{}\n",
-                w.name,
-                w.knots,
-                w.layout,
-                w.lookups,
-                w.seconds,
-                w.lookups_per_sec,
-                w.digest,
-                w.deterministic,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+    rec.invariant("consistent", consistent);
+    rec.invariant("deterministic", deterministic);
+    rec
 }
 
 #[cfg(test)]
@@ -233,43 +114,20 @@ mod tests {
 
     #[test]
     fn smoke_run_is_consistent_and_complete() {
-        let b = run(2048);
-        assert_eq!(b.workloads.len(), 2 * SIZES.len());
-        assert_eq!(b.speedups.len(), SIZES.len());
+        let rec = run(2048);
+        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_kernel.json"));
         assert!(
-            b.consistent,
+            rec.holds("consistent"),
             "the grid layout diverged from partition_point"
         );
-        assert!(b.deterministic, "a workload failed to reproduce its digest");
-        assert!(b.workloads.iter().all(|w| w.lookups_per_sec > 0.0));
-        assert!(b.speedups.iter().all(|s| s.value > 0.0));
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(1024);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"sizes\"",
-            "\"consistent\"",
-            "\"deterministic\"",
-            "\"speedups\"",
-            "\"lookups_per_sec\"",
-            "\"grid_vs_pp@512\"",
-            "\"grid_vs_pp@8192\"",
-            "\"pp-uniform@16\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-        // The artifact must round-trip through the ratchet's parser.
-        let doc = crate::ratchet::parse_json(&json).expect("artifact parses");
-        assert_eq!(
-            doc.get("workloads")
-                .and_then(crate::ratchet::Json::as_arr)
-                .map(<[_]>::len),
-            Some(2 * SIZES.len())
+        assert!(
+            rec.holds("deterministic"),
+            "a workload failed to reproduce its digest"
         );
+        for m in &rec.metrics {
+            if let Some(v) = rec.median(&m.name) {
+                assert!(v > 0.0, "{}: {v}", m.name);
+            }
+        }
     }
 }

@@ -24,6 +24,7 @@ pub mod kernelbench;
 pub mod netbench;
 pub mod parbench;
 pub mod ratchet;
+pub mod record;
 pub mod report;
 pub mod servebench;
 pub mod tracebench;
@@ -34,7 +35,7 @@ pub mod walbench;
 /// the caller* (via `MBP_BENCH_COMMIT` / `MBP_BENCH_TIME`). The baselines
 /// never read `SystemTime::now` themselves, so regenerating a baseline is
 /// a pure function of its inputs and the stamped environment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMeta {
     /// `std::thread::available_parallelism()` on the generating machine.
     pub hardware_threads: usize,
@@ -67,15 +68,6 @@ impl RunMeta {
             commit: sanitize_stamp(&std::env::var("MBP_BENCH_COMMIT").unwrap_or_default()),
             generated_at: sanitize_stamp(&std::env::var("MBP_BENCH_TIME").unwrap_or_default()),
         }
-    }
-
-    /// The stamp as JSON object fields (no surrounding braces), indented
-    /// two spaces and ending with a trailing comma + newline.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "  \"hardware_threads\": {},\n  \"commit\": \"{}\",\n  \"generated_at\": \"{}\",\n",
-            self.hardware_threads, self.commit, self.generated_at
-        )
     }
 }
 

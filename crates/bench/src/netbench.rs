@@ -4,7 +4,10 @@
 //! with real TCP clients at 1/4/16/64 concurrent connections. Every client
 //! replays a fixed per-connection request stream (seeded by its `Hello`
 //! frame) in pipelined bursts, which the daemon coalesces into batch
-//! kernel calls; each point runs twice and keeps the faster run.
+//! kernel calls. Each request is timed from its burst's flush to the
+//! `recv` of its own response, so a point's p50/p99 rest on every request
+//! of a run; each point runs [`REPEATS`] times and every metric is the
+//! median over those runs, with their min and max.
 //!
 //! The byte stream each client receives is a pure function of the sweep
 //! point. [`exchange_digest`] drives that canonical exchange and folds the
@@ -13,8 +16,9 @@
 //! so backpressure frames (which are timing-dependent) never enter the
 //! response streams being digested.
 //!
-//! The `loadgen` binary serializes the result to `BENCH_serve_net.json`.
+//! The `loadgen` binary writes the record to `BENCH_serve_net.json`.
 
+use crate::record::{per_sec, percentile, repeat, Record, Spread};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::concurrent::SharedBroker;
 use mbp_core::market::{Broker, PurchaseRequest};
@@ -32,38 +36,8 @@ const BURST: usize = 64;
 /// Connection counts swept, in order.
 pub const SWEEP_CONNS: [usize; 4] = [1, 4, 16, 64];
 
-/// One measured sweep point.
-#[derive(Debug, Clone)]
-pub struct NetSweepPoint {
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Total requests served across all connections in one run.
-    pub requests: usize,
-    /// Wall seconds for the faster of the two runs.
-    pub seconds: f64,
-    /// Requests per second derived from `seconds`.
-    pub rps: f64,
-    /// Median per-request latency in microseconds (burst-amortized, best
-    /// of the two runs).
-    pub p50_micros: f64,
-    /// 99th-percentile per-request latency in microseconds.
-    pub p99_micros: f64,
-}
-
-/// The full network-serving baseline (`BENCH_serve_net.json`).
-#[derive(Debug, Clone)]
-pub struct NetBaseline {
-    /// Machine + commit + timestamp provenance stamp.
-    pub meta: crate::RunMeta,
-    /// Fixed request-stream length per connection.
-    pub requests_per_conn: usize,
-    /// Batched-admission sweep over [`SWEEP_CONNS`].
-    pub sweep: Vec<NetSweepPoint>,
-    /// Highest RPS across the sweep.
-    pub saturation_rps: f64,
-    /// Connection count that achieved `saturation_rps`.
-    pub saturation_conns: usize,
-}
+/// Runs of every sweep point; each metric is the median over them.
+pub const REPEATS: usize = 3;
 
 fn dense_pricing(points: usize) -> PricingFunction {
     let grid: Vec<f64> = (1..=points).map(|i| 1.0 + i as f64 * 0.25).collect();
@@ -107,8 +81,9 @@ struct RunResult {
 }
 
 /// Boots a fresh daemon, drives `conns` clients through their streams, and
-/// tears the daemon down. Returns wall time, burst-amortized per-request
-/// latencies from every client, and the order-folded response digest.
+/// tears the daemon down. Returns wall time, every request's latency
+/// (from its burst's flush to its response) from every client, and the
+/// order-folded response digest.
 fn drive(conns: usize, per_conn: usize) -> RunResult {
     let shared = SharedBroker::new(listed_broker(0xA11));
     let handle = mbp_serve::start(shared, ServerConfig::default()).expect("server starts");
@@ -122,24 +97,24 @@ fn drive(conns: usize, per_conn: usize) -> RunResult {
                 let hello = client.hello(0xC0_0000 + c as u64).expect("hello");
                 assert_eq!(hello, Response::HelloOk);
                 let stream = conn_stream(c, per_conn);
-                let mut latencies = Vec::with_capacity(per_conn.div_ceil(BURST));
+                let mut latencies = Vec::with_capacity(per_conn);
                 for burst in stream.chunks(BURST) {
-                    let b0 = Instant::now();
                     for &request in burst {
                         client.enqueue(&Request::Buy {
                             kind: ModelKind::LinearRegression,
                             request,
                         });
                     }
+                    let flushed = Instant::now();
                     client.flush().expect("flush");
                     for _ in 0..burst.len() {
                         let (_, resp) = client.recv().expect("recv");
+                        latencies.push(flushed.elapsed().as_secs_f64());
                         assert!(
                             matches!(resp, Response::BuyOk { .. }),
                             "stream is satisfiable, got {resp:?}"
                         );
                     }
-                    latencies.push(b0.elapsed().as_secs_f64() / burst.len() as f64);
                 }
                 (latencies, client.digest())
             })
@@ -164,15 +139,6 @@ fn drive(conns: usize, per_conn: usize) -> RunResult {
     }
 }
 
-fn percentile_micros(latencies: &mut [f64], q: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_by(f64::total_cmp);
-    let idx = ((latencies.len() as f64 * q) as usize).min(latencies.len() - 1);
-    latencies[idx] * 1e6
-}
-
 /// The response digest of one canonical exchange: `conns` clients with
 /// `Hello` seeds `0xC0_0000 + c`, each sending its `per_conn` buys in
 /// 64-buy bursts to a fresh daemon over the 512-knot `10·√x` listing;
@@ -181,91 +147,44 @@ pub fn exchange_digest(conns: usize, per_conn: usize) -> u64 {
     drive(conns, per_conn).digest
 }
 
-/// Runs one sweep point twice from identical seeds, keeping the faster
-/// run's wall time and the better tail.
-fn measure_point(conns: usize, per_conn: usize) -> NetSweepPoint {
-    let mut first = drive(conns, per_conn);
-    let mut second = drive(conns, per_conn);
-    let requests = conns * per_conn;
-    let seconds = first.seconds.min(second.seconds);
-    let p50 = percentile_micros(&mut first.latencies, 0.50)
-        .min(percentile_micros(&mut second.latencies, 0.50));
-    let p99 = percentile_micros(&mut first.latencies, 0.99)
-        .min(percentile_micros(&mut second.latencies, 0.99));
-    NetSweepPoint {
-        connections: conns,
-        requests,
-        seconds,
-        rps: if seconds > 0.0 {
-            requests as f64 / seconds
-        } else {
-            0.0
-        },
-        p50_micros: p50,
-        p99_micros: p99,
-    }
+/// The `q`-quantile request latency of each run, in microseconds.
+fn latency_us(runs: &mut [RunResult], q: f64) -> Spread {
+    Spread::of(
+        runs.iter_mut()
+            .map(|r| percentile(&mut r.latencies, q) * 1e6),
+    )
 }
 
 /// Runs the full network sweep with `per_conn` requests per connection.
-pub fn run(per_conn: usize) -> NetBaseline {
+pub fn run(per_conn: usize) -> Record {
     let _span = mbp_obs::span("mbp.bench.netbench");
     let per_conn = per_conn.max(BURST);
-
-    let sweep: Vec<NetSweepPoint> = SWEEP_CONNS
-        .iter()
-        .map(|&conns| measure_point(conns, per_conn))
-        .collect();
-
-    let best = sweep
-        .iter()
-        .max_by(|a, b| a.rps.total_cmp(&b.rps))
-        .expect("sweep is non-empty");
-    let saturation_rps = best.rps;
-    let saturation_conns = best.connections;
-
-    NetBaseline {
-        meta: crate::RunMeta::from_env(),
-        requests_per_conn: per_conn,
-        sweep,
-        saturation_rps,
-        saturation_conns,
-    }
-}
-
-impl NetBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_serve_net.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!(
-            "  \"requests_per_conn\": {},\n",
-            self.requests_per_conn
-        ));
-        out.push_str(&format!(
-            "  \"saturation_rps\": {:.1},\n",
-            self.saturation_rps
-        ));
-        out.push_str(&format!(
-            "  \"saturation_conns\": {},\n",
-            self.saturation_conns
-        ));
-        out.push_str("  \"sweep\": [\n");
-        for (i, p) in self.sweep.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"connections\": {}, \"requests\": {}, \"seconds\": {:.6}, \"rps\": {:.1}, \"p50_micros\": {:.3}, \"p99_micros\": {:.3}}}{}\n",
-                p.connections,
-                p.requests,
-                p.seconds,
-                p.rps,
-                p.p50_micros,
-                p.p99_micros,
-                if i + 1 == self.sweep.len() { "" } else { "," }
-            ));
+    let mut rec = Record::new(&[
+        ("requests_per_conn", per_conn as f64),
+        ("repeats", REPEATS as f64),
+    ]);
+    let mut saturation = Spread::of([]);
+    for conns in SWEEP_CONNS {
+        let mut runs = repeat(REPEATS, |_| drive(conns, per_conn));
+        let rps = Spread::of(runs.iter().map(|r| per_sec(conns * per_conn, r.seconds)));
+        if rps.median > saturation.median {
+            saturation = rps;
         }
-        out.push_str("  ]\n}\n");
-        out
+        rec.throughput(format!("{conns}conns.rps"), "requests/s", rps);
+        rec.latency(
+            format!("{conns}conns.p50_us"),
+            "us",
+            latency_us(&mut runs, 0.50),
+        );
+        rec.latency(
+            format!("{conns}conns.p99_us"),
+            "us",
+            latency_us(&mut runs, 0.99),
+        );
     }
+    // The sweep point with the highest median throughput.
+    rec.throughput("saturation_rps", "requests/s", saturation);
+    rec
 }
 
 #[cfg(test)]
@@ -273,23 +192,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_is_complete_and_serializes_every_field() {
-        let b = run(64);
-        assert_eq!(b.sweep.len(), SWEEP_CONNS.len());
-        assert!(b.sweep.iter().all(|p| p.rps > 0.0));
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"requests_per_conn\"",
-            "\"saturation_rps\"",
-            "\"saturation_conns\"",
-            "\"connections\"",
-            "\"p99_micros\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+    fn smoke_sweep_is_complete_and_times_every_request() {
+        let sampled = drive(4, 128);
+        assert_eq!(sampled.latencies.len(), 4 * 128, "one sample per request");
+        let rec = run(64);
+        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_serve_net.json"));
+        for conns in SWEEP_CONNS {
+            assert!(rec.median(&format!("{conns}conns.rps")).expect("measured") > 0.0);
         }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(rec.median("saturation_rps").expect("measured") > 0.0);
     }
 }

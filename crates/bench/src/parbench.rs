@@ -4,14 +4,19 @@
 //! training-loss gradients, revenue/welfare population evaluation, Gaussian
 //! noise sampling, and the sharded market simulation — at 1, 2, and 4
 //! threads (via [`mbp_par::with_threads`], so one process measures all
-//! three), and records per-phase speedups plus a determinism digest. The
-//! `all` binary serializes the result to `BENCH_parallel.json`.
+//! three), and records per-phase wall times and speedups (median, min and
+//! max over the repeats) plus an invariant that the phase's output digest
+//! agrees across thread counts. The `all` binary writes the record to
+//! `BENCH_parallel.json`.
 //!
 //! Speedups are hardware-dependent: on a single-core container every
 //! configuration multiplexes onto one CPU and speedups hover around 1.0
 //! (the `hardware_threads` field records what the box offered), while on a
-//! multi-core machine the chunked phases scale with the thread count.
+//! multi-core machine the chunked phases scale with the thread count. Two
+//! noisy vCPUs cannot show them either, so the ratchet does not compare
+//! this record.
 
+use crate::record::{quotient, repeat, Record, Spread};
 use mbp_core::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
 use mbp_core::market::simulation::{simulate_market, SimulationConfig};
 use mbp_core::market::{Broker, Seller};
@@ -25,47 +30,48 @@ use std::time::Instant;
 /// The thread counts every phase is measured at.
 pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// One measured phase: wall seconds per thread count, plus a determinism
-/// check (the phase's output digest compared across thread counts).
+/// One measured phase: wall seconds per repeat at each thread count, plus
+/// a determinism check (the phase's output digest compared across thread
+/// counts).
 #[derive(Debug, Clone)]
 pub struct PhaseResult {
     /// Phase label.
     pub name: &'static str,
-    /// Min-of-reps wall seconds, aligned with [`THREAD_COUNTS`].
-    pub seconds: Vec<f64>,
-    /// Output digest per thread count (order-insensitive scalar summary).
-    pub digests: Vec<f64>,
-    /// Whether the digests agree across thread counts (relative 1e-9).
+    /// Wall seconds of every repeat, one list per [`THREAD_COUNTS`] entry.
+    pub seconds: Vec<Vec<f64>>,
+    /// Whether the first repeat's digests agree across thread counts
+    /// (relative 1e-9).
     pub deterministic: bool,
 }
 
 impl PhaseResult {
-    /// Speedup of the `threads`-way run over the 1-thread run (1.0 when the
-    /// measurement is degenerate).
-    pub fn speedup_at(&self, threads: usize) -> f64 {
-        let i = THREAD_COUNTS.iter().position(|&t| t == threads);
-        match i {
-            Some(i) if self.seconds[i] > 0.0 => self.seconds[0] / self.seconds[i],
-            _ => 1.0,
-        }
+    /// Speedup of the `threads`-way run over the 1-thread run, repeat by
+    /// repeat (1.0 where a measurement is degenerate).
+    pub fn speedup_at(&self, threads: usize) -> Spread {
+        let Some(i) = THREAD_COUNTS.iter().position(|&t| t == threads) else {
+            return Spread::of([1.0]);
+        };
+        Spread::of(
+            self.seconds[0]
+                .iter()
+                .zip(&self.seconds[i])
+                .map(|(&one, &t)| quotient(one, t)),
+        )
     }
-}
 
-/// The full baseline: environment description plus per-phase results.
-#[derive(Debug, Clone)]
-pub struct ParallelBaseline {
-    /// Thread counts measured (always [`THREAD_COUNTS`]).
-    pub threads: Vec<usize>,
-    /// Provenance: the hardware thread count (speedups above 1.0 are only
-    /// physically possible up to it), commit and run time.
-    pub meta: crate::RunMeta,
-    /// The pool size the process would use absent overrides
-    /// (`--threads` / `MBP_THREADS` / hardware).
-    pub default_threads: usize,
-    /// Timing repetitions per (phase, thread count); min is recorded.
-    pub reps: usize,
-    /// Per-phase measurements.
-    pub phases: Vec<PhaseResult>,
+    /// Adds the phase's per-thread-count times, speedups and determinism
+    /// invariant to `rec`.
+    fn push_to(&self, rec: &mut Record) {
+        for (t, secs) in THREAD_COUNTS.iter().zip(&self.seconds) {
+            let name = format!("{}.t{t}_s", self.name);
+            rec.latency(name, "s", Spread::of(secs.iter().copied()));
+        }
+        for t in &THREAD_COUNTS[1..] {
+            let name = format!("{}.speedup_{t}", self.name);
+            rec.ratio(name, true, self.speedup_at(*t));
+        }
+        rec.invariant(format!("{}.deterministic", self.name), self.deterministic);
+    }
 }
 
 fn digests_agree(digests: &[f64]) -> bool {
@@ -76,32 +82,25 @@ fn digests_agree(digests: &[f64]) -> bool {
 }
 
 /// Times `work` at every [`THREAD_COUNTS`] entry, `reps` times each,
-/// recording the minimum wall time and the first run's digest.
+/// recording every wall time and the first run's digest.
 fn measure(name: &'static str, reps: usize, work: &dyn Fn() -> f64) -> PhaseResult {
     let mut seconds = Vec::with_capacity(THREAD_COUNTS.len());
     let mut digests = Vec::with_capacity(THREAD_COUNTS.len());
     for &t in &THREAD_COUNTS {
         mbp_par::with_threads(t, || {
-            let mut best = f64::INFINITY;
-            let mut digest = 0.0;
-            for rep in 0..reps.max(1) {
+            let runs = repeat(reps, |_| {
                 let t0 = Instant::now();
                 let d = work();
-                best = best.min(t0.elapsed().as_secs_f64());
-                if rep == 0 {
-                    digest = d;
-                }
-            }
-            seconds.push(best);
-            digests.push(digest);
+                (t0.elapsed().as_secs_f64(), d)
+            });
+            digests.push(runs[0].1);
+            seconds.push(runs.iter().map(|r| r.0).collect());
         });
     }
-    let deterministic = digests_agree(&digests);
     PhaseResult {
         name,
         seconds,
-        digests,
-        deterministic,
+        deterministic: digests_agree(&digests),
     }
 }
 
@@ -114,8 +113,9 @@ fn patterned_matrix(rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("shape is consistent")
 }
 
-/// Runs the full baseline: five phases, each at 1/2/4 threads.
-pub fn run(reps: usize) -> ParallelBaseline {
+/// Runs the full baseline: six phases, each at 1/2/4 threads, `reps`
+/// repeats per thread count.
+pub fn run(reps: usize) -> Record {
     let _span = mbp_obs::span("mbp.bench.parbench");
 
     // Phase inputs are built once, outside the timed sections. The gram
@@ -214,106 +214,62 @@ pub fn run(reps: usize) -> ParallelBaseline {
         }),
     ];
 
-    ParallelBaseline {
-        threads: THREAD_COUNTS.to_vec(),
-        meta: crate::RunMeta::from_env(),
-        default_threads: mbp_par::default_threads(),
-        reps,
-        phases,
-    }
+    record(&phases, reps)
 }
 
-impl ParallelBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_parallel.json`).
-    pub fn to_json(&self) -> String {
-        let list = |v: &[f64]| {
-            v.iter()
-                .map(|x| format!("{x:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"threads\": [{}],\n",
-            self.threads
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!(
-            "  \"default_threads\": {},\n",
-            self.default_threads
-        ));
-        out.push_str(&format!("  \"reps\": {},\n", self.reps));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"seconds\": [{}], \"speedup_2\": {:.4}, \"speedup_4\": {:.4}, \"deterministic\": {}}}{}\n",
-                p.name,
-                list(&p.seconds),
-                p.speedup_at(2),
-                p.speedup_at(4),
-                p.deterministic,
-                if i + 1 == self.phases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+/// The record of measured `phases`.
+fn record(phases: &[PhaseResult], reps: usize) -> Record {
+    let mut rec = Record::new(&[
+        ("repeats", reps.max(1) as f64),
+        ("default_threads", mbp_par::default_threads() as f64),
+    ]);
+    for p in phases {
+        p.push_to(&mut rec);
     }
+    rec
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_baseline() -> ParallelBaseline {
-        ParallelBaseline {
-            threads: THREAD_COUNTS.to_vec(),
-            meta: crate::RunMeta {
-                hardware_threads: 1,
-                commit: "abc123".to_string(),
-                generated_at: "2026-01-01T00:00:00Z".to_string(),
-            },
-            default_threads: 1,
-            reps: 1,
-            phases: vec![PhaseResult {
-                name: "unit",
-                seconds: vec![0.4, 0.21, 0.1],
-                digests: vec![1.0, 1.0, 1.0],
-                deterministic: true,
-            }],
+    fn unit_phase() -> PhaseResult {
+        PhaseResult {
+            name: "unit",
+            seconds: vec![vec![0.5, 0.75], vec![0.25, 0.375], vec![0.125, 0.25]],
+            deterministic: true,
         }
     }
 
     #[test]
     fn speedups_derive_from_recorded_seconds() {
-        let b = tiny_baseline();
-        let p = &b.phases[0];
-        assert!((p.speedup_at(2) - 0.4 / 0.21).abs() < 1e-12);
-        assert!((p.speedup_at(4) - 4.0).abs() < 1e-12);
-        assert_eq!(p.speedup_at(3), 1.0); // unmeasured count
+        let p = unit_phase();
+        assert_eq!(p.speedup_at(2), Spread::of([2.0, 2.0]));
+        assert_eq!(p.speedup_at(4), Spread::of([4.0, 3.0]));
+        assert_eq!(p.speedup_at(3), Spread::of([1.0])); // unmeasured count
     }
 
     #[test]
-    fn json_artifact_has_required_fields() {
-        let json = tiny_baseline().to_json();
-        for key in [
-            "\"threads\"",
-            "\"hardware_threads\"",
-            "\"commit\": \"abc123\"",
-            "\"generated_at\": \"2026-01-01T00:00:00Z\"",
-            "\"default_threads\"",
-            "\"phases\"",
-            "\"speedup_2\"",
-            "\"speedup_4\"",
-            "\"deterministic\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+    fn record_names_the_committed_metrics_for_every_phase() {
+        let names = [
+            "linalg-gram",
+            "linalg-matmul",
+            "ml-gradient",
+            "revenue-welfare",
+            "mechanism-noise",
+            "market-simulate",
+        ];
+        let phases: Vec<PhaseResult> = names
+            .iter()
+            .map(|&name| PhaseResult {
+                name,
+                ..unit_phase()
+            })
+            .collect();
+        let rec = record(&phases, 2);
+        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_parallel.json"));
+        assert_eq!(rec.median("ml-gradient.t4_s"), Some(0.1875));
+        assert!(rec.holds("market-simulate.deterministic"));
     }
 
     #[test]

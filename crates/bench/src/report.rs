@@ -1,5 +1,7 @@
 //! Tiny TSV/box report printer shared by the experiment binaries.
 
+use crate::record::{Record, Value};
+
 /// Prints a titled TSV table: a header row, then one row per record.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("## {title}");
@@ -8,6 +10,37 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         println!("{}", row.join("\t"));
     }
     println!();
+}
+
+/// Prints a titled table of a record: its params in the title, then one
+/// row per metric with its kind, unit, and median and `[min, max]` over
+/// its repeats (an invariant shows whether it held).
+pub fn print_record(title: &str, rec: &Record) {
+    let params: Vec<String> = rec.params.iter().map(|(k, v)| format!("{k} {v}")).collect();
+    let rows: Vec<Vec<String>> = rec
+        .metrics
+        .iter()
+        .map(|m| match &m.value {
+            Value::Invariant(holds) => vec![m.name.clone(), "invariant".into(), holds.to_string()],
+            Value::Measured {
+                kind, unit, spread, ..
+            } => vec![
+                m.name.clone(),
+                kind.as_str().to_string(),
+                format!(
+                    "{} [{}, {}] {unit}",
+                    fmt(spread.median),
+                    fmt(spread.min),
+                    fmt(spread.max)
+                ),
+            ],
+        })
+        .collect();
+    print_table(
+        &format!("{title} ({})", params.join(", ")),
+        &["metric", "kind", "median [min, max]"],
+        &rows,
+    );
 }
 
 /// Formats a float with 4 significant-ish decimals, trimming noise.

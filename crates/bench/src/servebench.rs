@@ -18,10 +18,12 @@
 //!   every call) vs a [`RidgeSolver`] that
 //!   forms the Gram once and caches Cholesky factors per ridge.
 //!
-//! Every workload runs its quote stream twice from the same seed and
-//! records both digests; `deterministic` asserts they agree exactly. The
-//! `all` binary serializes the result to `BENCH_serving.json`.
+//! Every workload runs its quote stream [`REPEATS`] times from the same
+//! seed; each metric is the median over those runs, with their min and
+//! max, and `deterministic` asserts every run's output digest agrees
+//! exactly. The `all` binary writes the record to `BENCH_serving.json`.
 
+use crate::record::{per_sec, percentile, quotient, repeat, Record, Spread};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
 use mbp_core::PricingFunction;
@@ -30,123 +32,80 @@ use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
 use std::time::Instant;
 
-/// One measured serving workload.
-#[derive(Debug, Clone)]
-pub struct ServingWorkload {
-    /// Workload label.
-    pub name: &'static str,
-    /// Quotes (or solves) served in one run.
-    pub quotes: usize,
-    /// Wall seconds for the faster of the two runs.
-    pub seconds: f64,
-    /// Throughput derived from `seconds`.
-    pub quotes_per_sec: f64,
-    /// Median per-quote latency in microseconds (best of the two runs).
-    pub p50_micros: f64,
-    /// 99th-percentile per-quote latency in microseconds (best of the
-    /// two runs).
-    pub p99_micros: f64,
-    /// Scalar output digest of the first run.
-    pub digest: f64,
-    /// Whether the second run reproduced `digest` exactly.
-    pub deterministic: bool,
-}
-
-/// The full serving baseline.
-#[derive(Debug, Clone)]
-pub struct ServingBaseline {
-    /// Machine + commit + timestamp provenance stamp.
-    pub meta: crate::RunMeta,
-    /// Knots in the benchmark pricing grid.
-    pub grid_points: usize,
-    /// Model dimension of the listed instance.
-    pub model_dim: usize,
-    /// Per-workload measurements.
-    pub workloads: Vec<ServingWorkload>,
-    /// `pricing-scan` throughput ÷ `pricing-table` throughput, inverted so
-    /// values above 1.0 mean the compiled table is faster.
-    pub table_speedup_vs_scan: f64,
-    /// `serve-batch` throughput over `serve-single` throughput.
-    pub batch_speedup_vs_single: f64,
-    /// Cached-factor solve throughput over one-shot retraining throughput.
-    pub factor_cache_speedup: f64,
-    /// Scan and table answered the shared query stream identically
-    /// (relative 1e-9; the table's fused-slope interior evaluation may
-    /// differ from the scan by strict rounding).
-    pub table_matches_scan: bool,
-    /// Every workload reproduced its digest on the second run.
-    pub deterministic: bool,
-}
-
-/// Timed samples from one run: total seconds plus per-quote latencies
-/// (each sample amortized over `block` quotes).
-struct RunTiming {
-    seconds: f64,
-    latencies: Vec<f64>,
-}
-
-fn run_blocks(n: usize, block: usize, mut work: impl FnMut(usize) -> f64) -> (RunTiming, f64) {
-    let mut latencies = Vec::with_capacity(n.div_ceil(block));
-    let mut digest = 0.0;
-    let mut seconds = 0.0;
-    let mut i = 0;
-    while i < n {
-        let take = block.min(n - i);
-        let t0 = Instant::now();
-        for j in i..i + take {
-            digest += work(j);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        seconds += dt;
-        latencies.push(dt / take as f64);
-        i += take;
-    }
-    (RunTiming { seconds, latencies }, digest)
-}
-
-fn percentile_micros(latencies: &mut [f64], q: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_by(f64::total_cmp);
-    let idx = ((latencies.len() as f64 * q) as usize).min(latencies.len() - 1);
-    latencies[idx] * 1e6
-}
-
-/// Runs `work` twice (it must reset its own state per run via `run`
-/// index), keeping the faster run's wall time and checking digest
-/// equality. Percentiles are taken per run and the minimum kept: a
+/// Runs of every workload; each metric is the median over them. A
 /// scheduler preemption inflates one run's p99 by an order of magnitude
-/// while barely moving its total seconds, so "faster run's tail" is not
-/// spike-proof — "best tail of two identically-seeded runs" is, unless
-/// interference hits both runs.
+/// while barely moving its total seconds; the median of three runs moves
+/// only when interference hits two of them.
+pub const REPEATS: usize = 3;
+
+/// One timed run of a workload.
+struct Run {
+    /// Quotes served per wall second.
+    qps: f64,
+    /// Median per-quote latency in microseconds.
+    p50_us: f64,
+    /// 99th-percentile per-quote latency in microseconds.
+    p99_us: f64,
+    /// Scalar output digest.
+    digest: f64,
+}
+
+/// Runs `items` work items serving `quotes` quotes in all, [`REPEATS`]
+/// times (`work` must reset its own state per run via the run index). Each
+/// run is timed in blocks of `block` items, and every block gives one
+/// latency sample amortized over the quotes it served.
 fn measure(
-    name: &'static str,
     quotes: usize,
+    items: usize,
     block: usize,
     mut work: impl FnMut(usize, usize) -> f64,
-) -> ServingWorkload {
-    let (mut first, digest_a) = run_blocks(quotes, block, |i| work(0, i));
-    let (mut second, digest_b) = run_blocks(quotes, block, |i| work(1, i));
-    let seconds = first.seconds.min(second.seconds);
-    let p50_a = percentile_micros(&mut first.latencies, 0.50);
-    let p99_a = percentile_micros(&mut first.latencies, 0.99);
-    let p50_b = percentile_micros(&mut second.latencies, 0.50);
-    let p99_b = percentile_micros(&mut second.latencies, 0.99);
-    ServingWorkload {
-        name,
-        quotes,
-        seconds,
-        quotes_per_sec: if seconds > 0.0 {
-            quotes as f64 / seconds
-        } else {
-            0.0
-        },
-        p50_micros: p50_a.min(p50_b),
-        p99_micros: p99_a.min(p99_b),
-        digest: digest_a,
-        deterministic: digest_a == digest_b,
-    }
+) -> Vec<Run> {
+    let per_item = quotes as f64 / items as f64;
+    repeat(REPEATS, |run| {
+        let mut latencies = Vec::with_capacity(items.div_ceil(block));
+        let mut digest = 0.0;
+        let mut seconds = 0.0;
+        let mut i = 0;
+        while i < items {
+            let take = block.min(items - i);
+            let t0 = Instant::now();
+            for j in i..i + take {
+                digest += work(run, j);
+            }
+            let dt = t0.elapsed().as_secs_f64();
+            seconds += dt;
+            latencies.push(dt / (take as f64 * per_item));
+            i += take;
+        }
+        Run {
+            qps: per_sec(quotes, seconds),
+            p50_us: percentile(&mut latencies, 0.50) * 1e6,
+            p99_us: percentile(&mut latencies, 0.99) * 1e6,
+            digest,
+        }
+    })
+}
+
+/// Adds a workload's throughput and latency percentiles to `rec`.
+fn push_workload(rec: &mut Record, name: &str, runs: &[Run]) {
+    let spread = |f: fn(&Run) -> f64| Spread::of(runs.iter().map(f));
+    rec.throughput(
+        format!("{name}.quotes_per_sec"),
+        "quotes/s",
+        spread(|r| r.qps),
+    );
+    rec.latency(format!("{name}.p50_us"), "us", spread(|r| r.p50_us));
+    rec.latency(format!("{name}.p99_us"), "us", spread(|r| r.p99_us));
+}
+
+/// Every run reproduced the first run's digest.
+fn reproduced(runs: &[Run]) -> bool {
+    runs.iter().all(|r| r.digest == runs[0].digest)
+}
+
+/// `num`'s throughput over `den`'s, run by run.
+fn speedup(num: &[Run], den: &[Run]) -> Spread {
+    Spread::of(num.iter().zip(den).map(|(n, d)| quotient(n.qps, d.qps)))
 }
 
 /// A dense arbitrage-free pricing curve: `p̄(x) = 10·√x` sampled on
@@ -214,7 +173,7 @@ fn listed_broker(seed: u64, pricing: &PricingFunction) -> Broker {
 }
 
 /// Runs the full serving baseline with `quotes` quotes per workload.
-pub fn run(quotes: usize) -> ServingBaseline {
+pub fn run(quotes: usize) -> Record {
     let _span = mbp_obs::span("mbp.bench.servebench");
     let quotes = quotes.max(64);
     const GRID_POINTS: usize = 512;
@@ -223,22 +182,21 @@ pub fn run(quotes: usize) -> ServingBaseline {
     let pricing = dense_pricing(GRID_POINTS);
     let table = pricing.compile();
 
-    let scan = measure("pricing-scan", quotes, PRICING_BLOCK, |_, i| {
+    let scan = measure(quotes, quotes, PRICING_BLOCK, |_, i| {
         pricing_query(&pricing, i)
     });
-    let tab = measure("pricing-table", quotes, PRICING_BLOCK, |_, i| {
-        table_query(&table, i)
-    });
-    let table_matches_scan = (scan.digest - tab.digest).abs() <= 1e-9 * scan.digest.abs().max(1.0);
+    let tab = measure(quotes, quotes, PRICING_BLOCK, |_, i| table_query(&table, i));
+    let (scan_digest, tab_digest) = (scan[0].digest, tab[0].digest);
+    let table_matches_scan = (scan_digest - tab_digest).abs() <= 1e-9 * scan_digest.abs().max(1.0);
 
     let requests = request_stream(quotes);
 
     // serve-single: one buy_listed per quote. Fresh broker + RNG per run so
-    // the two runs are bit-identical.
-    let mut singles: Vec<(Broker, mbp_randx::MbpRng)> = (0..2)
+    // the runs are bit-identical.
+    let mut singles: Vec<(Broker, mbp_randx::MbpRng)> = (0..REPEATS)
         .map(|_| (listed_broker(0xA11, &pricing), seeded_rng(0x5e1)))
         .collect();
-    let serve_single = measure("serve-single", quotes, 1, |run, i| {
+    let serve_single = measure(quotes, quotes, 1, |run, i| {
         let (broker, rng) = &mut singles[run];
         let sale = broker
             .buy_listed(ModelKind::LinearRegression, requests[i], rng)
@@ -248,14 +206,14 @@ pub fn run(quotes: usize) -> ServingBaseline {
 
     // serve-into: a zero-allocation batch of one per quote, reusing one
     // arena.
-    let mut intos: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..2)
+    let mut intos: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..REPEATS)
         .map(|_| {
             let mut broker = listed_broker(0xA11, &pricing);
             broker.reserve_ledger(quotes);
             (broker, seeded_rng(0x5e1), SaleArena::new())
         })
         .collect();
-    let serve_into = measure("serve-into", quotes, 1, |run, i| {
+    let serve_into = measure(quotes, quotes, 1, |run, i| {
         let (broker, rng, arena) = &mut intos[run];
         broker
             .buy_batch_into(ModelKind::LinearRegression, &requests[i..=i], rng, arena)
@@ -269,13 +227,12 @@ pub fn run(quotes: usize) -> ServingBaseline {
             .sum()
     });
 
-    // serve-batch: same stream in BATCH-sized chunks; the per-"quote" work
-    // item is one whole batch, so latencies are per batch.
-    let n_batches = quotes.div_ceil(BATCH);
-    let mut batchers: Vec<(Broker, mbp_randx::MbpRng)> = (0..2)
+    // serve-batch: same stream in BATCH-sized chunks; each work item is one
+    // whole batch, its latency amortized over the batch's quotes.
+    let mut batchers: Vec<(Broker, mbp_randx::MbpRng)> = (0..REPEATS)
         .map(|_| (listed_broker(0xA11, &pricing), seeded_rng(0x5e1)))
         .collect();
-    let serve_batch_raw = measure("serve-batch", n_batches, 1, |run, b| {
+    let serve_batch = measure(quotes, quotes.div_ceil(BATCH), 1, |run, b| {
         let (broker, rng) = &mut batchers[run];
         let lo = b * BATCH;
         let hi = (lo + BATCH).min(quotes);
@@ -289,19 +246,6 @@ pub fn run(quotes: usize) -> ServingBaseline {
             })
             .sum()
     });
-    // Re-express the batch workload in per-quote units.
-    let serve_batch = ServingWorkload {
-        name: "serve-batch",
-        quotes,
-        quotes_per_sec: if serve_batch_raw.seconds > 0.0 {
-            quotes as f64 / serve_batch_raw.seconds
-        } else {
-            0.0
-        },
-        p50_micros: serve_batch_raw.p50_micros / BATCH as f64,
-        p99_micros: serve_batch_raw.p99_micros / BATCH as f64,
-        ..serve_batch_raw
-    };
 
     // factor-cache off/on: retrain across RIDGES distinct ridge values,
     // twice over. "Off" re-forms the Gram matrix per call (the one-shot
@@ -314,93 +258,51 @@ pub fn run(quotes: usize) -> ServingBaseline {
         .train;
     let solves = 2 * RIDGES;
     let mu_at = |i: usize| 1e-6 * ((i % RIDGES) + 1) as f64;
-    let factor_off = measure("factor-cache-off", solves, 1, |_, i| {
+    let factor_off = measure(solves, solves, 1, |_, i| {
         ridge_closed_form(&train, mu_at(i)).expect("solvable")[0]
     });
-    let mut solvers: Vec<RidgeSolver> = (0..2)
+    let mut solvers: Vec<RidgeSolver> = (0..REPEATS)
         .map(|_| RidgeSolver::new(&train).expect("gram formed"))
         .collect();
-    let factor_on = measure("factor-cache-on", solves, 1, |run, i| {
+    let factor_on = measure(solves, solves, 1, |run, i| {
         solvers[run].solve(mu_at(i)).expect("solvable")[0]
     });
 
-    let ratio = |num: &ServingWorkload, den: &ServingWorkload| {
-        if den.quotes_per_sec > 0.0 {
-            num.quotes_per_sec / den.quotes_per_sec
-        } else {
-            1.0
-        }
-    };
-    let table_speedup_vs_scan = ratio(&tab, &scan);
-    let batch_speedup_vs_single = ratio(&serve_batch, &serve_single);
-    let factor_cache_speedup = ratio(&factor_on, &factor_off);
-    let workloads = vec![
-        scan,
-        tab,
-        serve_single,
-        serve_into,
-        serve_batch,
-        factor_off,
-        factor_on,
+    let mut rec = Record::new(&[
+        ("quotes", quotes as f64),
+        ("repeats", REPEATS as f64),
+        ("grid_points", GRID_POINTS as f64),
+        ("model_dim", 5.0),
+    ]);
+    rec.ratio("table_speedup_vs_scan", true, speedup(&tab, &scan));
+    rec.ratio(
+        "batch_speedup_vs_single",
+        true,
+        speedup(&serve_batch, &serve_single),
+    );
+    rec.ratio(
+        "factor_cache_speedup",
+        true,
+        speedup(&factor_on, &factor_off),
+    );
+    let workloads = [
+        ("pricing-scan", &scan),
+        ("pricing-table", &tab),
+        ("serve-single", &serve_single),
+        ("serve-into", &serve_into),
+        ("serve-batch", &serve_batch),
+        ("factor-cache-off", &factor_off),
+        ("factor-cache-on", &factor_on),
     ];
-    let deterministic = workloads.iter().all(|w| w.deterministic) && table_matches_scan;
-
-    ServingBaseline {
-        meta: crate::RunMeta::from_env(),
-        grid_points: GRID_POINTS,
-        model_dim: 5,
-        workloads,
-        table_speedup_vs_scan,
-        batch_speedup_vs_single,
-        factor_cache_speedup,
-        table_matches_scan,
-        deterministic,
+    for (name, runs) in workloads {
+        push_workload(&mut rec, name, runs);
     }
-}
-
-impl ServingBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_serving.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"grid_points\": {},\n", self.grid_points));
-        out.push_str(&format!("  \"model_dim\": {},\n", self.model_dim));
-        out.push_str(&format!(
-            "  \"table_speedup_vs_scan\": {:.4},\n",
-            self.table_speedup_vs_scan
-        ));
-        out.push_str(&format!(
-            "  \"batch_speedup_vs_single\": {:.4},\n",
-            self.batch_speedup_vs_single
-        ));
-        out.push_str(&format!(
-            "  \"factor_cache_speedup\": {:.4},\n",
-            self.factor_cache_speedup
-        ));
-        out.push_str(&format!(
-            "  \"table_matches_scan\": {},\n",
-            self.table_matches_scan
-        ));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"quotes\": {}, \"seconds\": {:.6}, \"quotes_per_sec\": {:.1}, \"p50_micros\": {:.3}, \"p99_micros\": {:.3}, \"digest\": {:.6}, \"deterministic\": {}}}{}\n",
-                w.name,
-                w.quotes,
-                w.seconds,
-                w.quotes_per_sec,
-                w.p50_micros,
-                w.p99_micros,
-                w.digest,
-                w.deterministic,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+    rec.invariant("table_matches_scan", table_matches_scan);
+    rec.invariant(
+        "deterministic",
+        workloads.iter().all(|(_, runs)| reproduced(runs)) && table_matches_scan,
+    );
+    rec
 }
 
 #[cfg(test)]
@@ -409,50 +311,27 @@ mod tests {
 
     #[test]
     fn smoke_run_is_deterministic_and_complete() {
-        let b = run(512);
-        assert_eq!(b.workloads.len(), 7);
-        assert!(b.workloads.iter().all(|w| w.quotes_per_sec > 0.0));
-        assert!(b.table_matches_scan, "table answers diverged from scan");
-        assert!(b.deterministic, "a workload failed to reproduce its digest");
-        assert!(b.table_speedup_vs_scan > 0.0);
-        assert!(b.factor_cache_speedup > 0.0);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let b = run(256);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"grid_points\"",
-            "\"table_speedup_vs_scan\"",
-            "\"batch_speedup_vs_single\"",
-            "\"factor_cache_speedup\"",
-            "\"quotes_per_sec\"",
-            "\"p50_micros\"",
-            "\"p99_micros\"",
-            "\"deterministic\"",
-            "\"pricing-table\"",
-            "\"factor-cache-on\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+        let rec = run(512);
+        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_serving.json"));
+        assert!(
+            rec.holds("table_matches_scan"),
+            "table answers diverged from scan"
+        );
+        assert!(
+            rec.holds("deterministic"),
+            "a workload failed to reproduce its digest"
+        );
+        for m in rec
+            .metrics
+            .iter()
+            .filter(|m| m.name.ends_with(".quotes_per_sec"))
+        {
+            let w = m.name.trim_end_matches(".quotes_per_sec");
+            let median = |metric: &str| rec.median(&format!("{w}.{metric}")).expect("measured");
+            assert!(median("quotes_per_sec") > 0.0, "{w}");
+            let (p50, p99) = (median("p50_us"), median("p99_us"));
+            assert!(p99 >= p50, "{w}: p99 {p99} < p50 {p50}");
         }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let b = run(256);
-        for w in &b.workloads {
-            assert!(
-                w.p99_micros >= w.p50_micros,
-                "{}: p99 {} < p50 {}",
-                w.name,
-                w.p99_micros,
-                w.p50_micros
-            );
-        }
+        assert!(rec.median("table_speedup_vs_scan").expect("measured") > 0.0);
     }
 }

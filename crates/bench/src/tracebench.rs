@@ -24,15 +24,19 @@
 //!   `overhead_enabled` compares this against `serve-obs-metrics` — the
 //!   marginal cost of turning tracing on — and must stay within ≤10%.
 //!
-//! The four workloads run interleaved: each of nine rounds serves
-//! the whole quote stream once per workload, round-robin, starting one
-//! workload later each round. Drift in the machine's speed (frequency,
-//! neighbours on a shared host) then lands on every workload alike. Each
-//! overhead is the median of its per-round ratios, and each workload's
-//! time the median of its rounds. Every run starts from the same seed;
-//! `deterministic` asserts all rounds produced identical digests (tracing
-//! never touches the pricing or noise streams).
+//! The four workloads run interleaved: each of nine rounds (the record's
+//! repeats) serves the whole quote stream once per workload, round-robin,
+//! starting one workload later each round. Drift in the machine's speed
+//! (frequency, neighbours on a shared host) then lands on every workload
+//! alike. Each overhead is the median of its per-round ratios, and each
+//! workload's throughput the median of its rounds, both with their min
+//! and max. Every run starts from the same seed; `deterministic` asserts
+//! all rounds produced identical digests (tracing never touches the
+//! pricing or noise streams), and `traced_spans_cover_quotes` that the
+//! traced run recorded at least one span per quote. The `all` binary
+//! writes the record to `BENCH_trace.json`.
 
+use crate::record::{per_sec, Record, Spread};
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
 use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SaleArena, Transaction};
 use mbp_core::{GaussianMechanism, NoiseMechanism, PhiMemo, PricingFunction, PricingTable};
@@ -56,63 +60,6 @@ const WORKLOADS: [&str; 4] = [
     "serve-obs-metrics",
     "serve-traced",
 ];
-
-/// One measured serve configuration.
-#[derive(Debug, Clone)]
-pub struct TraceWorkload {
-    /// Workload label.
-    pub name: &'static str,
-    /// Quotes served in one run.
-    pub quotes: usize,
-    /// Median wall seconds of one run over the rounds.
-    pub seconds: f64,
-    /// Throughput derived from `seconds`.
-    pub quotes_per_sec: f64,
-    /// Scalar output digest of the first run.
-    pub digest: f64,
-    /// Whether every later run reproduced `digest` exactly.
-    pub deterministic: bool,
-}
-
-/// The full tracing-overhead baseline.
-#[derive(Debug, Clone)]
-pub struct TraceBaseline {
-    /// Machine + commit + timestamp provenance stamp.
-    pub meta: crate::RunMeta,
-    /// Listing dimension.
-    pub model_dim: usize,
-    /// Quotes per workload run.
-    pub quotes: usize,
-    /// Interleaved rounds; each ran every workload once.
-    pub rounds: usize,
-    /// The four serve configurations, floor first.
-    pub workloads: Vec<TraceWorkload>,
-    /// Relative cost of the instrumented path with observability off,
-    /// against the uninstrumented floor (`serve-obs-disabled` vs
-    /// `serve-floor`), the median over rounds. Budget: ≤ 0.02.
-    pub overhead_disabled: f64,
-    /// Marginal relative cost of turning tracing on, against the
-    /// metrics-enabled path (`serve-traced` vs `serve-obs-metrics`), the
-    /// median over rounds. Budget: ≤ 0.10.
-    pub overhead_enabled: f64,
-    /// Spans the flight recorder captured during one traced run.
-    pub spans_recorded: u64,
-    /// Tail-latency exemplars held after the traced run.
-    pub exemplars: usize,
-    /// Every workload reproduced its digest on the second run.
-    pub deterministic: bool,
-}
-
-/// The median of `v` (the mean of the middle two for an even length).
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    match n {
-        0 => 0.0,
-        _ if n % 2 == 1 => v[n / 2],
-        _ => (v[n / 2 - 1] + v[n / 2]) / 2.0,
-    }
-}
 
 /// Same √-shaped arbitrage-free curve as the serving baseline.
 fn dense_pricing() -> PricingFunction {
@@ -282,13 +229,13 @@ fn serve(
 }
 
 /// Runs the tracing-overhead baseline at the committed listing dimension.
-pub fn run(quotes: usize) -> TraceBaseline {
+pub fn run(quotes: usize) -> Record {
     run_with_dim(quotes, MODEL_DIM)
 }
 
 /// Runs the baseline at an explicit listing dimension (tests use a small
 /// one; the overhead ratios are only meaningful at serving-scale dims).
-pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
+pub fn run_with_dim(quotes: usize, dim: usize) -> Record {
     let quotes = quotes.max(256);
     let pricing = dense_pricing();
     let requests = request_stream(quotes);
@@ -336,92 +283,33 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> TraceBaseline {
     mbp_obs::set_tracing(false);
     mbp_obs::set_slow_threshold_micros(prev_threshold_nanos / 1_000);
     mbp_obs::set_enabled(was_enabled);
-    let exemplars = mbp_obs::exemplars().len();
 
-    let workloads: Vec<TraceWorkload> = WORKLOADS
-        .iter()
-        .zip(&runs)
-        .map(|(&name, r)| {
-            let seconds = median(r.iter().map(|&(s, _)| s).collect());
-            let digest = r[0].1;
-            TraceWorkload {
-                name,
-                quotes,
-                seconds,
-                quotes_per_sec: if seconds > 0.0 {
-                    quotes as f64 / seconds
-                } else {
-                    0.0
-                },
-                digest,
-                deterministic: r.iter().all(|&(_, d)| d == digest),
-            }
-        })
-        .collect();
-    // The median over rounds of `num`'s time relative to `den`'s.
+    let mut rec = Record::new(&[
+        ("quotes", quotes as f64),
+        ("model_dim", dim as f64),
+        ("repeats", ROUNDS as f64),
+    ]);
+    // `num`'s time relative to `den`'s, round by round.
     let overhead = |num: usize, den: usize| {
-        median(
+        Spread::of(
             runs[num]
                 .iter()
                 .zip(&runs[den])
-                .map(|(n, d)| n.0 / d.0 - 1.0)
-                .collect(),
+                .map(|(n, d)| n.0 / d.0 - 1.0),
         )
     };
-    let overhead_disabled = overhead(1, 0);
-    let overhead_enabled = overhead(3, 2);
-    let deterministic = workloads.iter().all(|w| w.deterministic);
-
-    TraceBaseline {
-        meta: crate::RunMeta::from_env(),
-        model_dim: dim,
-        quotes,
-        rounds: ROUNDS,
-        workloads,
-        overhead_disabled,
-        overhead_enabled,
-        spans_recorded,
-        exemplars,
-        deterministic,
+    rec.ratio("overhead_disabled", false, overhead(1, 0));
+    rec.ratio("overhead_enabled", false, overhead(3, 2));
+    for (name, r) in WORKLOADS.iter().zip(&runs) {
+        let qps = Spread::of(r.iter().map(|&(s, _)| per_sec(quotes, s)));
+        rec.throughput(format!("{name}.quotes_per_sec"), "quotes/s", qps);
     }
-}
-
-impl TraceBaseline {
-    /// Serializes the baseline as a standalone JSON document
-    /// (`BENCH_trace.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.meta.json_fields());
-        out.push_str(&format!("  \"model_dim\": {},\n", self.model_dim));
-        out.push_str(&format!("  \"quotes\": {},\n", self.quotes));
-        out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
-        out.push_str(&format!(
-            "  \"overhead_disabled\": {:.4},\n",
-            self.overhead_disabled
-        ));
-        out.push_str(&format!(
-            "  \"overhead_enabled\": {:.4},\n",
-            self.overhead_enabled
-        ));
-        out.push_str(&format!("  \"spans_recorded\": {},\n", self.spans_recorded));
-        out.push_str(&format!("  \"exemplars\": {},\n", self.exemplars));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"quotes\": {}, \"seconds\": {:.6}, \"quotes_per_sec\": {:.1}, \"digest\": {:.6}, \"deterministic\": {}}}{}\n",
-                w.name,
-                w.quotes,
-                w.seconds,
-                w.quotes_per_sec,
-                w.digest,
-                w.deterministic,
-                if i + 1 == self.workloads.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
+    let reproduced = runs
+        .iter()
+        .all(|r| r.iter().all(|&(_, d)| d == runs[0][0].1));
+    rec.invariant("deterministic", reproduced);
+    rec.invariant("traced_spans_cover_quotes", spans_recorded >= quotes as u64);
+    rec
 }
 
 #[cfg(test)]
@@ -440,43 +328,21 @@ mod tests {
     #[test]
     fn smoke_run_is_deterministic_and_traced() {
         let _g = serial();
-        let b = run_with_dim(256, 32);
-        assert_eq!(b.workloads.len(), 4);
-        assert!(b.workloads.iter().all(|w| w.quotes_per_sec > 0.0));
-        assert!(b.deterministic, "a workload failed to reproduce its digest");
-        // Every traced quote contributes a root span plus its kernel spans.
-        assert!(
-            b.spans_recorded >= b.quotes as u64,
-            "traced run recorded {} spans for {} quotes",
-            b.spans_recorded,
-            b.quotes
-        );
-        // The broker workloads serve the same stream: identical digests.
-        assert_eq!(b.workloads[1].digest, b.workloads[2].digest);
-        assert_eq!(b.workloads[2].digest, b.workloads[3].digest);
-    }
-
-    #[test]
-    fn json_artifact_has_required_fields() {
-        let _g = serial();
-        let b = run_with_dim(256, 32);
-        let json = b.to_json();
-        for key in [
-            "\"hardware_threads\"",
-            "\"commit\"",
-            "\"generated_at\"",
-            "\"model_dim\"",
-            "\"overhead_disabled\"",
-            "\"overhead_enabled\"",
-            "\"spans_recorded\"",
-            "\"serve-floor\"",
-            "\"serve-obs-disabled\"",
-            "\"serve-obs-metrics\"",
-            "\"serve-traced\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
+        let rec = run_with_dim(256, 32);
+        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_trace.json"));
+        for name in WORKLOADS {
+            let qps = rec
+                .median(&format!("{name}.quotes_per_sec"))
+                .expect("measured");
+            assert!(qps > 0.0, "{name}");
         }
-        let parsed = crate::ratchet::parse_json(&json).expect("artifact parses");
-        assert!(parsed.get("overhead_enabled").is_some());
+        // Every workload, the floor included, serves the same stream to
+        // the same digest.
+        assert!(
+            rec.holds("deterministic"),
+            "a workload failed to reproduce its digest"
+        );
+        // Every traced quote contributes a root span plus its kernel spans.
+        assert!(rec.holds("traced_spans_cover_quotes"));
     }
 }

@@ -272,7 +272,13 @@ pub fn recover_dir(dir: &Path) -> Result<DirRecovery, WalError> {
         out.records_skipped += log.records_skipped;
         out.truncated_segments += usize::from(log.truncated_at.is_some());
         out.bytes_scanned += log.bytes_scanned as u64;
-        out.events.extend(log.events);
+        // The first segment's events move in whole: copying them cost about
+        // a third of a one-segment recovery.
+        if out.events.is_empty() {
+            out.events = log.events;
+        } else {
+            out.events.extend(log.events);
+        }
     }
     Ok(out)
 }
