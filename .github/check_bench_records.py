@@ -4,12 +4,12 @@ writes).
 Usage: python3 .github/check_bench_records.py FILE...
 
 Every file must parse as a record, with min <= median <= max on each
-measured metric, and every invariant must hold. A committed record must be
+measured metric and every throughput, latency and higher-is-better ratio
+above 0, and every invariant must hold. A committed record must be
 stamped: its commit and generated_at may not read "unknown". For a smoke
 file, BENCH_<name>_smoke.json, the committed BENCH_<name>.json is checked
-too, and the smoke record must name the same metrics in the same order,
-report every throughput, latency and higher-is-better ratio above 0, and
-every `.p99_us` at or above its `.p50_us`.
+too, and the smoke record must name the same metrics in the same order
+and report every `.p99_us` at or above its `.p50_us`.
 """
 import json
 import sys
@@ -27,6 +27,8 @@ def load(path):
             assert m["kind"] in ("throughput", "latency", "ratio"), (path, m)
             assert m["better"] in ("higher", "lower") and m["unit"], (path, m)
             assert m["repeats"] >= 1 and m["min"] <= m["median"] <= m["max"], (path, m)
+            if m["kind"] != "ratio" or m["better"] == "higher":
+                assert m["median"] > 0, (path, m)
     return rec
 
 
@@ -44,8 +46,6 @@ def check_smoke(path):
     assert names == [m["name"] for m in committed["metrics"]], (path, names)
     by_name = {m["name"]: m for m in rec["metrics"]}
     for m in rec["metrics"]:
-        if m["kind"] != "invariant" and (m["kind"] != "ratio" or m["better"] == "higher"):
-            assert m["median"] > 0, (path, m)
         if m["name"].endswith(".p99_us"):
             p50 = by_name[m["name"][: -len("p99_us")] + "p50_us"]
             assert m["median"] >= p50["median"] >= 0, (path, m, p50)

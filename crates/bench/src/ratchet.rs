@@ -34,7 +34,7 @@
 //! conforming document, not just the exact strings [`Record::to_json`]
 //! produces.
 
-use crate::record::{Kind, Record, Spread, Value};
+use crate::record::{Kind, Record, Value};
 use crate::report::fmt;
 use std::collections::BTreeMap;
 
@@ -397,11 +397,6 @@ impl RatchetReport {
     }
 }
 
-/// `median [min, max]`.
-fn show(s: &Spread) -> String {
-    format!("{} [{}, {}]", fmt(s.median), fmt(s.min), fmt(s.max))
-}
-
 /// Diffs a fresh record against the committed one (see the module docs
 /// for the rules).
 pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetReport {
@@ -447,18 +442,18 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetRep
             }
         };
         if let Some(&(_, floor)) = HARD_FLOORS.iter().find(|(n, _)| *n == b.name) {
-            let detail = format!("committed {} >= {floor}", show(bs));
+            let detail = format!("committed {bs} >= {floor}");
             report.push(format!("{}.hard_floor", b.name), bs.median >= floor, detail);
         }
         if let Some(i) = BUDGETS.iter().position(|(n, _)| *n == b.name) {
             let (strict, loose) = (BUDGETS[i].1, cfg.fresh_budgets[i]);
-            let detail = format!("committed {} <= {strict}", show(bs));
+            let detail = format!("committed {bs} <= {strict}");
             report.push(
                 format!("{}.budget(committed)", b.name),
                 bs.median <= strict,
                 detail,
             );
-            let detail = format!("fresh {} <= {loose}", show(fs));
+            let detail = format!("fresh {fs} <= {loose}");
             report.push(
                 format!("{}.budget(fresh)", b.name),
                 fs.median <= loose,
@@ -480,11 +475,7 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetRep
             let ceiling = bs.median * (1.0 + tol);
             (fs.median <= ceiling, format!("<= ceiling {}", fmt(ceiling)))
         };
-        let detail = format!(
-            "fresh {} {rule} (committed {}, tol {tol:.2})",
-            show(fs),
-            show(bs)
-        );
+        let detail = format!("fresh {fs} {rule} (committed {bs}, tol {tol:.2})");
         report.push(b.name.clone(), ok, detail);
     }
     report
@@ -493,7 +484,7 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Metric;
+    use crate::record::{Metric, Spread};
 
     /// Every committed record, by file name.
     const COMMITTED: [(&str, &str); 7] = [

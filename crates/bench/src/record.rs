@@ -84,6 +84,20 @@ impl Spread {
     }
 }
 
+impl std::fmt::Display for Spread {
+    /// `median [min, max]`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use crate::report::fmt;
+        write!(
+            f,
+            "{} [{}, {}]",
+            fmt(self.median),
+            fmt(self.min),
+            fmt(self.max)
+        )
+    }
+}
+
 /// Runs `run` `repeats` times (at least once), passing the repeat index,
 /// and returns every run's output in order. Every baseline measures
 /// through this, so each metric's spread is over the same repeats.

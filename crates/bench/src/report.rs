@@ -27,12 +27,7 @@ pub fn print_record(title: &str, rec: &Record) {
             } => vec![
                 m.name.clone(),
                 kind.as_str().to_string(),
-                format!(
-                    "{} [{}, {}] {unit}",
-                    fmt(spread.median),
-                    fmt(spread.min),
-                    fmt(spread.max)
-                ),
+                format!("{spread} {unit}"),
             ],
         })
         .collect();
