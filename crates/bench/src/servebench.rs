@@ -208,8 +208,7 @@ pub fn run(quotes: usize) -> Record {
     // arena.
     let mut intos: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..REPEATS)
         .map(|_| {
-            let mut broker = listed_broker(0xA11, &pricing);
-            broker.reserve_ledger(quotes);
+            let broker = listed_broker(0xA11, &pricing);
             (broker, seeded_rng(0x5e1), SaleArena::new())
         })
         .collect();

@@ -10,8 +10,8 @@
 //! * **serve-floor** — the broker's per-request work rebuilt from the
 //!   public pieces (`PricingTable`, `PhiMemo`, `GaussianMechanism::
 //!   perturb_into`) with no observability calls at all: the same listing
-//!   and menu `HashMap` lookups, arena buffers, sale slot and ledger push
-//!   as `buy_batch_into`, so the two differ only by observability.
+//!   and menu `HashMap` lookups, arena buffers, sale slot and sale-totals
+//!   update as `buy_batch_into`, so the two differ only by observability.
 //! * **serve-obs-disabled** — the real broker path with observability
 //!   fully disabled; every obs call is an inert relaxed load.
 //!   `overhead_disabled` compares this against the floor and must stay
@@ -38,7 +38,7 @@
 
 use crate::record::{per_sec, Record, Spread};
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
-use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SaleArena, Transaction};
+use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SaleArena, SalesTotals};
 use mbp_core::{GaussianMechanism, NoiseMechanism, PhiMemo, PricingFunction, PricingTable};
 use mbp_ml::{LinearModel, ModelKind};
 use mbp_randx::{seeded_rng, MbpRng};
@@ -109,8 +109,8 @@ struct FloorListing {
 
 /// The uninstrumented serve loop: the same work as `buy_batch_into` on a
 /// batch of one — listing and menu lookups, resolve and price passes
-/// through reused buffers, noise into a reused sale slot, the ledger push
-/// — rebuilt from public pieces with no observability anywhere.
+/// through reused buffers, noise into a reused sale slot, the sale-totals
+/// update — rebuilt from public pieces with no observability anywhere.
 struct Floor {
     listings: HashMap<ModelKind, FloorListing>,
     menu: HashMap<ModelKind, LinearModel>,
@@ -119,11 +119,11 @@ struct Floor {
     xs: Vec<f64>,
     prices: Vec<f64>,
     sales: Vec<Sale>,
-    ledger: Vec<Transaction>,
+    totals: SalesTotals,
 }
 
 impl Floor {
-    fn new(broker: &Broker, pricing: &PricingFunction, quotes: usize) -> Self {
+    fn new(broker: &Broker, pricing: &PricingFunction) -> Self {
         let kind = ModelKind::LinearRegression;
         let table = pricing.compile();
         let phi = PhiMemo::new(&SquareLossTransform, &table);
@@ -141,7 +141,7 @@ impl Floor {
             xs: Vec::new(),
             prices: Vec::new(),
             sales: Vec::new(),
-            ledger: Vec::with_capacity(quotes),
+            totals: SalesTotals::default(),
         }
     }
 
@@ -184,19 +184,15 @@ impl Floor {
         sale.ncp = ncp;
         sale.expected_error = listing.transform.expected_error(ncp);
         for (outcome, sale) in self.outcomes.iter().zip(&self.sales) {
-            let Ok(&ncp) = outcome.as_ref() else { continue };
-            self.ledger.push(Transaction {
-                kind,
-                ncp,
-                price: sale.price,
-            });
+            if outcome.is_ok() {
+                self.totals.add_sale(kind, sale.price);
+            }
         }
         self.prices[0] + ncp
     }
 
     /// Serves the whole stream; returns its digest.
     fn serve(&mut self, requests: &[PurchaseRequest], rng: &mut MbpRng) -> f64 {
-        self.ledger.clear();
         requests.iter().map(|&r| self.buy(r, rng)).sum()
     }
 }
@@ -247,13 +243,9 @@ pub fn run_with_dim(quotes: usize, dim: usize) -> Record {
     mbp_obs::disable();
     mbp_obs::set_slow_threshold_micros(u64::MAX / 1_000);
 
-    let mut floor = Floor::new(&listed_broker(dim, &pricing), &pricing, quotes);
+    let mut floor = Floor::new(&listed_broker(dim, &pricing), &pricing);
     let mut brokers: Vec<Broker> = (1..WORKLOADS.len())
-        .map(|_| {
-            let mut broker = listed_broker(dim, &pricing);
-            broker.reserve_ledger(quotes * ROUNDS);
-            broker
-        })
+        .map(|_| listed_broker(dim, &pricing))
         .collect();
     let mut arena = SaleArena::new();
     // `runs[w]` holds workload `w`'s `(seconds, digest)` per round.

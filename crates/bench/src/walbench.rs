@@ -100,7 +100,7 @@ fn timed_append(events: &[WalEvent], cfg: WalConfig, tag: &str) -> (f64, u64, Pa
 fn timed_recovery(dir: &Path) -> (f64, usize, u64) {
     let t0 = Instant::now();
     let scanned = recover_dir(dir).expect("recovery scans");
-    let state = RecoveredState::from_events(&scanned.events);
+    let state = RecoveredState::from_events(&scanned.events).expect("history holds valid sales");
     (
         t0.elapsed().as_secs_f64(),
         scanned.events.len(),

@@ -312,7 +312,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             println!(
                 "wal: recovered {} record(s) ({} sales, {} skipped, {} torn segment(s)) from {dir}",
                 recovery.records,
-                recovery.state.sales.len(),
+                recovery.state.sales.count(),
                 recovery.records_skipped,
                 recovery.truncated_segments,
             );
@@ -371,17 +371,23 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
 /// captured WAL.
 ///
 /// Read-only: scans `--wal DIR` (torn tails truncated, corrupt-but-framed
-/// records skipped with a count — never an error), folds the surviving
-/// history, and re-prices every recorded sale under each `--curve` scheme
-/// (at the same `price_at(1/ncp)` coordinate the mechanism charged) to
-/// report counterfactual revenue next to what the log actually earned.
+/// records skipped with a count), folds the surviving history into its
+/// sale totals, and re-prices every `Sale` record after the last
+/// `Snapshot` marker — the sales the totals count — under each `--curve`
+/// scheme (at the same `price_at(1/ncp)` coordinate the mechanism
+/// charged) to report counterfactual revenue next to what the log
+/// actually earned. Every revenue figure is an exact sum, rounded once. A
+/// checksum-valid sale with an impossible value fails the fold, as it
+/// fails `serve --wal`.
 /// Curve specs are the built-ins `sqrt` (10·√x) and `linear` (0.75·x)
 /// over `--grid`, or a path to an `x<TAB>price` TSV as written by
 /// `price --out`. The whole pipeline runs twice and the report carries a
 /// determinism digest over the folded state and every revenue figure. An
 /// empty or missing WAL is a clean empty report, not an error.
 fn cmd_replay(args: &Args) -> Result<String, CliError> {
+    use mbp_core::market::ExactSum;
     use mbp_serve::wire::{digest_bytes, DIGEST_SEED};
+    use mbp_wal::WalEvent;
 
     let dir = args.require("wal")?;
     let grid = args.get_grid("grid", (1.0, 129.0, 512))?;
@@ -429,29 +435,25 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
             // Satellite pin: a WAL that never existed is an empty history.
             mbp_wal::DirRecovery::default()
         };
-        let state = mbp_wal::RecoveredState::from_events(&scanned.events);
-        let revenues = curves
+        let state = mbp_wal::RecoveredState::from_events(&scanned.events)
+            .map_err(|e| CliError::Data(format!("folding wal {dir}: {e}")))?;
+        let live = scanned
+            .events
             .iter()
-            .map(|(_, curve)| {
-                state
-                    .sales
-                    .iter()
-                    // Guarded like `price_at` itself: a non-positive NCP
-                    // clamps to a free (zero-price) counterfactual rather
-                    // than panicking on a hostile log.
-                    .map(|tx| {
-                        let x = if tx.ncp > 0.0 && tx.ncp.is_finite() {
-                            1.0 / tx.ncp
-                        } else {
-                            0.0
-                        };
-                        curve.price_at(x)
-                    })
-                    // An explicit zero seed: the empty-sum identity is -0.0,
-                    // which would print as "-0.000000" for an empty log.
-                    .fold(0.0, |a, b| a + b)
-            })
-            .collect();
+            .rposition(|e| matches!(e, WalEvent::Snapshot { .. }))
+            .map_or(0, |i| i + 1);
+        let mut sums = vec![ExactSum::default(); curves.len()];
+        for event in &scanned.events[live..] {
+            if let WalEvent::Sale { ncp, .. } = event {
+                // Guarded like `price_at` itself: an NCP of zero clamps to
+                // a free (zero-price) counterfactual.
+                let x = if *ncp > 0.0 { 1.0 / ncp } else { 0.0 };
+                for (sum, (_, curve)) in sums.iter_mut().zip(&curves) {
+                    sum.add(curve.price_at(x));
+                }
+            }
+        }
+        let revenues = sums.iter().map(ExactSum::rounded).collect();
         Ok((scanned, state, revenues))
     };
     let digest_of = |state: &mbp_wal::RecoveredState, revenues: &[f64]| {
@@ -467,18 +469,14 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
     let (_, state2, revenues2) = pass()?;
     let second = digest_of(&state2, &revenues2);
 
-    let recorded: f64 = state
-        .sales
-        .iter()
-        .map(|tx| tx.price)
-        .fold(0.0, |a, b| a + b);
+    let recorded = state.sales.revenue();
     let mut out = String::new();
     writeln!(out, "replayed wal {dir}").unwrap();
     writeln!(out, "segments\t{}", scanned.segments).unwrap();
     writeln!(out, "records\t{}", scanned.events.len()).unwrap();
     writeln!(out, "records_skipped\t{}", scanned.records_skipped).unwrap();
     writeln!(out, "truncated_segments\t{}", scanned.truncated_segments).unwrap();
-    writeln!(out, "sales\t{}", state.sales.len()).unwrap();
+    writeln!(out, "sales\t{}", state.sales.count()).unwrap();
     writeln!(out, "epoch\t{}", state.epoch).unwrap();
     writeln!(out, "recorded_revenue\t{recorded:.6}").unwrap();
     for ((name, _), rev) in curves.iter().zip(&revenues) {

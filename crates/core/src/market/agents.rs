@@ -3,6 +3,7 @@
 use crate::error::ErrorTransform;
 use crate::market::curves::{buyer_points, DemandCurve, ValueCurve};
 use crate::market::durability::DurabilitySink;
+use crate::market::totals::SalesTotals;
 use crate::mechanism::{GaussianMechanism, NoiseMechanism};
 use crate::pricing::{PhiMemo, PricingFunction, PricingTable};
 use crate::revenue::{solve_bv_dp, BuyerPoint, RevenueSolution};
@@ -177,8 +178,7 @@ pub struct Sale {
 /// The arena owns one [`Sale`] slot per request position plus the
 /// resolve and price buffers. Slots are grown (and their model
 /// buffers cloned) only when a batch is larger than any seen before;
-/// after one warm-up batch at the steady-state size — and with ledger
-/// capacity reserved via [`Broker::reserve_ledger`] — repeat batches
+/// after one warm-up batch at the steady-state size, repeat batches
 /// perform no heap allocation.
 #[derive(Debug, Default)]
 pub struct SaleArena {
@@ -226,28 +226,27 @@ impl SaleArena {
     }
 
     /// Settles the most recent batch's sales in request order: each
-    /// transaction goes to `sink` (if any), then onto `ledger`.
+    /// transaction goes to `sink` (if any), then into `totals`.
     pub(crate) fn settle(
         &self,
         kind: ModelKind,
         sink: Option<&Arc<dyn DurabilitySink>>,
-        ledger: &mut Vec<Transaction>,
+        totals: &mut SalesTotals,
     ) {
         for sale in self.results().flatten() {
-            let tx = Transaction {
-                kind,
-                ncp: sale.ncp,
-                price: sale.price,
-            };
             if let Some(sink) = sink {
-                sink.record_sale(&tx);
+                sink.record_sale(&Transaction {
+                    kind,
+                    ncp: sale.ncp,
+                    price: sale.price,
+                });
             }
-            ledger.push(tx);
+            totals.add_sale(kind, sale.price);
         }
     }
 }
 
-/// Ledger entry kept by the broker for revenue accounting.
+/// The durable record of one sale: what a [`DurabilitySink`] receives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// Model type sold.
@@ -355,7 +354,7 @@ fn empty_batch() -> MarketError {
 
 /// A priced-but-not-purchased resolution of one [`PurchaseRequest`]: the
 /// quote path of the network protocol. No model is released, no noise is
-/// drawn, and the ledger is untouched, so producing one consumes no RNG.
+/// drawn, and the totals are untouched, so producing one consumes no RNG.
 #[derive(Debug, Clone, Copy)]
 pub struct PriceQuote {
     /// Resolved noise control parameter.
@@ -412,13 +411,14 @@ pub struct Broker {
     mechanism: Box<dyn NoiseMechanism>,
     menu: HashMap<ModelKind, MenuEntry>,
     listings: HashMap<ModelKind, Listing>,
-    ledger: Vec<Transaction>,
+    /// Per-kind sale counts and exact revenue.
+    totals: SalesTotals,
     /// Lazily-built ridge solver: the train-split Gram matrix is formed
     /// once, and Cholesky factors are cached per ridge value.
     ridge_solver: Option<RidgeSolver>,
     /// Optional write-ahead observer; see [`crate::market::durability`].
     /// Sale hooks fire at origination sites only, never in
-    /// [`Broker::settle`] (the stripe-drain path would double-record).
+    /// [`Broker::merge_totals`] (the stripe drain would double-record).
     durability: Option<Arc<dyn DurabilitySink>>,
 }
 
@@ -427,7 +427,7 @@ impl fmt::Debug for Broker {
         f.debug_struct("Broker")
             .field("mechanism", &self.mechanism.name())
             .field("menu_size", &self.menu.len())
-            .field("ledger_len", &self.ledger.len())
+            .field("sales", &self.totals.count())
             .finish()
     }
 }
@@ -445,7 +445,7 @@ impl Broker {
             mechanism,
             menu: HashMap::new(),
             listings: HashMap::new(),
-            ledger: Vec::new(),
+            totals: SalesTotals::default(),
             ridge_solver: None,
             durability: None,
         }
@@ -542,11 +542,10 @@ impl Broker {
 
     /// Batch purchase into `arena`: the [`Broker::quote_batch_into`]
     /// kernel, then the successful sales settle in request order — each
-    /// transaction to the durability sink, then onto the ledger. Read
+    /// transaction to the durability sink, then into the totals. Read
     /// per-request outcomes with [`SaleArena::results`].
     ///
-    /// After one warm-up batch at the steady-state batch size (and with
-    /// ledger capacity reserved via [`Broker::reserve_ledger`]), repeat
+    /// After one warm-up batch at the steady-state batch size, repeat
     /// batches perform no heap allocation.
     pub fn buy_batch_into(
         &mut self,
@@ -562,10 +561,10 @@ impl Broker {
     }
 
     /// Settles `arena`'s most recent kernel batch onto this broker: each
-    /// sale goes to the durability sink, then onto the ledger, in request
+    /// sale goes to the durability sink, then into the totals, in request
     /// order.
     pub(crate) fn settle_arena(&mut self, kind: ModelKind, arena: &SaleArena) {
-        arena.settle(kind, self.durability.as_ref(), &mut self.ledger);
+        arena.settle(kind, self.durability.as_ref(), &mut self.totals);
     }
 
     /// The listed-purchase kernel: every listed buy runs through it. The
@@ -573,7 +572,7 @@ impl Broker {
     /// then three passes write into `arena`: resolve every request to its
     /// NCP (no RNG), price all precisions in one
     /// [`PricingTable::price_at_batch`] call, and draw noise strictly in
-    /// request order (rejected requests draw nothing). The ledger is
+    /// request order (rejected requests draw nothing). The totals are
     /// untouched — [`Broker::buy_batch_into`], the `SharedBroker` wrapper
     /// and the market simulation settle the arena afterwards.
     ///
@@ -600,7 +599,7 @@ impl Broker {
     }
 
     /// Body of [`Broker::quote_batch_into`], run under a caller-owned
-    /// `mbp.core.buy` root so that settling callers time their ledger
+    /// `mbp.core.buy` root so that settling callers time their settle
     /// work inside it. Its `mbp.core.buy_batch` span covers the lookup and
     /// the three passes; `.resolve` is the φ-inversion, and the noise pass
     /// is the span's self time.
@@ -686,7 +685,7 @@ impl Broker {
 
     /// Prices a batch of requests without purchasing: the network quote
     /// path. Runs the kernel's resolve and price passes only into `arena`
-    /// — no model is released, no RNG is consumed, and the ledger is
+    /// — no model is released, no RNG is consumed, and the totals are
     /// untouched — so a quote storm cannot perturb the noise stream of
     /// interleaved buys. `quotes` is cleared, then holds one result per
     /// request, in order; the outer error fires only when the batch is
@@ -719,13 +718,6 @@ impl Broker {
             })
         }));
         Ok(())
-    }
-
-    /// Pre-allocates ledger capacity for `additional` upcoming
-    /// transactions, so steady-state [`Broker::buy_batch_into`] pushes
-    /// never reallocate.
-    pub fn reserve_ledger(&mut self, additional: usize) {
-        self.ledger.reserve(additional);
     }
 
     /// The published pricing for `kind`, if any.
@@ -881,26 +873,31 @@ impl Broker {
         Ok(PriceErrorCurve { points })
     }
 
-    /// Appends already-recorded transactions to the ledger, in the order
-    /// given, without forwarding them to the durability sink: the merge
-    /// step for transactions that are already durable elsewhere (WAL
-    /// recovery replaying its log, [`SharedBroker::with_broker`] draining
-    /// its stripes). New sales settle through the purchase entry points,
-    /// which do record them.
+    /// Adds sales counted elsewhere to this broker's totals without
+    /// forwarding them to the durability sink: the merge step for sales
+    /// that are already durable (WAL recovery, and
+    /// [`SharedBroker::with_broker`] draining its stripes). New sales
+    /// settle through the purchase entry points, which do record them.
     ///
     /// [`SharedBroker::with_broker`]: crate::market::concurrent::SharedBroker::with_broker
-    pub fn settle<I: IntoIterator<Item = Transaction>>(&mut self, txs: I) {
-        self.ledger.extend(txs);
+    pub fn merge_totals(&mut self, totals: &SalesTotals) {
+        self.totals.merge(totals);
     }
 
-    /// All completed transactions.
-    pub fn ledger(&self) -> &[Transaction] {
-        &self.ledger
+    /// Per-kind sale counts and exact revenue.
+    pub fn totals(&self) -> &SalesTotals {
+        &self.totals
     }
 
-    /// Total revenue collected so far.
+    /// Number of completed sales.
+    pub fn sales_count(&self) -> u64 {
+        self.totals.count()
+    }
+
+    /// Total revenue collected so far: the exact sum of every sale's
+    /// price, rounded once.
     pub fn total_revenue(&self) -> f64 {
-        self.ledger.iter().map(|t| t.price).sum()
+        self.totals.revenue()
     }
 }
 
@@ -1014,8 +1011,8 @@ mod tests {
             .unwrap();
         assert!((sale.price - pricing.price_for_ncp(0.5)).abs() < 1e-12);
         assert_eq!(sale.ncp, 0.5);
-        assert_eq!(broker.ledger().len(), 1);
-        assert!((broker.total_revenue() - sale.price).abs() < 1e-12);
+        assert_eq!(broker.sales_count(), 1);
+        assert_eq!(broker.total_revenue(), sale.price);
     }
 
     #[test]
@@ -1157,7 +1154,7 @@ mod tests {
             )
             .unwrap();
         assert!((sale.price - pricing.price_for_ncp(0.5)).abs() < 1e-12);
-        assert_eq!(broker.ledger().len(), 1);
+        assert_eq!(broker.sales_count(), 1);
         // Unlisted model types are rejected.
         assert!(matches!(
             broker.buy_listed(ModelKind::LinearSvm, PurchaseRequest::AtNcp(1.0), &mut rng),
@@ -1170,27 +1167,14 @@ mod tests {
         ));
     }
 
-    /// Records every sale a broker forwards, in order.
-    #[derive(Default)]
-    struct SaleLog(std::sync::Mutex<Vec<Transaction>>);
-
-    impl DurabilitySink for SaleLog {
-        fn record_sale(&self, tx: &Transaction) {
-            self.0.lock().unwrap().push(tx.clone());
-        }
-        fn record_support(&self, _: ModelKind, _: f64) {}
-        fn record_publish(&self, _: ModelKind, _: &[f64], _: &[f64]) {}
-        fn record_epoch(&self, _: u64) {}
-        fn record_rng_cursor(&self, _: u64, _: u64) {}
-    }
-
     /// Every listed entry point serves one mixed stream identically: the
-    /// same per-request outcomes and sale bits, the same ledger and
+    /// same per-request outcomes and sale bits, the same totals and
     /// durability records, and the same RNG position afterwards. The
     /// affine φ memo is exercised through a real regression transform.
     #[test]
     fn listed_entry_points_serve_one_stream_identically() {
         use crate::market::concurrent::SharedBroker;
+        use crate::market::durability::SaleLog;
         use rand::Rng;
 
         const KIND: ModelKind = ModelKind::LinearRegression;
@@ -1200,7 +1184,7 @@ mod tests {
             Arc<SaleLog>,
             &[PurchaseRequest],
             &mut MbpRng,
-        ) -> (Vec<Outcome>, Vec<Transaction>);
+        ) -> (Vec<Outcome>, SalesTotals);
 
         fn outcome(r: Result<&Sale, &MarketError>) -> Outcome {
             r.map(|s| {
@@ -1244,13 +1228,13 @@ mod tests {
                     .iter()
                     .map(|&r| outcome(b.buy_listed(KIND, r, rng).as_ref()))
                     .collect();
-                (outcomes, b.ledger().to_vec())
+                (outcomes, b.totals().clone())
             }),
             ("buy_batch", |mut b, log, reqs, rng| {
                 b.set_durability(log);
                 let sales = b.buy_batch(KIND, reqs, rng).unwrap();
                 let outcomes = sales.iter().map(|r| outcome(r.as_ref())).collect();
-                (outcomes, b.ledger().to_vec())
+                (outcomes, b.totals().clone())
             }),
             ("buy_batch_into", |mut b, log, reqs, rng| {
                 b.set_durability(log);
@@ -1261,46 +1245,50 @@ mod tests {
                     b.buy_batch_into(KIND, chunk, rng, &mut arena).unwrap();
                     outcomes.extend(arena.results().map(outcome));
                 }
-                (outcomes, b.ledger().to_vec())
+                (outcomes, b.totals().clone())
             }),
             ("quote_batch_into", |b, log, reqs, rng| {
                 let mut arena = SaleArena::new();
                 b.quote_batch_into(KIND, reqs, rng, &mut arena).unwrap();
-                assert!(b.ledger().is_empty(), "the kernel must not settle");
-                let mut ledger = Vec::new();
+                assert_eq!(b.sales_count(), 0, "the kernel must not settle");
+                let mut totals = SalesTotals::default();
                 let sink: Arc<dyn DurabilitySink> = log;
-                arena.settle(KIND, Some(&sink), &mut ledger);
-                (arena.results().map(outcome).collect(), ledger)
+                arena.settle(KIND, Some(&sink), &mut totals);
+                (arena.results().map(outcome).collect(), totals)
             }),
             ("SharedBroker::buy_batch_into", |b, log, reqs, rng| {
                 let shared = SharedBroker::with_durability(b, log);
                 let mut arena = SaleArena::new();
                 shared.buy_batch_into(KIND, reqs, rng, &mut arena).unwrap();
                 let outcomes = arena.results().map(outcome).collect();
-                (outcomes, shared.with_broker(|b| b.ledger().to_vec()))
+                (outcomes, shared.with_broker(|b| b.totals().clone()))
             }),
             ("SharedBroker::buy_batch", |b, log, reqs, rng| {
                 let shared = SharedBroker::with_durability(b, log);
                 let sales = shared.buy_batch(KIND, reqs, rng).unwrap();
                 let outcomes = sales.iter().map(|r| outcome(r.as_ref())).collect();
-                (outcomes, shared.with_broker(|b| b.ledger().to_vec()))
+                (outcomes, shared.with_broker(|b| b.totals().clone()))
             }),
         ];
 
         let mut runs = entry_points.iter().map(|&(name, serve)| {
             let log = Arc::new(SaleLog::default());
             let mut rng = seeded_rng(33);
-            let (outcomes, ledger) = serve(listed().0, Arc::clone(&log), &stream, &mut rng);
-            let recorded = log.0.lock().unwrap().clone();
-            (name, outcomes, ledger, recorded, rng.gen::<u64>())
+            let (outcomes, totals) = serve(listed().0, Arc::clone(&log), &stream, &mut rng);
+            let recorded = log.lock().clone();
+            (name, outcomes, totals, recorded, rng.gen::<u64>())
         });
-        let (_, outcomes, ledger, recorded, next_draw) = runs.next().unwrap();
+        let (_, outcomes, totals, recorded, next_draw) = runs.next().unwrap();
         assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 3);
-        assert_eq!(ledger.len(), stream.len() - 3);
-        assert_eq!(recorded, ledger);
-        for (name, o, l, r, d) in runs {
+        assert_eq!(recorded.len(), stream.len() - 3);
+        let mut counted = SalesTotals::default();
+        for tx in &recorded {
+            counted.add_sale(tx.kind, tx.price);
+        }
+        assert_eq!(totals, counted);
+        for (name, o, t, r, d) in runs {
             assert_eq!(o, outcomes, "{name}: outcomes");
-            assert_eq!(l, ledger, "{name}: ledger");
+            assert_eq!(t, totals, "{name}: totals");
             assert_eq!(r, recorded, "{name}: durability records");
             assert_eq!(d, next_draw, "{name}: RNG position");
         }
@@ -1541,6 +1529,6 @@ mod tests {
         }
         let bias = mean.sub(&h_star).unwrap().norm2();
         assert!(bias < 0.05, "bias {bias}");
-        assert_eq!(broker.ledger().len(), reps);
+        assert_eq!(broker.sales_count(), reps as u64);
     }
 }

@@ -1,17 +1,20 @@
-//! A thread-safe broker front-end with striped ledger state.
+//! A thread-safe broker front-end with striped sale totals.
 //!
 //! A real marketplace serves many buyers concurrently. The expensive part of
 //! a purchase — training the noisy instance and pricing it — only *reads*
 //! broker state (menu, curve, data), so concurrent buys quote under a shared
 //! `RwLock` read guard and never exclude each other. The only mutation a buy
-//! performs is appending one [`Transaction`], which lands in one of
+//! performs is counting its sales into [`SalesTotals`], which live in
 //! [`LEDGER_STRIPES`] independently locked stripes chosen round-robin, so
-//! even the ledger push rarely collides. Maintenance operations
-//! ([`SharedBroker::with_broker`]) take the write lock, drain the stripes
-//! into the core ledger in stripe order, and get the fully reconciled broker.
+//! even that rarely collides. Maintenance operations
+//! ([`SharedBroker::with_broker`]) take the write lock, merge the stripes
+//! into the core broker's totals, and get the fully reconciled broker.
+//! Revenue is an exact sum, so the merge order cannot change a bit: the
+//! reconciled totals equal those of one broker that made the same sales in
+//! any order, and a WAL replay reproduces them.
 //!
 //! Contention (a buy arriving while maintenance holds the core lock, or two
-//! buys landing on the same stripe mid-push) is counted both in the
+//! buys landing on the same stripe at once) is counted both in the
 //! process-global `mbp.core.sharedbroker.contention` counter and in a
 //! handle-local counter ([`SharedBroker::contention_count`]) that tests can
 //! read race-free. Under the pre-PR design every buy serialized behind one
@@ -20,9 +23,10 @@
 
 use crate::error::ErrorTransform;
 use crate::market::agents::{
-    buy_root, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena, Transaction,
+    buy_root, Broker, MarketError, PriceQuote, PurchaseRequest, Sale, SaleArena,
 };
 use crate::market::durability::DurabilitySink;
+use crate::market::totals::SalesTotals;
 use crate::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::MbpRng;
@@ -30,28 +34,27 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of independently locked ledger stripes.
+/// Number of independently locked sale-total stripes.
 ///
 /// Eight is comfortably above the thread counts the simulation and CLI use;
 /// the round-robin assignment means two buys only share a stripe when they
-/// are `LEDGER_STRIPES` purchases apart and racing on the push itself.
+/// are `LEDGER_STRIPES` purchases apart and settling at the same instant.
 pub const LEDGER_STRIPES: usize = 8;
 
 struct SharedState {
-    /// Menu, pricing curve, training data, and the *reconciled* ledger.
+    /// Menu, pricing curve, training data, and the *reconciled* totals.
     core: RwLock<Broker>,
-    /// Unreconciled transactions, drained into `core` in stripe order by
+    /// Unreconciled sale totals, merged into `core` by
     /// [`SharedBroker::with_broker`].
-    stripes: [Mutex<Vec<Transaction>>; LEDGER_STRIPES],
+    stripes: [Mutex<SalesTotals>; LEDGER_STRIPES],
     /// Round-robin cursor for stripe assignment.
     next_stripe: AtomicUsize,
     /// Handle-local mirror of `mbp.core.sharedbroker.contention`.
     contention: AtomicU64,
     /// Optional write-ahead observer for the striped buy paths. Sale
-    /// records are emitted *while the stripe lock is held*, so the durable
-    /// order within a stripe matches the stripe's settlement order and the
-    /// lock hierarchy stays `stripe → sink` (the sink never takes broker
-    /// locks; see [`DurabilitySink`]).
+    /// records are emitted *while the stripe lock is held*, so the lock
+    /// hierarchy stays `stripe → sink` (the sink never takes broker locks;
+    /// see [`DurabilitySink`]).
     durability: Option<Arc<dyn DurabilitySink>>,
     /// The broker's mechanism name, read once so that a buy opens its
     /// trace root before it waits for the core lock.
@@ -76,7 +79,7 @@ impl SharedBroker {
             inner: Arc::new(SharedState {
                 mechanism: broker.mechanism_name(),
                 core: RwLock::new(broker),
-                stripes: std::array::from_fn(|_| Mutex::new(Vec::new())),
+                stripes: std::array::from_fn(|_| Mutex::new(SalesTotals::default())),
                 next_stripe: AtomicUsize::new(0),
                 contention: AtomicU64::new(0),
                 durability,
@@ -101,11 +104,11 @@ impl SharedBroker {
         mbp_obs::inc("mbp.core.sharedbroker.contention");
     }
 
-    /// Picks the next ledger stripe round-robin and locks it, counting a
+    /// Picks the next stripe round-robin and locks it, counting a
     /// contended acquisition when the uncontended `try_lock` fails. The
     /// blocking wait on a contended stripe is an `mbp.core.lock_wait`
     /// span.
-    fn lock_next_stripe(&self) -> parking_lot::MutexGuard<'_, Vec<Transaction>> {
+    fn lock_next_stripe(&self) -> parking_lot::MutexGuard<'_, SalesTotals> {
         let idx = self.inner.next_stripe.fetch_add(1, Ordering::Relaxed) % LEDGER_STRIPES;
         // LINT-ALLOW(panic): idx < LEDGER_STRIPES by the modulo above.
         let stripe = &self.inner.stripes[idx];
@@ -167,15 +170,16 @@ impl SharedBroker {
 
     /// Zero-allocation thread-safe batch purchase: the network serving
     /// path. The [`Broker::quote_batch_into`] kernel runs into `arena`
-    /// under one shared read guard (no ledger mutation), then the
+    /// under one shared read guard (no totals mutation), then the
     /// successful sales settle under a *single* stripe-lock acquisition,
     /// so lock traffic is amortized across the batch. Prices, noise draws,
     /// and RNG consumption are bit-identical to [`Broker::buy_batch_into`]
-    /// on an unshared broker; only where the transactions park differs (a
-    /// stripe instead of the core ledger), and
+    /// on an unshared broker; only where the sales are counted differs (a
+    /// stripe instead of the core totals), and
     /// [`SharedBroker::with_broker`] reconciles that. The `mbp.core.buy`
     /// root opens before either lock, so a contended wait is a span of the
-    /// buy's own trace.
+    /// buy's own trace. After one warm-up batch at the steady-state size,
+    /// repeat calls perform no heap allocation.
     pub fn buy_batch_into(
         &self,
         kind: ModelKind,
@@ -191,7 +195,7 @@ impl SharedBroker {
     }
 
     /// Thread-safe batched quote-only path (no purchase, no RNG, no
-    /// ledger): [`SharedBroker::price_batch_into`] on a scratch arena and
+    /// settlement): [`SharedBroker::price_batch_into`] on a scratch arena and
     /// a fresh result vector.
     pub fn price_batch(
         &self,
@@ -217,24 +221,23 @@ impl SharedBroker {
             .price_batch_into(kind, requests, arena, quotes)
     }
 
-    /// Total revenue collected so far (reconciled ledger plus the
-    /// still-striped transactions).
-    pub fn total_revenue(&self) -> f64 {
-        let core = self.inner.core.read();
-        let striped: f64 = self
-            .inner
-            .stripes
-            .iter()
-            .map(|s| s.lock().iter().map(|t| t.price).sum::<f64>())
-            .sum();
-        core.total_revenue() + striped
+    /// Sale totals so far: the reconciled totals plus every stripe's.
+    pub fn totals(&self) -> SalesTotals {
+        let mut totals = self.inner.core.read().totals().clone();
+        for stripe in &self.inner.stripes {
+            totals.merge(&stripe.lock());
+        }
+        totals
     }
 
-    /// Number of completed transactions (reconciled plus striped).
-    pub fn sales_count(&self) -> usize {
-        let core = self.inner.core.read();
-        let striped: usize = self.inner.stripes.iter().map(|s| s.lock().len()).sum();
-        core.ledger().len() + striped
+    /// Total revenue collected so far (reconciled plus striped).
+    pub fn total_revenue(&self) -> f64 {
+        self.totals().revenue()
+    }
+
+    /// Number of completed sales (reconciled plus striped).
+    pub fn sales_count(&self) -> u64 {
+        self.totals().count()
     }
 
     /// Number of contended lock acquisitions observed by this broker handle
@@ -247,22 +250,23 @@ impl SharedBroker {
     /// Runs `f` with exclusive access to the underlying broker (for
     /// maintenance operations that need more than one call atomically).
     ///
-    /// Striped transactions are drained into the core ledger in stripe
-    /// order before `f` runs, so `f` sees a fully reconciled broker.
+    /// The stripes' totals are merged into the core broker's before `f`
+    /// runs, so `f` sees a fully reconciled broker. The sums are exact, so
+    /// the merge gives the same bits whatever order the sales settled in.
     ///
     /// The drain completes *before* the write guard is taken: no code path
     /// in this module ever holds a stripe mutex and the core lock at the
     /// same time, so the lock hierarchy is trivially acyclic. A buy whose
-    /// quote finishes between the drain and the write acquisition parks its
-    /// transaction in a stripe until the next drain — the same visibility a
+    /// quote finishes between the drain and the write acquisition counts
+    /// its sales in a stripe until the next drain — the same visibility a
     /// buy landing right after `f` returns always had.
     pub fn with_broker<T>(&self, f: impl FnOnce(&mut Broker) -> T) -> T {
-        let mut drained: Vec<Transaction> = Vec::new();
+        let mut drained = SalesTotals::default();
         for stripe in &self.inner.stripes {
-            drained.append(&mut stripe.lock());
+            drained.merge(&std::mem::take(&mut *stripe.lock()));
         }
         let mut core = self.inner.core.write();
-        core.settle(drained.drain(..));
+        core.merge_totals(&drained);
         f(&mut core)
     }
 }
@@ -271,6 +275,7 @@ impl SharedBroker {
 mod tests {
     use super::*;
     use crate::error::SquareLossTransform;
+    use crate::market::totals::ExactSum;
     use mbp_data::synth;
     use mbp_randx::{seeded_rng, SeedStream};
     use std::sync::Barrier;
@@ -315,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_purchases_are_all_ledgered() {
+    fn concurrent_purchases_are_all_counted() {
         let sb = shared_broker(81);
         let mut seeds = SeedStream::new(82);
         let threads = 8;
@@ -326,18 +331,20 @@ mod tests {
                 let seed = seeds.next_seed();
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
-                    let mut paid = 0.0;
+                    let mut paid = ExactSum::default();
                     for _ in 0..per_thread {
-                        let sale = buy_one(&sb, 0.5, &mut rng);
-                        paid += sale.price;
+                        paid.add(buy_one(&sb, 0.5, &mut rng).price);
                     }
                     paid
                 })
             })
             .collect();
-        let total_paid: f64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(sb.sales_count(), threads * per_thread);
-        assert!((sb.total_revenue() - total_paid).abs() < 1e-6);
+        let mut total_paid = ExactSum::default();
+        for h in handles {
+            total_paid.merge(&h.join().unwrap());
+        }
+        assert_eq!(sb.sales_count(), (threads * per_thread) as u64);
+        assert_eq!(sb.total_revenue(), total_paid.rounded());
     }
 
     #[test]
@@ -363,13 +370,13 @@ mod tests {
     }
 
     /// Satellite coverage: ≥4 threads buying concurrently; every served
-    /// purchase lands in the ledger and revenue equals the sum of the
+    /// purchase is counted and revenue equals the exact sum of the
     /// per-thread receipts. With observability enabled, the buy counter
     /// and contention counter reflect the traffic (asserted with `>=`
     /// because the obs registry is process-global and other tests in this
     /// binary may record concurrently).
     #[test]
-    fn four_thread_buys_reconcile_ledger_and_metrics() {
+    fn four_thread_buys_reconcile_totals_and_metrics() {
         mbp_obs::enable();
         let sb = shared_broker(91);
         let mut seeds = SeedStream::new(92);
@@ -394,10 +401,13 @@ mod tests {
             .into_iter()
             .flat_map(|h| h.join().unwrap())
             .collect();
-        assert_eq!(sb.sales_count(), threads * per_thread);
+        assert_eq!(sb.sales_count(), (threads * per_thread) as u64);
         assert_eq!(receipts.len(), threads * per_thread);
-        let total_paid: f64 = receipts.iter().sum();
-        assert!((sb.total_revenue() - total_paid).abs() < 1e-6);
+        let mut total_paid = ExactSum::default();
+        for &price in &receipts {
+            total_paid.add(price);
+        }
+        assert_eq!(sb.total_revenue(), total_paid.rounded());
 
         let snap = mbp_obs::snapshot();
         let bought = snap.counter("mbp.core.buy.count").unwrap_or(0);
@@ -449,11 +459,11 @@ mod tests {
         assert_eq!(sb.sales_count(), 1);
     }
 
-    /// Concurrent batches land every transaction, match per-call revenue
+    /// Concurrent batches count every sale, match per-call revenue
     /// accounting, and take at most one stripe lock per batch (contention
     /// stays bounded by batch count, not purchase count).
     #[test]
-    fn concurrent_buy_batches_are_all_ledgered() {
+    fn concurrent_buy_batches_are_all_counted() {
         let sb = shared_broker(97);
         let mut seeds = SeedStream::new(98);
         let threads = 4;
@@ -468,22 +478,28 @@ mod tests {
                 let seed = seeds.next_seed();
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
-                    let mut paid = 0.0;
+                    let mut paid = ExactSum::default();
                     for _ in 0..batches_per_thread {
                         for sale in sb
                             .buy_batch(ModelKind::LinearRegression, &batch, &mut rng)
                             .expect("listing exists")
                         {
-                            paid += sale.expect("all requests valid").price;
+                            paid.add(sale.expect("all requests valid").price);
                         }
                     }
                     paid
                 })
             })
             .collect();
-        let total_paid: f64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(sb.sales_count(), threads * batches_per_thread * batch.len());
-        assert!((sb.total_revenue() - total_paid).abs() < 1e-6);
+        let mut total_paid = ExactSum::default();
+        for h in handles {
+            total_paid.merge(&h.join().unwrap());
+        }
+        assert_eq!(
+            sb.sales_count(),
+            (threads * batches_per_thread * batch.len()) as u64
+        );
+        assert_eq!(sb.total_revenue(), total_paid.rounded());
         // Unpublished kinds fail at the batch level.
         let mut rng = seeded_rng(99);
         assert!(matches!(
@@ -495,36 +511,39 @@ mod tests {
     #[test]
     fn with_broker_gives_atomic_access() {
         let sb = shared_broker(85);
-        let (count, revenue) = sb.with_broker(|b| (b.ledger().len(), b.total_revenue()));
+        let (count, revenue) = sb.with_broker(|b| (b.sales_count(), b.total_revenue()));
         assert_eq!(count, 0);
         assert_eq!(revenue, 0.0);
     }
 
+    /// Reconciling moves the striped totals into the core broker without
+    /// changing a bit: the reconciled totals equal those of one unshared
+    /// broker that made the same sales.
     #[test]
-    fn with_broker_reconciles_striped_transactions() {
+    fn with_broker_reconciles_striped_totals() {
         let sb = shared_broker(87);
+        let mut plain = plain_broker(87);
         let mut rng = seeded_rng(88);
-        let mut paid = Vec::new();
+        let mut plain_rng = seeded_rng(88);
         for _ in 0..(2 * LEDGER_STRIPES + 3) {
-            let sale = buy_one(&sb, 0.5, &mut rng);
-            paid.push(sale.price);
+            buy_one(&sb, 0.5, &mut rng);
+            plain
+                .buy_listed(
+                    ModelKind::LinearRegression,
+                    PurchaseRequest::AtNcp(0.5),
+                    &mut plain_rng,
+                )
+                .expect("purchase failed");
         }
-        // Before reconciliation the counts already include striped state.
-        assert_eq!(sb.sales_count(), paid.len());
-        let ledger_prices =
-            sb.with_broker(|b| b.ledger().iter().map(|t| t.price).collect::<Vec<_>>());
-        assert_eq!(ledger_prices.len(), paid.len());
-        let mut a = ledger_prices.clone();
-        let mut b = paid.clone();
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        assert_eq!(a, b, "reconciled ledger lost or altered a transaction");
-        // After draining, counts and revenue are unchanged (now all in core).
-        assert_eq!(sb.sales_count(), paid.len());
-        assert!((sb.total_revenue() - paid.iter().sum::<f64>()).abs() < 1e-9);
+        // Before reconciliation the totals already include the stripes.
+        assert_eq!(&sb.totals(), plain.totals());
+        let reconciled = sb.with_broker(|b| b.totals().clone());
+        assert_eq!(&reconciled, plain.totals());
+        assert_eq!(sb.totals(), reconciled);
+        assert_eq!(sb.sales_count(), 2 * LEDGER_STRIPES as u64 + 3);
     }
 
-    /// Satellite: N threads × M buys reconcile to an exact ledger total,
+    /// Satellite: N threads × M buys reconcile to an exact revenue total,
     /// and the striped design records strictly less contention than the
     /// pre-PR single-global-mutex design on the same workload.
     ///
@@ -583,7 +602,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(broker.lock().ledger().len(), threads * per_thread);
+            assert_eq!(broker.lock().sales_count(), (threads * per_thread) as u64);
             misses.load(Ordering::Relaxed)
         };
 
@@ -599,10 +618,9 @@ mod tests {
                 thread::spawn(move || {
                     let mut rng = seeded_rng(seed);
                     start.wait();
-                    let mut paid = 0.0;
+                    let mut paid = ExactSum::default();
                     for _ in 0..per_thread {
-                        let sale = buy_one(&sb, 0.5, &mut rng);
-                        paid += sale.price;
+                        paid.add(buy_one(&sb, 0.5, &mut rng).price);
                     }
                     paid
                 })
@@ -615,9 +633,12 @@ mod tests {
             let _ = sb.total_revenue();
             thread::sleep(std::time::Duration::from_millis(1));
         }
-        let total_paid: f64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(sb.sales_count(), threads * per_thread);
-        assert!((sb.total_revenue() - total_paid).abs() < 1e-6);
+        let mut total_paid = ExactSum::default();
+        for h in handles {
+            total_paid.merge(&h.join().unwrap());
+        }
+        assert_eq!(sb.sales_count(), (threads * per_thread) as u64);
+        assert_eq!(sb.total_revenue(), total_paid.rounded());
         let striped_contention = sb.contention_count();
 
         assert!(

@@ -10,23 +10,24 @@
 //!   replaying a support re-derives the same optimal weights to the bit;
 //! * **publishes** — the pricing knots `(grid, prices)`; re-compiling the
 //!   listing from the same points rebuilds the same table;
-//! * **sales** — the ledger [`Transaction`]s, whose multiset is the
-//!   revenue record;
+//! * **sales** — every [`Transaction`], the only full record of a sale:
+//!   the broker itself keeps per-kind totals (see
+//!   [`crate::market::totals`]);
 //! * **epoch rollovers** and the **RNG cursor** — session markers that let
 //!   a restarted process continue its seed stream instead of reusing it.
 //!
-//! Hook placement is the part that keeps the accounting exact: sinks fire
-//! where a transaction *originates* (the `buy*` family, under the caller's
-//! stripe lock in the shared broker), never in [`Broker::settle`] — settle
-//! is the reconciliation path that moves already-recorded transactions
-//! from stripes into the core ledger, and recording there would double
-//! count every striped sale. Recovery replays through `settle` for exactly
-//! that reason.
+//! Sale hooks fire where a sale *originates*: the settle step of the
+//! `buy*` family (under the caller's stripe lock in the shared broker),
+//! which also adds the sale to the totals. Merging totals —
+//! `SharedBroker::with_broker` draining its stripes, WAL recovery through
+//! [`Broker::merge_totals`] — records nothing, because those sales are
+//! already durable.
 //!
-//! [`Broker::settle`]: crate::market::Broker::settle
+//! [`Broker::merge_totals`]: crate::market::Broker::merge_totals
 
 use crate::market::agents::Transaction;
 use mbp_ml::ModelKind;
+use parking_lot::Mutex;
 
 /// Observer for market events that must survive a crash.
 ///
@@ -37,7 +38,7 @@ use mbp_ml::ModelKind;
 /// that order and never reversed.
 pub trait DurabilitySink: Send + Sync {
     /// One completed sale. Fired once per transaction at its origination
-    /// site, before or immediately after the ledger/stripe push.
+    /// site, just before it is added to the broker's totals.
     fn record_sale(&self, tx: &Transaction);
 
     /// A batch of completed sales, in settlement order. Default loops over
@@ -64,4 +65,19 @@ pub trait DurabilitySink: Send + Sync {
     /// an implementation-defined position marker (e.g. the number of
     /// seeds handed out by a `SeedStream`).
     fn record_rng_cursor(&self, seed: u64, draws: u64);
+}
+
+/// A recording sink: every sale it is given, in order (it ignores the
+/// other events). The in-memory sale history for tests and reports that
+/// need one; read it with `lock()`.
+pub type SaleLog = Mutex<Vec<Transaction>>;
+
+impl DurabilitySink for SaleLog {
+    fn record_sale(&self, tx: &Transaction) {
+        self.lock().push(tx.clone());
+    }
+    fn record_support(&self, _: ModelKind, _: f64) {}
+    fn record_publish(&self, _: ModelKind, _: &[f64], _: &[f64]) {}
+    fn record_epoch(&self, _: u64) {}
+    fn record_rng_cursor(&self, _: u64, _: u64) {}
 }

@@ -21,8 +21,10 @@ pub mod curves;
 pub mod durability;
 pub mod epochs;
 pub mod simulation;
+pub mod totals;
 
-pub use durability::DurabilitySink;
+pub use durability::{DurabilitySink, SaleLog};
+pub use totals::{ExactSum, SalesTotals};
 
 pub use agents::{
     Broker, Buyer, MarketError, PriceErrorCurve, PriceErrorPoint, PriceQuote, PurchaseRequest,

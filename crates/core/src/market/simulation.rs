@@ -77,8 +77,9 @@ pub const SHARD_BUYERS: usize = 512;
 /// sends the buyers who accept the listed price through one
 /// [`Broker::quote_batch_into`] call, which draws the release noise from
 /// the same RNG. Shards then settle in shard order, each sale to the
-/// broker's durability sink and then onto its ledger. The outcome —
-/// counts, realized revenue, the ledger sequence and the released noise —
+/// broker's durability sink and then into its totals. The outcome —
+/// counts, realized revenue, the recorded sale sequence and the released
+/// noise —
 /// therefore depends only on `(cfg, master_seed)`, never on the thread
 /// count. Predicted revenue and affordability are computed from the listed
 /// pricing.
@@ -153,8 +154,8 @@ pub fn simulate_market(
     };
 
     // Deterministic merge: shards settle in shard-index order, so the
-    // ledger sequence and the floating-point revenue sum never depend on
-    // which thread ran which shard.
+    // recorded sale sequence and the floating-point revenue sum never
+    // depend on which thread ran which shard.
     let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut served = 0usize;
     let mut declined = 0usize;
@@ -198,10 +199,10 @@ mod tests {
     use super::*;
     use crate::error::SquareLossTransform;
     use crate::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
-    use crate::market::{DurabilitySink, Transaction};
+    use crate::market::{SaleLog, SalesTotals};
     use crate::pricing::PricingFunction;
     use mbp_data::synth;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     const KIND: ModelKind = ModelKind::LinearRegression;
 
@@ -251,9 +252,9 @@ mod tests {
         let aff_gap = (out.realized_affordability() - out.predicted_affordability).abs();
         assert!(aff_gap < 0.03, "affordability gap {aff_gap}");
         assert_eq!(out.served + out.declined, 4000);
-        assert_eq!(broker.ledger().len(), out.served);
-        let ledger_revenue = broker.total_revenue() / 4000.0;
-        assert!((ledger_revenue - out.realized_revenue_per_buyer).abs() < 1e-9);
+        assert_eq!(broker.sales_count(), out.served as u64);
+        let broker_revenue = broker.total_revenue() / 4000.0;
+        assert!((broker_revenue - out.realized_revenue_per_buyer).abs() < 1e-9);
     }
 
     #[test]
@@ -286,17 +287,20 @@ mod tests {
         assert!(costly_out.realized_affordability() < cheap_out.realized_affordability());
     }
 
-    /// Several shards, one of them partial: counts, revenue and the exact
-    /// ledger bits are the same at every thread count.
+    /// Several shards, one of them partial: counts, revenue, the totals
+    /// and the exact bits of the recorded sale sequence are the same at
+    /// every thread count.
     #[test]
     fn season_is_deterministic_across_thread_counts() {
         let run = |threads: usize| {
             let (seller, mut broker) = setup(81);
+            let log = Arc::new(SaleLog::default());
+            broker.set_durability(log.clone());
             mbp_par::with_threads(threads, || {
                 let out =
                     simulate_market(&mut broker, &seller, KIND, config(3000, 0.1), 4242).unwrap();
-                let ledger: Vec<(u64, u64)> = broker
-                    .ledger()
+                let sales: Vec<(u64, u64)> = log
+                    .lock()
                     .iter()
                     .map(|t| (t.ncp.to_bits(), t.price.to_bits()))
                     .collect();
@@ -304,7 +308,8 @@ mod tests {
                     out.served,
                     out.declined,
                     out.realized_revenue_per_buyer.to_bits(),
-                    ledger,
+                    broker.totals().clone(),
+                    sales,
                 )
             })
         };
@@ -313,24 +318,11 @@ mod tests {
         assert_eq!(one, run(4));
         assert!(one.0 > 0, "some buyers must be served");
         assert_eq!(one.0 + one.1, 3000);
-        assert_eq!(one.3.len(), one.0, "one ledger entry per served buyer");
+        assert_eq!(one.4.len(), one.0, "one recorded sale per served buyer");
     }
 
-    /// Records every sale a broker forwards, in order.
-    #[derive(Default)]
-    struct SaleLog(Mutex<Vec<Transaction>>);
-
-    impl DurabilitySink for SaleLog {
-        fn record_sale(&self, tx: &Transaction) {
-            self.0.lock().unwrap().push(tx.clone());
-        }
-        fn record_support(&self, _: ModelKind, _: f64) {}
-        fn record_publish(&self, _: ModelKind, _: &[f64], _: &[f64]) {}
-        fn record_epoch(&self, _: u64) {}
-        fn record_rng_cursor(&self, _: u64, _: u64) {}
-    }
-
-    /// Every simulated sale reaches the durability sink, in ledger order.
+    /// Every simulated sale reaches the durability sink, and the broker's
+    /// totals count exactly the recorded sales.
     #[test]
     fn season_records_every_sale_to_the_durability_sink() {
         let (seller, mut broker) = setup(79);
@@ -338,7 +330,13 @@ mod tests {
         broker.set_durability(log.clone());
         let out = simulate_market(&mut broker, &seller, KIND, config(1200, 0.1), 80).unwrap();
         assert!(out.served > 0);
-        assert_eq!(*log.0.lock().unwrap(), broker.ledger());
+        let recorded = log.lock().clone();
+        assert_eq!(recorded.len(), out.served);
+        let mut counted = SalesTotals::default();
+        for tx in &recorded {
+            counted.add_sale(tx.kind, tx.price);
+        }
+        assert_eq!(&counted, broker.totals());
     }
 
     #[test]

@@ -3,18 +3,25 @@
 //! `run_adaptive_market` simulates seasons in isolation; these tests drive
 //! the same per-season loop — re-derive a DP-optimal curve, re-publish it,
 //! serve buyers — through [`Broker`] and [`SharedBroker`], pinning the
-//! ledger carry-over semantics: re-publishing a listing replaces the
-//! *offer* but never rewrites or drops settled transactions.
+//! carry-over semantics: re-publishing a listing replaces the *offer* but
+//! never rewrites or drops settled sales, in the totals or in the
+//! recorded history.
 
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::concurrent::SharedBroker;
-use mbp_core::market::{Broker, PurchaseRequest};
+use mbp_core::market::{Broker, ExactSum, PurchaseRequest, SaleLog};
 use mbp_core::revenue::{solve_bv_dp, BuyerPoint};
 use mbp_data::synth;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
+use std::sync::Arc;
 
 const KIND: ModelKind = ModelKind::LinearRegression;
+
+/// The recorded prices' bits, in recording order.
+fn recorded_prices(log: &SaleLog) -> Vec<u64> {
+    log.lock().iter().map(|t| t.price.to_bits()).collect()
+}
 
 /// Buyer grid shared by every test: NCPs 1..=6 with concave valuations.
 fn truth() -> Vec<BuyerPoint> {
@@ -47,13 +54,15 @@ fn fresh_broker(data_seed: u64) -> Broker {
 }
 
 #[test]
-fn ledger_carries_over_across_epoch_republishes() {
+fn sales_carry_over_across_epoch_republishes() {
     let mut broker = fresh_broker(41);
+    let log = Arc::new(SaleLog::default());
+    broker.set_durability(log.clone());
     let mut rng = seeded_rng(42);
     let grid: Vec<f64> = truth().iter().map(|p| p.a).collect();
     let scales = [0.5, 0.75, 1.0, 1.25];
 
-    let mut expected_revenue = 0.0;
+    let mut expected_revenue = ExactSum::default();
     let mut all_sale_prices: Vec<u64> = Vec::new();
     for (epoch, &scale) in scales.iter().enumerate() {
         let curve = season_curve(scale);
@@ -64,25 +73,25 @@ fn ledger_carries_over_across_epoch_republishes() {
             let sale = broker
                 .buy_listed(KIND, PurchaseRequest::AtNcp(a), &mut rng)
                 .expect("AtNcp purchases always clear");
-            expected_revenue += sale.price;
+            expected_revenue.add(sale.price);
             all_sale_prices.push(sale.price.to_bits());
         }
-        // Rollover: the ledger accumulates across re-publishes instead of
+        // Rollover: the totals accumulate across re-publishes instead of
         // resetting with the listing.
         assert_eq!(
-            broker.ledger().len(),
-            (epoch + 1) * grid.len(),
-            "publish must not clear settled transactions"
+            broker.sales_count(),
+            ((epoch + 1) * grid.len()) as u64,
+            "publish must not clear settled sales"
         );
     }
 
-    // Every ledger entry still carries the price it settled at, in order:
+    // Every recorded sale still carries the price it settled at, in order:
     // re-publishing later (higher-scale) curves never rewrote history.
-    let ledger_prices: Vec<u64> = broker.ledger().iter().map(|t| t.price.to_bits()).collect();
-    assert_eq!(ledger_prices, all_sale_prices);
-    assert!(
-        (broker.total_revenue() - expected_revenue).abs() < 1e-9,
-        "revenue is the running sum over all epochs"
+    assert_eq!(recorded_prices(&log), all_sale_prices);
+    assert_eq!(
+        broker.total_revenue(),
+        expected_revenue.rounded(),
+        "revenue is the exact sum over all epochs"
     );
 
     // The seasons genuinely re-priced: the same request costs more under
@@ -99,6 +108,8 @@ fn ledger_carries_over_across_epoch_republishes() {
 #[test]
 fn mid_epoch_republish_switches_quotes_without_rewriting_history() {
     let mut broker = fresh_broker(43);
+    let log = Arc::new(SaleLog::default());
+    broker.set_durability(log.clone());
     let mut rng = seeded_rng(44);
     let a = 4.0;
 
@@ -137,11 +148,11 @@ fn mid_epoch_republish_switches_quotes_without_rewriting_history() {
     assert_ne!(under_a[0], under_b[0], "the re-publish must re-price");
     assert!(f64::from_bits(under_b[0]) > f64::from_bits(under_a[0]));
 
-    // History is append-only: the three A-priced transactions survive the
+    // History is append-only: the three A-priced sales survive the
     // re-publish verbatim, followed by the three B-priced ones.
-    let ledger: Vec<u64> = broker.ledger().iter().map(|t| t.price.to_bits()).collect();
-    assert_eq!(ledger[..3], under_a[..]);
-    assert_eq!(ledger[3..], under_b[..]);
+    let recorded = recorded_prices(&log);
+    assert_eq!(recorded[..3], under_a[..]);
+    assert_eq!(recorded[3..], under_b[..]);
 }
 
 #[test]
@@ -154,34 +165,35 @@ fn shared_broker_epoch_rollover_preserves_striped_sales() {
         .collect();
     let scales = [0.5, 0.75, 1.0];
 
-    let mut expected_revenue = 0.0;
+    let mut expected_revenue = ExactSum::default();
     for (epoch, &scale) in scales.iter().enumerate() {
         // Maintenance drains the stripes, then swaps the listing — the
-        // drained transactions from prior seasons must already be in the
-        // core ledger when the new season opens.
+        // drained sales from prior seasons must already be in the core
+        // totals when the new season opens.
         let carried = sb.with_broker(|b| {
             b.publish(KIND, season_curve(scale), Box::new(SquareLossTransform))
                 .expect("republish succeeds every epoch");
-            b.ledger().len()
+            b.sales_count()
         });
         assert_eq!(
             carried,
-            epoch * requests.len(),
-            "reconciliation carries every prior season's sales into the core ledger"
+            (epoch * requests.len()) as u64,
+            "reconciliation carries every prior season's sales into the core totals"
         );
         let sales = sb
             .buy_batch(KIND, &requests, &mut rng)
             .expect("listing exists");
         for sale in sales {
-            expected_revenue += sale.expect("AtNcp purchases always clear").price;
+            expected_revenue.add(sale.expect("AtNcp purchases always clear").price);
         }
         // sales_count spans core + stripes, so the rollover is seamless
         // even before the next reconcile.
-        assert_eq!(sb.sales_count(), (epoch + 1) * requests.len());
+        assert_eq!(sb.sales_count(), ((epoch + 1) * requests.len()) as u64);
     }
 
-    assert!((sb.total_revenue() - expected_revenue).abs() < 1e-9);
-    // Final reconcile: everything lands in the core ledger, nothing lost.
-    let final_len = sb.with_broker(|b| b.ledger().len());
-    assert_eq!(final_len, scales.len() * requests.len());
+    assert_eq!(sb.total_revenue(), expected_revenue.rounded());
+    // Final reconcile: everything lands in the core totals, nothing lost.
+    let (count, revenue) = sb.with_broker(|b| (b.sales_count(), b.total_revenue()));
+    assert_eq!(count, (scales.len() * requests.len()) as u64);
+    assert_eq!(revenue, expected_revenue.rounded());
 }

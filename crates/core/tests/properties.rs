@@ -4,6 +4,7 @@
 
 use mbp_core::arbitrage::audit;
 use mbp_core::error::{DeltaMethodTransform, ErrorTransform, SquareLossTransform};
+use mbp_core::market::ExactSum;
 use mbp_core::pricing::{ErrorPricedView, PhiMemo, PricingFunction};
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp, Baseline, BuyerPoint};
 use mbp_core::SegmentIndex;
@@ -280,5 +281,62 @@ proptest! {
             let a = affordability(&pf, &points);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&a));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The exact revenue sum is the same, to the bit, in any order and
+    /// under any split into stripes merged in any order: every finite
+    /// non-negative `f64` bit pattern is a possible term, subnormals and
+    /// overflowing sums included.
+    #[test]
+    fn exact_sum_ignores_order_and_striping(
+        terms in prop::collection::vec((0u64..0x7ff0_0000_0000_0000, 0usize..8), 0..64),
+        shuffle_seed in 0u64..u64::MAX,
+    ) {
+        use rand::seq::SliceRandom;
+        let values: Vec<f64> = terms.iter().map(|&(bits, _)| f64::from_bits(bits)).collect();
+        let mut in_order = ExactSum::default();
+        for &v in &values {
+            in_order.add(v);
+        }
+        let mut shuffled = values.clone();
+        shuffled.shuffle(&mut mbp_randx::seeded_rng(shuffle_seed));
+        let mut permuted = ExactSum::default();
+        for &v in &shuffled {
+            permuted.add(v);
+        }
+        let mut stripes = vec![ExactSum::default(); 8];
+        for (&v, &(_, stripe)) in values.iter().zip(&terms) {
+            stripes[stripe].add(v);
+        }
+        let mut merged = ExactSum::default();
+        for stripe in stripes.iter().rev() {
+            merged.merge(stripe);
+        }
+        prop_assert_eq!(&permuted, &in_order);
+        prop_assert_eq!(&merged, &in_order);
+        prop_assert_eq!(permuted.rounded().to_bits(), in_order.rounded().to_bits());
+        prop_assert_eq!(merged.rounded().to_bits(), in_order.rounded().to_bits());
+    }
+
+    /// On integer terms, scaled by one power of two, the sum is the
+    /// correctly rounded exact sum: the `u128` total converted to `f64`
+    /// (round to nearest, ties to even), scaled back exactly.
+    #[test]
+    fn exact_sum_is_correctly_rounded_on_integers(
+        terms in prop::collection::vec((0u64..1 << 53, 0u32..12), 1..200),
+        scale_exp in -1000i64..900,
+    ) {
+        let scale = f64::from_bits(((scale_exp + 1023) as u64) << 52);
+        let mut sum = ExactSum::default();
+        let mut reference = 0u128;
+        for &(n, shift) in &terms {
+            sum.add((n << shift) as f64 * scale);
+            reference += u128::from(n) << shift;
+        }
+        prop_assert_eq!(sum.rounded().to_bits(), (reference as f64 * scale).to_bits());
     }
 }

@@ -23,8 +23,8 @@
 //! Determinism contract: each connection's noise RNG is seeded by its
 //! client's `Hello` frame, every connection is pinned to one IO worker,
 //! and the PR 7 kernel consumes RNG purely in request order — so the
-//! responses (and the settled ledger, up to transaction order across
-//! connections) are bit-identical to an in-process `Broker` run, no
+//! responses (and the settled sale totals, whose exact sums ignore the
+//! order across connections) are bit-identical to an in-process `Broker` run, no
 //! matter how frames coalesced into batches. The loopback tests and the
 //! wire-digest test in `mbp-bench` (netbench's canonical exchange, its
 //! digests held as constants in the test) pin exactly that.

@@ -6,7 +6,7 @@
 //! seeded by its `Hello` frame and the batch kernel consumes RNG purely
 //! in request order, so however the server happens to coalesce a
 //! connection's frames into batches, the responses — and the settled
-//! ledger, as a multiset across connections — are bit-identical to
+//! sale totals, which are exact and so order-free — are bit-identical to
 //! running the same per-client request streams through `Broker::buy_batch`
 //! sequentially in-process.
 
@@ -66,7 +66,7 @@ fn client_seed(client: usize) -> u64 {
 /// Drives `N_CLIENTS` concurrent connections through a fresh server,
 /// each sending its stream in pipelined bursts of `burst_len` requests
 /// (1 is a depth-1 exchange: send one, wait for its answer), checks every
-/// response and the ledger against the in-process reference, and returns
+/// response and the sale totals against the in-process reference, and returns
 /// the per-client response digests.
 fn drive_server(burst_len: usize) -> Vec<u64> {
     let shared = SharedBroker::new(listed_broker(7));
@@ -114,14 +114,8 @@ fn drive_server(burst_len: usize) -> Vec<u64> {
     handle.shutdown();
     let _stats = handle.wait();
 
-    // The network-settled ledger, reconciled, as a sorted multiset.
-    let mut served_ledger: Vec<(u64, u64)> = shared.with_broker(|b| {
-        b.ledger()
-            .iter()
-            .map(|t| (t.ncp.to_bits(), t.price.to_bits()))
-            .collect()
-    });
-    served_ledger.sort_unstable();
+    // The network-settled sale totals, reconciled.
+    let served_totals = shared.with_broker(|b| b.totals().clone());
 
     // In-process reference: same data seed, same per-client streams and
     // seeds, served sequentially through the plain batch kernel.
@@ -170,21 +164,16 @@ fn drive_server(burst_len: usize) -> Vec<u64> {
             }
         }
     }
-    let mut reference_ledger: Vec<(u64, u64)> = reference
-        .ledger()
-        .iter()
-        .map(|t| (t.ncp.to_bits(), t.price.to_bits()))
-        .collect();
-    reference_ledger.sort_unstable();
     assert_eq!(
-        served_ledger, reference_ledger,
-        "network-served ledger must be bit-identical to the in-process reference"
+        &served_totals,
+        reference.totals(),
+        "network-served totals must be bit-identical to the in-process reference"
     );
 
     digests
 }
 
-/// The acceptance-criterion test: network-served responses and ledger are
+/// The acceptance-criterion test: network-served responses and totals are
 /// bit-identical to the in-process reference, and the whole exchange is
 /// reproducible (same digests) across two independent server instances.
 #[test]

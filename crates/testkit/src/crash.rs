@@ -31,7 +31,7 @@
 //! The concurrent half lives in [`crate::schedule::explore_crash`]: a
 //! [`CrashCase`] built by a [`CrashHarness`] plugs a real durability sink
 //! into `SharedBroker` buys, kills the writer mid-group-commit, and
-//! checks the recovered ledger is a sub-multiset of the in-memory one.
+//! checks the recovered sales are a sub-multiset of the acknowledged ones.
 
 use mbp_core::market::DurabilitySink;
 use mbp_randx::seeded_rng;

@@ -1,8 +1,8 @@
 //! Deterministic schedule exploration for the concurrent broker.
 //!
-//! [`SharedBroker`] serves quotes under a shared read lock and lands
-//! transactions in 8 independently locked ledger stripes; maintenance
-//! drains the stripes under the write lock. The linearizability claim is
+//! [`SharedBroker`] serves quotes under a shared read lock and counts
+//! sales into 8 independently locked stripes of exact totals; maintenance
+//! merges the stripes under the write lock. The linearizability claim is
 //! that *any* interleaving of `buy_batch`/re-publish/reconcile
 //! operations is observationally equivalent to executing the
 //! same operations, in linearization order, against a plain
@@ -14,13 +14,14 @@
 //! their steps; it executes the interleaving against a real
 //! [`SharedBroker`] and then replays the identical linearization against
 //! a reference [`Broker`] with bit-identical per-thread RNG streams. All
-//! observations — sale prices (compared as exact bit patterns), error
-//! variants, ledger counts — must match, and the final ledger multisets
-//! must be identical. Small cases can also be **enumerated** exhaustively
-//! over every interleaving.
+//! observations — sale prices, error variants, sale counts and revenue,
+//! including the final totals — must match exactly; revenue compares by
+//! its bits, because the sum is exact and so independent of the order the
+//! stripes saw the sales in. Small cases can also be **enumerated**
+//! exhaustively over every interleaving.
 //!
 //! Seeded fault points pin graceful degradation: a maintenance closure
-//! that panics mid-flight must not lose settled transactions or wedge
+//! that panics mid-flight must not lose settled sales or wedge
 //! later operations, and a reader racing a re-publish must only ever
 //! observe one of the published curves, never a torn listing.
 //!
@@ -30,7 +31,7 @@
 use crate::crash::{append_corpus, load_corpus, CrashHarness, CrashSchedule};
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::concurrent::SharedBroker;
-use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale};
+use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SalesTotals};
 use mbp_core::pricing::PricingFunction;
 use mbp_data::synth;
 use mbp_ml::ModelKind;
@@ -132,7 +133,7 @@ enum Op {
     Republish(usize),
     /// Read `sales_count` / `total_revenue`.
     Snapshot,
-    /// Drain the stripes into the core ledger and read its length.
+    /// Merge the stripes into the core totals and read the sale count.
     Reconcile,
     /// Fault point: a maintenance closure that panics mid-flight.
     PanickingMaintenance,
@@ -140,6 +141,9 @@ enum Op {
     /// price is exactly one published curve, never a torn mixture.
     ReaderProbe,
 }
+
+/// The listing every case trades.
+const KIND: ModelKind = ModelKind::LinearRegression;
 
 /// The two standing curves cases re-publish between.
 fn curves() -> [PricingFunction; 2] {
@@ -178,24 +182,14 @@ fn random_op(rng: &mut MbpRng, faults: bool) -> Op {
     }
 }
 
-/// One observation in virtual time. Prices compare as exact bit patterns;
-/// revenue sums compare within `1e-9` relative (stripe-order vs
-/// chronological-order float summation legitimately differs in the last
-/// ulps).
+/// One observation in virtual time; prices and revenue are bit patterns.
 #[derive(Debug, Clone, PartialEq)]
 enum Obs {
     Price(u64),
     Error(String),
-    Count(usize),
-    Revenue(f64),
+    Count(u64),
+    Revenue(u64),
     Text(String),
-}
-
-fn obs_eq(a: &Obs, b: &Obs) -> bool {
-    match (a, b) {
-        (Obs::Revenue(x), Obs::Revenue(y)) => (x - y).abs() <= 1e-9 * y.abs().max(1.0),
-        _ => a == b,
-    }
 }
 
 fn sale_obs(out: &mut Vec<Obs>, r: &Result<Sale, MarketError>) {
@@ -213,28 +207,100 @@ fn build_broker(data_seed: u64) -> Broker {
     let data = synth::simulated1(60, 3, 0.5, &mut rng).split(0.75, &mut rng);
     let mut broker = Broker::new(data);
     broker
-        .support(ModelKind::LinearRegression, 1e-6)
+        .support(KIND, 1e-6)
         .expect("linear regression is supported");
     broker
-        .publish(
-            ModelKind::LinearRegression,
-            curves()[0].clone(),
-            Box::new(SquareLossTransform),
-        )
+        .publish(KIND, curves()[0].clone(), Box::new(SquareLossTransform))
         .expect("publish succeeds");
     broker
 }
 
-/// Executes `programs` against the shared broker in the given
-/// interleaving, collecting the observation stream.
-fn run_shared(
+/// What a case drives: the shared broker under test, or the plain
+/// reference broker replaying the same linearization.
+trait Market {
+    /// Buys `requests` against the listing.
+    fn buy(
+        &mut self,
+        requests: &[PurchaseRequest],
+        rng: &mut MbpRng,
+    ) -> Vec<Result<Sale, MarketError>>;
+    /// Re-publishes the listing at `curve`.
+    fn relist(&mut self, curve: PricingFunction);
+    /// The sale totals as a reader sees them.
+    fn read_totals(&self) -> SalesTotals;
+    /// Reconciles (the shared broker merges its stripes) and reads the
+    /// sale count.
+    fn reconcile(&mut self) -> u64;
+    /// Runs a maintenance closure that panics; `true` when it did.
+    fn panicking_maintenance(&mut self) -> bool;
+}
+
+impl Market for SharedBroker {
+    fn buy(
+        &mut self,
+        requests: &[PurchaseRequest],
+        rng: &mut MbpRng,
+    ) -> Vec<Result<Sale, MarketError>> {
+        self.buy_batch(KIND, requests, rng).expect("listed")
+    }
+    fn relist(&mut self, curve: PricingFunction) {
+        self.publish(KIND, curve, Box::new(SquareLossTransform))
+            .expect("publish succeeds");
+    }
+    fn read_totals(&self) -> SalesTotals {
+        self.totals()
+    }
+    fn reconcile(&mut self) -> u64 {
+        self.with_broker(|b| b.sales_count())
+    }
+    fn panicking_maintenance(&mut self) -> bool {
+        // A maintenance closure that dies mid-flight. The stripes were
+        // already drained; the panic must neither lose those sales nor
+        // wedge the broker (parking_lot locks do not poison).
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.with_broker(|_| panic!("injected maintenance panic"))
+        }));
+        std::panic::set_hook(prev);
+        result.is_err()
+    }
+}
+
+impl Market for Broker {
+    fn buy(
+        &mut self,
+        requests: &[PurchaseRequest],
+        rng: &mut MbpRng,
+    ) -> Vec<Result<Sale, MarketError>> {
+        self.buy_batch(KIND, requests, rng).expect("listed")
+    }
+    fn relist(&mut self, curve: PricingFunction) {
+        self.publish(KIND, curve, Box::new(SquareLossTransform))
+            .expect("publish succeeds");
+    }
+    fn read_totals(&self) -> SalesTotals {
+        self.totals().clone()
+    }
+    fn reconcile(&mut self) -> u64 {
+        self.sales_count()
+    }
+    fn panicking_maintenance(&mut self) -> bool {
+        // The reference broker has no maintenance to fault; the
+        // observable contract is only "nothing lost, not wedged".
+        true
+    }
+}
+
+/// Executes `programs` against `market` in the given interleaving,
+/// collecting the observation stream; the last two observations are the
+/// reconciled totals.
+fn run(
+    mut market: impl Market,
     programs: &[Vec<Op>],
     order: &[usize],
     rng_seeds: &[u64],
-    data_seed: u64,
-) -> (Vec<Obs>, Vec<u64>) {
-    let kind = ModelKind::LinearRegression;
-    let sb = SharedBroker::new(build_broker(data_seed));
+) -> Vec<Obs> {
     let curves = curves();
     let mut rngs: Vec<MbpRng> = rng_seeds.iter().map(|&s| seeded_rng(s)).collect();
     let mut cursors = vec![0usize; programs.len()];
@@ -245,54 +311,36 @@ fn run_shared(
         cursors[t] += 1;
         match op {
             Op::BuyBatch(reqs) => {
-                let results = sb.buy_batch(kind, reqs, &mut rngs[t]).expect("listed");
-                for r in &results {
+                for r in &market.buy(reqs, &mut rngs[t]) {
                     sale_obs(&mut obs, r);
                 }
             }
             Op::BuyOne(req) => {
-                for r in &sb.buy_batch(kind, &[*req], &mut rngs[t]).expect("listed") {
+                for r in &market.buy(&[*req], &mut rngs[t]) {
                     sale_obs(&mut obs, r);
                 }
             }
             Op::Republish(i) => {
-                sb.publish(kind, curves[*i].clone(), Box::new(SquareLossTransform))
-                    .expect("publish succeeds");
+                market.relist(curves[*i].clone());
                 current = *i;
                 obs.push(Obs::Text(format!("publish {i}")));
             }
             Op::Snapshot => {
-                obs.push(Obs::Count(sb.sales_count()));
-                obs.push(Obs::Revenue(sb.total_revenue()));
+                let totals = market.read_totals();
+                obs.push(Obs::Count(totals.count()));
+                obs.push(Obs::Revenue(totals.revenue().to_bits()));
             }
-            Op::Reconcile => {
-                let n = sb.with_broker(|b| b.ledger().len());
-                obs.push(Obs::Count(n));
-            }
+            Op::Reconcile => obs.push(Obs::Count(market.reconcile())),
             Op::PanickingMaintenance => {
-                // A maintenance closure that dies mid-flight. The stripes
-                // were already drained; the panic must neither lose those
-                // transactions nor wedge the broker (parking_lot locks do
-                // not poison).
-                let prev = std::panic::take_hook();
-                std::panic::set_hook(Box::new(|_| {}));
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    sb.with_broker(|_| panic!("injected maintenance panic"))
-                }));
-                std::panic::set_hook(prev);
-                obs.push(Obs::Text(format!(
-                    "maintenance panicked={}",
-                    result.is_err()
-                )));
-                obs.push(Obs::Count(sb.sales_count()));
+                let panicked = market.panicking_maintenance();
+                obs.push(Obs::Text(format!("maintenance panicked={panicked}")));
+                obs.push(Obs::Count(market.read_totals().count()));
             }
             Op::ReaderProbe => {
                 // A reader overlapping re-publishes: the quoted price must
                 // be the table price of exactly the currently-published
                 // curve — a torn listing would price off mixed knots.
-                let results = sb
-                    .buy_batch(kind, &[PurchaseRequest::AtNcp(1.0)], &mut rngs[t])
-                    .expect("listed");
+                let results = market.buy(&[PurchaseRequest::AtNcp(1.0)], &mut rngs[t]);
                 let price = results[0].as_ref().expect("NCP 1.0 is valid").price;
                 let expected = curves[current].price_at(1.0);
                 obs.push(Obs::Text(format!(
@@ -303,73 +351,9 @@ fn run_shared(
             }
         }
     }
-    let ledger: Vec<u64> = sb.with_broker(|b| {
-        let mut prices: Vec<u64> = b.ledger().iter().map(|t| t.price.to_bits()).collect();
-        prices.sort_unstable();
-        prices
-    });
-    (obs, ledger)
-}
-
-/// Executes the identical linearization against a plain single-threaded
-/// broker with bit-identical RNG streams — the reference history.
-fn run_reference(
-    programs: &[Vec<Op>],
-    order: &[usize],
-    rng_seeds: &[u64],
-    data_seed: u64,
-) -> (Vec<Obs>, Vec<u64>) {
-    let kind = ModelKind::LinearRegression;
-    let mut broker = build_broker(data_seed);
-    let curves = curves();
-    let mut rngs: Vec<MbpRng> = rng_seeds.iter().map(|&s| seeded_rng(s)).collect();
-    let mut cursors = vec![0usize; programs.len()];
-    let mut obs = Vec::new();
-    for &t in order {
-        let op = &programs[t][cursors[t]];
-        cursors[t] += 1;
-        match op {
-            Op::BuyBatch(reqs) => {
-                let results = broker.buy_batch(kind, reqs, &mut rngs[t]).expect("listed");
-                for r in &results {
-                    sale_obs(&mut obs, r);
-                }
-            }
-            Op::BuyOne(req) => {
-                sale_obs(&mut obs, &broker.buy_listed(kind, *req, &mut rngs[t]));
-            }
-            Op::Republish(i) => {
-                broker
-                    .publish(kind, curves[*i].clone(), Box::new(SquareLossTransform))
-                    .expect("publish succeeds");
-                obs.push(Obs::Text(format!("publish {i}")));
-            }
-            Op::Snapshot => {
-                obs.push(Obs::Count(broker.ledger().len()));
-                obs.push(Obs::Revenue(broker.total_revenue()));
-            }
-            Op::Reconcile => {
-                obs.push(Obs::Count(broker.ledger().len()));
-            }
-            Op::PanickingMaintenance => {
-                // The reference broker has no maintenance to fault; the
-                // observable contract is only "nothing lost, not wedged".
-                obs.push(Obs::Text("maintenance panicked=true".to_string()));
-                obs.push(Obs::Count(broker.ledger().len()));
-            }
-            Op::ReaderProbe => {
-                let results = broker
-                    .buy_batch(kind, &[PurchaseRequest::AtNcp(1.0)], &mut rngs[t])
-                    .expect("listed");
-                let price = results[0].as_ref().expect("NCP 1.0 is valid").price;
-                obs.push(Obs::Text("reader torn=false".to_string()));
-                obs.push(Obs::Price(price.to_bits()));
-            }
-        }
-    }
-    let mut ledger: Vec<u64> = broker.ledger().iter().map(|t| t.price.to_bits()).collect();
-    ledger.sort_unstable();
-    (obs, ledger)
+    obs.push(Obs::Count(market.reconcile()));
+    obs.push(Obs::Revenue(market.read_totals().revenue().to_bits()));
+    obs
 }
 
 /// Derives programs, RNG seeds, and (optionally) a sampled interleaving
@@ -421,8 +405,9 @@ fn check_case(
 ) -> Result<usize, ScheduleFailure> {
     let (programs, rng_seeds, order, data_seed) =
         case_inputs(case_seed, threads, ops_per_thread, faults, forced_order);
-    let (shared_obs, shared_ledger) = run_shared(&programs, &order, &rng_seeds, data_seed);
-    let (ref_obs, ref_ledger) = run_reference(&programs, &order, &rng_seeds, data_seed);
+    let shared = SharedBroker::new(build_broker(data_seed));
+    let shared_obs = run(shared, &programs, &order, &rng_seeds);
+    let ref_obs = run(build_broker(data_seed), &programs, &order, &rng_seeds);
     let fail = |step: usize, detail: String| ScheduleFailure {
         case_seed,
         threads: threads.clamp(2, 4),
@@ -441,19 +426,9 @@ fn check_case(
         ));
     }
     for (i, (s, r)) in shared_obs.iter().zip(&ref_obs).enumerate() {
-        if !obs_eq(s, r) {
+        if s != r {
             return Err(fail(i, format!("shared observed {s:?}, reference {r:?}")));
         }
-    }
-    if shared_ledger != ref_ledger {
-        return Err(fail(
-            shared_obs.len(),
-            format!(
-                "final ledger multisets differ: shared {} txs vs reference {} txs",
-                shared_ledger.len(),
-                ref_ledger.len()
-            ),
-        ));
     }
     Ok(order.len())
 }
@@ -589,7 +564,7 @@ fn is_sub_multiset(sub: &mut [(u64, u64)], sup: &mut [(u64, u64)]) -> bool {
 /// point in the op stream. Durability may lose the buffered, un-synced
 /// tail — but it must never invent, duplicate, or corrupt a sale, so the
 /// recovered `(ncp, price)` bit-pattern multiset must be a sub-multiset
-/// of the in-memory ledger.
+/// of the sales the buyer threads were acknowledged (got back `Ok`).
 ///
 /// Unlike [`run_case`], real threads race here, so the kill lands at a
 /// nondeterministic instant; the checked property holds for *every*
@@ -629,40 +604,36 @@ pub fn run_crash_case(
             let ops = ops_per_thread.max(1);
             thread::spawn(move || {
                 let mut rng = seeded_rng(rng_seed);
+                let mut acknowledged = Vec::with_capacity(ops);
                 for _ in 0..ops {
                     let ncp = rng.gen_range(0.5..1.8);
-                    let _ = sb.buy_batch(
-                        ModelKind::LinearRegression,
-                        &[PurchaseRequest::AtNcp(ncp)],
-                        &mut rng,
-                    );
+                    let sold = sb.buy_batch(KIND, &[PurchaseRequest::AtNcp(ncp)], &mut rng);
+                    for sale in sold.into_iter().flatten().flatten() {
+                        acknowledged.push((sale.ncp.to_bits(), sale.price.to_bits()));
+                    }
                     progress.fetch_add(1, Ordering::Release);
                 }
+                acknowledged
             })
         })
         .collect();
+    let mut acknowledged: Vec<(u64, u64)> = Vec::new();
     for b in buyers {
-        let _ = b.join();
+        acknowledged.extend(b.join().unwrap_or_default());
     }
     let _ = killer.join(); // kill_after <= total_ops, so it always fires
 
     let mut recovered = (case.recovered_sales)();
-    let mut in_mem: Vec<(u64, u64)> = sb.with_broker(|b| {
-        b.ledger()
-            .iter()
-            .map(|t| (t.ncp.to_bits(), t.price.to_bits()))
-            .collect()
-    });
-    let (rec_n, mem_n) = (recovered.len(), in_mem.len());
-    if !is_sub_multiset(&mut recovered, &mut in_mem) {
+    let (rec_n, ack_n) = (recovered.len(), acknowledged.len());
+    if !is_sub_multiset(&mut recovered, &mut acknowledged) {
         return Err(ScheduleFailure {
             case_seed,
             threads,
             ops_per_thread,
             step: rec_n,
             detail: format!(
-                "recovered ledger is NOT a sub-multiset of the in-memory ledger \
-                 ({rec_n} recovered vs {mem_n} in memory) \
+                "recovered sales are NOT a sub-multiset of the acknowledged sales \
+                 ({rec_n} recovered vs {ack_n} acknowledged) \
                  [replay: mbp_testkit::schedule::run_crash_case({case_seed}, \
                  {threads}, {ops_per_thread}, harness)]"
             ),

@@ -1,12 +1,13 @@
 //! # mbp-wal — durable write-ahead ledger for the marketplace broker
 //!
 //! The paper's broker is a pure function of its sale history: revenue,
-//! arbitrage-freedom gates, and epoch rollovers all derive from the
-//! ledger. This crate makes that history durable — an append-only binary
-//! log of supports, publishes, sales, epoch rollovers, and RNG cursors —
-//! and proves the converse: recovery replays log + snapshot back to
-//! **bit-identical** broker state (weight bits, listing knot bits, ledger
-//! sequence; see [`broker_fingerprint`]).
+//! arbitrage-freedom gates, and epoch rollovers all derive from it. This
+//! crate makes that history durable — an append-only binary log of
+//! supports, publishes, sales, epoch rollovers, and RNG cursors, the only
+//! full record of each sale — and proves the converse: recovery replays
+//! the log back to **bit-identical** broker state (weight bits, listing
+//! knot bits, each kind's sale count and exact revenue bits; see
+//! [`broker_fingerprint`]).
 //!
 //! Layout:
 //!
@@ -17,7 +18,7 @@
 //! * [`log`] — segment files, the group-commit/fsync write path with
 //!   first-class crash hooks, and directory recovery;
 //! * [`durability`] — state folding ([`RecoveredState`]), broker replay,
-//!   snapshot compaction, and the live [`Durability`] handle that plugs
+//!   and the live [`Durability`] handle that plugs
 //!   into `Broker`/`SharedBroker` as a
 //!   [`DurabilitySink`](mbp_core::market::DurabilitySink).
 //!
@@ -33,7 +34,7 @@ pub mod durability;
 pub mod log;
 pub mod record;
 
-pub use durability::{broker_fingerprint, CompactStats, Durability, RecoveredState, Recovery};
+pub use durability::{broker_fingerprint, Durability, RecoveredState, Recovery};
 pub use log::{recover_dir, DirRecovery, WalConfig, WalWriter};
 pub use record::{encode_log, recover_bytes, EncodedLog, RecoveredLog, WalEvent};
 
@@ -53,6 +54,17 @@ pub enum WalError {
     Market(mbp_core::market::MarketError),
     /// Recovered publish knots were rejected by the pricing layer.
     BadPoints(String),
+    /// A checksum-valid sale record carries a NaN, infinite or negative
+    /// `ncp` or `price`.
+    BadSale {
+        /// The record's index in the recovered stream, counting from 0
+        /// across all segments in id order.
+        record: usize,
+        /// The recorded NCP.
+        ncp: f64,
+        /// The recorded price.
+        price: f64,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -62,6 +74,11 @@ impl fmt::Display for WalError {
             WalError::Dead => write!(f, "wal writer is dead (crash point reached)"),
             WalError::Market(e) => write!(f, "replaying recovered state failed: {e}"),
             WalError::BadPoints(msg) => write!(f, "recovered pricing rejected: {msg}"),
+            WalError::BadSale { record, ncp, price } => write!(
+                f,
+                "recovered sale record {record} is invalid: ncp {ncp}, price {price} \
+                 (both must be finite and non-negative)"
+            ),
         }
     }
 }

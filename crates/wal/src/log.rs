@@ -2,9 +2,9 @@
 //!
 //! A WAL directory holds numbered segment files `wal-000001.log`,
 //! `wal-000002.log`, … Each process run appends to a fresh segment (never
-//! to an old one — recovery is the only reader of history), and snapshot
-//! compaction replaces retired segments with one compacted segment whose
-//! first record is a [`WalEvent::Snapshot`] marker.
+//! to an old one — recovery is the only reader of history). A segment
+//! that begins with a [`WalEvent::Snapshot`] marker supersedes every
+//! earlier segment: recovery's fold restarts there.
 //!
 //! ## Group commit and fsync points
 //!

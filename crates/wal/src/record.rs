@@ -54,7 +54,7 @@ pub mod record_type {
     pub const EPOCH: u8 = 4;
     /// `RngCursor { seed, draws }`.
     pub const RNG_CURSOR: u8 = 5;
-    /// `Snapshot { compacted_records }` — start of a compacted segment.
+    /// `Snapshot { compacted_records }` — start of a snapshot segment.
     pub const SNAPSHOT: u8 = 6;
 }
 
@@ -98,10 +98,10 @@ pub enum WalEvent {
         /// Seed-stream position marker.
         draws: u64,
     },
-    /// First record of a compacted segment: everything accumulated from
+    /// First record of a snapshot segment: everything accumulated from
     /// *earlier* segments is superseded by the records that follow.
     Snapshot {
-        /// Number of live records the compaction preserved.
+        /// Number of live records the snapshot re-states.
         compacted_records: u64,
     },
 }

@@ -8,7 +8,7 @@
 //! skipped with a counted warning, framing damage truncates, and nothing
 //! ever panics. The concurrent half kills the WAL writer
 //! mid-group-commit under racing `SharedBroker` buys and requires the
-//! recovered ledger to be a sub-multiset of the in-memory one.
+//! recovered sales to be a sub-multiset of the acknowledged ones.
 
 use mbp_core::market::DurabilitySink;
 use mbp_ml::ModelKind;
@@ -20,9 +20,11 @@ use mbp_testkit::crash::{
 };
 use mbp_testkit::schedule::{explore_crash, ScheduleConfig};
 use mbp_wal::record::FILE_HEADER;
-use mbp_wal::{encode_log, recover_bytes, Durability, RecoveredState, WalConfig, WalEvent};
+use mbp_wal::{
+    encode_log, recover_bytes, recover_dir, Durability, RecoveredState, WalConfig, WalEvent,
+};
 use rand::Rng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const KINDS: [ModelKind; 3] = [
@@ -30,6 +32,20 @@ const KINDS: [ModelKind; 3] = [
     ModelKind::LogisticRegression,
     ModelKind::LinearSvm,
 ];
+
+/// Every sale the WAL in `dir` holds now, as `(ncp_bits, price_bits)` in
+/// log order.
+fn sale_bits(dir: &Path) -> Vec<(u64, u64)> {
+    recover_dir(dir)
+        .expect("recovery scans the dir")
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            WalEvent::Sale { ncp, price, .. } => Some((ncp.to_bits(), price.to_bits())),
+            _ => None,
+        })
+        .collect()
+}
 
 /// A seeded mixed history: mostly sales, with supports, publishes, epoch
 /// rollovers, and RNG cursors sprinkled in — every record type present.
@@ -148,8 +164,8 @@ fn recovered_state_folds_match_in_memory_folds_at_boundaries() {
         };
         let recovered = recover_bytes(&log.bytes[..upto]);
         assert_eq!(recovered.events.len(), k);
-        let from_disk = RecoveredState::from_events(&recovered.events);
-        let in_memory = RecoveredState::from_events(&events[..k]);
+        let from_disk = RecoveredState::from_events(&recovered.events).unwrap();
+        let in_memory = RecoveredState::from_events(&events[..k]).unwrap();
         assert_eq!(from_disk.digest(), in_memory.digest(), "prefix {k}");
         assert_eq!(from_disk, in_memory, "prefix {k}");
     }
@@ -157,10 +173,10 @@ fn recovered_state_folds_match_in_memory_folds_at_boundaries() {
 
 /// Satellite 2: concurrent buys against a `SharedBroker` wired to a real
 /// WAL, writer killed mid-group-commit at a seeded point — the recovered
-/// ledger must be a sub-multiset of the in-memory one, for every sampled
-/// schedule. Failing case seeds persist to `testkit/corpus/crash.txt`.
+/// sales must be a sub-multiset of the acknowledged ones, for every
+/// sampled schedule. Failing case seeds persist to `testkit/corpus/crash.txt`.
 #[test]
-fn killed_group_commits_recover_a_subset_ledger_under_concurrency() {
+fn killed_group_commits_recover_a_subset_of_sales_under_concurrency() {
     let base = std::env::temp_dir().join(format!("mbp-wal-crash-sched-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let dirs: Arc<std::sync::Mutex<Vec<PathBuf>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -184,14 +200,7 @@ fn killed_group_commits_recover_a_subset_ledger_under_concurrency() {
                     let wal = Arc::clone(&wal);
                     Arc::new(move || wal.kill_now())
                 },
-                recovered_sales: Arc::new(move || {
-                    wal.recover_now()
-                        .expect("recovery scans the dir")
-                        .sales
-                        .iter()
-                        .map(|t| (t.ncp.to_bits(), t.price.to_bits()))
-                        .collect()
-                }),
+                recovered_sales: Arc::new(move || sale_bits(&wal.dir())),
             }
         })
     };
@@ -237,10 +246,11 @@ fn kill_at_byte_leaves_a_recoverable_torn_tail() {
         });
     }
     assert!(wal.io_error_count() > 0, "the kill point must have fired");
-    let state = wal.recover_now().expect("recovery scans the dir");
-    assert_eq!(state.sales.len(), 5, "the torn 6th record must truncate");
-    for (i, tx) in state.sales.iter().enumerate() {
-        assert_eq!(tx.price.to_bits(), (10.0 + i as f64).to_bits());
-    }
+    let scanned = recover_dir(&wal.dir()).expect("recovery scans the dir");
+    let state = RecoveredState::from_events(&scanned.events).expect("valid sales");
+    assert_eq!(state.sales.count(), 5, "the torn 6th record must truncate");
+    let prices: Vec<u64> = sale_bits(&wal.dir()).iter().map(|&(_, p)| p).collect();
+    let expected: Vec<u64> = (0..5).map(|i| (10.0 + i as f64).to_bits()).collect();
+    assert_eq!(prices, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }

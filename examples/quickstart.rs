@@ -116,8 +116,8 @@ fn main() {
     assert!(sale.price <= 40.0 + 1e-9);
 
     println!(
-        "\nbroker ledger: {} sales, total revenue {:.2}",
-        broker.ledger().len(),
+        "\nbroker totals: {} sales, total revenue {:.2}",
+        broker.sales_count(),
         broker.total_revenue()
     );
 }

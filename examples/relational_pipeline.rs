@@ -120,8 +120,8 @@ fn main() {
         "age should out-predict height: {w:?}"
     );
     println!(
-        "ledger: {} sale(s), revenue {:.2}",
-        broker.ledger().len(),
+        "broker totals: {} sale(s), revenue {:.2}",
+        broker.sales_count(),
         broker.total_revenue()
     );
 }

@@ -68,7 +68,7 @@ fn full_regression_market_roundtrip() {
     // With the same budget, the accuracy must be at least s1's.
     assert!(s3.ncp <= s1.ncp + 1e-9);
 
-    assert_eq!(broker.ledger().len(), 3);
+    assert_eq!(broker.sales_count(), 3);
     let total = s1.price + s2.price + s3.price;
     assert!((broker.total_revenue() - total).abs() < 1e-9);
 }

@@ -22,7 +22,7 @@
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::curves::{grid, DemandCurve, DemandShape, ValueCurve, ValueShape};
 use mbp_core::market::simulation::{simulate_market, SimulationConfig};
-use mbp_core::market::{Broker, Seller};
+use mbp_core::market::{Broker, SaleLog, Seller};
 use mbp_core::mechanism::{GaussianMechanism, NoiseMechanism};
 use mbp_core::revenue::{solve_bv_dp, welfare, BuyerPoint};
 use mbp_linalg::{Matrix, Vector};
@@ -168,6 +168,8 @@ fn sharded_market_season_is_identical_at_1_2_and_4_threads() {
             let seller = Seller::new(data.clone(), g, value, demand);
             let pricing = solve_bv_dp(&seller.buyer_population()).pricing;
             let mut broker = Broker::new(data);
+            let log = std::sync::Arc::new(SaleLog::default());
+            broker.set_durability(log.clone());
             broker
                 .support(ModelKind::LinearRegression, 1e-6)
                 .expect("training failed");
@@ -189,8 +191,8 @@ fn sharded_market_season_is_identical_at_1_2_and_4_threads() {
                 818,
             )
             .expect("simulation failed");
-            let ledger: Vec<(u64, u64)> = broker
-                .ledger()
+            let sales: Vec<(u64, u64)> = log
+                .lock()
                 .iter()
                 .map(|tx| (tx.ncp.to_bits(), tx.price.to_bits()))
                 .collect();
@@ -198,7 +200,8 @@ fn sharded_market_season_is_identical_at_1_2_and_4_threads() {
                 out.served,
                 out.declined,
                 out.realized_revenue_per_buyer.to_bits(),
-                ledger,
+                broker.totals().clone(),
+                sales,
             )
         })
     };
