@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn smoke_run_is_clean_and_deterministic() {
         let rec = run(1_000);
-        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_testkit.json"));
+        crate::record::assert_same_metrics(&rec, "BENCH_testkit.json");
         assert!(
             rec.holds("clean"),
             "an engine found a violation on sound inputs"

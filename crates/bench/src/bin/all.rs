@@ -6,17 +6,14 @@
 //! phase executes with the `mbp-obs` registry enabled, its wall time and
 //! metrics snapshot are collected, and a combined JSON artifact is written
 //! next to the report (`experiments/metrics.json`, overridable with
-//! `MBP_METRICS_OUT`). The baseline phases write the `BENCH_*.json`
-//! records (see [`mbp_bench::record`]); each file name and size has its
-//! own variable (`MBP_SERVING_OUT` / `MBP_SERVE_QUOTES`, …), and the
-//! ratchet re-runs them at the sizes the committed records name.
+//! `MBP_METRICS_OUT`). The `BENCH_*.json` records are the `ratchet`
+//! binary's, not this one's.
 
 use mbp_bench::experiments::{
     adaptive_experiment, fairness_sweep, fig10, fig5, fig6, fig7, fig8, fig9,
     simulation_experiment, table3,
 };
-use mbp_bench::record::Record;
-use mbp_bench::report::{fmt, fmt_secs, print_metrics, print_record, print_table};
+use mbp_bench::report::{fmt, fmt_secs, print_metrics, print_table};
 use mbp_bench::Config;
 use std::time::Instant;
 
@@ -38,37 +35,6 @@ fn run_phase(records: &mut Vec<PhaseRecord>, name: &'static str, f: impl FnOnce(
         name,
         secs: t0.elapsed().as_secs_f64(),
         snapshot: mbp_obs::snapshot(),
-    });
-}
-
-/// Reads a size from `var`, falling back to `default` when it is unset,
-/// unparsable or under `min`.
-fn env_size(var: &str, default: usize, min: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= min)
-        .unwrap_or(default)
-}
-
-/// Runs one baseline as a phase: prints its record and writes it to the
-/// path in `out_var` (default `default_out`).
-fn baseline_phase(
-    records: &mut Vec<PhaseRecord>,
-    name: &'static str,
-    title: &str,
-    out_var: &str,
-    default_out: &str,
-    bench: impl FnOnce() -> Record,
-) {
-    run_phase(records, name, || {
-        let rec = bench();
-        print_record(title, &rec);
-        let out = std::env::var(out_var).unwrap_or_else(|_| default_out.to_string());
-        match std::fs::write(&out, rec.to_json()) {
-            Ok(()) => println!("{name} written to {out}"),
-            Err(e) => eprintln!("could not write {name} {out}: {e}"),
-        }
     });
 }
 
@@ -266,61 +232,10 @@ fn main() {
         );
     });
 
-    // The BENCH_*.json baselines. Each writes its record to the file named
-    // by its `*_OUT` variable; its size variable scales the run.
-    baseline_phase(
-        &mut phases,
-        "parallel-baseline",
-        "Parallel baseline: each parallel phase at 1/2/4 threads",
-        "MBP_BENCH_OUT",
-        "BENCH_parallel.json",
-        || mbp_bench::parbench::run(env_size("MBP_PAR_REPS", 3, 1)),
-    );
-    baseline_phase(
-        &mut phases,
-        "serving-baseline",
-        "Serving baseline: scan vs compiled-table pricing, purchase paths, ridge factor cache",
-        "MBP_SERVING_OUT",
-        "BENCH_serving.json",
-        || mbp_bench::servebench::run(env_size("MBP_SERVE_QUOTES", 20_000, 64)),
-    );
-    baseline_phase(
-        &mut phases,
-        "kernel-baseline",
-        "Lookup kernel baseline: partition_point vs the SegmentIndex grid",
-        "MBP_KERNEL_OUT",
-        "BENCH_kernel.json",
-        || mbp_bench::kernelbench::run(env_size("MBP_KERNEL_LOOKUPS", 2_000_000, 1024)),
-    );
-    baseline_phase(
-        &mut phases,
-        "wal-baseline",
-        "WAL durability baseline: append, group sweep, recovery",
-        "MBP_WAL_OUT",
-        "BENCH_wal.json",
-        || mbp_bench::walbench::run(env_size("MBP_WAL_RECORDS", 200_000, 1_000)),
-    );
-    baseline_phase(
-        &mut phases,
-        "testkit-baseline",
-        "Verification baseline: attack, oracle and schedule throughput",
-        "MBP_TESTKIT_OUT",
-        "BENCH_testkit.json",
-        || mbp_bench::attackbench::run(env_size("MBP_ATTACK_TRIALS", 20_000, 1_000) as u64),
-    );
-    baseline_phase(
-        &mut phases,
-        "trace-overhead",
-        "Tracing overhead (budgets: disabled <= 2%, enabled <= 10%)",
-        "MBP_TRACE_OUT",
-        "BENCH_trace.json",
-        || mbp_bench::tracebench::run(env_size("MBP_TRACE_QUOTES", 20_000, 256)),
-    );
-
     // Static-analysis timing: the per-file rule pass and the full
     // interprocedural pass (workspace call graph + reach-panic /
     // taint-det / lock-graph) over this workspace, so an analyzer
-    // slowdown shows up in the same ratchet as every other phase. Both
+    // slowdown shows up in the phase timings beside the experiments. Both
     // passes must come back clean against the checked-in baseline.
     run_phase(&mut phases, "lintbench", || {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -1,21 +1,13 @@
-//! Network load generator for the `mbp-serve` daemon.
+//! Probe for a running `mbp-serve` daemon.
 //!
-//! Two modes:
-//!
-//! * **Sweep** (no arguments): boots an in-process daemon and runs the
-//!   full concurrent-connections sweep (`netbench::run`), prints the
-//!   record, and writes it to `BENCH_serve_net.json` (overridable with
-//!   `MBP_NET_OUT`; per-connection request count with
-//!   `MBP_NET_REQUESTS`, default 2000).
-//! * **Probe** (`loadgen --probe HOST:PORT [--shutdown]`): connects to an
-//!   already-running daemon (e.g. `mbp-market serve` under CI), performs
-//!   a `Hello` handshake, a ping, a quote, and a handful of buys, prints
-//!   what came back, and — with `--shutdown` — asks the daemon to drain.
-//!   Exits non-zero if any step fails, so CI can smoke-test the real
-//!   binary end to end.
+//! `loadgen --probe HOST:PORT [--shutdown]` connects to an already-running
+//! daemon (e.g. `mbp-market serve` under CI), performs a `Hello`
+//! handshake, a ping, a quote, and a handful of buys, prints what came
+//! back, and — with `--shutdown` — asks the daemon to drain. Exits
+//! non-zero if any step fails, so CI can smoke-test the real binary end
+//! to end. The loopback throughput sweep (`BENCH_serve_net.json`) is the
+//! `ratchet` binary's.
 
-use mbp_bench::netbench;
-use mbp_bench::report::print_record;
 use mbp_core::market::PurchaseRequest;
 use mbp_ml::ModelKind;
 use mbp_serve::wire::{Request, Response};
@@ -93,36 +85,14 @@ fn probe(addr: &str, shutdown: bool) -> Result<(), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--probe") {
-        let Some(addr) = args.get(pos + 1) else {
-            eprintln!("usage: loadgen --probe HOST:PORT [--shutdown]");
-            std::process::exit(2);
-        };
-        let shutdown = args.iter().any(|a| a == "--shutdown");
-        if let Err(e) = probe(addr, shutdown) {
-            eprintln!("probe failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    mbp_obs::enable();
-    let per_conn = std::env::var("MBP_NET_REQUESTS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 64)
-        .unwrap_or(2_000);
-    println!(
-        "sweeping {:?} connections, {per_conn} requests each ({} runs per point)...",
-        netbench::SWEEP_CONNS,
-        netbench::REPEATS
-    );
-    let rec = netbench::run(per_conn);
-    print_record("Network serving sweep", &rec);
-    let out = std::env::var("MBP_NET_OUT").unwrap_or_else(|_| "BENCH_serve_net.json".to_string());
-    if let Err(e) = std::fs::write(&out, rec.to_json()) {
-        eprintln!("could not write network baseline {out}: {e}");
+    let probe_at = args.iter().position(|a| a == "--probe");
+    let Some(addr) = probe_at.and_then(|i| args.get(i + 1)) else {
+        eprintln!("usage: loadgen --probe HOST:PORT [--shutdown]");
+        std::process::exit(2);
+    };
+    let shutdown = args.iter().any(|a| a == "--shutdown");
+    if let Err(e) = probe(addr, shutdown) {
+        eprintln!("probe failed: {e}");
         std::process::exit(1);
     }
-    println!("network baseline written to {out}");
 }

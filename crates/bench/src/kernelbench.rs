@@ -1,8 +1,8 @@
-//! Segment-lookup microbench: branchy `partition_point` vs the compiled
-//! [`SegmentIndex`] grid layout.
+//! Kernel microbenches: the quote path's segment lookup, the sale's noise
+//! draw, and the seller's revenue solvers.
 //!
-//! For each knot count (16 / 512 / 8192) the same query stream over a
-//! uniform knot grid is resolved two ways:
+//! **Lookup.** For each knot count (16 / 512 / 8192) the same query stream
+//! over a uniform knot grid is resolved two ways:
 //!
 //! * **pp-uniform** — `slice::partition_point` (what the index answers
 //!   for non-uniform keys);
@@ -13,18 +13,43 @@
 //! Before any timing, every query is cross-checked: the grid must return
 //! *exactly* `partition_point`'s answer (`consistent`). Each repeat times
 //! both layouts back to back from identical state, so the speedup is
-//! taken run by run; every run must reproduce its layout's digest
+//! taken run by run.
+//!
+//! **Noise.** A sale is one Gaussian release `h* + N(0, δ/d·I)` (§6: the
+//! model is trained once, each sale only adds noise). `perturb@{d}` times
+//! [`GaussianMechanism::perturb_into`] into a reused buffer at d = 16, 90
+//! (the serving benchmarks' model) and 1024, `coords` coordinates per
+//! dimension, and reports nanoseconds per coordinate.
+//!
+//! **Revenue** (Figures 9–10). `dp@{n}` and `exact@{n}` time
+//! [`solve_bv_dp`] and [`solve_bv_exact`] per solve at n = 4 and 12 price
+//! points; `exact_vs_dp@12` is their run-by-run quotient, the
+//! polynomial-vs-exponential gap.
+//!
+//! Every repeat must reproduce its lookup and noise digests
 //! (`deterministic`). Each metric is the median over [`REPEATS`] runs.
-//! The `all` binary writes the record to `BENCH_kernel.json`; the ratchet
-//! diffs per-layout throughput and the grid-vs-partition-point speedup
-//! ratios against the committed record.
-
 use crate::record::{per_sec, quotient, repeat, Record, Spread};
+use mbp_core::market::curves::{
+    buyer_points, grid, DemandCurve, DemandShape, ValueCurve, ValueShape,
+};
+use mbp_core::mechanism::{GaussianMechanism, NoiseMechanism};
+use mbp_core::revenue::{solve_bv_dp, solve_bv_exact, BuyerPoint};
 use mbp_core::SegmentIndex;
+use mbp_linalg::Vector;
+use mbp_randx::seeded_rng;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Knot counts exercised by the sweep.
 pub const SIZES: [usize; 3] = [16, 512, 8192];
+
+/// Model dimensions the noise draw is timed at.
+pub const DIMS: [usize; 3] = [16, 90, 1024];
+
+/// Price-point counts and solves per repeat of the DP and the exact
+/// solver: `(n, dp, exact)`. The exact solver's cost grows exponentially
+/// in `n`, so it runs fewer times where each solve takes milliseconds.
+pub const SOLVES: [(usize, usize, usize); 2] = [(4, 2000, 400), (12, 2000, 8)];
 
 /// Runs of every workload; each metric is the median over them.
 pub const REPEATS: usize = 3;
@@ -55,22 +80,51 @@ fn queries(keys: &[f64], lookups: usize) -> Vec<f64> {
 
 /// One pass of `work` over the query stream: wall seconds and the
 /// index-sum digest.
-fn timed(xs: &[f64], work: impl Fn(f64) -> usize) -> (f64, usize) {
+fn timed(xs: &[f64], work: impl Fn(f64) -> usize) -> (f64, u64) {
     let t0 = Instant::now();
-    let mut digest = 0usize;
+    let mut digest = 0u64;
     for &x in xs {
-        digest = digest.wrapping_add(work(x));
+        digest = digest.wrapping_add(work(x) as u64);
     }
     (t0.elapsed().as_secs_f64(), digest)
 }
 
-/// Runs the full lookup sweep with `lookups` queries per workload.
-pub fn run(lookups: usize) -> Record {
+/// The Figure 9–10 buyer population on an `n`-point grid.
+fn population(n: usize) -> Vec<BuyerPoint> {
+    buyer_points(
+        &grid(20.0, 100.0, n),
+        &ValueCurve::new(ValueShape::Concave { power: 2.5 }, 2.0, 100.0),
+        &DemandCurve::new(DemandShape::Peak {
+            center: 0.5,
+            width: 0.25,
+        }),
+    )
+    .expect("bench grid is valid")
+}
+
+/// Wall seconds per call of `solve`, over `calls` calls.
+fn per_call(calls: usize, solve: impl Fn() -> f64) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        black_box(solve());
+    }
+    t0.elapsed().as_secs_f64() / calls as f64
+}
+
+/// Runs every kernel: `lookups` queries per lookup workload and `coords`
+/// noise coordinates per dimension.
+pub fn run(lookups: usize, coords: usize) -> Record {
     let _span = mbp_obs::span("mbp.bench.kernelbench");
     let lookups = lookups.max(1024);
-    let mut rec = Record::new(&[("lookups", lookups as f64), ("repeats", REPEATS as f64)]);
+    let coords = coords.max(1024);
+    let mut rec = Record::new(&[
+        ("lookups", lookups as f64),
+        ("coords", coords as f64),
+        ("repeats", REPEATS as f64),
+    ]);
     let mut consistent = true;
     let mut deterministic = true;
+    let reproduced = |runs: &[(f64, u64)]| runs.iter().all(|r| r.1 == runs[0].1);
 
     for n in SIZES {
         let uniform = uniform_keys(n);
@@ -89,9 +143,8 @@ pub fn run(lookups: usize) -> Record {
         })
         .into_iter()
         .unzip();
-        let reproduced = |runs: &[(f64, usize)]| runs.iter().all(|r| r.1 == runs[0].1);
         deterministic &= reproduced(&pp) && reproduced(&grid);
-        let qps = |runs: &[(f64, usize)]| Spread::of(runs.iter().map(|r| per_sec(lookups, r.0)));
+        let qps = |runs: &[(f64, u64)]| Spread::of(runs.iter().map(|r| per_sec(lookups, r.0)));
         rec.throughput(
             format!("pp-uniform@{n}.lookups_per_sec"),
             "lookups/s",
@@ -101,6 +154,45 @@ pub fn run(lookups: usize) -> Record {
         // Lookups per second scale as 1 / seconds: grid over pp.
         let speedup = pp.iter().zip(&grid).map(|(p, g)| quotient(p.0, g.0));
         rec.ratio(format!("grid_vs_pp@{n}"), true, Spread::of(speedup));
+    }
+
+    for d in DIMS {
+        let h: Vector = (0..d).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
+        let draws = coords.div_ceil(d);
+        let runs = repeat(REPEATS, |_| {
+            let mut rng = seeded_rng(0x6e01);
+            let mut out = Vector::zeros(d);
+            let mut digest = 0u64;
+            let t0 = Instant::now();
+            for _ in 0..draws {
+                GaussianMechanism.perturb_into(black_box(&h), 1.0, &mut rng, &mut out);
+                digest = digest.wrapping_add(out.as_slice()[d - 1].to_bits());
+            }
+            (t0.elapsed().as_secs_f64(), digest)
+        });
+        deterministic &= reproduced(&runs);
+        let ns = runs.iter().map(|r| r.0 * 1e9 / (draws * d) as f64);
+        rec.latency(format!("perturb@{d}.ns_per_coord"), "ns", Spread::of(ns));
+    }
+
+    for (n, dp_solves, exact_solves) in SOLVES {
+        let pts = population(n);
+        let (dp, exact): (Vec<f64>, Vec<f64>) = repeat(REPEATS, |_| {
+            let dp = per_call(dp_solves, || solve_bv_dp(black_box(&pts)).objective);
+            let exact = per_call(exact_solves, || {
+                solve_bv_exact(black_box(&pts), 2.0).objective
+            });
+            (dp, exact)
+        })
+        .into_iter()
+        .unzip();
+        let us = |secs: &[f64]| Spread::of(secs.iter().map(|s| s * 1e6));
+        rec.latency(format!("dp@{n}.us_per_solve"), "us", us(&dp));
+        rec.latency(format!("exact@{n}.us_per_solve"), "us", us(&exact));
+        if n == 12 {
+            let gap = exact.iter().zip(&dp).map(|(e, d)| quotient(*e, *d));
+            rec.ratio("exact_vs_dp@12", true, Spread::of(gap));
+        }
     }
 
     rec.invariant("consistent", consistent);
@@ -114,8 +206,8 @@ mod tests {
 
     #[test]
     fn smoke_run_is_consistent_and_complete() {
-        let rec = run(2048);
-        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_kernel.json"));
+        let rec = run(2048, 2048);
+        crate::record::assert_same_metrics(&rec, "BENCH_kernel.json");
         assert!(
             rec.holds("consistent"),
             "the grid layout diverged from partition_point"
@@ -124,10 +216,7 @@ mod tests {
             rec.holds("deterministic"),
             "a workload failed to reproduce its digest"
         );
-        for m in &rec.metrics {
-            if let Some(v) = rec.median(&m.name) {
-                assert!(v > 0.0, "{}: {v}", m.name);
-            }
-        }
+        // Positive medians and ordered spreads: the record checks.
+        Record::parse(&rec.to_json()).expect("passes the record checks");
     }
 }

@@ -14,6 +14,8 @@
 //!   (default `200`; the paper uses `2000`);
 //! * `MBP_MAX_N` — largest number of price points for Figures 9–10
 //!   (default `10`, like the paper).
+//!
+//! A malformed or out-of-range value is an error naming the variable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,29 +97,99 @@ impl Default for Config {
     }
 }
 
+/// Reads knob `name` through `get`: `None` when it is unset, otherwise its
+/// value parsed as `T` if `valid` accepts it, and an error naming the
+/// variable and what it must be (`expect`) when it does not parse or is
+/// out of range.
+pub fn knob<T: std::str::FromStr + Copy>(
+    get: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+    expect: &str,
+    valid: fn(T) -> bool,
+) -> Result<Option<T>, String> {
+    let Some(raw) = get(name) else {
+        return Ok(None);
+    };
+    match raw.trim().parse::<T>() {
+        Ok(v) if valid(v) => Ok(Some(v)),
+        _ => Err(format!("{name} must be {expect}, got {raw:?}")),
+    }
+}
+
+/// The process environment as a knob source for [`knob`].
+pub fn env_var(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Unwraps a knob result, or prints `error: ...` and exits 1.
+pub fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
 impl Config {
-    /// Reads the config from `MBP_SCALE` / `MBP_REPS` / `MBP_MAX_N`
-    /// environment variables, falling back to defaults.
+    /// Reads the config from the `MBP_SCALE` / `MBP_REPS` / `MBP_MAX_N`
+    /// knobs in `get`, falling back to defaults for unset ones.
+    pub fn parse(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let d = Config::default();
+        Ok(Config {
+            scale: knob(get, "MBP_SCALE", "a number in (0, 1]", |v: f64| {
+                v > 0.0 && v <= 1.0
+            })?
+            .unwrap_or(d.scale),
+            reps: knob(get, "MBP_REPS", "a positive integer", |v: usize| v > 0)?.unwrap_or(d.reps),
+            max_n: knob(get, "MBP_MAX_N", "an integer of at least 2", |v: usize| {
+                v >= 2
+            })?
+            .unwrap_or(d.max_n),
+            seed: d.seed,
+        })
+    }
+
+    /// [`Config::parse`] over the process environment; a malformed or
+    /// out-of-range value exits the process with an error naming it.
     pub fn from_env() -> Self {
-        let mut cfg = Config::default();
-        if let Ok(s) = std::env::var("MBP_SCALE") {
-            if let Ok(v) = s.parse::<f64>() {
-                assert!(v > 0.0 && v <= 1.0, "MBP_SCALE must be in (0, 1]");
-                cfg.scale = v;
-            }
+        or_exit(Config::parse(&env_var))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn vars(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
+        move |name| {
+            pairs
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
         }
-        if let Ok(s) = std::env::var("MBP_REPS") {
-            if let Ok(v) = s.parse::<usize>() {
-                assert!(v > 0, "MBP_REPS must be positive");
-                cfg.reps = v;
-            }
+    }
+
+    #[test]
+    fn config_reads_every_knob_and_defaults_the_rest() {
+        let cfg = Config::parse(&vars(&[("MBP_SCALE", "0.5"), ("MBP_MAX_N", "6")])).unwrap();
+        assert_eq!((cfg.scale, cfg.reps, cfg.max_n), (0.5, 200, 6));
+    }
+
+    #[test]
+    fn bad_config_values_are_errors_naming_the_variable() {
+        for (name, raw) in [
+            ("MBP_SCALE", "abc"),
+            ("MBP_SCALE", "0"),
+            ("MBP_SCALE", "1.5"),
+            ("MBP_SCALE", "NaN"),
+            ("MBP_REPS", "0"),
+            ("MBP_REPS", "-3"),
+            ("MBP_REPS", "2.5"),
+            ("MBP_MAX_N", "1"),
+            ("MBP_MAX_N", ""),
+        ] {
+            let get = |n: &str| (n == name).then(|| raw.to_string());
+            let err = Config::parse(&get).expect_err(raw);
+            assert!(err.starts_with(name), "{name}={raw:?}: {err}");
         }
-        if let Ok(s) = std::env::var("MBP_MAX_N") {
-            if let Ok(v) = s.parse::<usize>() {
-                assert!(v >= 2, "MBP_MAX_N must be at least 2");
-                cfg.max_n = v;
-            }
-        }
-        cfg
     }
 }

@@ -16,7 +16,7 @@
 //! so backpressure frames (which are timing-dependent) never enter the
 //! response streams being digested.
 //!
-//! The `loadgen` binary writes the record to `BENCH_serve_net.json`.
+//! The ratchet writes the record as `BENCH_serve_net.json`.
 
 use crate::record::{per_sec, percentile, repeat, Record, Spread};
 use mbp_core::error::SquareLossTransform;
@@ -196,7 +196,7 @@ mod tests {
         let sampled = drive(4, 128);
         assert_eq!(sampled.latencies.len(), 4 * 128, "one sample per request");
         let rec = run(64);
-        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_serve_net.json"));
+        crate::record::assert_same_metrics(&rec, "BENCH_serve_net.json");
         for conns in SWEEP_CONNS {
             assert!(rec.median(&format!("{conns}conns.rps")).expect("measured") > 0.0);
         }

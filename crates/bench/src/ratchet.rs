@@ -1,5 +1,7 @@
-//! Bench ratchet: diffs a fresh [`Record`] against the committed
-//! `BENCH_*.json` record and fails when a metric left its band.
+//! Bench ratchet: the one driver for the `BENCH_*.json` records. [`BENCHES`]
+//! registers every record; [`Bench::check`] measures a fresh one at the
+//! committed record's `params`, writes it under [`FRESH_DIR`], and diffs
+//! it against the committed record with [`compare`].
 //!
 //! [`compare`] is the one comparator. It compares medians, metric by
 //! metric, with the rule the committed metric's kind and direction select:
@@ -14,20 +16,24 @@
 //!   must not fall below `baseline / (1 + p99_tolerance)`, a floor that
 //!   stays above zero at any tolerance; the default band is 100% (a
 //!   gross-regression guard) and `MBP_RATCHET_TOL` adjusts it.
+//! * An **unbanded** record ([`Bench::banded`] false) reports its
+//!   measurements beside the committed ones and holds them to nothing.
 //! * **Invariants** must hold in both records, with no tolerance.
-//! * A metric either record lacks fails the check.
+//! * A metric either record lacks fails the check, and the committed
+//!   record must be stamped (`commit` and `generated_at` not `unknown`).
 //! * **Hard floors** ([`HARD_FLOORS`]) bind the *committed* record: a
 //!   baseline under one cannot be committed, so a regression cannot be
-//!   laundered by regenerating a worse baseline, while fresh smoke runs
-//!   stay inside the relative band.
+//!   laundered by regenerating a worse baseline, while fresh runs stay
+//!   inside the relative band.
 //! * **Budgets** ([`BUDGETS`]) take the place of the band for the tracing
 //!   overheads: the committed record is held to the strict ceiling, a
-//!   fresh run to [`RatchetConfig::fresh_budgets`]
-//!   (`MBP_TRACE_BUDGET_DISABLED` / `MBP_TRACE_BUDGET_ENABLED`).
+//!   fresh run to a loose one.
 //!
 //! Floors and budgets live here, not in the records, so regenerating a
 //! file cannot move them. Every check prints both sides' `[min, max]`
-//! over their repeats beside its verdict.
+//! over their repeats beside its verdict. The checks a single record must
+//! pass on its own (ordered spreads, positive medians, `p99 ≥ p50`) are
+//! [`Record::parse`]'s.
 //!
 //! Records are parsed with a small self-contained JSON reader (the
 //! workspace is dependency-free), so the comparator accepts any
@@ -36,7 +42,10 @@
 
 use crate::record::{Kind, Record, Value};
 use crate::report::fmt;
+use crate::{env_var, knob, or_exit};
 use std::collections::BTreeMap;
+use std::fs;
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON value + parser
@@ -292,9 +301,15 @@ pub const HARD_FLOORS: [(&str, f64); 3] = [
     ("recovery_replay_speedup", 1.0),
 ];
 
-/// Tracing-overhead ceilings for the committed record: ≤2% with tracing
-/// compiled in but disabled, ≤10% for turning it on.
-pub const BUDGETS: [(&str, f64); 2] = [("overhead_disabled", 0.02), ("overhead_enabled", 0.10)];
+/// Tracing-overhead ceilings: (metric, committed, fresh). The committed
+/// record must show ≤2% with tracing compiled in but disabled and ≤10%
+/// for turning it on. Shared or single-core machines time the overhead
+/// deltas noisily, so a fresh run is held only to a gross-regression
+/// ceiling of 25% / 50%.
+pub const BUDGETS: [(&str, f64, f64); 2] = [
+    ("overhead_disabled", 0.02, 0.25),
+    ("overhead_enabled", 0.10, 0.50),
+];
 
 /// Tolerance bands for the ratchet.
 #[derive(Debug, Clone, Copy)]
@@ -303,11 +318,6 @@ pub struct RatchetConfig {
     pub ratio_tolerance: f64,
     /// Allowed relative regression on latencies and throughputs.
     pub p99_tolerance: f64,
-    /// Fresh-run ceilings, aligned with [`BUDGETS`]. Shared or
-    /// single-core machines time the overhead deltas noisily, so a fresh
-    /// run is a gross-regression guard; the committed record carries the
-    /// strict verdict.
-    pub fresh_budgets: [f64; 2],
 }
 
 impl Default for RatchetConfig {
@@ -315,35 +325,34 @@ impl Default for RatchetConfig {
         RatchetConfig {
             ratio_tolerance: 0.15,
             p99_tolerance: 1.00,
-            fresh_budgets: [0.25, 0.50],
         }
     }
 }
 
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name)
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite() && *v >= 0.0)
-}
-
 impl RatchetConfig {
     /// Default bands, adjusted by `MBP_RATCHET_TOL` (latency/throughput
-    /// band, e.g. `1.0` = 100%), `MBP_RATCHET_RATIO_TOL` (ratio band;
+    /// band, e.g. `1.0` = 100%) and `MBP_RATCHET_RATIO_TOL` (ratio band;
     /// single smoke runs on a time-sliced core swing same-process ratios
-    /// by ±25%) and `MBP_TRACE_BUDGET_DISABLED` /
-    /// `MBP_TRACE_BUDGET_ENABLED` (fresh-run budgets).
-    pub fn from_env() -> Self {
+    /// by ±25%) read through `get`. A value that is not a finite number
+    /// ≥ 0 is an error naming the variable.
+    pub fn parse(get: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
         let d = RatchetConfig::default();
-        RatchetConfig {
-            ratio_tolerance: env_f64("MBP_RATCHET_RATIO_TOL").unwrap_or(d.ratio_tolerance),
-            p99_tolerance: env_f64("MBP_RATCHET_TOL").unwrap_or(d.p99_tolerance),
-            fresh_budgets: [
-                env_f64("MBP_TRACE_BUDGET_DISABLED").unwrap_or(d.fresh_budgets[0]),
-                env_f64("MBP_TRACE_BUDGET_ENABLED").unwrap_or(d.fresh_budgets[1]),
-            ],
-        }
+        let tol = |name: &str, default: f64| {
+            let v = knob(get, name, "a finite number >= 0", |v: f64| {
+                v.is_finite() && v >= 0.0
+            })?;
+            Ok::<f64, String>(v.unwrap_or(default))
+        };
+        Ok(RatchetConfig {
+            ratio_tolerance: tol("MBP_RATCHET_RATIO_TOL", d.ratio_tolerance)?,
+            p99_tolerance: tol("MBP_RATCHET_TOL", d.p99_tolerance)?,
+        })
+    }
+
+    /// [`RatchetConfig::parse`] over the process environment; a bad value
+    /// exits the process with an error naming it.
+    pub fn from_env() -> Self {
+        or_exit(RatchetConfig::parse(&env_var))
     }
 }
 
@@ -351,7 +360,8 @@ impl RatchetConfig {
 #[derive(Debug, Clone)]
 pub struct RatchetCheck {
     /// Checked metric, suffixed `.hard_floor` / `.budget(committed)` /
-    /// `.budget(fresh)` for the checks held in code.
+    /// `.budget(fresh)` for the checks held in code; `stamp(committed)`
+    /// for the committed record's provenance.
     pub metric: String,
     /// Whether the check passed.
     pub ok: bool,
@@ -398,9 +408,16 @@ impl RatchetReport {
 }
 
 /// Diffs a fresh record against the committed one (see the module docs
-/// for the rules).
-pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetReport {
+/// for the rules). With `banded` false, measured metrics are reported but
+/// held to no band; every other check still applies.
+pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig, banded: bool) -> RatchetReport {
     let mut report = RatchetReport::default();
+    let (commit, at) = (&base.meta.commit, &base.meta.generated_at);
+    report.push(
+        "stamp(committed)".into(),
+        commit != "unknown" && at != "unknown",
+        format!("commit {commit}, generated_at {at}"),
+    );
     for m in fresh
         .metrics
         .iter()
@@ -445,8 +462,7 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetRep
             let detail = format!("committed {bs} >= {floor}");
             report.push(format!("{}.hard_floor", b.name), bs.median >= floor, detail);
         }
-        if let Some(i) = BUDGETS.iter().position(|(n, _)| *n == b.name) {
-            let (strict, loose) = (BUDGETS[i].1, cfg.fresh_budgets[i]);
+        if let Some(&(_, strict, loose)) = BUDGETS.iter().find(|(n, ..)| *n == b.name) {
             let detail = format!("committed {bs} <= {strict}");
             report.push(
                 format!("{}.budget(committed)", b.name),
@@ -459,6 +475,11 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetRep
                 fs.median <= loose,
                 detail,
             );
+            continue;
+        }
+        if !banded {
+            let detail = format!("fresh {fs} (committed {bs}, not banded)");
+            report.push(b.name.clone(), true, detail);
             continue;
         }
         let tol = match kind {
@@ -481,55 +502,132 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetRep
     report
 }
 
+// ---------------------------------------------------------------------------
+// Registry
+// ---------------------------------------------------------------------------
+
+/// One `BENCH_*.json` record: where it lives, how its fresh run is sized
+/// from the committed record, and whether its measurements are banded.
+#[derive(Debug, Clone, Copy)]
+pub struct Bench {
+    /// Short name printed beside the record's checks.
+    pub label: &'static str,
+    /// File name, both at the repo root and under [`FRESH_DIR`].
+    pub file: &'static str,
+    /// Whether measured metrics are held to a band. `parallel`'s are not:
+    /// two noisy vCPUs cannot show its speedups, so only its invariants
+    /// and the record checks apply.
+    pub banded: bool,
+    /// Measures a fresh record at the committed record's `params`.
+    pub run: fn(&Record) -> Result<Record, String>,
+}
+
+/// Where the ratchet writes every fresh record, relative to the working
+/// directory. Regenerating a committed record is copying its file from
+/// here after a run stamped with `MBP_BENCH_COMMIT` / `MBP_BENCH_TIME`.
+pub const FRESH_DIR: &str = "target/bench";
+
+/// Every BENCH record, in the order the ratchet measures them.
+pub const BENCHES: [Bench; 7] = [
+    Bench {
+        label: "parallel",
+        file: "BENCH_parallel.json",
+        banded: false,
+        run: |c| Ok(crate::parbench::run(c.size("repeats")?)),
+    },
+    Bench {
+        label: "serving",
+        file: "BENCH_serving.json",
+        banded: true,
+        run: |c| Ok(crate::servebench::run(c.size("quotes")?)),
+    },
+    Bench {
+        label: "serve-net",
+        file: "BENCH_serve_net.json",
+        banded: true,
+        run: |c| Ok(crate::netbench::run(c.size("requests_per_conn")?)),
+    },
+    Bench {
+        label: "kernel",
+        file: "BENCH_kernel.json",
+        banded: true,
+        run: |c| {
+            Ok(crate::kernelbench::run(
+                c.size("lookups")?,
+                c.size("coords")?,
+            ))
+        },
+    },
+    Bench {
+        label: "wal",
+        file: "BENCH_wal.json",
+        banded: true,
+        run: |c| Ok(crate::walbench::run(c.size("records")?)),
+    },
+    Bench {
+        label: "testkit",
+        file: "BENCH_testkit.json",
+        banded: true,
+        run: |c| Ok(crate::attackbench::run(c.size("trials")? as u64)),
+    },
+    Bench {
+        label: "trace",
+        file: "BENCH_trace.json",
+        banded: true,
+        run: |c| {
+            Ok(crate::tracebench::run(
+                c.size("quotes")?,
+                c.size("model_dim")?,
+            ))
+        },
+    },
+];
+
+impl Bench {
+    /// Reads the committed record from `dir`, measures a fresh one at its
+    /// `params`, writes that to `out_dir` (the ratchet's is [`FRESH_DIR`])
+    /// under the same file name, and compares the two. The fresh record is
+    /// read back through [`Record::parse`], so both sides pass the same
+    /// record checks. Any read, parse or write failure is an error.
+    pub fn check(
+        &self,
+        dir: &Path,
+        out_dir: &Path,
+        cfg: &RatchetConfig,
+    ) -> Result<RatchetReport, String> {
+        let path = dir.join(self.file);
+        let committed = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+            .and_then(|text| Record::parse(&text).map_err(|e| format!("{}: {e}", self.file)))?;
+        println!(
+            "measuring {} at the committed {:?}...",
+            self.label, committed.params
+        );
+        let json = (self.run)(&committed)?.to_json();
+        let out = out_dir.join(self.file);
+        fs::create_dir_all(out_dir)
+            .and_then(|()| fs::write(&out, &json))
+            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+        let fresh = Record::parse(&json).map_err(|e| format!("fresh {}: {e}", self.file))?;
+        Ok(compare(&committed, &fresh, cfg, self.banded))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Metric, Spread};
-
-    /// Every committed record, by file name.
-    const COMMITTED: [(&str, &str); 7] = [
-        (
-            "BENCH_kernel.json",
-            include_str!("../../../BENCH_kernel.json"),
-        ),
-        (
-            "BENCH_parallel.json",
-            include_str!("../../../BENCH_parallel.json"),
-        ),
-        (
-            "BENCH_serve_net.json",
-            include_str!("../../../BENCH_serve_net.json"),
-        ),
-        (
-            "BENCH_serving.json",
-            include_str!("../../../BENCH_serving.json"),
-        ),
-        (
-            "BENCH_testkit.json",
-            include_str!("../../../BENCH_testkit.json"),
-        ),
-        (
-            "BENCH_trace.json",
-            include_str!("../../../BENCH_trace.json"),
-        ),
-        ("BENCH_wal.json", include_str!("../../../BENCH_wal.json")),
-    ];
+    use crate::record::{committed, Metric, Spread};
 
     /// CI's bands (`MBP_RATCHET_TOL=4.0`, `MBP_RATCHET_RATIO_TOL=0.40`).
     const CI: RatchetConfig = RatchetConfig {
         ratio_tolerance: 0.40,
         p99_tolerance: 4.0,
-        fresh_budgets: [0.25, 0.50],
     };
 
-    fn committed(file: &str) -> Record {
-        let (_, text) = COMMITTED.iter().find(|(f, _)| *f == file).expect("listed");
-        Record::parse(text).unwrap_or_else(|e| panic!("{file}: {e}"))
-    }
-
-    /// A record with one measured metric whose every repeat read `v`.
+    /// A stamped record with one measured metric whose every repeat read
+    /// `v`.
     fn one(name: &str, kind: Kind, higher_is_better: bool, v: f64) -> Record {
-        let mut r = Record::new(&[]);
+        let mut r = stamped();
         r.metrics.push(Metric {
             name: name.to_string(),
             value: Value::Measured {
@@ -542,8 +640,15 @@ mod tests {
         r
     }
 
-    fn invariant(name: &str, holds: bool) -> Record {
+    fn stamped() -> Record {
         let mut r = Record::new(&[]);
+        r.meta.commit = "abc1234".into();
+        r.meta.generated_at = "2026-10-19T00:00Z".into();
+        r
+    }
+
+    fn invariant(name: &str, holds: bool) -> Record {
+        let mut r = stamped();
         r.invariant(name, holds);
         r
     }
@@ -575,15 +680,16 @@ mod tests {
 
     /// The comparator's whole contract as one table: each band just
     /// inside and just outside (at the default and at CI's tolerances),
-    /// a missing metric either way, invariants, every hard floor and
-    /// budget; then every committed record round-trips, is stamped, and
-    /// passes against itself.
+    /// a missing metric either way, invariants, the stamp, every hard
+    /// floor and budget, and an unbanded record; then every registered
+    /// record round-trips and passes against itself.
     #[test]
     fn comparator_table() {
         let def = RatchetConfig::default();
-        // (label, committed, fresh, bands, the check that must fail or
-        // `None` for a pass)
-        let mut cases: Vec<(String, Record, Record, RatchetConfig, Option<String>)> = Vec::new();
+        // (label, committed, fresh, bands, banded, the check that must
+        // fail or `None` for a pass)
+        type Case = (String, Record, Record, RatchetConfig, bool, Option<String>);
+        let mut cases: Vec<Case> = Vec::new();
         for cfg in [def, CI] {
             let (r, p) = (cfg.ratio_tolerance, cfg.p99_tolerance);
             // (kind, higher is better, the bound for a committed 100)
@@ -600,66 +706,98 @@ mod tests {
                 };
                 let base = one("m", kind, higher, 100.0);
                 let label = format!("{kind:?} higher={higher} tol {r}/{p}");
+                let fresh = one("m", kind, higher, inside);
                 cases.push((
                     format!("{label} inside"),
                     base.clone(),
-                    one("m", kind, higher, inside),
+                    fresh,
                     cfg,
+                    true,
                     None,
                 ));
+                let fresh = one("m", kind, higher, outside);
+                let fails = Some("m".into());
                 cases.push((
                     format!("{label} outside"),
-                    base,
-                    one("m", kind, higher, outside),
+                    base.clone(),
+                    fresh.clone(),
                     cfg,
-                    Some("m".into()),
+                    true,
+                    fails,
+                ));
+                cases.push((
+                    format!("{label} outside, unbanded"),
+                    base,
+                    fresh,
+                    cfg,
+                    false,
+                    None,
                 ));
             }
         }
         let t = |v| one("m", Kind::Throughput, true, v);
         let other = one("n", Kind::Throughput, true, 1.0);
-        cases.push((
-            "missing from fresh".into(),
-            t(1.0),
-            other.clone(),
-            def,
-            Some("m".into()),
-        ));
-        cases.push((
-            "missing from committed".into(),
-            other,
-            t(1.0),
-            def,
-            Some("m".into()),
-        ));
-        cases.push((
-            "kind changed".into(),
-            t(1.0),
-            invariant("m", true),
-            def,
-            Some("m".into()),
-        ));
-        for (b, f) in [(true, false), (false, true)] {
-            let label = format!("invariant committed {b} fresh {f}");
+        let m = || Some("m".to_string());
+        for banded in [true, false] {
+            let label = |s: &str| format!("{s}, banded {banded}");
             cases.push((
-                label,
-                invariant("i", b),
-                invariant("i", f),
+                label("missing from fresh"),
+                t(1.0),
+                other.clone(),
                 def,
-                Some("i".into()),
+                banded,
+                m(),
+            ));
+            cases.push((
+                label("missing from committed"),
+                other.clone(),
+                t(1.0),
+                def,
+                banded,
+                m(),
+            ));
+            let kind = invariant("m", true);
+            cases.push((label("kind changed"), t(1.0), kind, def, banded, m()));
+            for (b, f) in [(true, false), (false, true)] {
+                let label = label(&format!("invariant committed {b} fresh {f}"));
+                let (b, f) = (invariant("i", b), invariant("i", f));
+                cases.push((label, b, f, def, banded, Some("i".into())));
+            }
+            let held = invariant("i", true);
+            cases.push((
+                label("invariant holds"),
+                held.clone(),
+                held,
+                def,
+                banded,
+                None,
+            ));
+            let mut unstamped = t(1.0);
+            unstamped.meta.commit = "unknown".into();
+            let fails = Some("stamp(committed)".into());
+            cases.push((
+                label("unstamped commit"),
+                unstamped,
+                t(1.0),
+                def,
+                banded,
+                fails.clone(),
+            ));
+            let mut unstamped = t(1.0);
+            unstamped.meta.generated_at = "unknown".into();
+            cases.push((
+                label("unstamped time"),
+                unstamped,
+                t(1.0),
+                def,
+                banded,
+                fails,
             ));
         }
-        cases.push((
-            "invariant holds".into(),
-            invariant("i", true),
-            invariant("i", true),
-            def,
-            None,
-        ));
         for (name, floor) in HARD_FLOORS {
             let (at, under) = (floor, floor * 0.999);
             let r = |v| one(name, Kind::Ratio, true, v);
-            cases.push((format!("{name} at floor"), r(at), r(at), def, None));
+            cases.push((format!("{name} at floor"), r(at), r(at), def, true, None));
             // A self-compare passes the band trivially; the floor still binds.
             let fails = Some(format!("{name}.hard_floor"));
             cases.push((
@@ -667,55 +805,112 @@ mod tests {
                 r(under),
                 r(under),
                 def,
+                true,
                 fails,
             ));
         }
-        for ((name, strict), loose) in BUDGETS.into_iter().zip(def.fresh_budgets) {
+        for (name, strict, loose) in BUDGETS {
             let r = |v| one(name, Kind::Ratio, false, v);
             let label = |s: &str| format!("{name} {s}");
-            cases.push((
-                label("under both"),
-                r(strict * 0.999),
-                r(loose * 0.999),
-                def,
-                None,
-            ));
+            let (base, fresh) = (r(strict * 0.999), r(loose * 0.999));
+            cases.push((label("under both"), base, fresh, def, true, None));
             let fails = Some(format!("{name}.budget(committed)"));
-            cases.push((
-                label("committed over"),
-                r(strict * 1.001),
-                r(0.0),
-                def,
-                fails,
-            ));
+            let (base, fresh) = (r(strict * 1.001), r(0.0));
+            cases.push((label("committed over"), base, fresh, def, true, fails));
             let fails = Some(format!("{name}.budget(fresh)"));
-            cases.push((label("fresh over"), r(0.0), r(loose * 1.001), def, fails));
+            let (base, fresh) = (r(0.0), r(loose * 1.001));
+            cases.push((label("fresh over"), base, fresh, def, true, fails));
         }
-        for (file, text) in COMMITTED {
-            let rec = committed(file);
-            assert_eq!(rec.to_json(), text, "{file} does not round-trip");
-            for stamp in [&rec.meta.commit, &rec.meta.generated_at] {
-                assert_ne!(stamp, "unknown", "{file} is not stamped");
-            }
-            // Every committed record passes against itself, hard floors
-            // included. The committed tracing budgets are the ratchet
-            // binary's verdict (CI's `Bench ratchet` step), not this
-            // test's: nine rounds on a shared host do not resolve 2%, so a
-            // regenerated record can miss them by noise alone.
-            let report = compare(&rec, &rec, &def);
+        for bench in BENCHES {
+            let (rec, text) = committed(bench.file);
+            assert_eq!(rec.to_json(), text, "{} does not round-trip", bench.file);
+            // Every committed record passes against itself, stamp and hard
+            // floors included. The committed tracing budgets are the
+            // ratchet binary's verdict (CI's `Bench ratchet` step), not
+            // this test's: nine rounds on a shared host do not resolve 2%,
+            // so a regenerated record can miss them by noise alone.
+            let report = compare(&rec, &rec, &def, bench.banded);
             let held = |c: &&RatchetCheck| !c.metric.ends_with(".budget(committed)");
             assert!(
                 report.checks.iter().filter(held).all(|c| c.ok),
-                "{file} against itself: {}",
+                "{} against itself: {}",
+                bench.file,
                 report.render()
             );
         }
 
-        for (label, base, fresh, cfg, fails) in cases {
-            let report = compare(&base, &fresh, &cfg);
+        for (label, base, fresh, cfg, banded, fails) in cases {
+            let report = compare(&base, &fresh, &cfg, banded);
             match fails {
                 None => assert!(report.pass(), "{label}: {}", report.render()),
                 Some(name) => assert!(report.failed(&name), "{label}: {}", report.render()),
+            }
+        }
+    }
+
+    /// The registry names exactly the `BENCH_*.json` files at the repo
+    /// root, each once.
+    #[test]
+    fn registry_lists_every_committed_record() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut on_disk: Vec<String> = fs::read_dir(root)
+            .expect("repo root lists")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        on_disk.sort();
+        let mut registered: Vec<String> = BENCHES.iter().map(|b| b.file.to_string()).collect();
+        registered.sort();
+        assert_eq!(on_disk, registered);
+        let mut labels: Vec<&str> = BENCHES.iter().map(|b| b.label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), BENCHES.len(), "labels are unique");
+    }
+
+    /// `check` writes the fresh record and compares it; a fresh record it
+    /// cannot write, or a committed one it cannot read, is an error.
+    #[test]
+    fn check_writes_the_fresh_record_and_fails_on_io_errors() {
+        let root = std::env::temp_dir().join(format!("mbp-ratchet-check-{}", std::process::id()));
+        let (committed_dir, out_dir) = (root.join("committed"), root.join("out"));
+        fs::create_dir_all(&committed_dir).expect("temp dir");
+        let rec = one("m", Kind::Throughput, true, 2.0);
+        fs::write(committed_dir.join("BENCH_unit.json"), rec.to_json()).expect("write");
+        let bench = Bench {
+            label: "unit",
+            file: "BENCH_unit.json",
+            banded: true,
+            run: |c| Ok(c.clone()),
+        };
+        let cfg = RatchetConfig::default();
+        let report = bench.check(&committed_dir, &out_dir, &cfg).expect("checks");
+        assert!(report.pass(), "{}", report.render());
+        let written = fs::read_to_string(out_dir.join("BENCH_unit.json")).expect("written");
+        assert_eq!(written, rec.to_json());
+        // An output directory that is a file cannot be written.
+        let blocked = committed_dir.join("BENCH_unit.json");
+        let err = bench
+            .check(&committed_dir, &blocked, &cfg)
+            .expect_err("unwritable");
+        assert!(err.starts_with("cannot write"), "{err}");
+        let err = bench
+            .check(&out_dir.join("none"), &out_dir, &cfg)
+            .expect_err("unreadable");
+        assert!(err.starts_with("cannot read"), "{err}");
+        fs::remove_dir_all(&root).expect("cleanup");
+    }
+
+    #[test]
+    fn bad_tolerances_are_errors_naming_the_variable() {
+        let ok = RatchetConfig::parse(&|n| (n == "MBP_RATCHET_TOL").then(|| "4.0".into()))
+            .expect("valid");
+        assert_eq!((ok.p99_tolerance, ok.ratio_tolerance), (4.0, 0.15));
+        for name in ["MBP_RATCHET_TOL", "MBP_RATCHET_RATIO_TOL"] {
+            for raw in ["abc", "-0.5", "NaN", "inf", ""] {
+                let get = |n: &str| (n == name).then(|| raw.to_string());
+                let err = RatchetConfig::parse(&get).expect_err(raw);
+                assert!(err.starts_with(name), "{name}={raw:?}: {err}");
             }
         }
     }
@@ -725,7 +920,7 @@ mod tests {
     /// `baseline × (1 − tol)` that goes negative at any tolerance over 1.
     #[test]
     fn zero_throughput_fails_at_ci_tolerance() {
-        let base = committed("BENCH_serve_net.json");
+        let (base, _) = committed("BENCH_serve_net.json");
         let mut fresh = base.clone();
         for m in &mut fresh.metrics {
             if let (true, Value::Measured { spread, .. }) =
@@ -734,7 +929,7 @@ mod tests {
                 *spread = Spread::of([0.0]);
             }
         }
-        let report = compare(&base, &fresh, &CI);
+        let report = compare(&base, &fresh, &CI, true);
         assert!(report.failed("saturation_rps"), "{}", report.render());
     }
 }

@@ -372,21 +372,81 @@ impl Record {
             };
             metrics.push(Metric { name, value });
         }
-        Ok(Record {
+        let rec = Record {
             meta,
             params,
             metrics,
-        })
+        };
+        rec.check()?;
+        Ok(rec)
+    }
+
+    /// The checks a record must pass on its own: a machine with at least
+    /// one thread; every measured metric with a unit, at least one repeat,
+    /// `min ≤ median ≤ max`, and a positive median unless it is a
+    /// lower-is-better ratio (an overhead may be zero or negative); and
+    /// every `.p99_us` at or above its `.p50_us`, which must exist.
+    fn check(&self) -> Result<(), String> {
+        if self.meta.hardware_threads == 0 {
+            return Err("hardware_threads is 0".to_string());
+        }
+        for m in &self.metrics {
+            let Value::Measured {
+                kind,
+                higher_is_better,
+                unit,
+                spread: s,
+            } = &m.value
+            else {
+                continue;
+            };
+            let fail = |e: &str| Err(format!("metric '{}': {e}", m.name));
+            if unit.is_empty() {
+                return fail("empty unit");
+            }
+            if s.repeats == 0 {
+                return fail("no repeats");
+            }
+            if !(s.min <= s.median && s.median <= s.max) {
+                return fail(&format!("spread out of order: {s}"));
+            }
+            if (*kind != Kind::Ratio || *higher_is_better) && s.median <= 0.0 {
+                return fail(&format!("median {} is not positive", s.median));
+            }
+            if let Some(stem) = m.name.strip_suffix(".p99_us") {
+                match self.median(&format!("{stem}.p50_us")) {
+                    Some(p50) if s.median >= p50 => {}
+                    Some(p50) => return fail(&format!("p99 {} under p50 {p50}", s.median)),
+                    None => return fail("no matching .p50_us"),
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-/// Asserts that `rec` names the same metrics, in the same order, as the
-/// committed record `committed`.
+/// The committed record `file` at the repo root, parsed, and its text.
+/// Panics unless `file` is registered in [`crate::ratchet::BENCHES`].
 #[cfg(test)]
-pub(crate) fn assert_same_metrics(rec: &Record, committed: &str) {
+pub(crate) fn committed(file: &str) -> (Record, String) {
+    assert!(
+        crate::ratchet::BENCHES.iter().any(|b| b.file == file),
+        "{file} is not a registered record"
+    );
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let rec = Record::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+    (rec, text)
+}
+
+/// Asserts that `rec` names the same metrics, in the same order, as the
+/// committed record `file`.
+#[cfg(test)]
+pub(crate) fn assert_same_metrics(rec: &Record, file: &str) {
     let names = |r: &Record| r.metrics.iter().map(|m| m.name.clone()).collect::<Vec<_>>();
-    let committed = Record::parse(committed).expect("committed record parses");
-    assert_eq!(names(rec), names(&committed));
+    assert_eq!(names(rec), names(&committed(file).0));
 }
 
 #[cfg(test)]
@@ -399,6 +459,80 @@ mod tests {
         assert_eq!((s.repeats, s.median, s.min, s.max), (3, 2.0, 1.0, 3.0));
         assert_eq!(Spread::of([4.0, 1.0]).median, 2.5);
         assert_eq!(Spread::of([]).repeats, 0);
+    }
+
+    /// A valid record: one latency pair, one lower-is-better ratio at
+    /// zero, one invariant.
+    const VALID: &str = r#"{
+  "commit": "abc1234",
+  "generated_at": "2026-10-19T00:00Z",
+  "hardware_threads": 2,
+  "params": {"quotes": 100},
+  "metrics": [
+    {"name": "a.p50_us", "kind": "latency", "better": "lower", "unit": "us", "repeats": 3, "median": 2, "min": 1, "max": 3},
+    {"name": "a.p99_us", "kind": "latency", "better": "lower", "unit": "us", "repeats": 3, "median": 5, "min": 4, "max": 6},
+    {"name": "rps", "kind": "throughput", "better": "higher", "unit": "requests/s", "repeats": 3, "median": 9, "min": 8, "max": 10},
+    {"name": "speedup", "kind": "ratio", "better": "higher", "unit": "x", "repeats": 3, "median": 1.5, "min": 1.2, "max": 1.7},
+    {"name": "overhead", "kind": "ratio", "better": "lower", "unit": "x", "repeats": 3, "median": 0, "min": -0.1, "max": 0.2},
+    {"name": "ok", "kind": "invariant", "holds": true}
+  ]
+}
+"#;
+
+    /// Each record check, broken once: (the text replaced, its
+    /// replacement, a phrase the error must carry).
+    #[test]
+    fn parse_rejects_each_broken_record_check() {
+        let rec = Record::parse(VALID).expect("the valid record parses");
+        assert_eq!(rec.to_json(), VALID);
+        for (from, to, phrase) in [
+            (
+                "\"hardware_threads\": 2",
+                "\"hardware_threads\": 0",
+                "hardware_threads",
+            ),
+            ("\"unit\": \"requests/s\"", "\"unit\": \"\"", "empty unit"),
+            (
+                "\"repeats\": 3, \"median\": 9",
+                "\"repeats\": 0, \"median\": 9",
+                "no repeats",
+            ),
+            (
+                "\"median\": 9, \"min\": 8",
+                "\"median\": 9, \"min\": 9.5",
+                "out of order",
+            ),
+            (
+                "\"median\": 9, \"min\": 8, \"max\": 10",
+                "\"median\": 11, \"min\": 8, \"max\": 10",
+                "out of order",
+            ),
+            (
+                "\"median\": 9, \"min\": 8",
+                "\"median\": 0, \"min\": 0",
+                "rps': median 0 is not positive",
+            ),
+            (
+                "\"median\": 2, \"min\": 1",
+                "\"median\": 0, \"min\": 0",
+                "a.p50_us': median 0 is not positive",
+            ),
+            (
+                "\"median\": 1.5, \"min\": 1.2",
+                "\"median\": -1, \"min\": -2",
+                "speedup': median -1 is not positive",
+            ),
+            (
+                "\"median\": 5, \"min\": 4",
+                "\"median\": 1.5, \"min\": 1",
+                "p99 1.5 under p50 2",
+            ),
+            ("a.p50_us", "b.p50_us", "no matching .p50_us"),
+        ] {
+            assert!(VALID.contains(from), "{from}");
+            let err = Record::parse(&VALID.replacen(from, to, 1)).expect_err(phrase);
+            assert!(err.contains(phrase), "{phrase}: {err}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! Every workload runs its quote stream [`REPEATS`] times from the same
 //! seed; each metric is the median over those runs, with their min and
 //! max, and `deterministic` asserts every run's output digest agrees
-//! exactly. The `all` binary writes the record to `BENCH_serving.json`.
+//! exactly. The ratchet writes the record as `BENCH_serving.json`.
 
 use crate::record::{per_sec, percentile, quotient, repeat, Record, Spread};
 use mbp_core::error::SquareLossTransform;
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn smoke_run_is_deterministic_and_complete() {
         let rec = run(512);
-        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_serving.json"));
+        crate::record::assert_same_metrics(&rec, "BENCH_serving.json");
         assert!(
             rec.holds("table_matches_scan"),
             "table answers diverged from scan"

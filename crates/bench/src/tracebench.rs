@@ -33,8 +33,7 @@
 //! and max. Every run starts from the same seed; `deterministic` asserts
 //! all rounds produced identical digests (tracing never touches the
 //! pricing or noise streams), and `traced_spans_cover_quotes` that the
-//! traced run recorded at least one span per quote. The `all` binary
-//! writes the record to `BENCH_trace.json`.
+//! traced run recorded at least one span per quote.
 
 use crate::record::{per_sec, Record, Spread};
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
@@ -44,11 +43,6 @@ use mbp_ml::{LinearModel, ModelKind};
 use mbp_randx::{seeded_rng, MbpRng};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Listing dimension for the committed baseline: large enough that noise
-/// sampling dominates each quote, small enough to stay on the serial
-/// (deterministic) sampling path.
-const MODEL_DIM: usize = 1024;
 
 /// Interleaved rounds per baseline; each runs every workload once.
 const ROUNDS: usize = 9;
@@ -224,14 +218,12 @@ fn serve(
     digest
 }
 
-/// Runs the tracing-overhead baseline at the committed listing dimension.
-pub fn run(quotes: usize) -> Record {
-    run_with_dim(quotes, MODEL_DIM)
-}
-
-/// Runs the baseline at an explicit listing dimension (tests use a small
-/// one; the overhead ratios are only meaningful at serving-scale dims).
-pub fn run_with_dim(quotes: usize, dim: usize) -> Record {
+/// Runs the tracing-overhead baseline over `quotes` requests at listing
+/// dimension `dim`. The committed record's 1024 is large enough that noise
+/// sampling dominates each quote and small enough to stay on the serial
+/// (deterministic) sampling path; tests use a small one, since the
+/// overhead ratios are only meaningful at serving-scale dims.
+pub fn run(quotes: usize, dim: usize) -> Record {
     let quotes = quotes.max(256);
     let pricing = dense_pricing();
     let requests = request_stream(quotes);
@@ -320,8 +312,8 @@ mod tests {
     #[test]
     fn smoke_run_is_deterministic_and_traced() {
         let _g = serial();
-        let rec = run_with_dim(256, 32);
-        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_trace.json"));
+        let rec = run(256, 32);
+        crate::record::assert_same_metrics(&rec, "BENCH_trace.json");
         for name in WORKLOADS {
             let qps = rec
                 .median(&format!("{name}.quotes_per_sec"))

@@ -21,7 +21,7 @@
 //! replays the segment its run's append just wrote and must reproduce
 //! the same state digest on every run (`deterministic`), and every
 //! run must issue exactly the fsyncs its configuration implies
-//! (`fsyncs_as_configured`). The `all` binary writes the record to
+//! (`fsyncs_as_configured`). The ratchet writes the record as
 //! `BENCH_wal.json`.
 
 use crate::record::{per_sec, quotient, repeat, Record, Spread};
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn smoke_run_is_deterministic_and_complete() {
         let rec = run(2_000);
-        crate::record::assert_same_metrics(&rec, include_str!("../../../BENCH_wal.json"));
+        crate::record::assert_same_metrics(&rec, "BENCH_wal.json");
         assert!(rec.holds("deterministic"), "recovery digest must reproduce");
         assert!(rec.holds("fsyncs_as_configured"), "one fsync per group");
         for m in rec
