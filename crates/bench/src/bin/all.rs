@@ -1,13 +1,13 @@
 //! Runs the entire experiment suite — every paper table/figure plus the
 //! extension experiments — and prints one combined report.
 //!
-//! `cargo run -p mbp-bench --release --bin all` regenerates everything
-//! EXPERIMENTS.md records. The run is observability-instrumented: every
+//! `cargo run -p mbp-bench --release --bin all` regenerates every table
+//! and figure EXPERIMENTS.md records. The run is observability-instrumented: every
 //! phase executes with the `mbp-obs` registry enabled, its wall time and
 //! metrics snapshot are collected, and a combined JSON artifact is written
 //! next to the report (`experiments/metrics.json`, overridable with
-//! `MBP_METRICS_OUT`). The `BENCH_*.json` records are the `ratchet`
-//! binary's, not this one's.
+//! `MBP_METRICS_OUT`). The `BENCH_*.json` records, EXPERIMENTS.md's
+//! solver and noise timings among them, are the `ratchet` binary's.
 
 use mbp_bench::experiments::{
     adaptive_experiment, fairness_sweep, fig10, fig5, fig6, fig7, fig8, fig9,

@@ -28,6 +28,7 @@
 //!
 //! Every repeat must reproduce its lookup and noise digests
 //! (`deterministic`). Each metric is the median over [`REPEATS`] runs.
+
 use crate::record::{per_sec, quotient, repeat, Record, Spread};
 use mbp_core::market::curves::{
     buyer_points, grid, DemandCurve, DemandShape, ValueCurve, ValueShape,

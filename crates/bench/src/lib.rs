@@ -101,7 +101,7 @@ impl Default for Config {
 /// value parsed as `T` if `valid` accepts it, and an error naming the
 /// variable and what it must be (`expect`) when it does not parse or is
 /// out of range.
-pub fn knob<T: std::str::FromStr + Copy>(
+pub(crate) fn knob<T: std::str::FromStr + Copy>(
     get: &dyn Fn(&str) -> Option<String>,
     name: &str,
     expect: &str,
@@ -117,12 +117,12 @@ pub fn knob<T: std::str::FromStr + Copy>(
 }
 
 /// The process environment as a knob source for [`knob`].
-pub fn env_var(name: &str) -> Option<String> {
+pub(crate) fn env_var(name: &str) -> Option<String> {
     std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
 }
 
 /// Unwraps a knob result, or prints `error: ...` and exits 1.
-pub fn or_exit<T>(r: Result<T, String>) -> T {
+pub(crate) fn or_exit<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1)
@@ -159,18 +159,14 @@ impl Config {
 mod tests {
     use super::*;
 
-    fn vars(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
-        move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
     #[test]
     fn config_reads_every_knob_and_defaults_the_rest() {
-        let cfg = Config::parse(&vars(&[("MBP_SCALE", "0.5"), ("MBP_MAX_N", "6")])).unwrap();
+        let get = |n: &str| match n {
+            "MBP_SCALE" => Some("0.5".to_string()),
+            "MBP_MAX_N" => Some(" 6".to_string()),
+            _ => None,
+        };
+        let cfg = Config::parse(&get).expect("valid");
         assert_eq!((cfg.scale, cfg.reps, cfg.max_n), (0.5, 200, 6));
     }
 

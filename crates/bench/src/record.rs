@@ -1,5 +1,5 @@
-//! The one `BENCH_*.json` record every baseline writes and the ratchet
-//! reads.
+//! The one `BENCH_*.json` record every baseline produces and the ratchet
+//! writes, checks and compares.
 //!
 //! A record is self-describing: a stamp ([`RunMeta`]), the `params` that
 //! produced it (sizes and the repeat count), and a flat list of metrics.
@@ -479,8 +479,8 @@ mod tests {
 }
 "#;
 
-    /// Each record check, broken once: (the text replaced, its
-    /// replacement, a phrase the error must carry).
+    /// Each record check and each typed field, broken once: (the text
+    /// replaced, its replacement, a phrase the error must carry).
     #[test]
     fn parse_rejects_each_broken_record_check() {
         let rec = Record::parse(VALID).expect("the valid record parses");
@@ -528,6 +528,27 @@ mod tests {
                 "p99 1.5 under p50 2",
             ),
             ("a.p50_us", "b.p50_us", "no matching .p50_us"),
+            (
+                r#""kind": "throughput""#,
+                r#""kind": "speed""#,
+                "unknown kind 'speed'",
+            ),
+            (
+                r#""better": "higher""#,
+                r#""better": "up""#,
+                "unknown direction 'up'",
+            ),
+            (
+                r#""quotes": 100"#,
+                r#""quotes": "many""#,
+                "param 'quotes' is not a number",
+            ),
+            (
+                r#""commit": "abc1234""#,
+                r#""commit": 7"#,
+                "string field 'commit'",
+            ),
+            (r#""holds": true"#, r#""holds": 1"#, "boolean field 'holds'"),
         ] {
             assert!(VALID.contains(from), "{from}");
             let err = Record::parse(&VALID.replacen(from, to, 1)).expect_err(phrase);
