@@ -1,5 +1,8 @@
-//! The experiment implementations, one function per paper table/figure.
+//! The experiment implementations, one function per paper table/figure,
+//! and [`EXPERIMENTS`]: the one ordered list that renders each
+//! experiment's rows as the tables `all` prints.
 
+use crate::report::{fmt, fmt_secs, Table};
 use crate::Config;
 use mbp_core::arbitrage::audit;
 use mbp_core::error::EmpiricalTransform;
@@ -80,7 +83,7 @@ pub struct Fig6Point {
 
 /// The inverse-NCP axis used throughout the experiments (the paper's
 /// `1/NCP ∈ {10, 20, …, 100}`).
-pub fn inv_ncp_axis() -> Vec<f64> {
+fn inv_ncp_axis() -> Vec<f64> {
     (1..=10).map(|i| (i * 10) as f64).collect()
 }
 
@@ -93,7 +96,7 @@ pub fn inv_ncp_axis() -> Vec<f64> {
 /// the same energy as the model itself, at `x = 100` a tenth of it. This is
 /// a pure units choice on the δ axis and does not affect any pricing result
 /// (pricing operates on `x` directly).
-pub fn ncp_for_axis(x: f64, h_star_sq_norm: f64) -> f64 {
+fn ncp_for_axis(x: f64, h_star_sq_norm: f64) -> f64 {
     10.0 * h_star_sq_norm.max(1e-9) / x
 }
 
@@ -664,7 +667,7 @@ pub struct Fig5Row {
 
 /// The Figure 5 instance: `a = 1..4`, `b = 0.25` each,
 /// `v = (100, 150, 280, 350)`.
-pub fn figure5_instance() -> Vec<BuyerPoint> {
+fn figure5_instance() -> Vec<BuyerPoint> {
     vec![
         BuyerPoint::new(1.0, 100.0, 0.25),
         BuyerPoint::new(2.0, 150.0, 0.25),
@@ -710,4 +713,296 @@ pub fn fig5() -> Vec<Fig5Row> {
     let dp = solve_bv_dp(&buyers);
     push("(e) MBP (approx)", dp.pricing, &buyers);
     rows
+}
+
+// ---------------------------------------------------------------------------
+// The experiment list: each experiment's tables, written once
+// ---------------------------------------------------------------------------
+
+/// One experiment of the suite: its phase name and the one builder of the
+/// tables it prints.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Phase name in `all`'s metrics artifact.
+    pub name: &'static str,
+    /// Runs the experiment and renders its rows as tables.
+    pub tables: fn(&Config) -> Vec<Table>,
+}
+
+/// Every experiment, in report order. Each entry calls its public
+/// experiment function above and renders the rows with one of the table
+/// builders below.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table3",
+        tables: |cfg| vec![table3_table(cfg, table3(cfg))],
+    },
+    Experiment {
+        name: "fig5",
+        tables: |_| vec![fig5_table(fig5())],
+    },
+    Experiment {
+        name: "fig6",
+        tables: |cfg| vec![fig6_table(cfg, fig6(cfg))],
+    },
+    Experiment {
+        name: "fig7",
+        tables: |cfg| fig7(cfg).iter().map(revenue_table).collect(),
+    },
+    Experiment {
+        name: "fig8",
+        tables: |cfg| fig8(cfg).iter().map(revenue_table).collect(),
+    },
+    Experiment {
+        name: "fig9",
+        tables: |cfg| fig9(cfg).iter().map(runtime_table).collect(),
+    },
+    Experiment {
+        name: "fig10",
+        tables: |cfg| fig10(cfg).iter().map(runtime_table).collect(),
+    },
+    Experiment {
+        name: "fairness",
+        tables: |cfg| vec![fairness_table(&fairness_sweep(cfg))],
+    },
+    Experiment {
+        name: "simulation",
+        tables: |cfg| vec![simulation_table(simulation_experiment(cfg))],
+    },
+    Experiment {
+        name: "adaptive",
+        tables: |cfg| vec![adaptive_table(adaptive_experiment(cfg))],
+    },
+    Experiment {
+        name: "transforms",
+        tables: |cfg| vec![transform_table(&transform_ablation(cfg))],
+    },
+];
+
+fn table3_table(cfg: &Config, rows: Vec<Table3Row>) -> Table {
+    let rows = rows
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.name,
+                r.task.to_string(),
+                r.paper_n1.to_string(),
+                r.paper_n2.to_string(),
+                r.our_n1.to_string(),
+                r.our_n2.to_string(),
+                r.d.to_string(),
+            ]
+        })
+        .collect();
+    Table::new(
+        format!("Table 3: dataset statistics (scale = {})", cfg.scale),
+        &[
+            "dataset", "task", "paper_n1", "paper_n2", "our_n1", "our_n2", "d",
+        ],
+        rows,
+    )
+}
+
+fn fig5_table(rows: Vec<Fig5Row>) -> Table {
+    let rows = rows
+        .into_iter()
+        .map(|r| {
+            let mut row = vec![r.approach.to_string()];
+            row.extend(r.prices.iter().map(|&p| fmt(p)));
+            row.push(fmt(r.revenue));
+            row.push(fmt(r.affordability));
+            row.push(if r.has_arbitrage { "YES" } else { "no" }.to_string());
+            row
+        })
+        .collect();
+    Table::new(
+        "Figure 5: pricing approaches on a = 1..4, v = (100, 150, 280, 350), b = 0.25",
+        &[
+            "approach",
+            "p(1)",
+            "p(2)",
+            "p(3)",
+            "p(4)",
+            "revenue",
+            "affordability",
+            "arbitrage?",
+        ],
+        rows,
+    )
+}
+
+fn fig6_table(cfg: &Config, points: Vec<Fig6Point>) -> Table {
+    let rows = points
+        .into_iter()
+        .map(|p| {
+            vec![
+                p.dataset,
+                p.error_kind.to_string(),
+                fmt(p.inv_ncp),
+                fmt(p.expected_error),
+            ]
+        })
+        .collect();
+    Table::new(
+        format!(
+            "Figure 6: expected test error vs 1/NCP (reps = {}, scale = {})",
+            cfg.reps, cfg.scale
+        ),
+        &["dataset", "error", "1/NCP", "expected_error"],
+        rows,
+    )
+}
+
+/// A Figure 7/8 panel: every method's revenue, affordability, buyer
+/// surplus, efficiency and price at each grid point; each baseline's
+/// label carries MBP's revenue multiple over it.
+fn revenue_table(s: &RevenueScenario) -> Table {
+    let grid_labels: Vec<String> = s.grid.iter().map(|&x| format!("p({x:.0})")).collect();
+    let mut header = vec![
+        "method",
+        "revenue",
+        "affordability",
+        "buyer_surplus",
+        "efficiency",
+    ];
+    header.extend(grid_labels.iter().map(String::as_str));
+    let mbp_rev = s.outcomes[0].revenue;
+    let buyers: Vec<String> = s
+        .buyers
+        .iter()
+        .map(|b| format!("(a={:.0},v={:.1},b={:.3})", b.a, b.valuation, b.demand))
+        .collect();
+    let rows = s
+        .outcomes
+        .iter()
+        .map(|o| {
+            let mut label = o.method.to_string();
+            if o.method != "MBP" && o.revenue > 0.0 {
+                label.push_str(&format!(" ({:.1}x)", mbp_rev / o.revenue));
+            }
+            let mut row = vec![
+                label,
+                fmt(o.revenue),
+                fmt(o.affordability),
+                fmt(o.buyer_surplus),
+                fmt(o.efficiency),
+            ];
+            row.extend(o.prices.iter().map(|&p| fmt(p)));
+            row
+        })
+        .collect();
+    Table::new(
+        format!("{} — buyers: {}", s.label, buyers.join(" ")),
+        &header,
+        rows,
+    )
+}
+
+/// A Figure 9/10 panel: runtime, revenue and affordability per `(n, method)`.
+fn runtime_table(s: &RuntimeScenario) -> Table {
+    let rows = s
+        .rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.n.to_string(),
+                r.method.to_string(),
+                fmt_secs(r.runtime_s),
+                fmt(r.revenue),
+                fmt(r.affordability),
+            ]
+        })
+        .collect();
+    Table::new(
+        s.label.clone(),
+        &["n", "method", "runtime", "revenue", "affordability"],
+        rows,
+    )
+}
+
+fn fairness_table(rows: &[FairnessRow]) -> Table {
+    Table::new(
+        "Extension: revenue vs affordability as the fairness weight grows",
+        &["lambda", "revenue", "affordability"],
+        rows.iter()
+            .map(|r| vec![fmt(r.lambda), fmt(r.revenue), fmt(r.affordability)])
+            .collect(),
+    )
+}
+
+fn simulation_table(rows: Vec<SimulationRow>) -> Table {
+    let rows = rows
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.label,
+                fmt(r.predicted_revenue),
+                fmt(r.realized_revenue),
+                fmt(r.predicted_affordability),
+                fmt(r.realized_affordability),
+                r.served.to_string(),
+            ]
+        })
+        .collect();
+    Table::new(
+        "Extension: simulated selling season (3000 buyers)",
+        &[
+            "pricing",
+            "predicted_rev/buyer",
+            "realized_rev/buyer",
+            "predicted_afford",
+            "realized_afford",
+            "served",
+        ],
+        rows,
+    )
+}
+
+fn adaptive_table((rows, oracle): (Vec<AdaptiveRow>, f64)) -> Table {
+    let rows = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.epoch.to_string(),
+                fmt(r.revenue_per_buyer),
+                fmt(r.acceptance_rate),
+                fmt(r.estimate_rmse),
+            ]
+        })
+        .collect();
+    Table::new(
+        format!(
+            "Extension: adaptive pricing from a 3x-wrong value estimate (oracle revenue/buyer = {})",
+            fmt(oracle)
+        ),
+        &["epoch", "revenue/buyer", "acceptance", "estimate_rmse"],
+        rows,
+    )
+}
+
+fn transform_table(rows: &[TransformRow]) -> Table {
+    let rows = rows
+        .iter()
+        .map(|r| {
+            let rel = (r.delta_method - r.monte_carlo).abs() / r.monte_carlo;
+            vec![
+                fmt(r.relative_ncp),
+                fmt(r.monte_carlo),
+                fmt(r.delta_method),
+                fmt(r.empirical),
+                fmt(rel),
+            ]
+        })
+        .collect();
+    Table::new(
+        "Extension: error-transform accuracy, delta method vs empirical vs Monte-Carlo truth",
+        &[
+            "ncp/|h*|^2",
+            "monte_carlo",
+            "delta_method",
+            "empirical",
+            "delta_rel_err",
+        ],
+        rows,
+    )
 }

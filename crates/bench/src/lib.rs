@@ -1,10 +1,12 @@
 //! Experiment harness regenerating every table and figure of the MBP paper.
 //!
-//! Each `fn fig*` / `fn table3` returns structured rows that the
-//! corresponding binary (`cargo run -p mbp-bench --bin fig6 --release`, …)
-//! prints as TSV, and that the integration tests assert shape properties
-//! on (monotone error curves, MBP revenue dominance, exponential-vs-
-//! polynomial runtime growth).
+//! Each experiment function in [`experiments`] (`fn table3`, `fn fig*`, the
+//! extensions) returns structured rows that the integration tests assert
+//! shape properties on (monotone error curves, MBP revenue dominance,
+//! exponential-vs-polynomial runtime growth). [`experiments::EXPERIMENTS`]
+//! renders each experiment's rows as its tables, once, and
+//! `cargo run -p mbp-bench --release --bin all` prints them as one report
+//! with a `## ` section per table.
 //!
 //! Knobs (environment variables, read by [`Config::from_env`]):
 //!

@@ -1,13 +1,36 @@
-//! Tiny TSV/box report printer shared by the experiment binaries.
+//! The experiment tables and the plain-text printer `all` writes them with.
 
-/// Prints a titled TSV table: a header row, then one row per record.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("## {title}");
-    println!("{}", header.join("\t"));
-    for row in rows {
-        println!("{}", row.join("\t"));
+/// One titled table of the experiment report: a header row and one row of
+/// cells per record.
+#[derive(Debug)]
+pub struct Table {
+    /// Section title, printed as a `## ` heading.
+    pub title: String,
+    /// Column names.
+    pub header: Vec<String>,
+    /// One row of cells per record, as many as `header` names.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// A table from its title, column names and rows.
+    pub fn new(title: impl Into<String>, header: &[&str], rows: Vec<Vec<String>>) -> Self {
+        Table {
+            title: title.into(),
+            header: header.iter().map(|h| h.to_string()).collect(),
+            rows,
+        }
     }
-    println!();
+
+    /// Prints the table as TSV under its `## title` heading.
+    pub fn print(&self) {
+        println!("## {}", self.title);
+        println!("{}", self.header.join("\t"));
+        for row in &self.rows {
+            println!("{}", row.join("\t"));
+        }
+        println!();
+    }
 }
 
 /// Formats a float with 4 significant-ish decimals, trimming noise.
@@ -55,7 +78,7 @@ pub fn print_metrics(title: &str, snap: &mbp_obs::Snapshot) {
             ),
         ]);
     }
-    print_table(title, &["metric", "kind", "value"], &rows);
+    Table::new(title, &["metric", "kind", "value"], rows).print();
 }
 
 /// Formats a duration in seconds with appropriate precision.

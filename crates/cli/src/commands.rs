@@ -29,8 +29,6 @@ pub enum CliError {
     Market(String),
     /// Unknown subcommand.
     UnknownCommand(String),
-    /// Static-analysis findings (the rendered report).
-    Lint(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -42,7 +40,6 @@ impl std::fmt::Display for CliError {
             CliError::UnknownCommand(c) => {
                 write!(f, "unknown command {c:?}; run with no arguments for usage")
             }
-            CliError::Lint(report) => write!(f, "{report}"),
         }
     }
 }
@@ -111,15 +108,6 @@ COMMANDS:
                                    TSV path) plus a determinism digest;
                                    torn tails truncate, corrupt records
                                    skip with a count, never an error
-  lint      [--root DIR]          static-analysis pass over the workspace
-            [--baseline FILE]     (determinism, panic-freedom, float
-            [--interprocedural]   discipline, lock order, unsafe audit,
-            [--graph-out BASE]    narrowing casts); --interprocedural adds
-                                  the whole-workspace call-graph analyses
-                                  (reach-panic, taint-det, lock-graph) and
-                                  --graph-out writes BASE.json/BASE.dot
-                                  witness artifacts; exits non-zero on any
-                                  finding beyond the lint.toml baseline
 
 GLOBAL FLAGS (every command):
   --threads N          thread-pool size for parallel hot paths (default:
@@ -233,7 +221,6 @@ fn dispatch(args: &Args) -> Result<String, CliError> {
         Some("predict") => cmd_predict(args),
         Some("serve") => cmd_serve(args),
         Some("replay") => cmd_replay(args),
-        Some("lint") => cmd_lint(args),
         Some(other) => Err(CliError::UnknownCommand(other.to_string())),
     }
 }
@@ -490,38 +477,6 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
     writeln!(out, "replay_digest\t{first:016x}").unwrap();
     writeln!(out, "deterministic\t{}", first == second).unwrap();
     Ok(out)
-}
-
-/// `mbp-market lint`: run the workspace static-analysis pass.
-///
-/// Scans every `.rs` file under `--root` (default: the current directory)
-/// against the determinism / panic-freedom / float / lock-order / unsafe /
-/// cast rules, honoring the `--baseline` waiver budget (default:
-/// `lint.toml` under the root when present). With `--interprocedural` the
-/// whole-workspace call graph is built as well and the `reach-panic` /
-/// `taint-det` / `lock-graph` analyses run over it; `--graph-out BASE`
-/// additionally writes `BASE.json` and `BASE.dot` witness artifacts.
-/// Findings are returned as an error so the process exits non-zero, which
-/// is what lets CI gate on this command.
-fn cmd_lint(args: &Args) -> Result<String, CliError> {
-    let root = Path::new(args.get("root").unwrap_or("."));
-    let default_baseline = root.join("lint.toml");
-    let baseline = match args.get("baseline") {
-        Some(p) => Some(Path::new(p).to_path_buf()),
-        None => default_baseline.exists().then_some(default_baseline),
-    };
-    let graph_out = args.get("graph-out").filter(|v| !v.is_empty());
-    let report = if args.get_bool("interprocedural") || graph_out.is_some() {
-        mbp_lint::run_interprocedural(root, baseline.as_deref(), graph_out.map(Path::new))
-    } else {
-        mbp_lint::run(root, baseline.as_deref())
-    }
-    .map_err(|e| CliError::Data(format!("scanning {}: {e}", root.display())))?;
-    if report.is_clean() {
-        Ok(report.render())
-    } else {
-        Err(CliError::Lint(report.render()))
-    }
 }
 
 fn load_csv(path: &str) -> Result<Dataset, CliError> {

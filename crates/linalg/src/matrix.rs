@@ -101,11 +101,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable view of row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Entry `(i, j)`.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.cols + j]

@@ -52,11 +52,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Checked element access.
     pub fn get(&self, i: usize) -> Result<f64> {
         self.data

@@ -2,7 +2,7 @@
 //! what "the reproduction holds" means (who wins, monotonicity, growth
 //! rates), independent of absolute numbers.
 
-use mbp_bench::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, table3};
+use mbp_bench::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, table3, EXPERIMENTS};
 use mbp_bench::Config;
 
 fn tiny_config() -> Config {
@@ -331,4 +331,61 @@ fn fig10_runtime_and_revenue_shapes() {
     let scenarios = fig10(&cfg);
     assert_eq!(scenarios.len(), 2);
     assert_runtime_shapes(&scenarios, cfg.max_n);
+}
+
+#[test]
+fn experiment_list_builds_well_formed_tables_for_every_experiment() {
+    let cfg = tiny_config();
+    let mut names = std::collections::BTreeSet::new();
+    let mut titles = std::collections::BTreeSet::new();
+    for e in EXPERIMENTS {
+        assert!(names.insert(e.name), "experiment {} listed twice", e.name);
+        let tables = (e.tables)(&cfg);
+        assert!(!tables.is_empty(), "{}: no table", e.name);
+        for t in &tables {
+            assert!(
+                !t.header.is_empty(),
+                "{}: {:?} has no header",
+                e.name,
+                t.title
+            );
+            assert!(!t.rows.is_empty(), "{}: {:?} has no rows", e.name, t.title);
+            for row in &t.rows {
+                assert_eq!(
+                    row.len(),
+                    t.header.len(),
+                    "{}: {:?} row {row:?} does not match header {:?}",
+                    e.name,
+                    t.title,
+                    t.header
+                );
+            }
+            assert!(
+                titles.insert(t.title.clone()),
+                "duplicate title {:?}",
+                t.title
+            );
+        }
+    }
+
+    // Every public function of the experiments module is an experiment,
+    // and an entry of the list calls each one.
+    let src = include_str!("../crates/bench/src/experiments.rs");
+    let (defs, rest) = src
+        .split_once("pub const EXPERIMENTS")
+        .expect("experiments.rs defines the EXPERIMENTS list");
+    assert!(!rest.contains("pub fn "), "public function after the list");
+    let list = rest.split_once("];").expect("the list ends").0;
+    let functions: Vec<&str> = defs
+        .split("pub fn ")
+        .skip(1)
+        .map(|rest| rest.split(['(', '<']).next().unwrap_or_default())
+        .collect();
+    assert!(functions.contains(&"transform_ablation"), "{functions:?}");
+    for f in &functions {
+        assert!(
+            list.contains(&format!("{f}(")),
+            "experiment {f} is not in EXPERIMENTS"
+        );
+    }
 }
