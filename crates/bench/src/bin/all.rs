@@ -8,9 +8,10 @@
 //! with the `mbp-obs` registry enabled, its wall time and metrics snapshot
 //! are collected, and a combined JSON artifact is written next to the
 //! report (`experiments/metrics.json`, overridable with `MBP_METRICS_OUT`);
-//! a run that cannot write it exits 1. The `BENCH_*.json` records,
-//! EXPERIMENTS.md's solver and noise timings among them, are the
-//! `ratchet` binary's.
+//! a run that cannot write it exits 1, and so does a run whose
+//! `lintbench` phase finds either `mbp-lint` pass failed or unclean. The
+//! `BENCH_*.json` records, EXPERIMENTS.md's solver and noise timings among
+//! them, are the `ratchet` binary's.
 
 use mbp_bench::experiments::EXPERIMENTS;
 use mbp_bench::report::{fmt_secs, print_metrics, Table};
@@ -81,7 +82,9 @@ fn main() {
     // interprocedural pass (workspace call graph + reach-panic /
     // taint-det / lock-graph) over this workspace, so an analyzer
     // slowdown shows up in the phase timings beside the experiments. Both
-    // passes must come back clean against the checked-in baseline.
+    // passes must come back clean against the checked-in baseline: a pass
+    // that errors or is not clean fails the run once the report is out.
+    let mut unclean_passes: Vec<&str> = Vec::new();
     run_phase(&mut phases, "lintbench", || {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let baseline = root.join("lint.toml");
@@ -98,6 +101,11 @@ fn main() {
                     (name, report, t0.elapsed().as_secs_f64())
                 })
                 .collect();
+        unclean_passes.extend(
+            rows.iter()
+                .filter(|(_, report, _)| !report.as_ref().is_ok_and(|r| r.is_clean()))
+                .map(|(name, _, _)| *name),
+        );
         Table::new(
             "Static analysis (mbp-lint over this workspace)",
             &["pass", "files", "findings", "clean", "runtime"],
@@ -155,6 +163,14 @@ fn main() {
         std::process::exit(1);
     }
     println!("metrics artifact written to {out_path}");
+    if !unclean_passes.is_empty() {
+        eprintln!(
+            "error: lintbench: the {} pass{} did not come back clean (see \"Static analysis\" above)",
+            unclean_passes.join(" and "),
+            if unclean_passes.len() == 1 { "" } else { "es" }
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Writes `json` to `path`, creating its parent directory first.

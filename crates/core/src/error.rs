@@ -92,11 +92,7 @@ impl LinRegSquareTransform {
         assert!(eval.n() > 0, "evaluation set is empty");
         assert_eq!(eval.d(), h_star.len(), "dimension mismatch");
         let base = TestError::SquareLoss.evaluate(h_star, eval);
-        let gram = eval.x.gram();
-        // Setup-time constructor with a documented `# Panics` contract.
-        // LINT-ALLOW(panic): gram() always returns a square matrix.
-        let trace = gram.trace().expect("gram is square");
-        let slope = trace / (2.0 * eval.n() as f64 * eval.d() as f64);
+        let slope = eval.x.gram_trace() / (2.0 * eval.n() as f64 * eval.d() as f64);
         LinRegSquareTransform { base, slope }
     }
 
@@ -179,9 +175,7 @@ impl DeltaMethodTransform {
     pub fn for_linear_regression(eval: &Dataset, h_star: &Vector) -> Self {
         let base = TestError::SquareLoss.evaluate(h_star, eval);
         // Hessian of (1/2n)‖Xh − y‖² is XᵀX/n.
-        // Setup-time constructor, not the serve path.
-        // LINT-ALLOW(panic): gram() always returns a square matrix.
-        let trace = eval.x.gram().trace().expect("gram is square") / eval.n().max(1) as f64;
+        let trace = eval.x.gram_trace() / eval.n().max(1) as f64;
         DeltaMethodTransform::new(base, trace, eval.d())
     }
 

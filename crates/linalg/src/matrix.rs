@@ -256,8 +256,7 @@ impl Matrix {
     pub fn gram(&self) -> Matrix {
         let d = self.cols;
         let mut out = Matrix::zeros(d, d);
-        let band_work = Self::GRAM_ROW_BAND * (d * (d + 1)) / 2;
-        if self.rows > Self::GRAM_ROW_BAND && band_work >= Self::GRAM_PAR_GRAIN {
+        if self.gram_is_banded() {
             let _span = mbp_obs::span("mbp.linalg.gram.par");
             let partials = mbp_par::par_map_chunks(self.rows, Self::GRAM_ROW_BAND, |band| {
                 let mut acc = vec![0.0f64; d * d];
@@ -305,6 +304,45 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// Whether [`Matrix::gram`] takes the banded path: at least two row
+    /// bands, each meeting the per-band work grain. Depends on the shape
+    /// only.
+    fn gram_is_banded(&self) -> bool {
+        let d = self.cols;
+        self.rows > Self::GRAM_ROW_BAND
+            && Self::GRAM_ROW_BAND * (d * (d + 1)) / 2 >= Self::GRAM_PAR_GRAIN
+    }
+
+    /// `tr(AᵀA)` in O(n·d) time and O(d) memory, bit-identical to
+    /// `self.gram().trace()` for every shape: each diagonal entry is summed
+    /// the way [`Matrix::gram`] sums it (row by row, or per band with the
+    /// band partials merged in band order), and the diagonal is then summed
+    /// in index order as [`Matrix::trace`] does. `gram` skips exact-zero
+    /// entries; adding their `+0.0` square instead leaves every partial
+    /// unchanged, because a sum of squares started at `+0.0` is never `-0.0`.
+    pub fn gram_trace(&self) -> f64 {
+        let d = self.cols;
+        let mut diag = vec![0.0f64; d];
+        let band = if self.gram_is_banded() {
+            Self::GRAM_ROW_BAND
+        } else {
+            self.rows.max(1)
+        };
+        let mut partial = vec![0.0f64; d];
+        for start in (0..self.rows).step_by(band) {
+            partial.fill(0.0);
+            for i in start..(start + band).min(self.rows) {
+                for (p, &rj) in partial.iter_mut().zip(self.row(i)) {
+                    *p += rj * rj;
+                }
+            }
+            for (o, p) in diag.iter_mut().zip(&partial) {
+                *o += p;
+            }
+        }
+        diag.into_iter().sum()
     }
 
     /// Adds `c` to every diagonal entry in place (ridge term `A + c·I`).
@@ -500,6 +538,51 @@ mod tests {
         Matrix::from_fn(rows, cols, |i, j| {
             ((i * cols + j) as f64 * 0.37).sin() * 3.0 + 0.1 * j as f64
         })
+    }
+
+    /// `gram_trace` must reproduce `gram().trace()` bit for bit on both
+    /// sides of the band threshold (300×4 stays row-by-row, 700×160 and
+    /// 513×160 are banded, the latter with a one-row last band), with
+    /// exact zeros of both signs in the input.
+    #[test]
+    fn gram_trace_is_bit_identical_to_the_gram_trace() {
+        let with_zeros = |rows, cols| {
+            let mut m = tall(rows, cols);
+            for (k, x) in m.data.iter_mut().enumerate() {
+                match k % 7 {
+                    0 => *x = 0.0,
+                    3 => *x = -0.0,
+                    _ => {}
+                }
+            }
+            m
+        };
+        let shapes = [
+            (0, 0),
+            (0, 3),
+            (3, 0),
+            (1, 1),
+            (300, 4),
+            (700, 160),
+            (513, 160),
+        ];
+        for (rows, cols) in shapes {
+            for m in [
+                tall(rows, cols),
+                with_zeros(rows, cols),
+                Matrix::zeros(rows, cols),
+            ] {
+                let want = m.gram().trace().unwrap();
+                assert_eq!(
+                    m.gram_trace().to_bits(),
+                    want.to_bits(),
+                    "{rows}x{cols}: {} vs {want}",
+                    m.gram_trace()
+                );
+            }
+        }
+        assert!(tall(700, 160).gram_is_banded());
+        assert!(!tall(300, 4).gram_is_banded());
     }
 
     #[test]

@@ -176,7 +176,7 @@ pub fn analyze_reach_panic(g: &CallGraph) -> (Vec<GraphFinding>, BTreeSet<usize>
                 col: p.col,
                 msg: format!(
                     "may-panic site ({}) reachable from serve root: {}",
-                    p.what,
+                    p.what(),
                     g.chain(&chain)
                 ),
                 chain: chain.clone(),
@@ -273,7 +273,7 @@ pub fn analyze_taint(g: &CallGraph) -> (Vec<GraphFinding>, BTreeSet<usize>) {
         let source = seed
             .taints
             .first()
-            .map(|t| format!("{} at {}:{}", t.what, seed.rel_path, t.line))
+            .map(|t| format!("{} at {}:{}", t.what(), seed.rel_path, t.line))
             .unwrap_or_else(|| "nondeterminism source".to_string());
         findings.push(GraphFinding {
             rule: "taint-det",

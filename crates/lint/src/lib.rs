@@ -7,7 +7,18 @@
 //! mutexes are taken in ascending order and never under the core write
 //! lock. `mbp-lint` walks every `.rs` file in the workspace with its own
 //! lexer (comment/string/lifetime-aware — see [`lexer`]) and enforces
-//! those invariants lexically (see [`rules`] for the rule set).
+//! those invariants lexically.
+//!
+//! ## Two passes over one lexed file
+//!
+//! Each file is read, tokenized and masked once into a [`Source`]. The
+//! per-file rules ([`rules`]) check it alone; the interprocedural pass
+//! ([`run_interprocedural`]) also parses it into a symbol model
+//! ([`symbols`]), links the models into a call graph ([`callgraph`]) and
+//! runs `reach-panic`, `taint-det` and `lock-graph` over it ([`dataflow`]).
+//! Panic sites and determinism-taint sources have one detector each, in
+//! [`source`]: the per-file `panic`/`det` rules report its sites inside
+//! their path scopes, and the graph rules seed their closures with them.
 //!
 //! ## Waivers and the baseline ratchet
 //!
@@ -33,6 +44,7 @@ pub mod config;
 pub mod dataflow;
 pub mod lexer;
 pub mod rules;
+pub mod source;
 pub mod symbols;
 
 use std::collections::BTreeMap;
@@ -43,6 +55,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::Baseline;
 pub use rules::{Finding, ScopeMode};
+use source::Source;
 
 /// Outcome of linting one file after waiver application.
 #[derive(Debug, Default)]
@@ -55,24 +68,29 @@ pub struct FileReport {
 }
 
 /// Lint a single source string: run the rules, then apply waivers.
+pub fn lint_source(rel_path: &str, src: &str, mode: ScopeMode) -> FileReport {
+    let toks = lexer::tokenize(src);
+    lint_file(&Source::new(rel_path, src, &toks, mode))
+}
+
+/// Lint one lexed file: run the rules, then apply its waivers.
 ///
 /// Waiver semantics: findings are processed in (line, col) order; each
 /// looks for an unconsumed waiver of its rule on its own line first, then
 /// on the line directly above. Leftover waivers become `lint` findings.
-pub fn lint_source(rel_path: &str, src: &str, mode: ScopeMode) -> FileReport {
-    let analysis = rules::analyze(rel_path, src, mode);
-    let mut consumed = vec![false; analysis.waivers.len()];
+fn lint_file(file: &Source) -> FileReport {
+    let waivers = &file.waivers;
+    let mut consumed = vec![false; waivers.len()];
     let mut report = FileReport::default();
 
-    for f in analysis.findings {
+    for f in rules::analyze(file) {
         let mut waived = false;
         for offset in [0u32, 1u32] {
             let want = f.line.saturating_sub(offset);
             if want == 0 || (offset == 1 && want == f.line) {
                 continue;
             }
-            if let Some(w) = analysis
-                .waivers
+            if let Some(w) = waivers
                 .iter()
                 .enumerate()
                 .find(|(i, w)| !consumed[*i] && w.valid && w.rule == f.rule && w.line == want)
@@ -88,7 +106,7 @@ pub fn lint_source(rel_path: &str, src: &str, mode: ScopeMode) -> FileReport {
             report.findings.push(f);
         }
     }
-    for (i, w) in analysis.waivers.iter().enumerate() {
+    for (i, w) in waivers.iter().enumerate() {
         if !w.valid {
             report.findings.push(Finding {
                 rule: "lint",
@@ -203,14 +221,29 @@ pub fn run_with_mode(
     baseline_path: Option<&Path>,
     mode: ScopeMode,
 ) -> io::Result<Report> {
-    let default_baseline = root.join("lint.toml");
-    let baseline_path = baseline_path.unwrap_or(&default_baseline);
-    let baseline = match fs::read_to_string(baseline_path) {
-        Ok(text) => config::parse(&text).map_err(io::Error::other)?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(e),
-    };
+    let baseline = load_baseline(root, baseline_path)?;
+    Ok(scan(root, &baseline, mode, false)?.0)
+}
 
+fn load_baseline(root: &Path, baseline_path: Option<&Path>) -> io::Result<Baseline> {
+    let default_baseline = root.join("lint.toml");
+    match fs::read_to_string(baseline_path.unwrap_or(&default_baseline)) {
+        Ok(text) => config::parse(&text).map_err(io::Error::other),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Baseline::default()),
+        Err(e) => Err(e),
+    }
+}
+
+/// Walk the tree once: read, tokenize and mask each file once, run the
+/// per-file rules on it and check their waiver budgets. With `models`,
+/// also parse each file's symbol model from the same [`Source`] and
+/// report its malformed `LINT-SCOPE` annotations.
+fn scan(
+    root: &Path,
+    baseline: &Baseline,
+    mode: ScopeMode,
+    models: bool,
+) -> io::Result<(Report, Vec<symbols::FileModel>)> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
 
@@ -218,24 +251,39 @@ pub fn run_with_mode(
         files_scanned: files.len(),
         ..Report::default()
     };
+    let mut parsed = Vec::new();
     for path in &files {
-        let src = fs::read_to_string(path)?;
+        let text = fs::read_to_string(path)?;
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let file_report = lint_source(&rel, &src, mode);
+        let toks = lexer::tokenize(&text);
+        let file = Source::new(&rel, &text, &toks, mode);
+        let file_report = lint_file(&file);
         for f in file_report.findings {
             report.findings.push((rel.clone(), f));
         }
         for (rule, n) in file_report.waivers_used {
             *report.waivers_used.entry(rule).or_insert(0) += n;
         }
+        if models {
+            for a in file.annotations.iter().filter(|a| !a.valid) {
+                report.findings.push((
+                    rel.clone(),
+                    Finding {
+                        rule: "lint",
+                        line: a.line,
+                        col: a.col,
+                        msg: "malformed scope annotation: expected `LINT-SCOPE(<graph-rule>): <reason>` with a known graph rule id and a non-empty reason".to_string(),
+                    },
+                ));
+            }
+            parsed.push(symbols::parse(&file));
+        }
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
+    sort_findings(&mut report);
 
     for rule in rules::RULE_IDS {
         let used = report.waivers_used.get(*rule).copied().unwrap_or(0);
@@ -250,12 +298,19 @@ pub fn run_with_mode(
             ));
         }
     }
-    Ok(report)
+    Ok((report, parsed))
+}
+
+fn sort_findings(report: &mut Report) {
+    report
+        .findings
+        .sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
 }
 
 /// Run the file-local lint **plus** the whole-workspace interprocedural
 /// pass (call-graph construction and the `reach-panic` / `taint-det` /
-/// `lock-graph` analyses — see [`dataflow`]).
+/// `lock-graph` analyses — see [`dataflow`]). One walk of the tree feeds
+/// both: each file is read, tokenized and masked once.
 ///
 /// When `graph_out` is given, writes `<graph_out>.json` and
 /// `<graph_out>.dot`: the call graph restricted to serve-reachable and
@@ -267,42 +322,8 @@ pub fn run_interprocedural(
     baseline_path: Option<&Path>,
     graph_out: Option<&Path>,
 ) -> io::Result<Report> {
-    let mut report = run_with_mode(root, baseline_path, ScopeMode::Repo)?;
-
-    let default_baseline = root.join("lint.toml");
-    let baseline_path = baseline_path.unwrap_or(&default_baseline);
-    let baseline = match fs::read_to_string(baseline_path) {
-        Ok(text) => config::parse(&text).map_err(io::Error::other)?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(e),
-    };
-
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    let mut models = Vec::new();
-    for path in &files {
-        let src = fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let model = symbols::parse_file(&rel, &src);
-        for a in &model.annotations {
-            if !a.valid {
-                report.findings.push((
-                    rel.clone(),
-                    Finding {
-                        rule: "lint",
-                        line: a.line,
-                        col: a.col,
-                        msg: "malformed scope annotation: expected `LINT-SCOPE(<graph-rule>): <reason>` with a known graph rule id and a non-empty reason".to_string(),
-                    },
-                ));
-            }
-        }
-        models.push(model);
-    }
+    let baseline = load_baseline(root, baseline_path)?;
+    let (mut report, models) = scan(root, &baseline, ScopeMode::Repo, true)?;
 
     let graph = callgraph::CallGraph::build(models);
     let result = dataflow::run_analyses(&graph);
@@ -331,9 +352,7 @@ pub fn run_interprocedural(
             },
         ));
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
+    sort_findings(&mut report);
 
     if let Some(base) = graph_out {
         let json = graph.to_json(&result.keep, &result.witnesses);

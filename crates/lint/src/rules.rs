@@ -1,14 +1,13 @@
-//! The mbp-lint rule set.
+//! The mbp-lint per-file rule set.
 //!
-//! Five domain rules, each keyed by a short id used in findings and
-//! waivers:
+//! Six rules, each keyed by a short id used in findings and waivers:
 //!
-//! * `det` — determinism: no wall-clock / entropy sources and no
-//!   `HashMap`/`HashSet` iteration in the pricing, ledger, and
+//! * `det` — determinism: no wall-clock, entropy or thread-identity reads
+//!   and no `HashMap`/`HashSet` iteration in the pricing, ledger, and
 //!   serialization crates.
 //! * `panic` — panic-freedom: no `.unwrap()`/`.expect()`/`panic!`-family
-//!   macros/slice indexing in the serve-path modules of `crates/core`
-//!   outside `#[cfg(test)]`.
+//!   macros/slice indexing/division by a literal zero in the serve-path
+//!   modules outside `#[cfg(test)]`.
 //! * `float` — float discipline: no `==`/`!=` against float literals or
 //!   infinity/NaN constants outside tests, and no NaN-unsafe
 //!   `partial_cmp(..).unwrap()` chains.
@@ -17,14 +16,19 @@
 //!   held.
 //! * `safety` — unsafe audit: every `unsafe` token carries a `SAFETY:`
 //!   comment on the same line or in the comment block directly above.
+//! * `cast` — no truncating `as` casts in the wire and WAL decode paths.
 //!
-//! All rules are lexical: they walk the token stream from
-//! [`crate::lexer`], which is precise about comments, strings, and
-//! lifetimes but does not resolve types. The residual imprecision is
-//! handled by the waiver mechanism (see `crate::lib` docs) and by scoping
-//! each rule to the modules where its invariant is load-bearing.
+//! All rules are lexical: they walk the token stream of one
+//! [`Source`], which is precise about comments, strings, and lifetimes
+//! but does not resolve types. `det` and `panic` own no token matching:
+//! they report the sites of [`Source::taint_site`] and
+//! [`Source::panic_site`] — the detectors the call-graph rules seed from —
+//! inside their path scopes. The residual imprecision is handled by the
+//! waiver mechanism (see `crate::lib` docs) and by scoping each rule to
+//! the modules where its invariant is load-bearing.
 
-use crate::lexer::{tokenize, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
+use crate::source::{item_end, match_delim, Source, TaintClass};
 use std::collections::BTreeSet;
 
 /// All rule ids a waiver may name, including the engine's own `lint` id
@@ -47,17 +51,6 @@ pub struct Finding {
     pub msg: String,
 }
 
-/// An inline waiver comment parsed out of the file.
-#[derive(Debug, Clone)]
-pub struct Waiver {
-    pub rule: String,
-    pub line: u32,
-    pub col: u32,
-    /// False when the comment matched the waiver marker but not the
-    /// `(<rule>): <reason>` grammar.
-    pub valid: bool,
-}
-
 /// How rules are scoped to the file being analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScopeMode {
@@ -67,33 +60,10 @@ pub enum ScopeMode {
     AllRules,
 }
 
-/// Raw analysis of one file: pre-waiver findings plus the waivers seen.
-#[derive(Debug, Default)]
-pub struct FileAnalysis {
-    pub findings: Vec<Finding>,
-    pub waivers: Vec<Waiver>,
-}
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-];
 const FLOAT_CONSTS: &[&str] = &["INFINITY", "NEG_INFINITY", "NAN"];
-/// Keywords that can directly precede `[` without forming an index
-/// expression (slice patterns, array types).
-const NONINDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "return", "if", "else", "match", "move", "static", "const", "as",
-    "break", "dyn", "impl", "where", "box",
-];
 
-/// Crates whose source must be free of wall-clock / entropy calls.
+/// Crates whose source must be free of wall-clock, entropy and
+/// thread-identity reads.
 ///
 /// The serve daemon's decode/dispatch modules (`wire.rs`, `conn.rs`) are
 /// in scope too: request handling must be a pure function of the byte
@@ -154,220 +124,67 @@ fn cast_scope(path: &str) -> bool {
     )
 }
 
-/// Whole-file test context: integration tests, benches, examples.
-fn is_test_path(path: &str) -> bool {
-    const MARKERS: &[&str] = &["tests/", "benches/", "examples/"];
-    MARKERS
-        .iter()
-        .any(|m| path.starts_with(m) || path.contains(&format!("/{m}")))
-}
+/// Analyze one lexed file: its pre-waiver findings, sorted by position.
+/// Under [`ScopeMode::Repo`] the file's `rel_path` drives rule scoping.
+pub fn analyze(file: &Source) -> Vec<Finding> {
+    let rel_path = file.rel_path;
+    let code = &file.code;
+    let test_mask = &file.test;
+    let lines: Vec<&str> = file.text.lines().collect();
+    let mut out = Vec::new();
 
-/// Analyze one file. `rel_path` must use `/` separators and be relative
-/// to the workspace root (it drives rule scoping in [`ScopeMode::Repo`]).
-pub fn analyze(rel_path: &str, src: &str, mode: ScopeMode) -> FileAnalysis {
-    let toks = tokenize(src);
-    let code: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
-    let whole_file_test = mode == ScopeMode::Repo && is_test_path(rel_path);
-    let test_mask = test_regions(&code, whole_file_test);
-    let macro_mask = macro_regions(&code);
-    let lines: Vec<&str> = src.lines().collect();
-
-    let mut out = FileAnalysis {
-        findings: Vec::new(),
-        waivers: collect_waivers(&toks),
-    };
-
-    let all = mode == ScopeMode::AllRules;
-    if all || det_time_scope(rel_path) {
-        rule_det_time(&code, &test_mask, &mut out.findings);
-    }
-    if all || det_map_scope(rel_path) {
-        rule_det_maps(&code, &test_mask, &mut out.findings);
+    let all = file.mode == ScopeMode::AllRules;
+    // Clock, entropy and thread-identity reads in `det_time_scope`; map
+    // iteration in the wider `det_map_scope`.
+    let det_time = all || det_time_scope(rel_path);
+    let det_map = all || det_map_scope(rel_path);
+    if det_map {
+        for i in (0..code.len()).filter(|&i| !test_mask[i]) {
+            if let Some(site) = file.taint_site(i) {
+                let in_scope = match site.class {
+                    TaintClass::MapIter { .. } => det_map,
+                    _ => det_time,
+                };
+                if in_scope {
+                    out.push(Finding {
+                        rule: "det",
+                        line: site.line,
+                        col: site.col,
+                        msg: site.message(),
+                    });
+                }
+            }
+        }
     }
     if all || panic_scope(rel_path) {
-        let scope_mask = scope_off_regions(&toks, &code, "reach-panic");
-        let mask: Vec<bool> = test_mask
-            .iter()
-            .zip(scope_mask.iter())
-            .map(|(t, s)| *t || *s)
-            .collect();
-        rule_panic(&code, &mask, &macro_mask, &mut out.findings);
+        // Items scoped out of `reach-panic` step aside here: the
+        // interprocedural pass proves them unreachable from serve roots.
+        let scope_mask = scope_off_mask(file, "reach-panic");
+        for i in (0..code.len()).filter(|&i| !test_mask[i] && !scope_mask[i]) {
+            if let Some(site) = file.panic_site(i) {
+                out.push(Finding {
+                    rule: "panic",
+                    line: site.line,
+                    col: site.col,
+                    msg: site.message(),
+                });
+            }
+        }
     }
     if all || cast_scope(rel_path) {
-        rule_cast(&code, &test_mask, &mut out.findings);
+        rule_cast(code, test_mask, &mut out);
     }
-    rule_float(&code, &test_mask, &mut out.findings);
+    rule_float(code, test_mask, &mut out);
     if all || code.iter().any(|t| t.is_ident("stripes")) {
-        rule_lock(&code, &test_mask, &mut out.findings);
+        rule_lock(code, test_mask, &mut out);
     }
-    rule_safety(&toks, &code, &lines, &mut out.findings);
+    rule_safety(file.toks, code, &lines, &mut out);
 
-    out.findings.sort_by_key(|f| (f.line, f.col));
+    out.sort_by_key(|f| (f.line, f.col));
     out
 }
 
-/// Parse `LINT-ALLOW(<rule>): <reason>` waivers out of plain (non-doc)
-/// comments. Doc comments are skipped so rule documentation can show the
-/// grammar without registering a live waiver.
-fn collect_waivers(toks: &[Tok]) -> Vec<Waiver> {
-    let mut waivers = Vec::new();
-    for t in toks {
-        if !t.is_comment() {
-            continue;
-        }
-        let text = &t.text;
-        if text.starts_with("///")
-            || text.starts_with("//!")
-            || text.starts_with("/**")
-            || text.starts_with("/*!")
-        {
-            continue;
-        }
-        let Some(pos) = text.find("LINT-ALLOW(") else {
-            continue;
-        };
-        let rest = &text[pos + "LINT-ALLOW(".len()..];
-        let valid = match rest.split_once(')') {
-            Some((rule, tail)) => {
-                let rule_ok = RULE_IDS.contains(&rule.trim());
-                let reason_ok = tail
-                    .trim_start()
-                    .strip_prefix(':')
-                    .is_some_and(|r| !r.trim().is_empty());
-                if rule_ok && reason_ok {
-                    waivers.push(Waiver {
-                        rule: rule.trim().to_string(),
-                        line: t.line,
-                        col: t.col,
-                        valid: true,
-                    });
-                    continue;
-                }
-                false
-            }
-            None => false,
-        };
-        if !valid {
-            waivers.push(Waiver {
-                rule: String::new(),
-                line: t.line,
-                col: t.col,
-                valid: false,
-            });
-        }
-    }
-    waivers
-}
-
-/// Index of the token closing the delimiter opened at `open` (`(`/`[`/`{`).
-/// Returns the last index when the file ends unbalanced.
-fn match_delim(code: &[&Tok], open: usize) -> usize {
-    let (o, c) = match code[open].text.as_str() {
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        "{" => ("{", "}"),
-        _ => return open,
-    };
-    let mut depth = 0usize;
-    for (i, t) in code.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            if t.text == o {
-                depth += 1;
-            } else if t.text == c {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-    }
-    code.len().saturating_sub(1)
-}
-
-/// Mark code tokens covered by `#[test]` / `#[cfg(test)]` / `#[bench]`
-/// items (attribute through the item's closing brace or semicolon).
-fn test_regions(code: &[&Tok], whole_file: bool) -> Vec<bool> {
-    let n = code.len();
-    let mut mask = vec![whole_file; n];
-    if whole_file {
-        return mask;
-    }
-    let mut i = 0usize;
-    while i + 1 < n {
-        if !(code[i].is_punct("#") && code[i + 1].is_punct("[")) {
-            i += 1;
-            continue;
-        }
-        let close = match_delim(code, i + 1);
-        let is_test_attr = code[i + 1..close]
-            .iter()
-            .any(|t| t.is_ident("test") || t.is_ident("bench"));
-        if !is_test_attr {
-            i = close + 1;
-            continue;
-        }
-        // Skip any further attributes on the same item.
-        let mut k = close + 1;
-        while k + 1 < n && code[k].is_punct("#") && code[k + 1].is_punct("[") {
-            k = match_delim(code, k + 1) + 1;
-        }
-        // Walk to the item body: first `{` or `;` outside parens/brackets.
-        let mut pd = 0i32;
-        let mut end = None;
-        while k < n {
-            let t = code[k];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" => pd += 1,
-                    ")" | "]" => pd -= 1,
-                    ";" if pd == 0 => {
-                        end = Some(k);
-                        break;
-                    }
-                    "{" if pd == 0 => {
-                        end = Some(match_delim(code, k));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-        let end = end.unwrap_or(n - 1);
-        for m in mask.iter_mut().take(end + 1).skip(i) {
-            *m = true;
-        }
-        i = close + 1;
-    }
-    mask
-}
-
-/// Mark tokens inside macro invocation arguments (`name!(...)` etc.), so
-/// lexical expression rules don't misread macro fragments.
-fn macro_regions(code: &[&Tok]) -> Vec<bool> {
-    let n = code.len();
-    let mut mask = vec![false; n];
-    for i in 0..n.saturating_sub(2) {
-        let (name, bang, open) = (code[i], code[i + 1], code[i + 2]);
-        let adjacent = name.kind == TokKind::Ident
-            && bang.is_punct("!")
-            && name.line == bang.line
-            && name.col + name.text.len() as u32 == bang.col;
-        if !adjacent {
-            continue;
-        }
-        if !(open.is_punct("(") || open.is_punct("[") || open.is_punct("{")) {
-            continue;
-        }
-        let close = match_delim(code, i + 2);
-        for m in mask.iter_mut().take(close + 1).skip(i + 2) {
-            *m = true;
-        }
-    }
-    mask
-}
-
-/// Mark code tokens covered by an item carrying a
+/// Mark code tokens covered by an item carrying a valid
 /// `// LINT-SCOPE(<rule>): <reason>` annotation directly above it.
 ///
 /// Unlike `LINT-ALLOW`, a scope annotation is not a free pass: the
@@ -375,56 +192,19 @@ fn macro_regions(code: &[&Tok]) -> Vec<bool> {
 /// fails the run if it is actually reachable from a serve root. The
 /// file-local rule only steps aside here so the proof obligation moves to
 /// the call graph.
-fn scope_off_regions(toks: &[Tok], code: &[&Tok], rule: &str) -> Vec<bool> {
-    let n = code.len();
-    let mut mask = vec![false; n];
-    let marker = format!("LINT-SCOPE({rule})");
-    for t in toks {
-        if !t.is_comment() || t.text.starts_with("///") || t.text.starts_with("//!") {
-            continue;
-        }
-        let Some(pos) = t.text.find(marker.as_str()) else {
-            continue;
-        };
-        let tail = &t.text[pos + marker.len()..];
-        let valid = tail
-            .trim_start()
-            .strip_prefix(':')
-            .is_some_and(|r| !r.trim().is_empty());
-        if !valid {
-            continue;
-        }
+fn scope_off_mask(file: &Source, rule: &str) -> Vec<bool> {
+    let code = &file.code;
+    let mut mask = vec![false; code.len()];
+    for a in file
+        .annotations
+        .iter()
+        .filter(|a| a.valid && a.rule == rule)
+    {
         // First code token past the annotation line starts the item.
-        let Some(start) = code.iter().position(|c| c.line > t.line) else {
+        let Some(start) = code.iter().position(|c| c.line > a.line) else {
             continue;
         };
-        // Skip attributes, then walk to the item body end.
-        let mut k = start;
-        while k + 1 < n && code[k].is_punct("#") && code[k + 1].is_punct("[") {
-            k = match_delim(code, k + 1) + 1;
-        }
-        let mut pd = 0i32;
-        let mut end = None;
-        while k < n {
-            let c = code[k];
-            if c.kind == TokKind::Punct {
-                match c.text.as_str() {
-                    "(" | "[" => pd += 1,
-                    ")" | "]" => pd -= 1,
-                    ";" if pd == 0 => {
-                        end = Some(k);
-                        break;
-                    }
-                    "{" if pd == 0 => {
-                        end = Some(match_delim(code, k));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-        let end = end.unwrap_or(n - 1);
+        let end = item_end(code, start);
         for m in mask.iter_mut().take(end + 1).skip(start) {
             *m = true;
         }
@@ -463,224 +243,6 @@ fn rule_cast(code: &[&Tok], test: &[bool], out: &mut Vec<Finding>) {
                 target.text
             ),
         });
-    }
-}
-
-// -- pub(crate) accessors for the interprocedural layer ---------------------
-//
-// `symbols.rs` parses the same token stream and must agree token-for-token
-// with the rule engine on what counts as test code, macro arguments, and
-// delimiter matching — so it reuses these instead of reimplementing them.
-
-pub(crate) fn is_test_path_pub(path: &str) -> bool {
-    is_test_path(path)
-}
-
-pub(crate) fn match_delim_pub(code: &[&Tok], open: usize) -> usize {
-    match_delim(code, open)
-}
-
-pub(crate) fn test_regions_pub(code: &[&Tok], whole_file: bool) -> Vec<bool> {
-    test_regions(code, whole_file)
-}
-
-pub(crate) fn macro_regions_pub(code: &[&Tok]) -> Vec<bool> {
-    macro_regions(code)
-}
-
-fn rule_det_time(code: &[&Tok], test: &[bool], out: &mut Vec<Finding>) {
-    for i in 0..code.len() {
-        if test[i] {
-            continue;
-        }
-        let t = code[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let clock = (t.text == "SystemTime" || t.text == "Instant")
-            && code.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && code.get(i + 2).is_some_and(|n| n.is_ident("now"));
-        if clock {
-            out.push(Finding {
-                rule: "det",
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "wall-clock call `{}::now` in a determinism-critical crate (thread seeded time through the config instead)",
-                    t.text
-                ),
-            });
-            continue;
-        }
-        if matches!(
-            t.text.as_str(),
-            "thread_rng" | "from_entropy" | "OsRng" | "ThreadRng"
-        ) {
-            out.push(Finding {
-                rule: "det",
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "entropy-seeded RNG `{}` in a determinism-critical crate (use the seeded mbp-randx streams)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_det_maps(code: &[&Tok], test: &[bool], out: &mut Vec<Finding>) {
-    // Names bound or typed as HashMap/HashSet in this file.
-    let mut names: BTreeSet<String> = BTreeSet::new();
-    for i in 0..code.len() {
-        let t = code[i];
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        // Walk back over a `std::collections::` path prefix.
-        let mut j = i;
-        while j >= 2 && code[j - 1].is_punct("::") && code[j - 2].kind == TokKind::Ident {
-            j -= 2;
-        }
-        if j == 0 {
-            continue;
-        }
-        // `name: HashMap<..>` (binding or field type) or `name = HashMap::..`.
-        let prev = code[j - 1];
-        if (prev.is_punct(":") || prev.is_punct("="))
-            && j >= 2
-            && code[j - 2].kind == TokKind::Ident
-        {
-            names.insert(code[j - 2].text.clone());
-        }
-    }
-    if names.is_empty() {
-        return;
-    }
-    for i in 0..code.len() {
-        if test[i] {
-            continue;
-        }
-        let t = code[i];
-        // map.iter() / .keys() / .values() / .drain() / .retain() …
-        if t.kind == TokKind::Ident
-            && names.contains(&t.text)
-            && code.get(i + 1).is_some_and(|n| n.is_punct("."))
-            && code.get(i + 2).is_some_and(|n| {
-                n.kind == TokKind::Ident && ITER_METHODS.contains(&n.text.as_str())
-            })
-            && code.get(i + 3).is_some_and(|n| n.is_punct("("))
-        {
-            out.push(Finding {
-                rule: "det",
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "iteration over hash-ordered `{}` is nondeterministic (use BTreeMap/BTreeSet or collect-and-sort)",
-                    t.text
-                ),
-            });
-            continue;
-        }
-        // for pat in [&[mut]] map { … }
-        if t.is_ident("for") {
-            let mut k = i + 1;
-            let limit = (i + 12).min(code.len());
-            while k < limit && !code[k].is_ident("in") {
-                k += 1;
-            }
-            if k >= limit {
-                continue;
-            }
-            let mut m = k + 1;
-            while code
-                .get(m)
-                .is_some_and(|x| x.is_punct("&") || x.is_ident("mut"))
-            {
-                m += 1;
-            }
-            if code
-                .get(m)
-                .is_some_and(|x| x.kind == TokKind::Ident && names.contains(&x.text))
-                && code.get(m + 1).is_some_and(|x| x.is_punct("{"))
-            {
-                let x = code[m];
-                out.push(Finding {
-                    rule: "det",
-                    line: x.line,
-                    col: x.col,
-                    msg: format!(
-                        "for-loop over hash-ordered `{}` is nondeterministic (use BTreeMap/BTreeSet or collect-and-sort)",
-                        x.text
-                    ),
-                });
-            }
-        }
-    }
-}
-
-fn rule_panic(code: &[&Tok], test: &[bool], in_macro: &[bool], out: &mut Vec<Finding>) {
-    for i in 0..code.len() {
-        if test[i] {
-            continue;
-        }
-        let t = code[i];
-        // .unwrap( / .expect(
-        if t.is_punct(".")
-            && code
-                .get(i + 1)
-                .is_some_and(|n| n.is_ident("unwrap") || n.is_ident("expect"))
-            && code.get(i + 2).is_some_and(|n| n.is_punct("("))
-        {
-            let n = code[i + 1];
-            out.push(Finding {
-                rule: "panic",
-                line: n.line,
-                col: n.col,
-                msg: format!(
-                    ".{}() can panic in a serve-path module (return a typed error or restructure infallibly)",
-                    n.text
-                ),
-            });
-            continue;
-        }
-        // panic!/unreachable!/todo!/unimplemented!
-        if t.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && code.get(i + 1).is_some_and(|n| {
-                n.is_punct("!") && n.line == t.line && t.col + t.text.len() as u32 == n.col
-            })
-        {
-            out.push(Finding {
-                rule: "panic",
-                line: t.line,
-                col: t.col,
-                msg: format!(
-                    "{}! aborts the serve path (return a typed error instead)",
-                    t.text
-                ),
-            });
-            continue;
-        }
-        // Postfix indexing: `expr[...]` where expr ends in an identifier,
-        // `)`, or `]`. Macro arguments are exempt (their fragments are not
-        // plain expressions).
-        if t.is_punct("[") && !in_macro[i] && i > 0 {
-            let prev = code[i - 1];
-            let postfix = match prev.kind {
-                TokKind::Ident => !NONINDEX_KEYWORDS.contains(&prev.text.as_str()),
-                TokKind::Punct => prev.text == ")" || prev.text == "]",
-                _ => false,
-            };
-            if postfix {
-                out.push(Finding {
-                    rule: "panic",
-                    line: t.line,
-                    col: t.col,
-                    msg: "slice/array indexing can panic in a serve-path module (use .get()/.first()/.last() or iterators)".to_string(),
-                });
-            }
-        }
     }
 }
 
@@ -961,9 +523,16 @@ fn rule_safety(toks: &[Tok], code: &[&Tok], lines: &[&str], out: &mut Vec<Findin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::tokenize;
+    use crate::source::is_test_path;
+
+    fn analyze_src(rel_path: &str, src: &str, mode: ScopeMode) -> Vec<Finding> {
+        let toks = tokenize(src);
+        analyze(&Source::new(rel_path, src, &toks, mode))
+    }
 
     fn findings(src: &str) -> Vec<Finding> {
-        analyze("fixture.rs", src, ScopeMode::AllRules).findings
+        analyze_src("fixture.rs", src, ScopeMode::AllRules)
     }
 
     #[test]
@@ -1096,21 +665,13 @@ unsafe impl Sync for P {}
     fn serve_conn_fixture_flags_unwrap_and_clock_in_repo_mode() {
         let src =
             "fn f(v: &[u8]) -> u8 { let _t = std::time::Instant::now(); v.first().copied().unwrap() }";
-        let conn = analyze("crates/serve/src/conn.rs", src, ScopeMode::Repo);
-        assert!(
-            conn.findings.iter().any(|f| f.rule == "panic"),
-            "{:?}",
-            conn.findings
-        );
-        assert!(
-            conn.findings.iter().any(|f| f.rule == "det"),
-            "{:?}",
-            conn.findings
-        );
+        let conn = analyze_src("crates/serve/src/conn.rs", src, ScopeMode::Repo);
+        assert!(conn.iter().any(|f| f.rule == "panic"), "{:?}", conn);
+        assert!(conn.iter().any(|f| f.rule == "det"), "{:?}", conn);
         // The same source in the IO loop is legal: timeouts change when
         // work happens, never what it computes.
-        let server = analyze("crates/serve/src/server.rs", src, ScopeMode::Repo);
-        assert!(server.findings.is_empty(), "{:?}", server.findings);
+        let server = analyze_src("crates/serve/src/server.rs", src, ScopeMode::Repo);
+        assert!(server.is_empty(), "{:?}", server);
     }
 
     // ---- tracing-layer idioms (mbp-obs v2) --------------------------------

@@ -1,17 +1,15 @@
 //! Per-file item trees and function facts for the interprocedural pass.
 //!
-//! This layer parses the flat token stream from [`crate::lexer`] into a
-//! pragmatic item tree: `fn` items with their `impl`/`mod` context, the
+//! This layer parses the code tokens of one [`Source`] into a pragmatic
+//! item tree: `fn` items with their `impl`/`mod` context, the
 //! file's `use`-alias table, and — for every function body — the facts
 //! the graph analyses consume:
 //!
 //! * **call sites** (plain `foo(..)`, path `a::b::foo(..)`, and method
 //!   `.foo(..)` calls with a best-effort receiver-type hint),
-//! * **syntactic panic sites** (`unwrap`/`expect`, `panic!`-family
-//!   macros, postfix indexing, division by a literal zero),
-//! * **determinism-taint sources** (`SystemTime::now`/`Instant::now`,
-//!   ambient RNG constructors, `thread::current().id()`, iteration over
-//!   `HashMap`/`HashSet` bindings),
+//! * **syntactic panic sites** and **determinism-taint sources**, found
+//!   by [`Source::panic_site`] and [`Source::taint_site`] — the detectors
+//!   the per-file `panic`/`det` rules report from,
 //! * **lock events** (core write-guard acquisition, stripe-mutex
 //!   acquisition by constant index or round-robin, `drop(..)` releases)
 //!   in statement order, interleaved with the call sites so the
@@ -21,12 +19,12 @@
 //! The parser is deliberately *not* a full Rust frontend: closures belong
 //! to their enclosing function (a sound over-approximation — the closure
 //! might never run), trait method declarations without bodies are
-//! skipped, and generic arguments are skipped token-wise. `#[cfg(test)]`
-//! masking is reused from the rule engine so test-only functions never
-//! enter the graph.
+//! skipped, and generic arguments are skipped token-wise. The
+//! `#[cfg(test)]` mask is the one [`Source`] computes for the per-file
+//! rules, so test-only functions never enter the graph.
 
-use crate::lexer::{tokenize, Tok, TokKind};
-use crate::rules::{self, ScopeMode};
+use crate::lexer::{Tok, TokKind};
+use crate::source::{match_delim, PanicSite, Source, TaintSite};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call site names its callee.
@@ -57,22 +55,6 @@ impl CallSite {
             CallKind::Path { segs } => segs.last().map(String::as_str).unwrap_or(""),
         }
     }
-}
-
-/// A syntactic may-panic site.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    pub what: String,
-    pub line: u32,
-    pub col: u32,
-}
-
-/// A determinism-taint source.
-#[derive(Debug, Clone)]
-pub struct TaintSite {
-    pub what: String,
-    pub line: u32,
-    pub col: u32,
 }
 
 /// Lock classes the interprocedural lock analysis tracks.
@@ -180,10 +162,6 @@ pub struct FileModel {
     pub fns: Vec<FnItem>,
     /// `use` aliases: local name → full path segments.
     pub uses: BTreeMap<String, Vec<String>>,
-    /// All `LINT-SCOPE` annotations seen, malformed ones included — the
-    /// interprocedural run reports invalid ones under the `lint` rule so
-    /// a typo cannot silently disable a proof obligation.
-    pub annotations: Vec<ScopeAnnotation>,
 }
 
 /// Crate name from a workspace-relative path: `crates/core/src/...` →
@@ -421,57 +399,6 @@ pub fn is_ubiquitous_std_method(name: &str) -> bool {
     UBIQUITOUS_STD_METHODS.contains(&name)
 }
 
-/// Scope annotations parsed out of comments:
-/// `// LINT-SCOPE(<rule>): <reason>`.
-#[derive(Debug, Clone)]
-pub struct ScopeAnnotation {
-    pub rule: String,
-    pub line: u32,
-    pub col: u32,
-    pub valid: bool,
-}
-
-/// Rules a `LINT-SCOPE` annotation may name.
-pub const SCOPE_RULES: &[&str] = &["reach-panic", "taint-det", "lock-graph"];
-
-/// Parse `LINT-SCOPE(<rule>): <reason>` annotations from the comment
-/// tokens. Doc comments are skipped (documentation may show the grammar).
-pub fn collect_scope_annotations(toks: &[Tok]) -> Vec<ScopeAnnotation> {
-    let mut out = Vec::new();
-    for t in toks {
-        if !t.is_comment() {
-            continue;
-        }
-        let text = &t.text;
-        if text.starts_with("///")
-            || text.starts_with("//!")
-            || text.starts_with("/**")
-            || text.starts_with("/*!")
-        {
-            continue;
-        }
-        let Some(pos) = text.find("LINT-SCOPE(") else {
-            continue;
-        };
-        let rest = &text[pos + "LINT-SCOPE(".len()..];
-        let parsed = rest.split_once(')').and_then(|(rule, tail)| {
-            let rule = rule.trim();
-            let reason_ok = tail
-                .trim_start()
-                .strip_prefix(':')
-                .is_some_and(|r| !r.trim().is_empty());
-            (SCOPE_RULES.contains(&rule) && reason_ok).then(|| rule.to_string())
-        });
-        out.push(ScopeAnnotation {
-            rule: parsed.clone().unwrap_or_default(),
-            line: t.line,
-            col: t.col,
-            valid: parsed.is_some(),
-        });
-    }
-    out
-}
-
 /// Context stack entry while walking the item tree.
 enum Ctx {
     Mod(String),
@@ -483,32 +410,20 @@ enum Ctx {
     Block,
 }
 
-/// Parse one file into its [`FileModel`]. `rel_path` must be
-/// workspace-relative with `/` separators.
-pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
-    let toks = tokenize(src);
-    let code: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
-    let whole_file_test = rules::is_test_path_pub(rel_path);
-    let test_mask = rules::test_regions_pub(&code, whole_file_test);
-    let macro_mask = rules::macro_regions_pub(&code);
-    let annotations = collect_scope_annotations(&toks);
-    let hash_names = collect_hash_names(&code);
+/// Parse one lexed file into its [`FileModel`].
+pub fn parse(file: &Source) -> FileModel {
+    let rel_path = file.rel_path;
+    let code = &file.code;
+    let test_mask = &file.test;
     // Lines carrying a valid `panic` waiver: a waived site has a reviewed
     // bound proof, so it is not a seed for the transitive may-panic closure
     // either. (The waiver covers the same line or the line below,
-    // mirroring the engine's application order.) The marker is spelled
-    // via concatenation so this very file does not register a waiver.
-    let panic_marker = concat!("LINT-", "ALLOW(panic)");
-    let panic_waiver_lines: BTreeSet<u32> = toks
+    // mirroring the engine's application order.)
+    let panic_waiver_lines: BTreeSet<u32> = file
+        .waivers
         .iter()
-        .filter(|t| t.is_comment() && !t.text.starts_with("///") && !t.text.starts_with("//!"))
-        .filter(|t| {
-            t.text
-                .split_once(panic_marker)
-                .and_then(|(_, tail)| tail.trim_start().strip_prefix(':'))
-                .is_some_and(|r| !r.trim().is_empty())
-        })
-        .map(|t| t.line)
+        .filter(|w| w.valid && w.rule == "panic")
+        .map(|w| w.line)
         .collect();
 
     let crate_name = crate_name_of(rel_path);
@@ -519,7 +434,6 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
         crate_name: crate_name.clone(),
         fns: Vec::new(),
         uses: BTreeMap::new(),
-        annotations: annotations.clone(),
     };
 
     let mut ctx: Vec<Ctx> = Vec::new();
@@ -553,7 +467,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
 
         // --- use-alias collection (top level only; nested uses are rare) --
         if t.is_ident("use") && ctx.is_empty() {
-            i = collect_use(&code, i, &mut model.uses);
+            i = collect_use(code, i, &mut model.uses);
             continue;
         }
 
@@ -567,7 +481,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
             continue;
         }
         if t.is_ident("impl") {
-            let (self_type, trait_name, next) = parse_impl_header(&code, i);
+            let (self_type, trait_name, next) = parse_impl_header(code, i);
             pending = Pending::Impl {
                 self_type,
                 trait_name,
@@ -577,7 +491,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
         }
         if t.is_ident("fn") && code.get(i + 1).is_some_and(|x| x.kind == TokKind::Ident) {
             let name_tok = code[i + 1];
-            let (params, returns_guard, body_open) = parse_fn_signature(&code, i + 1);
+            let (params, returns_guard, body_open) = parse_fn_signature(code, i + 1);
             let in_impl = ctx.iter().rev().find_map(|c| match c {
                 Ctx::Impl {
                     self_type,
@@ -591,8 +505,9 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
                     module.push(m.clone());
                 }
             }
-            let is_test = test_mask.get(i).copied().unwrap_or(false) || whole_file_test;
-            let scope_off: BTreeSet<String> = annotations
+            let is_test = test_mask.get(i).copied().unwrap_or(false);
+            let scope_off: BTreeSet<String> = file
+                .annotations
                 .iter()
                 .filter(|a| {
                     a.valid && a.line < name_tok.line && name_tok.line.saturating_sub(a.line) <= 8
@@ -726,7 +641,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
             let_name = Some(t.text.clone());
             // `let name: Type = ...`
             if code.get(i + 1).is_some_and(|x| x.is_punct(":")) {
-                if let Some(ty) = first_type_ident(&code, i + 2) {
+                if let Some(ty) = first_type_ident(code, i + 2) {
                     local_types.insert(t.text.clone(), ty);
                 }
             }
@@ -755,7 +670,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
         }
 
         // Lock acquisitions --------------------------------------------------
-        if let Some((class, adv)) = detect_lock_acquire(&code, i, stmt_has_stripes, &local_types) {
+        if let Some((class, adv)) = detect_lock_acquire(code, i, stmt_has_stripes, &local_types) {
             let binding = if stmt_has_let && !stmt_has_closure {
                 let_name.clone()
             } else {
@@ -774,7 +689,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
 
         if !masked_test {
             // Panic sites ----------------------------------------------------
-            if let Some(site) = detect_panic_site(&code, i, &macro_mask) {
+            if let Some(site) = file.panic_site(i) {
                 let waived = panic_waiver_lines.contains(&site.line)
                     || site.line > 0 && panic_waiver_lines.contains(&(site.line - 1));
                 if !waived {
@@ -782,13 +697,13 @@ pub fn parse_file(rel_path: &str, src: &str) -> FileModel {
                 }
             }
             // Taint sources --------------------------------------------------
-            if let Some(site) = detect_taint_site(&code, i, &hash_names) {
+            if let Some(site) = file.taint_site(i) {
                 model.fns[fn_idx].taints.push(site);
             }
         }
 
         // Call sites -----------------------------------------------------
-        if let Some((site, adv)) = detect_call(&code, i, &local_types) {
+        if let Some((site, adv)) = detect_call(code, i, &local_types) {
             // `let t = Type::ctor(..)` — constructor-style initializers
             // type the binding for later receiver inference.
             if stmt_has_let {
@@ -975,7 +890,7 @@ fn parse_fn_signature(
     }
     let mut params = BTreeMap::new();
     if code.get(i).is_some_and(|t| t.is_punct("(")) {
-        let close = rules::match_delim_pub(code, i);
+        let close = match_delim(code, i);
         // Walk `name: Type` pairs at paren depth 1.
         let mut depth = 0i32;
         let mut j = i;
@@ -1053,33 +968,6 @@ fn first_type_ident(code: &[&Tok], start: usize) -> Option<String> {
     None
 }
 
-/// `HashMap`/`HashSet`-typed binding names in this file (same heuristic
-/// as the file-local `det` rule).
-fn collect_hash_names(code: &[&Tok]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..code.len() {
-        let t = code[i];
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        let mut j = i;
-        while j >= 2 && code[j - 1].is_punct("::") && code[j - 2].kind == TokKind::Ident {
-            j -= 2;
-        }
-        if j == 0 {
-            continue;
-        }
-        let prev = code[j - 1];
-        if (prev.is_punct(":") || prev.is_punct("="))
-            && j >= 2
-            && code[j - 2].kind == TokKind::Ident
-        {
-            names.insert(code[j - 2].text.clone());
-        }
-    }
-    names
-}
-
 /// Detect a lock acquisition at token `i`. Returns the class and how many
 /// tokens to advance.
 fn detect_lock_acquire(
@@ -1100,7 +988,7 @@ fn detect_lock_acquire(
     }
     // stripes[K].lock() / stripes[expr].lock()
     if t.is_ident("stripes") && code.get(i + 1).is_some_and(|x| x.is_punct("[")) {
-        let close = rules::match_delim_pub(code, i + 1);
+        let close = match_delim(code, i + 1);
         if code.get(close + 1).is_some_and(|x| x.is_punct("."))
             && code
                 .get(close + 2)
@@ -1138,164 +1026,6 @@ fn detect_lock_acquire(
             return Some((LockClass::StripeAny, 1));
         }
         return Some((LockClass::Other("?".to_string()), 1));
-    }
-    None
-}
-
-/// Detect a syntactic panic site at token `i`.
-fn detect_panic_site(code: &[&Tok], i: usize, macro_mask: &[bool]) -> Option<PanicSite> {
-    let t = code[i];
-    // .unwrap( / .expect(
-    if t.is_punct(".")
-        && code
-            .get(i + 1)
-            .is_some_and(|x| x.is_ident("unwrap") || x.is_ident("expect"))
-        && code.get(i + 2).is_some_and(|x| x.is_punct("("))
-    {
-        let n = code[i + 1];
-        return Some(PanicSite {
-            what: format!(".{}()", n.text),
-            line: n.line,
-            col: n.col,
-        });
-    }
-    // panic!/unreachable!/todo!/unimplemented!
-    if t.kind == TokKind::Ident
-        && matches!(
-            t.text.as_str(),
-            "panic" | "unreachable" | "todo" | "unimplemented"
-        )
-        && code.get(i + 1).is_some_and(|x| {
-            x.is_punct("!") && x.line == t.line && t.col + t.text.len() as u32 == x.col
-        })
-    {
-        return Some(PanicSite {
-            what: format!("{}!", t.text),
-            line: t.line,
-            col: t.col,
-        });
-    }
-    // Postfix indexing outside macro args.
-    if t.is_punct("[") && !macro_mask.get(i).copied().unwrap_or(false) && i > 0 {
-        let prev = code[i - 1];
-        let postfix = match prev.kind {
-            TokKind::Ident => !matches!(
-                prev.text.as_str(),
-                "let"
-                    | "mut"
-                    | "ref"
-                    | "in"
-                    | "return"
-                    | "if"
-                    | "else"
-                    | "match"
-                    | "move"
-                    | "static"
-                    | "const"
-                    | "as"
-                    | "break"
-                    | "dyn"
-                    | "impl"
-                    | "where"
-                    | "box"
-            ),
-            TokKind::Punct => prev.text == ")" || prev.text == "]",
-            _ => false,
-        };
-        if postfix {
-            return Some(PanicSite {
-                what: "slice indexing".to_string(),
-                line: t.line,
-                col: t.col,
-            });
-        }
-    }
-    // Division / remainder by a literal zero.
-    if t.kind == TokKind::Punct
-        && (t.text == "/" || t.text == "%")
-        && code
-            .get(i + 1)
-            .is_some_and(|x| x.kind == TokKind::Int && x.text.replace('_', "") == "0")
-    {
-        return Some(PanicSite {
-            what: format!("`{} 0`", t.text),
-            line: t.line,
-            col: t.col,
-        });
-    }
-    None
-}
-
-/// Detect a determinism-taint source at token `i`.
-fn detect_taint_site(code: &[&Tok], i: usize, hash_names: &BTreeSet<String>) -> Option<TaintSite> {
-    let t = code[i];
-    // SystemTime::now / Instant::now
-    if (t.is_ident("SystemTime") || t.is_ident("Instant"))
-        && code.get(i + 1).is_some_and(|x| x.is_punct("::"))
-        && code.get(i + 2).is_some_and(|x| x.is_ident("now"))
-    {
-        return Some(TaintSite {
-            what: format!("{}::now", t.text),
-            line: t.line,
-            col: t.col,
-        });
-    }
-    // Ambient RNG constructors.
-    if t.kind == TokKind::Ident
-        && matches!(
-            t.text.as_str(),
-            "thread_rng" | "from_entropy" | "OsRng" | "ThreadRng"
-        )
-    {
-        return Some(TaintSite {
-            what: format!("ambient RNG `{}`", t.text),
-            line: t.line,
-            col: t.col,
-        });
-    }
-    // thread::current().id()
-    if t.is_ident("current")
-        && i >= 2
-        && code[i - 1].is_punct("::")
-        && code[i - 2].is_ident("thread")
-        && code.get(i + 1).is_some_and(|x| x.is_punct("("))
-    {
-        let close = rules::match_delim_pub(code, i + 1);
-        if code.get(close + 1).is_some_and(|x| x.is_punct("."))
-            && code.get(close + 2).is_some_and(|x| x.is_ident("id"))
-        {
-            return Some(TaintSite {
-                what: "thread::current().id()".to_string(),
-                line: t.line,
-                col: t.col,
-            });
-        }
-    }
-    // HashMap/HashSet iteration.
-    if t.kind == TokKind::Ident
-        && hash_names.contains(&t.text)
-        && code.get(i + 1).is_some_and(|x| x.is_punct("."))
-        && code.get(i + 2).is_some_and(|x| {
-            x.kind == TokKind::Ident
-                && matches!(
-                    x.text.as_str(),
-                    "iter"
-                        | "iter_mut"
-                        | "into_iter"
-                        | "keys"
-                        | "values"
-                        | "values_mut"
-                        | "drain"
-                        | "retain"
-                )
-        })
-        && code.get(i + 3).is_some_and(|x| x.is_punct("("))
-    {
-        return Some(TaintSite {
-            what: format!("iteration over hash-ordered `{}`", t.text),
-            line: t.line,
-            col: t.col,
-        });
     }
     None
 }
@@ -1382,10 +1112,11 @@ fn detect_call(
     ))
 }
 
-/// Parse with [`ScopeMode`] semantics for tests: `AllRules` is accepted
-/// for symmetry but scoping decisions happen in the analyses, not here.
-pub fn parse_source(rel_path: &str, src: &str, _mode: ScopeMode) -> FileModel {
-    parse_file(rel_path, src)
+/// [`parse`] from source text, for the unit tests.
+#[cfg(test)]
+pub(crate) fn parse_file(rel_path: &str, src: &str) -> FileModel {
+    let toks = crate::lexer::tokenize(src);
+    parse(&Source::new(rel_path, src, &toks, crate::ScopeMode::Repo))
 }
 
 #[cfg(test)]
@@ -1463,8 +1194,8 @@ fn f(v: &[f64]) -> f64 {
         let f = &m.fns[0];
         assert_eq!(f.taints.len(), 1, "{:?}", f.taints);
         assert_eq!(f.panics.len(), 2, "{:?}", f.panics);
-        assert!(f.panics[0].what.contains("unwrap"));
-        assert!(f.panics[1].what.contains("indexing"));
+        assert!(f.panics[0].what().contains("unwrap"));
+        assert!(f.panics[1].what().contains("indexing"));
     }
 
     #[test]

@@ -35,13 +35,14 @@ fn det_fixture_pins_every_nondeterminism_site() {
             ("det", 10, 5),  // Instant::now()
             ("det", 16, 20), // m.iter()
             ("det", 19, 21), // for _ in &m
+            ("det", 26, 18), // thread::current().id()
         ]
     );
     assert!(rep.waivers_used.is_empty());
 }
 
 #[test]
-fn panic_fixture_pins_indexing_unwrap_expect_and_macro() {
+fn panic_fixture_pins_indexing_unwrap_expect_macro_and_zero_divisor() {
     let rep = lint_fixture("panic");
     assert_eq!(
         triples(&rep),
@@ -50,6 +51,7 @@ fn panic_fixture_pins_indexing_unwrap_expect_and_macro() {
             ("panic", 8, 9),  // .unwrap()
             ("panic", 12, 9), // .expect()
             ("panic", 16, 5), // panic!()
+            ("panic", 20, 7), // n % 0
         ]
     );
 }

@@ -21,3 +21,7 @@ pub fn iterate() -> f64 {
     }
     total
 }
+
+pub fn worker() -> std::thread::ThreadId {
+    std::thread::current().id()
+}

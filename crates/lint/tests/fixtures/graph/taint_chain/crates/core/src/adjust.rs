@@ -2,3 +2,7 @@
 pub fn adjusted_price(x: f64) -> f64 {
     x + wall_jitter()
 }
+
+pub fn tie_break() -> u32 {
+    last_seen(std::collections::HashSet::new())
+}

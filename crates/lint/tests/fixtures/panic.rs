@@ -15,3 +15,7 @@ pub fn labelled(opt: Option<f64>) -> f64 {
 pub fn boom() -> f64 {
     panic!("no quote")
 }
+
+pub fn bucket(n: usize) -> usize {
+    n % 0
+}

@@ -55,19 +55,31 @@ fn planted_transitive_panic_chain_is_caught_with_exact_witness() {
 }
 
 #[test]
-fn planted_det_taint_chain_is_caught_at_the_det_scope_entry() {
+fn planted_det_taint_chains_are_caught_at_the_det_scope_entry() {
     let (rows, budget_errors) = scan(&fixture("taint_chain"));
     assert_eq!(
         rows,
-        vec![(
-            "crates/core/src/adjust.rs".to_string(),
-            "taint-det".to_string(),
-            2,
-            8,
-            "det-scope `adjusted_price` reaches a nondeterminism source \
-             (Instant::now at crates/serve/src/clock.rs:4): adjusted_price -> wall_jitter"
-                .to_string(),
-        )],
+        vec![
+            (
+                "crates/core/src/adjust.rs".to_string(),
+                "taint-det".to_string(),
+                2,
+                8,
+                "det-scope `adjusted_price` reaches a nondeterminism source \
+                 (Instant::now at crates/serve/src/clock.rs:4): adjusted_price -> wall_jitter"
+                    .to_string(),
+            ),
+            (
+                "crates/core/src/adjust.rs".to_string(),
+                "taint-det".to_string(),
+                6,
+                8,
+                "det-scope `tie_break` reaches a nondeterminism source \
+                 (for-loop over hash-ordered `seen` at crates/serve/src/last_seen.rs:7): \
+                 tie_break -> last_seen"
+                    .to_string(),
+            ),
+        ],
     );
     assert_eq!(budget_errors.len(), 1, "{budget_errors:?}");
     assert!(budget_errors[0].contains("taint-det"), "{budget_errors:?}");
