@@ -9,7 +9,7 @@
 //! are collected, and a combined JSON artifact is written next to the
 //! report (`experiments/metrics.json`, overridable with `MBP_METRICS_OUT`);
 //! a run that cannot write it exits 1, and so does a run whose
-//! `lintbench` phase finds either `mbp-lint` pass failed or unclean. The
+//! `lintbench` phase finds the `mbp-lint` run failed or unclean. The
 //! `BENCH_*.json` records, EXPERIMENTS.md's solver and noise timings among
 //! them, are the `ratchet` binary's.
 
@@ -78,55 +78,35 @@ fn main() {
         });
     }
 
-    // Static-analysis timing: the per-file rule pass and the full
-    // interprocedural pass (workspace call graph + reach-panic /
-    // taint-det / lock-graph) over this workspace, so an analyzer
-    // slowdown shows up in the phase timings beside the experiments. Both
-    // passes must come back clean against the checked-in baseline: a pass
-    // that errors or is not clean fails the run once the report is out.
-    let mut unclean_passes: Vec<&str> = Vec::new();
+    // Static-analysis timing: one `mbp-lint` run over this workspace (the
+    // per-file rules, then the call graph and reach-panic / taint-det /
+    // lock-graph), so an analyzer slowdown shows up in the phase timings
+    // beside the experiments. The run must come back clean against the
+    // checked-in baseline: a run that errors or is not clean fails the
+    // suite once the report is out.
+    const LINT_PASS: &str = "per-file rules + call graph";
+    let mut lint_clean = false;
     run_phase(&mut phases, "lintbench", || {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let baseline = root.join("lint.toml");
-        let rows: Vec<(&str, Result<mbp_lint::Report, std::io::Error>, f64)> =
-            [("per-file rules", false), ("interprocedural", true)]
-                .into_iter()
-                .map(|(name, interproc)| {
-                    let t0 = Instant::now();
-                    let report = if interproc {
-                        mbp_lint::run_interprocedural(&root, Some(&baseline), None)
-                    } else {
-                        mbp_lint::run(&root, Some(&baseline))
-                    };
-                    (name, report, t0.elapsed().as_secs_f64())
-                })
-                .collect();
-        unclean_passes.extend(
-            rows.iter()
-                .filter(|(_, report, _)| !report.as_ref().is_ok_and(|r| r.is_clean()))
-                .map(|(name, _, _)| *name),
-        );
+        let t0 = Instant::now();
+        let report = mbp_lint::run(&root, Some(&baseline), mbp_lint::ScopeMode::Repo, None);
+        let secs = fmt_secs(t0.elapsed().as_secs_f64());
+        let (files, findings) = match &report {
+            Ok(r) => (r.files_scanned.to_string(), r.findings.len().to_string()),
+            Err(e) => ("-".to_string(), format!("error: {e}")),
+        };
+        lint_clean = report.is_ok_and(|r| r.is_clean());
         Table::new(
             "Static analysis (mbp-lint over this workspace)",
             &["pass", "files", "findings", "clean", "runtime"],
-            rows.iter()
-                .map(|(name, report, secs)| match report {
-                    Ok(r) => vec![
-                        name.to_string(),
-                        r.files_scanned.to_string(),
-                        r.findings.len().to_string(),
-                        r.is_clean().to_string(),
-                        fmt_secs(*secs),
-                    ],
-                    Err(e) => vec![
-                        name.to_string(),
-                        "-".to_string(),
-                        format!("error: {e}"),
-                        "false".to_string(),
-                        fmt_secs(*secs),
-                    ],
-                })
-                .collect(),
+            vec![vec![
+                LINT_PASS.to_string(),
+                files,
+                findings,
+                lint_clean.to_string(),
+                secs,
+            ]],
         )
         .print();
     });
@@ -163,11 +143,9 @@ fn main() {
         std::process::exit(1);
     }
     println!("metrics artifact written to {out_path}");
-    if !unclean_passes.is_empty() {
+    if !lint_clean {
         eprintln!(
-            "error: lintbench: the {} pass{} did not come back clean (see \"Static analysis\" above)",
-            unclean_passes.join(" and "),
-            if unclean_passes.len() == 1 { "" } else { "es" }
+            "error: lintbench: the {LINT_PASS} pass did not come back clean (see \"Static analysis\" above)"
         );
         std::process::exit(1);
     }

@@ -120,7 +120,7 @@ impl Floor {
     fn new(broker: &Broker, pricing: &PricingFunction) -> Self {
         let kind = ModelKind::LinearRegression;
         let table = pricing.compile();
-        let phi = PhiMemo::new(&SquareLossTransform, &table);
+        let phi = PhiMemo::new(&SquareLossTransform);
         let model = broker.optimal_model(kind).expect("supported").clone();
         let listing = FloorListing {
             table,

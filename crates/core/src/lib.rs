@@ -50,4 +50,4 @@ pub use mechanism::{
     GaussianMechanism, LaplaceMechanism, NoiseMechanism, UniformAdditiveMechanism,
     UniformMultiplicativeMechanism,
 };
-pub use pricing::{ErrorPricedTable, ErrorPricedView, PhiMemo, PricingFunction, PricingTable};
+pub use pricing::{ErrorPricedView, PhiMemo, PricingFunction, PricingTable};

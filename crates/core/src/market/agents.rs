@@ -487,7 +487,7 @@ impl Broker {
             return Err(MarketError::UnsupportedModel(kind));
         }
         let table = pricing.compile();
-        let phi = PhiMemo::new(transform.as_ref(), &table);
+        let phi = PhiMemo::new(transform.as_ref());
         if let Some(sink) = &self.durability {
             sink.record_publish(kind, pricing.grid(), pricing.prices());
         }

@@ -507,48 +507,24 @@ impl PricingTable {
     }
 }
 
-/// Memoized φ-inversion state for one `(pricing, transform)` pair: the
-/// numbers needed to answer [`ErrorPricedView::price_for_error`] without a
-/// virtual `ncp_for_error` call or a segment scan.
+/// Memoized φ-inversion state for one transform: the numbers needed to
+/// answer [`PhiMemo::ncp_for_error`] without a virtual call.
 ///
 /// For affine transforms (`E[ε] = base + slope·δ`,
 /// [`crate::error::ErrorTransform::affine_params`]) the inverse is one
-/// subtract-multiply; the saturation band `[ε(h*), E[ε(1/x_max)]]` — where
-/// the curve answers its maximum price — is precomputed so the common
-/// "buyer wants the most precise instance" query is a pure lookup.
+/// subtract-divide; other transforms fall back to their own
+/// `ncp_for_error`.
 #[derive(Debug, Clone)]
 pub struct PhiMemo {
     /// `(base, slope)` for affine transforms with positive slope.
     affine: Option<(f64, f64)>,
-    sat_floor: f64,
-    sat_ceil: f64,
-    max_price: f64,
 }
 
 impl PhiMemo {
-    /// Precomputes inversion state for `transform` against `table`.
-    pub fn new(transform: &dyn crate::error::ErrorTransform, table: &PricingTable) -> Self {
-        let affine = transform.affine_params().filter(|&(_, s)| s > 0.0);
-        // The saturation shortcut is only sound for strictly increasing
-        // affine transforms: there `err ≤ E[ε(δ₀)]` implies `φ(err) ≤ δ₀`.
-        // Piecewise transforms (PAVA-pooled flat segments) resolve flat
-        // stretches to the buyer-optimal *largest* δ, which can escape the
-        // band, so they always go through `ncp_for_error`.
-        let (sat_floor, sat_ceil) = match affine {
-            Some(_) => {
-                let x_max = table.knot_max;
-                (
-                    transform.expected_error(0.0),
-                    transform.expected_error(1.0 / x_max),
-                )
-            }
-            None => (f64::INFINITY, f64::NEG_INFINITY),
-        };
+    /// Precomputes inversion state for `transform`.
+    pub fn new(transform: &dyn crate::error::ErrorTransform) -> Self {
         PhiMemo {
-            affine,
-            sat_floor,
-            sat_ceil,
-            max_price: table.max_price(),
+            affine: transform.affine_params().filter(|&(_, s)| s > 0.0),
         }
     }
 
@@ -569,57 +545,6 @@ impl PhiMemo {
             }
             None => transform.ncp_for_error(err),
         }
-    }
-
-    /// Memoized price for expected error `err` — the lookup form of
-    /// [`ErrorPricedView::price_for_error`].
-    pub fn price_for_error(
-        &self,
-        transform: &dyn crate::error::ErrorTransform,
-        table: &PricingTable,
-        err: f64,
-    ) -> Option<f64> {
-        // Saturation band: any error at or below the most precise grid
-        // point's error (but achievable) prices at the saturation value.
-        if err >= self.sat_floor && err <= self.sat_ceil {
-            return Some(self.max_price);
-        }
-        let ncp = self.ncp_for_error(transform, err)?;
-        if ncp <= 0.0 {
-            return Some(self.max_price);
-        }
-        Some(table.price_for_ncp(ncp))
-    }
-
-    /// `Some((base, slope))` when the affine fast path is active.
-    pub fn affine(&self) -> Option<(f64, f64)> {
-        self.affine
-    }
-}
-
-/// The compiled analogue of [`ErrorPricedView`]: owns the φ memo and
-/// answers error-unit price queries by table lookup.
-pub struct ErrorPricedTable<'a> {
-    table: &'a PricingTable,
-    transform: &'a dyn crate::error::ErrorTransform,
-    memo: PhiMemo,
-}
-
-impl<'a> ErrorPricedTable<'a> {
-    /// Builds the memoized view over a compiled table.
-    pub fn new(table: &'a PricingTable, transform: &'a dyn crate::error::ErrorTransform) -> Self {
-        let memo = PhiMemo::new(transform, table);
-        ErrorPricedTable {
-            table,
-            transform,
-            memo,
-        }
-    }
-
-    /// Memoized price of a release with expected error `err`; agrees with
-    /// [`ErrorPricedView::price_for_error`] to `1e-12`.
-    pub fn price_for_error(&self, err: f64) -> Option<f64> {
-        self.memo.price_for_error(self.transform, self.table, err)
     }
 }
 
@@ -874,60 +799,34 @@ mod tests {
     }
 
     #[test]
-    fn memoized_error_table_agrees_with_view() {
-        let p = pf();
-        let table = p.compile();
-        // Identity transform (non-affine path: no affine_params impl).
-        let t = SquareLossTransform;
-        let view = ErrorPricedView::new(&p, &t);
-        let memo = ErrorPricedTable::new(&table, &t);
-        for i in 0..400 {
-            let err = i as f64 * 0.02;
-            let a = memo.price_for_error(err);
-            let b = view.price_for_error(err);
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert!((x - y).abs() <= 1e-12 * y.abs().max(1.0), "err={err}")
-                }
-                _ => panic!("achievability diverged at err={err}: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(memo.price_for_error(-1.0), None);
-        assert_eq!(memo.price_for_error(0.0), Some(p.max_price()));
-    }
-
-    #[test]
-    fn memoized_error_table_uses_affine_fast_path() {
-        let p = pf();
-        let table = p.compile();
+    fn phi_memo_inverts_bit_for_bit() {
         let mut rng = mbp_randx::seeded_rng(5);
         let ds = mbp_data::synth::simulated1(300, 3, 0.3, &mut rng);
         let h = mbp_ml::train::ridge_closed_form(&ds, 0.0).unwrap();
-        let t = LinRegSquareTransform::new(&ds, &h);
-        let memo = PhiMemo::new(&t, &table);
-        assert!(memo.affine().is_some(), "LinReg transform is affine in δ");
-        let view = ErrorPricedView::new(&p, &t);
-        let et = ErrorPricedTable::new(&table, &t);
-        // Probe across unachievable, saturated, interior, and tail errors.
-        for i in 0..500 {
-            let err = t.base() * 0.5 + i as f64 * 0.01;
-            let a = et.price_for_error(err);
-            let b = view.price_for_error(err);
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert!(
-                        (x - y).abs() <= 1e-12 * y.abs().max(1.0),
-                        "err={err}: {x} vs {y}"
-                    )
-                }
-                _ => panic!("achievability diverged at err={err}: {a:?} vs {b:?}"),
+        // LinReg is affine in δ (the cached fast path); the identity
+        // transform has no affine_params and takes the virtual call.
+        let affine = LinRegSquareTransform::new(&ds, &h);
+        assert!(
+            affine.affine_params().is_some(),
+            "LinReg transform is affine in δ"
+        );
+        let transforms: [&dyn ErrorTransform; 2] = [&affine, &SquareLossTransform];
+        for t in transforms {
+            let memo = PhiMemo::new(t);
+            // Probe across unachievable, interior and tail errors, plus the
+            // non-finite ones the guard rejects.
+            let probes = (0..500)
+                .map(|i| affine.base() * 0.5 + i as f64 * 0.01)
+                .chain([-1.0, 0.0, f64::INFINITY, f64::NAN]);
+            for err in probes {
+                assert_eq!(
+                    memo.ncp_for_error(t, err).map(f64::to_bits),
+                    t.ncp_for_error(err).map(f64::to_bits),
+                    "{}: err={err}",
+                    t.name()
+                );
             }
         }
-        // The saturation band answers max_price without inversion.
-        let sat = t.expected_error(1.0 / p.grid().last().unwrap() * 0.5);
-        assert_eq!(et.price_for_error(sat), Some(p.max_price()));
     }
 
     /// The verification layer's end-to-end smoke: a deliberately

@@ -9,16 +9,16 @@
 //! lexer (comment/string/lifetime-aware — see [`lexer`]) and enforces
 //! those invariants lexically.
 //!
-//! ## Two passes over one lexed file
+//! ## One run over one lexed file
 //!
-//! Each file is read, tokenized and masked once into a [`Source`]. The
-//! per-file rules ([`rules`]) check it alone; the interprocedural pass
-//! ([`run_interprocedural`]) also parses it into a symbol model
-//! ([`symbols`]), links the models into a call graph ([`callgraph`]) and
-//! runs `reach-panic`, `taint-det` and `lock-graph` over it ([`dataflow`]).
-//! Panic sites and determinism-taint sources have one detector each, in
-//! [`source`]: the per-file `panic`/`det` rules report its sites inside
-//! their path scopes, and the graph rules seed their closures with them.
+//! [`run`] reads, tokenizes and masks each file once into a [`Source`].
+//! The per-file rules ([`rules`]) check it alone; it is also parsed into a
+//! symbol model ([`symbols`]), and the models are linked into a call graph
+//! ([`callgraph`]) that `reach-panic`, `taint-det` and `lock-graph` run
+//! over ([`dataflow`]). Panic, taint and lock sites have one detector
+//! each, in [`source`]: the per-file `panic`/`det` rules report the first
+//! two inside their path scopes, and the graph rules start from all
+//! three.
 //!
 //! ## Waivers and the baseline ratchet
 //!
@@ -35,9 +35,9 @@
 //! number of live waivers per rule is capped by the `[waivers]` table in
 //! `lint.toml` at the workspace root: exceeding a budget fails the run,
 //! and unused headroom prints a shrink notice, so the baseline only
-//! ratchets downward. Determinism (`det`) and lock-order (`lock`)
-//! findings carry a budget of zero by policy — they must be fixed, never
-//! waived.
+//! ratchets downward. Determinism (`det`) findings carry a budget of
+//! zero by policy — they must be fixed, never waived — and the graph
+//! rules, lock order among them, cannot be waived at all.
 
 pub mod callgraph;
 pub mod config;
@@ -205,26 +205,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Run the full workspace lint rooted at `root`, reading the baseline
-/// from `baseline_path` (default `<root>/lint.toml`; a missing file means
-/// all budgets are zero).
-pub fn run(root: &Path, baseline_path: Option<&Path>) -> io::Result<Report> {
-    run_with_mode(root, baseline_path, ScopeMode::Repo)
-}
-
-/// [`run`] with an explicit [`ScopeMode`]. `ScopeMode::AllRules` applies
-/// every rule to every scanned file regardless of its path — the mode the
-/// fixtures under `crates/lint/tests/fixtures/` are checked with (via the
-/// binary's `--all-rules` flag).
-pub fn run_with_mode(
-    root: &Path,
-    baseline_path: Option<&Path>,
-    mode: ScopeMode,
-) -> io::Result<Report> {
-    let baseline = load_baseline(root, baseline_path)?;
-    Ok(scan(root, &baseline, mode, false)?.0)
-}
-
 fn load_baseline(root: &Path, baseline_path: Option<&Path>) -> io::Result<Baseline> {
     let default_baseline = root.join("lint.toml");
     match fs::read_to_string(baseline_path.unwrap_or(&default_baseline)) {
@@ -235,14 +215,13 @@ fn load_baseline(root: &Path, baseline_path: Option<&Path>) -> io::Result<Baseli
 }
 
 /// Walk the tree once: read, tokenize and mask each file once, run the
-/// per-file rules on it and check their waiver budgets. With `models`,
-/// also parse each file's symbol model from the same [`Source`] and
-/// report its malformed `LINT-SCOPE` annotations.
+/// per-file rules on it and check their waiver budgets, report its
+/// malformed `LINT-SCOPE` annotations and parse its symbol model from the
+/// same [`Source`].
 fn scan(
     root: &Path,
     baseline: &Baseline,
     mode: ScopeMode,
-    models: bool,
 ) -> io::Result<(Report, Vec<symbols::FileModel>)> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
@@ -268,22 +247,19 @@ fn scan(
         for (rule, n) in file_report.waivers_used {
             *report.waivers_used.entry(rule).or_insert(0) += n;
         }
-        if models {
-            for a in file.annotations.iter().filter(|a| !a.valid) {
-                report.findings.push((
-                    rel.clone(),
-                    Finding {
-                        rule: "lint",
-                        line: a.line,
-                        col: a.col,
-                        msg: "malformed scope annotation: expected `LINT-SCOPE(<graph-rule>): <reason>` with a known graph rule id and a non-empty reason".to_string(),
-                    },
-                ));
-            }
-            parsed.push(symbols::parse(&file));
+        for a in file.annotations.iter().filter(|a| !a.valid) {
+            report.findings.push((
+                rel.clone(),
+                Finding {
+                    rule: "lint",
+                    line: a.line,
+                    col: a.col,
+                    msg: "malformed scope annotation: expected `LINT-SCOPE(<graph-rule>): <reason>` with a known graph rule id and a non-empty reason".to_string(),
+                },
+            ));
         }
+        parsed.push(symbols::parse(&file));
     }
-    sort_findings(&mut report);
 
     for rule in rules::RULE_IDS {
         let used = report.waivers_used.get(*rule).copied().unwrap_or(0);
@@ -301,29 +277,29 @@ fn scan(
     Ok((report, parsed))
 }
 
-fn sort_findings(report: &mut Report) {
-    report
-        .findings
-        .sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
-}
-
-/// Run the file-local lint **plus** the whole-workspace interprocedural
-/// pass (call-graph construction and the `reach-panic` / `taint-det` /
-/// `lock-graph` analyses — see [`dataflow`]). One walk of the tree feeds
-/// both: each file is read, tokenized and masked once.
+/// Run the workspace lint rooted at `root`: the per-file rules and their
+/// waiver budgets, then the call graph and the `reach-panic` /
+/// `taint-det` / `lock-graph` analyses (see [`dataflow`]) with their
+/// `[graph]` budgets (pinned at 0). One walk of the tree feeds both: each
+/// file is read, tokenized and masked once.
+///
+/// The baseline is read from `baseline_path` (default `<root>/lint.toml`;
+/// a missing file means all budgets are zero). `ScopeMode::AllRules`
+/// applies every per-file rule to every scanned file regardless of its
+/// path — the mode the fixtures under `crates/lint/tests/fixtures/` are
+/// checked with (via the binary's `--all-rules` flag).
 ///
 /// When `graph_out` is given, writes `<graph_out>.json` and
 /// `<graph_out>.dot`: the call graph restricted to serve-reachable and
-/// tainted nodes, with every finding's witness chain. Findings are merged
-/// into the same report/exit-code contract as [`run`]; the `[graph]`
-/// budgets in `lint.toml` (pinned at 0) gate them.
-pub fn run_interprocedural(
+/// tainted nodes, with every finding's witness chain.
+pub fn run(
     root: &Path,
     baseline_path: Option<&Path>,
+    mode: ScopeMode,
     graph_out: Option<&Path>,
 ) -> io::Result<Report> {
     let baseline = load_baseline(root, baseline_path)?;
-    let (mut report, models) = scan(root, &baseline, ScopeMode::Repo, true)?;
+    let (mut report, models) = scan(root, &baseline, mode)?;
 
     let graph = callgraph::CallGraph::build(models);
     let result = dataflow::run_analyses(&graph);
@@ -352,7 +328,9 @@ pub fn run_interprocedural(
             },
         ));
     }
-    sort_findings(&mut report);
+    report
+        .findings
+        .sort_by(|a, b| (&a.0, a.1.line, a.1.col).cmp(&(&b.0, b.1.line, b.1.col)));
 
     if let Some(base) = graph_out {
         let json = graph.to_json(&result.keep, &result.witnesses);

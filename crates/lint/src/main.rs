@@ -10,19 +10,21 @@ mbp-lint — zero-dependency static analysis for the mbp workspace
 
 USAGE:
     mbp-lint [--root DIR] [--baseline FILE] [--report FILE] [--quiet]
-             [--all-rules] [--interprocedural] [--graph-out BASE]
+             [--all-rules] [--graph-out BASE]
+
+Runs the per-file rules (det, panic, float, safety, cast), then builds the
+workspace call graph and runs the reach-panic / taint-det / lock-graph
+analyses over it.
 
 OPTIONS:
     --root DIR        Workspace root to scan (default: current directory)
     --baseline FILE   Waiver-budget baseline (default: <root>/lint.toml)
     --report FILE     Also write the findings report to FILE
     --quiet           Suppress the summary line when clean
-    --all-rules       Apply every rule to every file, ignoring the repo's
-                      path-based scoping (used to check the fixtures)
-    --interprocedural Additionally build the workspace call graph and run
-                      the reach-panic / taint-det / lock-graph analyses
-    --graph-out BASE  With --interprocedural: write BASE.json and BASE.dot
-                      call-graph artifacts (witness chains included)
+    --all-rules       Apply every per-file rule to every file, ignoring the
+                      repo's path-based scoping (used to check the fixtures)
+    --graph-out BASE  Write BASE.json and BASE.dot call-graph artifacts
+                      (witness chains included)
     -h, --help        Show this help
 ";
 
@@ -32,7 +34,6 @@ fn main() -> ExitCode {
     let mut report_path: Option<PathBuf> = None;
     let mut quiet = false;
     let mut mode = mbp_lint::ScopeMode::Repo;
-    let mut interprocedural = false;
     let mut graph_out: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -52,7 +53,6 @@ fn main() -> ExitCode {
             },
             "--quiet" => quiet = true,
             "--all-rules" => mode = mbp_lint::ScopeMode::AllRules,
-            "--interprocedural" => interprocedural = true,
             "--graph-out" => match args.next() {
                 Some(v) => graph_out = Some(PathBuf::from(v)),
                 None => return usage_error("--graph-out needs a value"),
@@ -65,18 +65,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if graph_out.is_some() && !interprocedural {
-        return usage_error("--graph-out requires --interprocedural");
-    }
-    let result = if interprocedural {
-        if mode == mbp_lint::ScopeMode::AllRules {
-            return usage_error("--interprocedural is incompatible with --all-rules");
-        }
-        mbp_lint::run_interprocedural(&root, baseline.as_deref(), graph_out.as_deref())
-    } else {
-        mbp_lint::run_with_mode(&root, baseline.as_deref(), mode)
-    };
-    let report = match result {
+    let report = match mbp_lint::run(&root, baseline.as_deref(), mode, graph_out.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mbp-lint: error: {e}");

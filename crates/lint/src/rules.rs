@@ -1,6 +1,6 @@
 //! The mbp-lint per-file rule set.
 //!
-//! Six rules, each keyed by a short id used in findings and waivers:
+//! Five rules, each keyed by a short id used in findings and waivers:
 //!
 //! * `det` — determinism: no wall-clock, entropy or thread-identity reads
 //!   and no `HashMap`/`HashSet` iteration in the pricing, ledger, and
@@ -11,9 +11,6 @@
 //! * `float` — float discipline: no `==`/`!=` against float literals or
 //!   infinity/NaN constants outside tests, and no NaN-unsafe
 //!   `partial_cmp(..).unwrap()` chains.
-//! * `lock` — lock order: `SharedBroker` stripe mutexes are acquired in
-//!   ascending index only and never while a core `RwLock` write guard is
-//!   held.
 //! * `safety` — unsafe audit: every `unsafe` token carries a `SAFETY:`
 //!   comment on the same line or in the comment block directly above.
 //! * `cast` — no truncating `as` casts in the wire and WAL decode paths.
@@ -25,7 +22,9 @@
 //! [`Source::panic_site`] — the detectors the call-graph rules seed from —
 //! inside their path scopes. The residual imprecision is handled by the
 //! waiver mechanism (see `crate::lib` docs) and by scoping each rule to
-//! the modules where its invariant is load-bearing.
+//! the modules where its invariant is load-bearing. Lock order has no
+//! per-file rule: the graph rule `lock-graph` checks it within and across
+//! functions ([`crate::dataflow::analyze_locks`]).
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::{item_end, match_delim, Source, TaintClass};
@@ -33,7 +32,7 @@ use std::collections::BTreeSet;
 
 /// All rule ids a waiver may name, including the engine's own `lint` id
 /// used for malformed/unused waivers.
-pub const RULE_IDS: &[&str] = &["det", "panic", "float", "lock", "safety", "cast"];
+pub const RULE_IDS: &[&str] = &["det", "panic", "float", "safety", "cast"];
 
 /// Interprocedural (call-graph) rule ids. These are *not* waivable with
 /// `LINT-ALLOW` — a graph finding comes with a witness call chain and is
@@ -175,9 +174,6 @@ pub fn analyze(file: &Source) -> Vec<Finding> {
         rule_cast(code, test_mask, &mut out);
     }
     rule_float(code, test_mask, &mut out);
-    if all || code.iter().any(|t| t.is_ident("stripes")) {
-        rule_lock(code, test_mask, &mut out);
-    }
     rule_safety(file.toks, code, &lines, &mut out);
 
     out.sort_by_key(|f| (f.line, f.col));
@@ -309,169 +305,6 @@ fn rule_float(code: &[&Tok], test: &[bool], out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_lock(code: &[&Tok], test: &[bool], out: &mut Vec<Finding>) {
-    struct Guard {
-        name: String,
-        depth: i32,
-        stmt_temp: bool,
-    }
-    let mut depth = 0i32;
-    let mut write_guards: Vec<Guard> = Vec::new();
-    let mut stripe_aliases: BTreeSet<String> = BTreeSet::new();
-    let mut stmt_has_let = false;
-    let mut let_name: Option<String> = None;
-    let mut stmt_has_stripes = false;
-    let mut last_const_idx: Option<i64> = None;
-    // `for <vars> in …stripes… {` — the loop vars alias individual stripes.
-    let mut for_state = 0u8; // 0 none, 1 collecting vars, 2 after `in`
-    let mut for_vars: Vec<String> = Vec::new();
-    let mut for_saw_stripes = false;
-
-    for i in 0..code.len() {
-        let t = code[i];
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Punct, "{") => {
-                depth += 1;
-                if for_state == 2 && for_saw_stripes {
-                    stripe_aliases.extend(for_vars.drain(..));
-                }
-                for_state = 0;
-                stmt_has_let = false;
-                let_name = None;
-                stmt_has_stripes = false;
-            }
-            (TokKind::Punct, "}") => {
-                depth -= 1;
-                write_guards.retain(|g| g.depth <= depth);
-                stmt_has_let = false;
-                let_name = None;
-                stmt_has_stripes = false;
-            }
-            (TokKind::Punct, ";") => {
-                write_guards.retain(|g| !g.stmt_temp);
-                for_state = 0;
-                stmt_has_let = false;
-                let_name = None;
-                stmt_has_stripes = false;
-            }
-            (TokKind::Ident, "fn") => {
-                last_const_idx = None;
-            }
-            (TokKind::Ident, "for") => {
-                for_state = 1;
-                for_vars.clear();
-                for_saw_stripes = false;
-            }
-            (TokKind::Ident, "in") if for_state == 1 => {
-                for_state = 2;
-            }
-            (TokKind::Ident, "let") => {
-                stmt_has_let = true;
-                let_name = None;
-            }
-            (TokKind::Ident, "drop")
-                if code.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && code.get(i + 2).is_some_and(|n| n.kind == TokKind::Ident)
-                    && code.get(i + 3).is_some_and(|n| n.is_punct(")")) =>
-            {
-                let dropped = &code[i + 2].text;
-                write_guards.retain(|g| &g.name != dropped);
-            }
-            (TokKind::Ident, "stripes") => {
-                stmt_has_stripes = true;
-                if for_state == 2 {
-                    for_saw_stripes = true;
-                }
-                if stmt_has_let {
-                    if let Some(n) = &let_name {
-                        stripe_aliases.insert(n.clone());
-                    }
-                }
-                // stripes[<const>].lock(): check ascending constant order.
-                if code.get(i + 1).is_some_and(|n| n.is_punct("["))
-                    && code.get(i + 2).is_some_and(|n| n.kind == TokKind::Int)
-                    && code.get(i + 3).is_some_and(|n| n.is_punct("]"))
-                    && code.get(i + 4).is_some_and(|n| n.is_punct("."))
-                    && code
-                        .get(i + 5)
-                        .is_some_and(|n| n.is_ident("lock") || n.is_ident("try_lock"))
-                {
-                    let idx: i64 = code[i + 2].text.replace('_', "").parse().unwrap_or(0);
-                    if let Some(last) = last_const_idx {
-                        if idx < last {
-                            out.push(Finding {
-                                rule: "lock",
-                                line: t.line,
-                                col: t.col,
-                                msg: format!(
-                                    "stripe mutexes must be locked in ascending index order (stripe {idx} after stripe {last})"
-                                ),
-                            });
-                        }
-                    }
-                    last_const_idx = Some(idx);
-                }
-            }
-            (TokKind::Ident, "rev")
-                if stmt_has_stripes
-                    && i > 0
-                    && code[i - 1].is_punct(".")
-                    && code.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && !test[i] =>
-            {
-                out.push(Finding {
-                    rule: "lock",
-                    line: t.line,
-                    col: t.col,
-                    msg: "reverse iteration over ledger stripes violates the ascending lock order"
-                        .to_string(),
-                });
-            }
-            (TokKind::Punct, ".")
-                if code
-                    .get(i + 1)
-                    .is_some_and(|n| n.is_ident("lock") || n.is_ident("try_lock"))
-                    && code.get(i + 2).is_some_and(|n| n.is_punct("(")) =>
-            {
-                let receiver_is_stripe = stmt_has_stripes
-                    || (i > 0
-                        && code[i - 1].kind == TokKind::Ident
-                        && stripe_aliases.contains(&code[i - 1].text));
-                if receiver_is_stripe && !write_guards.is_empty() && !test[i] {
-                    let n = code[i + 1];
-                    out.push(Finding {
-                        rule: "lock",
-                        line: n.line,
-                        col: n.col,
-                        msg: "stripe mutex acquired while the core RwLock write guard is held (drain stripes before taking the write lock)".to_string(),
-                    });
-                }
-            }
-            (TokKind::Ident, "write")
-                if i > 0
-                    && code[i - 1].is_punct(".")
-                    && i > 1
-                    && code[i - 2].is_ident("core")
-                    && code.get(i + 1).is_some_and(|n| n.is_punct("(")) =>
-            {
-                write_guards.push(Guard {
-                    name: let_name.clone().unwrap_or_default(),
-                    depth,
-                    stmt_temp: !stmt_has_let,
-                });
-            }
-            (TokKind::Ident, _) => {
-                if for_state == 1 {
-                    for_vars.push(t.text.clone());
-                } else if stmt_has_let && let_name.is_none() && t.text != "mut" {
-                    let_name = Some(t.text.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 fn rule_safety(toks: &[Tok], code: &[&Tok], lines: &[&str], out: &mut Vec<Finding>) {
     // Lines carrying a comment that contains "SAFETY:". Block comments
     // credit every line they span.
@@ -577,42 +410,6 @@ fn f(menu: &HashMap<u32, f64>) -> Option<f64> { menu.get(&1).copied() }
     fn total_cmp_is_allowed() {
         let src = "fn f(v: &mut Vec<f64>) { v.sort_by(f64::total_cmp); }";
         assert!(findings(src).iter().all(|f| f.rule != "float"));
-    }
-
-    #[test]
-    fn read_guard_plus_stripe_is_allowed() {
-        let src = r#"
-fn f(s: &Shared) {
-    let core = s.inner.core.read();
-    let total: f64 = s.inner.stripes.iter().map(|x| x.lock().len() as f64).sum();
-    drop(core);
-    let _ = total;
-}
-"#;
-        assert!(
-            findings(src).iter().all(|f| f.rule != "lock"),
-            "{:?}",
-            findings(src)
-        );
-    }
-
-    #[test]
-    fn drained_then_write_is_allowed() {
-        let src = r#"
-fn f(s: &Shared) {
-    let mut drained = Vec::new();
-    for stripe in s.inner.stripes.iter() {
-        drained.append(&mut *stripe.lock());
-    }
-    let mut core = s.inner.core.write();
-    core.settle(drained);
-}
-"#;
-        assert!(
-            findings(src).iter().all(|f| f.rule != "lock"),
-            "{:?}",
-            findings(src)
-        );
     }
 
     #[test]
@@ -737,28 +534,6 @@ fn snapshot() -> Vec<(String, u64)> {
             findings(dirty).iter().any(|f| f.rule == "det"),
             "{:?}",
             findings(dirty)
-        );
-    }
-
-    #[test]
-    fn span_guard_before_stripe_lock_is_allowed() {
-        // The concurrent ledger wraps a contended stripe acquisition in an
-        // `mbp.core.lock_wait` span; the RAII guard binding must not
-        // confuse the ascending-stripe lock-order rule.
-        let src = r#"
-fn f(s: &Shared) {
-    let _wait = mbp_obs::span("mbp.core.lock_wait");
-    let a = s.inner.stripes[0].lock();
-    drop(_wait);
-    let _root = mbp_obs::trace_root("mbp.core.buy", "linear_regression", "gaussian");
-    let b = s.inner.stripes[1].lock();
-    let _ = (a, b);
-}
-"#;
-        assert!(
-            findings(src).iter().all(|f| f.rule != "lock"),
-            "{:?}",
-            findings(src)
         );
     }
 

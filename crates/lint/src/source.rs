@@ -1,18 +1,21 @@
-//! One lexed source file, and the lexical site detectors both passes share.
+//! One lexed source file, and the lexical site detectors the per-file and
+//! graph rules share.
 //!
 //! Every workspace file is read, tokenized and masked once into a
 //! [`Source`]: its code tokens, the `#[test]`/`#[cfg(test)]` and
-//! macro-argument masks, its `HashMap`/`HashSet` bindings, and its
-//! `LINT-ALLOW` waivers and `LINT-SCOPE` annotations. The per-file rules
+//! macro-argument masks, its `HashMap`/`HashSet` bindings, its stripe
+//! statements and aliases, and its `LINT-ALLOW` waivers and `LINT-SCOPE`
+//! annotations. The per-file rules
 //! ([`crate::rules`]) and the symbol model ([`crate::symbols`]) both read
 //! that one value, so they agree token for token on what counts as test
 //! code, macro arguments and delimiter matching.
 //!
-//! The two invariants both passes check — panic-freedom and determinism —
-//! each have one detector here: [`Source::panic_site`] and
-//! [`Source::taint_site`]. The per-file `panic`/`det` rules report the
-//! sites inside their path scopes; the graph rules `reach-panic`/`taint-det`
-//! seed their call-graph closures with the same sites.
+//! Each invariant has one site detector here: [`Source::panic_site`],
+//! [`Source::taint_site`] and [`Source::lock_site`]. The per-file
+//! `panic`/`det` rules report the first two inside their path scopes; the
+//! graph rules `reach-panic`/`taint-det` seed their call-graph closures
+//! with the same sites, and `lock-graph` replays the lock sites in
+//! statement order.
 
 use crate::lexer::{Tok, TokKind};
 use crate::rules::{ScopeMode, RULE_IDS};
@@ -37,10 +40,16 @@ pub struct Source<'a> {
     pub in_macro: Vec<bool>,
     /// Names bound or typed as `HashMap`/`HashSet` in this file.
     pub hash_names: BTreeSet<String>,
+    /// `code[i]` follows a `stripes` token in its statement (no `{`, `}`
+    /// or `;` between them).
+    pub stripe_stmt: Vec<bool>,
+    /// Names that alias a ledger stripe: `let` bindings of a statement
+    /// that mentions `stripes`, and `for` variables over `stripes`.
+    pub stripe_aliases: BTreeSet<String>,
     pub waivers: Vec<Waiver>,
-    /// All `LINT-SCOPE` annotations, malformed ones included — the
-    /// interprocedural run reports invalid ones under the `lint` rule so
-    /// a typo cannot silently disable a proof obligation.
+    /// All `LINT-SCOPE` annotations, malformed ones included — the run
+    /// reports invalid ones under the `lint` rule so a typo cannot
+    /// silently disable a proof obligation.
     pub annotations: Vec<ScopeAnnotation>,
 }
 
@@ -49,6 +58,7 @@ impl<'a> Source<'a> {
     pub fn new(rel_path: &'a str, text: &'a str, toks: &'a [Tok], mode: ScopeMode) -> Self {
         let code: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
         let whole_file_test = mode == ScopeMode::Repo && is_test_path(rel_path);
+        let (stripe_stmt, stripe_aliases) = stripe_facts(&code);
         Source {
             rel_path,
             text,
@@ -57,6 +67,8 @@ impl<'a> Source<'a> {
             test: test_regions(&code, whole_file_test),
             in_macro: macro_regions(&code),
             hash_names: hash_names(&code),
+            stripe_stmt,
+            stripe_aliases,
             waivers: collect_waivers(toks),
             annotations: collect_scope_annotations(toks),
             code,
@@ -181,6 +193,66 @@ impl<'a> Source<'a> {
             if code.get(m + 1).is_some_and(|x| x.is_punct("{")) {
                 return Some(site(TaintClass::MapIter { for_loop: true }, map));
             }
+        }
+        None
+    }
+
+    /// The lock site at `code[i]`, if any: a `core.write()` guard, a
+    /// `stripes[..].lock()`/`try_lock()` (typed by its constant index when
+    /// it has one), a `.lock()`/`try_lock()` on any other receiver (a
+    /// stripe when the statement mentions `stripes` or the receiver is a
+    /// stripe alias or names a stripe), or a `.rev()` in a statement over
+    /// `stripes`.
+    pub fn lock_site(&self, i: usize) -> Option<LockSite> {
+        let code = &self.code;
+        let t = code[i];
+        let site = |kind| {
+            Some(LockSite {
+                kind,
+                line: t.line,
+                col: t.col,
+            })
+        };
+        let acquire = |class, len| site(LockKind::Acquire { class, len });
+        let called = code.get(i + 1).is_some_and(|x| x.is_punct("("));
+        let method = called && i >= 1 && code[i - 1].is_punct(".");
+        if method && t.is_ident("write") && i >= 2 && code[i - 2].is_ident("core") {
+            return acquire(LockClass::CoreWrite, 1);
+        }
+        if t.is_ident("stripes") && code.get(i + 1).is_some_and(|x| x.is_punct("[")) {
+            let close = match_delim(code, i + 1);
+            if code.get(close + 1).is_some_and(|x| x.is_punct("."))
+                && code
+                    .get(close + 2)
+                    .is_some_and(|x| x.is_ident("lock") || x.is_ident("try_lock"))
+            {
+                let class = if close == i + 3 && code[i + 2].kind == TokKind::Int {
+                    let idx: i64 = code[i + 2].text.replace('_', "").parse().unwrap_or(0);
+                    LockClass::StripeConst(idx)
+                } else {
+                    LockClass::StripeAny
+                };
+                // Resume at the `(`: `.lock` is part of this site.
+                return acquire(class, close + 3 - i);
+            }
+        }
+        if method && (t.is_ident("lock") || t.is_ident("try_lock")) {
+            let stripe_stmt = self.stripe_stmt[i];
+            let recv = (i >= 2 && code[i - 2].kind == TokKind::Ident).then(|| &code[i - 2].text);
+            let class = match recv {
+                Some(r)
+                    if stripe_stmt || r.contains("stripe") || self.stripe_aliases.contains(r) =>
+                {
+                    LockClass::StripeAny
+                }
+                Some(r) => LockClass::Other(r.clone()),
+                None if stripe_stmt => LockClass::StripeAny,
+                None => LockClass::Other("?".to_string()),
+            };
+            return acquire(class, 1);
+        }
+        if method && t.is_ident("rev") && self.stripe_stmt[i] {
+            return site(LockKind::ReverseStripes);
         }
         None
     }
@@ -323,6 +395,53 @@ impl TaintSite {
             ),
         }
     }
+}
+
+/// The lock classes `lock-graph` tracks.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LockClass {
+    /// The `SharedBroker` core `RwLock` write guard (`core.write()`).
+    CoreWrite,
+    /// A ledger stripe mutex at a constant index (`stripes[K].lock()`).
+    StripeConst(i64),
+    /// A ledger stripe mutex at a runtime index (round-robin pick, loop
+    /// variable, stripe alias, drained iteration).
+    StripeAny,
+    /// Any other named mutex (`self.writer.lock()` → `Other("writer")`).
+    Other(String),
+}
+
+impl LockClass {
+    pub fn is_stripe(&self) -> bool {
+        matches!(self, LockClass::StripeConst(_) | LockClass::StripeAny)
+    }
+
+    /// Collapsed node name for the lock-order graph.
+    pub fn order_node(&self) -> String {
+        match self {
+            LockClass::CoreWrite => "core.write".to_string(),
+            LockClass::StripeConst(_) | LockClass::StripeAny => "stripe".to_string(),
+            LockClass::Other(n) => format!("mutex:{n}"),
+        }
+    }
+}
+
+/// What a lock site does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LockKind {
+    /// Acquires a guard of `class`. The site spans `len` code tokens
+    /// (`stripes[..].lock` is one site, not an index and a method call).
+    Acquire { class: LockClass, len: usize },
+    /// `.rev()` in a statement over `stripes`: a descending stripe walk.
+    ReverseStripes,
+}
+
+/// A lock site, positioned at its first token.
+#[derive(Debug, Clone)]
+pub struct LockSite {
+    pub kind: LockKind,
+    pub line: u32,
+    pub col: u32,
 }
 
 /// An inline `LINT-ALLOW(<rule>): <reason>` waiver comment.
@@ -538,4 +657,43 @@ fn hash_names(code: &[&Tok]) -> BTreeSet<String> {
         }
     }
     names
+}
+
+/// The statement-prefix mask and alias set [`Source::lock_site`] reads:
+/// which tokens follow a `stripes` token in their statement, and which
+/// names are bound by `let <name> … stripes …` or by
+/// `for <names> in … stripes … {`.
+fn stripe_facts(code: &[&Tok]) -> (Vec<bool>, BTreeSet<String>) {
+    let stmt_break = |x: &Tok| x.is_punct("{") || x.is_punct("}") || x.is_punct(";");
+    let mut after_stripes = Vec::with_capacity(code.len());
+    let mut aliases = BTreeSet::new();
+    let mut seen = false;
+    for (i, t) in code.iter().enumerate() {
+        seen = !stmt_break(t) && (seen || t.is_ident("stripes"));
+        after_stripes.push(seen);
+        let is_let = t.is_ident("let");
+        if !is_let && !t.is_ident("for") {
+            continue;
+        }
+        let end = (i + 1..code.len())
+            .find(|&k| stmt_break(code[k]))
+            .unwrap_or(code.len());
+        let Some(first) = (i + 1..end).find(|&k| code[k].is_ident("stripes")) else {
+            continue;
+        };
+        let names = |to: usize| {
+            code[i + 1..to]
+                .iter()
+                .filter(|x| x.kind == TokKind::Ident && !x.is_ident("mut"))
+                .map(|x| x.text.clone())
+        };
+        if is_let {
+            aliases.extend(names(first).take(1));
+        } else if code.get(end).is_some_and(|x| x.is_punct("{")) {
+            if let Some(k) = (i + 1..first).find(|&k| code[k].is_ident("in")) {
+                aliases.extend(names(k));
+            }
+        }
+    }
+    (after_stripes, aliases)
 }

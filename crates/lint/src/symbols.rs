@@ -10,11 +10,11 @@
 //! * **syntactic panic sites** and **determinism-taint sources**, found
 //!   by [`Source::panic_site`] and [`Source::taint_site`] — the detectors
 //!   the per-file `panic`/`det` rules report from,
-//! * **lock events** (core write-guard acquisition, stripe-mutex
-//!   acquisition by constant index or round-robin, `drop(..)` releases)
-//!   in statement order, interleaved with the call sites so the
-//!   interprocedural lock analysis can replay "what was held at this
-//!   call".
+//! * **lock events** — the [`Source::lock_site`] sites (core write-guard
+//!   and stripe-mutex acquisitions, reverse walks over `stripes`) plus
+//!   scope, statement and `drop(..)` boundaries — in statement order,
+//!   interleaved with the call sites so the lock analysis can replay
+//!   "what was held at this call".
 //!
 //! The parser is deliberately *not* a full Rust frontend: closures belong
 //! to their enclosing function (a sound over-approximation — the closure
@@ -24,7 +24,7 @@
 //! rules, so test-only functions never enter the graph.
 
 use crate::lexer::{Tok, TokKind};
-use crate::source::{match_delim, PanicSite, Source, TaintSite};
+use crate::source::{match_delim, LockClass, LockKind, PanicSite, Source, TaintSite};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call site names its callee.
@@ -57,35 +57,6 @@ impl CallSite {
     }
 }
 
-/// Lock classes the interprocedural lock analysis tracks.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LockClass {
-    /// The `SharedBroker` core `RwLock` write guard (`core.write()`).
-    CoreWrite,
-    /// A ledger stripe mutex at a constant index (`stripes[K].lock()`).
-    StripeConst(i64),
-    /// A ledger stripe mutex at a runtime index (round-robin pick, loop
-    /// variable, drained iteration).
-    StripeAny,
-    /// Any other named mutex (`self.writer.lock()` → `Other("writer")`).
-    Other(String),
-}
-
-impl LockClass {
-    pub fn is_stripe(&self) -> bool {
-        matches!(self, LockClass::StripeConst(_) | LockClass::StripeAny)
-    }
-
-    /// Collapsed node name for the lock-order graph.
-    pub fn order_node(&self) -> String {
-        match self {
-            LockClass::CoreWrite => "core.write".to_string(),
-            LockClass::StripeConst(_) | LockClass::StripeAny => "stripe".to_string(),
-            LockClass::Other(n) => format!("mutex:{n}"),
-        }
-    }
-}
-
 /// Ordered body events the lock analysis replays.
 #[derive(Debug, Clone)]
 pub enum BodyEvent {
@@ -107,6 +78,8 @@ pub enum BodyEvent {
     },
     /// `drop(name)` — explicit guard release.
     DropName(String),
+    /// `.rev()` in a statement over `stripes`.
+    ReverseStripes { line: u32, col: u32 },
 }
 
 /// One `fn` item with its facts.
@@ -450,11 +423,10 @@ pub fn parse(file: &Source) -> FileModel {
     }
     let mut pending = Pending::None;
 
-    // Statement-local state for lock-event extraction, valid while inside
+    // Statement-local state for lock-guard bindings, valid while inside
     // at least one fn.
     let mut stmt_has_let = false;
     let mut let_name: Option<String> = None;
-    let mut stmt_has_stripes = false;
     let mut stmt_has_closure = false;
     // `let <name>: <Type>` annotations seen inside the current fn, used as
     // receiver-type hints.
@@ -590,7 +562,6 @@ pub fn parse(file: &Source) -> FileModel {
             }
             stmt_has_let = false;
             let_name = None;
-            stmt_has_stripes = false;
             stmt_has_closure = false;
             i += 1;
             continue;
@@ -602,7 +573,6 @@ pub fn parse(file: &Source) -> FileModel {
             ctx.pop();
             stmt_has_let = false;
             let_name = None;
-            stmt_has_stripes = false;
             stmt_has_closure = false;
             i += 1;
             continue;
@@ -613,7 +583,6 @@ pub fn parse(file: &Source) -> FileModel {
             }
             stmt_has_let = false;
             let_name = None;
-            stmt_has_stripes = false;
             stmt_has_closure = false;
             i += 1;
             continue;
@@ -659,9 +628,6 @@ pub fn parse(file: &Source) -> FileModel {
             continue;
         }
 
-        if t.is_ident("stripes") {
-            stmt_has_stripes = true;
-        }
         // A closure-parameter pipe: guards acquired past this point in the
         // statement live inside the closure body (per-iteration temporaries
         // in `.map(|s| s.lock()...)` chains), not in the `let` binding.
@@ -669,22 +635,31 @@ pub fn parse(file: &Source) -> FileModel {
             stmt_has_closure = true;
         }
 
-        // Lock acquisitions --------------------------------------------------
-        if let Some((class, adv)) = detect_lock_acquire(code, i, stmt_has_stripes, &local_types) {
-            let binding = if stmt_has_let && !stmt_has_closure {
-                let_name.clone()
-            } else {
-                None
-            };
-            model.fns[fn_idx].acquires.push(class.clone());
-            model.fns[fn_idx].events.push(BodyEvent::Acquire {
-                class,
-                binding,
-                line: t.line,
-                col: t.col,
-            });
-            i += adv;
-            continue;
+        // Lock sites -------------------------------------------------------
+        if let Some(site) = file.lock_site(i) {
+            let f = &mut model.fns[fn_idx];
+            match site.kind {
+                LockKind::Acquire { class, len } => {
+                    let binding = if stmt_has_let && !stmt_has_closure {
+                        let_name.clone()
+                    } else {
+                        None
+                    };
+                    f.acquires.push(class.clone());
+                    f.events.push(BodyEvent::Acquire {
+                        class,
+                        binding,
+                        line: site.line,
+                        col: site.col,
+                    });
+                    i += len;
+                    continue;
+                }
+                LockKind::ReverseStripes => f.events.push(BodyEvent::ReverseStripes {
+                    line: site.line,
+                    col: site.col,
+                }),
+            }
         }
 
         if !masked_test {
@@ -964,68 +939,6 @@ fn first_type_ident(code: &[&Tok], start: usize) -> Option<String> {
             }
             _ => return None,
         }
-    }
-    None
-}
-
-/// Detect a lock acquisition at token `i`. Returns the class and how many
-/// tokens to advance.
-fn detect_lock_acquire(
-    code: &[&Tok],
-    i: usize,
-    stmt_has_stripes: bool,
-    local_types: &BTreeMap<String, String>,
-) -> Option<(LockClass, usize)> {
-    let t = code[i];
-    // core.write()
-    if t.is_ident("write")
-        && i >= 2
-        && code[i - 1].is_punct(".")
-        && code[i - 2].is_ident("core")
-        && code.get(i + 1).is_some_and(|x| x.is_punct("("))
-    {
-        return Some((LockClass::CoreWrite, 1));
-    }
-    // stripes[K].lock() / stripes[expr].lock()
-    if t.is_ident("stripes") && code.get(i + 1).is_some_and(|x| x.is_punct("[")) {
-        let close = match_delim(code, i + 1);
-        if code.get(close + 1).is_some_and(|x| x.is_punct("."))
-            && code
-                .get(close + 2)
-                .is_some_and(|x| x.is_ident("lock") || x.is_ident("try_lock"))
-        {
-            let class = if close == i + 3 && code[i + 2].kind == TokKind::Int {
-                let idx: i64 = code[i + 2].text.replace('_', "").parse().unwrap_or(0);
-                LockClass::StripeConst(idx)
-            } else {
-                LockClass::StripeAny
-            };
-            return Some((class, close + 3 - i));
-        }
-    }
-    // <recv>.lock() / .try_lock() on a non-stripes receiver.
-    if (t.is_ident("lock") || t.is_ident("try_lock"))
-        && i >= 1
-        && code[i - 1].is_punct(".")
-        && code.get(i + 1).is_some_and(|x| x.is_punct("("))
-    {
-        // Receiver ident two back (skip `stripes[...]` — handled above).
-        let recv = (i >= 2 && code[i - 2].kind == TokKind::Ident).then(|| code[i - 2].text.clone());
-        if let Some(r) = &recv {
-            if r == "stripes" {
-                return None; // malformed; the indexed form handles it
-            }
-            if stmt_has_stripes || r.contains("stripe") {
-                return Some((LockClass::StripeAny, 1));
-            }
-            // Guards bound from locks of typed locals keep the local name.
-            let _ = local_types;
-            return Some((LockClass::Other(r.clone()), 1));
-        }
-        if stmt_has_stripes {
-            return Some((LockClass::StripeAny, 1));
-        }
-        return Some((LockClass::Other("?".to_string()), 1));
     }
     None
 }

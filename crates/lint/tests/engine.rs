@@ -70,22 +70,6 @@ fn float_fixture_pins_eq_ne_and_partial_cmp_chain() {
     );
 }
 
-#[test]
-fn lock_fixture_pins_write_guard_overlap_and_descending_order() {
-    let rep = lint_fixture("lock");
-    let locks: Vec<_> = triples(&rep)
-        .into_iter()
-        .filter(|(rule, _, _)| *rule == "lock")
-        .collect();
-    assert_eq!(
-        locks,
-        vec![
-            ("lock", 8, 24),  // stripes[0].lock() under core.write()
-            ("lock", 14, 13), // stripe 0 locked after stripe 1
-        ]
-    );
-}
-
 /// The branchless quote-kernel idioms — conditional-move selects via
 /// arithmetic on `bool`, Eytzinger descent with `usize::from`, checked
 /// permutation scatter — must produce zero findings under every rule.
@@ -135,7 +119,10 @@ fn waiver_suppresses_exactly_one_finding() {
 }
 
 /// The workspace itself must lint clean against the checked-in baseline —
-/// the same invariant CI enforces via `cargo run -p mbp-lint`.
+/// the same run CI gates on with `cargo run -p mbp-lint`. This is also the
+/// self-hosting guarantee of the graph rules: the serve path is
+/// transitively panic-free, the det crates are taint-free, and no lock
+/// inversion exists across any call chain, as of this commit.
 #[test]
 fn repository_is_clean_under_checked_in_baseline() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -143,14 +130,22 @@ fn repository_is_clean_under_checked_in_baseline() {
         .canonicalize()
         .expect("workspace root");
     let baseline = root.join("lint.toml");
-    let report = mbp_lint::run(&root, Some(&baseline)).expect("scan workspace");
+    let report =
+        mbp_lint::run(&root, Some(&baseline), ScopeMode::Repo, None).expect("scan workspace");
+    let graph_rows: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|(_, f)| mbp_lint::rules::GRAPH_RULE_IDS.contains(&f.rule))
+        .collect();
+    assert!(graph_rows.is_empty(), "graph findings: {graph_rows:?}");
     assert!(
         report.is_clean(),
         "workspace has lint findings:\n{}",
         report.render()
     );
-    // The ratchet's hard floor: determinism and lock-order findings are
-    // never waivable, so none may be in use anywhere in the workspace.
+    // The ratchet's hard floor: determinism findings are never waivable,
+    // so none may be in use anywhere in the workspace. Lock order is the
+    // graph rule `lock-graph`, which no waiver can name.
     assert_eq!(report.waivers_used.get("det"), None);
     assert_eq!(report.waivers_used.get("lock"), None);
 }

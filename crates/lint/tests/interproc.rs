@@ -1,10 +1,13 @@
-//! Golden tests for the interprocedural pass: each fixture under
-//! `tests/fixtures/graph/` is a miniature workspace with one planted
-//! defect that only exists *across* function boundaries — every file is
-//! clean under the per-file rules. The expectations pin the exact
-//! `(rule, path, line, col)` and the full witness chain, so a resolver
-//! regression that silently drops an edge fails loudly here.
+//! Golden tests for the graph rules: each fixture under
+//! `tests/fixtures/graph/` is a miniature workspace with planted defects
+//! that only the call-graph analyses report — `panic_chain`, `taint_chain`
+//! and `lock_inversion` exist only *across* function boundaries, and
+//! `lock_order` pins the lock-order cases inside one function. The
+//! expectations pin the exact `(rule, path, line, col)` and the full
+//! witness chain, so a resolver regression that silently drops an edge
+//! fails loudly here.
 
+use mbp_lint::ScopeMode;
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
@@ -13,17 +16,13 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 /// One reported finding: `(path, rule, line, col, msg)`.
 type Row = (String, String, u32, u32, String);
 
-/// Run the interprocedural pass over a fixture and return the finding
-/// rows plus the budget errors.
+/// Lint a fixture workspace and return the finding rows plus the budget
+/// errors.
 fn scan(root: &Path) -> (Vec<Row>, Vec<String>) {
-    let report = mbp_lint::run_interprocedural(root, None, None).expect("fixture scan");
+    let report = mbp_lint::run(root, None, ScopeMode::Repo, None).expect("fixture scan");
     let rows = report
         .findings
         .iter()
@@ -104,23 +103,66 @@ fn planted_cross_function_lock_inversion_is_caught() {
     assert!(budget_errors[0].contains("lock-graph"), "{budget_errors:?}");
 }
 
-/// The workspace itself must stay clean under the full interprocedural
-/// pass with the checked-in baseline: zero graph findings, zero budget
-/// errors. This is the self-hosting guarantee — the serve path is
-/// transitively panic-free, the det crates are taint-free, and no lock
-/// inversion exists across any call chain, as of this commit.
+/// Lock order inside one function: every case the retired per-file `lock`
+/// rule reported, and the stripe aliases it knew that the graph now types
+/// as stripes (a loop variable under a held stripe, a let-bound stripe
+/// under the core write guard).
 #[test]
-fn repository_has_zero_graph_findings_under_checked_in_baseline() {
-    let root = workspace_root();
-    let baseline = root.join("lint.toml");
-    let report = mbp_lint::run_interprocedural(&root, Some(&baseline), None).expect("repo scan");
-    let graph_rows: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|(_, f)| mbp_lint::rules::GRAPH_RULE_IDS.contains(&f.rule))
-        .collect();
-    assert!(graph_rows.is_empty(), "graph findings: {graph_rows:?}");
-    assert!(report.is_clean(), "{}", report.render());
+fn lock_order_cases_are_caught_in_one_function() {
+    let (rows, budget_errors) = scan(&fixture("lock_order"));
+    let path = "crates/core/src/market/lock_order.rs";
+    let row = |line, col, msg: &str| {
+        (
+            path.to_string(),
+            "lock-graph".to_string(),
+            line,
+            col,
+            msg.to_string(),
+        )
+    };
+    assert_eq!(
+        rows,
+        vec![
+            row(
+                8,
+                13,
+                "stripe mutex acquired while the core write guard is held \
+                 in `stripe_under_core_write`"
+            ),
+            row(
+                14,
+                13,
+                "stripe 0 acquired while stripe 1 is held (descending order) \
+                 in `descending_stripes`"
+            ),
+            row(
+                21,
+                10,
+                "stripe mutexes must be locked in ascending index order \
+                 (stripe 0 after stripe 1) in `descending_without_overlap`"
+            ),
+            row(
+                25,
+                41,
+                "reverse iteration over ledger stripes violates the ascending \
+                 lock order in `reverse_walk`"
+            ),
+            row(
+                32,
+                20,
+                "nested stripe acquisition with unprovable ordering \
+                 in `loop_under_held_stripe`"
+            ),
+            row(
+                40,
+                15,
+                "stripe mutex acquired while the core write guard is held \
+                 in `let_alias_under_write`"
+            ),
+        ],
+    );
+    assert_eq!(budget_errors.len(), 1, "{budget_errors:?}");
+    assert!(budget_errors[0].contains("lock-graph"), "{budget_errors:?}");
 }
 
 /// `--graph-out` artifacts must carry the witness chains: the JSON names
@@ -132,7 +174,7 @@ fn graph_artifacts_contain_witness_chains() {
     let dir = std::env::temp_dir().join("mbp_lint_interproc_artifacts");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let base = dir.join("graph");
-    let _ = mbp_lint::run_interprocedural(&fixture("panic_chain"), None, Some(&base))
+    let _ = mbp_lint::run(&fixture("panic_chain"), None, ScopeMode::Repo, Some(&base))
         .expect("fixture scan");
     let json = std::fs::read_to_string(base.with_extension("json")).expect("json artifact");
     let dot = std::fs::read_to_string(base.with_extension("dot")).expect("dot artifact");

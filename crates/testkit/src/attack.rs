@@ -22,7 +22,7 @@
 
 use crate::oracle::ReferenceCurve;
 use mbp_core::error::ErrorTransform;
-use mbp_core::pricing::{ErrorPricedTable, PricingFunction};
+use mbp_core::pricing::{ErrorPricedView, PricingFunction};
 use mbp_randx::MbpRng;
 use rand::Rng;
 use std::fmt;
@@ -430,8 +430,7 @@ pub fn attack_error_space(
     cfg: &AttackConfig,
 ) -> AttackReport {
     let _span = mbp_obs::span("mbp.testkit.attack");
-    let table = f.compile();
-    let priced = ErrorPricedTable::new(&table, transform);
+    let priced = ErrorPricedView::new(f, transform);
     let reference = ReferenceCurve::new(f);
     let x_max = *f.grid().last().expect("non-empty");
     let mut rng = mbp_randx::seeded_rng(cfg.seed ^ 0x5eed);

@@ -2,8 +2,9 @@
 //!
 //! Every quote in the marketplace can be answered by three production
 //! evaluators — the raw [`PricingFunction`] segment scan, the compiled
-//! [`mbp_core::pricing::PricingTable`], and the memoized φ path ([`ErrorPricedTable`]) — plus
-//! the high-precision [`ReferenceCurve`] defined here. The differential
+//! [`mbp_core::pricing::PricingTable`], and the error-unit view
+//! ([`ErrorPricedView`], Theorem 6's `p̄∘φ`) — plus the high-precision
+//! [`ReferenceCurve`] defined here. The differential
 //! harness drives all of them over the same probe set (structured
 //! boundary probes plus seeded random probes) and fails on any divergence
 //! above `1e-12` relative, which is how implementation-level arbitrage
@@ -11,7 +12,7 @@
 //! impossible.
 
 use mbp_core::error::ErrorTransform;
-use mbp_core::pricing::{ErrorPricedTable, ErrorPricedView, PricingFunction};
+use mbp_core::pricing::{ErrorPricedView, PricingFunction};
 use rand::Rng;
 
 /// Relative divergence tolerance between evaluators.
@@ -274,20 +275,18 @@ pub fn check_pricing(f: &PricingFunction, cfg: &OracleConfig) -> OracleReport {
     report
 }
 
-/// Differential check of the φ (error-space) path: the memoized
-/// [`ErrorPricedTable`] against the virtual-dispatch [`ErrorPricedView`]
-/// and the reference composition `p̄_ref(1/φ(err))`, over errors spanning
-/// unachievable, saturated, interior, and tail regions.
+/// Differential check of the φ (error-space) path: the
+/// [`ErrorPricedView`] composition `p̄∘φ` (Theorem 6) against the reference
+/// composition `p̄_ref(1/φ(err))`, over errors spanning unachievable,
+/// saturated, interior, and tail regions.
 pub fn check_error_space(
     f: &PricingFunction,
     transform: &dyn ErrorTransform,
     cfg: &OracleConfig,
 ) -> OracleReport {
     let _span = mbp_obs::span("mbp.testkit.oracle");
-    let table = f.compile();
     let reference = ReferenceCurve::new(f);
     let view = ErrorPricedView::new(f, transform);
-    let memo = ErrorPricedTable::new(&table, transform);
     let mut rng = mbp_randx::seeded_rng(cfg.seed ^ 0x9e37_79b9);
     let mut report = OracleReport {
         comparisons: 0,
@@ -310,7 +309,6 @@ pub fn check_error_space(
 
     for &err in &errs {
         let slow = view.price_for_error(err);
-        let fast = memo.price_for_error(err);
         let gold = transform.ncp_for_error(err).map(|ncp| {
             if ncp <= 0.0 {
                 reference.price_at(f64::INFINITY)
@@ -318,23 +316,21 @@ pub fn check_error_space(
                 reference.price_at(1.0 / ncp)
             }
         });
-        for (name, val) in [("memo", fast), ("reference", gold)] {
-            report.comparisons += 1;
-            match (slow, val) {
-                (None, None) => {}
-                (Some(a), Some(v)) => {
-                    let d = rel_diff(v, a);
-                    report.max_divergence = report.max_divergence.max(d);
-                    if d > cfg.tol {
-                        report
-                            .divergences
-                            .push(format!("price_for_error({err}): view={a} vs {name}={v}"));
-                    }
+        report.comparisons += 1;
+        match (slow, gold) {
+            (None, None) => {}
+            (Some(a), Some(v)) => {
+                let d = rel_diff(v, a);
+                report.max_divergence = report.max_divergence.max(d);
+                if d > cfg.tol {
+                    report
+                        .divergences
+                        .push(format!("price_for_error({err}): view={a} vs reference={v}"));
                 }
-                (a, v) => report.divergences.push(format!(
-                    "price_for_error({err}): achievability diverged, view={a:?} vs {name}={v:?}"
-                )),
             }
+            (a, v) => report.divergences.push(format!(
+                "price_for_error({err}): achievability diverged, view={a:?} vs reference={v:?}"
+            )),
         }
     }
     report
