@@ -203,11 +203,7 @@ fn run_scenario(label: String, buyers: Vec<BuyerPoint>) -> RevenueScenario {
         efficiency: w.efficiency,
         prices: mbp.pricing.prices().to_vec(),
     });
-    // The baselines are independent of one another: price and evaluate each
-    // on its own worker (par_map keeps paper order).
-    let _span = mbp_obs::span("mbp.bench.scenario.baselines.par");
-    outcomes.extend(mbp_par::par_map(Baseline::ALL.len(), 1, |i| {
-        let b = Baseline::ALL[i];
+    outcomes.extend(Baseline::ALL.into_iter().map(|b| {
         let pf = b.pricing(&buyers);
         let w = welfare(&pf, &buyers);
         MethodOutcome {
@@ -239,14 +235,15 @@ pub fn fig7(_cfg: &Config) -> Vec<RevenueScenario> {
         ("convex value curve", ValueShape::Convex { power: 2.5 }),
         ("concave value curve", ValueShape::Concave { power: 2.5 }),
     ];
-    let _span = mbp_obs::span("mbp.bench.fig7.panels.par");
-    mbp_par::par_map(panels.len(), 1, |i| {
-        let (label, shape) = panels[i];
-        let value = ValueCurve::new(shape, 2.0, 100.0);
-        let buyers = mbp_core::market::curves::buyer_points(&g, &value, &demand)
-            .expect("experiment grid is valid");
-        run_scenario(format!("Fig7 {label}"), buyers)
-    })
+    panels
+        .into_iter()
+        .map(|(label, shape)| {
+            let value = ValueCurve::new(shape, 2.0, 100.0);
+            let buyers = mbp_core::market::curves::buyer_points(&g, &value, &demand)
+                .expect("experiment grid is valid");
+            run_scenario(format!("Fig7 {label}"), buyers)
+        })
+        .collect()
 }
 
 /// Regenerates Figure 8: fixed (linear) value curve, varying demand —
@@ -264,14 +261,15 @@ pub fn fig8(_cfg: &Config) -> Vec<RevenueScenario> {
         ),
         ("bimodal demand", DemandShape::Bimodal { width: 0.15 }),
     ];
-    let _span = mbp_obs::span("mbp.bench.fig8.panels.par");
-    mbp_par::par_map(panels.len(), 1, |i| {
-        let (label, shape) = panels[i];
-        let demand = DemandCurve::new(shape);
-        let buyers = mbp_core::market::curves::buyer_points(&g, &value, &demand)
-            .expect("experiment grid is valid");
-        run_scenario(format!("Fig8 {label}"), buyers)
-    })
+    panels
+        .into_iter()
+        .map(|(label, shape)| {
+            let demand = DemandCurve::new(shape);
+            let buyers = mbp_core::market::curves::buyer_points(&g, &value, &demand)
+                .expect("experiment grid is valid");
+            run_scenario(format!("Fig8 {label}"), buyers)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -311,10 +309,9 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
-// Deliberately sequential: the per-method wall times ARE the figure's
-// y-axis, so the solvers must not share cores with each other. Population
-// metrics evaluated after each timed section still route through the
-// (parallel-capable) `revenue`/`affordability` evaluators.
+// The per-method wall times ARE the figure's y-axis, so the solvers run
+// one after another; population metrics are evaluated after each timed
+// section.
 fn runtime_sweep(
     label: String,
     value: ValueCurve,

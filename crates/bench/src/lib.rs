@@ -26,7 +26,6 @@ pub mod attackbench;
 pub mod experiments;
 pub mod kernelbench;
 pub mod netbench;
-pub mod parbench;
 pub mod ratchet;
 pub mod record;
 pub mod report;

@@ -16,8 +16,6 @@
 //!   must not fall below `baseline / (1 + p99_tolerance)`, a floor that
 //!   stays above zero at any tolerance; the default band is 100% (a
 //!   gross-regression guard) and `MBP_RATCHET_TOL` adjusts it.
-//! * An **unbanded** record ([`Bench::banded`] false) reports its
-//!   measurements beside the committed ones and holds them to nothing.
 //! * **Invariants** must hold in both records, with no tolerance.
 //! * A metric either record lacks fails the check, and the committed
 //!   record must be stamped (`commit` and `generated_at` not `unknown`).
@@ -408,9 +406,8 @@ impl RatchetReport {
 }
 
 /// Diffs a fresh record against the committed one (see the module docs
-/// for the rules). With `banded` false, measured metrics are reported but
-/// held to no band; every other check still applies.
-pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig, banded: bool) -> RatchetReport {
+/// for the rules).
+pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig) -> RatchetReport {
     let mut report = RatchetReport::default();
     let (commit, at) = (&base.meta.commit, &base.meta.generated_at);
     report.push(
@@ -477,11 +474,6 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig, banded: bool)
             );
             continue;
         }
-        if !banded {
-            let detail = format!("fresh {fs} (committed {bs}, not banded)");
-            report.push(b.name.clone(), true, detail);
-            continue;
-        }
         let tol = match kind {
             Kind::Ratio => cfg.ratio_tolerance,
             Kind::Latency | Kind::Throughput => cfg.p99_tolerance,
@@ -506,18 +498,14 @@ pub fn compare(base: &Record, fresh: &Record, cfg: &RatchetConfig, banded: bool)
 // Registry
 // ---------------------------------------------------------------------------
 
-/// One `BENCH_*.json` record: where it lives, how its fresh run is sized
-/// from the committed record, and whether its measurements are banded.
+/// One `BENCH_*.json` record: where it lives and how its fresh run is
+/// sized from the committed record.
 #[derive(Debug, Clone, Copy)]
 pub struct Bench {
     /// Short name printed beside the record's checks.
     pub label: &'static str,
     /// File name, both at the repo root and under [`FRESH_DIR`].
     pub file: &'static str,
-    /// Whether measured metrics are held to a band. `parallel`'s are not:
-    /// two noisy vCPUs cannot show its speedups, so only its invariants
-    /// and the record checks apply.
-    pub banded: bool,
     /// Measures a fresh record at the committed record's `params`.
     pub run: fn(&Record) -> Result<Record, String>,
 }
@@ -528,29 +516,20 @@ pub struct Bench {
 pub const FRESH_DIR: &str = "target/bench";
 
 /// Every BENCH record, in the order the ratchet measures them.
-pub const BENCHES: [Bench; 7] = [
-    Bench {
-        label: "parallel",
-        file: "BENCH_parallel.json",
-        banded: false,
-        run: |c| Ok(crate::parbench::run(c.size("repeats")?)),
-    },
+pub const BENCHES: [Bench; 6] = [
     Bench {
         label: "serving",
         file: "BENCH_serving.json",
-        banded: true,
         run: |c| Ok(crate::servebench::run(c.size("quotes")?)),
     },
     Bench {
         label: "serve-net",
         file: "BENCH_serve_net.json",
-        banded: true,
         run: |c| Ok(crate::netbench::run(c.size("requests_per_conn")?)),
     },
     Bench {
         label: "kernel",
         file: "BENCH_kernel.json",
-        banded: true,
         run: |c| {
             Ok(crate::kernelbench::run(
                 c.size("lookups")?,
@@ -561,19 +540,16 @@ pub const BENCHES: [Bench; 7] = [
     Bench {
         label: "wal",
         file: "BENCH_wal.json",
-        banded: true,
         run: |c| Ok(crate::walbench::run(c.size("records")?)),
     },
     Bench {
         label: "testkit",
         file: "BENCH_testkit.json",
-        banded: true,
         run: |c| Ok(crate::attackbench::run(c.size("trials")? as u64)),
     },
     Bench {
         label: "trace",
         file: "BENCH_trace.json",
-        banded: true,
         run: |c| {
             Ok(crate::tracebench::run(
                 c.size("quotes")?,
@@ -609,7 +585,7 @@ impl Bench {
             .and_then(|()| fs::write(&out, &json))
             .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
         let fresh = Record::parse(&json).map_err(|e| format!("fresh {}: {e}", self.file))?;
-        Ok(compare(&committed, &fresh, cfg, self.banded))
+        Ok(compare(&committed, &fresh, cfg))
     }
 }
 
@@ -680,15 +656,15 @@ mod tests {
 
     /// The comparator's whole contract as one table: each band just
     /// inside and just outside (at the default and at CI's tolerances),
-    /// a missing metric either way, invariants, the stamp, every hard
-    /// floor and budget, and an unbanded record; then every registered
-    /// record round-trips and passes against itself.
+    /// a missing metric either way, invariants, the stamp, and every hard
+    /// floor and budget; then every registered record round-trips and
+    /// passes against itself.
     #[test]
     fn comparator_table() {
         let def = RatchetConfig::default();
-        // (label, committed, fresh, bands, banded, the check that must
-        // fail or `None` for a pass)
-        type Case = (String, Record, Record, RatchetConfig, bool, Option<String>);
+        // (label, committed, fresh, bands, the check that must fail or
+        // `None` for a pass)
+        type Case = (String, Record, Record, RatchetConfig, Option<String>);
         let mut cases: Vec<Case> = Vec::new();
         for cfg in [def, CI] {
             let (r, p) = (cfg.ratio_tolerance, cfg.p99_tolerance);
@@ -707,97 +683,43 @@ mod tests {
                 let base = one("m", kind, higher, 100.0);
                 let label = format!("{kind:?} higher={higher} tol {r}/{p}");
                 let fresh = one("m", kind, higher, inside);
-                cases.push((
-                    format!("{label} inside"),
-                    base.clone(),
-                    fresh,
-                    cfg,
-                    true,
-                    None,
-                ));
+                cases.push((format!("{label} inside"), base.clone(), fresh, cfg, None));
                 let fresh = one("m", kind, higher, outside);
                 let fails = Some("m".into());
-                cases.push((
-                    format!("{label} outside"),
-                    base.clone(),
-                    fresh.clone(),
-                    cfg,
-                    true,
-                    fails,
-                ));
-                cases.push((
-                    format!("{label} outside, unbanded"),
-                    base,
-                    fresh,
-                    cfg,
-                    false,
-                    None,
-                ));
+                cases.push((format!("{label} outside"), base, fresh, cfg, fails));
             }
         }
         let t = |v| one("m", Kind::Throughput, true, v);
         let other = one("n", Kind::Throughput, true, 1.0);
         let m = || Some("m".to_string());
-        for banded in [true, false] {
-            let label = |s: &str| format!("{s}, banded {banded}");
-            cases.push((
-                label("missing from fresh"),
-                t(1.0),
-                other.clone(),
-                def,
-                banded,
-                m(),
-            ));
-            cases.push((
-                label("missing from committed"),
-                other.clone(),
-                t(1.0),
-                def,
-                banded,
-                m(),
-            ));
-            let kind = invariant("m", true);
-            cases.push((label("kind changed"), t(1.0), kind, def, banded, m()));
-            for (b, f) in [(true, false), (false, true)] {
-                let label = label(&format!("invariant committed {b} fresh {f}"));
-                let (b, f) = (invariant("i", b), invariant("i", f));
-                cases.push((label, b, f, def, banded, Some("i".into())));
-            }
-            let held = invariant("i", true);
-            cases.push((
-                label("invariant holds"),
-                held.clone(),
-                held,
-                def,
-                banded,
-                None,
-            ));
-            let mut unstamped = t(1.0);
-            unstamped.meta.commit = "unknown".into();
-            let fails = Some("stamp(committed)".into());
-            cases.push((
-                label("unstamped commit"),
-                unstamped,
-                t(1.0),
-                def,
-                banded,
-                fails.clone(),
-            ));
-            let mut unstamped = t(1.0);
-            unstamped.meta.generated_at = "unknown".into();
-            cases.push((
-                label("unstamped time"),
-                unstamped,
-                t(1.0),
-                def,
-                banded,
-                fails,
-            ));
+        cases.push(("missing from fresh".into(), t(1.0), other.clone(), def, m()));
+        cases.push(("missing from committed".into(), other, t(1.0), def, m()));
+        let kind = invariant("m", true);
+        cases.push(("kind changed".into(), t(1.0), kind, def, m()));
+        for (b, f) in [(true, false), (false, true)] {
+            let label = format!("invariant committed {b} fresh {f}");
+            let (b, f) = (invariant("i", b), invariant("i", f));
+            cases.push((label, b, f, def, Some("i".into())));
         }
+        let held = invariant("i", true);
+        cases.push(("invariant holds".into(), held.clone(), held, def, None));
+        let mut unstamped = t(1.0);
+        unstamped.meta.commit = "unknown".into();
+        let fails = Some("stamp(committed)".into());
+        cases.push((
+            "unstamped commit".into(),
+            unstamped,
+            t(1.0),
+            def,
+            fails.clone(),
+        ));
+        let mut unstamped = t(1.0);
+        unstamped.meta.generated_at = "unknown".into();
+        cases.push(("unstamped time".into(), unstamped, t(1.0), def, fails));
         for (name, floor) in HARD_FLOORS {
             let (at, under) = (floor, floor * 0.999);
             let r = |v| one(name, Kind::Ratio, true, v);
-            cases.push((format!("{name} at floor"), r(at), r(at), def, true, None));
+            cases.push((format!("{name} at floor"), r(at), r(at), def, None));
             // A self-compare passes the band trivially; the floor still binds.
             let fails = Some(format!("{name}.hard_floor"));
             cases.push((
@@ -805,7 +727,6 @@ mod tests {
                 r(under),
                 r(under),
                 def,
-                true,
                 fails,
             ));
         }
@@ -813,13 +734,13 @@ mod tests {
             let r = |v| one(name, Kind::Ratio, false, v);
             let label = |s: &str| format!("{name} {s}");
             let (base, fresh) = (r(strict * 0.999), r(loose * 0.999));
-            cases.push((label("under both"), base, fresh, def, true, None));
+            cases.push((label("under both"), base, fresh, def, None));
             let fails = Some(format!("{name}.budget(committed)"));
             let (base, fresh) = (r(strict * 1.001), r(0.0));
-            cases.push((label("committed over"), base, fresh, def, true, fails));
+            cases.push((label("committed over"), base, fresh, def, fails));
             let fails = Some(format!("{name}.budget(fresh)"));
             let (base, fresh) = (r(0.0), r(loose * 1.001));
-            cases.push((label("fresh over"), base, fresh, def, true, fails));
+            cases.push((label("fresh over"), base, fresh, def, fails));
         }
         for bench in BENCHES {
             let (rec, text) = committed(bench.file);
@@ -829,7 +750,7 @@ mod tests {
             // ratchet binary's verdict (CI's `Bench ratchet` step), not
             // this test's: nine rounds on a shared host do not resolve 2%,
             // so a regenerated record can miss them by noise alone.
-            let report = compare(&rec, &rec, &def, bench.banded);
+            let report = compare(&rec, &rec, &def);
             let held = |c: &&RatchetCheck| !c.metric.ends_with(".budget(committed)");
             assert!(
                 report.checks.iter().filter(held).all(|c| c.ok),
@@ -839,8 +760,8 @@ mod tests {
             );
         }
 
-        for (label, base, fresh, cfg, banded, fails) in cases {
-            let report = compare(&base, &fresh, &cfg, banded);
+        for (label, base, fresh, cfg, fails) in cases {
+            let report = compare(&base, &fresh, &cfg);
             match fails {
                 None => assert!(report.pass(), "{label}: {}", report.render()),
                 Some(name) => assert!(report.failed(&name), "{label}: {}", report.render()),
@@ -880,7 +801,6 @@ mod tests {
         let bench = Bench {
             label: "unit",
             file: "BENCH_unit.json",
-            banded: true,
             run: |c| Ok(c.clone()),
         };
         let cfg = RatchetConfig::default();
@@ -929,7 +849,7 @@ mod tests {
                 *spread = Spread::of([0.0]);
             }
         }
-        let report = compare(&base, &fresh, &CI, true);
+        let report = compare(&base, &fresh, &CI);
         assert!(report.failed("saturation_rps"), "{}", report.render());
     }
 }

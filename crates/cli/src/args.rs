@@ -240,11 +240,10 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_like_any_usize_flag() {
-        let a = Args::parse(argv("simulate --threads 4 --buyers 10")).unwrap();
+        let a = Args::parse(argv("serve --threads 4 --port 0")).unwrap();
         assert_eq!(a.get("threads"), Some("4"));
         assert_eq!(a.get_usize("threads", 1).unwrap(), 4);
-        // Absent flag falls back to the default (pool decides from env).
-        let b = Args::parse(argv("simulate")).unwrap();
+        let b = Args::parse(argv("serve")).unwrap();
         assert!(b.get("threads").is_none());
     }
 

@@ -78,10 +78,9 @@ COMMANDS:
                                   instance within budget
   simulate  [--csv F] [--model M] publish the derived arbitrage-free
             [--buyers N] [--jitter J] pricing and run a Monte-Carlo selling
-            [--grid lo,hi,n] [--seed S] season against the listing, buyers
-            [--ridge MU] [--lambda L]   sharded across worker threads
-                                        (deterministic in the seed at any
-                                        thread count; synthetic Simulated1
+            [--grid lo,hi,n] [--seed S] season against the listing in
+            [--ridge MU] [--lambda L]   512-buyer shards (deterministic in
+                                        the seed; synthetic Simulated1
                                         data when no CSV is given)
   trace     [--buyers N] [--seed S] run a traced synthetic selling season
             [--grid lo,hi,n]        and dump the flight recorder: span
@@ -98,9 +97,12 @@ COMMANDS:
             [--queue-limit N]      until a Shutdown frame or SIGTERM
             [--idle-timeout-ms T]  drains it; --metrics-port exposes
             [--wal DIR]            GET /metrics (Prometheus); --wal
-                                   appends every market mutation to a
+            [--threads N]          appends every market mutation to a
                                    durable write-ahead log in DIR and
-                                   replays any existing log on boot
+                                   replays any existing log on boot;
+                                   --threads sets the IO worker count
+                                   (default: the hardware parallelism,
+                                   at most 256)
   replay    --wal DIR             re-run a captured WAL read-only: fold
             [--curve C1,C2,...]    the surviving history and report
             [--grid lo,hi,n]       counterfactual revenue per pricing
@@ -110,8 +112,6 @@ COMMANDS:
                                    skip with a count, never an error
 
 GLOBAL FLAGS (every command):
-  --threads N          thread-pool size for parallel hot paths (default:
-                       MBP_THREADS env var, else the hardware parallelism)
   --metrics-out PATH   write a JSON metrics snapshot after the command
   --trace              enable causal request tracing + the flight recorder
                        for the command, and append debug-level events and
@@ -122,8 +122,7 @@ GLOBAL FLAGS (every command):
   --slow-threshold-us N  spans at or above N microseconds are kept as
                        tail-latency exemplars with their replay seed and
                        full child tree (default 1000)
-  --verbose            record debug-level events as well (including the
-                       effective thread-pool size)
+  --verbose            record debug-level events as well
 
 MODELS: linreg | logreg | svm
 VALUE SHAPES: linear | convex | concave | sigmoid
@@ -155,25 +154,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     if trace || trace_out.is_some() {
         mbp_obs::set_slow_threshold_micros(args.get_u64("slow-threshold-us", 1_000)?);
         mbp_obs::set_tracing(true);
-    }
-    // `--threads N` overrides MBP_THREADS (which mbp-par reads itself).
-    if let Some(raw) = args.get("threads") {
-        let n = mbp_par::parse_threads(Some(raw)).ok_or_else(|| {
-            CliError::Args(ArgError::BadValue {
-                flag: "threads".into(),
-                value: raw.into(),
-                expected: "a positive integer",
-            })
-        })?;
-        mbp_par::set_threads(n);
-    }
-    if verbose {
-        mbp_obs::event(
-            mbp_obs::Verbosity::Debug,
-            "mbp.cli",
-            "thread pool configured",
-            &[("effective_threads", mbp_par::max_threads().to_string())],
-        );
     }
     let mut result = dispatch(args);
     if let Some(path) = trace_out {
@@ -236,6 +216,9 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
     use mbp_core::error::SquareLossTransform;
     use mbp_core::market::concurrent::SharedBroker;
     use mbp_core::market::Broker;
+
+    // Checked before any work, so a bad value fails without training.
+    let io_threads = serve_io_threads(args)?;
 
     // A daemon is long-running and its /metrics endpoint serves the live
     // registry, so observability is always on for this command.
@@ -325,7 +308,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let cfg = mbp_serve::ServerConfig {
         addr: format!("{host}:{port}"),
         metrics_addr: (metrics_port != 0).then(|| format!("{host}:{metrics_port}")),
-        io_threads: 0, // resolved from --threads / MBP_THREADS by mbp-par
+        io_threads,
         queue_limit: args.get_usize("queue-limit", 1024)?,
         idle_timeout: std::time::Duration::from_millis(args.get_u64("idle-timeout-ms", 30_000)?),
         handle_sigterm: true,
@@ -355,6 +338,26 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         writeln!(out, "wal_io_errors\t{}", wal.io_error_count()).unwrap();
     }
     Ok(out)
+}
+
+/// Most IO workers `serve --threads` starts; larger values are capped.
+const MAX_IO_THREADS: usize = 256;
+
+/// `serve --threads N`: the IO worker count, capped at
+/// [`MAX_IO_THREADS`]. Absent means 0, which the server resolves to the
+/// hardware parallelism.
+fn serve_io_threads(args: &Args) -> Result<usize, CliError> {
+    let Some(raw) = args.get("threads") else {
+        return Ok(0);
+    };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n.min(MAX_IO_THREADS)),
+        _ => Err(CliError::Args(ArgError::BadValue {
+            flag: "threads".into(),
+            value: raw.into(),
+            expected: "a positive integer",
+        })),
+    }
 }
 
 /// `mbp-market replay`: deterministic record/replay backtesting over a
@@ -970,8 +973,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 /// `mbp-market trace`: run a deterministic synthetic selling season with
 /// causal tracing armed and dump the flight recorder.
 ///
-/// The season is the same Monte-Carlo market `simulate` runs (its shards
-/// cross `mbp-par` worker threads, and so do their span contexts), with the
+/// The season is the same Monte-Carlo market `simulate` runs, with the
 /// slow threshold applied so tail-latency purchase batches are kept as
 /// exemplars carrying their replay seed. The report lists the span/trace counts and every
 /// exemplar; the full recorder dump is emitted as Chrome trace_event JSON
@@ -1412,27 +1414,31 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `serve --threads` takes a positive integer, capped at 256, and a
+    /// bad value fails naming the flag before the daemon boots. Parsing
+    /// only: no test here starts an IO worker.
     #[test]
-    fn threads_flag_validates_and_configures_pool() {
-        for bad in ["zero", "0", "-2"] {
-            let err = run(&argv(&format!("catalog --threads {bad}"))).unwrap_err();
+    fn serve_threads_flag_validates_and_caps() {
+        for bad in ["zero", "0", "-2", ""] {
+            let err = run(&argv(&format!("serve --threads {bad}"))).unwrap_err();
             assert!(
-                matches!(err, CliError::Args(ArgError::BadValue { .. })),
-                "--threads {bad} should be rejected"
+                matches!(&err, CliError::Args(ArgError::BadValue { flag, .. }) if flag == "threads"),
+                "--threads {bad:?} should be rejected naming the flag: {err:?}"
             );
         }
-        let out = run(&argv("catalog --threads 3")).unwrap();
-        assert!(out.contains("YearMSD"));
-        assert_eq!(mbp_par::default_threads(), 3);
-        mbp_par::set_threads(0); // restore the process default for other tests
+        let threads = |line: &str| serve_io_threads(&argv(line)).unwrap();
+        assert_eq!(threads("serve"), 0, "absent: the hardware parallelism");
+        assert_eq!(threads("serve --threads 3"), 3);
+        assert_eq!(threads("serve --threads 256"), 256);
+        assert_eq!(threads("serve --threads 100000"), MAX_IO_THREADS);
     }
 
     #[test]
-    fn verbose_reports_effective_thread_pool() {
+    fn verbose_appends_the_event_log() {
         let _guard = EVENTS_LOCK.lock().unwrap();
         let out = run(&argv("simulate --buyers 30 --seed 17 --verbose")).unwrap();
-        assert!(out.contains("thread pool configured"), "{out}");
-        assert!(out.contains("effective_threads"), "{out}");
+        assert!(out.contains("── events ──"), "{out}");
+        assert!(out.contains("season complete"), "{out}");
     }
 
     /// A season is a pure function of its flags: the same seed prints the

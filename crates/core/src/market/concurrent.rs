@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 /// Number of independently locked sale-total stripes.
 ///
-/// Eight is comfortably above the thread counts the simulation and CLI use;
+/// Eight is comfortably above the daemon's IO worker counts;
 /// the round-robin assignment means two buys only share a stripe when they
 /// are `LEDGER_STRIPES` purchases apart and settling at the same instant.
 pub const LEDGER_STRIPES: usize = 8;

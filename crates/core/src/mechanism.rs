@@ -93,11 +93,10 @@ fn copy_into(h_star: &Vector, out: &mut Vector) {
 pub struct GaussianMechanism;
 
 impl GaussianMechanism {
-    /// Dimension at or above which noise is sampled in parallel chunks.
-    /// Below this the original single-stream sampler runs, so existing
-    /// low-dimensional releases are bit-identical to the serial code.
-    pub const PAR_DIM: usize = 4096;
-    /// Coordinates per chunk in the parallel path.
+    /// Dimension at or above which noise is sampled in seeded chunks.
+    /// Below this one stream draws every coordinate in index order.
+    pub const CHUNKED_DIM: usize = 4096;
+    /// Coordinates per chunk in the chunked layout.
     const NOISE_CHUNK: usize = 2048;
 }
 
@@ -117,21 +116,19 @@ impl NoiseMechanism for GaussianMechanism {
             return;
         }
         let d = h_star.len();
-        if d >= Self::PAR_DIM {
+        if d >= Self::CHUNKED_DIM {
             // High-dimensional releases sample fixed coordinate chunks, each
             // from its own RNG seeded off a single root draw from the
-            // caller's stream. The output therefore depends only on the
-            // caller's RNG state, `d`, and `ncp` — never on the thread
-            // count (the chunk layout is thread-count independent too).
-            let _span = mbp_obs::span("mbp.core.mechanism.gaussian.par");
+            // caller's stream. The output depends only on the caller's RNG
+            // state, `d`, and `ncp`.
             let root = rng.next_u64();
             let dist = Normal::new(0.0, (ncp / d as f64).sqrt());
-            mbp_par::par_chunks_mut(out.as_mut_slice(), Self::NOISE_CHUNK, |ci, chunk| {
+            for (ci, chunk) in out.as_mut_slice().chunks_mut(Self::NOISE_CHUNK).enumerate() {
                 let mut chunk_rng = seeded_rng(splitmix64(root ^ ci as u64));
                 for v in chunk {
                     *v += dist.sample(&mut chunk_rng);
                 }
-            });
+            }
             return;
         }
         // Per-coordinate `sd·N(0,1)` draws in index order — the exact stream
@@ -376,32 +373,22 @@ mod tests {
         GaussianMechanism.perturb(&h_star(), -1.0, &mut rng);
     }
 
-    /// The chunked high-dimensional path keeps Lemma 3 calibration and is
-    /// invariant to the thread count (chunk seeds derive from one root draw).
+    /// The chunked high-dimensional path keeps Lemma 3 calibration, and
+    /// its chunks draw from decorrelated streams.
     #[test]
-    fn high_dimensional_gaussian_is_calibrated_and_thread_count_invariant() {
-        let d = GaussianMechanism::PAR_DIM;
+    fn high_dimensional_gaussian_is_calibrated() {
+        let d = GaussianMechanism::CHUNKED_DIM;
         let h = Vector::zeros(d);
         let ncp = 2.0;
-        let sample_at = |threads: usize| {
-            mbp_par::with_threads(threads, || {
-                let mut rng = seeded_rng(99);
-                GaussianMechanism.perturb(&h, ncp, &mut rng)
-            })
-        };
-        let one = sample_at(1);
-        let two = sample_at(2);
-        let four = sample_at(4);
-        assert_eq!(one, two);
-        assert_eq!(two, four);
+        let mut rng = seeded_rng(99);
+        let w = GaussianMechanism.perturb(&h, ncp, &mut rng);
         // ‖w‖² concentrates tightly around δ at this dimension.
         assert!(
-            (one.norm2_squared() - ncp).abs() < 0.2,
+            (w.norm2_squared() - ncp).abs() < 0.2,
             "E[|w|^2] = {} want ~{ncp}",
-            one.norm2_squared()
+            w.norm2_squared()
         );
-        // Distinct chunks draw from decorrelated streams: consecutive chunk
-        // boundaries must not repeat values.
-        assert_ne!(one[0], one[GaussianMechanism::PAR_DIM / 2]);
+        // Consecutive chunk starts must not repeat values.
+        assert_ne!(w[0], w[d / 2]);
     }
 }

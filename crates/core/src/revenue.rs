@@ -570,36 +570,17 @@ fn revenue_of_prices(z: &[f64], points: &[BuyerPoint]) -> f64 {
         .sum()
 }
 
-/// Buyer points per parallel chunk when evaluating a pricing function
-/// against a population. The chunking (and with it the chunk-order
-/// reduction, hence every parallel result's bits) is fixed independently of
-/// the go-parallel threshold below.
+/// Buyer points per chunk in [`welfare`]'s sums: each chunk is summed in
+/// index order and the chunk sums are added in chunk order, one summation
+/// order per population size.
 const EVAL_GRAIN: usize = 2048;
-
-/// Minimum population for the parallel evaluators to pay for their
-/// fork/join handoff. Per-point work is one piecewise-linear `price_at`
-/// plus a handful of flops — light enough that mid-size populations ran
-/// *slower* in parallel (BENCH_parallel measured 0.92×/0.80× at 2/4
-/// threads on 150k points under the earlier `n > EVAL_GRAIN` rule), so
-/// anything at or below this count runs the sequential code, bit-identical
-/// to the serial implementation.
-const EVAL_PAR_THRESHOLD: usize = 200_000;
-
-fn eval_parallel(n: usize) -> bool {
-    n > EVAL_PAR_THRESHOLD && mbp_par::max_threads() > 1
-}
 
 /// The price vector `z_j = p̄(a_j)` for the whole population, evaluated
 /// exactly once and shared by [`revenue`], [`affordability`],
 /// [`buyer_surplus`], and [`welfare`] so no metric re-queries the curve per
-/// point. Large populations evaluate in parallel with index order preserved.
+/// point.
 pub fn price_vector(pf: &PricingFunction, points: &[BuyerPoint]) -> Vec<f64> {
-    if eval_parallel(points.len()) {
-        let _span = mbp_obs::span("mbp.core.revenue.price_vector.par");
-        mbp_par::par_map(points.len(), EVAL_GRAIN, |j| pf.price_at(points[j].a))
-    } else {
-        points.iter().map(|p| pf.price_at(p.a)).collect()
-    }
+    points.iter().map(|p| pf.price_at(p.a)).collect()
 }
 
 /// Revenue of pricing `pf` against the buyer population: each point pays
@@ -653,15 +634,16 @@ pub struct MarketWelfare {
 
 /// Computes the full welfare decomposition in a single pass over the
 /// population: the price vector is evaluated once and revenue, surplus,
-/// served mass, and total surplus accumulate together. Large populations
-/// reduce fixed chunks in chunk-index order (deterministic at any thread
-/// count ≥ 2); small ones keep the serial running sums.
+/// served mass, and total surplus accumulate together, per fixed
+/// 2048-point chunk (`EVAL_GRAIN`), with the chunk sums added in chunk
+/// order.
 pub fn welfare(pf: &PricingFunction, points: &[BuyerPoint]) -> MarketWelfare {
     let z = price_vector(pf, points);
     // (revenue, buyer surplus, served mass, total demand, total surplus).
-    let accumulate = |range: std::ops::Range<usize>| {
+    let mut sums = [0.0f64; 5];
+    for (chunk, zc) in points.chunks(EVAL_GRAIN).zip(z.chunks(EVAL_GRAIN)) {
         let mut acc = [0.0f64; 5];
-        for (p, &zj) in points[range.clone()].iter().zip(&z[range]) {
+        for (p, &zj) in chunk.iter().zip(zc) {
             acc[3] += p.demand;
             acc[4] += p.demand * p.valuation;
             if zj <= p.valuation + 1e-9 {
@@ -670,21 +652,10 @@ pub fn welfare(pf: &PricingFunction, points: &[BuyerPoint]) -> MarketWelfare {
                 acc[2] += p.demand;
             }
         }
-        acc
-    };
-    let sums = if eval_parallel(points.len()) {
-        let _span = mbp_obs::span("mbp.core.revenue.welfare.par");
-        mbp_par::par_map_chunks(points.len(), EVAL_GRAIN, accumulate)
-            .into_iter()
-            .fold([0.0f64; 5], |mut a, c| {
-                for (ai, ci) in a.iter_mut().zip(&c) {
-                    *ai += ci;
-                }
-                a
-            })
-    } else {
-        accumulate(0..points.len())
-    };
+        for (s, a) in sums.iter_mut().zip(&acc) {
+            *s += a;
+        }
+    }
     let [revenue, buyer_surplus, served, total_demand, total_surplus] = sums;
     MarketWelfare {
         revenue,
@@ -1083,40 +1054,22 @@ mod tests {
         }
     }
 
-    /// A synthetic population; pass `n > EVAL_PAR_THRESHOLD` to exercise
-    /// the parallel path.
-    fn big_population(n: usize) -> Vec<BuyerPoint> {
-        (0..n)
+    /// The single-pass, chunked welfare agrees with the individual
+    /// metrics on a population of several chunks, the last one partial.
+    #[test]
+    fn welfare_agrees_with_the_individual_metrics() {
+        let n = 3 * EVAL_GRAIN + 17;
+        let pts: Vec<BuyerPoint> = (0..n)
             .map(|j| {
                 let a = 1.0 + 9.0 * (j as f64 / n as f64);
                 let v = 50.0 + 40.0 * ((j as f64) * 0.37).sin().abs() * a;
                 BuyerPoint::new(a, v, 1.0 / n as f64)
             })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_population_eval_is_deterministic_and_consistent() {
-        let pts = big_population(EVAL_PAR_THRESHOLD + 20_000);
+            .collect();
         let pf = Baseline::Lin.pricing(&pts);
-        let w2 = mbp_par::with_threads(2, || welfare(&pf, &pts));
-        let w4 = mbp_par::with_threads(4, || welfare(&pf, &pts));
-        assert_eq!(w2, w4);
-        let w1 = mbp_par::with_threads(1, || welfare(&pf, &pts));
-        assert!((w1.revenue - w2.revenue).abs() <= 1e-12 * w1.revenue.abs().max(1.0));
-        // The single-pass welfare agrees with the individual metrics.
-        for threads in [1, 2, 4] {
-            let (w, r, s, aff) = mbp_par::with_threads(threads, || {
-                (
-                    welfare(&pf, &pts),
-                    revenue(&pf, &pts),
-                    buyer_surplus(&pf, &pts),
-                    affordability(&pf, &pts),
-                )
-            });
-            assert!((w.revenue - r).abs() < 1e-9);
-            assert!((w.buyer_surplus - s).abs() < 1e-9);
-            assert!((w.affordability - aff).abs() < 1e-9);
-        }
+        let w = welfare(&pf, &pts);
+        assert!((w.revenue - revenue(&pf, &pts)).abs() < 1e-9);
+        assert!((w.buyer_surplus - buyer_surplus(&pf, &pts)).abs() < 1e-9);
+        assert!((w.affordability - affordability(&pf, &pts)).abs() < 1e-9);
     }
 }

@@ -3,8 +3,8 @@
 //! re-running the request from that seed reproduces both the released
 //! model and the canonical span tree; a buy that waits on a contended
 //! lock records the wait inside its own trace; a simulated season emits
-//! identical span trees at every thread count, and every span recorded
-//! in it nests inside its parent.
+//! identical span trees each time it runs, and every span recorded in it
+//! nests inside its parent.
 //!
 //! Obs state is process-global, so every test here serializes on one lock
 //! (this integration binary is its own process — the core unit tests can
@@ -199,72 +199,66 @@ fn season_market() -> (Broker, Seller) {
     (broker, seller)
 }
 
-/// Runs a 600-buyer season on `threads` workers.
-fn simulate_season(broker: &mut Broker, seller: &Seller, threads: usize) {
-    let out = mbp_par::with_threads(threads, || {
-        simulate_market(
-            broker,
-            seller,
-            ModelKind::LinearRegression,
-            SimulationConfig {
-                n_buyers: 600,
-                valuation_jitter: 0.0,
-            },
-            9090,
-        )
-        .unwrap()
-    });
+/// Runs a 600-buyer season.
+fn simulate_season(broker: &mut Broker, seller: &Seller) {
+    let out = simulate_market(
+        broker,
+        seller,
+        ModelKind::LinearRegression,
+        SimulationConfig {
+            n_buyers: 600,
+            valuation_jitter: 0.0,
+        },
+        9090,
+    )
+    .unwrap();
     assert!(out.served > 0, "some buyers must be served");
 }
 
 /// Every span recorded in a traced season whose parent is still in the
 /// ring shares the parent's trace id and lies inside the parent's
-/// interval, at 1 and 4 threads: contexts are set and restored in order,
-/// also across `mbp-par` workers.
+/// interval: contexts are set and restored in order.
 #[test]
 fn ring_records_nest_inside_their_parents() {
     let _g = serial();
-    for threads in [1, 4] {
-        arm();
-        let (mut broker, seller) = season_market();
-        simulate_season(&mut broker, &seller, threads);
-        let spans = mbp_obs::recorder_snapshot();
-        let by_id: BTreeMap<u32, &mbp_obs::SpanData> = spans.iter().map(|s| (s.span, s)).collect();
-        let mut checked = 0;
-        for s in &spans {
-            let Some(p) = by_id.get(&s.parent) else {
-                continue;
-            };
-            assert_eq!(s.trace, p.trace, "{} shares {}'s trace", s.name, p.name);
-            assert!(
-                s.start_nanos >= p.start_nanos
-                    && s.start_nanos + s.dur_nanos <= p.start_nanos + p.dur_nanos,
-                "{} [{}, +{}] lies outside {} [{}, +{}] at {threads} threads",
-                s.name,
-                s.start_nanos,
-                s.dur_nanos,
-                p.name,
-                p.start_nanos,
-                p.dur_nanos
-            );
-            checked += 1;
-        }
-        assert!(checked > 0, "no parented span at {threads} threads");
-        disarm();
+    arm();
+    let (mut broker, seller) = season_market();
+    simulate_season(&mut broker, &seller);
+    let spans = mbp_obs::recorder_snapshot();
+    let by_id: BTreeMap<u32, &mbp_obs::SpanData> = spans.iter().map(|s| (s.span, s)).collect();
+    let mut checked = 0;
+    for s in &spans {
+        let Some(p) = by_id.get(&s.parent) else {
+            continue;
+        };
+        assert_eq!(s.trace, p.trace, "{} shares {}'s trace", s.name, p.name);
+        assert!(
+            s.start_nanos >= p.start_nanos
+                && s.start_nanos + s.dur_nanos <= p.start_nanos + p.dur_nanos,
+            "{} [{}, +{}] lies outside {} [{}, +{}]",
+            s.name,
+            s.start_nanos,
+            s.dur_nanos,
+            p.name,
+            p.start_nanos,
+            p.dur_nanos
+        );
+        checked += 1;
     }
+    assert!(checked > 0, "no parented span");
+    disarm();
 }
 
-/// Satellite: a simulated season emits the same multiset of canonical
-/// span trees at 1 and 4 worker threads — one `mbp.core.buy` trace per
-/// shard batch; the span context follows work across `mbp-par` and only
-/// timings/id assignment may differ.
+/// A simulated season emits the same multiset of canonical span trees
+/// each time it runs from the same seed — one `mbp.core.buy` trace per
+/// shard batch; only timings may differ.
 #[test]
-fn sharded_simulation_span_trees_match_across_thread_counts() {
+fn sharded_simulation_span_trees_replay_identically() {
     let _g = serial();
-    let trees_at = |threads: usize| -> Vec<String> {
+    let trees = || -> Vec<String> {
         arm();
         let (mut broker, seller) = season_market();
-        simulate_season(&mut broker, &seller, threads);
+        simulate_season(&mut broker, &seller);
         let spans = mbp_obs::recorder_snapshot();
         let quote_traces: BTreeSet<u32> = spans
             .iter()
@@ -281,7 +275,5 @@ fn sharded_simulation_span_trees_match_across_thread_counts() {
         disarm();
         trees
     };
-    let one = trees_at(1);
-    let four = trees_at(4);
-    assert_eq!(one, four);
+    assert_eq!(trees(), trees());
 }

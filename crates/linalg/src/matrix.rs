@@ -163,7 +163,7 @@ impl Matrix {
         Ok(Vector::from_vec(out))
     }
 
-    /// Rows per parallel band in [`Matrix::matmul`].
+    /// Rows per band in [`Matrix::matmul`].
     const MATMUL_ROW_BAND: usize = 64;
     /// Cache block over the shared dimension in [`Matrix::matmul`]: a block
     /// of `B` rows stays hot while every row of the band reuses it.
@@ -171,11 +171,10 @@ impl Matrix {
 
     /// Matrix product `A B`.
     ///
-    /// Output rows are partitioned into fixed bands computed in parallel on
-    /// the `mbp-par` pool. Each row's accumulation walks `k` in ascending
-    /// order regardless of banding or blocking, so the result is
-    /// bit-identical at every thread count (including the sequential
-    /// fallback).
+    /// Output rows are computed in fixed bands, each band walking the
+    /// shared dimension in cache blocks. Each row's accumulation still
+    /// walks `k` in ascending order, so the banding and blocking leave its
+    /// bits those of the plain triple loop.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -186,33 +185,28 @@ impl Matrix {
         }
         let ocols = other.cols;
         let mut out = Matrix::zeros(self.rows, ocols);
-        let parallel = self.rows > Self::MATMUL_ROW_BAND && mbp_par::max_threads() > 1;
-        let _span = parallel.then(|| mbp_obs::span("mbp.linalg.matmul.par"));
-        mbp_par::par_chunks_mut(
-            &mut out.data,
-            Self::MATMUL_ROW_BAND * ocols.max(1),
-            |ci, band| {
-                let band_start = ci * Self::MATMUL_ROW_BAND;
-                for kb in (0..self.cols).step_by(Self::MATMUL_K_BLOCK) {
-                    let kend = (kb + Self::MATMUL_K_BLOCK).min(self.cols);
-                    // i-k-j order within the block keeps the inner accesses
-                    // sequential for row-major storage on both operands.
-                    for (bi, orow) in band.chunks_mut(ocols).enumerate() {
-                        let arow = self.row(band_start + bi);
-                        for (k, &aik) in arow[..kend].iter().enumerate().skip(kb) {
-                            // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
-                            if aik == 0.0 {
-                                continue;
-                            }
-                            let brow = other.row(k);
-                            for (o, b) in orow.iter_mut().zip(brow) {
-                                *o += aik * b;
-                            }
+        let band_len = Self::MATMUL_ROW_BAND * ocols.max(1);
+        for (ci, band) in out.data.chunks_mut(band_len).enumerate() {
+            let band_start = ci * Self::MATMUL_ROW_BAND;
+            for kb in (0..self.cols).step_by(Self::MATMUL_K_BLOCK) {
+                let kend = (kb + Self::MATMUL_K_BLOCK).min(self.cols);
+                // i-k-j order within the block keeps the inner accesses
+                // sequential for row-major storage on both operands.
+                for (bi, orow) in band.chunks_mut(ocols).enumerate() {
+                    let arow = self.row(band_start + bi);
+                    for (k, &aik) in arow[..kend].iter().enumerate().skip(kb) {
+                        // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
+                        if aik == 0.0 {
+                            continue;
+                        }
+                        let brow = other.row(k);
+                        for (o, b) in orow.iter_mut().zip(brow) {
+                            *o += aik * b;
                         }
                     }
                 }
-            },
-        );
+            }
+        }
         Ok(out)
     }
 
@@ -221,33 +215,23 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
-    /// Rows per parallel band in [`Matrix::gram`]. Matrices with fewer than
-    /// two bands take the original sequential path, so small problems are
-    /// bit-identical to the serial implementation.
+    /// Rows per band in [`Matrix::gram`]'s banded reduction.
     const GRAM_ROW_BAND: usize = 256;
 
     /// Minimum per-band work (upper-triangle multiply-adds,
-    /// `GRAM_ROW_BAND · d·(d+1)/2`) for the parallel Gram path to pay for
-    /// its fork/join handoff. Tall-but-narrow matrices below this grain ran
-    /// *slower* in parallel (BENCH_parallel measured a 0.77× "speedup" at 2
-    /// threads on a `4096×48` input, and still 0.70× at 4 threads on
-    /// `4096×96` under the earlier 500k grain), so they take the serial
-    /// path unconditionally: with the current band height this requires
-    /// `d ≥ 139`.
-    const GRAM_PAR_GRAIN: usize = 2_500_000;
+    /// `GRAM_ROW_BAND · d·(d+1)/2`) for [`Matrix::gram`] to sum per band:
+    /// with the current band height this requires `d ≥ 139`.
+    const GRAM_BAND_GRAIN: usize = 2_500_000;
 
     /// The Gram matrix `AᵀA` (symmetric positive semidefinite), computed
     /// without materializing `Aᵀ`.
     ///
-    /// Large inputs accumulate one upper-triangle partial per fixed row band
-    /// in parallel; partials are merged in band-index order. The choice
-    /// between the two paths depends only on the shape, never on the
-    /// thread count (one thread runs the same bands in order), so the
-    /// result is bit-identical at every thread count; the banded sum
-    /// differs from the row-by-row one only by the band-wise
-    /// reassociation (bounded by normal f64 summation error). Inputs with
-    /// fewer than two bands, or too narrow to meet the per-band work grain
-    /// (`GRAM_PAR_GRAIN`), take the row-by-row path.
+    /// Wide, tall inputs (at least two row bands, `d ≥ 139`) accumulate one
+    /// upper-triangle partial per fixed row band and add the partials into
+    /// the result in band order; all others accumulate row by row. The
+    /// choice depends only on the shape, so each shape has one summation
+    /// order; the banded sum differs from the row-by-row one only by the
+    /// band-wise reassociation (bounded by normal f64 summation error).
     ///
     /// The upper-triangle update is a slice-zip axpy
     /// (`acc[j·d+j..j·d+d] += rj · row[j..]`): ascending `k`, the same
@@ -256,34 +240,8 @@ impl Matrix {
     pub fn gram(&self) -> Matrix {
         let d = self.cols;
         let mut out = Matrix::zeros(d, d);
-        if self.gram_is_banded() {
-            let _span = mbp_obs::span("mbp.linalg.gram.par");
-            let partials = mbp_par::par_map_chunks(self.rows, Self::GRAM_ROW_BAND, |band| {
-                let mut acc = vec![0.0f64; d * d];
-                for i in band {
-                    let row = self.row(i);
-                    for (j, &rj) in row.iter().enumerate() {
-                        // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
-                        if rj == 0.0 {
-                            continue;
-                        }
-                        let base = j * d;
-                        for (o, &a) in acc[base + j..base + d].iter_mut().zip(&row[j..]) {
-                            *o += rj * a;
-                        }
-                    }
-                }
-                acc
-            });
-            // Band partials arrive in band-index order: a fixed reduction
-            // order, deterministic for any thread count.
-            for acc in partials {
-                for (o, a) in out.data.iter_mut().zip(&acc) {
-                    *o += a;
-                }
-            }
-        } else {
-            for i in 0..self.rows {
+        let add_rows = |acc: &mut [f64], rows: std::ops::Range<usize>| {
+            for i in rows {
                 let row = self.row(i);
                 for (j, &rj) in row.iter().enumerate() {
                     // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
@@ -292,11 +250,26 @@ impl Matrix {
                     }
                     // Only the upper triangle; mirrored below.
                     let base = j * d;
-                    for (o, &a) in out.data[base + j..base + d].iter_mut().zip(&row[j..]) {
+                    for (o, &a) in acc[base + j..base + d].iter_mut().zip(&row[j..]) {
                         *o += rj * a;
                     }
                 }
             }
+        };
+        if self.gram_is_banded() {
+            let mut partial = vec![0.0f64; d * d];
+            for start in (0..self.rows).step_by(Self::GRAM_ROW_BAND) {
+                partial.fill(0.0);
+                add_rows(
+                    &mut partial,
+                    start..(start + Self::GRAM_ROW_BAND).min(self.rows),
+                );
+                for (o, a) in out.data.iter_mut().zip(&partial) {
+                    *o += a;
+                }
+            }
+        } else {
+            add_rows(&mut out.data, 0..self.rows);
         }
         for j in 0..d {
             for k in (j + 1)..d {
@@ -312,7 +285,7 @@ impl Matrix {
     fn gram_is_banded(&self) -> bool {
         let d = self.cols;
         self.rows > Self::GRAM_ROW_BAND
-            && Self::GRAM_ROW_BAND * (d * (d + 1)) / 2 >= Self::GRAM_PAR_GRAIN
+            && Self::GRAM_ROW_BAND * (d * (d + 1)) / 2 >= Self::GRAM_BAND_GRAIN
     }
 
     /// `tr(AᵀA)` in O(n·d) time and O(d) memory, bit-identical to
@@ -585,48 +558,45 @@ mod tests {
         assert!(!tall(300, 4).gram_is_banded());
     }
 
+    /// The banded Gram (700×160 clears the `d ≥ 139` grain) is exactly
+    /// symmetric and differs from the row-by-row product only by the
+    /// band-wise reassociation.
     #[test]
-    fn parallel_gram_is_bit_identical_across_thread_counts() {
-        // 160 columns clears the work-grain threshold (`d ≥ 139`), so this
-        // exercises the banded parallel path.
+    fn banded_gram_is_symmetric_and_close_to_the_plain_product() {
         let a = tall(700, 160);
-        let g2 = mbp_par::with_threads(2, || a.gram());
-        let g4 = mbp_par::with_threads(4, || a.gram());
-        assert_eq!(g2.as_slice(), g4.as_slice());
-        assert!(g2.is_symmetric(0.0));
-    }
-
-    #[test]
-    fn parallel_gram_matches_serial_within_reduction_tolerance() {
-        let a = tall(700, 160);
-        let serial = mbp_par::with_threads(1, || a.gram());
-        let par = mbp_par::with_threads(4, || a.gram());
-        for (s, p) in serial.as_slice().iter().zip(par.as_slice()) {
-            assert!((s - p).abs() <= 1e-9 * s.abs().max(1.0), "{s} vs {p}");
+        assert!(a.gram_is_banded());
+        let g = a.gram();
+        assert!(g.is_symmetric(0.0));
+        let plain = a.transpose().matmul(&a).unwrap();
+        for (p, b) in plain.as_slice().iter().zip(g.as_slice()) {
+            assert!((p - b).abs() <= 1e-9 * p.abs().max(1.0), "{p} vs {b}");
         }
     }
 
-    /// Tall-but-narrow inputs fall below the parallel work grain: the
-    /// per-band handoff cost dominates at small `d`, so they must take the
-    /// serial path at every thread count — bit-identical, not merely close.
+    /// Below the band grain the Gram sums row by row: the same products in
+    /// the same ascending-row order as `Aᵀ·A`, so the same bits.
     #[test]
-    fn narrow_gram_stays_serial_below_work_grain() {
-        let a = tall(700, 12);
-        let serial = mbp_par::with_threads(1, || a.gram());
-        let two = mbp_par::with_threads(2, || a.gram());
-        let four = mbp_par::with_threads(4, || a.gram());
-        assert_eq!(serial.as_slice(), two.as_slice());
-        assert_eq!(serial.as_slice(), four.as_slice());
+    fn row_by_row_gram_is_the_plain_product_bit_for_bit() {
+        for a in [tall(700, 12), tall(300, 40)] {
+            assert!(!a.gram_is_banded());
+            let plain = a.transpose().matmul(&a).unwrap();
+            assert_eq!(a.gram().as_slice(), plain.as_slice());
+        }
     }
 
+    /// Row bands and `k` blocks leave each row's ascending-`k` sum intact:
+    /// a product spanning several of each equals the textbook triple loop.
     #[test]
-    fn parallel_matmul_is_bit_identical_to_serial() {
-        let a = tall(300, 40);
-        let b = tall(40, 25);
-        let serial = mbp_par::with_threads(1, || a.matmul(&b).unwrap());
-        let two = mbp_par::with_threads(2, || a.matmul(&b).unwrap());
-        let four = mbp_par::with_threads(4, || a.matmul(&b).unwrap());
-        assert_eq!(serial.as_slice(), two.as_slice());
-        assert_eq!(serial.as_slice(), four.as_slice());
+    fn blocked_matmul_is_the_triple_loop_bit_for_bit() {
+        let (a, b) = (tall(150, 300), tall(300, 25));
+        let mut want = vec![0.0; 150 * 25];
+        for i in 0..150 {
+            for k in 0..300 {
+                for j in 0..25 {
+                    want[i * 25 + j] += a.get(i, k) * b.get(k, j);
+                }
+            }
+        }
+        assert_eq!(a.matmul(&b).unwrap().as_slice(), &want[..]);
     }
 }

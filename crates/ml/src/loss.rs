@@ -18,61 +18,41 @@ pub trait Objective {
     fn ridge(&self) -> f64;
 }
 
-/// Examples per parallel chunk in loss/gradient accumulation. Datasets
-/// spanning fewer than two chunks keep the original sequential loops, so
-/// small-data numerics are bit-identical to the serial implementation.
+/// Examples per chunk in loss/gradient accumulation. Every sum over
+/// examples adds fixed chunks of this many, each summed left to right,
+/// in chunk order: one summation order per dataset size. A dataset of at
+/// most one chunk is the plain left-to-right sum.
 pub(crate) const EXAMPLE_GRAIN: usize = 1024;
 
-fn par_enabled(n: usize) -> bool {
-    n > EXAMPLE_GRAIN && mbp_par::max_threads() > 1
+/// The chunks `0..n` splits into under [`EXAMPLE_GRAIN`].
+fn chunks(n: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..n)
+        .step_by(EXAMPLE_GRAIN)
+        .map(move |start| start..(start + EXAMPLE_GRAIN).min(n))
 }
 
-/// Sum of `term(i)` over all examples. Large datasets reduce fixed chunks in
-/// chunk-index order (deterministic at every thread count ≥ 2); small ones
-/// run the plain left-to-right sum.
-fn accumulate_scalar(span: &'static str, n: usize, term: impl Fn(usize) -> f64 + Sync) -> f64 {
-    if par_enabled(n) {
-        let _span = mbp_obs::span(span);
-        mbp_par::par_map_chunks(n, EXAMPLE_GRAIN, |r| r.map(&term).sum::<f64>())
-            .into_iter()
-            .fold(0.0, |a, b| a + b)
-    } else {
-        (0..n).map(term).sum()
-    }
+/// Sum of `term(i)` over all examples: per-chunk sums, added in chunk
+/// order.
+fn accumulate_scalar(n: usize, term: impl Fn(usize) -> f64) -> f64 {
+    chunks(n).fold(0.0, |acc, r| acc + r.map(&term).sum::<f64>())
 }
 
-/// Dense accumulator of per-example updates into a `d`-vector. Large
-/// datasets build one partial per fixed chunk and merge the partials in
-/// chunk-index order; small ones apply the updates sequentially.
-fn accumulate_dense(
-    span: &'static str,
-    d: usize,
-    n: usize,
-    add_example: impl Fn(&mut [f64], usize) + Sync,
-) -> Vec<f64> {
-    if par_enabled(n) {
-        let _span = mbp_obs::span(span);
-        let partials = mbp_par::par_map_chunks(n, EXAMPLE_GRAIN, |r| {
-            let mut acc = vec![0.0; d];
-            for i in r {
-                add_example(&mut acc, i);
-            }
-            acc
-        });
-        let mut out = vec![0.0; d];
-        for acc in partials {
-            for (o, a) in out.iter_mut().zip(&acc) {
-                *o += a;
-            }
+/// Dense accumulator of per-example updates into a `d`-vector: each chunk
+/// builds its own partial from zero, and the partials are added into the
+/// result in chunk order.
+fn accumulate_dense(d: usize, n: usize, add_example: impl Fn(&mut [f64], usize)) -> Vec<f64> {
+    let mut out = vec![0.0; d];
+    let mut partial = vec![0.0; d];
+    for r in chunks(n) {
+        partial.fill(0.0);
+        for i in r {
+            add_example(&mut partial, i);
         }
-        out
-    } else {
-        let mut out = vec![0.0; d];
-        for i in 0..n {
-            add_example(&mut out, i);
+        for (o, p) in out.iter_mut().zip(&partial) {
+            *o += p;
         }
-        out
     }
+    out
 }
 
 fn ridge_value(mu: f64, h: &Vector) -> f64 {
@@ -115,7 +95,7 @@ impl SquaredLoss {
 impl Objective for SquaredLoss {
     fn value(&self, h: &Vector, ds: &Dataset) -> f64 {
         let n = ds.n().max(1) as f64;
-        let sum = accumulate_scalar("mbp.ml.loss.value.par", ds.n(), |i| {
+        let sum = accumulate_scalar(ds.n(), |i| {
             let (x, y) = ds.example(i);
             let r = dot(h.as_slice(), x) - y;
             r * r
@@ -125,7 +105,7 @@ impl Objective for SquaredLoss {
 
     fn gradient(&self, h: &Vector, ds: &Dataset) -> Vector {
         let n = ds.n().max(1) as f64;
-        let sums = accumulate_dense("mbp.ml.loss.grad.par", h.len(), ds.n(), |acc, i| {
+        let sums = accumulate_dense(h.len(), ds.n(), |acc, i| {
             let (x, y) = ds.example(i);
             let r = dot(h.as_slice(), x) - y;
             for (gj, xj) in acc.iter_mut().zip(x) {
@@ -172,7 +152,7 @@ impl LogisticLoss {
     pub fn hessian(&self, h: &Vector, ds: &Dataset) -> Matrix {
         let n = ds.n().max(1) as f64;
         let d = h.len();
-        let upper = accumulate_dense("mbp.ml.loss.hessian.par", d * d, ds.n(), |acc, i| {
+        let upper = accumulate_dense(d * d, ds.n(), |acc, i| {
             let (x, y) = ds.example(i);
             let m = y * dot(h.as_slice(), x);
             let s = sigmoid(m);
@@ -208,7 +188,7 @@ impl LogisticLoss {
 impl Objective for LogisticLoss {
     fn value(&self, h: &Vector, ds: &Dataset) -> f64 {
         let n = ds.n().max(1) as f64;
-        let sum = accumulate_scalar("mbp.ml.loss.value.par", ds.n(), |i| {
+        let sum = accumulate_scalar(ds.n(), |i| {
             let (x, y) = ds.example(i);
             log1p_exp(-y * dot(h.as_slice(), x))
         });
@@ -217,7 +197,7 @@ impl Objective for LogisticLoss {
 
     fn gradient(&self, h: &Vector, ds: &Dataset) -> Vector {
         let n = ds.n().max(1) as f64;
-        let sums = accumulate_dense("mbp.ml.loss.grad.par", h.len(), ds.n(), |acc, i| {
+        let sums = accumulate_dense(h.len(), ds.n(), |acc, i| {
             let (x, y) = ds.example(i);
             let m = y * dot(h.as_slice(), x);
             // d/dm log(1+e^{-m}) = -σ(-m); chain rule brings y·x.
@@ -295,7 +275,7 @@ impl SmoothedHingeLoss {
 impl Objective for SmoothedHingeLoss {
     fn value(&self, h: &Vector, ds: &Dataset) -> f64 {
         let n = ds.n().max(1) as f64;
-        let sum = accumulate_scalar("mbp.ml.loss.value.par", ds.n(), |i| {
+        let sum = accumulate_scalar(ds.n(), |i| {
             let (x, y) = ds.example(i);
             self.phi(y * dot(h.as_slice(), x))
         });
@@ -304,7 +284,7 @@ impl Objective for SmoothedHingeLoss {
 
     fn gradient(&self, h: &Vector, ds: &Dataset) -> Vector {
         let n = ds.n().max(1) as f64;
-        let sums = accumulate_dense("mbp.ml.loss.grad.par", h.len(), ds.n(), |acc, i| {
+        let sums = accumulate_dense(h.len(), ds.n(), |acc, i| {
             let (x, y) = ds.example(i);
             let coeff = y * self.dphi(y * dot(h.as_slice(), x));
             // LINT-ALLOW(float): exact-zero gradient coefficient skip.
@@ -463,41 +443,29 @@ mod tests {
         assert!(sigmoid(800.0) <= 1.0);
     }
 
-    /// A classification dataset large enough to cross `EXAMPLE_GRAIN`.
-    fn big_clf(n: usize, d: usize) -> Dataset {
-        let x = Matrix::from_fn(n, d, |i, j| ((i * d + j) as f64 * 0.61).sin());
-        let y = Vector::from_vec(
-            (0..n)
-                .map(|i| {
-                    if (i as f64 * 0.37).cos() > 0.0 {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                })
-                .collect(),
-        );
-        Dataset::new(x, y)
-    }
-
+    /// One order per size: up to one chunk the plain left-to-right sum,
+    /// beyond it per-chunk sums added in chunk order.
     #[test]
-    fn parallel_gradients_are_deterministic_across_thread_counts() {
-        let ds = big_clf(3000, 6);
-        let h = Vector::from_vec(vec![0.3, -0.2, 0.15, 0.0, -0.4, 0.25]);
-        let loss = LogisticLoss::ridge(0.05);
-        let g2 = mbp_par::with_threads(2, || loss.gradient(&h, &ds));
-        let g4 = mbp_par::with_threads(4, || loss.gradient(&h, &ds));
-        assert_eq!(g2.as_slice(), g4.as_slice());
-        let serial = mbp_par::with_threads(1, || loss.gradient(&h, &ds));
-        for (s, p) in serial.as_slice().iter().zip(g2.as_slice()) {
-            assert!((s - p).abs() <= 1e-12 * s.abs().max(1.0), "{s} vs {p}");
+    fn sums_add_fixed_chunks_in_chunk_order() {
+        let term = |i: usize| ((i as f64) * 0.61).sin() / 3.0;
+        let plain = |r: std::ops::Range<usize>| r.map(term).sum::<f64>();
+        for n in [1, 7, EXAMPLE_GRAIN] {
+            assert_eq!(accumulate_scalar(n, term).to_bits(), plain(0..n).to_bits());
         }
-        let v2 = mbp_par::with_threads(2, || loss.value(&h, &ds));
-        let v4 = mbp_par::with_threads(4, || loss.value(&h, &ds));
-        assert_eq!(v2.to_bits(), v4.to_bits());
-        let hess2 = mbp_par::with_threads(2, || loss.hessian(&h, &ds));
-        let hess4 = mbp_par::with_threads(4, || loss.hessian(&h, &ds));
-        assert_eq!(hess2.as_slice(), hess4.as_slice());
+        let n = 2 * EXAMPLE_GRAIN + 452;
+        let chunked = plain(0..1024) + plain(1024..2048) + plain(2048..n);
+        assert_eq!(accumulate_scalar(n, term).to_bits(), chunked.to_bits());
+        assert_ne!(
+            chunked.to_bits(),
+            plain(0..n).to_bits(),
+            "the orders differ here"
+        );
+        let dense = accumulate_dense(2, n, |acc, i| {
+            acc[0] += term(i);
+            acc[1] -= term(i);
+        });
+        assert_eq!(dense[0].to_bits(), chunked.to_bits());
+        assert_eq!(dense[1].to_bits(), (-chunked).to_bits());
     }
 
     #[test]

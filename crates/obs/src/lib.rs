@@ -13,7 +13,7 @@
 //!   [`reset`]), so a warmed span allocates nothing and takes no lock.
 //!   With tracing on ([`set_tracing`]) the same guard is also a node of a
 //!   trace tree: it takes a span id, parents the spans opened inside it
-//!   (on this thread or, through `mbp-par`, on pool workers), and lands in
+//!   on this thread, and lands in
 //!   a lock-free flight-recorder ring ([`recorder_snapshot`]); slow roots
 //!   are kept as replayable [`exemplars`];
 //! * a **structured event log** ([`event`]) — a bounded ring buffer of
@@ -89,12 +89,11 @@ pub fn is_enabled() -> bool {
 /// the labeled request histogram) on or off. Tracing additionally requires
 /// recording to be enabled; with tracing off, a [`span`] or [`trace_root`]
 /// records only its `<name>.seconds` histogram. Enabling fixes the trace
-/// time anchor and installs the `mbp-par` context-propagation hook and the
-/// panic-time flight-recorder dump (all once per process).
+/// time anchor and installs the panic-time flight-recorder dump (both once
+/// per process).
 pub fn set_tracing(on: bool) {
     if on {
         trace::anchor();
-        trace::install_par_hook();
         recorder::install_panic_hook();
     }
     TRACING.store(on, Ordering::SeqCst);

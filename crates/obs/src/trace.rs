@@ -1,18 +1,19 @@
-//! Causal request tracing: trace/span ids, the per-thread span context
-//! and its propagation across threads, and canonical span trees.
+//! Causal request tracing: trace/span ids, the per-thread span context,
+//! and canonical span trees.
 //!
 //! The span guard itself lives in the `span` module: while tracing is on,
 //! every [`crate::span`] takes a span id here and makes itself the
 //! thread's current context until it drops, and every
-//! [`crate::trace_root`] also allocates a fresh trace id. The `mbp-par`
-//! task hook carries the context onto pool workers, so spans opened
-//! inside a `par_map` chunk parent to the span that submitted the work.
+//! [`crate::trace_root`] also allocates a fresh trace id. Compute runs on
+//! the calling thread, so a span opened inside a kernel parents to the
+//! span that called it.
 //!
 //! Ids are allocated from process-global counters that [`crate::reset`]
-//! rewinds, so a single-threaded run re-executed from the same seed
-//! produces the identical id sequence; at higher thread counts id
-//! *assignment order* may differ, which is why tree comparisons go through
-//! [`canonical_tree`] (names, labels, and structure only).
+//! rewinds, so a run on one thread re-executed from the same seed
+//! produces the identical id sequence; when several threads open spans
+//! (the daemon's IO workers) id *assignment order* may differ, which is
+//! why tree comparisons go through [`canonical_tree`] (names, labels, and
+//! structure only).
 //!
 //! Span names and label strings are interned once into a process-lifetime
 //! table (bounded at [`MAX_INTERNED`] entries; overflow collapses to
@@ -97,7 +98,7 @@ pub(crate) fn next_span() -> u32 {
 
 thread_local! {
     /// Packed `(trace << 32) | span` context of the innermost open span on
-    /// this thread (0 = none). Propagated across `mbp-par` spawns.
+    /// this thread (0 = none).
     static CONTEXT: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -152,19 +153,6 @@ pub fn set_request_seed(seed: u64) {
 /// Takes (and clears) this thread's pending request-seed hint.
 pub(crate) fn take_request_seed() -> u64 {
     REQUEST_SEED.with(|c| c.replace(0))
-}
-
-/// Installs the `mbp-par` task hook that carries span contexts onto pool
-/// workers. Idempotent; called when tracing is first enabled.
-pub(crate) fn install_par_hook() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        mbp_par::set_task_hook(mbp_par::TaskHook {
-            capture: current,
-            enter,
-            exit,
-        });
-    });
 }
 
 /// Rewinds the id counters. Part of [`crate::reset`]; quiesce tracing
@@ -287,42 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_is_identical_across_thread_counts() {
-        let _g = crate::test_support::serial();
-        let tree_at = |threads: usize| {
-            arm();
-            let tid = {
-                let root = trace_root("par_map", "l9", "gaussian");
-                mbp_par::with_threads(threads, || {
-                    let _out = mbp_par::par_map(64, 4, |i| {
-                        let _p = span("work");
-                        i * 2
-                    });
-                });
-                root.trace_id().expect("tracing armed")
-            };
-            let t = canonical_tree(&crate::recorder_snapshot(), tid);
-            disarm();
-            t
-        };
-        let one = tree_at(1);
-        let four = tree_at(4);
-        assert_eq!(one, four);
-        // 64 work spans, all parented to the root.
-        assert_eq!(one.matches("work").count(), 64);
-        assert!(one.starts_with("par_map(l9,gaussian)["));
-    }
-
-    #[test]
-    fn ring_is_deterministic_single_threaded() {
+    fn ring_is_deterministic() {
         let _g = crate::test_support::serial();
         let run = || {
             arm();
-            mbp_par::with_threads(1, || {
-                for req in 0..5u64 {
-                    request(req, &["lookup"]);
-                }
-            });
+            for req in 0..5u64 {
+                request(req, &["lookup"]);
+            }
             let spans: Vec<(u64, u32, u32, u32, String)> = crate::recorder_snapshot()
                 .iter()
                 .map(|s| (s.idx, s.trace, s.span, s.parent, s.name.clone()))

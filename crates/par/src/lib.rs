@@ -1,619 +1,15 @@
-//! `mbp-par`: a zero-dependency scoped thread pool with chunked
-//! data-parallel primitives for the MBP workspace.
+//! `mbp-par`: the fixed-size thread pool that runs the `mbp-serve`
+//! daemon's long-lived IO loops.
 //!
-//! # Design
-//!
-//! * **Spawn-once workers.** A global pool of worker threads is created
-//!   lazily on first use and lives for the process. Parallel regions never
-//!   spawn threads; they enqueue short "helper loop" jobs.
-//! * **Scoped execution.** [`scope`] lets tasks borrow stack data without
-//!   `'static` bounds: the scope joins every spawned task before it returns
-//!   (including during unwinding), which is what makes the single
-//!   lifetime-erasing `unsafe` block in [`Scope::spawn`] sound.
-//! * **Caller participation.** The thread that opens a parallel region works
-//!   through chunks alongside the pool, so a region always makes progress
-//!   even if every worker is busy, and a pool with zero workers degrades to
-//!   plain sequential execution.
-//! * **Deterministic chunking.** [`par_for_chunks`] and [`par_map_chunks`]
-//!   split `0..n` into fixed chunks of `grain` items. The chunk boundaries
-//!   depend only on `(n, grain)` — never on the thread count — and mapped
-//!   results are merged in chunk-index order. Reductions that combine
-//!   per-chunk partials in that order therefore produce *bit-identical*
-//!   results at 2, 4, or 64 threads, and the sequential path visits the same
-//!   chunks in the same order.
-//! * **Sequential fallback.** Regions with a single chunk, an effective
-//!   thread count of one, or a caller that is itself a pool worker (nested
-//!   parallelism) run inline on the calling thread.
-//!
-//! Thread count resolution order: [`with_threads`] override on this thread,
-//! then [`set_threads`] (the `--threads` CLI flag), then the `MBP_THREADS`
-//! environment variable, then `std::thread::available_parallelism`.
+//! Every compute kernel in the workspace runs on the thread that calls it,
+//! with one summation order and one RNG layout, so no result depends on
+//! how many cores a machine has. The only threads this crate starts are a
+//! [`ThreadPool`]'s workers, each of which drains jobs handed to
+//! [`ThreadPool::run`] until the pool is dropped.
 
 #![warn(missing_docs)]
-// NOTE: unlike the rest of the workspace this crate cannot
-// `forbid(unsafe_code)` — the scoped API requires two tightly-audited
-// `unsafe` blocks (lifetime erasure in `Scope::spawn`, disjoint slice
-// splitting in `par_chunks_mut`). Everything else is safe code.
+#![forbid(unsafe_code)]
 
 mod pool;
 
 pub use pool::ThreadPool;
-
-use std::cell::Cell;
-use std::marker::PhantomData;
-use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Upper bound on configurable thread counts (sanity clamp).
-pub const MAX_THREADS: usize = 256;
-
-/// Task-context propagation hook.
-///
-/// An observability layer may register one process-wide hook to carry a
-/// per-thread context token across [`Scope::spawn`]: `capture` runs on the
-/// submitting thread when the task is enqueued, `enter` runs on the
-/// executing thread immediately before the task body (receiving the
-/// captured token and returning the thread's previous token), and `exit`
-/// runs after the body with that previous token so the executing thread is
-/// restored even when the body panics.
-///
-/// The hook is three plain `fn` pointers so this crate stays free of any
-/// dependency on the layer that installs it.
-#[derive(Clone, Copy)]
-pub struct TaskHook {
-    /// Captures the submitting thread's context token.
-    pub capture: fn() -> u64,
-    /// Installs a captured token on the executing thread; returns the
-    /// token previously installed there.
-    pub enter: fn(u64) -> u64,
-    /// Restores the executing thread's previous token.
-    pub exit: fn(u64),
-}
-
-static TASK_HOOK: OnceLock<TaskHook> = OnceLock::new();
-
-/// Registers the process-wide [`TaskHook`]. The first registration wins;
-/// later calls are ignored (returns whether this call installed the hook).
-pub fn set_task_hook(hook: TaskHook) -> bool {
-    TASK_HOOK.set(hook).is_ok()
-}
-
-fn task_hook() -> Option<&'static TaskHook> {
-    TASK_HOOK.get()
-}
-
-thread_local! {
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-    static OVERRIDE_THREADS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Marks the current thread as a pool worker so nested parallel regions
-/// fall back to sequential execution instead of deadlocking the pool.
-pub(crate) fn mark_worker_thread() {
-    IS_WORKER.with(|w| w.set(true));
-}
-
-/// `true` when called from inside a pool worker thread.
-pub fn in_worker() -> bool {
-    IS_WORKER.with(|w| w.get())
-}
-
-/// Process-wide requested thread count (0 = unset). Set by the `--threads`
-/// CLI flag via [`set_threads`].
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-
-/// Parses a raw `MBP_THREADS`-style value. `None` for absent, empty,
-/// non-numeric, or zero values (zero means "auto").
-pub fn parse_threads(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(MAX_THREADS))
-}
-
-fn env_threads() -> Option<usize> {
-    static PARSED: OnceLock<Option<usize>> = OnceLock::new();
-    *PARSED.get_or_init(|| parse_threads(std::env::var("MBP_THREADS").ok().as_deref()))
-}
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Sets the process-wide thread count (the `--threads N` CLI flag).
-/// Passing 0 clears the override back to `MBP_THREADS` / hardware detection.
-pub fn set_threads(n: usize) {
-    REQUESTED.store(n.min(MAX_THREADS), Ordering::SeqCst);
-}
-
-/// The thread count parallel regions use absent a [`with_threads`] override:
-/// [`set_threads`] if set, else `MBP_THREADS`, else the hardware parallelism.
-pub fn default_threads() -> usize {
-    let requested = REQUESTED.load(Ordering::SeqCst);
-    let n = if requested >= 1 {
-        requested
-    } else {
-        env_threads().unwrap_or_else(hardware_threads)
-    };
-    n.clamp(1, MAX_THREADS)
-}
-
-/// Effective thread count for a parallel region opened on this thread.
-/// Always 1 inside pool workers (nested regions run sequentially).
-pub fn max_threads() -> usize {
-    if in_worker() {
-        return 1;
-    }
-    let o = OVERRIDE_THREADS.with(|c| c.get());
-    if o >= 1 {
-        o
-    } else {
-        default_threads()
-    }
-}
-
-/// Runs `f` with the effective thread count for this thread forced to `n`.
-/// Used by benchmarks and determinism tests to compare 1/2/4-thread runs in
-/// one process without touching global state.
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    let prev = OVERRIDE_THREADS.with(|c| c.replace(n.clamp(1, MAX_THREADS)));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The global lazily-built pool. Capacity covers the default thread count
-/// and the 1/2/4-thread sweeps benchmarks run via [`with_threads`], even on
-/// narrow machines or under `MBP_THREADS=1` (a region that wants fewer
-/// threads simply enqueues fewer helpers).
-fn global_pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(default_threads().max(4) - 1))
-}
-
-struct ScopeShared {
-    pending: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
-    /// First captured task panic payload, re-raised by [`scope`] on the
-    /// caller thread so the original message survives.
-    payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// Handle passed to the closure of [`scope`]; lets it spawn tasks that may
-/// borrow anything outliving the scope (`'env`).
-pub struct Scope<'env> {
-    shared: Arc<ScopeShared>,
-    pool: &'static ThreadPool,
-    // Invariant over 'env, as for std's scoped threads.
-    _marker: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns `f` on the pool. The task is guaranteed to finish before the
-    /// enclosing [`scope`] call returns.
-    pub fn spawn<F: FnOnce() + Send + 'env>(&self, f: F) {
-        {
-            let mut p = self
-                .shared
-                .pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            *p += 1;
-        }
-        let shared = Arc::clone(&self.shared);
-        // Capture the submitting thread's context token now so the worker
-        // can re-enter it before running `f` (and restore its own after).
-        let hook = task_hook();
-        let token = hook.map(|h| (h.capture)());
-        let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let prev = hook.zip(token).map(|(h, t)| (h.enter)(t));
-            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                shared.panicked.store(true, Ordering::SeqCst);
-                let mut slot = shared.payload.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(p);
-                }
-            }
-            if let Some((h, p)) = hook.zip(prev) {
-                (h.exit)(p);
-            }
-            let mut p = shared.pending.lock().unwrap_or_else(|e| e.into_inner());
-            *p -= 1;
-            if *p == 0 {
-                shared.done.notify_all();
-            }
-        });
-        let task: pool::Job =
-            // SAFETY: the one lifetime-erasing transmute in the workspace.
-            // `scope` blocks until `pending` reaches zero before returning —
-            // on the success path and during unwinding (see `WaitGuard`) —
-            // and `pending` is only decremented after `f` has run and been
-            // dropped. The closure and all its `'env` borrows therefore
-            // strictly outlive the task's execution.
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, pool::Job>(task) };
-        self.pool.submit(task);
-    }
-}
-
-/// Runs `f` with a [`Scope`] on the global pool; joins every spawned task
-/// before returning. Panics from spawned tasks are surfaced as a panic here
-/// after all tasks have settled.
-pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    struct WaitGuard(Arc<ScopeShared>);
-    impl Drop for WaitGuard {
-        fn drop(&mut self) {
-            let mut p = self.0.pending.lock().unwrap_or_else(|e| e.into_inner());
-            while *p > 0 {
-                p = self.0.done.wait(p).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-    }
-
-    let shared = Arc::new(ScopeShared {
-        pending: Mutex::new(0),
-        done: Condvar::new(),
-        panicked: AtomicBool::new(false),
-        payload: Mutex::new(None),
-    });
-    let scope = Scope {
-        shared: Arc::clone(&shared),
-        pool: global_pool(),
-        _marker: PhantomData,
-    };
-    let result = {
-        // Joins all tasks even if `f` unwinds, keeping borrowed data alive
-        // for as long as any task can touch it.
-        let _guard = WaitGuard(Arc::clone(&shared));
-        f(&scope)
-    };
-    if shared.panicked.load(Ordering::SeqCst) {
-        // Re-raise the task's own payload on the caller thread. This
-        // *propagates* an existing unwind (the origin site carries the
-        // proof obligation); `scope` itself never originates a panic.
-        let p = shared
-            .payload
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .unwrap_or_else(|| Box::new("mbp-par: a task spawned in this scope panicked"));
-        panic::resume_unwind(p);
-    }
-    result
-}
-
-/// Number of `grain`-sized chunks covering `0..n`.
-pub fn chunk_count(n: usize, grain: usize) -> usize {
-    n.div_ceil(grain.max(1))
-}
-
-fn chunk_range(n: usize, grain: usize, ci: usize) -> Range<usize> {
-    let start = ci * grain;
-    start..(start + grain).min(n)
-}
-
-/// Applies `f` to each chunk of `0..n`, in parallel when worthwhile.
-///
-/// Chunk boundaries depend only on `(n, grain)`, so the set of chunks — and
-/// any chunk-indexed merge built on top — is identical at every thread
-/// count. Falls back to an in-order sequential walk for single-chunk
-/// regions, an effective thread count of 1, or nested calls from pool
-/// workers.
-pub fn par_for_chunks<F>(n: usize, grain: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let grain = grain.max(1);
-    let nchunks = chunk_count(n, grain);
-    if nchunks == 0 {
-        return;
-    }
-    let threads = max_threads().min(nchunks);
-    if nchunks == 1 || threads <= 1 {
-        for ci in 0..nchunks {
-            f(chunk_range(n, grain, ci));
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let drain = || loop {
-        let ci = next.fetch_add(1, Ordering::Relaxed);
-        if ci >= nchunks {
-            break;
-        }
-        f(chunk_range(n, grain, ci));
-    };
-    scope(|s| {
-        for _ in 0..threads - 1 {
-            s.spawn(drain);
-        }
-        drain(); // the caller participates, so progress is guaranteed
-    });
-}
-
-/// Maps each chunk of `0..n` through `f` and returns the per-chunk results
-/// **in chunk-index order**, regardless of which thread produced them or
-/// when. This is the deterministic-reduction primitive: summing the returned
-/// partials left-to-right gives the same floating-point result at every
-/// thread count ≥ 1 (the sequential fallback visits chunks in the same
-/// order).
-pub fn par_map_chunks<R, F>(n: usize, grain: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let grain = grain.max(1);
-    let nchunks = chunk_count(n, grain);
-    if nchunks == 0 {
-        return Vec::new();
-    }
-    let threads = max_threads().min(nchunks);
-    if nchunks == 1 || threads <= 1 {
-        return (0..nchunks)
-            .map(|ci| f(chunk_range(n, grain, ci)))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = (0..nchunks).map(|_| Mutex::new(None)).collect();
-    par_for_chunks(n, grain, |range| {
-        let ci = range.start / grain;
-        let value = f(range);
-        *slots[ci].lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("mbp-par: chunk executed exactly once")
-        })
-        .collect()
-}
-
-/// Element-wise parallel for: `f(i)` for every `i` in `0..n`.
-pub fn par_for<F>(n: usize, grain: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_for_chunks(n, grain, |range| {
-        for i in range {
-            f(i);
-        }
-    });
-}
-
-/// Element-wise parallel map preserving index order.
-pub fn par_map<T, F>(n: usize, grain: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let chunks = par_map_chunks(n, grain, |range| range.map(&f).collect::<Vec<T>>());
-    let mut out = Vec::with_capacity(n);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
-}
-
-struct SendPtr<T>(*mut T);
-// SAFETY: the pointer is only used to form non-overlapping sub-slices, one
-// per chunk, inside a scoped region (see `par_chunks_mut`).
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Splits `data` into `grain`-sized chunks and applies `f(chunk_index,
-/// chunk)` to each, in parallel when worthwhile. Chunks are disjoint
-/// sub-slices, so no locking is needed — this is the zero-copy primitive for
-/// filling pre-allocated outputs (matmul row bands, noise vectors).
-pub fn par_chunks_mut<T, F>(data: &mut [T], grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    let grain = grain.max(1);
-    if chunk_count(n, grain) <= 1 || max_threads() <= 1 {
-        for (ci, chunk) in data.chunks_mut(grain).enumerate() {
-            f(ci, chunk);
-        }
-        return;
-    }
-    let base = SendPtr(data.as_mut_ptr());
-    let base = &base;
-    par_for_chunks(n, grain, |range| {
-        let ci = range.start / grain;
-        // SAFETY: `par_for_chunks` hands every chunk index to exactly one
-        // executor and the ranges `chunk_range` produces are pairwise
-        // disjoint, so each sub-slice is exclusively borrowed for the
-        // duration of `f`. The scope joins before `data`'s `&mut` borrow
-        // ends.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(range.start), range.len()) };
-        f(ci, chunk);
-    });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn parse_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads(None), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(Some("zero")), None);
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("1")), Some(1));
-        assert_eq!(parse_threads(Some(" 8 ")), Some(8));
-        assert_eq!(parse_threads(Some("100000")), Some(MAX_THREADS));
-    }
-
-    #[test]
-    fn with_threads_overrides_and_restores() {
-        let before = max_threads();
-        let inside = with_threads(3, max_threads);
-        assert_eq!(inside, 3);
-        assert_eq!(max_threads(), before);
-        // Nested overrides unwind in order.
-        with_threads(2, || {
-            assert_eq!(max_threads(), 2);
-            with_threads(5, || assert_eq!(max_threads(), 5));
-            assert_eq!(max_threads(), 2);
-        });
-    }
-
-    #[test]
-    fn scope_tasks_borrow_stack_data() {
-        let inputs = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        let total = AtomicU64::new(0);
-        scope(|s| {
-            for chunk in inputs.chunks(2) {
-                let total = &total;
-                s.spawn(move || {
-                    total.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 36);
-    }
-
-    #[test]
-    fn par_for_visits_every_index_once() {
-        let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        with_threads(4, || {
-            par_for(n, 64, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_map_preserves_index_order() {
-        let expected: Vec<usize> = (0..2500).map(|i| i * 3).collect();
-        for threads in [1, 2, 4] {
-            let got = with_threads(threads, || par_map(2500, 128, |i| i * 3));
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunked_float_reductions_are_bit_identical_across_thread_counts() {
-        // Awkward magnitudes so any re-association would change the bits.
-        let xs: Vec<f64> = (0..50_000)
-            .map(|i| ((i as f64) * 0.7305).sin() * 1e6 + 1e-7 * i as f64)
-            .collect();
-        let reduce = || {
-            par_map_chunks(xs.len(), 1024, |r| xs[r].iter().sum::<f64>())
-                .into_iter()
-                .fold(0.0f64, |a, b| a + b)
-        };
-        let serial = with_threads(1, reduce);
-        let two = with_threads(2, reduce);
-        let four = with_threads(4, reduce);
-        assert_eq!(serial.to_bits(), two.to_bits());
-        assert_eq!(two.to_bits(), four.to_bits());
-    }
-
-    #[test]
-    fn nested_regions_fall_back_to_sequential() {
-        let saw_nested_parallelism = AtomicUsize::new(0);
-        with_threads(4, || {
-            par_for(64, 1, |_| {
-                // Inside a region (possibly on a worker) nested regions
-                // must report a single thread when on a worker thread.
-                if in_worker() {
-                    saw_nested_parallelism.fetch_max(max_threads(), Ordering::Relaxed);
-                }
-            });
-        });
-        assert!(saw_nested_parallelism.load(Ordering::Relaxed) <= 1);
-    }
-
-    #[test]
-    fn par_chunks_mut_fills_disjoint_chunks() {
-        let mut data = vec![0usize; 4099];
-        with_threads(4, || {
-            par_chunks_mut(&mut data, 512, |ci, chunk| {
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    *v = ci * 512 + k;
-                }
-            });
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
-    fn task_panics_propagate_to_the_scope_caller() {
-        let result = panic::catch_unwind(|| {
-            with_threads(4, || {
-                par_for(256, 1, |i| {
-                    if i == 97 {
-                        panic!("boom");
-                    }
-                });
-            });
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn zero_sized_regions_are_noops() {
-        par_for(0, 16, |_| panic!("must not run"));
-        assert!(par_map_chunks(0, 16, |_| 1).is_empty());
-        let empty: Vec<u8> = par_map(0, 16, |_| 0u8);
-        assert!(empty.is_empty());
-        par_chunks_mut::<u8, _>(&mut [], 16, |_, _| panic!("must not run"));
-    }
-
-    #[test]
-    fn dedicated_pool_runs_and_shuts_down() {
-        let pool = ThreadPool::new(2);
-        assert_eq!(pool.worker_count(), 2);
-        drop(pool); // joins cleanly
-    }
-
-    #[test]
-    fn task_hook_propagates_context_across_spawn() {
-        thread_local! {
-            static TOKEN: Cell<u64> = const { Cell::new(0) };
-        }
-        fn capture() -> u64 {
-            TOKEN.with(|t| t.get())
-        }
-        fn enter(t: u64) -> u64 {
-            TOKEN.with(|c| c.replace(t))
-        }
-        fn exit(p: u64) {
-            TOKEN.with(|c| c.set(p));
-        }
-        set_task_hook(TaskHook {
-            capture,
-            enter,
-            exit,
-        });
-        TOKEN.with(|t| t.set(41));
-        let seen = Mutex::new(Vec::new());
-        with_threads(4, || {
-            par_for(64, 1, |_| {
-                seen.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(TOKEN.with(|t| t.get()));
-            });
-        });
-        let seen = seen.into_inner().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(seen.len(), 64);
-        assert!(seen.iter().all(|&v| v == 41), "{seen:?}");
-        // The test thread's own token is untouched.
-        assert_eq!(TOKEN.with(|t| t.get()), 41);
-    }
-}

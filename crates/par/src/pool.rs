@@ -1,9 +1,7 @@
 //! The worker pool: spawn-once threads draining a shared job queue.
 //!
-//! Workers are created when the pool is built and live until it is dropped;
-//! parallel regions never spawn threads of their own. Jobs are type-erased
-//! `FnOnce` boxes; the scoped layer in `lib.rs` is responsible for making
-//! borrowed closures safe to enqueue here.
+//! Workers are created when the pool is built and live until it is dropped.
+//! Jobs are type-erased `'static` `FnOnce` boxes.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -11,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 /// A type-erased unit of work.
-pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Queue {
     jobs: VecDeque<Job>,
@@ -26,17 +24,16 @@ struct PoolState {
 /// A fixed-size pool of worker threads fed from one shared queue.
 ///
 /// The pool is deliberately minimal: no work stealing, no per-worker deques.
-/// Parallel regions submit a handful of long-lived "helper loop" jobs (one
-/// per extra thread) that pull chunks off an atomic counter, so the queue
-/// itself is never hot.
+/// Its one user, the daemon, hands each worker one long-lived loop, so the
+/// queue itself is never hot.
 pub struct ThreadPool {
     state: Arc<PoolState>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    /// Spawns `workers` threads. Zero workers is valid: every region then
-    /// runs entirely on the calling thread.
+    /// Spawns `workers` threads. Zero workers is valid: queued jobs then
+    /// never run, and dropping the pool discards them.
     pub fn new(workers: usize) -> Self {
         let state = Arc::new(PoolState {
             queue: Mutex::new(Queue {
@@ -46,8 +43,7 @@ impl ThreadPool {
             available: Condvar::new(),
         });
         // A failed spawn (thread exhaustion) degrades to fewer workers
-        // instead of aborting: callers always participate in regions, so
-        // even zero workers keeps every region correct, just serial.
+        // instead of aborting.
         let workers = (0..workers)
             .filter_map(|i| {
                 let state = Arc::clone(&state);
@@ -60,37 +56,17 @@ impl ThreadPool {
         ThreadPool { state, workers }
     }
 
-    /// Number of worker threads (excluding callers, which also participate
-    /// in parallel regions).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a job for any idle worker.
-    pub(crate) fn submit(&self, job: Job) {
+    /// Enqueues `f` for the next idle worker.
+    ///
+    /// A job that blocks pins its worker until it returns, which is what
+    /// the daemon wants of an IO loop. A panic inside `f` is caught by the
+    /// worker loop and does not take the pool down. Jobs still queued when
+    /// the pool is dropped run to completion before the workers exit.
+    pub fn run(&self, f: impl FnOnce() + Send + 'static) {
         let mut q = self.state.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.jobs.push_back(job);
+        q.jobs.push_back(Box::new(f));
         drop(q);
         self.state.available.notify_one();
-    }
-
-    /// Enqueues a free-standing `'static` job on this pool's workers.
-    ///
-    /// This is the escape hatch for subsystems that need *dedicated*
-    /// long-lived loops (the `mbp-serve` accept/IO threads) rather than
-    /// fork-join regions: build a private `ThreadPool` and feed it loops
-    /// with `run`. Do **not** call this on the shared compute pool with a
-    /// job that blocks indefinitely — a parked job pins a worker, and
-    /// fork-join regions on other threads would wait forever for helper
-    /// jobs queued behind it. Workers spawned by any pool are marked as
-    /// pool threads, so nested parallel regions inside `f` degrade to
-    /// sequential instead of deadlocking.
-    ///
-    /// A panic inside `f` is caught by the worker loop and does not take
-    /// the pool down. Jobs still queued when the pool is dropped run to
-    /// completion before the workers exit.
-    pub fn run(&self, f: impl FnOnce() + Send + 'static) {
-        self.submit(Box::new(f));
     }
 }
 
@@ -108,7 +84,6 @@ impl Drop for ThreadPool {
 }
 
 fn worker_loop(state: &PoolState) {
-    crate::mark_worker_thread();
     loop {
         let job = {
             let mut q = state.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -123,13 +98,35 @@ fn worker_loop(state: &PoolState) {
             }
         };
         match job {
-            // Scoped tasks catch their own panics and record them on the
-            // scope; this outer catch only shields the worker from panics in
-            // jobs submitted outside the scope machinery.
+            // A panicking job must not take its worker down with it.
             Some(job) => {
                 let _ = panic::catch_unwind(AssertUnwindSafe(job));
             }
             None => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ThreadPool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Every job runs, a panicking one included, and dropping the pool
+    /// drains the queue before it joins the workers.
+    #[test]
+    fn pool_runs_every_job_and_drains_on_drop() {
+        let pool = ThreadPool::new(2);
+        let done = Arc::new(AtomicUsize::new(0));
+        pool.run(|| panic!("a failing job"));
+        for _ in 0..16 {
+            let done = Arc::clone(&done);
+            pool.run(move || {
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool);
+        assert_eq!(done.load(Ordering::SeqCst), 16);
     }
 }

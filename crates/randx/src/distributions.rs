@@ -176,19 +176,6 @@ impl IsotropicGaussian {
         }
     }
 
-    /// Creates an isotropic Gaussian with a given per-coordinate variance.
-    pub fn per_coordinate(dim: usize, variance: f64) -> Self {
-        assert!(dim > 0, "IsotropicGaussian requires dim > 0");
-        assert!(
-            variance >= 0.0 && variance.is_finite(),
-            "variance must be >= 0, got {variance}"
-        );
-        IsotropicGaussian {
-            dim,
-            per_coord_variance: variance,
-        }
-    }
-
     /// The dimension `d`.
     pub fn dim(&self) -> usize {
         self.dim

@@ -1,14 +1,12 @@
 //! The daemon: accept loop, thread-per-core IO workers, graceful drain,
 //! and the Prometheus scrape side port.
 //!
-//! Threading model: the server builds a *dedicated* [`mbp_par::ThreadPool`]
-//! (sized from [`mbp_par::max_threads`], so `MBP_THREADS` / `--threads`
-//! govern it) and feeds each worker one long-lived IO loop via
-//! [`mbp_par::ThreadPool::run`]. The shared compute pool is deliberately
-//! *not* used: a parked IO loop would pin its workers and starve fork-join
-//! regions elsewhere in the process. Pool workers are marked, so any
-//! parallel region reached from a dispatch (e.g. a publish retraining)
-//! degrades to sequential instead of oversubscribing.
+//! Threading model: the server builds its own [`mbp_par::ThreadPool`] of
+//! [`ServerConfig::io_threads`] workers (`serve --threads`; by default the
+//! hardware parallelism) and feeds each worker one long-lived IO loop via
+//! [`mbp_par::ThreadPool::run`]. These are the only threads the daemon
+//! adds beside its accept and metrics threads: every dispatch, a publish's
+//! retraining included, computes on the IO worker that decoded it.
 //!
 //! Connections are assigned to IO workers round-robin at accept time and
 //! never migrate, which keeps every connection's cycle single-threaded —
@@ -60,7 +58,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Bind address for the `GET /metrics` side port; `None` disables it.
     pub metrics_addr: Option<String>,
-    /// IO worker threads; `0` means [`mbp_par::max_threads`].
+    /// IO worker threads; `0` means the hardware parallelism
+    /// (`std::thread::available_parallelism`).
     pub io_threads: usize,
     /// Max decoded-but-undispatched requests per connection before an
     /// unsolicited backpressure frame is sent and decoding pauses.
@@ -273,11 +272,10 @@ pub fn start(broker: SharedBroker, cfg: ServerConfig) -> std::io::Result<ServerH
         read_buf_limit: 256 * 1024,
     };
     let io_threads = if cfg.io_threads == 0 {
-        mbp_par::max_threads()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         cfg.io_threads
-    }
-    .max(1);
+    };
 
     // One wake channel per daemon thread, in `Control::wakers` order.
     let mut wakers = Vec::new();

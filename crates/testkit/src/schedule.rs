@@ -456,10 +456,10 @@ pub fn explore(cfg: &ScheduleConfig) -> ScheduleReport {
         steps: 0,
         failures: Vec::new(),
     };
-    let max_threads = cfg.threads.clamp(2, 4);
+    let thread_cap = cfg.threads.clamp(2, 4);
     for i in 0..cfg.interleavings {
         let case_seed = seeds.next_seed();
-        let threads = 2 + (i as usize % (max_threads - 1));
+        let threads = 2 + (i as usize % (thread_cap - 1));
         report.explored += 1;
         match run_case(case_seed, threads, cfg.ops_per_thread, cfg.faults) {
             Ok(steps) => report.steps += steps as u64,
@@ -658,14 +658,14 @@ pub fn explore_crash(
         steps: 0,
         failures: Vec::new(),
     };
-    let max_threads = cfg.threads.clamp(2, 4);
+    let thread_cap = cfg.threads.clamp(2, 4);
     if let Some(path) = corpus {
         for schedule in load_corpus(path).unwrap_or_default() {
             let CrashSchedule::Concurrent(seed) = schedule else {
                 continue; // byte-level schedules need a geometry, not a harness
             };
             report.explored += 1;
-            match run_crash_case(seed, max_threads, cfg.ops_per_thread, harness) {
+            match run_crash_case(seed, thread_cap, cfg.ops_per_thread, harness) {
                 Ok(steps) => report.steps += steps as u64,
                 Err(f) => report.failures.push(f),
             }
@@ -674,7 +674,7 @@ pub fn explore_crash(
     let mut seeds = SeedStream::new(cfg.seed);
     for i in 0..cfg.interleavings {
         let case_seed = seeds.next_seed();
-        let threads = 2 + (i as usize % (max_threads - 1).max(1));
+        let threads = 2 + (i as usize % (thread_cap - 1).max(1));
         report.explored += 1;
         match run_crash_case(case_seed, threads, cfg.ops_per_thread, harness) {
             Ok(steps) => report.steps += steps as u64,

@@ -10,8 +10,8 @@
 //! plain broker or in the `SharedBroker` stripes the daemon settles into.
 //!
 //! A counting `#[global_allocator]` (wrapping `System`, in
-//! `support/counting_alloc.rs`) verifies this directly. CI runs this test
-//! in the `MBP_THREADS=1` job.
+//! `support/counting_alloc.rs`) verifies this directly. CI runs it as its
+//! own "Allocation discipline" step, with `--nocapture`.
 
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::concurrent::SharedBroker;

@@ -1,7 +1,7 @@
 //! Write-ahead log round trip at smoke scale: a broker that logs to an
-//! `mbp_wal::Durability` sink while it sells — simulated seasons at one and
-//! four threads, then listed batch purchases — recovers from its log into a
-//! bit-identical broker.
+//! `mbp_wal::Durability` sink while it sells — two simulated seasons, then
+//! listed batch purchases — recovers from its log into a bit-identical
+//! broker.
 
 use mbp::prelude::*;
 use mbp::randx::seeded_rng;
@@ -57,11 +57,9 @@ fn recovered_broker_matches_the_live_one_after_simulated_seasons() {
         valuation_jitter: 0.1,
     };
     let mut served = 0;
-    for (threads, seed) in [(1, 11), (4, 12)] {
-        let out = mbp_par::with_threads(threads, || {
-            simulate_market(&mut broker, &seller, KIND, cfg, seed).unwrap()
-        });
-        assert!(out.served > 0, "{threads} threads: no sales");
+    for seed in [11, 12] {
+        let out = simulate_market(&mut broker, &seller, KIND, cfg, seed).unwrap();
+        assert!(out.served > 0, "season {seed}: no sales");
         served += out.served;
     }
     let mut rng = seeded_rng(13);
