@@ -17,6 +17,13 @@ pub enum ArgError {
     UnexpectedPositional(String),
     /// A required flag was absent.
     Required(String),
+    /// A flag the command does not read.
+    UnknownFlag {
+        /// Flag name.
+        flag: String,
+        /// The command, or `None` without one.
+        command: Option<String>,
+    },
     /// A flag value failed to parse.
     BadValue {
         /// Flag name.
@@ -35,6 +42,13 @@ impl fmt::Display for ArgError {
                 write!(f, "unexpected positional argument {arg:?}")
             }
             ArgError::Required(flag) => write!(f, "missing required flag --{flag}"),
+            ArgError::UnknownFlag { flag, command } => {
+                write!(f, "unknown flag --{flag}")?;
+                if let Some(command) = command {
+                    write!(f, " for `{command}`")?;
+                }
+                write!(f, "; run with no arguments for usage")
+            }
             ArgError::BadValue {
                 flag,
                 value,
@@ -77,6 +91,19 @@ impl Args {
     /// The subcommand, if any.
     pub fn command(&self) -> Option<&str> {
         self.command.as_deref()
+    }
+
+    /// Fails on the first flag, in name order, that neither `global` nor
+    /// `own` lists.
+    pub fn check_flags(&self, global: &[&str], own: &[&str]) -> Result<(), ArgError> {
+        let known = |flag: &str| global.contains(&flag) || own.contains(&flag);
+        match self.flags.keys().find(|flag| !known(flag)) {
+            Some(flag) => Err(ArgError::UnknownFlag {
+                flag: flag.clone(),
+                command: self.command.clone(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Optional string flag.

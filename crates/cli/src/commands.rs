@@ -138,6 +138,7 @@ DEMAND SHAPES: uniform | peak | bimodal | increasing | decreasing
 /// them enables the otherwise-inert [`mbp_obs`] registry before the
 /// command runs.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    let command = resolve(args)?;
     let trace = args.get_bool("trace");
     let verbose = args.get_bool("verbose");
     let metrics_out = args.get("metrics-out");
@@ -155,7 +156,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         mbp_obs::set_slow_threshold_micros(args.get_u64("slow-threshold-us", 1_000)?);
         mbp_obs::set_tracing(true);
     }
-    let mut result = dispatch(args);
+    let mut result = match command {
+        Some(command) => command(args),
+        None => Ok(usage()),
+    };
     if let Some(path) = trace_out {
         let spans = mbp_obs::recorder_snapshot();
         let json = mbp_obs::recorder_to_chrome_trace(&spans);
@@ -186,23 +190,96 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     result
 }
 
-fn dispatch(args: &Args) -> Result<String, CliError> {
-    match args.command() {
-        None => Ok(usage()),
-        Some("catalog") => cmd_catalog(),
-        Some("summarize") => cmd_summarize(args),
-        Some("train") => cmd_train(args),
-        Some("price") => cmd_price(args),
-        Some("audit") => cmd_audit(args),
-        Some("attack") => cmd_attack(args),
-        Some("sell") => cmd_sell(args),
-        Some("simulate") => cmd_simulate(args),
-        Some("trace") => cmd_trace(args),
-        Some("predict") => cmd_predict(args),
-        Some("serve") => cmd_serve(args),
-        Some("replay") => cmd_replay(args),
-        Some(other) => Err(CliError::UnknownCommand(other.to_string())),
-    }
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<String, CliError>;
+
+/// The flags every command accepts (see [`run`]).
+const GLOBAL_FLAGS: &[&str] = &[
+    "metrics-out",
+    "trace",
+    "trace-out",
+    "slow-threshold-us",
+    "verbose",
+];
+
+/// Every subcommand: its name, the flags it reads beside [`GLOBAL_FLAGS`],
+/// and its entry point.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("catalog", &[], cmd_catalog),
+    ("summarize", &["csv"], cmd_summarize),
+    ("train", &["csv", "model", "ridge", "eval-csv"], cmd_train),
+    (
+        "price",
+        &[
+            "csv", "grid", "value", "vmin", "vmax", "demand", "lambda", "out",
+        ],
+        cmd_price,
+    ),
+    ("audit", &["prices"], cmd_audit),
+    (
+        "attack",
+        &["prices", "seed", "trials", "bundle", "corpus"],
+        cmd_attack,
+    ),
+    (
+        "sell",
+        &[
+            "csv", "model", "budget", "seed", "ridge", "out", "grid", "value", "vmin", "vmax",
+            "demand", "lambda",
+        ],
+        cmd_sell,
+    ),
+    (
+        "simulate",
+        &[
+            "csv", "model", "seed", "buyers", "lambda", "jitter", "ridge", "grid", "value", "vmin",
+            "vmax", "demand",
+        ],
+        cmd_simulate,
+    ),
+    (
+        "trace",
+        &[
+            "model", "seed", "buyers", "out", "jsonl", "jitter", "ridge", "grid", "value", "vmin",
+            "vmax", "demand",
+        ],
+        cmd_trace,
+    ),
+    ("predict", &["model", "csv"], cmd_predict),
+    (
+        "serve",
+        &[
+            "csv",
+            "model",
+            "seed",
+            "ridge",
+            "grid",
+            "wal",
+            "host",
+            "port",
+            "metrics-port",
+            "queue-limit",
+            "idle-timeout-ms",
+            "threads",
+        ],
+        cmd_serve,
+    ),
+    ("replay", &["wal", "grid", "curve"], cmd_replay),
+];
+
+/// The command `args` names (`None` prints the usage), after checking
+/// that it exists and accepts every flag given.
+fn resolve(args: &Args) -> Result<Option<Command>, CliError> {
+    let Some(name) = args.command() else {
+        args.check_flags(GLOBAL_FLAGS, &[])?;
+        return Ok(None);
+    };
+    let (_, flags, command) = COMMANDS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .ok_or_else(|| CliError::UnknownCommand(name.to_string()))?;
+    args.check_flags(GLOBAL_FLAGS, flags)?;
+    Ok(Some(*command))
 }
 
 /// `mbp-market serve`: boot the TCP marketplace daemon.
@@ -519,7 +596,7 @@ fn train_weights(kind: ModelKind, ds: &Dataset, ridge: f64) -> Result<Vector, Cl
     }
 }
 
-fn cmd_catalog() -> Result<String, CliError> {
+fn cmd_catalog(_: &Args) -> Result<String, CliError> {
     let mut out = String::from("dataset\ttask\tpaper_n1\tpaper_n2\td\n");
     for spec in &catalog::TABLE3 {
         let task = match spec.task {
@@ -1121,6 +1198,40 @@ mod tests {
     fn unknown_command_errors() {
         let err = run(&argv("frobnicate")).unwrap_err();
         assert!(matches!(err, CliError::UnknownCommand(_)));
+    }
+
+    /// A flag the command does not read fails before the command runs and
+    /// names the flag: a misspelt or misplaced option is never ignored.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for (line, flag) in [
+            ("simulate --threds 3", "threds"),
+            ("catalog --bogus 1", "bogus"),
+            ("simulate --threads 4", "threads"),
+            ("--port 1", "port"),
+        ] {
+            let err = run(&argv(line)).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(ArgError::UnknownFlag { flag: f, .. }) if f == flag),
+                "{line}: {err:?}"
+            );
+            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
+        }
+    }
+
+    /// The daemon command line the end-to-end benchmark spawns, with and
+    /// without its optional flags, passes the flag check.
+    #[test]
+    fn benchmark_serve_argv_is_accepted() {
+        let base = "serve --csv data.csv --seed 11 --host 127.0.0.1 --port 0 --threads 2";
+        for line in [
+            base.to_string(),
+            format!("{base} --wal /tmp/wal"),
+            format!("{base} --metrics-port 9100"),
+            format!("{base} --wal /tmp/wal --metrics-port 9100"),
+        ] {
+            assert!(resolve(&argv(&line)).unwrap().is_some(), "{line}");
+        }
     }
 
     #[test]

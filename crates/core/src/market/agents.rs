@@ -418,7 +418,7 @@ pub struct Broker {
     ridge_solver: Option<RidgeSolver>,
     /// Optional write-ahead observer; see [`crate::market::durability`].
     /// Sale hooks fire at origination sites only, never in
-    /// [`Broker::merge_totals`] (the stripe drain would double-record).
+    /// [`Broker::merge_totals`] (the owner drain would double-record).
     durability: Option<Arc<dyn DurabilitySink>>,
 }
 
@@ -876,7 +876,7 @@ impl Broker {
     /// Adds sales counted elsewhere to this broker's totals without
     /// forwarding them to the durability sink: the merge step for sales
     /// that are already durable (WAL recovery, and
-    /// [`SharedBroker::with_broker`] draining its stripes). New sales
+    /// [`SharedBroker::with_broker`] draining its owners). New sales
     /// settle through the purchase entry points, which do record them.
     ///
     /// [`SharedBroker::with_broker`]: crate::market::concurrent::SharedBroker::with_broker

@@ -1,25 +1,32 @@
-//! A thread-safe broker front-end with striped sale totals.
+//! A thread-safe broker front-end with per-handle sale totals.
 //!
 //! A real marketplace serves many buyers concurrently. The expensive part of
 //! a purchase — training the noisy instance and pricing it — only *reads*
 //! broker state (menu, curve, data), so concurrent buys quote under a shared
 //! `RwLock` read guard and never exclude each other. The only mutation a buy
-//! performs is counting its sales into [`SalesTotals`], which live in
-//! [`LEDGER_STRIPES`] independently locked stripes chosen round-robin, so
-//! even that rarely collides. Maintenance operations
-//! ([`SharedBroker::with_broker`]) take the write lock, merge the stripes
-//! into the core broker's totals, and get the fully reconciled broker.
-//! Revenue is an exact sum, so the merge order cannot change a bit: the
-//! reconciled totals equal those of one broker that made the same sales in
-//! any order, and a WAL replay reproduces them.
+//! performs is counting its sales into [`SalesTotals`], and each
+//! [`SharedBroker`] handle counts into its own: a `clone()` is a new owner
+//! with its own mutex, so buyers that each hold a handle (the daemon gives
+//! every IO worker one) settle without excluding each other, and only
+//! readers ever touch an owner's lock from another thread. Readers
+//! ([`SharedBroker::totals`], [`SharedBroker::with_broker`]) visit the owners
+//! one at a time through a registry; maintenance merges them into the core
+//! broker's totals under the write lock. Revenue is an exact sum, so where a
+//! sale is counted and the merge order cannot change a bit: the reconciled
+//! totals equal those of one broker that made the same sales in any order,
+//! and a WAL replay reproduces them.
 //!
-//! Contention (a buy arriving while maintenance holds the core lock, or two
-//! buys landing on the same stripe at once) is counted both in the
-//! process-global `mbp.core.sharedbroker.contention` counter and in a
-//! handle-local counter ([`SharedBroker::contention_count`]) that tests can
-//! read race-free. Under the pre-PR design every buy serialized behind one
-//! global mutex; the stress test below shows the striped path records
-//! strictly less contention on the same workload.
+//! The lock hierarchy is `registry → owner` for readers and `owner → sink`
+//! for a settling buy. No path holds two owners' locks, and none holds an
+//! owner's lock and the core lock at once.
+//!
+//! Contention (a buy arriving while maintenance holds the core lock, or
+//! while a reader visits its owner) is counted both in the process-global
+//! `mbp.core.sharedbroker.contention` counter and in a broker-wide counter
+//! ([`SharedBroker::contention_count`]) that tests can read race-free.
+//! One global mutex would serialize every buy; the stress test below shows
+//! the per-handle path records strictly less contention on the same
+//! workload.
 
 use crate::error::ErrorTransform;
 use crate::market::agents::{
@@ -30,41 +37,59 @@ use crate::market::totals::SalesTotals;
 use crate::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_randx::MbpRng;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of independently locked sale-total stripes.
-///
-/// Eight is comfortably above the daemon's IO worker counts;
-/// the round-robin assignment means two buys only share a stripe when they
-/// are `LEDGER_STRIPES` purchases apart and settling at the same instant.
-pub const LEDGER_STRIPES: usize = 8;
+/// One handle's unreconciled sale totals.
+type Owner = Arc<Mutex<SalesTotals>>;
 
 struct SharedState {
     /// Menu, pricing curve, training data, and the *reconciled* totals.
     core: RwLock<Broker>,
-    /// Unreconciled sale totals, merged into `core` by
-    /// [`SharedBroker::with_broker`].
-    stripes: [Mutex<SalesTotals>; LEDGER_STRIPES],
-    /// Round-robin cursor for stripe assignment.
-    next_stripe: AtomicUsize,
-    /// Handle-local mirror of `mbp.core.sharedbroker.contention`.
+    /// The owner of every live handle, one entry each. Readers hold this
+    /// lock while they visit the owners, so a handle that joins or leaves
+    /// never hides a sale from them.
+    owners: Mutex<Vec<Owner>>,
+    /// Broker-wide mirror of `mbp.core.sharedbroker.contention`.
     contention: AtomicU64,
-    /// Optional write-ahead observer for the striped buy paths. Sale
-    /// records are emitted *while the stripe lock is held*, so the lock
-    /// hierarchy stays `stripe → sink` (the sink never takes broker locks;
-    /// see [`DurabilitySink`]).
+    /// Optional write-ahead observer for the buy paths. Sale records are
+    /// emitted *while the owner's lock is held*, so the lock hierarchy
+    /// stays `owner → sink` (the sink never takes broker locks; see
+    /// [`DurabilitySink`]).
     durability: Option<Arc<dyn DurabilitySink>>,
     /// The broker's mechanism name, read once so that a buy opens its
     /// trace root before it waits for the core lock.
     mechanism: &'static str,
 }
 
-/// A cloneable, thread-safe handle to a broker.
-#[derive(Clone)]
+/// A cloneable, thread-safe handle to a broker. Each handle counts its
+/// own sales; `clone()` makes a new, empty owner, and dropping a handle
+/// folds its totals into another live one.
 pub struct SharedBroker {
     inner: Arc<SharedState>,
+    owner: Owner,
+}
+
+impl Clone for SharedBroker {
+    fn clone(&self) -> Self {
+        Self::join(Arc::clone(&self.inner))
+    }
+}
+
+impl Drop for SharedBroker {
+    /// Leaves the registry and hands this handle's totals to the first
+    /// remaining owner, under the registry lock, so no reader sees the
+    /// sales twice or not at all. The last handle takes its totals with
+    /// the broker.
+    fn drop(&mut self) {
+        let mut owners = self.inner.owners.lock();
+        owners.retain(|o| !Arc::ptr_eq(o, &self.owner));
+        // Out of the registry, this handle holds the only reference.
+        if let (Some(heir), Some(mine)) = (owners.first(), Arc::get_mut(&mut self.owner)) {
+            heir.lock().merge(mine.get_mut());
+        }
+    }
 }
 
 impl SharedBroker {
@@ -75,20 +100,24 @@ impl SharedBroker {
     }
 
     fn wrap(broker: Broker, durability: Option<Arc<dyn DurabilitySink>>) -> Self {
-        SharedBroker {
-            inner: Arc::new(SharedState {
-                mechanism: broker.mechanism_name(),
-                core: RwLock::new(broker),
-                stripes: std::array::from_fn(|_| Mutex::new(SalesTotals::default())),
-                next_stripe: AtomicUsize::new(0),
-                contention: AtomicU64::new(0),
-                durability,
-            }),
-        }
+        Self::join(Arc::new(SharedState {
+            mechanism: broker.mechanism_name(),
+            core: RwLock::new(broker),
+            owners: Mutex::new(Vec::new()),
+            contention: AtomicU64::new(0),
+            durability,
+        }))
     }
 
-    /// Wraps a broker with a durability sink attached: the striped buy
-    /// paths forward every settled transaction to `sink` under the stripe
+    /// A new handle on `inner` with an empty, registered owner.
+    fn join(inner: Arc<SharedState>) -> Self {
+        let owner = Owner::default();
+        inner.owners.lock().push(Arc::clone(&owner));
+        SharedBroker { inner, owner }
+    }
+
+    /// Wraps a broker with a durability sink attached: the buy paths
+    /// forward every settled transaction to `sink` under the owner's
     /// lock, and maintenance mutations (support/publish through the core
     /// write lock) are forwarded by the inner [`Broker`] itself.
     ///
@@ -104,20 +133,16 @@ impl SharedBroker {
         mbp_obs::inc("mbp.core.sharedbroker.contention");
     }
 
-    /// Picks the next stripe round-robin and locks it, counting a
-    /// contended acquisition when the uncontended `try_lock` fails. The
-    /// blocking wait on a contended stripe is an `mbp.core.lock_wait`
-    /// span.
-    fn lock_next_stripe(&self) -> parking_lot::MutexGuard<'_, SalesTotals> {
-        let idx = self.inner.next_stripe.fetch_add(1, Ordering::Relaxed) % LEDGER_STRIPES;
-        // LINT-ALLOW(panic): idx < LEDGER_STRIPES by the modulo above.
-        let stripe = &self.inner.stripes[idx];
-        match stripe.try_lock() {
+    /// Locks this handle's owner, counting a contended acquisition when
+    /// the uncontended `try_lock` fails (a reader is visiting it). The
+    /// blocking wait is an `mbp.core.lock_wait` span.
+    fn lock_owner(&self) -> MutexGuard<'_, SalesTotals> {
+        match self.owner.try_lock() {
             Some(g) => g,
             None => {
                 self.note_contention();
                 let _wait = mbp_obs::span("mbp.core.lock_wait");
-                stripe.lock()
+                self.owner.lock()
             }
         }
     }
@@ -171,15 +196,15 @@ impl SharedBroker {
     /// Zero-allocation thread-safe batch purchase: the network serving
     /// path. The [`Broker::quote_batch_into`] kernel runs into `arena`
     /// under one shared read guard (no totals mutation), then the
-    /// successful sales settle under a *single* stripe-lock acquisition,
-    /// so lock traffic is amortized across the batch. Prices, noise draws,
-    /// and RNG consumption are bit-identical to [`Broker::buy_batch_into`]
-    /// on an unshared broker; only where the sales are counted differs (a
-    /// stripe instead of the core totals), and
-    /// [`SharedBroker::with_broker`] reconciles that. The `mbp.core.buy`
-    /// root opens before either lock, so a contended wait is a span of the
-    /// buy's own trace. After one warm-up batch at the steady-state size,
-    /// repeat calls perform no heap allocation.
+    /// successful sales settle into this handle's owner under one lock
+    /// acquisition, so lock traffic is amortized across the batch. Prices,
+    /// noise draws, and RNG consumption are bit-identical to
+    /// [`Broker::buy_batch_into`] on an unshared broker; only where the
+    /// sales are counted differs (the handle's owner instead of the core
+    /// totals), and [`SharedBroker::with_broker`] reconciles that. The
+    /// `mbp.core.buy` root opens before either lock, so a contended wait
+    /// is a span of the buy's own trace. After one warm-up batch at the
+    /// steady-state size, repeat calls perform no heap allocation.
     pub fn buy_batch_into(
         &self,
         kind: ModelKind,
@@ -189,7 +214,7 @@ impl SharedBroker {
     ) -> Result<(), MarketError> {
         let _root = buy_root(kind, self.inner.mechanism);
         self.read_core().listed_kernel(kind, requests, rng, arena)?;
-        let mut guard = self.lock_next_stripe();
+        let mut guard = self.lock_owner();
         arena.settle(kind, self.inner.durability.as_ref(), &mut guard);
         Ok(())
     }
@@ -221,28 +246,29 @@ impl SharedBroker {
             .price_batch_into(kind, requests, arena, quotes)
     }
 
-    /// Sale totals so far: the reconciled totals plus every stripe's.
+    /// Sale totals so far: the reconciled totals plus every owner's.
     pub fn totals(&self) -> SalesTotals {
         let mut totals = self.inner.core.read().totals().clone();
-        for stripe in &self.inner.stripes {
-            totals.merge(&stripe.lock());
+        for owner in self.inner.owners.lock().iter() {
+            totals.merge(&owner.lock());
         }
         totals
     }
 
-    /// Total revenue collected so far (reconciled plus striped).
+    /// Total revenue collected so far (reconciled plus unreconciled).
     pub fn total_revenue(&self) -> f64 {
         self.totals().revenue()
     }
 
-    /// Number of completed sales (reconciled plus striped).
+    /// Number of completed sales (reconciled plus unreconciled).
     pub fn sales_count(&self) -> u64 {
         self.totals().count()
     }
 
-    /// Number of contended lock acquisitions observed by this broker handle
-    /// (mirrors the `mbp.core.sharedbroker.contention` obs counter but is
-    /// scoped to this broker, so tests can compare workloads race-free).
+    /// Number of contended lock acquisitions observed by this broker's
+    /// handles (mirrors the `mbp.core.sharedbroker.contention` obs counter
+    /// but is scoped to this broker, so tests can compare workloads
+    /// race-free).
     pub fn contention_count(&self) -> u64 {
         self.inner.contention.load(Ordering::Relaxed)
     }
@@ -250,20 +276,19 @@ impl SharedBroker {
     /// Runs `f` with exclusive access to the underlying broker (for
     /// maintenance operations that need more than one call atomically).
     ///
-    /// The stripes' totals are merged into the core broker's before `f`
+    /// Every owner's totals are merged into the core broker's before `f`
     /// runs, so `f` sees a fully reconciled broker. The sums are exact, so
     /// the merge gives the same bits whatever order the sales settled in.
     ///
-    /// The drain completes *before* the write guard is taken: no code path
-    /// in this module ever holds a stripe mutex and the core lock at the
-    /// same time, so the lock hierarchy is trivially acyclic. A buy whose
-    /// quote finishes between the drain and the write acquisition counts
-    /// its sales in a stripe until the next drain — the same visibility a
-    /// buy landing right after `f` returns always had.
+    /// The drain completes *before* the write guard is taken, so no path
+    /// holds an owner's lock and the core lock at once. A buy whose quote
+    /// finishes between the drain and the write acquisition counts its
+    /// sales in its owner until the next drain — the same visibility a buy
+    /// landing right after `f` returns always had.
     pub fn with_broker<T>(&self, f: impl FnOnce(&mut Broker) -> T) -> T {
         let mut drained = SalesTotals::default();
-        for stripe in &self.inner.stripes {
-            drained.merge(&std::mem::take(&mut *stripe.lock()));
+        for owner in self.inner.owners.lock().iter() {
+            drained.merge(&std::mem::take(&mut *owner.lock()));
         }
         let mut core = self.inner.core.write();
         core.merge_totals(&drained);
@@ -460,8 +485,8 @@ mod tests {
     }
 
     /// Concurrent batches count every sale, match per-call revenue
-    /// accounting, and take at most one stripe lock per batch (contention
-    /// stays bounded by batch count, not purchase count).
+    /// accounting, and take one owner lock per batch (contention stays
+    /// bounded by batch count, not purchase count).
     #[test]
     fn concurrent_buy_batches_are_all_counted() {
         let sb = shared_broker(97);
@@ -516,17 +541,25 @@ mod tests {
         assert_eq!(revenue, 0.0);
     }
 
-    /// Reconciling moves the striped totals into the core broker without
-    /// changing a bit: the reconciled totals equal those of one unshared
-    /// broker that made the same sales.
+    /// Reconciling moves every handle's totals into the core broker
+    /// without changing a bit: the reconciled totals equal those of one
+    /// unshared broker that made the same sales, whichever handles made
+    /// them and whether those handles are still alive.
     #[test]
-    fn with_broker_reconciles_striped_totals() {
+    fn with_broker_reconciles_per_handle_totals() {
         let sb = shared_broker(87);
         let mut plain = plain_broker(87);
         let mut rng = seeded_rng(88);
         let mut plain_rng = seeded_rng(88);
-        for _ in 0..(2 * LEDGER_STRIPES + 3) {
-            buy_one(&sb, 0.5, &mut rng);
+        let kept = sb.clone();
+        let buys = 19;
+        for i in 0..buys {
+            match i % 3 {
+                0 => buy_one(&sb, 0.5, &mut rng),
+                1 => buy_one(&kept, 0.5, &mut rng),
+                // A handle that buys once and is dropped at once.
+                _ => buy_one(&sb.clone(), 0.5, &mut rng),
+            };
             plain
                 .buy_listed(
                     ModelKind::LinearRegression,
@@ -535,30 +568,81 @@ mod tests {
                 )
                 .expect("purchase failed");
         }
-        // Before reconciliation the totals already include the stripes.
+        // Before reconciliation the totals already include every owner's.
         assert_eq!(&sb.totals(), plain.totals());
-        let reconciled = sb.with_broker(|b| b.totals().clone());
+        let reconciled = kept.with_broker(|b| b.totals().clone());
         assert_eq!(&reconciled, plain.totals());
         assert_eq!(sb.totals(), reconciled);
-        assert_eq!(sb.sales_count(), 2 * LEDGER_STRIPES as u64 + 3);
+        drop(kept);
+        assert_eq!(sb.totals(), reconciled);
+        assert_eq!(sb.sales_count(), buys);
     }
 
-    /// Satellite: N threads × M buys reconcile to an exact revenue total,
-    /// and the striped design records strictly less contention than the
-    /// pre-PR single-global-mutex design on the same workload.
+    /// 10k clone → buy → drop cycles across 4 threads lose no sale, and
+    /// the owner registry never holds more entries than there are live
+    /// handles.
+    #[test]
+    fn dropped_handles_fold_their_totals_and_leave_the_registry() {
+        let sb = shared_broker(101);
+        // Handles that exist or may exist: raised before a clone, lowered
+        // after its drop, so it never undercounts the registry.
+        let live = Arc::new(AtomicU64::new(1));
+        let mut seeds = SeedStream::new(102);
+        let threads = 4;
+        let per_thread = 2500;
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                live.fetch_add(1, Ordering::SeqCst);
+                let sb = sb.clone();
+                let live = Arc::clone(&live);
+                let seed = seeds.next_seed();
+                thread::spawn(move || {
+                    let mut rng = seeded_rng(seed);
+                    let mut paid = ExactSum::default();
+                    for _ in 0..per_thread {
+                        live.fetch_add(1, Ordering::SeqCst);
+                        let handle = sb.clone();
+                        paid.add(buy_one(&handle, 0.5, &mut rng).price);
+                        drop(handle);
+                        live.fetch_sub(1, Ordering::SeqCst);
+                        // Clones and drops wait for the registry lock, so
+                        // the entry count and the bound are read together.
+                        let owners = sb.inner.owners.lock();
+                        assert!(owners.len() as u64 <= live.load(Ordering::SeqCst));
+                    }
+                    drop(sb);
+                    live.fetch_sub(1, Ordering::SeqCst);
+                    paid
+                })
+            })
+            .collect();
+        let mut total_paid = ExactSum::default();
+        for h in handles {
+            total_paid.merge(&h.join().unwrap());
+        }
+        assert_eq!(sb.inner.owners.lock().len(), 1);
+        assert_eq!(sb.sales_count(), (threads * per_thread) as u64);
+        assert_eq!(sb.total_revenue(), total_paid.rounded());
+        let reconciled = sb.with_broker(|b| b.totals().clone());
+        assert_eq!(reconciled.revenue(), total_paid.rounded());
+    }
+
+    /// N threads × M buys reconcile to an exact revenue total, and
+    /// per-handle totals record strictly less contention than one global
+    /// mutex around the broker on the same workload.
     ///
     /// Both runs overlap the buys with a "maintenance" phase that holds the
     /// broker before the buyers start: under one global mutex every buyer's
     /// first attempt is a guaranteed miss (the reference run counts at least
-    /// one miss per thread by construction), while under the striped design
+    /// one miss per thread by construction), while with per-handle totals
     /// the equivalent snapshot reads share the read lock with the quoting
-    /// buyers and exclude nobody.
+    /// buyers and lock each owner only for its merge.
     #[test]
-    fn striped_broker_contends_less_than_single_mutex() {
+    fn per_handle_broker_contends_less_than_single_mutex() {
         let threads = 8usize;
         let per_thread = 24usize;
 
-        // --- Reference: the pre-PR design, one global Mutex<Broker>. ---
+        // --- Reference: one global Mutex<Broker>. ---
         let mutex_contention = {
             let broker = Arc::new(Mutex::new(plain_broker(95)));
             let misses = Arc::new(AtomicU64::new(0));
@@ -606,7 +690,7 @@ mod tests {
             misses.load(Ordering::Relaxed)
         };
 
-        // --- Striped: same workload, maintenance is snapshot reads. ---
+        // --- Per-handle: same workload, maintenance is snapshot reads. ---
         let sb = shared_broker(95);
         let start = Arc::new(Barrier::new(threads + 1));
         let mut seeds = SeedStream::new(96);
@@ -628,7 +712,8 @@ mod tests {
             .collect();
         start.wait();
         // Equivalent maintenance: revenue snapshots while the buys run.
-        // These take the shared read lock, so they cannot stall a quote.
+        // These take the shared read lock, so they cannot stall a quote,
+        // and hold each buyer's owner only while merging it.
         for _ in 0..threads {
             let _ = sb.total_revenue();
             thread::sleep(std::time::Duration::from_millis(1));
@@ -639,15 +724,15 @@ mod tests {
         }
         assert_eq!(sb.sales_count(), (threads * per_thread) as u64);
         assert_eq!(sb.total_revenue(), total_paid.rounded());
-        let striped_contention = sb.contention_count();
+        let per_handle_contention = sb.contention_count();
 
         assert!(
             mutex_contention >= threads as u64,
             "reference run should contend at least once per thread, got {mutex_contention}"
         );
         assert!(
-            striped_contention < mutex_contention,
-            "striped contention {striped_contention} >= single-mutex contention {mutex_contention}"
+            per_handle_contention < mutex_contention,
+            "per-handle contention {per_handle_contention} >= single-mutex contention {mutex_contention}"
         );
     }
 }

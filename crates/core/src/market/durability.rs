@@ -17,9 +17,9 @@
 //!   a restarted process continue its seed stream instead of reusing it.
 //!
 //! Sale hooks fire where a sale *originates*: the settle step of the
-//! `buy*` family (under the caller's stripe lock in the shared broker),
+//! `buy*` family (under the handle's owner lock in the shared broker),
 //! which also adds the sale to the totals. Merging totals —
-//! `SharedBroker::with_broker` draining its stripes, WAL recovery through
+//! `SharedBroker::with_broker` draining its owners, WAL recovery through
 //! [`Broker::merge_totals`] — records nothing, because those sales are
 //! already durable.
 //!
@@ -32,10 +32,10 @@ use parking_lot::Mutex;
 /// Observer for market events that must survive a crash.
 ///
 /// Implementations must be cheap and non-blocking in the common case
-/// (buffered appends): sale hooks run while the caller holds a ledger
-/// stripe lock. A sink must never call back into the broker — the lock
-/// hierarchy is `core write` / `stripe` → `sink`, acquired strictly in
-/// that order and never reversed.
+/// (buffered appends): sale hooks run while the caller holds its
+/// `SharedBroker` handle's owner lock. A sink must never call back into
+/// the broker — the lock hierarchy is `core write` / `owner` → `sink`,
+/// acquired strictly in that order and never reversed.
 pub trait DurabilitySink: Send + Sync {
     /// One completed sale. Fired once per transaction at its origination
     /// site, just before it is added to the broker's totals.

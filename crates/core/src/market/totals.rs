@@ -2,8 +2,9 @@
 //! exact revenue sum. A sale's full record goes only to the durability
 //! sink (the write-ahead log, or a [`SaleLog`] a test attaches), so the
 //! broker's memory does not grow with its sales; and an exact sum does not
-//! depend on the order of its terms, so merging the `SharedBroker`'s
-//! stripes, or replaying the log, gives the live totals to the bit.
+//! depend on the order of its terms, so merging the totals of every
+//! `SharedBroker` handle, or replaying the log, gives the live totals to
+//! the bit.
 //!
 //! [`SaleLog`]: crate::market::durability::SaleLog
 
@@ -92,7 +93,7 @@ impl ExactSum {
 }
 
 /// Per-kind sale totals — a count and the exact sum of the prices — what
-/// a broker, a `SharedBroker` stripe or a recovered log keeps of its
+/// a broker, a `SharedBroker` handle or a recovered log keeps of its
 /// sales.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SalesTotals {

@@ -156,7 +156,7 @@ fn mid_epoch_republish_switches_quotes_without_rewriting_history() {
 }
 
 #[test]
-fn shared_broker_epoch_rollover_preserves_striped_sales() {
+fn shared_broker_epoch_rollover_preserves_per_handle_sales() {
     let sb = SharedBroker::new(fresh_broker(45));
     let mut rng = seeded_rng(46);
     let requests: Vec<PurchaseRequest> = truth()
@@ -167,7 +167,7 @@ fn shared_broker_epoch_rollover_preserves_striped_sales() {
 
     let mut expected_revenue = ExactSum::default();
     for (epoch, &scale) in scales.iter().enumerate() {
-        // Maintenance drains the stripes, then swaps the listing — the
+        // Maintenance drains the owners, then swaps the listing — the
         // drained sales from prior seasons must already be in the core
         // totals when the new season opens.
         let carried = sb.with_broker(|b| {
@@ -186,7 +186,7 @@ fn shared_broker_epoch_rollover_preserves_striped_sales() {
         for sale in sales {
             expected_revenue.add(sale.expect("AtNcp purchases always clear").price);
         }
-        // sales_count spans core + stripes, so the rollover is seamless
+        // sales_count spans core + owners, so the rollover is seamless
         // even before the next reconcile.
         assert_eq!(sb.sales_count(), ((epoch + 1) * requests.len()) as u64);
     }

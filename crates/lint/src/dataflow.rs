@@ -7,11 +7,11 @@
 //! * [`analyze_taint`] — determinism taint. Nondeterminism sources
 //!   (clock reads, ambient RNG, hash-order iteration, thread ids) must
 //!   not flow into the deterministic crates from *any* caller path.
-//! * [`analyze_locks`] — lock order. Function summaries of acquired-guard
-//!   sets are replayed at every call site; descending stripe acquisition
-//!   (nested, or by constant index within one function), reverse walks
-//!   over the stripes, stripes taken under the core write guard, and
-//!   cycles in the global lock-order graph all fail.
+//! * [`analyze_locks`] — lock order. Each body's held guards are
+//!   replayed in statement order, with callees' transitive acquire
+//!   summaries applied at every call site; each lock taken while another
+//!   is held adds an edge to the global lock-order graph, and a cycle in
+//!   that graph fails.
 //!
 //! Every finding carries its witness: the call chain from a root (or a
 //! det-scope function) to the offending site, rendered into the message
@@ -348,8 +348,7 @@ pub fn analyze_locks(g: &CallGraph) -> Vec<GraphFinding> {
         chain
     };
 
-    let mut findings = Vec::new();
-    // Global lock-order edges between collapsed nodes, with provenance:
+    // Global lock-order edges between lock classes, with provenance:
     // (held node, acquired node) -> (file, line, col, description).
     let mut order_edges: BTreeMap<(String, String), (String, u32, u32, String)> = BTreeMap::new();
 
@@ -363,31 +362,21 @@ pub fn analyze_locks(g: &CallGraph) -> Vec<GraphFinding> {
         // at statement end.
         let mut held: Vec<(LockClass, Option<String>, u32)> = Vec::new();
         let mut depth: u32 = 0;
-        // The last constant stripe index this body acquired.
-        let mut last_const: Option<i64> = None;
-        let finding = |line, col, what: String| GraphFinding {
-            rule: "lock-graph",
-            rel_path: f.rel_path.clone(),
-            line,
-            col,
-            msg: format!("{what} in `{}`", f.display()),
-            chain: vec![id],
-        };
 
-        let check =
+        // Adds a `held -> acquired` edge for every guard held at the site.
+        let note =
             |held: &[(LockClass, Option<String>, u32)],
              acquired: &LockClass,
              line: u32,
              col: u32,
              via_chain: Option<&Vec<usize>>,
-             findings: &mut Vec<GraphFinding>,
              order_edges: &mut BTreeMap<(String, String), (String, u32, u32, String)>| {
                 let suffix = match via_chain {
                     Some(chain) if chain.len() > 1 => format!(" via {}", g.chain(chain)),
                     _ => String::new(),
                 };
                 for (h, _, _) in held {
-                    // Order edge (collapsed); self-edges carry no order info.
+                    // Self-edges carry no order information.
                     let (hn, an) = (h.order_node(), acquired.order_node());
                     if hn != an {
                         order_edges.entry((hn.clone(), an.clone())).or_insert((
@@ -396,34 +385,6 @@ pub fn analyze_locks(g: &CallGraph) -> Vec<GraphFinding> {
                             col,
                             format!("`{}` acquires {an} while holding {hn}{suffix}", f.display()),
                         ));
-                    }
-                    let violation = match (h, acquired) {
-                        (LockClass::CoreWrite, a) if a.is_stripe() => Some(
-                            "stripe mutex acquired while the core write guard is held".to_string(),
-                        ),
-                        (LockClass::StripeConst(i), LockClass::StripeConst(j)) if j <= i => {
-                            Some(format!(
-                                "stripe {j} acquired while stripe {i} is held (descending order)"
-                            ))
-                        }
-                        (LockClass::StripeConst(_), LockClass::StripeAny) => {
-                            Some("nested stripe acquisition with unprovable ordering".to_string())
-                        }
-                        (LockClass::StripeAny, a2) if a2.is_stripe() => {
-                            Some("nested stripe acquisition with unprovable ordering".to_string())
-                        }
-                        _ => None,
-                    };
-                    if let Some(v) = violation {
-                        let chain = via_chain.cloned().unwrap_or_else(|| vec![id]);
-                        findings.push(GraphFinding {
-                            rule: "lock-graph",
-                            rel_path: f.rel_path.clone(),
-                            line,
-                            col,
-                            msg: format!("{v} in `{}`{suffix}", f.display()),
-                            chain,
-                        });
                     }
                 }
             };
@@ -445,56 +406,27 @@ pub fn analyze_locks(g: &CallGraph) -> Vec<GraphFinding> {
                     line,
                     col,
                 } => {
-                    let before = findings.len();
-                    check(
-                        &held,
-                        class,
-                        *line,
-                        *col,
-                        None,
-                        &mut findings,
-                        &mut order_edges,
-                    );
-                    if let LockClass::StripeConst(idx) = *class {
-                        // Constant indices ascend even when the guards do
-                        // not overlap; a held-set finding at this site
-                        // already covers a nested descent.
-                        let unreported = findings.len() == before;
-                        if let Some(last) = last_const.filter(|&last| idx < last && unreported) {
-                            findings.push(finding(*line, *col, format!(
-                                "stripe mutexes must be locked in ascending index order (stripe {idx} after stripe {last})"
-                            )));
-                        }
-                        last_const = Some(idx);
-                    }
+                    note(&held, class, *line, *col, None, &mut order_edges);
                     held.push((class.clone(), binding.clone(), depth));
                 }
-                BodyEvent::ReverseStripes { line, col } => findings.push(finding(
-                    *line,
-                    *col,
-                    "reverse iteration over ledger stripes violates the ascending lock order"
-                        .to_string(),
-                )),
-                BodyEvent::Call(call_idx) => {
-                    let call = &f.calls[*call_idx];
-                    let e = g.edges[id].iter().find(|e| e.call_idx == *call_idx);
+                BodyEvent::Call { idx, binding } => {
+                    let call = &f.calls[*idx];
+                    let e = g.edges[id].iter().find(|e| e.call_idx == *idx);
                     let Some(e) = e else { continue };
                     let mut callee_guard: Option<LockClass> = None;
                     for &t in &e.targets {
                         if g.fns[t].is_test {
                             continue;
                         }
-                        let classes: Vec<LockClass> = summary[t].iter().cloned().collect();
-                        for c in classes {
+                        for c in &summary[t] {
                             let mut chain = vec![id];
-                            chain.extend(acquire_chain(t, &c));
-                            check(
+                            chain.extend(acquire_chain(t, c));
+                            note(
                                 &held,
-                                &c,
+                                c,
                                 call.line,
                                 call.col,
                                 Some(&chain),
-                                &mut findings,
                                 &mut order_edges,
                             );
                         }
@@ -507,7 +439,7 @@ pub fn analyze_locks(g: &CallGraph) -> Vec<GraphFinding> {
                         }
                     }
                     if let Some(c) = callee_guard {
-                        held.push((c, None, depth));
+                        held.push((c, binding.clone(), depth));
                     }
                 }
             }
@@ -515,11 +447,10 @@ pub fn analyze_locks(g: &CallGraph) -> Vec<GraphFinding> {
     }
 
     // --- Cycles in the global lock-order graph ------------------------------
-    findings.extend(order_cycles(&order_edges));
-    findings
+    order_cycles(&order_edges)
 }
 
-/// DFS cycle detection over the collapsed order graph; one finding per
+/// DFS cycle detection over the lock-order graph; one finding per
 /// distinct cycle, positioned at the provenance of its closing edge.
 fn order_cycles(
     edges: &BTreeMap<(String, String), (String, u32, u32, String)>,
@@ -700,79 +631,65 @@ mod tests {
         assert!(findings.is_empty(), "{findings:?}");
     }
 
+    /// Guard lifetimes the broker relies on, each a zero-finding input.
+    /// Every case also takes the two locks in the opposite order in
+    /// `maintain`, so a guard the replay kept alive too long would close a
+    /// cycle.
     #[test]
-    fn cross_function_descending_stripes_are_caught() {
-        let g = graph(&[(
-            "crates/core/src/market/concurrent.rs",
-            r#"
-fn settle(s: &Shared) {
-    let g1 = s.inner.stripes[1].lock();
-    flush_low(s);
+    fn released_guards_add_no_order_edges() {
+        let maintain = r#"
+fn maintain(s: &Shared) {
+    let core = s.inner.core.write();
+    let owner = s.owner.lock();
 }
-fn flush_low(s: &Shared) {
-    let g0 = s.inner.stripes[0].lock();
-}
-"#,
-        )]);
-        let findings = analyze_locks(&g);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].msg.contains("descending"));
-        assert!(findings[0].msg.contains("settle -> flush_low"));
-    }
-
-    /// Lock patterns the broker relies on, each a zero-finding input.
-    #[test]
-    fn clean_lock_patterns_have_no_findings() {
+"#;
         let cases = [
-            // The `with_broker` idiom: stripe guards drained inside the
+            // The `with_broker` idiom: owner guards drained inside the
             // loop body die at the iteration close; the core write that
-            // follows holds no stripe.
+            // follows holds no owner.
             r#"
 fn with_broker(s: &Shared) {
-    for stripe in s.inner.stripes.iter() {
-        let mut guard = stripe.lock();
+    for owner in s.inner.owners.iter() {
+        let mut guard = owner.lock();
         guard.clear();
     }
     let mut core = s.inner.core.write();
     core.apply();
 }
 "#,
-            // The same drain through a stripe temporary.
+            // The same drain through a temporary guard.
             r#"
 fn f(s: &Shared) {
     let mut drained = Vec::new();
-    for stripe in s.inner.stripes.iter() {
-        drained.append(&mut *stripe.lock());
+    for owner in s.inner.owners.iter() {
+        drained.append(&mut *owner.lock());
     }
     let mut core = s.inner.core.write();
     core.settle(drained);
 }
 "#,
+            // An explicitly dropped guard.
+            r#"
+fn f(s: &Shared) {
+    let guard = s.owner.lock();
+    drop(guard);
+    let core = s.inner.core.write();
+}
+"#,
             // A core read guard is not the write guard.
             r#"
 fn f(s: &Shared) {
+    let owner = s.owner.lock();
     let core = s.inner.core.read();
-    let total: f64 = s.inner.stripes.iter().map(|x| x.lock().len() as f64).sum();
-    drop(core);
-    let _ = total;
-}
-"#,
-            // The concurrent ledger wraps a contended stripe acquisition in
-            // an `mbp.core.lock_wait` span; the RAII span guards must not
-            // confuse the ascending-stripe order check.
-            r#"
-fn f(s: &Shared) {
-    let _wait = mbp_obs::span("mbp.core.lock_wait");
-    let a = s.inner.stripes[0].lock();
-    drop(_wait);
-    let _root = mbp_obs::trace_root("mbp.core.buy", "linear_regression", "gaussian");
-    let b = s.inner.stripes[1].lock();
-    let _ = (a, b);
+    drop(owner);
 }
 "#,
         ];
         for src in cases {
-            let g = graph(&[("crates/core/src/market/concurrent.rs", src)]);
+            let g = graph(&[(
+                "crates/core/src/market/concurrent.rs",
+                &format!("{src}{maintain}"),
+            )]);
             let findings = analyze_locks(&g);
             assert!(findings.is_empty(), "{src}: {findings:?}");
         }
@@ -783,23 +700,32 @@ fn f(s: &Shared) {
         let g = graph(&[(
             "crates/core/src/market/concurrent.rs",
             r#"
-impl Ledger {
-    fn lock_next_stripe(&self) -> MutexGuard<'_, Vec<Tx>> {
-        let stripe = &self.inner.stripes[0];
-        stripe.lock()
+impl Handle {
+    fn lock_owner(&self) -> MutexGuard<'_, Totals> {
+        self.owner.lock()
     }
     fn record(&self) {
-        let mut guard = self.lock_next_stripe();
+        let mut guard = self.lock_owner();
         let w = self.inner.core.write();
+    }
+    fn maintain(&self) {
+        let w = self.inner.core.write();
+        let o = self.owner.lock();
     }
 }
 "#,
         )]);
         let findings = analyze_locks(&g);
-        // Holding a stripe while taking the core write lock creates the
-        // stripe -> core.write order edge; with no reverse edge there is
-        // no cycle, and stripe-then-core is not itself a violation.
-        assert!(findings.is_empty(), "{findings:?}");
+        // `record` holds the owner the callee returned while it takes the
+        // core write guard; `maintain` takes them the other way round.
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0]
+                .msg
+                .contains("lock-order cycle core.write -> mutex:owner -> core.write"),
+            "{}",
+            findings[0].msg
+        );
     }
 
     #[test]

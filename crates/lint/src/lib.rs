@@ -3,11 +3,12 @@
 //! The compiler cannot see the invariants this reproduction rests on:
 //! arbitrage-freeness proofs assume deterministic replay, the serve path
 //! (`quote`/`buy`/`*_into`) must not panic on adversarial input, and the
-//! `SharedBroker` settlement protocol is deadlock-free only while stripe
-//! mutexes are taken in ascending order and never under the core write
-//! lock. `mbp-lint` walks every `.rs` file in the workspace with its own
-//! lexer (comment/string/lifetime-aware — see [`lexer`]) and enforces
-//! those invariants lexically.
+//! `SharedBroker` settlement protocol is deadlock-free only while its locks
+//! (the core `RwLock`, the owner registry, each handle's sale totals and
+//! the durability sink) are always taken in one order. `mbp-lint` walks
+//! every `.rs` file in the workspace with its own lexer
+//! (comment/string/lifetime-aware — see [`lexer`]) and enforces those
+//! invariants lexically.
 //!
 //! ## One run over one lexed file
 //!
@@ -26,7 +27,7 @@
 //! or the line directly above:
 //!
 //! ```text
-//! // LINT-ALLOW(panic): idx < LEDGER_STRIPES by the modulo above
+//! // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
 //! ```
 //!
 //! Each waiver suppresses **exactly one** finding; a second finding on

@@ -11,8 +11,8 @@
 //!   by [`Source::panic_site`] and [`Source::taint_site`] — the detectors
 //!   the per-file `panic`/`det` rules report from,
 //! * **lock events** — the [`Source::lock_site`] sites (core write-guard
-//!   and stripe-mutex acquisitions, reverse walks over `stripes`) plus
-//!   scope, statement and `drop(..)` boundaries — in statement order,
+//!   and named-mutex acquisitions) plus scope, statement and `drop(..)`
+//!   boundaries — in statement order,
 //!   interleaved with the call sites so the lock analysis can replay
 //!   "what was held at this call".
 //!
@@ -24,7 +24,7 @@
 //! rules, so test-only functions never enter the graph.
 
 use crate::lexer::{Tok, TokKind};
-use crate::source::{match_delim, LockClass, LockKind, PanicSite, Source, TaintSite};
+use crate::source::{match_delim, LockClass, PanicSite, Source, TaintSite};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call site names its callee.
@@ -66,8 +66,10 @@ pub enum BodyEvent {
     Close,
     /// `;` — end of statement (temporary guards die here).
     StmtEnd,
-    /// A call; the index points into [`FnItem::calls`].
-    Call(usize),
+    /// A call; `idx` points into [`FnItem::calls`]. `binding` is the
+    /// `let` name that holds a guard the callee returns (None =
+    /// temporary).
+    Call { idx: usize, binding: Option<String> },
     /// A lock acquisition. `binding` is the `let` name holding the guard
     /// (None = temporary, released at statement end).
     Acquire {
@@ -78,8 +80,6 @@ pub enum BodyEvent {
     },
     /// `drop(name)` — explicit guard release.
     DropName(String),
-    /// `.rev()` in a statement over `stripes`.
-    ReverseStripes { line: u32, col: u32 },
 }
 
 /// One `fn` item with its facts.
@@ -635,31 +635,26 @@ pub fn parse(file: &Source) -> FileModel {
             stmt_has_closure = true;
         }
 
+        // A guard taken here, by a lock site or a guard-returning callee,
+        // lives in the statement's `let` binding unless a closure holds it.
+        let binding = if stmt_has_let && !stmt_has_closure {
+            let_name.clone()
+        } else {
+            None
+        };
+
         // Lock sites -------------------------------------------------------
         if let Some(site) = file.lock_site(i) {
             let f = &mut model.fns[fn_idx];
-            match site.kind {
-                LockKind::Acquire { class, len } => {
-                    let binding = if stmt_has_let && !stmt_has_closure {
-                        let_name.clone()
-                    } else {
-                        None
-                    };
-                    f.acquires.push(class.clone());
-                    f.events.push(BodyEvent::Acquire {
-                        class,
-                        binding,
-                        line: site.line,
-                        col: site.col,
-                    });
-                    i += len;
-                    continue;
-                }
-                LockKind::ReverseStripes => f.events.push(BodyEvent::ReverseStripes {
-                    line: site.line,
-                    col: site.col,
-                }),
-            }
+            f.acquires.push(site.class.clone());
+            f.events.push(BodyEvent::Acquire {
+                class: site.class,
+                binding,
+                line: site.line,
+                col: site.col,
+            });
+            i += 1;
+            continue;
         }
 
         if !masked_test {
@@ -694,7 +689,9 @@ pub fn parse(file: &Source) -> FileModel {
             if !masked_test {
                 model.fns[fn_idx].calls.push(site);
                 let idx = model.fns[fn_idx].calls.len() - 1;
-                model.fns[fn_idx].events.push(BodyEvent::Call(idx));
+                model.fns[fn_idx]
+                    .events
+                    .push(BodyEvent::Call { idx, binding });
             }
             i += adv;
             continue;
@@ -1130,11 +1127,11 @@ mod tests {
     }
 
     #[test]
-    fn lock_events_capture_core_write_and_stripes() {
+    fn lock_events_capture_core_write_and_mutexes() {
         let m = parse(
             r#"
 fn f(s: &Shared) {
-    let a = s.inner.stripes[0].lock();
+    let a = s.inner.owners.lock();
     let mut core = s.inner.core.write();
     drop(a);
 }
@@ -1143,7 +1140,7 @@ fn f(s: &Shared) {
         let f = &m.fns[0];
         assert_eq!(
             f.acquires,
-            vec![LockClass::StripeConst(0), LockClass::CoreWrite]
+            vec![LockClass::Other("owners".to_string()), LockClass::CoreWrite]
         );
         assert!(f
             .events
@@ -1184,9 +1181,12 @@ pub fn other() {}
     #[test]
     fn guard_returning_fn_is_detected() {
         let m = parse(
-            "fn lock_next_stripe(&self) -> parking_lot::MutexGuard<'_, Vec<Tx>> { self.inner.stripes[0].lock() }\n",
+            "fn lock_owner(&self) -> parking_lot::MutexGuard<'_, Totals> { self.owner.lock() }\n",
         );
         assert!(m.fns[0].returns_guard);
-        assert_eq!(m.fns[0].acquires, vec![LockClass::StripeConst(0)]);
+        assert_eq!(
+            m.fns[0].acquires,
+            vec![LockClass::Other("owner".to_string())]
+        );
     }
 }

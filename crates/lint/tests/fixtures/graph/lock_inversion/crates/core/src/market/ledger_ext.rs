@@ -1,20 +1,32 @@
-// Fixture: stripe order inversion that only exists across a call —
-// each function alone acquires a single stripe and is locally clean.
+// Fixture: a lock-order inversion that only exists across calls —
+// each function alone takes at most one mutex and is locally clean.
 use std::sync::Mutex;
 
 pub struct Ledger {
-    stripes: Vec<Mutex<Vec<f64>>>,
+    book: Mutex<Vec<f64>>,
+    audit: Mutex<Vec<f64>>,
 }
 
 impl Ledger {
     pub fn settle(&self) {
-        let g2 = self.stripes[2].lock();
-        self.tail();
-        drop(g2);
+        let held = self.book.lock();
+        self.note();
+        drop(held);
     }
 
-    fn tail(&self) {
-        let g1 = self.stripes[1].lock();
-        drop(g1);
+    fn note(&self) {
+        let entry = self.audit.lock();
+        drop(entry);
+    }
+
+    pub fn review(&self) {
+        let held = self.audit.lock();
+        self.touch();
+        drop(held);
+    }
+
+    fn touch(&self) {
+        let entry = self.book.lock();
+        drop(entry);
     }
 }

@@ -92,10 +92,11 @@ fn planted_cross_function_lock_inversion_is_caught() {
         vec![(
             "crates/core/src/market/ledger_ext.rs".to_string(),
             "lock-graph".to_string(),
-            12,
+            13,
             14,
-            "stripe 1 acquired while stripe 2 is held (descending order) \
-             in `Ledger::settle` via Ledger::settle -> Ledger::tail"
+            "lock-order cycle mutex:audit -> mutex:book -> mutex:audit: \
+             `Ledger::settle` acquires mutex:audit while holding mutex:book \
+             via Ledger::settle -> Ledger::note"
                 .to_string(),
         )],
     );
@@ -103,63 +104,24 @@ fn planted_cross_function_lock_inversion_is_caught() {
     assert!(budget_errors[0].contains("lock-graph"), "{budget_errors:?}");
 }
 
-/// Lock order inside one function: every case the retired per-file `lock`
-/// rule reported, and the stripe aliases it knew that the graph now types
-/// as stripes (a loop variable under a held stripe, a let-bound stripe
-/// under the core write guard).
+/// Lock order inside one function: a guard held to the end of its block
+/// orders the locks taken under it, and one released by its block's close
+/// or by `drop` orders nothing (`released_before_core` and
+/// `owner_under_core` take the same two locks in both orders, cleanly).
 #[test]
 fn lock_order_cases_are_caught_in_one_function() {
     let (rows, budget_errors) = scan(&fixture("lock_order"));
-    let path = "crates/core/src/market/lock_order.rs";
-    let row = |line, col, msg: &str| {
-        (
-            path.to_string(),
-            "lock-graph".to_string(),
-            line,
-            col,
-            msg.to_string(),
-        )
-    };
     assert_eq!(
         rows,
-        vec![
-            row(
-                8,
-                13,
-                "stripe mutex acquired while the core write guard is held \
-                 in `stripe_under_core_write`"
-            ),
-            row(
-                14,
-                13,
-                "stripe 0 acquired while stripe 1 is held (descending order) \
-                 in `descending_stripes`"
-            ),
-            row(
-                21,
-                10,
-                "stripe mutexes must be locked in ascending index order \
-                 (stripe 0 after stripe 1) in `descending_without_overlap`"
-            ),
-            row(
-                25,
-                41,
-                "reverse iteration over ledger stripes violates the ascending \
-                 lock order in `reverse_walk`"
-            ),
-            row(
-                32,
-                20,
-                "nested stripe acquisition with unprovable ordering \
-                 in `loop_under_held_stripe`"
-            ),
-            row(
-                40,
-                15,
-                "stripe mutex acquired while the core write guard is held \
-                 in `let_alias_under_write`"
-            ),
-        ],
+        vec![(
+            "crates/core/src/market/lock_order.rs".to_string(),
+            "lock-graph".to_string(),
+            12,
+            19,
+            "lock-order cycle core.write -> mutex:sink -> core.write: \
+             `settle_under_sink` acquires core.write while holding mutex:sink"
+                .to_string(),
+        )],
     );
     assert_eq!(budget_errors.len(), 1, "{budget_errors:?}");
     assert!(budget_errors[0].contains("lock-graph"), "{budget_errors:?}");

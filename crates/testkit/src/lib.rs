@@ -22,7 +22,7 @@
 //!   [`mbp_core::market::concurrent::SharedBroker`]: a virtual-time
 //!   scheduler that enumerates or samples interleavings of concurrent
 //!   `buy_batch`/re-publish operations and checks linearizability of
-//!   the striped sale totals against a single-threaded
+//!   the per-handle sale totals against a single-threaded
 //!   reference broker, plus seeded fault-point injection;
 //! * [`crash`] — a **crash-point fault injector** for durable logs:
 //!   seeded kill-at-record/kill-at-byte schedules, content bit flips, and

@@ -1,8 +1,9 @@
 //! Deterministic schedule exploration for the concurrent broker.
 //!
 //! [`SharedBroker`] serves quotes under a shared read lock and counts
-//! sales into 8 independently locked stripes of exact totals; maintenance
-//! merges the stripes under the write lock. The linearizability claim is
+//! each handle's sales into that handle's own exact totals; maintenance
+//! merges every handle's totals under the write lock. The linearizability
+//! claim is
 //! that *any* interleaving of `buy_batch`/re-publish/reconcile
 //! operations is observationally equivalent to executing the
 //! same operations, in linearization order, against a plain
@@ -16,14 +17,16 @@
 //! a reference [`Broker`] with bit-identical per-thread RNG streams. All
 //! observations — sale prices, error variants, sale counts and revenue,
 //! including the final totals — must match exactly; revenue compares by
-//! its bits, because the sum is exact and so independent of the order the
-//! stripes saw the sales in. Small cases can also be **enumerated**
-//! exhaustively over every interleaving.
+//! its bits, because the sum is exact and so independent of which handle
+//! counted a sale and in what order. Each virtual thread trades through
+//! its own handle, as the daemon's IO workers do. Small cases can also be
+//! **enumerated** exhaustively over every interleaving.
 //!
-//! Seeded fault points pin graceful degradation: a maintenance closure
-//! that panics mid-flight must not lose settled sales or wedge
-//! later operations, and a reader racing a re-publish must only ever
-//! observe one of the published curves, never a torn listing.
+//! Seeded fault points pin graceful degradation: a handle that dies in a
+//! panic with unreconciled sales, and a maintenance closure that panics
+//! mid-flight, must not lose settled sales or wedge later operations, and
+//! a reader racing a re-publish must only ever observe one of the
+//! published curves, never a torn listing.
 //!
 //! Any failure reproduces from the printed case seed alone via
 //! [`run_case`].
@@ -133,9 +136,11 @@ enum Op {
     Republish(usize),
     /// Read `sales_count` / `total_revenue`.
     Snapshot,
-    /// Merge the stripes into the core totals and read the sale count.
+    /// Merge every handle's totals into the core totals and read the sale
+    /// count.
     Reconcile,
-    /// Fault point: a maintenance closure that panics mid-flight.
+    /// Fault point: the thread's handle dies in a panic, then a
+    /// maintenance closure panics mid-flight.
     PanickingMaintenance,
     /// Fault point: quote against the listing and check the observed
     /// price is exactly one published curve, never a torn mixture.
@@ -216,76 +221,110 @@ fn build_broker(data_seed: u64) -> Broker {
 }
 
 /// What a case drives: the shared broker under test, or the plain
-/// reference broker replaying the same linearization.
+/// reference broker replaying the same linearization. `t` is the virtual
+/// thread performing the operation.
 trait Market {
     /// Buys `requests` against the listing.
     fn buy(
         &mut self,
+        t: usize,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
     ) -> Vec<Result<Sale, MarketError>>;
     /// Re-publishes the listing at `curve`.
-    fn relist(&mut self, curve: PricingFunction);
+    fn relist(&mut self, t: usize, curve: PricingFunction);
     /// The sale totals as a reader sees them.
-    fn read_totals(&self) -> SalesTotals;
-    /// Reconciles (the shared broker merges its stripes) and reads the
-    /// sale count.
-    fn reconcile(&mut self) -> u64;
-    /// Runs a maintenance closure that panics; `true` when it did.
-    fn panicking_maintenance(&mut self) -> bool;
+    fn read_totals(&self, t: usize) -> SalesTotals;
+    /// Reconciles (the shared broker merges every handle's totals) and
+    /// reads the sale count.
+    fn reconcile(&mut self, t: usize) -> u64;
+    /// Runs the panicking fault point; `true` when it panicked.
+    fn panicking_maintenance(&mut self, t: usize) -> bool;
 }
 
-impl Market for SharedBroker {
+/// The shared broker under test: one handle per virtual thread.
+struct Handles(Vec<SharedBroker>);
+
+impl Handles {
+    fn new(shared: SharedBroker, threads: usize) -> Self {
+        let mut handles = vec![shared];
+        while handles.len() < threads {
+            handles.push(handles[0].clone());
+        }
+        Handles(handles)
+    }
+}
+
+/// Runs `f`, which must panic, with the panic message silenced; `true`
+/// when it panicked.
+fn panics_quietly(f: impl FnOnce()) -> bool {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    std::panic::set_hook(prev);
+    result.is_err()
+}
+
+impl Market for Handles {
     fn buy(
         &mut self,
+        t: usize,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
     ) -> Vec<Result<Sale, MarketError>> {
-        self.buy_batch(KIND, requests, rng).expect("listed")
+        self.0[t].buy_batch(KIND, requests, rng).expect("listed")
     }
-    fn relist(&mut self, curve: PricingFunction) {
-        self.publish(KIND, curve, Box::new(SquareLossTransform))
+    fn relist(&mut self, t: usize, curve: PricingFunction) {
+        self.0[t]
+            .publish(KIND, curve, Box::new(SquareLossTransform))
             .expect("publish succeeds");
     }
-    fn read_totals(&self) -> SalesTotals {
-        self.totals()
+    fn read_totals(&self, t: usize) -> SalesTotals {
+        self.0[t].totals()
     }
-    fn reconcile(&mut self) -> u64 {
-        self.with_broker(|b| b.sales_count())
+    fn reconcile(&mut self, t: usize) -> u64 {
+        self.0[t].with_broker(|b| b.sales_count())
     }
-    fn panicking_maintenance(&mut self) -> bool {
-        // A maintenance closure that dies mid-flight. The stripes were
+    fn panicking_maintenance(&mut self, t: usize) -> bool {
+        // A poisoned owner: the thread's handle dies in a panic, holding
+        // sales it never reconciled, and the thread carries on with a
+        // fresh clone. The dying handle's totals must fold into a live
+        // owner.
+        let fresh = self.0[t].clone();
+        let dying = std::mem::replace(&mut self.0[t], fresh);
+        let owner_panicked = panics_quietly(move || {
+            let _dying = dying;
+            panic!("injected owner panic")
+        });
+        // A maintenance closure that dies mid-flight. The owners were
         // already drained; the panic must neither lose those sales nor
         // wedge the broker (parking_lot locks do not poison).
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.with_broker(|_| panic!("injected maintenance panic"))
-        }));
-        std::panic::set_hook(prev);
-        result.is_err()
+        let maintenance_panicked =
+            panics_quietly(|| self.0[t].with_broker(|_| panic!("injected maintenance panic")));
+        owner_panicked && maintenance_panicked
     }
 }
 
 impl Market for Broker {
     fn buy(
         &mut self,
+        _: usize,
         requests: &[PurchaseRequest],
         rng: &mut MbpRng,
     ) -> Vec<Result<Sale, MarketError>> {
         self.buy_batch(KIND, requests, rng).expect("listed")
     }
-    fn relist(&mut self, curve: PricingFunction) {
+    fn relist(&mut self, _: usize, curve: PricingFunction) {
         self.publish(KIND, curve, Box::new(SquareLossTransform))
             .expect("publish succeeds");
     }
-    fn read_totals(&self) -> SalesTotals {
+    fn read_totals(&self, _: usize) -> SalesTotals {
         self.totals().clone()
     }
-    fn reconcile(&mut self) -> u64 {
+    fn reconcile(&mut self, _: usize) -> u64 {
         self.sales_count()
     }
-    fn panicking_maintenance(&mut self) -> bool {
+    fn panicking_maintenance(&mut self, _: usize) -> bool {
         // The reference broker has no maintenance to fault; the
         // observable contract is only "nothing lost, not wedged".
         true
@@ -311,36 +350,36 @@ fn run(
         cursors[t] += 1;
         match op {
             Op::BuyBatch(reqs) => {
-                for r in &market.buy(reqs, &mut rngs[t]) {
+                for r in &market.buy(t, reqs, &mut rngs[t]) {
                     sale_obs(&mut obs, r);
                 }
             }
             Op::BuyOne(req) => {
-                for r in &market.buy(&[*req], &mut rngs[t]) {
+                for r in &market.buy(t, &[*req], &mut rngs[t]) {
                     sale_obs(&mut obs, r);
                 }
             }
             Op::Republish(i) => {
-                market.relist(curves[*i].clone());
+                market.relist(t, curves[*i].clone());
                 current = *i;
                 obs.push(Obs::Text(format!("publish {i}")));
             }
             Op::Snapshot => {
-                let totals = market.read_totals();
+                let totals = market.read_totals(t);
                 obs.push(Obs::Count(totals.count()));
                 obs.push(Obs::Revenue(totals.revenue().to_bits()));
             }
-            Op::Reconcile => obs.push(Obs::Count(market.reconcile())),
+            Op::Reconcile => obs.push(Obs::Count(market.reconcile(t))),
             Op::PanickingMaintenance => {
-                let panicked = market.panicking_maintenance();
+                let panicked = market.panicking_maintenance(t);
                 obs.push(Obs::Text(format!("maintenance panicked={panicked}")));
-                obs.push(Obs::Count(market.read_totals().count()));
+                obs.push(Obs::Count(market.read_totals(t).count()));
             }
             Op::ReaderProbe => {
                 // A reader overlapping re-publishes: the quoted price must
                 // be the table price of exactly the currently-published
                 // curve — a torn listing would price off mixed knots.
-                let results = market.buy(&[PurchaseRequest::AtNcp(1.0)], &mut rngs[t]);
+                let results = market.buy(t, &[PurchaseRequest::AtNcp(1.0)], &mut rngs[t]);
                 let price = results[0].as_ref().expect("NCP 1.0 is valid").price;
                 let expected = curves[current].price_at(1.0);
                 obs.push(Obs::Text(format!(
@@ -351,8 +390,8 @@ fn run(
             }
         }
     }
-    obs.push(Obs::Count(market.reconcile()));
-    obs.push(Obs::Revenue(market.read_totals().revenue().to_bits()));
+    obs.push(Obs::Count(market.reconcile(0)));
+    obs.push(Obs::Revenue(market.read_totals(0).revenue().to_bits()));
     obs
 }
 
@@ -405,7 +444,7 @@ fn check_case(
 ) -> Result<usize, ScheduleFailure> {
     let (programs, rng_seeds, order, data_seed) =
         case_inputs(case_seed, threads, ops_per_thread, faults, forced_order);
-    let shared = SharedBroker::new(build_broker(data_seed));
+    let shared = Handles::new(SharedBroker::new(build_broker(data_seed)), programs.len());
     let shared_obs = run(shared, &programs, &order, &rng_seeds);
     let ref_obs = run(build_broker(data_seed), &programs, &order, &rng_seeds);
     let fail = |step: usize, detail: String| ScheduleFailure {

@@ -411,7 +411,7 @@ mod tests {
 
     /// A full live session against a durability-attached SharedBroker
     /// recovers to a bit-identical broker in a fresh process image,
-    /// whichever stripes the sales landed in and in whatever order.
+    /// whatever order the sales settled in.
     #[test]
     fn recovery_is_bit_identical_to_the_live_broker() {
         for shape in [

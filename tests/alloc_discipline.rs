@@ -7,7 +7,8 @@
 //! lookup, the mechanism perturbs into the arena's buffer, and the sale
 //! is counted into fixed-size per-kind totals. Nothing is reserved
 //! up front: the totals do not grow with the number of sales, on the
-//! plain broker or in the `SharedBroker` stripes the daemon settles into.
+//! plain broker or in the per-handle `SharedBroker` totals the daemon's
+//! IO workers settle into.
 //!
 //! A counting `#[global_allocator]` (wrapping `System`, in
 //! `support/counting_alloc.rs`) verifies this directly. CI runs it as its
@@ -96,7 +97,7 @@ fn steady_state_buy_path_does_not_allocate() {
 }
 
 /// The daemon's settle path: one-request `SharedBroker::buy_batch_into`
-/// calls, which count their sales into the round-robin stripes.
+/// calls, which count their sales into the handle's own totals.
 #[test]
 fn steady_state_shared_buy_path_does_not_allocate() {
     assert_obs_disabled();
