@@ -6,7 +6,7 @@
 //! [`compare`] is the one comparator. It compares medians, metric by
 //! metric, with the rule the committed metric's kind and direction select:
 //!
-//! * **Ratios** (`table_speedup_vs_scan`, `grid_vs_pp@512`, …) are
+//! * **Ratios** (`batch_speedup_vs_single`, `grid_vs_pp@512`, …) are
 //!   same-process quotients and largely machine-independent. They must
 //!   not fall below `baseline × (1 − ratio_tolerance)` (or, where lower is
 //!   better, rise above `baseline × (1 + ratio_tolerance)`); the default
@@ -290,11 +290,10 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 // Comparator
 // ---------------------------------------------------------------------------
 
-/// Absolute floors on committed medians: the compiled table beats the
-/// scan outright, the batch path holds a 3x lead over single-quote
-/// serving, and WAL recovery replays at least as fast as live ingest.
-pub const HARD_FLOORS: [(&str, f64); 3] = [
-    ("table_speedup_vs_scan", 1.0),
+/// Absolute floors on committed medians: the batch path holds a 3x lead
+/// over single-quote serving, and WAL recovery replays at least as fast
+/// as live ingest.
+pub const HARD_FLOORS: [(&str, f64); 2] = [
     ("batch_speedup_vs_single", 3.0),
     ("recovery_replay_speedup", 1.0),
 ];

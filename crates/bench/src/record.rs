@@ -14,7 +14,7 @@
 //!   "hardware_threads": 2,
 //!   "params": {"quotes": 20000, "repeats": 3},
 //!   "metrics": [
-//!     {"name": "table_speedup_vs_scan", "kind": "ratio", "better": "higher", "unit": "x", "repeats": 3, "median": 2.4759, "min": 2.41, "max": 2.52},
+//!     {"name": "batch_speedup_vs_single", "kind": "ratio", "better": "higher", "unit": "x", "repeats": 3, "median": 4.6808, "min": 4.45059, "max": 4.81809},
 //!     {"name": "deterministic", "kind": "invariant", "holds": true}
 //!   ]
 //! }

@@ -1,14 +1,11 @@
 //! Quote-serving throughput baseline for the pricing fast path.
 //!
-//! Measures the serving-side hot paths introduced with the compiled
-//! [`PricingTable`](mbp_core::PricingTable):
+//! Measures the serving-side hot paths:
 //!
-//! * **pricing-scan vs pricing-table** — a mixed stream of
-//!   `price_for_ncp` and `max_precision_for_budget` resolutions against a
-//!   dense pricing grid, answered by the original piecewise-linear scan
-//!   and by the compiled table. Both are single-threaded CPU-bound
-//!   lookups, so the ratio is honest on any machine, including a
-//!   single-core container.
+//! * **pricing-table** — a mixed stream of `price_for_ncp`,
+//!   `max_precision_for_budget` and `price_at` resolutions against a dense
+//!   pricing grid, answered by the [`PricingFunction`] every sale is
+//!   priced by.
 //! * **serve-single / serve-into / serve-batch** — end-to-end purchases
 //!   against a published listing: one `buy_listed` per quote, one
 //!   zero-allocation `buy_batch_into` batch of one per quote (the daemon's
@@ -131,18 +128,6 @@ fn pricing_query(pf: &PricingFunction, i: usize) -> f64 {
     }
 }
 
-fn table_query(table: &mbp_core::PricingTable, i: usize) -> f64 {
-    let x_max = *table.knots().last().expect("non-empty grid");
-    match i % 3 {
-        0 => table.price_for_ncp(0.05 + (i % 97) as f64 * 0.01),
-        1 => table
-            .max_precision_for_budget(1.0 + (i % 89) as f64)
-            .unwrap_or(0.0)
-            .min(x_max),
-        _ => table.price_at((i % 131) as f64 * 0.5),
-    }
-}
-
 /// The end-to-end purchase request stream: all three request kinds, all
 /// satisfiable against [`dense_pricing`] with the identity transform.
 fn request_stream(n: usize) -> Vec<PurchaseRequest> {
@@ -180,14 +165,10 @@ pub fn run(quotes: usize) -> Record {
     const BATCH: usize = 256;
     const PRICING_BLOCK: usize = 64;
     let pricing = dense_pricing(GRID_POINTS);
-    let table = pricing.compile();
 
-    let scan = measure(quotes, quotes, PRICING_BLOCK, |_, i| {
+    let lookups = measure(quotes, quotes, PRICING_BLOCK, |_, i| {
         pricing_query(&pricing, i)
     });
-    let tab = measure(quotes, quotes, PRICING_BLOCK, |_, i| table_query(&table, i));
-    let (scan_digest, tab_digest) = (scan[0].digest, tab[0].digest);
-    let table_matches_scan = (scan_digest - tab_digest).abs() <= 1e-9 * scan_digest.abs().max(1.0);
 
     let requests = request_stream(quotes);
 
@@ -273,7 +254,6 @@ pub fn run(quotes: usize) -> Record {
         ("grid_points", GRID_POINTS as f64),
         ("model_dim", 5.0),
     ]);
-    rec.ratio("table_speedup_vs_scan", true, speedup(&tab, &scan));
     rec.ratio(
         "batch_speedup_vs_single",
         true,
@@ -285,8 +265,7 @@ pub fn run(quotes: usize) -> Record {
         speedup(&factor_on, &factor_off),
     );
     let workloads = [
-        ("pricing-scan", &scan),
-        ("pricing-table", &tab),
+        ("pricing-table", &lookups),
         ("serve-single", &serve_single),
         ("serve-into", &serve_into),
         ("serve-batch", &serve_batch),
@@ -296,10 +275,9 @@ pub fn run(quotes: usize) -> Record {
     for (name, runs) in workloads {
         push_workload(&mut rec, name, runs);
     }
-    rec.invariant("table_matches_scan", table_matches_scan);
     rec.invariant(
         "deterministic",
-        workloads.iter().all(|(_, runs)| reproduced(runs)) && table_matches_scan,
+        workloads.iter().all(|(_, runs)| reproduced(runs)),
     );
     rec
 }
@@ -312,10 +290,6 @@ mod tests {
     fn smoke_run_is_deterministic_and_complete() {
         let rec = run(512);
         crate::record::assert_same_metrics(&rec, "BENCH_serving.json");
-        assert!(
-            rec.holds("table_matches_scan"),
-            "table answers diverged from scan"
-        );
         assert!(
             rec.holds("deterministic"),
             "a workload failed to reproduce its digest"
@@ -331,6 +305,6 @@ mod tests {
             let (p50, p99) = (median("p50_us"), median("p99_us"));
             assert!(p99 >= p50, "{w}: p99 {p99} < p50 {p50}");
         }
-        assert!(rec.median("table_speedup_vs_scan").expect("measured") > 0.0);
+        assert!(rec.median("batch_speedup_vs_single").expect("measured") > 0.0);
     }
 }

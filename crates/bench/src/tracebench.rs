@@ -8,8 +8,9 @@
 //! sampling — the regime the overhead budgets are written for:
 //!
 //! * **serve-floor** — the broker's per-request work rebuilt from the
-//!   public pieces (`PricingTable`, `PhiMemo`, `GaussianMechanism::
-//!   perturb_into`) with no observability calls at all: the same listing
+//!   public pieces (`PricingFunction`, the error transform's
+//!   `ncp_for_error`, `GaussianMechanism::perturb_into`) with no
+//!   observability calls at all: the same listing
 //!   and menu `HashMap` lookups, arena buffers, sale slot and sale-totals
 //!   update as `buy_batch_into`, so the two differ only by observability.
 //! * **serve-obs-disabled** — the real broker path with observability
@@ -38,7 +39,7 @@
 use crate::record::{per_sec, Record, Spread};
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
 use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SaleArena, SalesTotals};
-use mbp_core::{GaussianMechanism, NoiseMechanism, PhiMemo, PricingFunction, PricingTable};
+use mbp_core::{GaussianMechanism, NoiseMechanism, PricingFunction};
 use mbp_ml::{LinearModel, ModelKind};
 use mbp_randx::{seeded_rng, MbpRng};
 use std::collections::HashMap;
@@ -93,11 +94,10 @@ fn listed_broker(dim: usize, pricing: &PricingFunction) -> Broker {
     broker
 }
 
-/// A listing as the floor keeps it: the compiled table, the φ memo and
-/// the boxed error transform, as in the broker's own listing.
+/// A listing as the floor keeps it: the pricing curve and the boxed error
+/// transform, as in the broker's own listing.
 struct FloorListing {
-    table: PricingTable,
-    phi: PhiMemo,
+    pricing: PricingFunction,
     transform: Box<dyn ErrorTransform + Send + Sync>,
 }
 
@@ -119,12 +119,9 @@ struct Floor {
 impl Floor {
     fn new(broker: &Broker, pricing: &PricingFunction) -> Self {
         let kind = ModelKind::LinearRegression;
-        let table = pricing.compile();
-        let phi = PhiMemo::new(&SquareLossTransform);
         let model = broker.optimal_model(kind).expect("supported").clone();
         let listing = FloorListing {
-            table,
-            phi,
+            pricing: pricing.clone(),
             transform: Box::new(SquareLossTransform),
         };
         Floor {
@@ -147,12 +144,12 @@ impl Floor {
         let ncp = match request {
             PurchaseRequest::AtNcp(delta) => delta,
             PurchaseRequest::ErrorBudget(err) => listing
-                .phi
-                .ncp_for_error(listing.transform.as_ref(), err)
+                .transform
+                .ncp_for_error(err)
                 .expect("request is satisfiable"),
             PurchaseRequest::PriceBudget(budget) => {
                 let x = listing
-                    .table
+                    .pricing
                     .max_precision_for_budget(budget)
                     .expect("request is satisfiable");
                 1.0 / x
@@ -162,7 +159,7 @@ impl Floor {
         self.xs.clear();
         self.xs.push(1.0 / ncp);
         self.outcomes.push(Ok(ncp));
-        listing.table.price_at_batch(&self.xs, &mut self.prices);
+        listing.pricing.price_at_batch(&self.xs, &mut self.prices);
         if self.sales.is_empty() {
             self.sales.push(Sale {
                 model: model.clone(),

@@ -39,18 +39,6 @@ pub trait ErrorTransform {
     /// error floor `ε(h*)`, or above/outside the transform's modeled range.
     fn ncp_for_error(&self, err: f64) -> Option<f64>;
 
-    /// `Some((base, slope))` for transforms affine in δ
-    /// (`E[ε] = base + slope·δ`), letting serving caches
-    /// ([`crate::pricing::PhiMemo`]) invert `φ` with one subtract-divide
-    /// instead of a virtual call. Implementors must keep
-    /// [`ErrorTransform::ncp_for_error`] on the standard affine guard
-    /// (reject `err < base − 1e-12`, clamp at 0), so the cached inversion
-    /// is bit-identical to the direct one. Defaults to `None` (no fast
-    /// path).
-    fn affine_params(&self) -> Option<(f64, f64)> {
-        None
-    }
-
     /// Name for reports.
     fn name(&self) -> String;
 }
@@ -117,10 +105,6 @@ impl ErrorTransform for LinRegSquareTransform {
             return None;
         }
         Some(((err - self.base) / self.slope).max(0.0))
-    }
-
-    fn affine_params(&self) -> Option<(f64, f64)> {
-        Some((self.base, self.slope))
     }
 
     fn name(&self) -> String {
@@ -220,10 +204,6 @@ impl ErrorTransform for DeltaMethodTransform {
             return None;
         }
         Some(((err - self.base) / self.slope).max(0.0))
-    }
-
-    fn affine_params(&self) -> Option<(f64, f64)> {
-        Some((self.base, self.slope))
     }
 
     fn name(&self) -> String {

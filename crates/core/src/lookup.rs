@@ -2,8 +2,8 @@
 //!
 //! Every hot quote ends in "find the segment containing `x`" over a small
 //! sorted array (pricing knots, knot prices, empirical-transform NCPs).
-//! [`SegmentIndex`] picks one of two answers once, when the table is
-//! compiled:
+//! [`SegmentIndex`] picks one of two answers once, when the pricing
+//! curve is built:
 //!
 //! * **Grid** — when the keys are near-uniform (within `1e-9·h` of the
 //!   lattice `x0 + i·h`), the segment is a multiply + truncate plus two
@@ -16,9 +16,8 @@
 //!
 //! Both answer **exactly** — the same index `partition_point` returns,
 //! for every input including duplicate-adjacent keys, denormal gaps,
-//! single keys, `NaN`, and infinities. Exactness (not 1e-12 closeness) is
-//! what lets the compiled pricing table reproduce the reference scan
-//! bit-for-bit; debug builds cross-check every grid lookup against
+//! single keys, `NaN`, and infinities, so the layout choice never moves a
+//! price by a bit; debug builds cross-check every grid lookup against
 //! `partition_point` to keep it that way.
 
 /// Relative lattice tolerance under which a key set counts as uniform:
@@ -28,7 +27,7 @@
 const GRID_UNIFORM_TOL: f64 = 1e-9;
 
 /// Lookup layout selected when the index is built.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Layout {
     /// Near-uniform keys: provisional cell `⌊(x − x0)·inv_h⌋` plus ±1
     /// arithmetic fix-ups against the caller's key slice.
@@ -44,7 +43,8 @@ enum Layout {
 
 /// A compiled lookup structure over one sorted `f64` slice.
 ///
-/// Built once (at pricing-table compile time), queried on every quote.
+/// Built once (when a pricing curve is constructed), queried on every
+/// quote.
 /// Callers pass the *same sorted slice the index was built from* to each
 /// query — the grid layout uses it for its fix-ups, and keeping a single
 /// canonical copy avoids duplicating the knot array.
@@ -57,7 +57,7 @@ enum Layout {
 /// assert_eq!(idx.upper_bound(&knots, 3.0), knots.partition_point(|&k| k <= 3.0));
 /// assert_eq!(idx.lower_bound(&knots, 4.0), knots.partition_point(|&k| k < 4.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentIndex {
     layout: Layout,
 }

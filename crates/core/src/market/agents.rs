@@ -5,7 +5,7 @@ use crate::market::curves::{buyer_points, DemandCurve, ValueCurve};
 use crate::market::durability::DurabilitySink;
 use crate::market::totals::SalesTotals;
 use crate::mechanism::{GaussianMechanism, NoiseMechanism};
-use crate::pricing::{PhiMemo, PricingFunction, PricingTable};
+use crate::pricing::PricingFunction;
 use crate::revenue::{solve_bv_dp, BuyerPoint, RevenueSolution};
 use mbp_data::TrainTest;
 use mbp_ml::metrics::model_space_square_loss;
@@ -290,32 +290,6 @@ impl PriceErrorCurve {
                     && a.expected_error <= b.expected_error + 1e-9
             })
     }
-
-    /// Cheapest price at which the curve offers expected error ≤ `err`,
-    /// linearly interpolating price between samples. `None` when `err` is
-    /// below the most accurate sampled point (or the curve is empty).
-    pub fn price_for_error(&self, err: f64) -> Option<f64> {
-        let first = self.points.first()?;
-        // NaN budgets are unsatisfiable, like budgets below the curve floor.
-        if err.is_nan() || err < first.expected_error {
-            return None;
-        }
-        // Largest sampled NCP whose error is still within budget: errors are
-        // non-decreasing along the curve, so partition on the error budget.
-        let idx = self.points.partition_point(|p| p.expected_error <= err);
-        // `first` is within budget, so the partition is never empty.
-        debug_assert!(idx >= 1);
-        let lo = self.points.get(idx.wrapping_sub(1))?;
-        if idx == self.points.len() {
-            return Some(lo.price);
-        }
-        let hi = self.points.get(idx)?;
-        if hi.expected_error <= lo.expected_error {
-            return Some(hi.price.min(lo.price));
-        }
-        let t = (err - lo.expected_error) / (hi.expected_error - lo.expected_error);
-        Some(lo.price + t * (hi.price - lo.price))
-    }
 }
 
 /// Maximum number of requests accepted by one batch call.
@@ -374,14 +348,10 @@ struct MenuEntry {
 }
 
 /// A published offer: the pricing function and error transform under which
-/// a model type is currently for sale, plus the serving-side artifacts
-/// compiled at publish time: the flat [`PricingTable`] and the memoized
-/// error-inverse [`PhiMemo`]. Re-publishing replaces the whole listing, so
-/// the compiled artifacts can never go stale.
+/// a model type is currently for sale. Re-publishing replaces the whole
+/// listing.
 struct Listing {
     pricing: PricingFunction,
-    table: PricingTable,
-    phi: PhiMemo,
     transform: Box<dyn ErrorTransform + Send + Sync>,
 }
 
@@ -392,15 +362,15 @@ impl Listing {
         arena.outcomes.clear();
         arena.xs.clear();
         for &request in requests {
-            let r = resolve_ncp(&self.table, &self.phi, self.transform.as_ref(), request);
+            let r = resolve_ncp(&self.pricing, self.transform.as_ref(), request);
             arena.xs.push(r.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
             arena.outcomes.push(r);
         }
     }
 
-    /// Price pass: every resolved precision through the compiled table.
+    /// Price pass: every resolved precision through the listed curve.
     fn price_into(&self, arena: &mut SaleArena) {
-        self.table.price_at_batch(&arena.xs, &mut arena.prices);
+        self.pricing.price_at_batch(&arena.xs, &mut arena.prices);
     }
 }
 
@@ -469,11 +439,6 @@ impl Broker {
     /// Publishes a standing offer for `kind`: later purchases can go
     /// through [`Broker::buy_listed`] without re-supplying the pricing and
     /// transform on every call. The model must already be on the menu.
-    ///
-    /// Publishing is where the serving fast path is built: the pricing
-    /// function is compiled into a [`PricingTable`] and the transform's
-    /// error-inverse is memoized into a [`PhiMemo`], so every subsequent
-    /// quote against the listing is a table lookup.
     pub fn publish(
         &mut self,
         kind: ModelKind,
@@ -486,20 +451,10 @@ impl Broker {
             mbp_obs::inc("mbp.core.publish.rejected");
             return Err(MarketError::UnsupportedModel(kind));
         }
-        let table = pricing.compile();
-        let phi = PhiMemo::new(transform.as_ref());
         if let Some(sink) = &self.durability {
             sink.record_publish(kind, pricing.grid(), pricing.prices());
         }
-        self.listings.insert(
-            kind,
-            Listing {
-                pricing,
-                table,
-                phi,
-                transform,
-            },
-        );
+        self.listings.insert(kind, Listing { pricing, transform });
         mbp_obs::inc("mbp.core.publish.count");
         mbp_obs::event(
             mbp_obs::Verbosity::Info,
@@ -568,10 +523,10 @@ impl Broker {
     }
 
     /// The listed-purchase kernel: every listed buy runs through it. The
-    /// listing, menu entry and compiled table are resolved once per batch,
-    /// then three passes write into `arena`: resolve every request to its
-    /// NCP (no RNG), price all precisions in one
-    /// [`PricingTable::price_at_batch`] call, and draw noise strictly in
+    /// listing and menu entry are resolved once per batch, then three
+    /// passes write into `arena`: resolve every request to its NCP (no
+    /// RNG), price all precisions in one
+    /// [`PricingFunction::price_at_batch`] call, and draw noise strictly in
     /// request order (rejected requests draw nothing). The totals are
     /// untouched — [`Broker::buy_batch_into`], the `SharedBroker` wrapper
     /// and the market simulation settle the arena afterwards.
@@ -723,11 +678,6 @@ impl Broker {
     /// The published pricing for `kind`, if any.
     pub fn listed_pricing(&self, kind: ModelKind) -> Option<&PricingFunction> {
         self.listings.get(&kind).map(|l| &l.pricing)
-    }
-
-    /// The compiled pricing table for `kind`'s listing, if any.
-    pub fn listed_table(&self, kind: ModelKind) -> Option<&PricingTable> {
-        self.listings.get(&kind).map(|l| &l.table)
     }
 
     /// The dataset backing the market.
@@ -902,10 +852,9 @@ impl Broker {
 }
 
 /// Resolves a purchase request to the NCP of the instance to release,
-/// against a listing's compiled table and memoized error-inverse.
+/// against a listing's pricing curve and error transform.
 fn resolve_ncp(
-    table: &PricingTable,
-    phi: &PhiMemo,
+    pricing: &PricingFunction,
     transform: &dyn ErrorTransform,
     request: PurchaseRequest,
 ) -> Result<f64, MarketError> {
@@ -918,8 +867,8 @@ fn resolve_ncp(
             }
             Ok(d)
         }
-        PurchaseRequest::ErrorBudget(eps) => phi
-            .ncp_for_error(transform, eps)
+        PurchaseRequest::ErrorBudget(eps) => transform
+            .ncp_for_error(eps)
             .filter(|&d| d > 0.0)
             .ok_or(MarketError::UnachievableError(eps)),
         PurchaseRequest::PriceBudget(budget) => {
@@ -928,14 +877,14 @@ fn resolve_ncp(
                     "budget must be non-negative, got {budget}"
                 )));
             }
-            let x = table
+            let x = pricing
                 .max_precision_for_budget(budget)
                 .ok_or(MarketError::InsufficientBudget(budget))?;
             // Budgets at/above the saturation price buy the most precise
             // version on the menu grid (never the noiseless model: the
-            // grid caps precision). The table validates a non-empty grid;
+            // grid caps precision). The curve validates a non-empty grid;
             // an empty one degrades to 0.0, which is InsufficientBudget.
-            let x = x.min(table.knots().last().copied().unwrap_or(0.0));
+            let x = x.min(pricing.grid().last().copied().unwrap_or(0.0));
             if x <= 0.0 {
                 return Err(MarketError::InsufficientBudget(budget));
             }
@@ -1170,7 +1119,7 @@ mod tests {
     /// Every listed entry point serves one mixed stream identically: the
     /// same per-request outcomes and sale bits, the same totals and
     /// durability records, and the same RNG position afterwards. The
-    /// affine φ memo is exercised through a real regression transform.
+    /// affine φ inverse is exercised through a real regression transform.
     #[test]
     fn listed_entry_points_serve_one_stream_identically() {
         use crate::market::concurrent::SharedBroker;
@@ -1425,10 +1374,10 @@ mod tests {
         assert_eq!(broker.factor_cache_size(), 2);
     }
 
-    /// Re-publishing swaps in a freshly compiled table: quotes served after
-    /// the swap follow the new pricing, never a stale table.
+    /// Re-publishing swaps in the new curve: quotes served after the swap
+    /// follow the new pricing, never the old one.
     #[test]
-    fn republish_invalidates_compiled_table() {
+    fn republish_replaces_the_listed_curve() {
         let mut broker = Broker::new(market_data(37));
         broker.support(ModelKind::LinearRegression, 0.0).unwrap();
         let cheap = simple_pricing();
@@ -1469,40 +1418,8 @@ mod tests {
             .unwrap();
         assert_eq!(after.price, pricey.price_for_ncp(0.5));
         assert_eq!(
-            broker
-                .listed_table(ModelKind::LinearRegression)
-                .unwrap()
-                .max_price(),
-            pricey.max_price()
-        );
-    }
-
-    #[test]
-    fn price_error_curve_inversion_interpolates() {
-        let mut broker = Broker::new(market_data(39));
-        broker.support(ModelKind::LinearRegression, 0.0).unwrap();
-        let ncps: Vec<f64> = (1..=20).map(|i| i as f64 * 0.25).collect();
-        let curve = broker
-            .price_error_curve(
-                ModelKind::LinearRegression,
-                &SquareLossTransform,
-                &simple_pricing(),
-                &ncps,
-            )
-            .unwrap();
-        // Identity transform: error == ncp. At a sampled point the price
-        // matches exactly; between points it interpolates; below the most
-        // accurate point it is unachievable.
-        let p = &curve.points;
-        assert_eq!(curve.price_for_error(p[3].expected_error), Some(p[3].price));
-        let mid = curve
-            .price_for_error(0.5 * (p[0].expected_error + p[1].expected_error))
-            .unwrap();
-        assert!(mid <= p[0].price && mid >= p[1].price);
-        assert_eq!(curve.price_for_error(p[0].expected_error * 0.5), None);
-        assert_eq!(
-            curve.price_for_error(p.last().unwrap().expected_error + 10.0),
-            Some(p.last().unwrap().price)
+            broker.listed_pricing(ModelKind::LinearRegression),
+            Some(&pricey)
         );
     }
 

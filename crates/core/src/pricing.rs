@@ -12,11 +12,14 @@
 //! * on `[a_j, a_{j+1}]`: linear interpolation;
 //! * on `[a_n, ∞)`: the constant `z_n`.
 //!
-//! [`PricingFunction`] stores the grid and implements that evaluation. The
-//! constructor validates only basic sanity (ascending grid, finite
-//! non-negative prices) — deliberately, so that *broken* pricing functions
-//! can be represented and handed to the [`arbitrage`](crate::arbitrage)
-//! auditors, as in Figure 3's illustration.
+//! [`PricingFunction`] stores the grid and implements that evaluation,
+//! compiled once at construction into the form every sale is priced by:
+//! there is one evaluator, so what the auditors and optimizers check is
+//! exactly what the broker charges. The constructor validates only basic
+//! sanity (ascending grid, finite non-negative prices, slopes that do not
+//! overflow) — deliberately, so that *broken* pricing functions can be
+//! represented and handed to the [`arbitrage`](crate::arbitrage) auditors,
+//! as in Figure 3's illustration.
 
 use crate::lookup::SegmentIndex;
 use std::fmt;
@@ -40,6 +43,13 @@ pub enum PricingError {
         /// The offending value.
         value: f64,
     },
+    /// The segment ending at knot `index` (the origin ray for `0`) is so
+    /// steep for its step that its slope overflows `f64`, so prices on it
+    /// would be `∞` or `NaN`.
+    SlopeOverflow {
+        /// Index of the knot that ends the offending segment.
+        index: usize,
+    },
 }
 
 impl fmt::Display for PricingError {
@@ -52,6 +62,12 @@ impl fmt::Display for PricingError {
             PricingError::BadPrice { index, value } => {
                 write!(f, "price {index} is invalid: {value}")
             }
+            PricingError::SlopeOverflow { index } => {
+                write!(
+                    f,
+                    "the segment ending at knot {index} is too steep to price in f64"
+                )
+            }
         }
     }
 }
@@ -60,6 +76,14 @@ impl std::error::Error for PricingError {}
 
 /// A piecewise-linear pricing function `p̄(x)` over the inverse-NCP axis
 /// (Proposition 1 construction).
+///
+/// Construction compiles the curve once: beside the knots and prices it
+/// keeps the per-segment slopes, the origin-ray slope, and a
+/// [`SegmentIndex`] over the knots (a fixed-stride grid when they are
+/// near-uniform, `partition_point` otherwise), so [`Self::price_at`] is
+/// one segment lookup plus one multiply-add, with no allocation and no
+/// division. Every caller — the broker's sales and quotes, the auditors,
+/// the optimizers and `welfare` — evaluates this one arithmetic.
 ///
 /// ```
 /// use mbp_core::pricing::PricingFunction;
@@ -75,6 +99,22 @@ impl std::error::Error for PricingError {}
 pub struct PricingFunction {
     grid: Vec<f64>,
     prices: Vec<f64>,
+    /// `slopes[i] = (prices[i+1] − prices[i]) / (grid[i+1] − grid[i])`;
+    /// empty for a single-knot (constant) curve.
+    slopes: Vec<f64>,
+    /// Slope of the origin ray `prices[0] / grid[0]`.
+    ray_slope: f64,
+    /// First and last knot and the saturation price, cached so the ray
+    /// and tail branches need no bounds checks.
+    knot_min: f64,
+    knot_max: f64,
+    max_price: f64,
+    /// Segment lookup over `grid`.
+    knot_index: SegmentIndex,
+    /// Segment lookup over `prices`, present exactly when the prices are
+    /// non-decreasing (monotone curves admit indexed budget inversion;
+    /// broken curves fall back to a scan).
+    price_index: Option<SegmentIndex>,
 }
 
 impl PricingFunction {
@@ -95,15 +135,59 @@ impl PricingFunction {
                 return Err(PricingError::BadPrice { index: i, value: p });
             }
         }
-        Ok(PricingFunction { grid, prices })
+        let f = PricingFunction::compiled(grid, prices);
+        // Finite points can still overflow a precomputed slope (a steep rise
+        // over a tiny step). Along a segment the arithmetic is monotone, so
+        // it stays finite on the whole segment iff it is finite at the
+        // segment's right knot. A single knot never prices on its ray.
+        let ray = (f.grid.len() > 1).then_some(f.ray_slope * f.knot_min);
+        let steps = f
+            .grid
+            .iter()
+            .zip(f.grid.iter().skip(1))
+            .map(|(x0, x1)| x1 - x0);
+        let segments = f.prices.iter().zip(&f.slopes).zip(steps);
+        let mut ends = ray
+            .into_iter()
+            .chain(segments.map(|((y0, m), dx)| y0 + m * dx));
+        if let Some(index) = ends.position(|y| !y.is_finite()) {
+            return Err(PricingError::SlopeOverflow { index });
+        }
+        Ok(f)
     }
 
     /// A constant pricing function `p̄ ≡ c` represented on a trivial grid.
     pub fn constant(c: f64) -> Self {
         assert!(c >= 0.0 && c.is_finite(), "constant price must be >= 0");
+        PricingFunction::compiled(vec![1.0], vec![c])
+    }
+
+    /// Builds the evaluation fields for validated points.
+    fn compiled(grid: Vec<f64>, prices: Vec<f64>) -> Self {
+        let _span = mbp_obs::span("mbp.core.pricing.table_build");
+        mbp_obs::inc("mbp.core.pricing.table_build.count");
+        let slopes = grid
+            .iter()
+            .zip(grid.iter().skip(1))
+            .zip(prices.iter().zip(prices.iter().skip(1)))
+            .map(|((x0, x1), (y0, y1))| (y1 - y0) / (x1 - x0))
+            .collect();
+        let monotone = prices
+            .iter()
+            .zip(prices.iter().skip(1))
+            .all(|(a, b)| a <= b);
+        // Validated points are non-empty; the fallbacks keep this total.
+        let knot_min = grid.first().copied().unwrap_or(1.0);
         PricingFunction {
-            grid: vec![1.0],
-            prices: vec![c],
+            ray_slope: prices.first().copied().unwrap_or(0.0) / knot_min,
+            knot_min,
+            knot_max: grid.last().copied().unwrap_or(1.0),
+            max_price: prices.last().copied().unwrap_or(0.0),
+            knot_index: SegmentIndex::new(&grid),
+            price_index: monotone.then(|| SegmentIndex::new(&prices)),
+            slopes,
+            grid,
+            prices,
         }
     }
 
@@ -119,46 +203,35 @@ impl PricingFunction {
 
     /// Evaluates `p̄(x)` for any precision `x` (Proposition 1 rules).
     ///
-    /// Out-of-domain queries clamp deterministically instead of panicking
-    /// or falling through the segment scan:
+    /// Out-of-domain queries clamp deterministically instead of panicking:
     ///
     /// * `x` at or below the first grid point follows the origin ray;
     /// * `x` at or above the last grid point returns the saturation price;
     /// * negative `x` and `NaN` clamp to precision `0` (price `0`);
     /// * `+∞` returns [`Self::max_price`] (the tail is constant).
+    #[inline]
     pub fn price_at(&self, x: f64) -> f64 {
-        // Non-positive precisions and NaN all clamp to price zero.
+        // NaN and non-positive precisions clamp to price 0.
         if x.is_nan() || x <= 0.0 {
             return 0.0;
         }
-        let (Some(&x_first), Some(&y_first)) = (self.grid.first(), self.prices.first()) else {
-            return 0.0;
-        };
-        let (Some(&x_last), Some(&y_last)) = (self.grid.last(), self.prices.last()) else {
-            return 0.0;
-        };
-        // Constant-price special case: grid carries no slope information.
-        if self.grid.len() == 1 {
-            return y_first;
+        // A single knot carries no slope: its price is the saturation price.
+        if self.grid.len() == 1 || x >= self.knot_max {
+            return self.max_price;
         }
-        if x <= x_first {
-            return y_first * x / x_first;
+        if x <= self.knot_min {
+            return self.ray_slope * x;
         }
-        if x >= x_last {
-            return y_last;
-        }
-        // Interior: partition_point lands in [1, n-1] because x is strictly
-        // between the endpoints; the fallbacks are unreachable for the
-        // validated equal-length vectors.
-        let idx = self.grid.partition_point(|&g| g <= x);
-        let i0 = idx.wrapping_sub(1);
-        let (Some(&x0), Some(&x1)) = (self.grid.get(i0), self.grid.get(idx)) else {
-            return y_last;
+        // Interior x is above the first knot, so the upper bound is ≥ 1 and
+        // the segment index is < n − 1; the fallback is unreachable for the
+        // equal-length compiled vectors.
+        let i = self.knot_index.upper_bound(&self.grid, x).saturating_sub(1);
+        let (Some(&y0), Some(&m), Some(&x0)) =
+            (self.prices.get(i), self.slopes.get(i), self.grid.get(i))
+        else {
+            return self.max_price;
         };
-        let (Some(&y0), Some(&y1)) = (self.prices.get(i0), self.prices.get(idx)) else {
-            return y_last;
-        };
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        y0 + m * (x - x0)
     }
 
     /// Price of the model released with noise control parameter `δ > 0`:
@@ -169,243 +242,6 @@ impl PricingFunction {
     /// Panics for `δ ≤ 0` or `NaN` (a zero-noise release has unbounded
     /// precision; its price is the curve's saturation value, use
     /// [`Self::max_price`]).
-    pub fn price_for_ncp(&self, delta: f64) -> f64 {
-        assert!(delta > 0.0, "NCP must be > 0, got {delta}");
-        self.price_at(1.0 / delta)
-    }
-
-    /// The saturation price `lim_{x→∞} p̄(x) = z_n`.
-    pub fn max_price(&self) -> f64 {
-        // Construction guarantees non-empty; a degenerate empty curve would
-        // price everything at 0 rather than panic the serve path.
-        self.prices.last().copied().unwrap_or(0.0)
-    }
-
-    /// Largest precision purchasable with budget `b`, or `None` when even
-    /// the cheapest positive-precision point exceeds the budget.
-    ///
-    /// Because `p̄` is monotone, this is a scan over segments; within the
-    /// saturated tail any precision is affordable, so the function returns
-    /// `f64::INFINITY` when `b ≥ max_price()`.
-    ///
-    /// Edge cases clamp deterministically: a negative or `NaN` budget buys
-    /// nothing (`None`), and `b = +∞` affords unbounded precision
-    /// (`Some(∞)`, via the `b ≥ max_price()` branch).
-    pub fn max_precision_for_budget(&self, b: f64) -> Option<f64> {
-        if b.is_nan() || b < 0.0 {
-            return None;
-        }
-        if b >= self.max_price() {
-            return Some(f64::INFINITY);
-        }
-        let (Some(&x_first), Some(&y_first)) = (self.grid.first(), self.prices.first()) else {
-            return None;
-        };
-        // Initial ray.
-        if b < y_first {
-            if self.grid.len() == 1 {
-                // Constant curve: any precision costs prices[0] > b.
-                return None;
-            }
-            if y_first <= 0.0 {
-                return None;
-            }
-            let x = x_first * b / y_first;
-            return (x > 0.0).then_some(x);
-        }
-        // Walk segments; price is monotone so find the last affordable x.
-        let mut best = x_first;
-        let pairs = self
-            .grid
-            .iter()
-            .zip(self.grid.iter().skip(1))
-            .zip(self.prices.iter().zip(self.prices.iter().skip(1)));
-        for ((&x0, &x1), (&y0, &y1)) in pairs {
-            if b >= y1 {
-                best = x1;
-                continue;
-            }
-            if b >= y0 && y1 > y0 {
-                let t = (b - y0) / (y1 - y0);
-                best = x0 + t * (x1 - x0);
-            }
-            break;
-        }
-        Some(best)
-    }
-
-    /// Lowers this function into a compiled [`PricingTable`] for the
-    /// quote-serving fast path.
-    pub fn compile(&self) -> PricingTable {
-        PricingTable::from_function(self)
-    }
-
-    /// Test-only sabotage hook: returns a copy of this curve with a
-    /// deliberately non-subadditive knot appended (price quadruples while
-    /// precision only doubles, so `p̄(2x) > 2·p̄(x)` at the old tail).
-    /// Exists so the `mbp-testkit` attack engine can prove it detects a
-    /// seeded arbitrage defect; never compiled into the library proper.
-    #[cfg(test)]
-    pub(crate) fn with_sabotaged_knot(&self) -> PricingFunction {
-        let mut grid = self.grid.clone();
-        let mut prices = self.prices.clone();
-        let x_max = *grid.last().expect("validated curves are non-empty");
-        let p_max = *prices.last().expect("validated curves are non-empty");
-        grid.push(2.0 * x_max);
-        prices.push(4.0 * p_max.max(1.0));
-        PricingFunction::from_points(grid, prices).expect("sabotaged curve still has valid shape")
-    }
-}
-
-/// A compiled, flat sorted-segment form of a [`PricingFunction`] for the
-/// quote-serving fast path.
-///
-/// At publish time the piecewise-linear curve is lowered into parallel
-/// arrays of knots, knot prices, and *precomputed per-segment slopes*, and
-/// the knot array is indexed by a [`SegmentIndex`] (a branchless fixed-
-/// stride grid when the knots are near-uniform, `partition_point`
-/// otherwise), so [`PricingTable::price_at`] is one segment lookup plus
-/// one fused multiply-add — no allocation and no division. The segment
-/// scan in
-/// [`PricingFunction::max_precision_for_budget`] is likewise replaced by an
-/// indexed lookup over the knot prices whenever they are non-decreasing
-/// (always the case for arbitrage-free curves; non-monotone "broken"
-/// curves fall back to the exact scan semantics).
-///
-/// Debug builds cross-check every table answer against the original
-/// function to `1e-12` (relative), so any drift between the compiled and
-/// scan representations fails loudly in tests.
-#[derive(Debug, Clone)]
-pub struct PricingTable {
-    knots: Vec<f64>,
-    prices: Vec<f64>,
-    /// `slopes[i] = (prices[i+1] − prices[i]) / (knots[i+1] − knots[i])`;
-    /// empty for a single-knot (constant) curve.
-    slopes: Vec<f64>,
-    /// Slope of the origin ray `prices[0] / knots[0]`.
-    ray_slope: f64,
-    /// First knot (`knots[0]`), cached so the hot path needs no bounds
-    /// checks on the ray branch.
-    knot_min: f64,
-    /// Last knot (`knots[n-1]`), ditto for the saturation branch.
-    knot_max: f64,
-    max_price: f64,
-    /// Segment lookup over `knots` (grid or `partition_point`, chosen at
-    /// compile time).
-    knot_index: SegmentIndex,
-    /// Segment lookup over `prices`, present exactly when the knot
-    /// prices are non-decreasing (monotone curves admit indexed budget
-    /// inversion; broken curves fall back to the scan).
-    price_index: Option<SegmentIndex>,
-    #[cfg(debug_assertions)]
-    source: PricingFunction,
-}
-
-impl PricingTable {
-    /// Compiles `f` into its flat segment representation.
-    pub fn from_function(f: &PricingFunction) -> Self {
-        let _span = mbp_obs::span("mbp.core.pricing.table_build");
-        mbp_obs::inc("mbp.core.pricing.table_build.count");
-        let knots = f.grid().to_vec();
-        let prices = f.prices().to_vec();
-        let slopes: Vec<f64> = knots
-            .iter()
-            .zip(knots.iter().skip(1))
-            .zip(prices.iter().zip(prices.iter().skip(1)))
-            .map(|((x0, x1), (y0, y1))| (y1 - y0) / (x1 - x0))
-            .collect();
-        // The source function is validated non-empty; the degenerate
-        // fallbacks keep compilation infallible regardless.
-        let knot_min = knots.first().copied().unwrap_or(1.0);
-        let knot_max = knots.last().copied().unwrap_or(1.0);
-        let first_price = prices.first().copied().unwrap_or(0.0);
-        let monotone = prices
-            .iter()
-            .zip(prices.iter().skip(1))
-            .all(|(a, b)| a <= b);
-        PricingTable {
-            ray_slope: first_price / knot_min,
-            knot_min,
-            knot_max,
-            max_price: prices.last().copied().unwrap_or(0.0),
-            knot_index: SegmentIndex::new(&knots),
-            price_index: monotone.then(|| SegmentIndex::new(&prices)),
-            slopes,
-            knots,
-            prices,
-            #[cfg(debug_assertions)]
-            source: f.clone(),
-        }
-    }
-
-    /// The knot positions (the source grid).
-    pub fn knots(&self) -> &[f64] {
-        &self.knots
-    }
-
-    /// The saturation price `z_n`.
-    pub fn max_price(&self) -> f64 {
-        self.max_price
-    }
-
-    /// Index of the last knot `≤ x`, answered by the compiled
-    /// [`SegmentIndex`] (grid arithmetic or `partition_point`). Interior
-    /// callers guarantee `x > knot_min`, so the upper bound is ≥ 1 and the
-    /// subtraction cannot wrap.
-    #[inline]
-    fn segment_index(&self, x: f64) -> usize {
-        self.knot_index
-            .upper_bound(&self.knots, x)
-            .saturating_sub(1)
-    }
-
-    /// Table evaluation of `p̄(x)` with the same clamp semantics as
-    /// [`PricingFunction::price_at`].
-    #[inline]
-    pub fn price_at(&self, x: f64) -> f64 {
-        let p = self.price_at_inner(x);
-        #[cfg(debug_assertions)]
-        {
-            let direct = self.source.price_at(x);
-            debug_assert!(
-                (p - direct).abs() <= 1e-12 * direct.abs().max(1.0),
-                "compiled table diverged from source at x={x}: {p} vs {direct}"
-            );
-        }
-        p
-    }
-
-    #[inline]
-    fn price_at_inner(&self, x: f64) -> f64 {
-        // NaN and non-positive precisions clamp to price 0.
-        if x.is_nan() || x <= 0.0 {
-            return 0.0;
-        }
-        // For a single knot prices[0] == max_price exactly.
-        if self.knots.len() == 1 {
-            return self.max_price;
-        }
-        if x >= self.knot_max {
-            return self.max_price;
-        }
-        if x <= self.knot_min {
-            return self.ray_slope * x;
-        }
-        // segment_index returns i < n-1 for interior x; the fallback is
-        // unreachable for the equal-length compiled vectors.
-        let i = self.segment_index(x);
-        let (Some(&y0), Some(&m), Some(&k0)) =
-            (self.prices.get(i), self.slopes.get(i), self.knots.get(i))
-        else {
-            return self.max_price;
-        };
-        y0 + m * (x - k0)
-    }
-
-    /// Table evaluation of `p(δ) = p̄(1/δ)`.
-    ///
-    /// # Panics
-    /// Panics for `δ ≤ 0` or `NaN`, like [`PricingFunction::price_for_ncp`].
     #[inline]
     pub fn price_for_ncp(&self, delta: f64) -> f64 {
         assert!(delta > 0.0, "NCP must be > 0, got {delta}");
@@ -425,126 +261,87 @@ impl PricingTable {
         out.extend(xs.iter().map(|&x| self.price_at(x)));
     }
 
-    /// Budget inversion with the same semantics as
-    /// [`PricingFunction::max_precision_for_budget`], answered by binary
-    /// search on monotone curves.
-    pub fn max_precision_for_budget(&self, b: f64) -> Option<f64> {
-        let x = self.max_precision_for_budget_inner(b);
-        #[cfg(debug_assertions)]
-        {
-            let direct = self.source.max_precision_for_budget(b);
-            debug_assert!(
-                match (x, direct) {
-                    (None, None) => true,
-                    (Some(a), Some(d)) => a == d || (a - d).abs() <= 1e-12 * d.abs().max(1.0),
-                    _ => false,
-                },
-                "compiled budget inversion diverged at b={b}: {x:?} vs {direct:?}"
-            );
-        }
-        x
+    /// The saturation price `lim_{x→∞} p̄(x) = z_n`.
+    pub fn max_price(&self) -> f64 {
+        self.max_price
     }
 
-    fn max_precision_for_budget_inner(&self, b: f64) -> Option<f64> {
+    /// Largest precision purchasable with budget `b`, or `None` when even
+    /// the cheapest positive-precision point exceeds the budget.
+    ///
+    /// Within the saturated tail any precision is affordable, so the
+    /// function returns `f64::INFINITY` when `b ≥ max_price()`. On
+    /// non-decreasing prices the last affordable knot comes from the price
+    /// index; a broken (non-monotone) curve scans its segments instead.
+    ///
+    /// Edge cases clamp deterministically: a negative or `NaN` budget buys
+    /// nothing (`None`), and `b = +∞` affords unbounded precision
+    /// (`Some(∞)`, via the `b ≥ max_price()` branch).
+    pub fn max_precision_for_budget(&self, b: f64) -> Option<f64> {
         if b.is_nan() || b < 0.0 {
             return None;
         }
         if b >= self.max_price {
             return Some(f64::INFINITY);
         }
-        let n = self.knots.len();
-        let first_price = self.prices.first().copied().unwrap_or(0.0);
-        if b < first_price {
-            if n == 1 || first_price <= 0.0 {
+        let y_first = self.prices.first().copied().unwrap_or(0.0);
+        // Initial ray.
+        if b < y_first {
+            // A constant curve prices every precision at prices[0] > b.
+            if self.grid.len() == 1 || y_first <= 0.0 {
                 return None;
             }
-            let x = self.knot_min * b / first_price;
+            let x = self.knot_min * b / y_first;
             return (x > 0.0).then_some(x);
         }
-        if let Some(price_index) = &self.price_index {
-            // Prices are non-decreasing: the last affordable knot is found
-            // by the index, then extended into the next segment. This
-            // reproduces the scan bit-for-bit: the index answers the exact
-            // `partition_point(|&p| p <= b)` (exact ±1 fix-ups in the grid
-            // path) and the interpolation arithmetic is
-            // unchanged. The bound lands in [1, n) because b sits in
-            // [prices[0], max_price); the fallbacks are unreachable.
-            let idx = price_index.upper_bound(&self.prices, b);
-            debug_assert!(idx >= 1 && idx < n, "b in [prices[0], max_price)");
-            let i0 = idx.wrapping_sub(1);
-            let (Some(&y0), Some(&y1)) = (self.prices.get(i0), self.prices.get(idx)) else {
-                return Some(self.knot_max);
-            };
-            let (Some(&k0), Some(&k1)) = (self.knots.get(i0), self.knots.get(idx)) else {
-                return Some(self.knot_max);
-            };
-            let mut best = k0;
-            if b >= y0 && y1 > y0 {
-                let t = (b - y0) / (y1 - y0);
-                best = k0 + t * (k1 - k0);
-            }
-            return Some(best);
+        // The segment holding b: found by the index on monotone prices
+        // (b sits in [prices[0], max_price), so the bound lands in [1, n)),
+        // by a scan for the last knot priced at most b otherwise.
+        let hi = match &self.price_index {
+            Some(index) => index.upper_bound(&self.prices, b),
+            None => self
+                .prices
+                .iter()
+                .skip(1)
+                .position(|&y| b < y)
+                .map_or(self.prices.len(), |i| i + 1),
+        };
+        let lo = hi.wrapping_sub(1);
+        let (Some(&x0), Some(&y0)) = (self.grid.get(lo), self.prices.get(lo)) else {
+            return Some(self.knot_min);
+        };
+        let (Some(&x1), Some(&y1)) = (self.grid.get(hi), self.prices.get(hi)) else {
+            return Some(x0);
+        };
+        if b >= y0 && y1 > y0 {
+            let t = (b - y0) / (y1 - y0);
+            return Some(x0 + t * (x1 - x0));
         }
-        // Broken (non-monotone) curve: keep the exact scan semantics.
-        let mut best = self.knot_min;
-        let pairs = self
-            .knots
-            .iter()
-            .zip(self.knots.iter().skip(1))
-            .zip(self.prices.iter().zip(self.prices.iter().skip(1)));
-        for ((&k0, &k1), (&y0, &y1)) in pairs {
-            if b >= y1 {
-                best = k1;
-                continue;
-            }
-            if b >= y0 && y1 > y0 {
-                let t = (b - y0) / (y1 - y0);
-                best = k0 + t * (k1 - k0);
-            }
-            break;
-        }
-        Some(best)
-    }
-}
-
-/// Memoized φ-inversion state for one transform: the numbers needed to
-/// answer [`PhiMemo::ncp_for_error`] without a virtual call.
-///
-/// For affine transforms (`E[ε] = base + slope·δ`,
-/// [`crate::error::ErrorTransform::affine_params`]) the inverse is one
-/// subtract-divide; other transforms fall back to their own
-/// `ncp_for_error`.
-#[derive(Debug, Clone)]
-pub struct PhiMemo {
-    /// `(base, slope)` for affine transforms with positive slope.
-    affine: Option<(f64, f64)>,
-}
-
-impl PhiMemo {
-    /// Precomputes inversion state for `transform`.
-    pub fn new(transform: &dyn crate::error::ErrorTransform) -> Self {
-        PhiMemo {
-            affine: transform.affine_params().filter(|&(_, s)| s > 0.0),
-        }
+        Some(x0)
     }
 
-    /// The error-inverse `φ(err)`, using the cached affine parameters when
-    /// available (bit-identical to the transform's own inversion) and the
-    /// transform's virtual call otherwise.
-    pub fn ncp_for_error(
-        &self,
-        transform: &dyn crate::error::ErrorTransform,
-        err: f64,
-    ) -> Option<f64> {
-        match self.affine {
-            Some((base, slope)) => {
-                if !err.is_finite() || err < base - 1e-12 {
-                    return None;
-                }
-                Some(((err - base) / slope).max(0.0))
-            }
-            None => transform.ncp_for_error(err),
-        }
+    /// A copy of this curve, which is already compiled: kept only while the
+    /// end-to-end benchmark's smoke test still calls it.
+    #[doc(hidden)]
+    #[deprecated(note = "a PricingFunction is already compiled; call its methods directly")]
+    pub fn compile(&self) -> PricingFunction {
+        self.clone()
+    }
+
+    /// Test-only sabotage hook: returns a copy of this curve with a
+    /// deliberately non-subadditive knot appended (price quadruples while
+    /// precision only doubles, so `p̄(2x) > 2·p̄(x)` at the old tail).
+    /// Exists so the `mbp-testkit` attack engine can prove it detects a
+    /// seeded arbitrage defect; never compiled into the library proper.
+    #[cfg(test)]
+    pub(crate) fn with_sabotaged_knot(&self) -> PricingFunction {
+        let mut grid = self.grid.clone();
+        let mut prices = self.prices.clone();
+        let x_max = *grid.last().expect("validated curves are non-empty");
+        let p_max = *prices.last().expect("validated curves are non-empty");
+        grid.push(2.0 * x_max);
+        prices.push(4.0 * p_max.max(1.0));
+        PricingFunction::from_points(grid, prices).expect("sabotaged curve still has valid shape")
     }
 }
 
@@ -613,6 +410,21 @@ mod tests {
             PricingFunction::from_points(vec![1.0], vec![-2.0]),
             Err(PricingError::BadPrice { index: 0, .. })
         ));
+        // Finite points whose slope overflows: (1e308 − 0) / 0.5 = ∞ would
+        // price NaN at x = 1.5 and ∞ between the knots.
+        assert_eq!(
+            PricingFunction::from_points(vec![1.0, 1.5, 2.0], vec![0.0, 0.0, 1e308]),
+            Err(PricingError::SlopeOverflow { index: 2 })
+        );
+        // The origin ray overflows the same way over a subnormal first knot;
+        // a lone knot never prices on its ray, so it stands.
+        assert_eq!(
+            PricingFunction::from_points(vec![1e-310, 1.0], vec![1e300, 1e300]),
+            Err(PricingError::SlopeOverflow { index: 0 })
+        );
+        assert!(PricingFunction::from_points(vec![1e-310], vec![1e300]).is_ok());
+        // The steepest rise that still fits is kept.
+        assert!(PricingFunction::from_points(vec![1.0, 2.0], vec![0.0, 1e308]).is_ok());
     }
 
     #[test]
@@ -730,103 +542,12 @@ mod tests {
             p.max_precision_for_budget(f64::INFINITY),
             Some(f64::INFINITY)
         );
-        // The compiled table clamps identically.
-        let t = p.compile();
-        assert_eq!(t.price_at(-3.0), 0.0);
-        assert_eq!(t.price_at(f64::NAN), 0.0);
-        assert_eq!(t.price_at(f64::INFINITY), p.max_price());
-        assert_eq!(t.max_precision_for_budget(f64::NAN), None);
-        assert_eq!(
-            t.max_precision_for_budget(f64::INFINITY),
-            Some(f64::INFINITY)
-        );
     }
 
     #[test]
     #[should_panic(expected = "NCP must be > 0")]
     fn nan_ncp_price_panics() {
         pf().price_for_ncp(f64::NAN);
-    }
-
-    #[test]
-    fn compiled_table_matches_scan_on_dense_probes() {
-        let p = pf();
-        let t = p.compile();
-        for i in 0..2000 {
-            let x = i as f64 * 0.004; // 0 .. 8, covering ray/interior/tail
-            let a = t.price_at(x);
-            let b = p.price_at(x);
-            assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "x={x}: {a} vs {b}"
-            );
-        }
-        assert_eq!(t.max_price(), p.max_price());
-        assert_eq!(t.price_for_ncp(0.5), p.price_for_ncp(0.5));
-    }
-
-    #[test]
-    fn compiled_table_budget_inversion_matches_scan() {
-        let curves = vec![
-            pf(),
-            PricingFunction::from_points(vec![1.0, 2.0, 3.0], vec![5.0, 5.0, 9.0]).unwrap(),
-            PricingFunction::constant(7.0),
-            // A broken (non-monotone) curve exercises the scan fallback.
-            PricingFunction::from_points(vec![1.0, 2.0, 3.0], vec![5.0, 3.0, 9.0]).unwrap(),
-        ];
-        for p in curves {
-            let t = p.compile();
-            for i in 0..300 {
-                let b = i as f64 * 0.05;
-                assert_eq!(
-                    t.max_precision_for_budget(b),
-                    p.max_precision_for_budget(b),
-                    "budget {b} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn constant_curve_table_matches() {
-        let p = PricingFunction::constant(7.0);
-        let t = p.compile();
-        assert_eq!(t.price_at(0.0), 0.0);
-        assert_eq!(t.price_at(0.5), 7.0);
-        assert_eq!(t.price_at(50.0), 7.0);
-        assert_eq!(t.max_precision_for_budget(3.0), None);
-        assert_eq!(t.max_precision_for_budget(7.0), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn phi_memo_inverts_bit_for_bit() {
-        let mut rng = mbp_randx::seeded_rng(5);
-        let ds = mbp_data::synth::simulated1(300, 3, 0.3, &mut rng);
-        let h = mbp_ml::train::ridge_closed_form(&ds, 0.0).unwrap();
-        // LinReg is affine in δ (the cached fast path); the identity
-        // transform has no affine_params and takes the virtual call.
-        let affine = LinRegSquareTransform::new(&ds, &h);
-        assert!(
-            affine.affine_params().is_some(),
-            "LinReg transform is affine in δ"
-        );
-        let transforms: [&dyn ErrorTransform; 2] = [&affine, &SquareLossTransform];
-        for t in transforms {
-            let memo = PhiMemo::new(t);
-            // Probe across unachievable, interior and tail errors, plus the
-            // non-finite ones the guard rejects.
-            let probes = (0..500)
-                .map(|i| affine.base() * 0.5 + i as f64 * 0.01)
-                .chain([-1.0, 0.0, f64::INFINITY, f64::NAN]);
-            for err in probes {
-                assert_eq!(
-                    memo.ncp_for_error(t, err).map(f64::to_bits),
-                    t.ncp_for_error(err).map(f64::to_bits),
-                    "{}: err={err}",
-                    t.name()
-                );
-            }
-        }
     }
 
     /// The verification layer's end-to-end smoke: a deliberately

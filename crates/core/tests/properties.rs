@@ -3,12 +3,12 @@
 //! well-behavedness on random instances.
 
 use mbp_core::arbitrage::audit;
-use mbp_core::error::{DeltaMethodTransform, ErrorTransform, SquareLossTransform};
 use mbp_core::market::ExactSum;
-use mbp_core::pricing::{PhiMemo, PricingFunction};
+use mbp_core::pricing::PricingFunction;
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp, Baseline, BuyerPoint};
 use mbp_core::SegmentIndex;
 use mbp_optim::isotonic::is_relaxed_feasible;
+use mbp_testkit::oracle::{ReferenceCurve, ORACLE_TOL};
 use proptest::prelude::*;
 
 /// Random ascending positive grid + arbitrary non-negative prices.
@@ -189,60 +189,39 @@ proptest! {
         prop_assert!(report.is_clean(), "{:?}", report);
     }
 
-    /// The compiled table answers every evaluation form within 1e-12
-    /// relative of the piecewise-linear scan on random (not necessarily
+    /// The curve answers every evaluation form within `ORACLE_TOL`
+    /// relative of the Kahan-summed reference on random (not necessarily
     /// monotone) curves: interior points, knots, the origin ray, the
-    /// saturated tail, clamped non-positive inputs, NCP pricing, and
-    /// budget inversion.
+    /// saturated tail, clamped non-positive inputs, the precision `1/δ`,
+    /// and budget inversion.
     #[test]
-    fn compiled_table_agrees_with_scan(
+    fn pricing_agrees_with_reference(
         (grid, prices) in grid_and_prices(),
         budget in 0.0..80.0f64,
         delta in 0.01..20.0f64,
     ) {
         let pf = PricingFunction::from_points(grid.clone(), prices).unwrap();
-        let table = pf.compile();
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs().max(1.0);
+        let reference = ReferenceCurve::new(&pf);
+        let close = |a: f64, b: f64| (a - b).abs() <= ORACLE_TOL * b.abs().max(1.0);
         let x_last = *grid.last().unwrap();
-        let mut queries = vec![0.0, -1.0, f64::NAN, grid[0] * 0.5, x_last * 4.0];
+        let mut queries = vec![0.0, -1.0, f64::NAN, grid[0] * 0.5, x_last * 4.0, 1.0 / delta];
         for w in grid.windows(2) {
             queries.push(0.5 * (w[0] + w[1]));
         }
         queries.extend(grid.iter().copied());
         for x in queries {
             prop_assert!(
-                close(table.price_at(x), pf.price_at(x)),
-                "price_at({x}): {} vs {}", table.price_at(x), pf.price_at(x)
+                close(pf.price_at(x), reference.price_at(x)),
+                "price_at({x}): {} vs {}", pf.price_at(x), reference.price_at(x)
             );
         }
-        prop_assert!(close(table.price_for_ncp(delta), pf.price_for_ncp(delta)));
-        match (table.max_precision_for_budget(budget), pf.max_precision_for_budget(budget)) {
+        match (pf.max_precision_for_budget(budget), reference.max_precision_for_budget(budget)) {
             (None, None) => {}
             (Some(a), Some(d)) => prop_assert!(
                 a == d || close(a, d),
                 "budget inversion at {budget}: {a} vs {d}"
             ),
             (a, d) => prop_assert!(false, "budget inversion shape differs: {a:?} vs {d:?}"),
-        }
-    }
-
-    /// The memoized φ inverse round-trips the error transform, for both the
-    /// affine fast path and the virtual-call fallback.
-    #[test]
-    fn phi_memo_matches_direct_inversion(
-        base in 0.0..5.0f64,
-        trace in 0.1..10.0f64,
-        delta in 0.0..8.0f64,
-    ) {
-        let affine = DeltaMethodTransform::new(base, trace, 3);
-        let identity = SquareLossTransform;
-        let transforms: [&dyn ErrorTransform; 2] = [&affine, &identity];
-        for t in transforms {
-            let memo = PhiMemo::new(t);
-            // φ round-trip: inverting the forward map recovers δ.
-            if let Some(d) = memo.ncp_for_error(t, t.expected_error(delta)) {
-                prop_assert!((d - delta).abs() <= 1e-9 * delta.max(1.0));
-            }
         }
     }
 

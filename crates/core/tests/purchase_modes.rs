@@ -2,20 +2,22 @@
 //! separate pricing path.
 //!
 //! `ErrorBudget` and `PriceBudget` resolve to an NCP and then go through
-//! exactly the same compiled-table entry a direct `AtNcp` purchase hits.
-//! These tests pin that equivalence with the two-brokers-same-seed idiom
-//! (identical data and purchase RNG seeds ⇒ bit-identical releases) and
-//! tie it to the differential oracle from `mbp-testkit`: the published
-//! curve prices identically under scan, table, and compensated-sum
-//! reference, so there is no side channel for a budget buyer to exploit.
+//! exactly the same curve point a direct `AtNcp` purchase hits. These
+//! tests pin that equivalence with the two-brokers-same-seed idiom
+//! (identical data and purchase RNG seeds ⇒ bit-identical releases), pin
+//! every quote and sale to the published curve's own `price_for_ncp` bit
+//! for bit, and tie the curve to the differential oracle from
+//! `mbp-testkit`: it agrees with the compensated-sum reference, so there
+//! is no side channel for a budget buyer to exploit.
 
 use mbp_core::error::SquareLossTransform;
-use mbp_core::market::{Broker, PurchaseRequest, Sale};
+use mbp_core::market::{Broker, PurchaseRequest, Sale, SaleArena, MAX_BATCH};
 use mbp_core::pricing::PricingFunction;
 use mbp_data::synth;
 use mbp_ml::ModelKind;
 use mbp_randx::seeded_rng;
 use mbp_testkit::{check_error_space, check_pricing, OracleConfig};
+use rand::Rng;
 
 const KIND: ModelKind = ModelKind::LinearRegression;
 
@@ -75,7 +77,7 @@ fn error_budget_hits_the_same_table_entry_as_a_direct_purchase() {
             budgeted.expected_error
         );
         // Replaying the resolved NCP directly is indistinguishable — same
-        // table entry, same price, same noise draw, same weights.
+        // curve point, same price, same noise draw, same weights.
         let direct = one_purchase(PurchaseRequest::AtNcp(budgeted.ncp));
         assert_same_sale(&budgeted, &direct);
     }
@@ -96,10 +98,10 @@ fn price_budget_hits_the_same_table_entry_as_a_direct_purchase() {
 }
 
 #[test]
-fn budget_modes_pay_exactly_the_published_table_price() {
-    // First, the listing's curve is differentially clean: scan, compiled
-    // table, and the compensated-sum reference agree to within 1e-12 in
-    // both price space and error space. Budget navigation therefore cannot
+fn budget_modes_pay_exactly_the_published_curve_price() {
+    // First, the listing's curve is differentially clean: it agrees with
+    // the compensated-sum reference to within 1e-12 in both price space
+    // and error space. Budget navigation therefore cannot
     // land on a "cheaper copy" of any entry.
     let f = curve();
     let cfg = OracleConfig {
@@ -110,8 +112,7 @@ fn budget_modes_pay_exactly_the_published_table_price() {
     assert!(check_pricing(&f, &cfg).is_clean());
     assert!(check_error_space(&f, &SquareLossTransform, &cfg).is_clean());
 
-    // Second, every budget sale is priced by that same table.
-    let table = f.compile();
+    // Second, every budget sale is priced by that same curve.
     for request in [
         PurchaseRequest::ErrorBudget(1.3),
         PurchaseRequest::ErrorBudget(2.5),
@@ -121,8 +122,65 @@ fn budget_modes_pay_exactly_the_published_table_price() {
         let sale = one_purchase(request);
         assert_eq!(
             sale.price.to_bits(),
-            table.price_for_ncp(sale.ncp).to_bits(),
-            "budget sale must be served from the published table entry"
+            f.price_for_ncp(sale.ncp).to_bits(),
+            "budget sale must be served from the published curve"
         );
     }
+}
+
+/// The broker charges exactly what the published curve says: on a
+/// non-uniform grid (knots `1 + 0.37·i`), every quote and every sale at
+/// 10k seeded random non-knot NCPs, across the origin ray, the interior
+/// segments and the saturated tail, carries the bits of
+/// `pricing.price_for_ncp(ncp)`.
+#[test]
+fn quotes_and_sales_carry_the_published_curve_bits() {
+    let grid: Vec<f64> = (0..40).map(|i| 1.0 + 0.37 * f64::from(i)).collect();
+    let prices: Vec<f64> = grid
+        .iter()
+        .map(|x| 7.0 * x.sqrt() + 0.3 * x.ln_1p())
+        .collect();
+    let pricing = PricingFunction::from_points(grid.clone(), prices).expect("concave curve");
+    let mut rng = seeded_rng(0xB175);
+    let data = synth::simulated1(60, 3, 0.5, &mut rng).split(0.75, &mut rng);
+    let mut broker = Broker::new(data);
+    broker.support(KIND, 1e-6).expect("supported");
+    broker
+        .publish(KIND, pricing.clone(), Box::new(SquareLossTransform))
+        .expect("listed");
+    let x_max = grid[grid.len() - 1];
+    let requests: Vec<PurchaseRequest> = (0..10_000)
+        .map(|_| rng.gen_range(0.5..x_max + 1.0))
+        .filter(|x| !grid.contains(x))
+        .map(|x| PurchaseRequest::AtNcp(1.0 / x))
+        .collect();
+    assert!(requests.len() > 9_990);
+    let curve_bits = |ncp: f64| pricing.price_for_ncp(ncp).to_bits();
+    let mut arena = SaleArena::new();
+    let mut checked = 0;
+    for batch in requests.chunks(MAX_BATCH) {
+        for quote in broker.price_batch(KIND, batch).expect("listed") {
+            let quote = quote.expect("positive finite NCP");
+            assert_eq!(
+                quote.price.to_bits(),
+                curve_bits(quote.ncp),
+                "quote at {}",
+                quote.ncp
+            );
+        }
+        broker
+            .buy_batch_into(KIND, batch, &mut rng, &mut arena)
+            .expect("listed");
+        for sale in arena.results() {
+            let sale = sale.expect("positive finite NCP");
+            assert_eq!(
+                sale.price.to_bits(),
+                curve_bits(sale.ncp),
+                "sale at {}",
+                sale.ncp
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, requests.len());
 }

@@ -695,6 +695,46 @@ fn f(s: &Shared) {
         }
     }
 
+    /// A guard bound by an `if let` pattern dies with its block: `b` taken
+    /// after the block is not ordered under `a`, so `other`'s `b → a`
+    /// closes no cycle. The same two locks under a plain `let` still order
+    /// `a → b`.
+    #[test]
+    fn if_let_guard_dies_with_its_block() {
+        let other = r#"
+fn other(s: &Shared) {
+    let g = s.b.lock();
+    s.a.lock().touch();
+}
+"#;
+        let scoped = r#"
+fn drain(s: &Shared) {
+    if let Ok(mut q) = s.a.lock() {
+        q.clear();
+    }
+    s.b.lock().touch();
+}
+"#;
+        let plain = r#"
+fn drain(s: &Shared) {
+    let g = s.a.lock();
+    s.b.lock().touch();
+}
+"#;
+        let findings = |src: &str| {
+            let file = format!("{src}{other}");
+            analyze_locks(&graph(&[("crates/serve/src/server.rs", &file)]))
+        };
+        assert!(findings(scoped).is_empty(), "{:?}", findings(scoped));
+        let cycle = findings(plain);
+        assert_eq!(cycle.len(), 1, "{cycle:?}");
+        assert!(
+            cycle[0].msg.contains("mutex:a -> mutex:b -> mutex:a"),
+            "{}",
+            cycle[0].msg
+        );
+    }
+
     #[test]
     fn guard_returning_callee_extends_held_set() {
         let g = graph(&[(

@@ -12,7 +12,8 @@
 //!   the per-file `panic`/`det` rules report from,
 //! * **lock events** — the [`Source::lock_site`] sites (core write-guard
 //!   and named-mutex acquisitions) plus scope, statement and `drop(..)`
-//!   boundaries — in statement order,
+//!   boundaries, and the close of the block an `if let`/`while let`
+//!   pattern's guard lives in — in statement order,
 //!   interleaved with the call sites so the lock analysis can replay
 //!   "what was held at this call".
 //!
@@ -428,6 +429,15 @@ pub fn parse(file: &Source) -> FileModel {
     let mut stmt_has_let = false;
     let mut let_name: Option<String> = None;
     let mut stmt_has_closure = false;
+    // The statement is an `if let`/`while let`; `cond_pattern` while its
+    // pattern (up to the `=`) is being read.
+    let mut cond_let = false;
+    let mut cond_pattern = false;
+    // Guards bound by the current statement's `if let`/`while let`
+    // pattern: they live only until the block that follows closes.
+    let mut cond_guards: Vec<String> = Vec::new();
+    // Per open brace, the pattern-bound guards that die at its close.
+    let mut block_guards: Vec<Vec<String>> = Vec::new();
     // `let <name>: <Type>` annotations seen inside the current fn, used as
     // receiver-type hints.
     let mut local_types: BTreeMap<String, String> = BTreeMap::new();
@@ -560,20 +570,28 @@ pub fn parse(file: &Source) -> FileModel {
             if let Some(f) = current_fn(&ctx, &mut model.fns) {
                 f.events.push(BodyEvent::Open);
             }
+            block_guards.push(std::mem::take(&mut cond_guards));
             stmt_has_let = false;
             let_name = None;
             stmt_has_closure = false;
+            cond_let = false;
+            cond_pattern = false;
             i += 1;
             continue;
         }
         if t.is_punct("}") {
+            let dying = block_guards.pop().unwrap_or_default();
             if let Some(f) = current_fn(&ctx, &mut model.fns) {
                 f.events.push(BodyEvent::Close);
+                f.events.extend(dying.into_iter().map(BodyEvent::DropName));
             }
             ctx.pop();
             stmt_has_let = false;
             let_name = None;
             stmt_has_closure = false;
+            cond_let = false;
+            cond_pattern = false;
+            cond_guards.clear();
             i += 1;
             continue;
         }
@@ -584,6 +602,9 @@ pub fn parse(file: &Source) -> FileModel {
             stmt_has_let = false;
             let_name = None;
             stmt_has_closure = false;
+            cond_let = false;
+            cond_pattern = false;
+            cond_guards.clear();
             i += 1;
             continue;
         }
@@ -603,8 +624,14 @@ pub fn parse(file: &Source) -> FileModel {
         if t.is_ident("let") {
             stmt_has_let = true;
             let_name = None;
+            let prev = i.checked_sub(1).and_then(|j| code.get(j));
+            cond_let = prev.is_some_and(|p| p.is_ident("if") || p.is_ident("while"));
+            cond_pattern = cond_let;
             i += 1;
             continue;
+        }
+        if t.is_punct("=") {
+            cond_pattern = false;
         }
         if t.kind == TokKind::Ident && stmt_has_let && let_name.is_none() && t.text != "mut" {
             let_name = Some(t.text.clone());
@@ -614,6 +641,14 @@ pub fn parse(file: &Source) -> FileModel {
                     local_types.insert(t.text.clone(), ty);
                 }
             }
+        } else if cond_pattern
+            && t.kind == TokKind::Ident
+            && !matches!(t.text.as_str(), "mut" | "ref")
+            && t.text.starts_with(char::is_lowercase)
+        {
+            // An `if let`/`while let` pattern binds its last lowercase
+            // name: `Ok(mut q)` binds `q`, not the variant.
+            let_name = Some(t.text.clone());
         }
 
         // drop(name)
@@ -636,7 +671,9 @@ pub fn parse(file: &Source) -> FileModel {
         }
 
         // A guard taken here, by a lock site or a guard-returning callee,
-        // lives in the statement's `let` binding unless a closure holds it.
+        // lives in the statement's `let` binding unless a closure holds it;
+        // one bound by an `if let`/`while let` pattern dies with the block
+        // that follows.
         let binding = if stmt_has_let && !stmt_has_closure {
             let_name.clone()
         } else {
@@ -645,6 +682,9 @@ pub fn parse(file: &Source) -> FileModel {
 
         // Lock sites -------------------------------------------------------
         if let Some(site) = file.lock_site(i) {
+            if cond_let {
+                cond_guards.extend(binding.clone());
+            }
             let f = &mut model.fns[fn_idx];
             f.acquires.push(site.class.clone());
             f.events.push(BodyEvent::Acquire {
@@ -687,6 +727,9 @@ pub fn parse(file: &Source) -> FileModel {
                 }
             }
             if !masked_test {
+                if cond_let {
+                    cond_guards.extend(binding.clone());
+                }
                 model.fns[fn_idx].calls.push(site);
                 let idx = model.fns[fn_idx].calls.len() - 1;
                 model.fns[fn_idx]
@@ -1063,7 +1106,7 @@ mod inner {
         let m = parse(
             r#"
 fn f(b: &Broker) -> f64 {
-    let t = Table::compile(b);
+    let t = Table::build(b);
     plain(1.0) + b.quote(2.0) + t.lookup(3.0) + mbp_core::pricing::price_at(4.0)
 }
 "#,
@@ -1082,7 +1125,7 @@ fn f(b: &Broker) -> f64 {
         assert_eq!(
             kinds,
             [
-                "path:Table::compile",
+                "path:Table::build",
                 "plain:plain",
                 "method:quote@Broker",
                 "method:lookup@Table",

@@ -409,19 +409,23 @@ fn publish_over_the_wire_replaces_the_listing() {
         "republished curve must serve: {old_price} -> {new_price}"
     );
 
-    // A malformed curve is rejected with a typed error, listing intact.
-    let (_, rejected) = client
-        .call(&Request::Publish {
-            kind: KIND,
-            points: Vec::new(),
-        })
-        .expect("publish");
-    match rejected {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
-        other => panic!("expected BadRequest, got {other:?}"),
+    // A malformed curve is rejected with a typed error, listing intact:
+    // an empty one, and finite points whose slope overflows f64.
+    let malformed = [Vec::new(), vec![(1.0, 0.0), (1.5, 0.0), (2.0, 1e308)]];
+    for points in malformed {
+        let (_, rejected) = client
+            .call(&Request::Publish { kind: KIND, points })
+            .expect("publish");
+        match rejected {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        let (_, still) = client.call(&probe).expect("quote");
+        assert!(
+            matches!(still, Response::QuoteOk { price, .. } if price == new_price),
+            "a refused publish must leave the listing serving: {still:?}"
+        );
     }
-    let (_, still) = client.call(&probe).expect("quote");
-    assert!(matches!(still, Response::QuoteOk { .. }));
     handle.shutdown();
     handle.wait();
 }

@@ -4,18 +4,17 @@
 //! The whole value proposition of model-based pricing rests on
 //! Theorems 5/6: a published price–error curve is arbitrage-free iff
 //! `p̄(x) = p(1/x)` is non-negative, monotone non-decreasing, and
-//! subadditive. After the compiled serving fast path, *three* independent
-//! evaluators answer every quote (raw curve scan, compiled
-//! [`mbp_core::pricing::PricingTable`], memoized φ inversion) — so a buyer
-//! can arbitrage the implementation even when the math is sound. This crate
-//! turns both risks into reusable, seed-deterministic machinery:
+//! subadditive. Even when that math is sound, a buyer can arbitrage the
+//! implementation: its rounding, its budget inversion, its error inverse
+//! φ. This crate turns both risks into reusable, seed-deterministic
+//! machinery:
 //!
 //! * [`attack`] — an arbitrage **attack engine**: randomized multisets of
 //!   precision points searched for monotonicity/subadditivity violations,
 //!   budget-mode round-trip exploits, and ε-space attacks through φ, with
 //!   greedy counterexample shrinking;
-//! * [`oracle`] — a **differential oracle** driving the scan path, the
-//!   compiled table, the φ memo, and a high-precision Kahan-summed
+//! * [`oracle`] — a **differential oracle** driving the pricing curve and
+//!   its error-unit view `p̄∘φ` against a high-precision Kahan-summed
 //!   reference evaluator over the same inputs, failing on divergence
 //!   greater than `1e-12` (relative);
 //! * [`schedule`] — a **deterministic schedule explorer** for
@@ -32,8 +31,8 @@
 //!   storage-agnostic);
 //! * [`corpus`] — persisted regression corpora (`testkit/corpus/`): every
 //!   counterexample the engine ever found replays first on later runs;
-//! * [`reference`](mod@reference) — the caller-priced scan purchase,
-//!   which the broker's compiled listing kernel must match bit for bit.
+//! * [`reference`](mod@reference) — the one-request-at-a-time purchase,
+//!   which the broker's batched listing kernel must match bit for bit.
 //!
 //! Everything is reproducible from a printed 64-bit seed alone.
 

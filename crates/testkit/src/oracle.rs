@@ -1,15 +1,13 @@
 //! Differential pricing oracles.
 //!
-//! Every quote in the marketplace can be answered by three production
-//! evaluators — the raw [`PricingFunction`] segment scan, the compiled
-//! [`mbp_core::pricing::PricingTable`], and the error-unit view
-//! ([`ErrorPricedView`], Theorem 6's `p̄∘φ`) — plus the high-precision
-//! [`ReferenceCurve`] defined here. The differential
-//! harness drives all of them over the same probe set (structured
-//! boundary probes plus seeded random probes) and fails on any divergence
-//! above `1e-12` relative, which is how implementation-level arbitrage
-//! (two evaluators quoting different prices for the same point) is kept
-//! impossible.
+//! Every quote in the marketplace is answered by two production
+//! evaluators — [`PricingFunction`] itself (what the broker charges) and
+//! the error-unit view ([`ErrorPricedView`], Theorem 6's `p̄∘φ`) — and
+//! each is checked against the high-precision [`ReferenceCurve`] defined
+//! here. The differential harness drives them over the same probe set
+//! (structured boundary probes plus seeded random probes) and fails on any
+//! divergence above `1e-12` relative, so the one arithmetic the market
+//! sells by stays within rounding of the exact Proposition 1 curve.
 
 use mbp_core::error::ErrorTransform;
 use mbp_core::pricing::{ErrorPricedView, PricingFunction};
@@ -84,7 +82,7 @@ impl ReferenceCurve {
         acc.value() / (x1 - x0)
     }
 
-    /// Reference `p̄(x)` (clamp semantics of the production scan).
+    /// Reference `p̄(x)` (clamp semantics of [`PricingFunction::price_at`]).
     pub fn price_at(&self, x: f64) -> f64 {
         if x.is_nan() || x <= 0.0 {
             return 0.0;
@@ -109,7 +107,8 @@ impl ReferenceCurve {
         )
     }
 
-    /// Reference budget inversion (clamp semantics of the production scan).
+    /// Reference budget inversion (clamp semantics of
+    /// [`PricingFunction::max_precision_for_budget`]), by a segment scan.
     pub fn max_precision_for_budget(&self, b: f64) -> Option<f64> {
         if b.is_nan() || b < 0.0 {
             return None;
@@ -210,12 +209,11 @@ fn structured_probes(f: &PricingFunction) -> Vec<f64> {
     probes
 }
 
-/// Drives `p̄(x)` and budget inversion through the scan path, the compiled
-/// table, and the [`ReferenceCurve`] over structured plus `cfg.probes`
-/// random inputs, recording any divergence above `cfg.tol`.
+/// Drives `p̄(x)` and budget inversion through `f` and the
+/// [`ReferenceCurve`] over structured plus `cfg.probes` random inputs,
+/// recording any divergence above `cfg.tol`.
 pub fn check_pricing(f: &PricingFunction, cfg: &OracleConfig) -> OracleReport {
     let _span = mbp_obs::span("mbp.testkit.oracle");
-    let table = f.compile();
     let reference = ReferenceCurve::new(f);
     let x_max = *f.grid().last().expect("non-empty");
     let p_max = f.max_price();
@@ -235,41 +233,32 @@ pub fn check_pricing(f: &PricingFunction, cfg: &OracleConfig) -> OracleReport {
     }
 
     for &x in &xs {
-        let scan = f.price_at(x);
-        let fast = table.price_at(x);
-        let gold = reference.price_at(x);
-        for (name, val) in [("table", fast), ("reference", gold)] {
-            let d = rel_diff(val, scan);
-            report.comparisons += 1;
-            report.max_divergence = report.max_divergence.max(d);
-            if d > cfg.tol {
-                report
-                    .divergences
-                    .push(format!("price_at({x}): scan={scan} vs {name}={val}"));
-            }
+        let (sold, gold) = (f.price_at(x), reference.price_at(x));
+        let d = rel_diff(gold, sold);
+        report.comparisons += 1;
+        report.max_divergence = report.max_divergence.max(d);
+        if d > cfg.tol {
+            report
+                .divergences
+                .push(format!("price_at({x}): curve={sold} vs reference={gold}"));
         }
     }
     for &b in &budgets {
-        let scan = f.max_precision_for_budget(b);
-        let fast = table.max_precision_for_budget(b);
-        let gold = reference.max_precision_for_budget(b);
-        for (name, val) in [("table", fast), ("reference", gold)] {
-            report.comparisons += 1;
-            match (scan, val) {
-                (None, None) => {}
-                (Some(a), Some(v)) => {
-                    let d = rel_diff(v, a);
-                    report.max_divergence = report.max_divergence.max(d);
-                    if d > cfg.tol {
-                        report.divergences.push(format!(
-                            "max_precision_for_budget({b}): scan={a} vs {name}={v}"
-                        ));
-                    }
+        report.comparisons += 1;
+        match (f.max_precision_for_budget(b), reference.max_precision_for_budget(b)) {
+            (None, None) => {}
+            (Some(a), Some(v)) => {
+                let d = rel_diff(v, a);
+                report.max_divergence = report.max_divergence.max(d);
+                if d > cfg.tol {
+                    report.divergences.push(format!(
+                        "max_precision_for_budget({b}): curve={a} vs reference={v}"
+                    ));
                 }
-                (a, v) => report.divergences.push(format!(
-                    "max_precision_for_budget({b}): achievability diverged, scan={a:?} vs {name}={v:?}"
-                )),
             }
+            (a, v) => report.divergences.push(format!(
+                "max_precision_for_budget({b}): achievability diverged, curve={a:?} vs reference={v:?}"
+            )),
         }
     }
     report
@@ -346,18 +335,32 @@ mod tests {
     }
 
     #[test]
-    fn reference_matches_scan_on_dense_probes() {
-        let p = pf();
-        let r = ReferenceCurve::new(&p);
-        for i in 0..4000 {
-            let x = i as f64 * 0.002;
-            let a = r.price_at(x);
-            let b = p.price_at(x);
-            assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "x={x}: {a} vs {b}"
-            );
+    fn reference_matches_the_curve_on_dense_probes() {
+        let curves = [
+            pf(),
+            PricingFunction::from_points(vec![1.0, 2.0, 3.0], vec![5.0, 5.0, 9.0]).unwrap(),
+            PricingFunction::constant(7.0),
+            // A broken (non-monotone) curve exercises the budget scan.
+            PricingFunction::from_points(vec![1.0, 2.0, 3.0], vec![5.0, 3.0, 9.0]).unwrap(),
+        ];
+        let close = |a: f64, b: f64| (a - b).abs() <= ORACLE_TOL * b.abs().max(1.0);
+        for p in &curves {
+            let r = ReferenceCurve::new(p);
+            for i in 0..4000 {
+                let x = i as f64 * 0.002;
+                let (a, b) = (r.price_at(x), p.price_at(x));
+                assert!(close(a, b), "x={x}: {a} vs {b}");
+            }
+            for i in 0..300 {
+                let b = i as f64 * 0.05;
+                match (r.max_precision_for_budget(b), p.max_precision_for_budget(b)) {
+                    (None, None) => {}
+                    (Some(x), Some(y)) => assert!(x == y || close(x, y), "budget {b}: {x} vs {y}"),
+                    (x, y) => panic!("budget {b}: achievability diverged, {x:?} vs {y:?}"),
+                }
+            }
         }
+        let (p, r) = (pf(), ReferenceCurve::new(&pf()));
         assert_eq!(r.price_at(f64::INFINITY), p.max_price());
         assert_eq!(r.price_at(-1.0), 0.0);
         assert_eq!(r.max_precision_for_budget(25.0), Some(f64::INFINITY));

@@ -1,13 +1,13 @@
 //! Reference purchase path for differential tests of the broker's kernel.
 //!
 //! [`scan_purchase`] sells one instance straight from the seller's
-//! piecewise-linear [`PricingFunction`]: it resolves the request by
-//! scanning the curve or inverting the error transform directly, charges
-//! `p̄(1/δ)`, and releases `h* + noise` through the mechanism. The broker's
-//! listed kernel (`Broker::quote_batch_into`) answers the same request from
-//! the [`mbp_core::pricing::PricingTable`] and
-//! [`mbp_core::pricing::PhiMemo`] compiled at publish time, and must agree
-//! with this reference bit for bit: the same price, NCP, expected error,
+//! piecewise-linear [`PricingFunction`], one request at a time: it resolves
+//! the request by inverting the curve or the error transform directly,
+//! charges `p̄(1/δ)`, and releases `h* + noise` through the mechanism's
+//! allocating `perturb`. The broker's listed kernel
+//! (`Broker::quote_batch_into`) answers the same request in its resolve,
+//! price and noise passes over reused arena buffers, and must agree with
+//! this reference bit for bit: the same price, NCP, expected error,
 //! released weights, rejection variant and RNG consumption.
 
 use mbp_core::error::ErrorTransform;

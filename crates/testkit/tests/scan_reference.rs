@@ -88,13 +88,13 @@ fn assert_same(
     }
 }
 
-/// The compiled-table listing answers every request with the same price,
-/// NCP, expected error, weights or rejection variant as the scan
+/// The listed kernel answers every request with the same price, NCP,
+/// expected error, weights or rejection variant as the one-request
 /// reference, and leaves the RNG at the same position, under both the
-/// identity transform and an affine (memoized-φ) regression transform and
-/// under two mechanisms.
+/// identity transform and an affine regression transform and under two
+/// mechanisms.
 #[test]
-fn listed_table_path_is_bit_identical_to_scan_path() {
+fn listed_kernel_is_bit_identical_to_the_reference_purchase() {
     type Transform = Box<dyn ErrorTransform + Send + Sync>;
     let mechanisms: [fn() -> Box<dyn NoiseMechanism>; 2] = [
         || Box::new(GaussianMechanism),

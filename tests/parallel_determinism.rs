@@ -136,6 +136,11 @@ fn gaussian_release_is_thread_count_invariant() {
     )]);
 }
 
+/// `welfare` prices each buyer through `PricingFunction::price_at`, the
+/// arithmetic every sale is charged by (per-segment slope and one
+/// multiply-add between knots). The pin moved from `0x9031_5ebf_1862_a392`
+/// when the separate two-point interpolation it used to evaluate was
+/// removed; the chunk order is unchanged.
 #[test]
 fn welfare_evaluation_agrees_across_thread_counts() {
     let g = grid(10.0, 100.0, 10);
@@ -157,7 +162,7 @@ fn welfare_evaluation_agrees_across_thread_counts() {
     check_pins(&[(
         "welfare, 250k points",
         digest([w.revenue, w.buyer_surplus, w.affordability, w.efficiency]),
-        0x9031_5ebf_1862_a392,
+        0x1100_b651_05f0_dfd8,
     )]);
 }
 
