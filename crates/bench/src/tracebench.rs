@@ -8,8 +8,8 @@
 //! sampling — the regime the overhead budgets are written for:
 //!
 //! * **serve-floor** — the broker's per-request work rebuilt from the
-//!   public pieces (`PricingFunction`, the error transform's
-//!   `ncp_for_error`, `GaussianMechanism::perturb_into`) with no
+//!   public pieces (the market's one resolver `resolve_ncp`,
+//!   `PricingFunction`, `GaussianMechanism::perturb_into`) with no
 //!   observability calls at all: the same listing
 //!   and menu `HashMap` lookups, arena buffers, sale slot and sale-totals
 //!   update as `buy_batch_into`, so the two differ only by observability.
@@ -38,7 +38,9 @@
 
 use crate::record::{per_sec, Record, Spread};
 use mbp_core::error::{ErrorTransform, SquareLossTransform};
-use mbp_core::market::{Broker, MarketError, PurchaseRequest, Sale, SaleArena, SalesTotals};
+use mbp_core::market::{
+    resolve_ncp, Broker, MarketError, PurchaseRequest, Sale, SaleArena, SalesTotals,
+};
 use mbp_core::{GaussianMechanism, NoiseMechanism, PricingFunction};
 use mbp_ml::{LinearModel, ModelKind};
 use mbp_randx::{seeded_rng, MbpRng};
@@ -96,17 +98,14 @@ fn listed_broker(dim: usize, pricing: &PricingFunction) -> Broker {
 
 /// A listing as the floor keeps it: the pricing curve and the boxed error
 /// transform, as in the broker's own listing.
-struct FloorListing {
-    pricing: PricingFunction,
-    transform: Box<dyn ErrorTransform + Send + Sync>,
-}
+type Listing = (PricingFunction, Box<dyn ErrorTransform + Send + Sync>);
 
 /// The uninstrumented serve loop: the same work as `buy_batch_into` on a
 /// batch of one — listing and menu lookups, resolve and price passes
 /// through reused buffers, noise into a reused sale slot, the sale-totals
 /// update — rebuilt from public pieces with no observability anywhere.
 struct Floor {
-    listings: HashMap<ModelKind, FloorListing>,
+    listings: HashMap<ModelKind, Listing>,
     menu: HashMap<ModelKind, LinearModel>,
     mech: Box<dyn NoiseMechanism>,
     outcomes: Vec<Result<f64, MarketError>>,
@@ -120,10 +119,7 @@ impl Floor {
     fn new(broker: &Broker, pricing: &PricingFunction) -> Self {
         let kind = ModelKind::LinearRegression;
         let model = broker.optimal_model(kind).expect("supported").clone();
-        let listing = FloorListing {
-            pricing: pricing.clone(),
-            transform: Box::new(SquareLossTransform),
-        };
+        let listing: Listing = (pricing.clone(), Box::new(SquareLossTransform));
         Floor {
             listings: HashMap::from([(kind, listing)]),
             menu: HashMap::from([(kind, model)]),
@@ -139,27 +135,16 @@ impl Floor {
     /// Buys one request; returns `price + ncp`.
     fn buy(&mut self, request: PurchaseRequest, rng: &mut MbpRng) -> f64 {
         let kind = ModelKind::LinearRegression;
-        let listing = self.listings.get(&kind).expect("listed");
+        let (pricing, transform) = self.listings.get(&kind).expect("listed");
         let model = self.menu.get(&kind).expect("supported");
-        let ncp = match request {
-            PurchaseRequest::AtNcp(delta) => delta,
-            PurchaseRequest::ErrorBudget(err) => listing
-                .transform
-                .ncp_for_error(err)
-                .expect("request is satisfiable"),
-            PurchaseRequest::PriceBudget(budget) => {
-                let x = listing
-                    .pricing
-                    .max_precision_for_budget(budget)
-                    .expect("request is satisfiable");
-                1.0 / x
-            }
-        };
+        let resolved = resolve_ncp(pricing, transform.as_ref(), request);
         self.outcomes.clear();
         self.xs.clear();
-        self.xs.push(1.0 / ncp);
-        self.outcomes.push(Ok(ncp));
-        listing.pricing.price_at_batch(&self.xs, &mut self.prices);
+        self.xs
+            .push(resolved.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
+        self.outcomes.push(resolved);
+        pricing.price_at_batch(&self.xs, &mut self.prices);
+        let ncp = *self.outcomes[0].as_ref().expect("request is satisfiable");
         if self.sales.is_empty() {
             self.sales.push(Sale {
                 model: model.clone(),
@@ -173,7 +158,7 @@ impl Floor {
             .perturb_into(model.weights(), ncp, rng, sale.model.weights_mut());
         sale.price = self.prices[0];
         sale.ncp = ncp;
-        sale.expected_error = listing.transform.expected_error(ncp);
+        sale.expected_error = transform.expected_error(ncp);
         for (outcome, sale) in self.outcomes.iter().zip(&self.sales) {
             if outcome.is_ok() {
                 self.totals.add_sale(kind, sale.price);

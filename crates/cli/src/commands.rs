@@ -6,7 +6,6 @@
 use crate::args::{ArgError, Args};
 use mbp_core::arbitrage::audit;
 use mbp_core::market::curves::{DemandCurve, DemandShape, ValueCurve, ValueShape};
-use mbp_core::market::simulation::SimulationOutcome;
 use mbp_core::pricing::PricingFunction;
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp_fair, Baseline, BuyerPoint};
 use mbp_data::{catalog, csv, stats, Dataset};
@@ -82,11 +81,6 @@ COMMANDS:
             [--ridge MU] [--lambda L]   512-buyer shards (deterministic in
                                         the seed; synthetic Simulated1
                                         data when no CSV is given)
-  trace     [--buyers N] [--seed S] run a traced synthetic selling season
-            [--grid lo,hi,n]        and dump the flight recorder: span
-            [--slow-threshold-us T] summary, tail-latency exemplars (with
-            [--out TRACE_JSON]      replay seeds), and the Chrome
-            [--jsonl SPANS_JSONL]   trace_event JSON (inline unless --out)
   predict   --model MODEL_TSV     score a CSV with a saved model instance
             --csv F
   serve     [--port P] [--host H]  boot the TCP marketplace daemon: trains
@@ -114,9 +108,10 @@ COMMANDS:
 GLOBAL FLAGS (every command):
   --metrics-out PATH   write a JSON metrics snapshot after the command
   --trace              enable causal request tracing + the flight recorder
-                       for the command, and append debug-level events and
-                       the recorded spans (JSON lines with trace, span and
-                       parent ids) to the report
+                       for the command, and append debug-level events, the
+                       quote-trace count, the tail-latency exemplars (with
+                       replay seeds) and the recorded spans (JSON lines
+                       with trace, span and parent ids) to the report
   --trace-out PATH     write the flight recorder as Chrome trace_event
                        JSON after the command (implies tracing)
   --slow-threshold-us N  spans at or above N microseconds are kept as
@@ -133,10 +128,10 @@ DEMAND SHAPES: uniform | peak | bimodal | increasing | decreasing
 
 /// Dispatches a parsed command line, honoring the global observability
 /// flags: `--metrics-out PATH` (JSON snapshot of every `mbp.*` metric),
-/// `--trace` (debug-level events and the flight recorder's span records
-/// appended to the report), and `--verbose` (debug-level events). Any of
-/// them enables the otherwise-inert [`mbp_obs`] registry before the
-/// command runs.
+/// `--trace` (debug-level events, the flight recorder's quote-trace count,
+/// tail-latency exemplars and span records appended to the report), and
+/// `--verbose` (debug-level events). Any of them enables the
+/// otherwise-inert [`mbp_obs`] registry before the command runs.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let command = resolve(args)?;
     let trace = args.get_bool("trace");
@@ -181,13 +176,45 @@ pub fn run(args: &Args) -> Result<String, CliError> {
                 report.push_str(&mbp_obs::events_to_jsonl(&events));
             }
             let spans = mbp_obs::recorder_snapshot();
-            if trace && !spans.is_empty() {
-                report.push_str("── spans ──\n");
-                report.push_str(&mbp_obs::recorder_to_jsonl(&spans));
+            if trace {
+                report.push_str(&exemplar_report(&spans));
+                if !spans.is_empty() {
+                    report.push_str("── spans ──\n");
+                    report.push_str(&mbp_obs::recorder_to_jsonl(&spans));
+                }
             }
         }
     }
     result
+}
+
+/// The `--trace` summary of the flight recorder: how many traces hold a
+/// purchase (`mbp.core.buy`) root, then every tail-latency exemplar with
+/// its replay seed, duration, root and child count.
+fn exemplar_report(spans: &[mbp_obs::SpanData]) -> String {
+    let quote_traces: std::collections::BTreeSet<u32> = spans
+        .iter()
+        .filter(|s| s.name == "mbp.core.buy")
+        .map(|s| s.trace)
+        .collect();
+    let exemplars = mbp_obs::exemplars();
+    let mut out = String::from("── exemplars ──\n");
+    writeln!(out, "quote_traces\t{}", quote_traces.len()).unwrap();
+    writeln!(out, "exemplars\t{}", exemplars.len()).unwrap();
+    for ex in &exemplars {
+        writeln!(
+            out,
+            "  exemplar\tseed={}\tdur_us={:.1}\t{}({},{})\tchildren={}",
+            ex.root.seed,
+            ex.root.dur_nanos as f64 / 1_000.0,
+            ex.root.name,
+            ex.root.listing,
+            ex.root.mechanism,
+            ex.children.len()
+        )
+        .unwrap();
+    }
+    out
 }
 
 /// A subcommand's entry point.
@@ -236,14 +263,6 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
             "vmax", "demand",
         ],
         cmd_simulate,
-    ),
-    (
-        "trace",
-        &[
-            "model", "seed", "buyers", "out", "jsonl", "jitter", "ridge", "grid", "value", "vmin",
-            "vmax", "demand",
-        ],
-        cmd_trace,
     ),
     ("predict", &["model", "csv"], cmd_predict),
     (
@@ -507,11 +526,7 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
         };
         let state = mbp_wal::RecoveredState::from_events(&scanned.events)
             .map_err(|e| CliError::Data(format!("folding wal {dir}: {e}")))?;
-        let live = scanned
-            .events
-            .iter()
-            .rposition(|e| matches!(e, WalEvent::Snapshot { .. }))
-            .map_or(0, |i| i + 1);
+        let live = mbp_wal::live_start(&scanned.events);
         let mut sums = vec![ExactSum::default(); curves.len()];
         for event in &scanned.events[live..] {
             if let WalEvent::Sale { ncp, .. } = event {
@@ -946,56 +961,15 @@ fn cmd_sell(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The selling season `simulate` and `trace` run: the seller's research
-/// curves from the flags over `tt`, a broker trained on `tt` that lists
-/// `kind` at the DP pricing with fairness weight `lambda`, then `buyers`
-/// buyers against that listing from the seed stream `seed ^ 0x5a4d`,
-/// decorrelated from the stream that split `tt`.
-fn run_season(
-    args: &Args,
-    tt: mbp_data::TrainTest,
-    kind: ModelKind,
-    buyers: usize,
-    lambda: f64,
-    seed: u64,
-) -> Result<(mbp_core::market::Broker, SimulationOutcome), CliError> {
+/// `mbp-market simulate`: the seller's research curves from the flags, a
+/// broker that lists the model at the DP pricing with fairness weight
+/// `--lambda`, then a Monte-Carlo season of `--buyers` buyers against that
+/// listing.
+fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     use mbp_core::error::SquareLossTransform;
     use mbp_core::market::simulation::{simulate_market, SimulationConfig};
     use mbp_core::market::{Broker, Seller};
 
-    if buyers == 0 {
-        return Err(CliError::Args(ArgError::BadValue {
-            flag: "buyers".into(),
-            value: "0".into(),
-            expected: "a positive integer",
-        }));
-    }
-    let cfg = SimulationConfig {
-        n_buyers: buyers,
-        valuation_jitter: args.get_f64("jitter", 0.0)?,
-    };
-    let ridge = args.get_f64("ridge", 1e-6)?;
-    let grid = args.get_grid("grid", (10.0, 100.0, 10))?;
-    let seller = Seller::new(
-        tt.clone(),
-        grid,
-        parse_value_curve(args)?,
-        parse_demand_curve(args)?,
-    );
-    let mut broker = Broker::new(tt);
-    broker
-        .support(kind, ridge)
-        .map_err(|e| CliError::Market(e.to_string()))?;
-    let pricing = solve_bv_dp_fair(&seller.buyer_population(), lambda).pricing;
-    broker
-        .publish(kind, pricing, Box::new(SquareLossTransform))
-        .map_err(|e| CliError::Market(e.to_string()))?;
-    let outcome = simulate_market(&mut broker, &seller, kind, cfg, seed ^ 0x5a4d)
-        .map_err(|e| CliError::Market(e.to_string()))?;
-    Ok((broker, outcome))
-}
-
-fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let seed = args.get_u64("seed", 7)?;
     let mut rng = seeded_rng(seed);
     let ds = match args.get("csv") {
@@ -1012,8 +986,38 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     // λ = 0 reduces to the plain Theorem 10 revenue maximization that
     // `price_from_research` performs.
     let lambda = args.get_f64("lambda", 0.0)?;
+    if buyers == 0 {
+        return Err(CliError::Args(ArgError::BadValue {
+            flag: "buyers".into(),
+            value: "0".into(),
+            expected: "a positive integer",
+        }));
+    }
+    let cfg = SimulationConfig {
+        n_buyers: buyers,
+        valuation_jitter: args.get_f64("jitter", 0.0)?,
+    };
+    let ridge = args.get_f64("ridge", 1e-6)?;
+    let grid = args.get_grid("grid", (10.0, 100.0, 10))?;
     let tt = ds.split(0.75, &mut rng);
-    let (broker, outcome) = run_season(args, tt, kind, buyers, lambda, seed)?;
+    let seller = Seller::new(
+        tt.clone(),
+        grid,
+        parse_value_curve(args)?,
+        parse_demand_curve(args)?,
+    );
+    let mut broker = Broker::new(tt);
+    broker
+        .support(kind, ridge)
+        .map_err(|e| CliError::Market(e.to_string()))?;
+    let pricing = solve_bv_dp_fair(&seller.buyer_population(), lambda).pricing;
+    broker
+        .publish(kind, pricing, Box::new(SquareLossTransform))
+        .map_err(|e| CliError::Market(e.to_string()))?;
+    // Buyers draw from `seed ^ 0x5a4d`, decorrelated from the stream that
+    // split the data.
+    let outcome = simulate_market(&mut broker, &seller, kind, cfg, seed ^ 0x5a4d)
+        .map_err(|e| CliError::Market(e.to_string()))?;
     let mut out = String::new();
     writeln!(out, "model\t{}", kind.name()).unwrap();
     writeln!(out, "buyers\t{buyers}").unwrap();
@@ -1044,80 +1048,6 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     )
     .unwrap();
     writeln!(out, "broker_revenue\t{:.4}", broker.total_revenue()).unwrap();
-    Ok(out)
-}
-
-/// `mbp-market trace`: run a deterministic synthetic selling season with
-/// causal tracing armed and dump the flight recorder.
-///
-/// The season is the same Monte-Carlo market `simulate` runs, with the
-/// slow threshold applied so tail-latency purchase batches are kept as
-/// exemplars carrying their replay seed. The report lists the span/trace counts and every
-/// exemplar; the full recorder dump is emitted as Chrome trace_event JSON
-/// (inline, or to `--out`) and optionally as JSONL (`--jsonl`).
-fn cmd_trace(args: &Args) -> Result<String, CliError> {
-    let seed = args.get_u64("seed", 7)?;
-    let buyers = args.get_usize("buyers", 300)?;
-    let threshold_us = args.get_u64("slow-threshold-us", 1_000)?;
-    let kind = match args.get("model") {
-        Some(raw) => parse_model(raw)?,
-        None => ModelKind::LinearRegression,
-    };
-    mbp_obs::enable();
-    mbp_obs::set_slow_threshold_micros(threshold_us);
-    mbp_obs::set_tracing(true);
-
-    let mut rng = seeded_rng(seed);
-    let ds = mbp_data::synth::simulated1(600, 4, 0.5, &mut rng);
-    let (_, outcome) = run_season(args, ds.split(0.75, &mut rng), kind, buyers, 0.0, seed)?;
-
-    let spans = mbp_obs::recorder_snapshot();
-    let exemplars = mbp_obs::exemplars();
-    let quote_traces: std::collections::BTreeSet<u32> = spans
-        .iter()
-        .filter(|s| s.name == "mbp.core.buy")
-        .map(|s| s.trace)
-        .collect();
-
-    let mut out = String::new();
-    writeln!(out, "buyers\t{buyers}").unwrap();
-    writeln!(out, "served\t{}", outcome.served).unwrap();
-    writeln!(out, "declined\t{}", outcome.declined).unwrap();
-    writeln!(out, "spans\t{}", spans.len()).unwrap();
-    writeln!(out, "quote_traces\t{}", quote_traces.len()).unwrap();
-    writeln!(out, "slow_threshold_us\t{threshold_us}").unwrap();
-    writeln!(out, "exemplars\t{}", exemplars.len()).unwrap();
-    for ex in &exemplars {
-        writeln!(
-            out,
-            "  exemplar\tseed={}\tdur_us={:.1}\t{}({},{})\tchildren={}",
-            ex.root.seed,
-            ex.root.dur_nanos as f64 / 1_000.0,
-            ex.root.name,
-            ex.root.listing,
-            ex.root.mechanism,
-            ex.children.len()
-        )
-        .unwrap();
-    }
-
-    if let Some(path) = args.get("jsonl") {
-        std::fs::write(path, mbp_obs::recorder_to_jsonl(&spans))
-            .map_err(|e| CliError::Data(format!("writing {path}: {e}")))?;
-        writeln!(out, "jsonl_out\t{path}").unwrap();
-    }
-    let chrome = mbp_obs::recorder_to_chrome_trace(&spans);
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, chrome)
-                .map_err(|e| CliError::Data(format!("writing {path}: {e}")))?;
-            writeln!(out, "trace_out\t{path}").unwrap();
-        }
-        None => {
-            out.push_str("── chrome-trace ──\n");
-            out.push_str(&chrome);
-        }
-    }
     Ok(out)
 }
 
@@ -1197,6 +1127,9 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         let err = run(&argv("frobnicate")).unwrap_err();
+        assert!(matches!(err, CliError::UnknownCommand(_)));
+        // The traced season is `simulate --trace`; there is no `trace`.
+        let err = run(&argv("trace --buyers 10")).unwrap_err();
         assert!(matches!(err, CliError::UnknownCommand(_)));
     }
 
@@ -1482,13 +1415,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_command_emits_chrome_trace_and_exemplars() {
+    fn simulate_trace_reports_exemplars_and_quote_traces() {
         let _guard = EVENTS_LOCK.lock().unwrap();
-        let out = run(&argv("trace --buyers 60 --seed 19 --slow-threshold-us 0")).unwrap();
+        let dir = std::env::temp_dir().join("mbp-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("exemplar-trace.json");
+        std::fs::remove_file(&path).ok();
+        let out = run(&argv(&format!(
+            "simulate --buyers 60 --seed 19 --trace --slow-threshold-us 0 --trace-out {}",
+            path.display()
+        )))
+        .unwrap();
         mbp_obs::set_tracing(false);
         mbp_obs::set_slow_threshold_micros(1_000);
-        assert!(out.contains("quote_traces\t"), "{out}");
-        let quote_traces: usize = out
+        let exemplars = out
+            .split("── exemplars ──\n")
+            .nth(1)
+            .expect("an exemplar section");
+        let quote_traces: usize = exemplars
             .lines()
             .find(|l| l.starts_with("quote_traces"))
             .and_then(|l| l.split('\t').nth(1))
@@ -1496,13 +1440,20 @@ mod tests {
             .parse()
             .unwrap();
         assert!(quote_traces > 0, "{out}");
-        // Threshold zero plants every root as slow: exemplars carry seeds.
-        assert!(out.contains("exemplar\tseed="), "{out}");
-        // The inline dump is Chrome trace_event JSON.
-        assert!(out.contains("── chrome-trace ──"), "{out}");
-        assert!(out.contains("\"traceEvents\""), "{out}");
-        assert!(out.contains("\"ph\": \"X\""), "{out}");
-        assert!(out.contains("mbp.core.buy"), "{out}");
+        // Threshold zero plants every root as slow: exemplars carry seeds,
+        // durations, their root and its child count.
+        let exemplar = exemplars
+            .lines()
+            .find(|l| l.starts_with("  exemplar\tseed="))
+            .expect("an exemplar line");
+        assert!(exemplar.contains("\tdur_us="), "{exemplar}");
+        assert!(exemplar.contains("\tchildren="), "{exemplar}");
+        // The recorder dump is Chrome trace_event JSON.
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.contains("\"traceEvents\""), "{json}");
+        assert!(json.contains("\"ph\": \"X\""), "{json}");
+        assert!(json.contains("mbp.core.buy"), "{json}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1711,6 +1662,51 @@ mod tests {
         // Cross-invocation determinism: a fresh run prints the same report.
         let again = run(&argv(&cmd)).unwrap();
         assert_eq!(out, again, "replay must be bit-stable across runs");
+    }
+
+    /// A `Snapshot` in the middle of the log supersedes everything before
+    /// it: replay folds and re-prices only the sales after the marker, and
+    /// its digest is pinned.
+    #[test]
+    fn replay_folds_only_the_history_after_the_last_snapshot() {
+        use mbp_wal::WalEvent;
+
+        let dir = std::env::temp_dir().join("mbp-cli-tests/wal-replay-snapshot");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let kind = ModelKind::LinearRegression;
+        let grid: Vec<f64> = (1..=8).map(|i| i as f64).collect();
+        let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
+        let publish = WalEvent::Publish { kind, grid, prices };
+        let sale = |ncp: f64, price: f64| WalEvent::Sale { kind, ncp, price };
+        let log = mbp_wal::encode_log(&[
+            WalEvent::Support { kind, ridge: 1e-6 },
+            publish.clone(),
+            sale(0.2, 999.0),
+            sale(0.3, 999.0),
+            WalEvent::Epoch { epoch: 4 },
+            WalEvent::Snapshot {
+                compacted_records: 2,
+            },
+            WalEvent::Support { kind, ridge: 1e-6 },
+            publish,
+            sale(0.25, 20.0),
+            sale(0.5, 14.0),
+            sale(1.0, 10.0),
+        ]);
+        std::fs::write(mbp_wal::log::segment_path(&dir, 1), &log.bytes).unwrap();
+
+        let out = run(&argv(&format!("replay --wal {}", dir.display()))).unwrap();
+        assert!(out.contains("records\t11\n"), "{out}");
+        assert!(out.contains("sales\t3\n"), "{out}");
+        assert!(out.contains("epoch\t0\n"), "{out}");
+        assert!(out.contains("recorded_revenue\t44.000000\n"), "{out}");
+        // 0.75·x at x = 4, 2 and 1: only the three live sales re-price.
+        assert!(out.contains("scheme\tlinear\trevenue\t5.250000\t"), "{out}");
+        // Pinned: where the snapshot rule lives must not move the digest
+        // of an existing log.
+        assert!(out.contains("replay_digest\t711dbb454ee0d741\n"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The usage screen advertises both halves of the durability surface.

@@ -22,7 +22,7 @@
 
 use crate::pricing::PricingFunction;
 use mbp_linalg::Vector;
-use mbp_optim::knapsack::{BoundedCoverOracle, CoverOracle, Item};
+use mbp_optim::knapsack::{CoverOracle, Item};
 
 /// One concrete arbitrage opportunity found by [`audit`].
 #[derive(Debug, Clone)]
@@ -118,66 +118,6 @@ pub fn audit(pf: &PricingFunction, grid: &[f64], resolution: u64, tol: f64) -> A
     let targets: Vec<u64> = grid.iter().map(|&x| (x * scale).ceil() as u64).collect();
     let horizon = targets.iter().copied().max().unwrap_or(1);
     let oracle = CoverOracle::build(&items, horizon);
-    for (j, &x0) in grid.iter().enumerate() {
-        let list = pf.price_at(x0);
-        let mu = oracle.mu(targets[j]);
-        if mu < list - tol {
-            let bundle = oracle
-                .witness(targets[j])
-                .map(|w| {
-                    w.into_iter()
-                        .map(|(idx, k)| (grid[idx], k))
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            report.arbitrage.push(ArbitrageFinding {
-                target_precision: x0,
-                list_price: list,
-                bundle_price: mu,
-                bundle,
-            });
-        }
-    }
-    report
-}
-
-/// Audits `pf` for *k-bounded* arbitrage (Definition 3 with an explicit
-/// bundle-size limit): finds the cheapest attacking bundle of at most
-/// `max_items` purchases per target. A small-`k` audit models buyers with
-/// limited budgets for combination; as `max_items → ∞` the findings
-/// converge to [`audit`]'s.
-///
-/// Same sound quantization as [`audit`] (items floor, targets ceil).
-///
-/// # Panics
-/// Panics on an invalid grid or `max_items == 0`.
-pub fn audit_k_bounded(
-    pf: &PricingFunction,
-    grid: &[f64],
-    resolution: u64,
-    tol: f64,
-    max_items: usize,
-) -> AuditReport {
-    assert!(!grid.is_empty(), "audit grid is empty");
-    assert!(
-        grid.windows(2).all(|w| w[0] < w[1]) && grid[0] > 0.0,
-        "audit grid must be positive ascending"
-    );
-    let mut report = AuditReport::default();
-    for w in grid.windows(2) {
-        if pf.price_at(w[0]) > pf.price_at(w[1]) + tol {
-            report.monotonicity_violations.push((w[0], w[1]));
-        }
-    }
-    let min_gap = grid.windows(2).map(|w| w[1] - w[0]).fold(grid[0], f64::min);
-    let scale = resolution as f64 / min_gap;
-    let items: Vec<Item> = grid
-        .iter()
-        .map(|&x| Item::new(((x * scale).floor() as u64).max(1), pf.price_at(x)))
-        .collect();
-    let targets: Vec<u64> = grid.iter().map(|&x| (x * scale).ceil() as u64).collect();
-    let horizon = targets.iter().copied().max().unwrap_or(1);
-    let oracle = BoundedCoverOracle::build(&items, horizon, max_items);
     for (j, &x0) in grid.iter().enumerate() {
         let list = pf.price_at(x0);
         let mu = oracle.mu(targets[j]);
@@ -329,47 +269,5 @@ mod tests {
     #[should_panic(expected = "align")]
     fn combine_checks_lengths() {
         combine_inverse_variance(&[Vector::zeros(1)], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn k_bounded_audit_needs_enough_items() {
-        // Steep convex pricing: attacking x = 6 with x = 1 purchases needs
-        // a 6-item bundle; a 2-item bound can still attack via 3+3.
-        let g = grid();
-        let prices: Vec<f64> = g.iter().map(|x| x * x).collect();
-        let pf = PricingFunction::from_points(g.clone(), prices).unwrap();
-        let unbounded = audit(&pf, &g, 10, 1e-9);
-        let k2 = audit_k_bounded(&pf, &g, 10, 1e-9, 2);
-        let k1 = audit_k_bounded(&pf, &g, 10, 1e-9, 1);
-        // Single purchases cannot beat a strictly increasing price list.
-        assert!(k1.arbitrage.is_empty(), "{k1:?}");
-        // Pairs already find attacks, but no more than the unbounded audit.
-        assert!(!k2.arbitrage.is_empty());
-        assert!(k2.arbitrage.len() <= unbounded.arbitrage.len());
-        // Every bounded bundle respects its size limit and its margin is no
-        // better than the unbounded optimum for the same target.
-        for f in &k2.arbitrage {
-            let total: u64 = f.bundle.iter().map(|&(_, k)| k).sum();
-            assert!(total <= 2, "{f:?}");
-            let unb = unbounded
-                .arbitrage
-                .iter()
-                .find(|u| u.target_precision == f.target_precision)
-                .expect("unbounded audit must also flag this target");
-            assert!(f.bundle_price >= unb.bundle_price - 1e-9);
-        }
-    }
-
-    #[test]
-    fn k_bounded_converges_to_unbounded() {
-        let g = grid();
-        let prices: Vec<f64> = g.iter().map(|x| x * x).collect();
-        let pf = PricingFunction::from_points(g.clone(), prices).unwrap();
-        let unbounded = audit(&pf, &g, 10, 1e-9);
-        let k_large = audit_k_bounded(&pf, &g, 10, 1e-9, 32);
-        assert_eq!(k_large.arbitrage.len(), unbounded.arbitrage.len());
-        for (a, b) in k_large.arbitrage.iter().zip(&unbounded.arbitrage) {
-            assert!((a.bundle_price - b.bundle_price).abs() < 1e-9);
-        }
     }
 }

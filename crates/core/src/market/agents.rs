@@ -257,23 +257,12 @@ pub struct Transaction {
     pub price: f64,
 }
 
-/// A `(δ, expected error, price)` sample of the buyer-facing curve the
-/// broker displays (Figure 1(C), step 2).
-#[derive(Debug, Clone, Copy)]
-pub struct PriceErrorPoint {
-    /// Noise control parameter.
-    pub ncp: f64,
-    /// Expected error at this NCP.
-    pub expected_error: f64,
-    /// Price at this NCP.
-    pub price: f64,
-}
-
-/// The buyer-facing price–error curve.
+/// The buyer-facing price–error curve (Figure 1(C), step 2): quotes of
+/// the published listing at chosen NCPs.
 #[derive(Debug, Clone)]
 pub struct PriceErrorCurve {
     /// Samples in ascending-NCP order.
-    pub points: Vec<PriceErrorPoint>,
+    pub points: Vec<PriceQuote>,
 }
 
 impl PriceErrorCurve {
@@ -371,6 +360,16 @@ impl Listing {
     /// Price pass: every resolved precision through the listed curve.
     fn price_into(&self, arena: &mut SaleArena) {
         self.pricing.price_at_batch(&arena.xs, &mut arena.prices);
+    }
+
+    /// Quotes one request: [`resolve_ncp`], then the price pass's
+    /// arithmetic on its precision.
+    fn quote(&self, request: PurchaseRequest) -> Result<PriceQuote, MarketError> {
+        resolve_ncp(&self.pricing, self.transform.as_ref(), request).map(|ncp| PriceQuote {
+            ncp,
+            price: self.pricing.price_at(1.0 / ncp),
+            expected_error: self.transform.expected_error(ncp),
+        })
     }
 }
 
@@ -791,34 +790,27 @@ impl Broker {
         solve_bv_dp(&seller.buyer_population())
     }
 
-    /// Builds the buyer-facing price–error curve for `kind` over `ncps`
-    /// (step 2 of the broker–buyer interaction).
+    /// Samples the published listing for `kind` at `ncps` (step 2 of the
+    /// broker–buyer interaction): each point is the quote of an
+    /// [`PurchaseRequest::AtNcp`] request, resolved and priced as a sale
+    /// is, in ascending-NCP order.
+    ///
+    /// # Errors
+    /// [`MarketError::UnsupportedModel`] when `kind` has no listing;
+    /// [`MarketError::BadRequest`] when an NCP is not positive and finite.
     pub fn price_error_curve(
         &self,
         kind: ModelKind,
-        transform: &dyn ErrorTransform,
-        pricing: &PricingFunction,
         ncps: &[f64],
     ) -> Result<PriceErrorCurve, MarketError> {
-        if !self.menu.contains_key(&kind) {
-            return Err(MarketError::UnsupportedModel(kind));
-        }
-        // Reject malformed grids up front: `price_for_ncp` requires a
-        // positive finite NCP, and a NaN would previously panic the serve
-        // path inside the pricing assert.
-        if let Some(&bad) = ncps.iter().find(|d| !d.is_finite() || **d <= 0.0) {
-            return Err(MarketError::BadRequest(format!(
-                "NCP grid entries must be positive and finite, got {bad}"
-            )));
-        }
-        let mut points: Vec<PriceErrorPoint> = ncps
+        let listing = self
+            .listings
+            .get(&kind)
+            .ok_or(MarketError::UnsupportedModel(kind))?;
+        let mut points = ncps
             .iter()
-            .map(|&ncp| PriceErrorPoint {
-                ncp,
-                expected_error: transform.expected_error(ncp),
-                price: pricing.price_for_ncp(ncp),
-            })
-            .collect();
+            .map(|&ncp| listing.quote(PurchaseRequest::AtNcp(ncp)))
+            .collect::<Result<Vec<_>, _>>()?;
         points.sort_by(|a, b| a.ncp.total_cmp(&b.ncp));
         Ok(PriceErrorCurve { points })
     }
@@ -852,8 +844,20 @@ impl Broker {
 }
 
 /// Resolves a purchase request to the NCP of the instance to release,
-/// against a listing's pricing curve and error transform.
-fn resolve_ncp(
+/// against a listing's pricing curve and error transform: the one
+/// request→NCP rule of the market. The broker's kernel resolves every
+/// sale and quote through it, and a request is then priced `p̄(1/δ)` by
+/// [`PricingFunction::price_at`].
+///
+/// # Errors
+/// [`MarketError::BadRequest`] for a non-positive or non-finite NCP or a
+/// negative or non-finite budget; [`MarketError::UnachievableError`] when
+/// φ has no positive inverse at the error budget (an error at or below the
+/// noiseless floor would need δ ≤ 0);
+/// [`MarketError::InsufficientBudget`] when the budget buys no positive
+/// precision. Budgets at or above the saturation price buy the grid's
+/// most precise point.
+pub fn resolve_ncp(
     pricing: &PricingFunction,
     transform: &dyn ErrorTransform,
     request: PurchaseRequest,
@@ -1045,21 +1049,42 @@ mod tests {
         assert!(matches!(err, MarketError::UnachievableError(_)));
     }
 
+    /// Theorem 6's error-unit price `p̄∘φ` is the sale rule: an error
+    /// budget resolves through [`resolve_ncp`], then prices `p̄(1/δ)`. An
+    /// error that needs δ ≤ 0, a noiseless release, is unachievable.
+    #[test]
+    fn error_budget_prices_by_the_sale_rule() {
+        let p = simple_pricing();
+        let price = |err| {
+            resolve_ncp(&p, &SquareLossTransform, PurchaseRequest::ErrorBudget(err))
+                .map(|d| p.price_at(1.0 / d))
+        };
+        // With ε_s, error IS the NCP: error 2.0 ⇒ δ = 2 ⇒ x = 0.5 ⇒ price 5.
+        assert!((price(2.0).unwrap() - 5.0).abs() < 1e-12);
+        // Lower error costs more.
+        assert!(price(0.5).unwrap() > price(2.0).unwrap());
+        for err in [-1.0, 0.0] {
+            assert!(
+                matches!(price(err), Err(MarketError::UnachievableError(e)) if e == err),
+                "error {err}"
+            );
+        }
+    }
+
     #[test]
     fn price_error_curve_is_well_formed() {
-        let mut broker = Broker::new(market_data(12));
-        broker.support(ModelKind::LinearRegression, 0.0).unwrap();
+        let broker = listed_broker(12);
         let ncps: Vec<f64> = (1..=20).map(|i| i as f64 * 0.25).collect();
         let curve = broker
-            .price_error_curve(
-                ModelKind::LinearRegression,
-                &SquareLossTransform,
-                &simple_pricing(),
-                &ncps,
-            )
+            .price_error_curve(ModelKind::LinearRegression, &ncps)
             .unwrap();
         assert_eq!(curve.points.len(), 20);
         assert!(curve.is_well_formed());
+        // The curve samples the listing: an unlisted kind has none.
+        assert!(matches!(
+            broker.price_error_curve(ModelKind::LinearSvm, &ncps),
+            Err(MarketError::UnsupportedModel(_))
+        ));
     }
 
     #[test]

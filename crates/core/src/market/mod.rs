@@ -27,6 +27,6 @@ pub use durability::{DurabilitySink, SaleLog};
 pub use totals::{ExactSum, SalesTotals};
 
 pub use agents::{
-    Broker, Buyer, MarketError, PriceErrorCurve, PriceErrorPoint, PriceQuote, PurchaseRequest,
-    Sale, SaleArena, Seller, Transaction, MAX_BATCH,
+    resolve_ncp, Broker, Buyer, MarketError, PriceErrorCurve, PriceQuote, PurchaseRequest, Sale,
+    SaleArena, Seller, Transaction, MAX_BATCH,
 };

@@ -20,6 +20,11 @@
 //! overflow) — deliberately, so that *broken* pricing functions can be
 //! represented and handed to the [`arbitrage`](crate::arbitrage) auditors,
 //! as in Figure 3's illustration.
+//!
+//! Prices in error units (Theorem 6's `p̄∘φ`) are not a second evaluator:
+//! a buyer's request resolves to an NCP through the market's one resolver,
+//! [`resolve_ncp`](crate::market::resolve_ncp), and is priced here at
+//! `p̄(1/δ)`.
 
 use crate::lookup::SegmentIndex;
 use std::fmt;
@@ -345,52 +350,9 @@ impl PricingFunction {
     }
 }
 
-/// A buyer-facing view of a pricing function in *error units* (Theorem 6):
-/// composing `p̄` with the error-inverse `φ` gives the price of "expected
-/// error at most ε" directly, which is how buyers think.
-pub struct ErrorPricedView<'a> {
-    pricing: &'a PricingFunction,
-    transform: &'a dyn crate::error::ErrorTransform,
-}
-
-impl<'a> ErrorPricedView<'a> {
-    /// Wraps a pricing function and an error transform.
-    pub fn new(
-        pricing: &'a PricingFunction,
-        transform: &'a dyn crate::error::ErrorTransform,
-    ) -> Self {
-        ErrorPricedView { pricing, transform }
-    }
-
-    /// Price of a release with expected error `err`, or `None` when that
-    /// error is unachievable for this model/dataset.
-    pub fn price_for_error(&self, err: f64) -> Option<f64> {
-        let ncp = self.transform.ncp_for_error(err)?;
-        if ncp <= 0.0 {
-            // Zero noise: the curve saturates (the grid caps precision).
-            return Some(self.pricing.max_price());
-        }
-        Some(self.pricing.price_for_ncp(ncp))
-    }
-
-    /// Samples `(error, price)` pairs over a δ grid — the curve of
-    /// Figure 2(d).
-    pub fn curve(&self, ncps: &[f64]) -> Vec<(f64, f64)> {
-        ncps.iter()
-            .map(|&d| {
-                (
-                    self.transform.expected_error(d),
-                    self.pricing.price_for_ncp(d),
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::{ErrorTransform, LinRegSquareTransform, SquareLossTransform};
 
     fn pf() -> PricingFunction {
         PricingFunction::from_points(vec![1.0, 2.0, 4.0], vec![10.0, 14.0, 20.0]).unwrap()
@@ -479,43 +441,6 @@ mod tests {
     #[should_panic(expected = "NCP must be > 0")]
     fn zero_ncp_price_panics() {
         pf().price_for_ncp(0.0);
-    }
-
-    #[test]
-    fn error_priced_view_identity_transform() {
-        let p = pf();
-        let t = SquareLossTransform;
-        let view = ErrorPricedView::new(&p, &t);
-        // With ε_s, error IS the NCP: error 2.0 ⇒ δ = 2 ⇒ x = 0.5 ⇒ price 5.
-        assert!((view.price_for_error(2.0).unwrap() - 5.0).abs() < 1e-12);
-        // Lower error costs more.
-        assert!(view.price_for_error(0.5).unwrap() > view.price_for_error(2.0).unwrap());
-        // Negative error is unachievable.
-        assert_eq!(view.price_for_error(-1.0), None);
-        // Zero error: the transform returns δ = 0, which saturates the
-        // curve at its maximum price.
-        assert_eq!(view.price_for_error(0.0), Some(p.max_price()));
-    }
-
-    #[test]
-    fn error_priced_view_curve_is_monotone() {
-        let p = pf();
-        let mut rng = mbp_randx::seeded_rng(3);
-        let ds = mbp_data::synth::simulated1(300, 3, 0.3, &mut rng);
-        let h = mbp_ml::train::ridge_closed_form(&ds, 0.0).unwrap();
-        let t = LinRegSquareTransform::new(&ds, &h);
-        let view = ErrorPricedView::new(&p, &t);
-        let ncps: Vec<f64> = (1..=20).map(|i| 0.1 * i as f64).collect();
-        let curve = view.curve(&ncps);
-        for w in curve.windows(2) {
-            // Error grows with δ, price falls with δ.
-            assert!(w[0].0 <= w[1].0 + 1e-12);
-            assert!(w[0].1 >= w[1].1 - 1e-12);
-        }
-        // The view agrees with composing by hand at a probe point.
-        let err = t.expected_error(0.7);
-        let via_view = view.price_for_error(err).unwrap();
-        assert!((via_view - p.price_for_ncp(0.7)).abs() < 1e-9);
     }
 
     #[test]

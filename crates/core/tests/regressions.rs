@@ -76,8 +76,9 @@ fn dp_regression_clustered_zero_valuations_before_the_valued_point() {
 /// could crash the broker by requesting a price–error curve over a grid
 /// containing a NaN, zero, or negative NCP. The NaN slipped past the old
 /// `partial_cmp().expect("finite NCPs")` sort and then tripped the
-/// `delta > 0` assert inside `PricingFunction::price_for_ncp`. The grid
-/// is now validated up front and the request rejected as `BadRequest`.
+/// `delta > 0` assert inside `PricingFunction::price_for_ncp`. Each grid
+/// entry now resolves through `resolve_ncp`, as an `AtNcp` purchase does,
+/// and a bad one rejects the request as `BadRequest`.
 #[test]
 fn regression_price_error_curve_rejects_nonpositive_and_nan_ncps() {
     let mut rng = seeded_rng(42);
@@ -87,6 +88,13 @@ fn regression_price_error_curve_rejects_nonpositive_and_nan_ncps() {
     let grid: Vec<f64> = (1..=10).map(|i| i as f64).collect();
     let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
     let pricing = PricingFunction::from_points(grid, prices).unwrap();
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            pricing,
+            Box::new(SquareLossTransform),
+        )
+        .unwrap();
 
     for bad_grid in [
         vec![1.0, f64::NAN, 3.0],
@@ -95,12 +103,7 @@ fn regression_price_error_curve_rejects_nonpositive_and_nan_ncps() {
         vec![1.0, f64::INFINITY],
     ] {
         let err = broker
-            .price_error_curve(
-                ModelKind::LinearRegression,
-                &SquareLossTransform,
-                &pricing,
-                &bad_grid,
-            )
+            .price_error_curve(ModelKind::LinearRegression, &bad_grid)
             .unwrap_err();
         assert!(
             matches!(err, MarketError::BadRequest(_)),
@@ -110,12 +113,7 @@ fn regression_price_error_curve_rejects_nonpositive_and_nan_ncps() {
 
     // The happy path is untouched: a valid grid still yields a curve.
     let curve = broker
-        .price_error_curve(
-            ModelKind::LinearRegression,
-            &SquareLossTransform,
-            &pricing,
-            &[0.5, 1.0, 2.0, 4.0],
-        )
+        .price_error_curve(ModelKind::LinearRegression, &[0.5, 1.0, 2.0, 4.0])
         .unwrap();
     assert_eq!(curve.points.len(), 4);
     assert!(curve.is_well_formed());

@@ -271,7 +271,7 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
 }
 
 /// Renders flight-recorder spans as JSON lines (one object per span), the
-/// `mbp-market trace` dump format.
+/// span section of `mbp-market --trace` reports.
 pub fn recorder_to_jsonl(spans: &[SpanData]) -> String {
     let mut out = String::new();
     for s in spans {

@@ -139,111 +139,6 @@ impl CoverOracle {
     }
 }
 
-/// The *cardinality-bounded* covering-cost function
-/// `μ_k(x) = min{Σ kᵢ·cᵢ : Σ kᵢ·aᵢ ≥ x, Σ kᵢ ≤ k}` — Definition 3's
-/// `k`-arbitrage uses at most `k` purchased instances, so this oracle
-/// answers "is there a profitable attack with a bundle of at most `k`
-/// models?" exactly, not just in the unbounded limit.
-#[derive(Debug, Clone)]
-pub struct BoundedCoverOracle {
-    items: Vec<Item>,
-    max_items: usize,
-    /// `table[c][x] = μ_c(x)` for `c = 0..=max_items`, `x = 0..=horizon`.
-    table: Vec<Vec<f64>>,
-}
-
-impl BoundedCoverOracle {
-    /// Builds the oracle for bundles of at most `max_items` purchases.
-    ///
-    /// Runs in `O(max_items × horizon × items)`.
-    ///
-    /// # Panics
-    /// Panics when `max_items == 0`.
-    pub fn build(items: &[Item], horizon: u64, max_items: usize) -> Self {
-        assert!(max_items > 0, "a bundle needs at least one item");
-        let h = horizon as usize;
-        let mut table = vec![vec![f64::INFINITY; h + 1]; max_items + 1];
-        for row in table.iter_mut() {
-            row[0] = 0.0;
-        }
-        for c in 1..=max_items {
-            for x in 1..=h {
-                let mut best = table[c - 1][x]; // using fewer items is allowed
-                for it in items {
-                    let rest = x.saturating_sub(it.weight as usize);
-                    let prev = table[c - 1][rest];
-                    if prev.is_finite() {
-                        best = best.min(prev + it.cost);
-                    }
-                }
-                table[c][x] = best;
-            }
-        }
-        BoundedCoverOracle {
-            items: items.to_vec(),
-            max_items,
-            table,
-        }
-    }
-
-    /// `μ_k(x)`: cheapest bundle of at most `max_items` items covering `x`
-    /// (`+∞` when no such bundle exists).
-    ///
-    /// # Panics
-    /// Panics when `x` exceeds the tabulated horizon.
-    pub fn mu(&self, x: u64) -> f64 {
-        self.table[self.max_items][x as usize]
-    }
-
-    /// Bundle-size bound this oracle was built for.
-    pub fn max_items(&self) -> usize {
-        self.max_items
-    }
-
-    /// Reconstructs one optimal bounded cover for `x` as
-    /// `(item index, multiplicity)` pairs; `None` when uncoverable within
-    /// the bound.
-    pub fn witness(&self, x: u64) -> Option<Vec<(usize, u64)>> {
-        if !self.mu(x).is_finite() {
-            return None;
-        }
-        let mut counts = vec![0u64; self.items.len()];
-        let mut remaining = x as usize;
-        let mut budget = self.max_items;
-        while remaining > 0 && budget > 0 {
-            let target = self.table[budget][remaining];
-            if (self.table[budget - 1][remaining] - target).abs() <= 1e-9 * (1.0 + target.abs()) {
-                budget -= 1; // this level used fewer items
-                continue;
-            }
-            let mut advanced = false;
-            for (idx, it) in self.items.iter().enumerate() {
-                let rest = remaining.saturating_sub(it.weight as usize);
-                let prev = self.table[budget - 1][rest];
-                if prev.is_finite()
-                    && (prev + it.cost - target).abs() <= 1e-9 * (1.0 + target.abs())
-                {
-                    counts[idx] += 1;
-                    remaining = rest;
-                    budget -= 1;
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                return None; // numerical dead end; should not happen
-            }
-        }
-        (remaining == 0).then(|| {
-            counts
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, k)| k > 0)
-                .collect()
-        })
-    }
-}
-
 /// Checks whether a positive, monotone, subadditive function through the
 /// integer-grid points exists (the paper's *subadditive interpolation*
 /// decision problem, Definition 6).
@@ -361,60 +256,5 @@ mod tests {
     #[should_panic(expected = "weight must be positive")]
     fn zero_weight_item_panics() {
         Item::new(0, 1.0);
-    }
-
-    #[test]
-    fn bounded_oracle_respects_cardinality() {
-        // One item: weight 1, cost 1. Covering 5 needs 5 copies.
-        let items = [Item::new(1, 1.0)];
-        let unbounded = CoverOracle::build(&items, 5);
-        assert_eq!(unbounded.mu(5), 5.0);
-        let k3 = BoundedCoverOracle::build(&items, 5, 3);
-        assert!(k3.mu(5).is_infinite(), "3 items cannot cover 5");
-        assert_eq!(k3.mu(3), 3.0);
-        let k5 = BoundedCoverOracle::build(&items, 5, 5);
-        assert_eq!(k5.mu(5), 5.0);
-    }
-
-    #[test]
-    fn bounded_converges_to_unbounded() {
-        let items = [Item::new(2, 1.5), Item::new(5, 3.0), Item::new(7, 3.5)];
-        let horizon = 25u64;
-        let unbounded = CoverOracle::build(&items, horizon);
-        // With enough items allowed, every bounded value matches.
-        let k = BoundedCoverOracle::build(&items, horizon, 15);
-        for x in 0..=horizon {
-            let (a, b) = (k.mu(x), unbounded.mu(x));
-            assert!((a - b).abs() < 1e-9, "x={x}: bounded {a} vs unbounded {b}");
-        }
-        // Bounded values are monotone non-increasing in the budget.
-        for budget in 1..6usize {
-            let small = BoundedCoverOracle::build(&items, horizon, budget);
-            let big = BoundedCoverOracle::build(&items, horizon, budget + 1);
-            for x in 0..=horizon {
-                assert!(big.mu(x) <= small.mu(x) + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_witness_respects_budget() {
-        let items = [Item::new(5, 4.0), Item::new(3, 2.0)];
-        let oracle = BoundedCoverOracle::build(&items, 15, 2);
-        let w = oracle.witness(8).unwrap();
-        let total: u64 = w.iter().map(|&(_, k)| k).sum();
-        assert!(total <= 2);
-        let weight: u64 = w.iter().map(|&(i, k)| items[i].weight * k).sum();
-        assert!(weight >= 8);
-        let cost: f64 = w.iter().map(|&(i, k)| items[i].cost * k as f64).sum();
-        assert!((cost - oracle.mu(8)).abs() < 1e-9);
-        // Covering 15 needs 3 big items — impossible with budget 2.
-        assert!(oracle.witness(15).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one item")]
-    fn bounded_rejects_zero_budget() {
-        BoundedCoverOracle::build(&[Item::new(1, 1.0)], 3, 0);
     }
 }

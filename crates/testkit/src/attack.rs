@@ -14,7 +14,9 @@
 //! * budget-mode round-trip exploits (the precision quoted for budget `b`
 //!   re-prices above `b`, or a strictly better precision was affordable),
 //! * ε-space attacks through φ (error-unit prices that reward *worse*
-//!   accuracy, or overcharge against the δ-axis list price).
+//!   accuracy, or overcharge against the δ-axis list price). Error
+//!   budgets are priced as the broker sells them ([`sold_price`]): resolved
+//!   by [`resolve_ncp`], then priced `p̄(1/δ)`.
 //!
 //! Every found violation is greedily shrunk (fewer parts, rounder
 //! numbers) before being reported, and the whole search is reproducible
@@ -22,7 +24,8 @@
 
 use crate::oracle::ReferenceCurve;
 use mbp_core::error::ErrorTransform;
-use mbp_core::pricing::{ErrorPricedView, PricingFunction};
+use mbp_core::market::{resolve_ncp, MarketError, PurchaseRequest};
+use mbp_core::pricing::PricingFunction;
 use mbp_randx::MbpRng;
 use rand::Rng;
 use std::fmt;
@@ -421,16 +424,31 @@ pub fn attack_curve(f: &PricingFunction, cfg: &AttackConfig) -> AttackReport {
     report
 }
 
+/// The price a listing of `f` under `transform` sells `request` at: the
+/// broker's own [`resolve_ncp`], then `p̄(1/δ)` by the kernel's arithmetic.
+///
+/// # Errors
+/// The rejection [`resolve_ncp`] returns for `request`.
+pub fn sold_price(
+    f: &PricingFunction,
+    transform: &dyn ErrorTransform,
+    request: PurchaseRequest,
+) -> Result<f64, MarketError> {
+    resolve_ncp(f, transform, request).map(|ncp| f.price_at(1.0 / ncp))
+}
+
 /// Runs the ε-space attack through φ: prices in error units must never
 /// reward a worse error, and the φ-composed price of `E[ε(δ)]` must never
-/// exceed the δ-axis list price (overcharge).
+/// exceed the δ-axis list price (overcharge). Each error is priced as an
+/// [`PurchaseRequest::ErrorBudget`] is sold ([`sold_price`]); an
+/// unachievable one has no price to compare.
 pub fn attack_error_space(
     f: &PricingFunction,
     transform: &dyn ErrorTransform,
     cfg: &AttackConfig,
 ) -> AttackReport {
     let _span = mbp_obs::span("mbp.testkit.attack");
-    let priced = ErrorPricedView::new(f, transform);
+    let price_for_error = |err| sold_price(f, transform, PurchaseRequest::ErrorBudget(err)).ok();
     let reference = ReferenceCurve::new(f);
     let x_max = *f.grid().last().expect("non-empty");
     let mut rng = mbp_randx::seeded_rng(cfg.seed ^ 0x5eed);
@@ -446,10 +464,7 @@ pub fn attack_error_space(
         let d2 = rng.gen_range(1e-3 / x_max..4.0 / x_max);
         let (e1, e2) = (transform.expected_error(d1), transform.expected_error(d2));
         let (err_lo, err_hi) = if e1 <= e2 { (e1, e2) } else { (e2, e1) };
-        let (p_lo, p_hi) = (
-            priced.price_for_error(err_lo),
-            priced.price_for_error(err_hi),
-        );
+        let (p_lo, p_hi) = (price_for_error(err_lo), price_for_error(err_hi));
         report.checks += 1;
         if let (Some(lo), Some(hi)) = (p_lo, p_hi) {
             // Worse error must not cost more.
@@ -475,7 +490,7 @@ pub fn attack_error_space(
         // transforms resolve flat error stretches buyer-optimally.)
         let list = reference.price_at(1.0 / d1);
         report.checks += 1;
-        if let Some(through_phi) = priced.price_for_error(e1) {
+        if let Some(through_phi) = price_for_error(e1) {
             if exceeds(through_phi, list, cfg.tol.max(1e-9)) {
                 report.violations.push(Counterexample {
                     violation: Violation::EpsilonSpace {

@@ -12,11 +12,13 @@
 //! * [`attack`] — an arbitrage **attack engine**: randomized multisets of
 //!   precision points searched for monotonicity/subadditivity violations,
 //!   budget-mode round-trip exploits, and ε-space attacks through φ, with
-//!   greedy counterexample shrinking;
+//!   greedy counterexample shrinking. Error budgets are priced as sold
+//!   ([`sold_price`]): through the broker's own
+//!   [`resolve_ncp`](mbp_core::market::resolve_ncp);
 //! * [`oracle`] — a **differential oracle** driving the pricing curve and
-//!   its error-unit view `p̄∘φ` against a high-precision Kahan-summed
-//!   reference evaluator over the same inputs, failing on divergence
-//!   greater than `1e-12` (relative);
+//!   its sold error-unit prices `p̄∘φ` against a high-precision
+//!   Kahan-summed reference evaluator over the same inputs, failing on
+//!   divergence greater than `1e-12` (relative);
 //! * [`schedule`] — a **deterministic schedule explorer** for
 //!   [`mbp_core::market::concurrent::SharedBroker`]: a virtual-time
 //!   scheduler that enumerates or samples interleavings of concurrent
@@ -46,7 +48,9 @@ pub mod oracle;
 pub mod reference;
 pub mod schedule;
 
-pub use attack::{attack_curve, attack_error_space, AttackConfig, AttackReport, Violation};
+pub use attack::{
+    attack_curve, attack_error_space, sold_price, AttackConfig, AttackReport, Violation,
+};
 pub use corpus::{Case, Corpus};
 pub use crash::{
     explore_crashes, CrashCase, CrashConfig, CrashFailure, CrashHarness, CrashOracle, CrashOutcome,

@@ -1,16 +1,20 @@
 //! Differential pricing oracles.
 //!
-//! Every quote in the marketplace is answered by two production
-//! evaluators — [`PricingFunction`] itself (what the broker charges) and
-//! the error-unit view ([`ErrorPricedView`], Theorem 6's `p̄∘φ`) — and
-//! each is checked against the high-precision [`ReferenceCurve`] defined
-//! here. The differential harness drives them over the same probe set
-//! (structured boundary probes plus seeded random probes) and fails on any
-//! divergence above `1e-12` relative, so the one arithmetic the market
-//! sells by stays within rounding of the exact Proposition 1 curve.
+//! Every quote in the marketplace is priced by [`PricingFunction`] itself
+//! (what the broker charges), directly on the precision axis or, in error
+//! units (Theorem 6's `p̄∘φ`), after the broker's
+//! [`resolve_ncp`](mbp_core::market::resolve_ncp) turns an error budget
+//! into an NCP ([`sold_price`]). Both are checked against the
+//! high-precision [`ReferenceCurve`] defined here. The differential
+//! harness drives them over the same probe set (structured boundary
+//! probes plus seeded random probes) and fails on any divergence above
+//! `1e-12` relative, so the one arithmetic the market sells by stays
+//! within rounding of the exact Proposition 1 curve.
 
+use crate::attack::sold_price;
 use mbp_core::error::ErrorTransform;
-use mbp_core::pricing::{ErrorPricedView, PricingFunction};
+use mbp_core::market::PurchaseRequest;
+use mbp_core::pricing::PricingFunction;
 use rand::Rng;
 
 /// Relative divergence tolerance between evaluators.
@@ -264,10 +268,12 @@ pub fn check_pricing(f: &PricingFunction, cfg: &OracleConfig) -> OracleReport {
     report
 }
 
-/// Differential check of the φ (error-space) path: the
-/// [`ErrorPricedView`] composition `p̄∘φ` (Theorem 6) against the reference
-/// composition `p̄_ref(1/φ(err))`, over errors spanning unachievable,
-/// saturated, interior, and tail regions.
+/// Differential check of the φ (error-space) path: the sold price of an
+/// [`PurchaseRequest::ErrorBudget`] ([`sold_price`], Theorem 6's `p̄∘φ`)
+/// against the reference composition `p̄_ref(1/φ(err))`, over errors
+/// spanning unachievable, saturated, interior, and tail regions. The
+/// reference composes φ on its own, by the sale rule: an error whose
+/// inverse is not a positive NCP is unachievable.
 pub fn check_error_space(
     f: &PricingFunction,
     transform: &dyn ErrorTransform,
@@ -275,7 +281,6 @@ pub fn check_error_space(
 ) -> OracleReport {
     let _span = mbp_obs::span("mbp.testkit.oracle");
     let reference = ReferenceCurve::new(f);
-    let view = ErrorPricedView::new(f, transform);
     let mut rng = mbp_randx::seeded_rng(cfg.seed ^ 0x9e37_79b9);
     let mut report = OracleReport {
         comparisons: 0,
@@ -297,16 +302,13 @@ pub fn check_error_space(
     }
 
     for &err in &errs {
-        let slow = view.price_for_error(err);
-        let gold = transform.ncp_for_error(err).map(|ncp| {
-            if ncp <= 0.0 {
-                reference.price_at(f64::INFINITY)
-            } else {
-                reference.price_at(1.0 / ncp)
-            }
-        });
+        let sold = sold_price(f, transform, PurchaseRequest::ErrorBudget(err)).ok();
+        let gold = transform
+            .ncp_for_error(err)
+            .filter(|&ncp| ncp > 0.0)
+            .map(|ncp| reference.price_at(1.0 / ncp));
         report.comparisons += 1;
-        match (slow, gold) {
+        match (sold, gold) {
             (None, None) => {}
             (Some(a), Some(v)) => {
                 let d = rel_diff(v, a);
@@ -314,11 +316,11 @@ pub fn check_error_space(
                 if d > cfg.tol {
                     report
                         .divergences
-                        .push(format!("price_for_error({err}): view={a} vs reference={v}"));
+                        .push(format!("price_for_error({err}): sold={a} vs reference={v}"));
                 }
             }
             (a, v) => report.divergences.push(format!(
-                "price_for_error({err}): achievability diverged, view={a:?} vs reference={v:?}"
+                "price_for_error({err}): achievability diverged, sold={a:?} vs reference={v:?}"
             )),
         }
     }

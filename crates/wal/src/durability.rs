@@ -6,8 +6,9 @@
 //! pure function of the knots), and the sale totals on the multiset of
 //! sales — a count and an exact revenue sum per kind, so the order the
 //! sales were logged in cannot change a bit. [`RecoveredState`] folds a
-//! recovered event stream down to exactly that. A [`WalEvent::Snapshot`]
-//! marker found on disk resets the fold: the records after it re-state
+//! recovered event stream down to exactly that. The fold starts at
+//! [`live_start`]: a [`WalEvent::Snapshot`] marker found on disk
+//! supersedes everything before it, and the records after it re-state
 //! everything still live.
 //!
 //! Recovery equality is checked bit-for-bit via [`broker_fingerprint`]:
@@ -17,7 +18,7 @@
 //! market state.
 
 use crate::log::{list_segments, recover_dir, segment_path, WalConfig, WalWriter};
-use crate::record::WalEvent;
+use crate::record::{live_start, WalEvent};
 use crate::WalError;
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::{Broker, DurabilitySink, SalesTotals, Transaction};
@@ -53,16 +54,16 @@ pub struct RecoveredState {
 }
 
 impl RecoveredState {
-    /// Folds an event stream. A [`WalEvent::Snapshot`] marker resets the
-    /// fold: the records that follow it re-state everything still live.
+    /// Folds the live history of an event stream: the records from
+    /// [`live_start`] on, after the last [`WalEvent::Snapshot`] marker.
     ///
     /// # Errors
-    /// [`WalError::BadSale`] when a sale carries a NaN, infinite or
+    /// [`WalError::BadSale`] when a live sale carries a NaN, infinite or
     /// negative `ncp` or `price`: such a record passed its checksum, so
     /// it was written that way, and no broker could have sold it.
     pub fn from_events(events: &[WalEvent]) -> Result<RecoveredState, WalError> {
         let mut state = RecoveredState::default();
-        for (record, event) in events.iter().enumerate() {
+        for (record, event) in events.iter().enumerate().skip(live_start(events)) {
             state.apply_event(record, event)?;
         }
         Ok(state)
@@ -99,7 +100,8 @@ impl RecoveredState {
             }
             WalEvent::Epoch { epoch } => self.epoch = *epoch,
             WalEvent::RngCursor { seed, draws } => self.rng_cursor = Some((*seed, *draws)),
-            WalEvent::Snapshot { .. } => *self = RecoveredState::default(),
+            // The live history starts after the last marker.
+            WalEvent::Snapshot { .. } => {}
         }
         Ok(())
     }

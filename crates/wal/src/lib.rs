@@ -36,7 +36,7 @@ pub mod record;
 
 pub use durability::{broker_fingerprint, Durability, RecoveredState, Recovery};
 pub use log::{recover_dir, DirRecovery, WalConfig, WalWriter};
-pub use record::{encode_log, recover_bytes, EncodedLog, RecoveredLog, WalEvent};
+pub use record::{encode_log, live_start, recover_bytes, EncodedLog, RecoveredLog, WalEvent};
 
 use std::fmt;
 

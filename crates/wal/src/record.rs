@@ -120,6 +120,17 @@ impl WalEvent {
     }
 }
 
+/// Where the live history of a recovered event stream starts: just after
+/// its last [`WalEvent::Snapshot`] marker, or at 0 when it has none. A
+/// snapshot re-states everything still live, so the records before it are
+/// superseded; state folding and `mbp-market replay` both start here.
+pub fn live_start(events: &[WalEvent]) -> usize {
+    events
+        .iter()
+        .rposition(|e| matches!(e, WalEvent::Snapshot { .. }))
+        .map_or(0, |i| i + 1)
+}
+
 /// Appends `event` to `out` as one framed record; returns the encoded
 /// record length in bytes.
 pub fn append_record(out: &mut Vec<u8>, event: &WalEvent) -> usize {
@@ -428,6 +439,19 @@ mod tests {
         assert_eq!(recovered.records_skipped, 0);
         assert_eq!(recovered.truncated_at, None);
         assert_eq!(recovered.bytes_scanned, log.bytes.len());
+    }
+
+    /// The live history starts after the last snapshot marker, wherever
+    /// it sits, and is the whole stream when there is none.
+    #[test]
+    fn live_history_starts_after_the_last_snapshot() {
+        let mut events = sample_events();
+        assert_eq!(live_start(&events), events.len());
+        assert_eq!(live_start(&events[..5]), 0);
+        assert_eq!(live_start(&[]), 0);
+        events.extend(sample_events());
+        events.push(WalEvent::Epoch { epoch: 4 });
+        assert_eq!(live_start(&events), events.len() - 1);
     }
 
     #[test]

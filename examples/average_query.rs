@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example average_query --release`
 
+use mbp::core::market::resolve_ncp;
 use mbp::linalg::Vector;
 use mbp::prelude::*;
 use mbp::randx::seeded_rng;
@@ -44,11 +45,10 @@ fn main() {
 
     // Alice buys at three price points and sees the accuracy she paid for.
     for budget in [25.0, 50.0, 79.0] {
-        let x = pricing
-            .max_precision_for_budget(budget)
-            .expect("affordable")
-            .min(*grid.last().unwrap());
-        let ncp = 1.0 / x;
+        // A budget buys what a broker would sell it: the listing's most
+        // precise affordable point.
+        let request = PurchaseRequest::PriceBudget(budget);
+        let ncp = resolve_ncp(&pricing, &SquareLossTransform, request).expect("affordable");
         let mech = GaussianMechanism;
         let noisy = mech.perturb(&h_star, ncp, &mut rng);
         let rel_sd = (ncp.sqrt()) / true_mean * 100.0;

@@ -55,22 +55,16 @@ fn main() {
     broker
         .publish(
             ModelKind::LinearRegression,
-            pricing.clone(),
+            pricing,
             Box::new(SquareLossTransform),
         )
         .expect("linear regression is on the menu");
 
     // --- Buyer: the three purchase modes. ---
-    let transform = SquareLossTransform; // E[eps_s] = delta exactly (Lemma 3)
-
-    // (1) Pick a point on the price-error curve.
+    // (1) Pick a point on the price-error curve the listing shows. Its
+    // transform is the identity: E[eps_s] = delta exactly (Lemma 3).
     let curve = broker
-        .price_error_curve(
-            ModelKind::LinearRegression,
-            &transform,
-            &pricing,
-            &[0.01, 0.02, 0.05, 0.1],
-        )
+        .price_error_curve(ModelKind::LinearRegression, &[0.01, 0.02, 0.05, 0.1])
         .unwrap();
     println!("\nprice-error curve shown to the buyer:");
     for p in &curve.points {

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example text_market --release`
 
+use mbp::core::market::resolve_ncp;
 use mbp::ml::sparse::{sgd_logistic_sparse, zero_one_error_sparse, SparseSgdConfig};
 use mbp::prelude::*;
 use mbp::randx::seeded_rng;
@@ -61,11 +62,10 @@ fn main() {
     let mech = GaussianMechanism;
     println!("\nbudget -> released classifier quality:");
     for budget in [40.0, 90.0, 127.0] {
-        let x = pricing
-            .max_precision_for_budget(budget)
-            .expect("affordable")
-            .min(*grid.last().unwrap());
-        let ncp = 1.0 / x;
+        // A budget buys what a broker would sell it: the listing's most
+        // precise affordable point.
+        let request = PurchaseRequest::PriceBudget(budget);
+        let ncp = resolve_ncp(&pricing, &SquareLossTransform, request).expect("affordable");
         let t1 = std::time::Instant::now();
         let noisy = mech.perturb(&h_star, ncp, &mut rng);
         let sale_time = t1.elapsed();

@@ -55,7 +55,7 @@ pub use mbp_randx as randx;
 
 /// One-stop imports for building a marketplace.
 pub mod prelude {
-    pub use mbp_core::arbitrage::{audit, audit_k_bounded, combine_inverse_variance, AuditReport};
+    pub use mbp_core::arbitrage::{audit, combine_inverse_variance, AuditReport};
     pub use mbp_core::error::{
         DeltaMethodTransform, EmpiricalTransform, ErrorTransform, LinRegSquareTransform,
         SquareLossTransform,
@@ -73,7 +73,7 @@ pub mod prelude {
         GaussianMechanism, LaplaceMechanism, NoiseMechanism, UniformAdditiveMechanism,
         UniformMultiplicativeMechanism,
     };
-    pub use mbp_core::pricing::{ErrorPricedView, PricingFunction};
+    pub use mbp_core::pricing::PricingFunction;
     pub use mbp_core::revenue::{
         affordability, buyer_surplus, revenue, solve_bv_dp, solve_bv_dp_fair, solve_bv_exact,
         solve_pi_l1, solve_pi_l2, solve_separable_concave, welfare, Baseline, BuyerPoint,

@@ -142,14 +142,16 @@ fn cheaper_always_noisier_along_the_curve() {
     let mut broker = Broker::new(seller.data.clone());
     broker.support(ModelKind::LinearRegression, 1e-6).unwrap();
     let pricing = broker.price_from_research(&seller).pricing;
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            pricing,
+            Box::new(SquareLossTransform),
+        )
+        .unwrap();
     let ncps: Vec<f64> = (1..=30).map(|i| 0.01 * i as f64).collect();
     let curve = broker
-        .price_error_curve(
-            ModelKind::LinearRegression,
-            &SquareLossTransform,
-            &pricing,
-            &ncps,
-        )
+        .price_error_curve(ModelKind::LinearRegression, &ncps)
         .unwrap();
     assert!(curve.is_well_formed());
 }
