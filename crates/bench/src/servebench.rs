@@ -9,7 +9,9 @@
 //! * **serve-single / serve-into / serve-batch** — end-to-end purchases
 //!   against a published listing: one `buy_listed` per quote, one
 //!   zero-allocation `buy_batch_into` batch of one per quote (the daemon's
-//!   depth-1 shape), and `buy_batch` in chunks.
+//!   depth-1 shape), and `buy_batch_into` in chunks. Both batch workloads
+//!   reuse one [`SaleArena`] per run, so they time the kernel, not the
+//!   allocator.
 //! * **factor-cache off/on** — ridge re-training across distinct ridge
 //!   values via one-shot `ridge_closed_form` (re-forms the Gram matrix
 //!   every call) vs a [`RidgeSolver`] that
@@ -207,19 +209,24 @@ pub fn run(quotes: usize) -> Record {
             .sum()
     });
 
-    // serve-batch: same stream in BATCH-sized chunks; each work item is one
-    // whole batch, its latency amortized over the batch's quotes.
-    let mut batchers: Vec<(Broker, mbp_randx::MbpRng)> = (0..REPEATS)
-        .map(|_| (listed_broker(0xA11, &pricing), seeded_rng(0x5e1)))
+    // serve-batch: same stream in BATCH-sized chunks, reusing one arena;
+    // each work item is one whole batch, its latency amortized over the
+    // batch's quotes.
+    let mut batchers: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..REPEATS)
+        .map(|_| {
+            let broker = listed_broker(0xA11, &pricing);
+            (broker, seeded_rng(0x5e1), SaleArena::new())
+        })
         .collect();
     let serve_batch = measure(quotes, quotes.div_ceil(BATCH), 1, |run, b| {
-        let (broker, rng) = &mut batchers[run];
+        let (broker, rng, arena) = &mut batchers[run];
         let lo = b * BATCH;
         let hi = (lo + BATCH).min(quotes);
         broker
-            .buy_batch(ModelKind::LinearRegression, &requests[lo..hi], rng)
-            .expect("listing exists")
-            .into_iter()
+            .buy_batch_into(ModelKind::LinearRegression, &requests[lo..hi], rng, arena)
+            .expect("listing exists");
+        arena
+            .results()
             .map(|r| {
                 let sale = r.expect("request is satisfiable");
                 sale.price + sale.ncp

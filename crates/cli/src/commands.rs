@@ -337,9 +337,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         PricingFunction::from_points(grid, prices).map_err(|e| CliError::Market(e.to_string()))?;
 
     let tt = ds.split(0.75, &mut rng);
-    // The split copies every row, so the unsplit dataset is dead here:
-    // free it rather than keep it beside the two halves until exit.
-    drop(ds);
     let mut broker = Broker::new(tt);
 
     // `--wal DIR` turns on durability: recover the directory into the

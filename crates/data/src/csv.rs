@@ -10,9 +10,9 @@
 //!
 //! [`read_dataset`] streams its input once through one reusable buffer of
 //! 256 KiB, which grows only when a single line does not fit. Each
-//! read is cut at its last `\n`, the complete lines before the cut are
-//! checked as UTF-8 once, and every cell is parsed in place straight into
-//! the feature or target buffer.
+//! read is cut at its last `\n`, and every cell of the complete lines
+//! before the cut is parsed in place straight into the feature or target
+//! buffer.
 //!
 //! A row whose cells all match `-?[0-9]+(\.[0-9]+)?` — at most 19
 //! significant digits and at most 27 fraction digits, each cell ending at
@@ -26,11 +26,16 @@
 //! `f64::from_str`. Both paths give the same bits, so a value, an error,
 //! its line number and its cell text never depend on which path ran.
 //!
+//! A row the fast path takes is ASCII by construction, so only the lines
+//! that leave it are checked as UTF-8, each with its `\n`: an invalid
+//! sequence is then found at the same byte and worded the same way as by
+//! one check of the whole input.
+//!
 //! Errors keep one precedence however the input is split into reads: an
 //! I/O error from the reader beats invalid UTF-8 anywhere in the input,
 //! which beats the first bad cell or ragged row. So after a parse error
-//! the reader still reads and checks the rest of the input before it
-//! returns.
+//! the reader still reads the rest of the input and checks all of it as
+//! UTF-8 before it returns.
 
 use crate::Dataset;
 use mbp_linalg::{Matrix, Vector};
@@ -143,11 +148,11 @@ fn read_chunked<R: Read>(mut reader: R, chunk: usize) -> Result<Dataset, CsvErro
             }
         };
         if !discard {
-            match std::str::from_utf8(&buf[..end]) {
-                Err(e) => pending = Some(invalid_utf8(&e, offset)),
-                Ok(text) if pending.is_none() => pending = rows.push_lines(text).err(),
-                Ok(_) => {}
-            }
+            let lines = &buf[..end];
+            pending = match pending {
+                None => rows.push_lines(lines, offset).err(),
+                Some(bad_row) => Some(outranked(bad_row, lines, 0, offset)),
+            };
         }
         buf.copy_within(end..filled, 0);
         filled -= end;
@@ -161,15 +166,25 @@ fn read_chunked<R: Read>(mut reader: R, chunk: usize) -> Result<Dataset, CsvErro
     }
 }
 
-/// The `InvalidData` error for invalid UTF-8 found `offset` bytes into
-/// the input, worded as `str::from_utf8` words it for the whole input.
-fn invalid_utf8(e: &std::str::Utf8Error, offset: usize) -> CsvError {
-    let at = offset + e.valid_up_to();
-    let msg = match e.error_len() {
-        Some(len) => format!("invalid utf-8 sequence of {len} bytes from index {at}"),
-        None => format!("incomplete utf-8 byte sequence from index {at}"),
-    };
-    CsvError::Io(std::io::Error::new(ErrorKind::InvalidData, msg))
+/// `bytes`, found `offset` bytes into the input, as text; invalid UTF-8
+/// is an `InvalidData` error worded as `str::from_utf8` words it for the
+/// whole input.
+fn check_utf8(bytes: &[u8], offset: usize) -> Result<&str, CsvError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        let at = offset + e.valid_up_to();
+        let msg = match e.error_len() {
+            Some(len) => format!("invalid utf-8 sequence of {len} bytes from index {at}"),
+            None => format!("incomplete utf-8 byte sequence from index {at}"),
+        };
+        CsvError::Io(std::io::Error::new(ErrorKind::InvalidData, msg))
+    })
+}
+
+/// `bad_row`, unless `bytes[from..]` holds invalid UTF-8, which outranks
+/// it; `bytes` is found `offset` bytes into the input.
+fn outranked(bad_row: CsvError, bytes: &[u8], from: usize, offset: usize) -> CsvError {
+    let rest = bytes.get(from..).unwrap_or_default();
+    check_utf8(rest, offset + from).err().unwrap_or(bad_row)
 }
 
 /// The rows parsed so far.
@@ -186,10 +201,12 @@ struct Rows {
 }
 
 impl Rows {
-    /// Parses `text`, whole lines each ending at `\n` (the last one may
-    /// also end at the end of the input), and stops at the first bad row.
-    fn push_lines(&mut self, text: &str) -> Result<(), CsvError> {
-        let bytes = text.as_bytes();
+    /// Parses `bytes`, whole lines each ending at `\n` (the last one may
+    /// also end at the end of the input) found `offset` bytes into the
+    /// input. A line the fast path does not take is checked as UTF-8,
+    /// `\n` included, before it is parsed. At the first bad row the rest
+    /// of `bytes` is checked too, and invalid UTF-8 there is the error.
+    fn push_lines(&mut self, bytes: &[u8], offset: usize) -> Result<(), CsvError> {
         let mut at = 0;
         while at < bytes.len() {
             self.line += 1;
@@ -198,9 +215,11 @@ impl Rows {
                 Some(row) => row,
                 None => {
                     self.x.truncate(mark);
-                    let end = text[at..].find('\n').map_or(text.len(), |i| at + i);
-                    let line = text[at..end].trim();
-                    let next = end + 1;
+                    let next = bytes[at..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |i| at + i + 1);
+                    let line = check_utf8(&bytes[at..next], offset + at)?.trim();
                     if line.is_empty() {
                         at = next;
                         continue;
@@ -216,21 +235,23 @@ impl Rows {
                             continue;
                         }
                         Err(cell) => {
-                            return Err(CsvError::BadNumber {
+                            let bad = CsvError::BadNumber {
                                 line: self.line,
                                 cell: cell.to_string(),
-                            })
+                            };
+                            return Err(outranked(bad, bytes, next, offset));
                         }
                     }
                 }
             };
             match self.width {
                 Some(w) if got != w => {
-                    return Err(CsvError::RaggedRow {
+                    let bad = CsvError::RaggedRow {
                         line: self.line,
                         expected: w,
                         got,
-                    })
+                    };
+                    return Err(outranked(bad, bytes, next, offset));
                 }
                 Some(_) => {}
                 None => self.width = Some(got),
@@ -831,6 +852,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Only lines off the fast path are checked as UTF-8, yet invalid
+    /// UTF-8 is found at the byte and with the wording of a whole-input
+    /// check, and still outranks any bad row before it.
+    #[test]
+    fn utf8_checked_off_the_fast_path_keeps_position_and_precedence() {
+        // Just before a mid-input `\n`, after only fast rows: a lone bad
+        // byte, a sequence cut by the `\n`, and one the `\n` would cut.
+        for case in [
+            &b"1,2,3\n4,5,6\n7,8,9\xff\n1,2,3\n"[..],
+            b"1,2,3\n4,5,6\n7,8,\xe2\x82\n1,2,3\n",
+            b"1,2,3\n4,5,6\n\xf0\x9f\x98\n",
+        ] {
+            let got = same_every_way(case);
+            assert!(got.starts_with("io InvalidData: invalid utf-8"), "{got}");
+        }
+        // A bad row, then invalid UTF-8 in the same chunk: after a bad
+        // cell, after a ragged fast row, after a ragged row cut by `\r`.
+        for case in [
+            &b"1,2,3\n4,x,6\n7,8,9\n1,\xff,2\n"[..],
+            b"1,2,3\n4,5\n7,8,9\n1,\xff,2\n",
+            b"1,2,3\n4,5\r\n\xff",
+        ] {
+            let got = same_every_way(case);
+            assert!(got.starts_with("io InvalidData: invalid utf-8"), "{got}");
+        }
+        // A ragged row ending at a `\r` that ends the input.
+        assert!(same_every_way(b"1,2,3\n4,5\r").starts_with("RaggedRow"));
+        // A header row, then invalid UTF-8 in a later chunk.
+        let good = "1.5,-2.25,3\n".repeat(CHUNK / 12);
+        let mut input = format!("a,b,y\n{good}{good}").into_bytes();
+        input.extend_from_slice(b"7,8,9\xc3\n1,2,3\n");
+        let got = same_every_way(&input);
+        let at = input.len() - 8;
+        assert_eq!(
+            got,
+            format!("io InvalidData: invalid utf-8 sequence of 1 bytes from index {at}")
+        );
     }
 
     /// `fast_cell` on a whole string: the value when the fast path takes

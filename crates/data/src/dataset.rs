@@ -65,23 +65,77 @@ impl Dataset {
     /// Splits into train/test with the given train fraction, shuffling with
     /// `rng`. Matches the paper's 75/25 convention when `train_frac = 0.75`.
     ///
+    /// For one shuffled index `idx`, train row `k` is row `idx[k]` and test
+    /// row `k` is row `idx[n₁ + k]`. The rows are permuted in place, the
+    /// larger half first, so the only copy made is the smaller half; a
+    /// caller that keeps the dataset splits a clone. With observability on,
+    /// each call records an `mbp.data.split` span.
+    ///
     /// # Panics
     /// Panics unless `0 < train_frac < 1`.
-    pub fn split(&self, train_frac: f64, rng: &mut MbpRng) -> TrainTest {
+    pub fn split(self, train_frac: f64, rng: &mut MbpRng) -> TrainTest {
         assert!(
             train_frac > 0.0 && train_frac < 1.0,
             "train_frac must be in (0, 1), got {train_frac}"
         );
-        let n = self.n();
+        let _span = mbp_obs::span("mbp.data.split");
+        let (n, d) = (self.n(), self.d());
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(rng);
         let n_train = ((n as f64) * train_frac).round() as usize;
-        let n_train = n_train.clamp(1, n.saturating_sub(1).max(1));
-        let (tr, te) = idx.split_at(n_train.min(n));
-        TrainTest {
-            train: self.select(tr),
-            test: self.select(te),
+        let n_train = n_train.clamp(1, n.saturating_sub(1).max(1)).min(n);
+        // Lead with the larger half, so that `split_off` copies the smaller.
+        let train_first = 2 * n_train >= n;
+        if !train_first {
+            idx.rotate_left(n_train);
         }
+        let head = if train_first { n_train } else { n - n_train };
+        let mut x = self.x.into_vec();
+        let mut y = self.y.into_vec();
+        permute_rows(&mut x, &mut y, d, &idx);
+        let (x_tail, y_tail) = (x.split_off(head * d), y.split_off(head));
+        let part = |rows, x, y| {
+            Dataset::new(
+                Matrix::from_vec(rows, d, x).expect("split preserves width"),
+                Vector::from_vec(y),
+            )
+        };
+        let (first, second) = (part(head, x, y), part(n - head, x_tail, y_tail));
+        let (train, test) = if train_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        TrainTest { train, test }
+    }
+}
+
+/// Reorders the rows of `x` (width `d`) and of `y` in place so that row
+/// `k` becomes the old row `order[k]`. Each cycle of the permutation is
+/// followed once: its first row waits in a spare row while every other
+/// row moves straight into its slot.
+fn permute_rows(x: &mut [f64], y: &mut [f64], d: usize, order: &[usize]) {
+    let mut placed = vec![false; order.len()];
+    let mut spare = vec![0.0; d];
+    for start in 0..order.len() {
+        if placed[start] {
+            continue;
+        }
+        spare.copy_from_slice(&x[start * d..(start + 1) * d]);
+        let spare_y = y[start];
+        let mut k = start;
+        loop {
+            placed[k] = true;
+            let src = order[k];
+            if src == start {
+                break;
+            }
+            x.copy_within(src * d..(src + 1) * d, k * d);
+            y[k] = y[src];
+            k = src;
+        }
+        x[k * d..(k + 1) * d].copy_from_slice(&spare);
+        y[k] = spare_y;
     }
 }
 
@@ -212,9 +266,45 @@ mod tests {
     #[test]
     fn split_is_seed_deterministic() {
         let ds = toy(40);
-        let a = ds.split(0.5, &mut seeded_rng(9));
+        let a = ds.clone().split(0.5, &mut seeded_rng(9));
         let b = ds.split(0.5, &mut seeded_rng(9));
         assert_eq!(a.train.y.as_slice(), b.train.y.as_slice());
+    }
+
+    /// The split before it permuted in place, kept as the oracle: shuffle
+    /// the index, then gather each half into a fresh dataset.
+    fn gathered_split(ds: &Dataset, train_frac: f64, rng: &mut MbpRng) -> TrainTest {
+        let n = ds.n();
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.shuffle(rng);
+        let n_train = ((n as f64) * train_frac).round() as usize;
+        let n_train = n_train.clamp(1, n.saturating_sub(1).max(1));
+        let (tr, te) = idx.split_at(n_train.min(n));
+        TrainTest {
+            train: ds.select(tr),
+            test: ds.select(te),
+        }
+    }
+
+    /// In-place splitting gives the gathered halves bit for bit, whichever
+    /// half is larger, including a one-row half.
+    #[test]
+    fn split_in_place_matches_the_gather() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [2, 3, 101, 20_000] {
+            let x = Matrix::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+            let ds = Dataset::new(x, (0..n).map(|i| i as f64 - 0.5).collect());
+            for frac in [0.75, 0.5, 0.25, 0.01, 0.99] {
+                let want = gathered_split(&ds, frac, &mut seeded_rng(n as u64));
+                let got = ds.clone().split(frac, &mut seeded_rng(n as u64));
+                assert_eq!(got.sizes(), want.sizes(), "n {n}, frac {frac}");
+                for (g, w) in [(&got.train, &want.train), (&got.test, &want.test)] {
+                    assert_eq!(g.d(), 3);
+                    assert_eq!(bits(g.x.as_slice()), bits(w.x.as_slice()), "n {n}");
+                    assert_eq!(bits(g.y.as_slice()), bits(w.y.as_slice()), "n {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -232,35 +232,16 @@ impl Matrix {
     /// choice depends only on the shape, so each shape has one summation
     /// order; the banded sum differs from the row-by-row one only by the
     /// band-wise reassociation (bounded by normal f64 summation error).
-    ///
-    /// The upper-triangle update is a slice-zip axpy
-    /// (`acc[j·d+j..j·d+d] += rj · row[j..]`): ascending `k`, the same
-    /// additions in the same order as the indexed loop it replaces (so
-    /// bit-identical), but bounds-check-free and autovectorizable.
+    /// Inside a band, or over all rows, `gram_add_rows` adds each
+    /// entry's row products in ascending row order.
     pub fn gram(&self) -> Matrix {
         let d = self.cols;
         let mut out = Matrix::zeros(d, d);
-        let add_rows = |acc: &mut [f64], rows: std::ops::Range<usize>| {
-            for i in rows {
-                let row = self.row(i);
-                for (j, &rj) in row.iter().enumerate() {
-                    // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
-                    if rj == 0.0 {
-                        continue;
-                    }
-                    // Only the upper triangle; mirrored below.
-                    let base = j * d;
-                    for (o, &a) in acc[base + j..base + d].iter_mut().zip(&row[j..]) {
-                        *o += rj * a;
-                    }
-                }
-            }
-        };
         if self.gram_is_banded() {
             let mut partial = vec![0.0f64; d * d];
             for start in (0..self.rows).step_by(Self::GRAM_ROW_BAND) {
                 partial.fill(0.0);
-                add_rows(
+                self.gram_add_rows(
                     &mut partial,
                     start..(start + Self::GRAM_ROW_BAND).min(self.rows),
                 );
@@ -269,7 +250,7 @@ impl Matrix {
                 }
             }
         } else {
-            add_rows(&mut out.data, 0..self.rows);
+            self.gram_add_rows(&mut out.data, 0..self.rows);
         }
         for j in 0..d {
             for k in (j + 1)..d {
@@ -277,6 +258,62 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// Adds `Σ rᵢⱼ·rᵢₖ` over the rows `i` in `rows` into the upper triangle
+    /// of `acc` (`d × d`, row-major), skipping every term whose `rᵢⱼ` is an
+    /// exact zero.
+    ///
+    /// Rows go four at a time: each `acc[j·d+j..j·d+d]` slice is loaded once
+    /// and gets the four rows' axpys as one left-to-right sum, which is the
+    /// same additions in the same ascending-row order as four separate
+    /// passes, so the same bits. A column `j` where one of the four `rᵢⱼ`
+    /// is zero takes the four per-row axpys instead, each skipping its zero,
+    /// as do the last `len % 4` rows.
+    fn gram_add_rows(&self, acc: &mut [f64], rows: std::ops::Range<usize>) {
+        let d = self.cols;
+        let row_axpy = |acc: &mut [f64], row: &[f64], j: usize| {
+            let rj = row[j];
+            if !is_exact_zero(rj) {
+                let base = j * d;
+                for (o, &a) in acc[base + j..base + d].iter_mut().zip(&row[j..]) {
+                    *o += rj * a;
+                }
+            }
+        };
+        let mut i = rows.start;
+        while i + 4 <= rows.end {
+            let r = [
+                self.row(i),
+                self.row(i + 1),
+                self.row(i + 2),
+                self.row(i + 3),
+            ];
+            for j in 0..d {
+                let c = [r[0][j], r[1][j], r[2][j], r[3][j]];
+                if c.into_iter().any(is_exact_zero) {
+                    for row in r {
+                        row_axpy(acc, row, j);
+                    }
+                    continue;
+                }
+                let base = j * d;
+                let upper = &mut acc[base + j..base + d];
+                let (a0, a1, a2, a3) = (&r[0][j..], &r[1][j..], &r[2][j..], &r[3][j..]);
+                for ((((o, &x0), &x1), &x2), &x3) in
+                    upper.iter_mut().zip(a0).zip(a1).zip(a2).zip(a3)
+                {
+                    *o = *o + c[0] * x0 + c[1] * x1 + c[2] * x2 + c[3] * x3;
+                }
+            }
+            i += 4;
+        }
+        for i in i..rows.end {
+            let row = self.row(i);
+            for j in 0..d {
+                row_axpy(acc, row, j);
+            }
+        }
     }
 
     /// Whether [`Matrix::gram`] takes the banded path: at least two row
@@ -369,6 +406,18 @@ impl Matrix {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
+
+    /// The row-major backing storage, without a copy.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+}
+
+/// Whether `v` is `+0.0` or `-0.0`: the Gram's sparsity skip.
+#[inline]
+fn is_exact_zero(v: f64) -> bool {
+    // LINT-ALLOW(float): exact-zero skip exploits input sparsity.
+    v == 0.0
 }
 
 /// Dot product on four fixed accumulator lanes.
@@ -582,6 +631,104 @@ mod tests {
             let plain = a.transpose().matmul(&a).unwrap();
             assert_eq!(a.gram().as_slice(), plain.as_slice());
         }
+    }
+
+    /// The Gram before rows went four at a time, kept as the oracle: one
+    /// row-by-row axpy pass over the upper triangle, per band on the
+    /// banded path.
+    fn row_by_row_gram(m: &Matrix) -> Matrix {
+        let d = m.cols;
+        let add_rows = |acc: &mut [f64], rows: std::ops::Range<usize>| {
+            for i in rows {
+                let row = m.row(i);
+                for (j, &rj) in row.iter().enumerate() {
+                    if is_exact_zero(rj) {
+                        continue;
+                    }
+                    let base = j * d;
+                    for (o, &a) in acc[base + j..base + d].iter_mut().zip(&row[j..]) {
+                        *o += rj * a;
+                    }
+                }
+            }
+        };
+        let mut out = Matrix::zeros(d, d);
+        if m.gram_is_banded() {
+            let mut partial = vec![0.0f64; d * d];
+            for start in (0..m.rows).step_by(Matrix::GRAM_ROW_BAND) {
+                partial.fill(0.0);
+                add_rows(
+                    &mut partial,
+                    start..(start + Matrix::GRAM_ROW_BAND).min(m.rows),
+                );
+                for (o, a) in out.data.iter_mut().zip(&partial) {
+                    *o += a;
+                }
+            }
+        } else {
+            add_rows(&mut out.data, 0..m.rows);
+        }
+        for j in 0..d {
+            for k in (j + 1)..d {
+                out.data[k * d + j] = out.data[j * d + k];
+            }
+        }
+        out
+    }
+
+    /// `tall` with `0.0`, `-0.0`, `±inf` and NaN planted at seeded spots,
+    /// sparse enough that most four-row groups hold one special cell in a
+    /// column and some hold several.
+    fn planted(rows: usize, cols: usize) -> Matrix {
+        let mut m = tall(rows, cols);
+        let mut state = (rows * 1_000 + cols) as u64;
+        for x in m.data.iter_mut() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            *x = match state >> 58 {
+                0..=5 => 0.0,
+                6..=9 => -0.0,
+                10 => f64::INFINITY,
+                11 => f64::NEG_INFINITY,
+                12 => f64::NAN,
+                _ => *x,
+            };
+        }
+        m
+    }
+
+    /// Four rows per pass leave every entry's bits those of the row-by-row
+    /// loop: every `n mod 4`, widths on both sides of the band threshold
+    /// (150 is banded), dense, planted and all-zero inputs. The trace
+    /// shortcut still matches the Gram's trace. Rust leaves the sign and
+    /// payload of a NaN result unspecified, so a NaN matches any NaN.
+    #[test]
+    fn four_row_gram_is_the_row_by_row_gram_bit_for_bit() {
+        let key = |x: f64| if x.is_nan() { None } else { Some(x.to_bits()) };
+        let bits = |m: &Matrix| m.data.iter().map(|&x| key(x)).collect::<Vec<_>>();
+        for cols in [1, 7, 90, 150] {
+            let base = if cols == 150 { 600 } else { 40 };
+            for rows in base..base + 4 {
+                for m in [
+                    tall(rows, cols),
+                    planted(rows, cols),
+                    Matrix::zeros(rows, cols),
+                ] {
+                    assert_eq!(m.gram_is_banded(), cols == 150);
+                    let g = m.gram();
+                    assert_eq!(bits(&g), bits(&row_by_row_gram(&m)), "{rows}x{cols}");
+                    let trace = g.trace().unwrap();
+                    assert_eq!(key(m.gram_trace()), key(trace), "{rows}x{cols}");
+                }
+            }
+        }
+        // The planted input reaches the skip's edge cases: a zero beside an
+        // infinity, whose product the skip never forms.
+        let m = planted(43, 7);
+        assert!(m.data.iter().any(|x| x.is_nan()));
+        assert!(m.data.iter().any(|x| x.is_infinite()));
+        assert!(m.gram().data.iter().any(|x| x.is_infinite()));
     }
 
     /// Row bands and `k` blocks leave each row's ascending-`k` sum intact:

@@ -18,6 +18,11 @@ impl Vector {
         Vector { data }
     }
 
+    /// The entries, without a copy.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Creates a vector of `len` zeros.
     pub fn zeros(len: usize) -> Self {
         Vector {

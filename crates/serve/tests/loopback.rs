@@ -496,6 +496,13 @@ fn metrics_side_port_serves_prometheus_text() {
         body.contains("mbp_serve_requests"),
         "scrape must expose serve counters: {body}"
     );
+    // Set-up is attributed too: the split and the Gram behind the listing.
+    for series in [
+        "mbp_data_split_seconds_count",
+        "mbp_ml_ridge_gram_seconds_count",
+    ] {
+        assert!(body.contains(series), "scrape must expose {series}: {body}");
+    }
 
     let mut http = TcpStream::connect(maddr).expect("connect metrics");
     http.set_read_timeout(Some(Duration::from_secs(10)))

@@ -2,7 +2,9 @@
 //! what "the reproduction holds" means (who wins, monotonicity, growth
 //! rates), independent of absolute numbers.
 
-use mbp_bench::experiments::{fig10, fig5, fig6, fig7, fig8, fig9, table3, EXPERIMENTS};
+use mbp_bench::experiments::{
+    fig10, fig5, fig6, fig7, fig8, fig9, table3, RuntimeScenario, EXPERIMENTS,
+};
 use mbp_bench::Config;
 
 fn tiny_config() -> Config {
@@ -149,8 +151,17 @@ fn fig8_mbp_dominates_baselines() {
     assert_mbp_dominates(&scenarios);
 }
 
-fn assert_runtime_shapes(scenarios: &[mbp_bench::experiments::RuntimeScenario], max_n: usize) {
-    for s in scenarios {
+/// Timed runs of a runtime sweep: each runtime compared below is the
+/// median of this many readings, so one slow reading cannot flip a ratio.
+const TIMED_RUNS: usize = 5;
+
+/// `TIMED_RUNS` runs of `sweep`.
+fn timed_runs(sweep: impl Fn() -> Vec<RuntimeScenario>) -> Vec<Vec<RuntimeScenario>> {
+    (0..TIMED_RUNS).map(|_| sweep()).collect()
+}
+
+fn assert_runtime_shapes(runs: &[Vec<RuntimeScenario>], max_n: usize) {
+    for (si, s) in runs[0].iter().enumerate() {
         // Per n: MILP ≥ MBP ≥ baselines in revenue; MILP within 2× of MBP.
         let mut by_n: std::collections::BTreeMap<usize, Vec<&mbp_bench::experiments::RuntimeRow>> =
             Default::default();
@@ -204,25 +215,26 @@ fn assert_runtime_shapes(scenarios: &[mbp_bench::experiments::RuntimeScenario], 
             s.label
         );
         // Exponential-vs-polynomial: the MILP runtime at max_n dwarfs its
-        // runtime at small n by a much larger factor than MBP's.
-        let milp_first = s
-            .rows
-            .iter()
-            .find(|r| r.n == 3 && r.method == "MILP")
-            .unwrap()
-            .runtime_s;
-        let milp_last = s
-            .rows
-            .iter()
-            .find(|r| r.n == max_n && r.method == "MILP")
-            .unwrap()
-            .runtime_s;
-        let mbp_last = s
-            .rows
-            .iter()
-            .find(|r| r.n == max_n && r.method == "MBP")
-            .unwrap()
-            .runtime_s;
+        // runtime at small n by a much larger factor than MBP's. Each
+        // runtime is the median over the timed runs.
+        let runtime = |n: usize, m: &str| {
+            let mut t: Vec<f64> = runs
+                .iter()
+                .map(|run| {
+                    run[si]
+                        .rows
+                        .iter()
+                        .find(|r| r.n == n && r.method == m)
+                        .unwrap()
+                        .runtime_s
+                })
+                .collect();
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        let milp_first = runtime(3, "MILP");
+        let milp_last = runtime(max_n, "MILP");
+        let mbp_last = runtime(max_n, "MBP");
         assert!(
             milp_last > 4.0 * milp_first,
             "{}: MILP runtime did not grow ({milp_first} -> {milp_last})",
@@ -320,17 +332,17 @@ fn transform_ablation_shapes() {
 #[test]
 fn fig9_runtime_and_revenue_shapes() {
     let cfg = tiny_config();
-    let scenarios = fig9(&cfg);
-    assert_eq!(scenarios.len(), 2);
-    assert_runtime_shapes(&scenarios, cfg.max_n);
+    let runs = timed_runs(|| fig9(&cfg));
+    assert_eq!(runs[0].len(), 2);
+    assert_runtime_shapes(&runs, cfg.max_n);
 }
 
 #[test]
 fn fig10_runtime_and_revenue_shapes() {
     let cfg = tiny_config();
-    let scenarios = fig10(&cfg);
-    assert_eq!(scenarios.len(), 2);
-    assert_runtime_shapes(&scenarios, cfg.max_n);
+    let runs = timed_runs(|| fig10(&cfg));
+    assert_eq!(runs[0].len(), 2);
+    assert_runtime_shapes(&runs, cfg.max_n);
 }
 
 #[test]

@@ -99,6 +99,27 @@ fn gram_is_bit_identical_at_every_thread_count() {
     }
 }
 
+/// 303 rows (n mod 4 = 3) with exact zeros of both signs planted: the
+/// Gram's four-row groups meet columns that skip a zero, and three rows
+/// are left over after the last group.
+#[test]
+fn gram_with_zeros_and_a_ragged_row_tail_is_pinned() {
+    let mut data = patterned_matrix(303, 40).as_slice().to_vec();
+    for (k, x) in data.iter_mut().enumerate() {
+        match k % 7 {
+            0 => *x = 0.0,
+            3 => *x = -0.0,
+            _ => {}
+        }
+    }
+    let m = Matrix::from_vec(303, 40, data).expect("consistent shape");
+    check_pins(&[(
+        "gram 303x40 with zeros (row by row)",
+        digest(m.gram().as_slice().to_vec()),
+        0x9fe2_9433_4868_a55d,
+    )]);
+}
+
 #[test]
 fn training_gradients_agree_across_thread_counts() {
     let mut rng = seeded_rng(515);
