@@ -4,7 +4,7 @@
 //! keeps the commands unit-testable without capturing stdout.
 
 use crate::args::{ArgError, Args};
-use mbp_core::arbitrage::audit;
+use mbp_core::arbitrage::check;
 use mbp_core::market::curves::{DemandCurve, DemandShape, ValueCurve, ValueShape};
 use mbp_core::pricing::PricingFunction;
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp_fair, Baseline, BuyerPoint};
@@ -66,7 +66,7 @@ COMMANDS:
   price     --csv F               derive arbitrage-free DP pricing
             [--grid lo,hi,n] [--value SHAPE] [--vmin V] [--vmax V]
             [--demand SHAPE] [--lambda L] [--out PRICES_TSV]
-  audit     --prices F            audit a pricing curve (TSV: x<TAB>price)
+  audit     --prices F            check a pricing curve for arbitrage (TSV: x<TAB>price)
   attack    --prices F            fuzz a pricing curve for arbitrage
             [--seed S] [--trials N] (monotonicity, subadditivity, budget
             [--bundle K]            round-trips) and cross-check all
@@ -710,7 +710,7 @@ fn parse_demand_curve(args: &Args) -> Result<DemandCurve, CliError> {
     Ok(DemandCurve::new(shape))
 }
 
-fn derive_pricing(args: &Args) -> Result<(Vec<f64>, Vec<BuyerPoint>, PricingFunction), CliError> {
+fn derive_pricing(args: &Args) -> Result<(Vec<BuyerPoint>, PricingFunction), CliError> {
     let grid = args.get_grid("grid", (10.0, 100.0, 10))?;
     let value = parse_value_curve(args)?;
     let demand = parse_demand_curve(args)?;
@@ -718,14 +718,14 @@ fn derive_pricing(args: &Args) -> Result<(Vec<f64>, Vec<BuyerPoint>, PricingFunc
         .map_err(|e| CliError::Data(e.to_string()))?;
     let lambda = args.get_f64("lambda", 0.0)?;
     let sol = solve_bv_dp_fair(&buyers, lambda);
-    Ok((grid, buyers, sol.pricing))
+    Ok((buyers, sol.pricing))
 }
 
 fn cmd_price(args: &Args) -> Result<String, CliError> {
     // The CSV is loaded to bind the listing to a concrete dataset (and to
     // fail early on a bad path); pricing itself depends on the curves.
     let _ds = load_csv(args.require("csv")?)?;
-    let (grid, buyers, pricing) = derive_pricing(args)?;
+    let (buyers, pricing) = derive_pricing(args)?;
     if let Some(out_path) = args.get("out") {
         // Emit the curve in the TSV dialect `audit --prices` consumes, so
         // `price --out F` composes with `audit --prices F`.
@@ -763,8 +763,7 @@ fn cmd_price(args: &Args) -> Result<String, CliError> {
         )
         .unwrap();
     }
-    let clean = audit(&pricing, &grid, 10, 1e-6).is_clean();
-    writeln!(out, "arbitrage_free\t{clean}").unwrap();
+    writeln!(out, "arbitrage_free\t{}", check(&pricing).is_ok()).unwrap();
     Ok(out)
 }
 
@@ -801,40 +800,16 @@ fn load_prices_tsv(path: &str) -> Result<PricingFunction, CliError> {
 
 fn cmd_audit(args: &Args) -> Result<String, CliError> {
     let pf = load_prices_tsv(args.require("prices")?)?;
-    let report = audit(&pf, pf.grid(), 10, 1e-6);
     let mut out = String::new();
-    writeln!(
-        out,
-        "monotonicity_violations\t{}",
-        report.monotonicity_violations.len()
-    )
-    .unwrap();
-    for (a, b) in &report.monotonicity_violations {
-        writeln!(out, "  price({a}) > price({b})").unwrap();
-    }
-    writeln!(out, "arbitrage_opportunities\t{}", report.arbitrage.len()).unwrap();
-    for f in &report.arbitrage {
-        writeln!(
-            out,
-            "  target x={} list={:.4} bundle={:?} costs {:.4} (margin {:.4})",
-            f.target_precision,
-            f.list_price,
-            f.bundle,
-            f.bundle_price,
-            f.margin()
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "verdict\t{}",
-        if report.is_clean() {
-            "CLEAN"
-        } else {
+    writeln!(out, "knots\t{}", pf.grid().len()).unwrap();
+    let verdict = match check(&pf) {
+        Ok(()) => "CLEAN",
+        Err(witness) => {
+            writeln!(out, "witness\t{witness}").unwrap();
             "ARBITRAGE"
         }
-    )
-    .unwrap();
+    };
+    writeln!(out, "verdict\t{verdict}").unwrap();
     Ok(out)
 }
 
@@ -929,7 +904,7 @@ fn cmd_sell(args: &Args) -> Result<String, CliError> {
     let seed = args.get_u64("seed", 7)?;
     let mut rng = seeded_rng(seed);
     let tt = ds.split(0.75, &mut rng);
-    let (_, _, pricing) = derive_pricing(args)?;
+    let (_, pricing) = derive_pricing(args)?;
     let mut broker = Broker::new(tt);
     broker
         .support(kind, args.get_f64("ridge", 1e-3)?)
@@ -1244,6 +1219,21 @@ mod tests {
         std::fs::write(&path, text).unwrap();
         let out = run(&argv(&format!("audit --prices {}", path.display()))).unwrap();
         assert!(out.contains("verdict\tARBITRAGE"), "{out}");
+    }
+
+    #[test]
+    fn audit_names_the_witness_off_the_knots() {
+        // No knot pair is superadditive; p̄(1) = 1 on the origin ray is.
+        let dir = std::env::temp_dir().join("mbp-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ray-prices.tsv");
+        std::fs::write(&path, "2 2\n3 3.5\n").unwrap();
+        let out = run(&argv(&format!("audit --prices {}", path.display()))).unwrap();
+        assert!(out.contains("verdict\tARBITRAGE"), "{out}");
+        assert!(
+            out.contains("precisions 1 + 2 cost 3 < p(3) = 3.5"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! * [`lookup`] — the segment-lookup kernel (branchless grid, or
 //!   `partition_point` for irregular keys) behind the compiled serving
 //!   tables;
-//! * [`arbitrage`] — auditors that verify or *break* pricing functions,
-//!   including the model-averaging attack from the proof of Theorem 5;
+//! * [`arbitrage`] — the exact check every published curve passes
+//!   (monotone and subadditive as sold, or a witness), and the
+//!   model-averaging attack from the proof of Theorem 5;
 //! * [`revenue`] — the revenue-optimization toolbox of Section 5: the
 //!   `O(n²)` dynamic program (Theorem 10), LP/QP price interpolation,
 //!   the four naive baselines, and the exact exponential solver;

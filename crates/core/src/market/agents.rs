@@ -1,5 +1,6 @@
 //! The seller, broker, and buyer agents and the purchase protocol.
 
+use crate::arbitrage::{self, Arbitrage};
 use crate::error::ErrorTransform;
 use crate::market::curves::{buyer_points, DemandCurve, ValueCurve};
 use crate::market::durability::DurabilitySink;
@@ -47,6 +48,9 @@ pub enum MarketError {
     InsufficientBudget(f64),
     /// Malformed request (e.g. non-positive NCP).
     BadRequest(String),
+    /// A published curve is not arbitrage-free as sold; carries the
+    /// witness [`arbitrage::check`] found.
+    NotArbitrageFree(Arbitrage),
 }
 
 impl fmt::Display for MarketError {
@@ -66,6 +70,9 @@ impl fmt::Display for MarketError {
                 write!(f, "budget {b} cannot afford any model instance")
             }
             MarketError::BadRequest(msg) => write!(f, "bad request: {msg}"),
+            MarketError::NotArbitrageFree(w) => {
+                write!(f, "pricing is not arbitrage-free: {w}")
+            }
         }
     }
 }
@@ -437,7 +444,9 @@ impl Broker {
 
     /// Publishes a standing offer for `kind`: later purchases can go
     /// through [`Broker::buy_listed`] without re-supplying the pricing and
-    /// transform on every call. The model must already be on the menu.
+    /// transform on every call. The model must already be on the menu, and
+    /// `pricing` must pass [`arbitrage::check`]: a rejected curve is neither
+    /// listed nor recorded, and the previous listing keeps serving.
     pub fn publish(
         &mut self,
         kind: ModelKind,
@@ -449,6 +458,10 @@ impl Broker {
         if !self.menu.contains_key(&kind) {
             mbp_obs::inc("mbp.core.publish.rejected");
             return Err(MarketError::UnsupportedModel(kind));
+        }
+        if let Err(witness) = arbitrage::check(&pricing) {
+            mbp_obs::inc("mbp.core.publish.rejected");
+            return Err(MarketError::NotArbitrageFree(witness));
         }
         if let Some(sink) = &self.durability {
             sink.record_publish(kind, pricing.grid(), pricing.prices());

@@ -14,12 +14,12 @@
 //!
 //! [`PricingFunction`] stores the grid and implements that evaluation,
 //! compiled once at construction into the form every sale is priced by:
-//! there is one evaluator, so what the auditors and optimizers check is
-//! exactly what the broker charges. The constructor validates only basic
-//! sanity (ascending grid, finite non-negative prices, slopes that do not
-//! overflow) — deliberately, so that *broken* pricing functions can be
-//! represented and handed to the [`arbitrage`](crate::arbitrage) auditors,
-//! as in Figure 3's illustration.
+//! there is one evaluator, so what the arbitrage check and the optimizers
+//! check is exactly what the broker charges. The constructor validates only
+//! basic sanity (ascending grid, finite non-negative prices, slopes that do
+//! not overflow) — deliberately, so that *broken* pricing functions can be
+//! represented and handed to [`arbitrage::check`](crate::arbitrage::check),
+//! as in Figure 3's illustration; the broker refuses to publish them.
 //!
 //! Prices in error units (Theorem 6's `p̄∘φ`) are not a second evaluator:
 //! a buyer's request resolves to an NCP through the market's one resolver,
@@ -87,8 +87,8 @@ impl std::error::Error for PricingError {}
 /// [`SegmentIndex`] over the knots (a fixed-stride grid when they are
 /// near-uniform, `partition_point` otherwise), so [`Self::price_at`] is
 /// one segment lookup plus one multiply-add, with no allocation and no
-/// division. Every caller — the broker's sales and quotes, the auditors,
-/// the optimizers and `welfare` — evaluates this one arithmetic.
+/// division. Every caller — the broker's sales and quotes, the arbitrage
+/// check, the optimizers and `welfare` — evaluates this one arithmetic.
 ///
 /// ```
 /// use mbp_core::pricing::PricingFunction;

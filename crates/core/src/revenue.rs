@@ -305,7 +305,12 @@ fn dp_weighted(points: &[BuyerPoint], bonus: &[f64]) -> RevenueSolution {
 /// Result of the exact solver, including its exponential work counter.
 #[derive(Debug, Clone)]
 pub struct ExactSolution {
-    /// The optimal arbitrage-free pricing.
+    /// The piecewise-linear interpolant of problem (2)'s optimal prices.
+    /// Problem (2) checks each grid price against covers built from grid
+    /// bundles only (the paper's model), so the interpolant, which also
+    /// sells the origin ray and the points between knots, need not pass
+    /// [`check`](crate::arbitrage::check): on buyers `(a, v) = (2, 2)` and
+    /// `(3, 3.5)` it is `[2, 3.5]`, and `p̄(1) + p̄(2) = 3 < p̄(3)`.
     pub pricing: PricingFunction,
     /// Optimal revenue of problem (2).
     pub objective: f64,

@@ -2,7 +2,7 @@
 //! budget inversion, DP feasibility/optimality structure, and baseline
 //! well-behavedness on random instances.
 
-use mbp_core::arbitrage::audit;
+use mbp_core::arbitrage::check;
 use mbp_core::market::ExactSum;
 use mbp_core::pricing::PricingFunction;
 use mbp_core::revenue::{affordability, revenue, solve_bv_dp, Baseline, BuyerPoint};
@@ -184,9 +184,8 @@ proptest! {
         // Revenue never exceeds total surplus.
         let surplus: f64 = points.iter().map(|p| p.demand * p.valuation).sum();
         prop_assert!(sol.objective <= surplus + 1e-9);
-        // Audit it on the instance grid.
-        let report = audit(&sol.pricing, &grid, 4, 1e-5);
-        prop_assert!(report.is_clean(), "{:?}", report);
+        // It is arbitrage-free as sold.
+        prop_assert_eq!(check(&sol.pricing), Ok(()));
     }
 
     /// The curve answers every evaluation form within `ORACLE_TOL`
@@ -225,15 +224,13 @@ proptest! {
         }
     }
 
-    /// Every baseline yields a well-behaved (monotone + subadditive on the
-    /// grid) pricing function with affordability in [0, 1].
+    /// Every baseline yields a well-behaved (monotone + subadditive as
+    /// sold) pricing function with affordability in [0, 1].
     #[test]
     fn baselines_always_well_behaved(points in buyer_instance()) {
-        let grid: Vec<f64> = points.iter().map(|p| p.a).collect();
         for b in Baseline::ALL {
             let pf = b.pricing(&points);
-            let report = audit(&pf, &grid, 4, 1e-5);
-            prop_assert!(report.is_clean(), "{}: {:?}", b.name(), report);
+            prop_assert_eq!(check(&pf), Ok(()), "{}", b.name());
             let a = affordability(&pf, &points);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&a));
         }

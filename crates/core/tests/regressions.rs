@@ -12,7 +12,7 @@
 //! the subadditivity ratio constraints must pull the high price down
 //! without driving intermediate prices negative or breaking monotonicity.
 
-use mbp_core::arbitrage::audit;
+use mbp_core::arbitrage::check;
 use mbp_core::error::SquareLossTransform;
 use mbp_core::market::{Broker, MarketError};
 use mbp_core::pricing::PricingFunction;
@@ -40,8 +40,7 @@ fn assert_dp_well_behaved(points: &[BuyerPoint]) {
     assert!(sol.objective >= -1e-12);
     let surplus: f64 = points.iter().map(|p| p.demand * p.valuation).sum();
     assert!(sol.objective <= surplus + 1e-9);
-    let report = audit(&sol.pricing, &grid, 4, 1e-5);
-    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(check(&sol.pricing), Ok(()));
 }
 
 /// Seed `99080a23…`: three zero-valuation points, then one valued point

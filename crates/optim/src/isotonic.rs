@@ -187,15 +187,15 @@ pub fn project_relaxed_cone(y: &[f64], a: &[f64], tol: f64) -> Projection {
 /// Maximum violation of the relaxed-cone constraints at `z`
 /// (0 means feasible).
 pub fn relaxed_cone_residual(z: &[f64], a: &[f64]) -> f64 {
-    let mut res: f64 = 0.0;
-    for i in 0..z.len() {
-        res = res.max(-z[i]); // z ≥ 0
-        if i + 1 < z.len() {
-            res = res.max(z[i] - z[i + 1]); // monotone
-            res = res.max(z[i + 1] / a[i + 1] - z[i] / a[i]); // ratio
-        }
-    }
-    res
+    let negative = z.iter().map(|&zi| -zi); // z ≥ 0
+    let knots = z.iter().zip(a);
+    let steps = knots
+        .clone()
+        .zip(knots.skip(1))
+        .flat_map(|((&z0, &a0), (&z1, &a1))| {
+            [z0 - z1, z1 / a1 - z0 / a0] // monotone, ratio
+        });
+    negative.chain(steps).fold(0.0, f64::max)
 }
 
 /// `true` when `z` satisfies the relaxed constraints of problem (4) within

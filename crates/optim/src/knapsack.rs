@@ -53,7 +53,6 @@ impl Item {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoverOracle {
-    items: Vec<Item>,
     /// `table[x] = μ(x)` for `x = 0..=horizon`.
     table: Vec<f64>,
 }
@@ -78,10 +77,7 @@ impl CoverOracle {
             }
             table[x] = best;
         }
-        CoverOracle {
-            items: items.to_vec(),
-            table,
-        }
+        CoverOracle { table }
     }
 
     /// `μ(x)`: the cheapest multiset cost covering weight `x`.
@@ -90,52 +86,6 @@ impl CoverOracle {
     /// Panics when `x` exceeds the tabulated horizon.
     pub fn mu(&self, x: u64) -> f64 {
         self.table[x as usize]
-    }
-
-    /// Largest tabulated target.
-    pub fn horizon(&self) -> u64 {
-        (self.table.len() - 1) as u64
-    }
-
-    /// The item set the oracle was built over.
-    pub fn items(&self) -> &[Item] {
-        &self.items
-    }
-
-    /// Reconstructs one optimal covering multiset for target `x` as
-    /// `(item index, multiplicity)` pairs; `None` when `x` is uncoverable.
-    pub fn witness(&self, x: u64) -> Option<Vec<(usize, u64)>> {
-        if !self.mu(x).is_finite() {
-            return None;
-        }
-        let mut counts = vec![0u64; self.items.len()];
-        let mut remaining = x as usize;
-        // Greedily re-trace the DP decisions.
-        while remaining > 0 {
-            let target = self.table[remaining];
-            let mut advanced = false;
-            for (idx, it) in self.items.iter().enumerate() {
-                let rest = remaining.saturating_sub(it.weight as usize);
-                if self.table[rest].is_finite()
-                    && (self.table[rest] + it.cost - target).abs() <= 1e-9 * (1.0 + target.abs())
-                {
-                    counts[idx] += 1;
-                    remaining = rest;
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                return None; // numerical dead end; should not happen
-            }
-        }
-        Some(
-            counts
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, k)| k > 0)
-                .collect(),
-        )
     }
 }
 
@@ -190,23 +140,6 @@ mod tests {
         let oracle = CoverOracle::build(&[], 5);
         assert_eq!(oracle.mu(0), 0.0);
         assert!(oracle.mu(1).is_infinite());
-    }
-
-    #[test]
-    fn witness_reconstructs_cover() {
-        let items = [Item::new(5, 4.0), Item::new(3, 2.0)];
-        let oracle = CoverOracle::build(&items, 15);
-        let w = oracle.witness(8).unwrap();
-        let weight: u64 = w.iter().map(|&(i, k)| items[i].weight * k).sum();
-        let cost: f64 = w.iter().map(|&(i, k)| items[i].cost * k as f64).sum();
-        assert!(weight >= 8);
-        assert!((cost - oracle.mu(8)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn witness_of_uncoverable_is_none() {
-        let oracle = CoverOracle::build(&[], 5);
-        assert!(oracle.witness(3).is_none());
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub enum ErrorCode {
     UnachievableError = 4,
     /// [`MarketError::InsufficientBudget`].
     InsufficientBudget = 5,
-    /// [`MarketError::BadRequest`].
+    /// [`MarketError::BadRequest`] and [`MarketError::NotArbitrageFree`].
     BadRequest = 6,
     /// A buy arrived before the `Hello` handshake seeded the RNG.
     NotReady = 7,
@@ -124,7 +124,7 @@ pub fn market_error_code(e: &MarketError) -> ErrorCode {
         MarketError::TrainingFailed(_) => ErrorCode::TrainingFailed,
         MarketError::UnachievableError(_) => ErrorCode::UnachievableError,
         MarketError::InsufficientBudget(_) => ErrorCode::InsufficientBudget,
-        MarketError::BadRequest(_) => ErrorCode::BadRequest,
+        MarketError::BadRequest(_) | MarketError::NotArbitrageFree(_) => ErrorCode::BadRequest,
     }
 }
 

@@ -430,6 +430,50 @@ fn publish_over_the_wire_replaces_the_listing() {
     handle.wait();
 }
 
+/// A curve the arbitrage check refuses is answered `BadRequest` with its
+/// witness, and the old listing keeps pricing to the bit.
+#[test]
+fn an_arbitrageable_publish_is_refused_with_its_witness() {
+    let shared = SharedBroker::new(listed_broker(3));
+    let handle = mbp_serve::start(shared, ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(client.hello(31).expect("hello"), Response::HelloOk);
+
+    let probe = Request::Quote {
+        kind: KIND,
+        request: PurchaseRequest::ErrorBudget(0.8),
+    };
+    let (_, before) = client.call(&probe).expect("quote");
+    assert!(matches!(before, Response::QuoteOk { .. }), "{before:?}");
+
+    // As sold, p̄(1) + p̄(2) = 1 + 2 < p̄(3) = 3.5.
+    let points = vec![(2.0, 2.0), (3.0, 3.5)];
+    let (_, refused) = client
+        .call(&Request::Publish { kind: KIND, points })
+        .expect("publish");
+    match refused {
+        Response::Error { code, msg } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(msg.contains("not arbitrage-free"), "{msg}");
+            assert!(msg.contains("precisions 1 + 2 cost 3"), "{msg}");
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
+    let (_, after) = client.call(&probe).expect("quote");
+    let bits = |r: &Response| match *r {
+        Response::QuoteOk {
+            ncp,
+            price,
+            expected_error,
+        } => [ncp.to_bits(), price.to_bits(), expected_error.to_bits()],
+        ref other => panic!("expected quote, got {other:?}"),
+    };
+    assert_eq!(bits(&before), bits(&after));
+    handle.shutdown();
+    handle.wait();
+}
+
 #[test]
 fn shutdown_control_frame_drains_the_server() {
     let shared = SharedBroker::new(listed_broker(3));

@@ -3,10 +3,11 @@
 //! Theorem 5: a buyer who can buy `k` model instances at precisions
 //! `x_1..x_k` and combine them (inverse-variance weighting — precisions
 //! add) defeats any pricing function that is not monotone and subadditive
-//! on the inverse-NCP axis. The grid-quantized auditors in
-//! [`mbp_core::arbitrage`] certify curves over a fixed resolution; this
-//! engine is their randomized complement: it searches *off-grid* multisets
-//! for
+//! on the inverse-NCP axis. [`mbp_core::arbitrage::check`] decides that
+//! exactly for the sold curve, from the vertices where a cheap pair must
+//! sit; this engine is its independent, randomized verifier: it samples
+//! precisions anywhere on the axis, multisets of up to
+//! [`AttackConfig::max_bundle`] parts included, and searches for
 //!
 //! * monotonicity violations (`x₁ < x₂` but `p̄(x₁) > p̄(x₂)`),
 //! * subadditivity violations (`p̄(Σxᵢ) > Σ p̄(xᵢ)`: buying the parts and
@@ -23,6 +24,7 @@
 //! from its 64-bit seed.
 
 use crate::oracle::ReferenceCurve;
+use mbp_core::arbitrage::{exceeds, TOL};
 use mbp_core::error::ErrorTransform;
 use mbp_core::market::{resolve_ncp, MarketError, PurchaseRequest};
 use mbp_core::pricing::PricingFunction;
@@ -41,7 +43,8 @@ pub struct AttackConfig {
     /// Largest multiset size `k` tried per subadditivity probe.
     pub max_bundle: usize,
     /// Relative exploit margin below which a probe is *not* a violation
-    /// (absorbs last-ulp noise in the interpolation arithmetic).
+    /// (absorbs last-ulp noise in the interpolation arithmetic); by default
+    /// the publish check's [`TOL`], so both judge by one margin.
     pub tol: f64,
     /// Stop after this many (shrunk) counterexamples.
     pub max_violations: usize,
@@ -53,7 +56,7 @@ impl Default for AttackConfig {
             seed: 0xa77a_c400,
             trials: 100_000,
             max_bundle: 5,
-            tol: 1e-9,
+            tol: TOL,
             max_violations: 8,
         }
     }
@@ -207,12 +210,6 @@ impl AttackReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-}
-
-/// The exploit margin must beat `tol` *relative to the price scale* to
-/// count, so last-ulp interpolation noise never reports a violation.
-fn exceeds(lhs: f64, rhs: f64, tol: f64) -> bool {
-    lhs > rhs + tol * lhs.abs().max(rhs.abs()).max(1.0)
 }
 
 /// Draws one precision from a domain-aware mixture: interior points, the
@@ -491,7 +488,7 @@ pub fn attack_error_space(
         let list = reference.price_at(1.0 / d1);
         report.checks += 1;
         if let Some(through_phi) = price_for_error(e1) {
-            if exceeds(through_phi, list, cfg.tol.max(1e-9)) {
+            if exceeds(through_phi, list, cfg.tol.max(TOL)) {
                 report.violations.push(Counterexample {
                     violation: Violation::EpsilonSpace {
                         err_lo: e1,

@@ -20,8 +20,9 @@
 use crate::log::{list_segments, recover_dir, segment_path, WalConfig, WalWriter};
 use crate::record::{live_start, WalEvent};
 use crate::WalError;
+use mbp_core::arbitrage::check;
 use mbp_core::error::SquareLossTransform;
-use mbp_core::market::{Broker, DurabilitySink, SalesTotals, Transaction};
+use mbp_core::market::{Broker, DurabilitySink, MarketError, SalesTotals, Transaction};
 use mbp_core::pricing::PricingFunction;
 use mbp_ml::ModelKind;
 use mbp_serve::wire::{digest_bytes, kind_to_u8, DIGEST_SEED};
@@ -43,8 +44,8 @@ pub const ALL_KINDS: [ModelKind; 3] = [
 pub struct RecoveredState {
     /// Last ridge per supported kind, in first-support order.
     supports: Vec<(ModelKind, f64)>,
-    /// Last published knots per kind, in first-publish order.
-    publishes: Vec<(ModelKind, Vec<f64>, Vec<f64>)>,
+    /// Last published curve per kind, in first-publish order.
+    publishes: Vec<(ModelKind, PricingFunction)>,
     /// Per-kind sale counts and exact revenue.
     pub sales: SalesTotals,
     /// Current epoch (0 before any rollover).
@@ -58,9 +59,13 @@ impl RecoveredState {
     /// [`live_start`] on, after the last [`WalEvent::Snapshot`] marker.
     ///
     /// # Errors
+    /// Records that passed their checksum, so were written that way, but
+    /// that no broker could have written:
     /// [`WalError::BadSale`] when a live sale carries a NaN, infinite or
-    /// negative `ncp` or `price`: such a record passed its checksum, so
-    /// it was written that way, and no broker could have sold it.
+    /// negative `ncp` or `price`; [`WalError::BadPoints`] when a live
+    /// publish's knots do not form a pricing function; and
+    /// [`WalError::Market`] with [`MarketError::NotArbitrageFree`] when
+    /// they do but fail [`check`].
     pub fn from_events(events: &[WalEvent]) -> Result<RecoveredState, WalError> {
         let mut state = RecoveredState::default();
         for (record, event) in events.iter().enumerate().skip(live_start(events)) {
@@ -79,12 +84,14 @@ impl RecoveredState {
                 }
             }
             WalEvent::Publish { kind, grid, prices } => {
-                match self.publishes.iter_mut().find(|(k, _, _)| k == kind) {
-                    Some(slot) => {
-                        slot.1 = grid.clone();
-                        slot.2 = prices.clone();
-                    }
-                    None => self.publishes.push((*kind, grid.clone(), prices.clone())),
+                let pricing =
+                    PricingFunction::from_points(grid.clone(), prices.clone()).map_err(|e| {
+                        WalError::BadPoints(format!("recovered publish for {kind:?}: {e}"))
+                    })?;
+                check(&pricing).map_err(MarketError::NotArbitrageFree)?;
+                match self.publishes.iter_mut().find(|(k, _)| k == kind) {
+                    Some(slot) => slot.1 = pricing,
+                    None => self.publishes.push((*kind, pricing)),
                 }
             }
             WalEvent::Sale { kind, ncp, price } => {
@@ -123,8 +130,8 @@ impl RecoveredState {
     pub fn published_points(&self, kind: ModelKind) -> Option<(&[f64], &[f64])> {
         self.publishes
             .iter()
-            .find(|(k, _, _)| *k == kind)
-            .map(|(_, g, p)| (g.as_slice(), p.as_slice()))
+            .find(|(k, _)| *k == kind)
+            .map(|(_, f)| (f.grid(), f.prices()))
     }
 
     /// Canonical digest of the folded state (FNV over every field's
@@ -135,10 +142,10 @@ impl RecoveredState {
             h = digest_bytes(h, &[1, kind_to_u8(*kind)]);
             h = digest_f64s(h, &[*ridge]);
         }
-        for (kind, grid, prices) in &self.publishes {
+        for (kind, pricing) in &self.publishes {
             h = digest_bytes(h, &[2, kind_to_u8(*kind)]);
-            h = digest_f64s(h, grid);
-            h = digest_f64s(h, prices);
+            h = digest_f64s(h, pricing.grid());
+            h = digest_f64s(h, pricing.prices());
         }
         h = digest_totals(h, &self.sales);
         h = digest_bytes(h, &self.epoch.to_le_bytes());
@@ -150,18 +157,16 @@ impl RecoveredState {
     }
 
     /// Replays the fold into `broker`: supports retrain (deterministic),
-    /// publishes recompile from the recorded knots (durable listings use
-    /// the square-loss transform — the serve path's transform), and the
+    /// the folded curves publish (durable listings use the square-loss
+    /// transform — the serve path's transform), and the
     /// sale totals merge into the broker's. Attach any durability sink
     /// only *after* this call, or the replay is re-recorded.
     pub fn apply(&self, broker: &mut Broker) -> Result<(), WalError> {
         for (kind, ridge) in &self.supports {
             broker.support(*kind, *ridge)?;
         }
-        for (kind, grid, prices) in &self.publishes {
-            let pricing = PricingFunction::from_points(grid.clone(), prices.clone())
-                .map_err(|e| WalError::BadPoints(format!("recovered publish for {kind:?}: {e}")))?;
-            broker.publish(*kind, pricing, Box::new(SquareLossTransform))?;
+        for (kind, pricing) in &self.publishes {
+            broker.publish(*kind, pricing.clone(), Box::new(SquareLossTransform))?;
         }
         broker.merge_totals(&self.sales);
         Ok(())
@@ -249,9 +254,9 @@ impl Durability {
     /// attaching the handle as its sink.
     ///
     /// # Errors
-    /// I/O failures, and [`WalError::BadSale`] when a recovered sale
-    /// record carries an impossible value (see
-    /// [`RecoveredState::from_events`]); no segment is opened then.
+    /// I/O failures, and the errors of [`RecoveredState::from_events`]
+    /// for a recovered record that carries an impossible sale or curve;
+    /// no segment is opened then.
     pub fn open(dir: &Path, cfg: WalConfig) -> Result<(Arc<Durability>, Recovery), WalError> {
         std::fs::create_dir_all(dir)?;
         let scanned = recover_dir(dir)?;
@@ -409,6 +414,31 @@ mod tests {
         {
             r.unwrap();
         }
+    }
+
+    /// A publish the arbitrage check refuses reaches neither the listing
+    /// nor the log: the log holds the support alone.
+    #[test]
+    fn a_rejected_publish_appends_no_record() {
+        let kind = ModelKind::LinearRegression;
+        let dir = temp_dir("rejected-publish");
+        let (wal, _) = Durability::open(&dir, WalConfig::default()).unwrap();
+        let mut broker = fresh_broker(11);
+        broker.set_durability(Arc::clone(&wal) as Arc<_>);
+        broker.support(kind, 1e-6).unwrap();
+        let knotted = PricingFunction::from_points(vec![2.0, 3.0], vec![2.0, 3.5]).unwrap();
+        let refused = broker.publish(kind, knotted, Box::new(SquareLossTransform));
+        assert!(
+            matches!(refused, Err(MarketError::NotArbitrageFree(_))),
+            "{refused:?}"
+        );
+        wal.sync().unwrap();
+        drop(broker);
+        drop(wal);
+        let (_wal, recovery) = Durability::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!(recovery.records, 1);
+        assert!(recovery.state.published_points(kind).is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A full live session against a durability-attached SharedBroker

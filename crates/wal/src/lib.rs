@@ -50,7 +50,8 @@ pub enum WalError {
     /// The writer was crashed by a fault-injection hook; the segment must
     /// not change again.
     Dead,
-    /// Replaying recovered state into the broker failed.
+    /// Replaying recovered state into the broker failed, or a recovered
+    /// curve is not arbitrage-free.
     Market(mbp_core::market::MarketError),
     /// Recovered publish knots were rejected by the pricing layer.
     BadPoints(String),

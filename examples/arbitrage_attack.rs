@@ -20,37 +20,22 @@ fn main() {
     // --- The broken market: superadditive (convex) prices. ---
     let convex =
         PricingFunction::from_points(grid.clone(), grid.iter().map(|x| x * x).collect()).unwrap();
-    let report = audit(&convex, &grid, 10, 1e-9);
-    println!(
-        "audit of convex pricing found {} arbitrage opportunities",
-        report.arbitrage.len()
-    );
-    let finding = report
-        .arbitrage
-        .iter()
-        .max_by(|a, b| a.margin().partial_cmp(&b.margin()).unwrap())
-        .expect("convex pricing is attackable");
-    println!(
-        "best attack: target precision {} (list price {:.0}) via bundle {:?} costing {:.0} — margin {:.0}",
-        finding.target_precision,
-        finding.list_price,
-        finding.bundle,
-        finding.bundle_price,
-        finding.margin()
-    );
+    let witness = check(&convex).expect_err("convex pricing is attackable");
+    println!("check of convex pricing: {witness}");
+    let Arbitrage::Superadditive { x, y, .. } = witness else {
+        panic!("x² rises everywhere, so its defect is superadditivity");
+    };
 
     // Execute it against real Gaussian releases.
     let mech = GaussianMechanism;
     let mut purchases = Vec::new();
     let mut ncps = Vec::new();
     let mut paid = 0.0;
-    for &(x, k) in &finding.bundle {
-        for _ in 0..k {
-            let ncp = 1.0 / x;
-            purchases.push(mech.perturb(&h_star, ncp, &mut rng));
-            ncps.push(ncp);
-            paid += convex.price_at(x);
-        }
+    for part in [x, y] {
+        let ncp = 1.0 / part;
+        purchases.push(mech.perturb(&h_star, ncp, &mut rng));
+        ncps.push(ncp);
+        paid += convex.price_at(part);
     }
     let (_combined, combined_ncp) = combine_inverse_variance(&purchases, &ncps);
     println!(
@@ -81,15 +66,8 @@ fn main() {
         .map(|&x| BuyerPoint::new(x, 10.0 * x.sqrt() * 10.0, 0.1))
         .collect();
     let dp = solve_bv_dp(&buyers);
-    let report = audit(&dp.pricing, &grid, 10, 1e-6);
-    println!(
-        "\naudit of DP pricing: {} monotonicity violations, {} arbitrage opportunities",
-        report.monotonicity_violations.len(),
-        report.arbitrage.len()
-    );
-    assert!(
-        report.is_clean(),
-        "the DP must produce arbitrage-free prices"
-    );
+    let verdict = check(&dp.pricing);
+    println!("\ncheck of DP pricing: {verdict:?}");
+    assert_eq!(verdict, Ok(()), "the DP must produce arbitrage-free prices");
     println!("no bundle of cheap instances undercuts any list price — the market is safe");
 }

@@ -39,9 +39,8 @@ fn main() {
     let grid: Vec<f64> = (1..=10).map(|i| i as f64 / unit).collect();
     let prices: Vec<f64> = (1..=10).map(|i| 25.0 * (i as f64).sqrt()).collect();
     let pricing = PricingFunction::from_points(grid.clone(), prices).unwrap();
-    let report = mbp::core::arbitrage::audit(&pricing, &grid, 10, 1e-9);
-    assert!(report.is_clean());
-    println!("pricing curve audited: arbitrage-free\n");
+    assert_eq!(check(&pricing), Ok(()));
+    println!("pricing curve checked: arbitrage-free\n");
 
     // Alice buys at three price points and sees the accuracy she paid for.
     for budget in [25.0, 50.0, 79.0] {

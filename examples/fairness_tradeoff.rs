@@ -31,7 +31,7 @@ fn main() {
         let sol = solve_bv_dp_fair(&buyers, lambda);
         let r = revenue(&sol.pricing, &buyers);
         let a = affordability(&sol.pricing, &buyers);
-        let clean = mbp::core::arbitrage::audit(&sol.pricing, &g, 10, 1e-6).is_clean();
+        let clean = check(&sol.pricing).is_ok();
         println!("{lambda:>6.1} {r:>8.3} {a:>14.3}  {clean}");
         assert!(clean, "fair pricing must stay arbitrage-free");
         frontier.push((lambda, r, a));

@@ -46,10 +46,9 @@ fn main() {
         solution.objective
     );
 
-    // Audit it: the DP output must be clean.
-    let report = mbp::core::arbitrage::audit(&pricing, &grid, 10, 1e-6);
-    assert!(report.is_clean(), "DP pricing must be arbitrage-free");
-    println!("arbitrage audit: clean");
+    // Check it: the DP output must be arbitrage-free as sold.
+    assert_eq!(check(&pricing), Ok(()), "DP pricing must be arbitrage-free");
+    println!("arbitrage check: clean");
 
     // List the curve: buyers purchase against the published offer.
     broker

@@ -54,8 +54,8 @@ fn main() {
     let kappa = h_star.norm2_squared();
     let grid: Vec<f64> = (1..=10).map(|i| i as f64 / kappa).collect();
     let prices: Vec<f64> = (1..=10).map(|i| 40.0 * (i as f64).sqrt()).collect();
-    let pricing = PricingFunction::from_points(grid.clone(), prices).unwrap();
-    assert!(mbp::core::arbitrage::audit(&pricing, &grid, 10, 1e-9).is_clean());
+    let pricing = PricingFunction::from_points(grid, prices).unwrap();
+    assert_eq!(check(&pricing), Ok(()));
 
     // Release noisy classifiers at three price points; per-sale cost is a
     // d-dimensional Gaussian draw — microseconds, versus the training run.

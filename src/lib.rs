@@ -55,7 +55,7 @@ pub use mbp_randx as randx;
 
 /// One-stop imports for building a marketplace.
 pub mod prelude {
-    pub use mbp_core::arbitrage::{audit, combine_inverse_variance, AuditReport};
+    pub use mbp_core::arbitrage::{check, combine_inverse_variance, Arbitrage};
     pub use mbp_core::error::{
         DeltaMethodTransform, EmpiricalTransform, ErrorTransform, LinRegSquareTransform,
         SquareLossTransform,

@@ -1,5 +1,5 @@
 //! End-to-end marketplace integration tests spanning every crate:
-//! data generation → training → pricing → purchase → arbitrage audit.
+//! data generation → training → pricing → purchase → arbitrage check.
 
 use mbp::prelude::*;
 use mbp::randx::seeded_rng;
@@ -24,8 +24,7 @@ fn full_regression_market_roundtrip() {
     assert!(sol.objective > 0.0);
 
     // The derived pricing is arbitrage-free.
-    let report = mbp::core::arbitrage::audit(&sol.pricing, &seller.grid, 10, 1e-6);
-    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(check(&sol.pricing), Ok(()));
 
     // Publish the curve; all three purchase modes succeed against the
     // listing and are consistent.

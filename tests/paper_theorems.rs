@@ -84,8 +84,8 @@ fn theorem5_attack_realizes_combined_precision() {
     assert!((mean - 0.5).abs() < 0.02, "measured {mean}");
 }
 
-/// Theorem 5 (sufficiency direction, empirically): subadditive + monotone
-/// pricing admits no profitable bundle on the audit lattice.
+/// Theorem 5 (sufficiency direction): subadditive + monotone pricing
+/// passes the exact arbitrage check.
 #[test]
 fn theorem5_subadditive_prices_audit_clean() {
     let grid: Vec<f64> = (1..=12).map(|i| i as f64).collect();
@@ -99,8 +99,7 @@ fn theorem5_subadditive_prices_audit_clean() {
     for f in shapes {
         let prices: Vec<f64> = grid.iter().map(|&x| f(x)).collect();
         let pf = PricingFunction::from_points(grid.clone(), prices).unwrap();
-        let report = mbp::core::arbitrage::audit(&pf, &grid, 12, 1e-7);
-        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(mbp::core::arbitrage::check(&pf), Ok(()));
     }
 }
 
@@ -146,10 +145,9 @@ fn proposition3_factor_two_on_random_instances() {
             dp.objective,
             exact.objective
         );
-        // Lemma 8: audit the DP pricing.
-        let grid: Vec<f64> = points.iter().map(|p| p.a).collect();
-        let report = mbp::core::arbitrage::audit(&dp.pricing, &grid, 4, 1e-6);
-        assert!(report.is_clean(), "trial {trial}: {report:?}");
+        // Lemma 8: the DP pricing is arbitrage-free as sold.
+        let verdict = mbp::core::arbitrage::check(&dp.pricing);
+        assert_eq!(verdict, Ok(()), "trial {trial}");
     }
 }
 
