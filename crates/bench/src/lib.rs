@@ -33,6 +33,58 @@ pub mod servebench;
 pub mod tracebench;
 pub mod walbench;
 
+use mbp_core::error::SquareLossTransform;
+use mbp_core::market::{Broker, PurchaseRequest};
+use mbp_core::PricingFunction;
+use mbp_ml::ModelKind;
+
+/// Knots of [`dense_pricing`].
+pub const DENSE_KNOTS: usize = 512;
+
+/// The serving baselines' curve: `p̄(x) = 10·√x` on [`DENSE_KNOTS`]
+/// knots `1.25, 1.5, …` (monotone and subadditive).
+pub fn dense_pricing() -> PricingFunction {
+    let grid: Vec<f64> = (1..=DENSE_KNOTS).map(|i| 1.0 + i as f64 * 0.25).collect();
+    let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
+    PricingFunction::from_points(grid, prices).expect("curve is arbitrage-free")
+}
+
+/// The serving baselines' purchase stream: all three request kinds, all
+/// satisfiable against [`dense_pricing`] with the square-loss transform.
+/// Request `i` takes its kind from `offset + i` and its value from `i`, so
+/// streams at different offsets (one per daemon connection) differ.
+pub fn request_stream(offset: usize, n: usize) -> Vec<PurchaseRequest> {
+    (0..n)
+        .map(|i| match (offset + i) % 3 {
+            0 => PurchaseRequest::AtNcp(0.1 + (i % 37) as f64 * 0.05),
+            1 => PurchaseRequest::ErrorBudget(0.5 + (i % 23) as f64 * 0.1),
+            _ => PurchaseRequest::PriceBudget(12.0 + (i % 50) as f64),
+        })
+        .collect()
+}
+
+/// A broker serving [`dense_pricing`] with the square-loss transform for
+/// a linear regression trained on 400 seeded `simulated1` rows of
+/// dimension `dim`. Rows may be fewer than `dim`: the ridge keeps the Gram
+/// positive definite, and the serving baselines depend only on the
+/// model's dimension.
+pub fn listed_broker(dim: usize) -> Broker {
+    let mut rng = mbp_randx::seeded_rng(0xA11);
+    let data = mbp_data::synth::simulated1(400, dim, 0.5, &mut rng).split(0.75, &mut rng);
+    let mut broker = Broker::new(data);
+    broker
+        .support(ModelKind::LinearRegression, 1e-6)
+        .expect("training failed");
+    broker
+        .publish(
+            ModelKind::LinearRegression,
+            dense_pricing(),
+            Box::new(SquareLossTransform),
+        )
+        .expect("listing accepted");
+    broker
+}
+
 /// Provenance stamped into every `BENCH_*.json` artifact: the machine's
 /// hardware thread count plus a commit-ish and run timestamp *passed in by
 /// the caller* (via `MBP_BENCH_COMMIT` / `MBP_BENCH_TIME`). The baselines

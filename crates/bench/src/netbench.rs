@@ -19,12 +19,9 @@
 //! The ratchet writes the record as `BENCH_serve_net.json`.
 
 use crate::record::{per_sec, percentile, repeat, Record, Spread};
-use mbp_core::error::SquareLossTransform;
+use crate::{listed_broker, request_stream};
 use mbp_core::market::concurrent::SharedBroker;
-use mbp_core::market::{Broker, PurchaseRequest};
-use mbp_core::PricingFunction;
 use mbp_ml::ModelKind;
-use mbp_randx::seeded_rng;
 use mbp_serve::wire::{Request, Response};
 use mbp_serve::{Client, ServerConfig};
 use std::time::Instant;
@@ -39,41 +36,6 @@ pub const SWEEP_CONNS: [usize; 4] = [1, 4, 16, 64];
 /// Runs of every sweep point; each metric is the median over them.
 pub const REPEATS: usize = 3;
 
-fn dense_pricing(points: usize) -> PricingFunction {
-    let grid: Vec<f64> = (1..=points).map(|i| 1.0 + i as f64 * 0.25).collect();
-    let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
-    PricingFunction::from_points(grid, prices).expect("curve is arbitrage-free")
-}
-
-fn listed_broker(seed: u64) -> Broker {
-    let mut rng = seeded_rng(seed);
-    let data = mbp_data::synth::simulated1(400, 5, 0.5, &mut rng).split(0.75, &mut rng);
-    let mut broker = Broker::new(data);
-    broker
-        .support(ModelKind::LinearRegression, 1e-6)
-        .expect("training failed");
-    broker
-        .publish(
-            ModelKind::LinearRegression,
-            dense_pricing(512),
-            Box::new(SquareLossTransform),
-        )
-        .expect("listing accepted");
-    broker
-}
-
-/// The per-connection request stream: all three request kinds, all
-/// satisfiable, offset by connection index so streams differ per client.
-fn conn_stream(conn: usize, n: usize) -> Vec<PurchaseRequest> {
-    (0..n)
-        .map(|i| match (conn + i) % 3 {
-            0 => PurchaseRequest::AtNcp(0.1 + (i % 37) as f64 * 0.05),
-            1 => PurchaseRequest::ErrorBudget(0.5 + (i % 23) as f64 * 0.1),
-            _ => PurchaseRequest::PriceBudget(12.0 + (i % 50) as f64),
-        })
-        .collect()
-}
-
 struct RunResult {
     seconds: f64,
     latencies: Vec<f64>,
@@ -85,7 +47,7 @@ struct RunResult {
 /// (from its burst's flush to its response) from every client, and the
 /// order-folded response digest.
 fn drive(conns: usize, per_conn: usize) -> RunResult {
-    let shared = SharedBroker::new(listed_broker(0xA11));
+    let shared = SharedBroker::new(listed_broker(5));
     let handle = mbp_serve::start(shared, ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
 
@@ -96,7 +58,7 @@ fn drive(conns: usize, per_conn: usize) -> RunResult {
                 let mut client = Client::connect(addr).expect("connect");
                 let hello = client.hello(0xC0_0000 + c as u64).expect("hello");
                 assert_eq!(hello, Response::HelloOk);
-                let stream = conn_stream(c, per_conn);
+                let stream = request_stream(c, per_conn);
                 let mut latencies = Vec::with_capacity(per_conn);
                 for burst in stream.chunks(BURST) {
                     for &request in burst {

@@ -23,8 +23,8 @@
 //! exactly. The ratchet writes the record as `BENCH_serving.json`.
 
 use crate::record::{per_sec, percentile, quotient, repeat, Record, Spread};
-use mbp_core::error::SquareLossTransform;
-use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
+use crate::{dense_pricing, listed_broker, request_stream, DENSE_KNOTS};
+use mbp_core::market::{Broker, SaleArena};
 use mbp_core::PricingFunction;
 use mbp_ml::train::{ridge_closed_form, RidgeSolver};
 use mbp_ml::ModelKind;
@@ -107,14 +107,6 @@ fn speedup(num: &[Run], den: &[Run]) -> Spread {
     Spread::of(num.iter().zip(den).map(|(n, d)| quotient(n.qps, d.qps)))
 }
 
-/// A dense arbitrage-free pricing curve: `p̄(x) = 10·√x` sampled on
-/// `points` knots (monotone and subadditive).
-fn dense_pricing(points: usize) -> PricingFunction {
-    let grid: Vec<f64> = (1..=points).map(|i| 1.0 + i as f64 * 0.25).collect();
-    let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
-    PricingFunction::from_points(grid, prices).expect("curve is arbitrage-free")
-}
-
 /// The mixed pricing-resolution query stream: NCP pricing and budget
 /// inversion interleaved, with inputs cycling through in-domain and
 /// clamped out-of-domain values.
@@ -130,54 +122,24 @@ fn pricing_query(pf: &PricingFunction, i: usize) -> f64 {
     }
 }
 
-/// The end-to-end purchase request stream: all three request kinds, all
-/// satisfiable against [`dense_pricing`] with the identity transform.
-fn request_stream(n: usize) -> Vec<PurchaseRequest> {
-    (0..n)
-        .map(|i| match i % 3 {
-            0 => PurchaseRequest::AtNcp(0.1 + (i % 37) as f64 * 0.05),
-            1 => PurchaseRequest::ErrorBudget(0.5 + (i % 23) as f64 * 0.1),
-            _ => PurchaseRequest::PriceBudget(12.0 + (i % 50) as f64),
-        })
-        .collect()
-}
-
-fn listed_broker(seed: u64, pricing: &PricingFunction) -> Broker {
-    let mut rng = seeded_rng(seed);
-    let data = mbp_data::synth::simulated1(400, 5, 0.5, &mut rng).split(0.75, &mut rng);
-    let mut broker = Broker::new(data);
-    broker
-        .support(ModelKind::LinearRegression, 1e-6)
-        .expect("training failed");
-    broker
-        .publish(
-            ModelKind::LinearRegression,
-            pricing.clone(),
-            Box::new(SquareLossTransform),
-        )
-        .expect("listing accepted");
-    broker
-}
-
 /// Runs the full serving baseline with `quotes` quotes per workload.
 pub fn run(quotes: usize) -> Record {
     let _span = mbp_obs::span("mbp.bench.servebench");
     let quotes = quotes.max(64);
-    const GRID_POINTS: usize = 512;
     const BATCH: usize = 256;
     const PRICING_BLOCK: usize = 64;
-    let pricing = dense_pricing(GRID_POINTS);
+    let pricing = dense_pricing();
 
     let lookups = measure(quotes, quotes, PRICING_BLOCK, |_, i| {
         pricing_query(&pricing, i)
     });
 
-    let requests = request_stream(quotes);
+    let requests = request_stream(0, quotes);
 
     // serve-single: one buy_listed per quote. Fresh broker + RNG per run so
     // the runs are bit-identical.
     let mut singles: Vec<(Broker, mbp_randx::MbpRng)> = (0..REPEATS)
-        .map(|_| (listed_broker(0xA11, &pricing), seeded_rng(0x5e1)))
+        .map(|_| (listed_broker(5), seeded_rng(0x5e1)))
         .collect();
     let serve_single = measure(quotes, quotes, 1, |run, i| {
         let (broker, rng) = &mut singles[run];
@@ -190,10 +152,7 @@ pub fn run(quotes: usize) -> Record {
     // serve-into: a zero-allocation batch of one per quote, reusing one
     // arena.
     let mut intos: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..REPEATS)
-        .map(|_| {
-            let broker = listed_broker(0xA11, &pricing);
-            (broker, seeded_rng(0x5e1), SaleArena::new())
-        })
+        .map(|_| (listed_broker(5), seeded_rng(0x5e1), SaleArena::new()))
         .collect();
     let serve_into = measure(quotes, quotes, 1, |run, i| {
         let (broker, rng, arena) = &mut intos[run];
@@ -213,10 +172,7 @@ pub fn run(quotes: usize) -> Record {
     // each work item is one whole batch, its latency amortized over the
     // batch's quotes.
     let mut batchers: Vec<(Broker, mbp_randx::MbpRng, SaleArena)> = (0..REPEATS)
-        .map(|_| {
-            let broker = listed_broker(0xA11, &pricing);
-            (broker, seeded_rng(0x5e1), SaleArena::new())
-        })
+        .map(|_| (listed_broker(5), seeded_rng(0x5e1), SaleArena::new()))
         .collect();
     let serve_batch = measure(quotes, quotes.div_ceil(BATCH), 1, |run, b| {
         let (broker, rng, arena) = &mut batchers[run];
@@ -258,7 +214,7 @@ pub fn run(quotes: usize) -> Record {
     let mut rec = Record::new(&[
         ("quotes", quotes as f64),
         ("repeats", REPEATS as f64),
-        ("grid_points", GRID_POINTS as f64),
+        ("grid_points", DENSE_KNOTS as f64),
         ("model_dim", 5.0),
     ]);
     rec.ratio(

@@ -1,176 +1,102 @@
 //! Tracing-overhead baseline for the quote-serving path
 //! (`BENCH_trace.json`).
 //!
-//! Measures what the mbp-obs causal-tracing layer costs on the
-//! zero-allocation serve path (`buy_batch_into` on a batch of one, the
-//! daemon's depth-1 shape) against a
-//! high-dimensional listing, where per-quote work is dominated by noise
-//! sampling — the regime the overhead budgets are written for:
+//! Measures what the mbp-obs layer costs on the zero-allocation serve path
+//! (`buy_batch_into` on a batch of one, the daemon's depth-1 shape)
+//! against a high-dimensional listing, where per-quote work is dominated
+//! by noise sampling — the regime the overhead budgets are written for.
 //!
-//! * **serve-floor** — the broker's per-request work rebuilt from the
-//!   public pieces (the market's one resolver `resolve_ncp`,
-//!   `PricingFunction`, `GaussianMechanism::perturb_into`) with no
-//!   observability calls at all: the same listing
-//!   and menu `HashMap` lookups, arena buffers, sale slot and sale-totals
-//!   update as `buy_batch_into`, so the two differ only by observability.
-//! * **serve-obs-disabled** — the real broker path with observability
-//!   fully disabled; every obs call is an inert relaxed load.
-//!   `overhead_disabled` compares this against the floor and must stay
-//!   within the ≤2% budget.
-//! * **serve-obs-metrics** — observability enabled, tracing off: the
-//!   pre-tracing production configuration (counters, gauges, span
-//!   histograms).
+//! The overhead is counted, not differenced from a second copy of the
+//! kernel: [`obs_calls`] makes exactly the obs calls of one such request,
+//! in the same order, with no market work, and `tests/obs_replay.rs` pins
+//! it to the kernel metric by metric. Each of nine rounds (the record's
+//! repeats) times the replay and then the real request stream in three
+//! obs modes:
+//!
+//! * **serve-obs-disabled** — observability off; every obs call is an
+//!   inert relaxed load.
+//! * **serve-obs-metrics** — observability on, tracing off: counters,
+//!   gauges and span histograms.
 //! * **serve-traced** — tracing on: span ids and contexts, the labeled
 //!   request histogram, and flight-recorder writes on every quote.
-//!   `overhead_enabled` compares this against `serve-obs-metrics` — the
-//!   marginal cost of turning tracing on — and must stay within ≤10%.
 //!
-//! The four workloads run interleaved: each of nine rounds (the record's
-//! repeats) serves the whole quote stream once per workload, round-robin,
-//! starting one workload later each round. Drift in the machine's speed
-//! (frequency, neighbours on a shared host) then lands on every workload
-//! alike. Each overhead is the median of its per-round ratios, and each
-//! workload's throughput the median of its rounds, both with their min
-//! and max. Every run starts from the same seed; `deterministic` asserts
-//! all rounds produced identical digests (tracing never touches the
-//! pricing or noise streams), and `traced_spans_cover_quotes` that the
-//! traced run recorded at least one span per quote.
+//! `overhead_disabled` is the disabled replay's cost over the disabled
+//! request's (budget ≤2%). `overhead_enabled` is what turning tracing on
+//! adds to the replay, over the metrics-on request's cost (budget ≤10%).
+//! The replay's timed blocks rotate through the modes, and the real
+//! stream's modes start one later each round, so drift in the machine's
+//! speed lands on every mode alike. Each overhead is the median of its
+//! per-round ratios, and each mode's throughput and replay cost the median
+//! of its rounds, all with their min and max. Every run starts from the
+//! same seed; `deterministic` asserts all rounds produced identical
+//! digests (tracing never touches the pricing or noise streams), and
+//! `traced_spans_cover_quotes` that the traced run recorded at least one
+//! span per quote.
 
-use crate::record::{per_sec, Record, Spread};
-use mbp_core::error::{ErrorTransform, SquareLossTransform};
-use mbp_core::market::{
-    resolve_ncp, Broker, MarketError, PurchaseRequest, Sale, SaleArena, SalesTotals,
-};
-use mbp_core::{GaussianMechanism, NoiseMechanism, PricingFunction};
-use mbp_ml::{LinearModel, ModelKind};
+use crate::record::{per_sec, percentile, Record, Spread};
+use crate::{listed_broker, request_stream};
+use mbp_core::market::{Broker, PurchaseRequest, SaleArena};
+use mbp_ml::ModelKind;
 use mbp_randx::{seeded_rng, MbpRng};
-use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::Instant;
 
-/// Interleaved rounds per baseline; each runs every workload once.
+/// Interleaved rounds per baseline; each runs every mode once.
 const ROUNDS: usize = 9;
 
-/// The workloads, in round-robin order.
-const WORKLOADS: [&str; 4] = [
-    "serve-floor",
-    "serve-obs-disabled",
-    "serve-obs-metrics",
-    "serve-traced",
-];
+/// Replay calls per timed block.
+const BLOCK: usize = 250;
 
-/// Same √-shaped arbitrage-free curve as the serving baseline.
-fn dense_pricing() -> PricingFunction {
-    let grid: Vec<f64> = (1..=512).map(|i| 1.0 + i as f64 * 0.25).collect();
-    let prices: Vec<f64> = grid.iter().map(|x| 10.0 * x.sqrt()).collect();
-    PricingFunction::from_points(grid, prices).expect("curve is arbitrage-free")
-}
+/// The obs modes, in round-robin order.
+const MODES: [&str; 3] = ["serve-obs-disabled", "serve-obs-metrics", "serve-traced"];
 
-/// Same mixed request stream as the serving baseline (all satisfiable).
-fn request_stream(n: usize) -> Vec<PurchaseRequest> {
-    (0..n)
-        .map(|i| match i % 3 {
-            0 => PurchaseRequest::AtNcp(0.1 + (i % 37) as f64 * 0.05),
-            1 => PurchaseRequest::ErrorBudget(0.5 + (i % 23) as f64 * 0.1),
-            _ => PurchaseRequest::PriceBudget(12.0 + (i % 50) as f64),
-        })
-        .collect()
-}
-
-fn listed_broker(dim: usize, pricing: &PricingFunction) -> Broker {
-    let mut rng = seeded_rng(0x7ace);
-    // Rows ≪ dim is fine: the ridge term keeps the Gram SPD, and the
-    // model's content is irrelevant here — only its dimension matters.
-    let rows = (dim / 4).max(64);
-    let data = mbp_data::synth::simulated1(rows, dim, 0.5, &mut rng).split(0.75, &mut rng);
-    let mut broker = Broker::new(data);
-    broker
-        .support(ModelKind::LinearRegression, 0.1)
-        .expect("training failed");
-    broker
-        .publish(
-            ModelKind::LinearRegression,
-            pricing.clone(),
-            Box::new(SquareLossTransform),
-        )
-        .expect("listing accepted");
-    broker
-}
-
-/// A listing as the floor keeps it: the pricing curve and the boxed error
-/// transform, as in the broker's own listing.
-type Listing = (PricingFunction, Box<dyn ErrorTransform + Send + Sync>);
-
-/// The uninstrumented serve loop: the same work as `buy_batch_into` on a
-/// batch of one — listing and menu lookups, resolve and price passes
-/// through reused buffers, noise into a reused sale slot, the sale-totals
-/// update — rebuilt from public pieces with no observability anywhere.
-struct Floor {
-    listings: HashMap<ModelKind, Listing>,
-    menu: HashMap<ModelKind, LinearModel>,
-    mech: Box<dyn NoiseMechanism>,
-    outcomes: Vec<Result<f64, MarketError>>,
-    xs: Vec<f64>,
-    prices: Vec<f64>,
-    sales: Vec<Sale>,
-    totals: SalesTotals,
-}
-
-impl Floor {
-    fn new(broker: &Broker, pricing: &PricingFunction) -> Self {
-        let kind = ModelKind::LinearRegression;
-        let model = broker.optimal_model(kind).expect("supported").clone();
-        let listing: Listing = (pricing.clone(), Box::new(SquareLossTransform));
-        Floor {
-            listings: HashMap::from([(kind, listing)]),
-            menu: HashMap::from([(kind, model)]),
-            mech: Box::new(GaussianMechanism),
-            outcomes: Vec::new(),
-            xs: Vec::new(),
-            prices: Vec::new(),
-            sales: Vec::new(),
-            totals: SalesTotals::default(),
-        }
+/// The obs calls of one warmed depth-1 `buy_batch_into` whose request is
+/// served, in the kernel's order and with none of its market work: the
+/// request seed, the `mbp.core.buy` root around the `buy_batch` span and
+/// its `.resolve` and `.price` children, the kernel's counters, the
+/// guarded Lemma 3 observation and the revenue gauge.
+pub fn obs_calls(seed: u64) {
+    mbp_obs::set_request_seed(seed);
+    let _root = mbp_obs::trace_root("mbp.core.buy", "linear_regression", "gaussian");
+    let _span = mbp_obs::span("mbp.core.buy_batch");
+    mbp_obs::counter_add("mbp.core.pricing.table_hit", 1);
+    drop(mbp_obs::span("mbp.core.buy_batch.resolve"));
+    drop(mbp_obs::span("mbp.core.buy_batch.price"));
+    mbp_obs::inc("mbp.core.mechanism.gaussian.count");
+    if mbp_obs::is_enabled() {
+        mbp_obs::observe("mbp.core.mechanism.lemma3_ratio", black_box(1.0));
     }
+    mbp_obs::counter_add("mbp.core.buy.count", 1);
+    mbp_obs::counter_add("mbp.core.buy.rejected", 0);
+    mbp_obs::gauge_add("mbp.core.revenue.total", black_box(1.0));
+}
 
-    /// Buys one request; returns `price + ncp`.
-    fn buy(&mut self, request: PurchaseRequest, rng: &mut MbpRng) -> f64 {
-        let kind = ModelKind::LinearRegression;
-        let (pricing, transform) = self.listings.get(&kind).expect("listed");
-        let model = self.menu.get(&kind).expect("supported");
-        let resolved = resolve_ncp(pricing, transform.as_ref(), request);
-        self.outcomes.clear();
-        self.xs.clear();
-        self.xs
-            .push(resolved.as_ref().map_or(f64::NAN, |&d| 1.0 / d));
-        self.outcomes.push(resolved);
-        pricing.price_at_batch(&self.xs, &mut self.prices);
-        let ncp = *self.outcomes[0].as_ref().expect("request is satisfiable");
-        if self.sales.is_empty() {
-            self.sales.push(Sale {
-                model: model.clone(),
-                price: 0.0,
-                ncp: 0.0,
-                expected_error: 0.0,
-            });
-        }
-        let sale = &mut self.sales[0];
-        self.mech
-            .perturb_into(model.weights(), ncp, rng, sale.model.weights_mut());
-        sale.price = self.prices[0];
-        sale.ncp = ncp;
-        sale.expected_error = transform.expected_error(ncp);
-        for (outcome, sale) in self.outcomes.iter().zip(&self.sales) {
-            if outcome.is_ok() {
-                self.totals.add_sale(kind, sale.price);
+/// Switches the process-global obs state to mode `m` of [`MODES`].
+fn set_mode(m: usize) {
+    mbp_obs::set_enabled(m >= 1);
+    mbp_obs::set_tracing(m == 2);
+}
+
+/// Replays [`obs_calls`] once per quote in every mode, timed in blocks of
+/// [`BLOCK`] calls that rotate through the modes, so drift in the
+/// machine's speed lands on every mode alike. Returns each mode's median
+/// block seconds per call, which a preemption inside one block does not
+/// move.
+fn replay(quotes: usize) -> [f64; 3] {
+    let mut per_call: [Vec<f64>; 3] = Default::default();
+    for (b, lo) in (0..quotes).step_by(BLOCK).enumerate() {
+        let hi = (lo + BLOCK).min(quotes);
+        for k in 0..MODES.len() {
+            let m = (b + k) % MODES.len();
+            set_mode(m);
+            let t0 = Instant::now();
+            for i in lo..hi {
+                obs_calls(black_box(i as u64));
             }
+            per_call[m].push(t0.elapsed().as_secs_f64() / (hi - lo) as f64);
         }
-        self.prices[0] + ncp
     }
-
-    /// Serves the whole stream; returns its digest.
-    fn serve(&mut self, requests: &[PurchaseRequest], rng: &mut MbpRng) -> f64 {
-        requests.iter().map(|&r| self.buy(r, rng)).sum()
-    }
+    per_call.map(|mut samples| percentile(&mut samples, 0.5))
 }
 
 /// Serves the whole stream through the broker's zero-allocation buy
@@ -200,6 +126,14 @@ fn serve(
     digest
 }
 
+/// One mode's round: the replay's and the real request's seconds per
+/// quote, and the stream's digest.
+struct Round {
+    replay: f64,
+    serve: f64,
+    digest: f64,
+}
+
 /// Runs the tracing-overhead baseline over `quotes` requests at listing
 /// dimension `dim`. The committed record's 1024 is large enough that noise
 /// sampling dominates each quote and small enough to stay on the serial
@@ -207,8 +141,7 @@ fn serve(
 /// overhead ratios are only meaningful at serving-scale dims.
 pub fn run(quotes: usize, dim: usize) -> Record {
     let quotes = quotes.max(256);
-    let pricing = dense_pricing();
-    let requests = request_stream(quotes);
+    let requests = request_stream(0, quotes);
 
     // Save and restore the process-global obs configuration.
     let was_enabled = mbp_obs::is_enabled();
@@ -217,31 +150,27 @@ pub fn run(quotes: usize, dim: usize) -> Record {
     mbp_obs::disable();
     mbp_obs::set_slow_threshold_micros(u64::MAX / 1_000);
 
-    let mut floor = Floor::new(&listed_broker(dim, &pricing), &pricing);
-    let mut brokers: Vec<Broker> = (1..WORKLOADS.len())
-        .map(|_| listed_broker(dim, &pricing))
-        .collect();
+    let mut broker = listed_broker(dim);
     let mut arena = SaleArena::new();
-    // `runs[w]` holds workload `w`'s `(seconds, digest)` per round.
-    let mut runs: Vec<Vec<(f64, f64)>> = vec![Vec::with_capacity(ROUNDS); WORKLOADS.len()];
+    // `rounds[m]` holds mode `m`'s rounds.
+    let mut rounds: Vec<Vec<Round>> = MODES.iter().map(|_| Vec::with_capacity(ROUNDS)).collect();
     let mut spans_recorded = 0;
     for round in 0..ROUNDS {
-        for k in 0..WORKLOADS.len() {
-            let w = (round + k) % WORKLOADS.len();
-            // The floor and serve-obs-disabled run with observability
-            // off; serve-obs-metrics turns it on; serve-traced adds
-            // tracing.
-            mbp_obs::set_enabled(w >= 2);
-            mbp_obs::set_tracing(w == 3);
+        let replays = replay(quotes);
+        for k in 0..MODES.len() {
+            let m = (round + k) % MODES.len();
+            set_mode(m);
             let spans_before = mbp_obs::recorded_spans();
             let mut rng = seeded_rng(0x5e1);
             let t0 = Instant::now();
-            let digest = match w {
-                0 => floor.serve(&requests, &mut rng),
-                _ => serve(&mut brokers[w - 1], &requests, &mut rng, &mut arena),
-            };
-            runs[w].push((t0.elapsed().as_secs_f64(), digest));
-            if w == 3 {
+            let digest = serve(&mut broker, &requests, &mut rng, &mut arena);
+            let serve = t0.elapsed().as_secs_f64() / quotes as f64;
+            rounds[m].push(Round {
+                replay: replays[m],
+                serve,
+                digest,
+            });
+            if m == 2 {
                 spans_recorded = mbp_obs::recorded_spans() - spans_before;
             }
         }
@@ -255,24 +184,30 @@ pub fn run(quotes: usize, dim: usize) -> Record {
         ("model_dim", dim as f64),
         ("repeats", ROUNDS as f64),
     ]);
-    // `num`'s time relative to `den`'s, round by round.
-    let overhead = |num: usize, den: usize| {
+    let [off, metrics, traced] = [&rounds[0], &rounds[1], &rounds[2]];
+    rec.ratio(
+        "overhead_disabled",
+        false,
+        Spread::of(off.iter().map(|r| r.replay / r.serve)),
+    );
+    rec.ratio(
+        "overhead_enabled",
+        false,
         Spread::of(
-            runs[num]
+            traced
                 .iter()
-                .zip(&runs[den])
-                .map(|(n, d)| n.0 / d.0 - 1.0),
-        )
-    };
-    rec.ratio("overhead_disabled", false, overhead(1, 0));
-    rec.ratio("overhead_enabled", false, overhead(3, 2));
-    for (name, r) in WORKLOADS.iter().zip(&runs) {
-        let qps = Spread::of(r.iter().map(|&(s, _)| per_sec(quotes, s)));
+                .zip(metrics)
+                .map(|(t, m)| (t.replay - m.replay) / m.serve),
+        ),
+    );
+    for (name, r) in MODES.iter().zip(&rounds) {
+        let qps = Spread::of(r.iter().map(|r| per_sec(1, r.serve)));
         rec.throughput(format!("{name}.quotes_per_sec"), "quotes/s", qps);
+        let ns = Spread::of(r.iter().map(|r| r.replay * 1e9));
+        rec.latency(format!("{name}.obs_ns_per_quote"), "ns", ns);
     }
-    let reproduced = runs
-        .iter()
-        .all(|r| r.iter().all(|&(_, d)| d == runs[0][0].1));
+    let first = rounds[0][0].digest;
+    let reproduced = rounds.iter().flatten().all(|r| r.digest == first);
     rec.invariant("deterministic", reproduced);
     rec.invariant("traced_spans_cover_quotes", spans_recorded >= quotes as u64);
     rec
@@ -281,32 +216,20 @@ pub fn run(quotes: usize, dim: usize) -> Record {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The runs flip process-global obs state; tests serialize on one lock.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn smoke_run_is_deterministic_and_traced() {
-        let _g = serial();
         let rec = run(256, 32);
         crate::record::assert_same_metrics(&rec, "BENCH_trace.json");
-        for name in WORKLOADS {
-            let qps = rec
-                .median(&format!("{name}.quotes_per_sec"))
-                .expect("measured");
-            assert!(qps > 0.0, "{name}");
+        for name in MODES {
+            let median = |metric: &str| rec.median(&format!("{name}.{metric}")).expect("measured");
+            assert!(median("quotes_per_sec") > 0.0, "{name}");
+            assert!(median("obs_ns_per_quote") > 0.0, "{name}");
         }
-        // Every workload, the floor included, serves the same stream to
-        // the same digest.
+        // Every mode serves the same stream to the same digest.
         assert!(
             rec.holds("deterministic"),
-            "a workload failed to reproduce its digest"
+            "a mode failed to reproduce its digest"
         );
         // Every traced quote contributes a root span plus its kernel spans.
         assert!(rec.holds("traced_spans_cover_quotes"));

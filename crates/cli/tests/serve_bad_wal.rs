@@ -104,6 +104,9 @@ fn a_publish_of_an_arbitrageable_curve_fails_recovery_and_serve_refuses_to_boot(
         Err(e) => panic!("unexpected error: {e}"),
         Ok(_) => panic!("recovery accepted an arbitrageable curve"),
     }
-    assert_serve_refuses(&dir, "not arbitrage-free");
+    assert_serve_refuses(
+        &dir,
+        "recovered state rejected: pricing is not arbitrage-free",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

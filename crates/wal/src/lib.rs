@@ -50,8 +50,9 @@ pub enum WalError {
     /// The writer was crashed by a fault-injection hook; the segment must
     /// not change again.
     Dead,
-    /// Replaying recovered state into the broker failed, or a recovered
-    /// curve is not arbitrage-free.
+    /// The market rejected recovered state: the fold refused a recovered
+    /// curve that is not arbitrage-free, or replaying the recovered state
+    /// into the broker failed.
     Market(mbp_core::market::MarketError),
     /// Recovered publish knots were rejected by the pricing layer.
     BadPoints(String),
@@ -73,7 +74,7 @@ impl fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::Dead => write!(f, "wal writer is dead (crash point reached)"),
-            WalError::Market(e) => write!(f, "replaying recovered state failed: {e}"),
+            WalError::Market(e) => write!(f, "recovered state rejected: {e}"),
             WalError::BadPoints(msg) => write!(f, "recovered pricing rejected: {msg}"),
             WalError::BadSale { record, ncp, price } => write!(
                 f,

@@ -15,8 +15,11 @@
 //! one part off the ray.
 
 use mbp::core::arbitrage::{check, exceeds, Arbitrage, TOL};
+use mbp::core::market::concurrent::SharedBroker;
 use mbp::prelude::*;
 use mbp::randx::{seeded_rng, MbpRng};
+use mbp_serve::wire::{ErrorCode, Request, Response};
+use mbp_serve::{Client, ServerConfig};
 use mbp_testkit::{attack_curve, AttackConfig};
 use rand::Rng;
 
@@ -214,23 +217,28 @@ fn accepted_curves_survive_the_attack_and_witnesses_reproduce() {
     );
 }
 
-/// Random non-decreasing curves, neither built sound nor broken: whatever
-/// the check decides, the attack engine and the witness agree with it.
+/// A random non-decreasing curve, neither built sound nor broken: its
+/// slopes run up to 1.2 times the origin ray's, so some segments outrun it.
+fn random_monotone(rng: &mut MbpRng) -> PricingFunction {
+    let n = rng.gen_range(2..10usize);
+    let grid = random_grid(rng, n, 1.0);
+    let mut prices = vec![rng.gen_range(0.5..5.0)];
+    let ray = prices[0] / grid[0];
+    for w in grid.windows(2) {
+        let last = prices[prices.len() - 1];
+        prices.push(last + (w[1] - w[0]) * ray * rng.gen_range(0.0..1.2));
+    }
+    PricingFunction::from_points(grid, prices).expect("valid points")
+}
+
+/// Random monotone curves: whatever the check decides, the attack engine
+/// and the witness agree with it.
 #[test]
 fn random_monotone_curves_get_a_verdict_the_attack_confirms() {
     let mut rng = seeded_rng(0x5eed_c4ec);
     let (mut accepted, mut rejected) = (0, 0);
     for i in 0..120u64 {
-        let n = rng.gen_range(2..10usize);
-        let grid = random_grid(&mut rng, n, 1.0);
-        // Slopes up to 1.2 times the origin ray's: some segments outrun it.
-        let mut prices = vec![rng.gen_range(0.5..5.0)];
-        let ray = prices[0] / grid[0];
-        for w in grid.windows(2) {
-            let last = prices[prices.len() - 1];
-            prices.push(last + (w[1] - w[0]) * ray * rng.gen_range(0.0..1.2));
-        }
-        let f = PricingFunction::from_points(grid, prices).expect("valid points");
+        let f = random_monotone(&mut rng);
         match check(&f) {
             Ok(()) => {
                 let report = attack_curve(&f, &AttackConfig::quick(i));
@@ -245,6 +253,66 @@ fn random_monotone_curves_get_a_verdict_the_attack_confirms() {
     }
     assert!(
         accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}
+
+/// The same verdicts over the wire: 64 seeded curves published to a
+/// daemon on loopback, a third each from the sound and broken families
+/// and the rest random monotone. Every curve the daemon lists survives the
+/// attack engine; every curve it refuses with `BadRequest` fails the check,
+/// and the witness reproduces as a priced counterexample.
+#[test]
+fn curves_published_over_loopback_get_the_checks_verdict() {
+    const KIND: ModelKind = ModelKind::LinearRegression;
+    let mut rng = seeded_rng(0x10_0b_ac);
+    let mut curves: Vec<PricingFunction> = sound_curves(&mut rng)
+        .into_iter()
+        .step_by(6)
+        .take(21)
+        .collect();
+    curves.extend(broken_curves(&mut rng).into_iter().step_by(5).take(21));
+    while curves.len() < 64 {
+        curves.push(random_monotone(&mut rng));
+    }
+
+    let shared = SharedBroker::new(mbp_bench::listed_broker(5));
+    let handle = mbp_serve::start(shared, ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(client.hello(7).expect("hello"), Response::HelloOk);
+    let (mut accepted, mut rejected) = (0, 0);
+    for (i, f) in curves.iter().enumerate() {
+        let points = f
+            .grid()
+            .iter()
+            .copied()
+            .zip(f.prices().iter().copied())
+            .collect();
+        let (_, verdict) = client
+            .call(&Request::Publish { kind: KIND, points })
+            .expect("publish");
+        match verdict {
+            Response::PublishOk => {
+                assert!(check(f).is_ok(), "listed a curve the check refuses: {f:?}");
+                let report = attack_curve(f, &AttackConfig::quick(i as u64));
+                assert!(report.is_clean(), "{f:?}: {:?}", report.violations);
+                accepted += 1;
+            }
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                msg,
+            } => {
+                let w = check(f).expect_err(&msg);
+                assert_reproduces(f, &w);
+                rejected += 1;
+            }
+            other => panic!("expected PublishOk or BadRequest, got {other:?}"),
+        }
+    }
+    handle.shutdown();
+    handle.wait();
+    assert!(
+        accepted >= 16 && rejected >= 16,
         "{accepted} accepted, {rejected} rejected"
     );
 }
